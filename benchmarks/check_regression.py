@@ -42,13 +42,11 @@ DEFAULT_THRESHOLD = 1.2
 #: vectorized-kernel work, the scenario engine's thousand-iteration
 #: dynamics hot path, the 8-tenant, batched 100-tenant, and
 #: 1,000-tenant x 10k-iteration fleet-scheduling workloads, the
-#: two-shard sync overhead on the 100-tenant workload (guards the
-#: coordinator<->shard IPC bill itself), the orchestration search (the
-#: convex ablation plus every Table-3 scale of the batched analytic
-#: engine), and the flight-recorder overhead (the same scenario
-#: workload with tracing + metrics enabled — the disabled-hook cost is
-#: implicitly guarded by the two untraced scenario/fleet entries
-#: above).
+#: orchestration search (the convex ablation plus every Table-3 scale
+#: of the batched analytic engine), and the flight-recorder overhead
+#: (the same scenario workload with tracing + metrics enabled — the
+#: disabled-hook cost is implicitly guarded by the two untraced
+#: scenario/fleet entries above).
 TRACKED = (
     "test_figure16_reordering_ablation",
     "test_figure5_distributions",
@@ -57,7 +55,6 @@ TRACKED = (
     "test_fleet_8jobs_1000_iterations",
     "test_fleet_100jobs_1000_iterations",
     "test_fleet_1000jobs_10k_iterations",
-    "test_fleet_sharded_sync_overhead",
     "test_obs_overhead",
     "test_table3_overhead[1296-1920]",
     "test_table3_overhead[648-960]",

@@ -1,6 +1,6 @@
-"""Fleet-engine benchmarks at hundred-tenant scale.
+"""Fleet-engine benchmarks at hundred- and thousand-tenant scale.
 
-The tracked benchmark pins this PR's acceptance criterion: a 100-job,
+The tracked 100-job benchmark pins the batched engine's headline: a
 1000-iteration-per-job fair-share fleet — failures, elastic resizes,
 and every orchestration solve from cold plan *and* shared-state caches
 — completes end-to-end in about a second, because the batched engine
@@ -11,6 +11,9 @@ straggler evaluations in fused cross-tenant kernel sweeps. A second
 (non-tracked) benchmark holds the batched engine to >=3x over the
 sequential per-tenant reference loop on the same workload — the
 speedup the sharing and fusion exist to deliver.
+
+The tracked thousand-tenant benchmark runs 1,000 jobs x 10,000
+iterations each, fair-share on 4,800 shared GPUs, from cold caches.
 """
 
 import pytest
@@ -28,36 +31,39 @@ pytestmark = pytest.mark.slow
 
 JOB_CONFIG = DistTrainConfig.preset("mllm-9b", 48, 16)
 
-#: Each tenant's dynamics: real failures, elastic shrinking, repairs.
-JOB_SCENARIO = ScenarioSpec(
-    num_iterations=1000,
-    checkpoint_interval=50,
-    mtbf_gpu_hours=60.0,
-    elastic=True,
-    repair_seconds=900.0,
-)
 
-
-def fleet_spec() -> FleetSpec:
-    """100 x (48-GPU demand) on 480 shared GPUs: 10x oversubscribed."""
+def fleet_spec(num_jobs: int = 100, iterations: int = 1000) -> FleetSpec:
+    """``num_jobs`` x (48-GPU demand) on ``4.8 * num_jobs`` shared GPUs:
+    10x oversubscribed. Each tenant sees real failures, elastic
+    shrinking, and repairs."""
     return FleetSpec.homogeneous(
         JOB_CONFIG,
-        cluster_gpus=480,
-        num_jobs=100,
+        cluster_gpus=num_jobs * 48 // 10,
+        num_jobs=num_jobs,
         job_gpus=48,
         arrival_spacing_s=120.0,
         priorities=(1, 0),
         policy="fair-share",
-        scenario=JOB_SCENARIO,
+        scenario=ScenarioSpec(
+            num_iterations=iterations,
+            checkpoint_interval=50,
+            mtbf_gpu_hours=60.0,
+            elastic=True,
+            repair_seconds=900.0,
+        ),
     )
 
 
-def cold_fleet(batched: bool):
+def cold_engine(spec: FleetSpec, batched: bool = True) -> FleetEngine:
     # Cold start: every orchestration solve and every shared cluster
     # state build lands inside the measured time.
     PLAN_CACHE.clear()
     STATE_CACHE.clear()
-    return FleetEngine(fleet_spec(), batched=batched).run()
+    return FleetEngine(spec, batched=batched)
+
+
+def cold_fleet(batched: bool):
+    return cold_engine(fleet_spec(), batched=batched).run()
 
 
 def test_fleet_100jobs_1000_iterations(benchmark):
@@ -117,3 +123,37 @@ def test_batched_engine_speedup_over_sequential(benchmark):
           f"batched {batched_seconds:.2f}s = {speedup:.1f}x")
     assert batched.metrics() == sequential.metrics()
     assert speedup >= 3.0
+
+
+def test_fleet_1000jobs_10k_iterations(benchmark):
+    def run():
+        engine = cold_engine(fleet_spec(num_jobs=1000, iterations=10_000))
+        return engine, engine.run()
+
+    engine, result = benchmark.pedantic(run, rounds=1, iterations=1)
+    metrics = result.metrics()
+    cache = engine.state_cache_stats
+    print()
+    print(format_table(
+        ["metric", "value"],
+        [
+            ["fleet goodput", f"{metrics['fleet_goodput'] * 100:.1f}%"],
+            ["utilization", f"{metrics['utilization'] * 100:.1f}%"],
+            ["failures", int(metrics["num_failures"])],
+            ["re-orchestrations", int(metrics["num_replans"])],
+            ["jobstate cache (hit/miss)",
+             f"{cache['hits']}/{cache['misses']}"],
+        ],
+        title="1000 x 10k-iteration jobs, fair-share on 4800 shared GPUs:",
+    ))
+    # Order-of-magnitude guard only; the tracked baseline enforces the
+    # calibrated budget (~112 s when blessed).
+    assert benchmark.stats.stats.mean < 600.0
+    assert len(result.records) == 1000
+    assert all(r.result.num_iterations == 10_000 for r in result.records)
+    assert metrics["num_failures"] > 0
+    assert metrics["num_replans"] > 0
+    assert 0.0 < metrics["fleet_goodput"] <= 1.0
+    # The sized STATE_CACHE must keep the working set resident: a
+    # thousand same-task tenants build each cluster state once.
+    assert cache["hits"] > 100 * cache["misses"]

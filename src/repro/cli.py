@@ -466,15 +466,6 @@ def _add_fleet_arguments(
         help="priority cycle assigned to jobs in arrival order "
              "(matters under the priority policy)",
     )
-    parser.add_argument(
-        "--workers",
-        dest="fleet_workers",
-        type=int,
-        default=1,
-        help="shard the fleet across this many worker processes "
-             "(results are byte-identical to --workers 1, just faster "
-             "on multi-core hosts)",
-    )
 
 
 def _fleet_sweep_params(args: argparse.Namespace, fleet_on: bool):
@@ -496,10 +487,6 @@ def _fleet_sweep_params(args: argparse.Namespace, fleet_on: bool):
         }
         if args.job_gpus is not None:
             base["fleet_job_gpus"] = args.job_gpus
-    if getattr(args, "fleet_workers", 1) > 1:
-        # Execution-side: sharded runs are byte-identical, so this
-        # deliberately stays out of the trial cache keys.
-        base["fleet_workers"] = args.fleet_workers
     policies = list(args.fleet_policies or [])
     if not policies and not packs:
         policies = ["fair-share"]
@@ -743,7 +730,7 @@ def cmd_fleet_run(args: argparse.Namespace) -> int:
         return 2
     try:
         with _obs_session(args):
-            engine = FleetEngine(spec, workers=args.fleet_workers)
+            engine = FleetEngine(spec)
             result = engine.run()
     except FleetSchedulingError as exc:
         print(f"repro fleet run: error: {exc}", file=sys.stderr)
@@ -759,16 +746,9 @@ def cmd_fleet_run(args: argparse.Namespace) -> int:
             "hits": result.plan_cache_hits,
             "misses": result.plan_cache_misses,
         },
-        # Execution-side observability: these describe how the run
-        # executed (per-process cache temperature, shard sync volume),
-        # not what it computed — everything above is byte-identical
-        # across worker counts.
+        # Execution-side observability: per-process cache temperature,
+        # not part of what the run computed.
         "state_cache": dict(engine.state_cache_stats),
-        "execution": {
-            "workers": engine.workers,
-            "shard_sync_bytes": engine.shard_sync_bytes,
-            "shard_respawns": engine.shard_respawns,
-        },
         "jobs": [record.row() for record in result.records],
     }
     if args.json:
@@ -800,13 +780,6 @@ def cmd_fleet_run(args: argparse.Namespace) -> int:
             ["fleet throughput",
              f"{metrics['fleet_tokens_per_s'] / 1e3:.0f} K tokens/s"],
         ]
-        if engine.workers > 1:
-            summary_rows.append(
-                ["shard workers",
-                 f"{engine.workers} "
-                 f"({engine.shard_sync_bytes / 1024:.0f} KiB sync, "
-                 f"{engine.shard_respawns} respawns)"]
-            )
         if spec.pack:
             summary_rows.insert(1, ["pack", spec.pack])
         if metrics["slo_jobs"] > 0:

@@ -153,7 +153,7 @@ def _replan_uncached(
         ) from exc
 
 
-def simulate_fleet(spec, workers: int = 1):
+def simulate_fleet(spec):
     """Simulate a multi-tenant :class:`~repro.fleet.spec.FleetSpec` on
     its shared cluster.
 
@@ -162,14 +162,10 @@ def simulate_fleet(spec, workers: int = 1):
     event clock, with the configured scheduling policy reshaping
     allocations at arrivals, completions, and preemptions. Returns a
     :class:`~repro.fleet.engine.FleetResult`.
-
-    ``workers > 1`` shards the tenants across that many worker
-    processes (:mod:`repro.fleet.shards`); the result is byte-identical
-    to an in-process run, just faster on multi-core hosts.
     """
     from repro.fleet import run_fleet
 
-    return run_fleet(spec, workers=workers)
+    return run_fleet(spec)
 
 
 def build_simulator(

@@ -160,11 +160,7 @@ def execute_trial(payload: Tuple):
             # on the batched kernel path with a shared plan cache.
             from repro.fleet import run_fleet
 
-            # Execution-side only: sharded (workers > 1) and in-process
-            # fleet runs are byte-identical, so the metrics — and the
-            # trial's cache key — are the same either way.
-            workers = int(params.get("fleet_workers", 1))
-            metrics = run_fleet(fleet, workers=workers).metrics()
+            metrics = run_fleet(fleet).metrics()
         elif scenario is not None:
             # Dynamic-cluster trial: the scenario engine walks the full
             # multi-iteration timeline (failures, stragglers, elastic
@@ -300,9 +296,6 @@ class CampaignRunner:
             disables journaling (and therefore ``resume``).
         resume: Reuse terminal records from an existing journal of the
             same campaign instead of re-executing those trials.
-        supervised: Use the supervised executor for parallel execution.
-            False keeps the legacy ``multiprocessing.Pool`` path (which
-            degrades the remaining run to serial on pool failure).
         heartbeat_timeout: Kill a worker whose heartbeat stalls longer
             than this many seconds; None disables hung detection.
     """
@@ -318,7 +311,6 @@ class CampaignRunner:
         retry: Optional[RetryPolicy] = None,
         journal_dir: Optional[Any] = None,
         resume: bool = False,
-        supervised: bool = True,
         heartbeat_timeout: Optional[float] = 30.0,
     ) -> None:
         self.spec = spec
@@ -330,7 +322,6 @@ class CampaignRunner:
         self.retry = retry
         self.journal_dir = journal_dir
         self.resume = resume
-        self.supervised = supervised
         self.heartbeat_timeout = heartbeat_timeout
         self._interrupted = False
 
@@ -509,9 +500,6 @@ class CampaignRunner:
         if workers == 1 and timeout is None:
             yield from self._execute_serial(pending)
             return
-        if not self.supervised:
-            yield from self._execute_pool(pending, workers)
-            return
         executor = SupervisedExecutor(
             workers,
             timeout=timeout,
@@ -537,32 +525,3 @@ class CampaignRunner:
         for payload in pending:
             index, record = execute_trial(payload)
             yield index, TrialRecord.from_dict(record)
-
-    def _execute_pool(self, pending, workers: int):
-        """Legacy ``Pool.imap_unordered`` path (``supervised=False``)."""
-        context = _pool_context()
-        completed = set()
-        try:
-            with context.Pool(processes=workers) as pool:
-                for index, record in pool.imap_unordered(
-                    execute_trial, pending, chunksize=1
-                ):
-                    completed.add(index)
-                    yield index, TrialRecord.from_dict(record)
-        except Exception:
-            # Pool machinery failed (not a trial — those never raise):
-            # finish the remainder serially rather than losing the run.
-            traceback.print_exc(file=sys.stderr)
-            for payload in pending:
-                if payload[0] in completed:
-                    continue
-                index, record = execute_trial(payload)
-                yield index, TrialRecord.from_dict(record)
-
-
-def _pool_context():
-    """Prefer fork (inherits sys.path; cheap) where available."""
-    methods = multiprocessing.get_all_start_methods()
-    if "fork" in methods:
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()

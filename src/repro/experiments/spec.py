@@ -97,18 +97,7 @@ FLEET_PARAMS = (
     "fleet_pack",
 )
 
-#: Execution-side knobs: how a trial *runs*, never what it computes.
-#: Deliberately excluded from :meth:`TrialSpec.cache_key` (sharded and
-#: in-process fleet execution are byte-identical, so cached results
-#: stay valid across worker counts) and stripped before config
-#: materialization.
-EXECUTION_PARAMS = (
-    "fleet_workers",
-)
-
-KNOWN_PARAMS = (
-    TASK_PARAMS + SCENARIO_PARAMS + FLEET_PARAMS + EXECUTION_PARAMS
-)
+KNOWN_PARAMS = TASK_PARAMS + SCENARIO_PARAMS + FLEET_PARAMS
 
 REQUIRED_PARAMS = ("model", "gpus", "gbs")
 
@@ -334,9 +323,7 @@ class TrialSpec:
         params = {
             key: value
             for key, value in self.params.items()
-            if key not in SCENARIO_PARAMS
-            and key not in FLEET_PARAMS
-            and key not in EXECUTION_PARAMS
+            if key not in SCENARIO_PARAMS and key not in FLEET_PARAMS
         }
         kwargs: Dict[str, Any] = {}
         if "schedule" in params:

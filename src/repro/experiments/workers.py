@@ -1,12 +1,11 @@
 """Reusable worker-process lifecycle machinery.
 
-PR 9's supervisor (`experiments/supervisor.py`) and the sharded fleet
-engine (`fleet/shards.py`) both run long-lived child processes that
-talk to the parent over a private duplex pipe and stamp a shared
-heartbeat so the parent can tell *hung* from *busy*. This module holds
-the common substrate — context selection, heartbeat stamping, spawn /
-kill / exit attribution — so both layers supervise workers with the
-same hardened code path instead of two bespoke ones.
+The campaign supervisor (`experiments/supervisor.py`) runs long-lived
+child processes that talk to the parent over a private duplex pipe and
+stamp a shared heartbeat so the parent can tell *hung* from *busy*.
+This module holds that substrate — context selection, heartbeat
+stamping, spawn / kill / exit attribution — apart from the trial
+protocol the supervisor speaks over it.
 
 A :class:`WorkerHandle` owns exactly one child process plus its private
 pipe end and heartbeat slot. Privacy of the pipe is the crash-isolation

@@ -22,7 +22,9 @@ fused kernel sweep before any clock commits. Every shared or fused
 value is bit-identical to the sequential per-tenant path
 (``batched=False``, retained as the equivalence reference), so the
 :class:`FleetResult` is byte-identical either way — the hypothesis
-equivalence suite pins this across all three policies.
+equivalence suite pins this across all three policies. Both loops run
+in the calling process: the whole fleet is one event loop over one
+set of process-wide caches.
 
 Failure/repair capacity stays **job-local** (a repaired node returns to
 the job that lost it, as production schedulers do), so a single-job
@@ -335,106 +337,6 @@ _PAUSED = "paused"     # preempted, awaiting resume
 _DONE = "done"
 
 
-class _SimProxy:
-    """Coordinator-side stand-in for a shard-resident ``JobSimulator``.
-
-    Exposes the slice of the simulator surface the engine's decision
-    machinery touches — cached ``clock``/``done``/``paused`` read from
-    shard digests, and the fleet controls + feasibility probes as RPCs
-    to the owning shard — so ``_reschedule``/``_seat``/``_mirror`` run
-    unchanged against local tenants and sharded ones alike. Every probe
-    RPC executes on the shard (its counter side effects are part of the
-    byte-identity contract); only *infeasible* sizes are memoized here,
-    mirroring the simulator's own counter-free early return.
-    """
-
-    __slots__ = (
-        "order", "name", "_client", "_model", "_clock", "_lb",
-        "_done", "_paused", "_started", "_infeasible",
-    )
-
-    def __init__(self, order: int, name: str):
-        self.order = order
-        self.name = name
-        self._client = None
-        self._model = None
-        self._clock = 0.0
-        self._lb = 0.0
-        self._done = False
-        self._paused = False
-        self._started = False
-        self._infeasible: set = set()
-
-    def bind(self, client, model) -> None:
-        self._client = client
-        self._model = model
-
-    # Cached introspection -------------------------------------------- #
-    @property
-    def clock(self) -> float:
-        return self._clock
-
-    @property
-    def done(self) -> bool:
-        return self._done
-
-    @property
-    def paused(self) -> bool:
-        return self._paused
-
-    @property
-    def started(self) -> bool:
-        return self._started
-
-    @property
-    def lower_bound(self) -> float:
-        return self._lb
-
-    def apply_digest(self, digest: Tuple) -> None:
-        _, self._clock, self._lb, self._done, self._paused, started = (
-            digest
-        )
-        self._started = started
-
-    def _feed(self, fetches) -> None:
-        for signature, bypassed, in_window in fetches:
-            self._model.record(
-                self.order, signature, bypassed, in_window
-            )
-
-    # RPC surface ----------------------------------------------------- #
-    def _op(self, name: str, args: Tuple) -> None:
-        reply = self._client.call(("op", self.order, name, args))
-        self._feed(reply["fetches"])
-        self.apply_digest(reply["digest"])
-
-    def feasible(self, num_gpus: int) -> bool:
-        if num_gpus in self._infeasible:
-            return False
-        reply = self._client.call(("feasible", self.order, num_gpus))
-        self._feed(reply["fetches"])
-        self.apply_digest(reply["digest"])
-        if not reply["value"]:
-            self._infeasible.add(num_gpus)
-        return reply["value"]
-
-    def apply_resize(self, num_gpus: int, now: float) -> None:
-        self._op("apply_resize", (num_gpus, now))
-
-    def preempt(self, now: float) -> None:
-        self._op("preempt", (now,))
-
-    def start(
-        self,
-        allocated_gpus: Optional[int] = None,
-        start_time: float = 0.0,
-    ) -> None:
-        self._op("start", (allocated_gpus, start_time))
-
-    def resume(self, num_gpus: int, now: float) -> None:
-        self._op("resume", (num_gpus, now))
-
-
 class _Tenant:
     """Mutable per-job scheduling state."""
 
@@ -444,11 +346,10 @@ class _Tenant:
         order: int,
         use_plan_cache: bool,
         share_states: bool = False,
-        sim: Optional[Any] = None,
     ):
         self.spec = spec
         self.order = order
-        self.sim = sim if sim is not None else JobSimulator(
+        self.sim = JobSimulator(
             spec.config,
             spec.scenario,
             use_plan_cache=use_plan_cache,
@@ -494,11 +395,6 @@ class FleetEngine:
             ``use_plan_cache=False`` also disables it (every tenant
             then builds — and searches — privately, as bypass mode
             promises).
-        workers: Process-shard the fleet across this many long-lived
-            worker processes (see :mod:`repro.fleet.shards`). ``1``
-            (default) runs in-process. Sharded execution layers on the
-            batched semantics, so it requires ``batched=True``; results
-            are byte-identical to any worker count.
     """
 
     def __init__(
@@ -506,45 +402,21 @@ class FleetEngine:
         spec: FleetSpec,
         use_plan_cache: bool = True,
         batched: bool = True,
-        workers: int = 1,
     ):
         self.spec = spec
         self.batched = batched
-        self.workers = max(1, min(int(workers), max(1, len(spec.jobs))))
-        if self.workers > 1 and not batched:
-            raise ValueError(
-                "sharded fleet execution (workers > 1) layers on the "
-                "batched loop; batched=False is the in-process "
-                "equivalence reference"
-            )
-        self._sharded = self.workers > 1
-        self._use_plan_cache = use_plan_cache
         self.policy: SchedulingPolicy = make_policy(spec.policy)
         self.allocator = GPUAllocator(spec.cluster)
-        if self._sharded:
-            self._tenants = [
-                _Tenant(
-                    job, order, use_plan_cache,
-                    sim=_SimProxy(order, job.name),
-                )
-                for order, job in enumerate(spec.jobs)
-            ]
-        else:
-            self._tenants = [
-                _Tenant(
-                    job, order, use_plan_cache,
-                    share_states=batched and use_plan_cache,
-                )
-                for order, job in enumerate(spec.jobs)
-            ]
-        self._by_order = {t.order: t for t in self._tenants}
+        self._tenants = [
+            _Tenant(
+                job, order, use_plan_cache,
+                share_states=batched and use_plan_cache,
+            )
+            for order, job in enumerate(spec.jobs)
+        ]
         #: Per-run jobstate (``STATE_CACHE``) accounting — populated by
-        #: :meth:`run` (summed across shard processes when sharded).
+        #: :meth:`run`.
         self.state_cache_stats: Dict[str, int] = {}
-        #: Total coordinator<->shard pipe traffic, bytes (0 in-process).
-        self.shard_sync_bytes = 0
-        #: Shard worker processes killed and rebuilt during the run.
-        self.shard_respawns = 0
         #: Latest scheduling-decision clock (arrival, completion, or
         #: preemption time) — the wedged-fleet reschedule must not seat
         #: a waiter earlier than the decision that freed its capacity.
@@ -556,13 +428,11 @@ class FleetEngine:
     # ------------------------------------------------------------------ #
     def run(self) -> FleetResult:
         """Drive every tenant to completion on the shared cluster."""
-        # The pack/workers attributes ride the span only when set, so
-        # existing golden obs traces stay byte-identical.
+        # The pack attribute rides the span only when a pack is set, so
+        # pack-free golden obs traces stay byte-identical.
         span_extra = (
             {"pack": self.spec.pack} if self.spec.pack else {}
         )
-        if self._sharded:
-            span_extra["workers"] = self.workers
         with obs.span(
             "fleet.run",
             policy=self.policy.name,
@@ -603,8 +473,6 @@ class FleetEngine:
             self._tenants, key=lambda t: (t.spec.arrival_s, t.order)
         ))
         self._last_decision = 0.0
-        if self._sharded:
-            return self._run_sharded(pending)
         if self.batched:
             resize_state_cache(self._distinct_state_pairs())
         baseline = STATE_CACHE.stats()
@@ -688,231 +556,6 @@ class FleetEngine:
 
             if not self._unwedge():
                 break
-
-    # ------------------------------------------------------------------ #
-    # Process-sharded execution (workers > 1)
-    # ------------------------------------------------------------------ #
-    def _run_sharded(self, pending: Deque[_Tenant]) -> FleetResult:
-        """Drive the fleet across shard worker processes in rounds (see
-        :mod:`repro.fleet.shards` for the protocol and its proofs)."""
-        from repro.fleet.shards import PlanCacheModel, ShardClient
-        from repro.orchestration.plancache import PLAN_CACHE
-
-        target = resize_state_cache(self._distinct_state_pairs())
-        model = PlanCacheModel(PLAN_CACHE.keys(), PLAN_CACHE.maxsize)
-        shards = []
-        for shard_id in range(self.workers):
-            jobs = [
-                (t.order, t.spec)
-                for t in self._tenants
-                if t.order % self.workers == shard_id
-            ]
-            shards.append(
-                ShardClient(
-                    shard_id, jobs, self._use_plan_cache, target
-                )
-            )
-        try:
-            for client in shards:
-                client.start()
-            for t in self._tenants:
-                t.sim.bind(shards[t.order % self.workers], model)
-            self._sharded_loop(pending, shards, model)
-            result = self._records_sharded(shards, model)
-            self.state_cache_stats = {
-                "hits": 0, "misses": 0, "size": 0, "maxsize": target,
-            }
-            for client in shards:
-                stats = client.call(("stats",), journal=False)
-                self.state_cache_stats["hits"] += (
-                    stats["state_cache_hits"]
-                )
-                self.state_cache_stats["misses"] += (
-                    stats["state_cache_misses"]
-                )
-                self.state_cache_stats["size"] += (
-                    stats["state_cache_size"]
-                )
-        finally:
-            for client in shards:
-                client.shutdown()
-        self.shard_sync_bytes = sum(c.sync_bytes for c in shards)
-        self.shard_respawns = sum(c.respawns for c in shards)
-        obs.count("shard.sync_bytes", self.shard_sync_bytes)
-        return result
-
-    def _sharded_loop(self, pending: Deque[_Tenant], shards, model):
-        """The coordinator's round loop — the sharded analogue of
-        :meth:`_run_batched`. Decision points (arrivals, completions,
-        the reschedules they trigger) run coordinator-side against the
-        same policy/allocator code; everything between them advances
-        shard-side under a sound horizon."""
-        while True:
-            running = [t for t in self._tenants if t.state == _RUNNING]
-            next_arrival = pending[0].spec.arrival_s if pending else None
-
-            if running:
-                minp = min(
-                    running, key=lambda t: (t.sim.clock, t.order)
-                )
-                if next_arrival is not None and (
-                    next_arrival <= minp.sim.clock
-                ):
-                    self._admit(pending, next_arrival)
-                    self._reschedule(next_arrival)
-                    continue
-                # No tenant can complete at a step key strictly below
-                # this cap (the lower bound is sound), so every step
-                # under it is decision-free and may run in parallel.
-                cap = min(
-                    (t.sim.lower_bound, t.order) for t in running
-                )
-                if (minp.sim.clock, minp.order) < cap:
-                    self._advance_round(
-                        shards, model, cap, next_arrival
-                    )
-                else:
-                    # The cap owner sits exactly at its final boundary:
-                    # one probe step either completes it (a decision at
-                    # the same clock the in-process loop uses) or a
-                    # failure pushes its clock out and rounds continue.
-                    self._probe_step(self._by_order[cap[1]], model)
-                continue
-
-            if next_arrival is not None:
-                self._admit(pending, next_arrival)
-                self._reschedule(next_arrival)
-                continue
-
-            if not self._unwedge():
-                break
-
-    def _advance_round(
-        self,
-        shards,
-        model,
-        cap: Tuple[float, int],
-        arrival: Optional[float],
-    ) -> None:
-        """Advance every shard below ``cap`` (and ``arrival``), then
-        apply the round: digests, globally-ordered capacity events,
-        and plan-cache consult replay."""
-        command = ("advance", cap, arrival)
-        for client in shards:
-            client.post(command)
-        replies = [client.collect() for client in shards]
-        # Truncation fallback: a completion *inside* the round means
-        # the lower bound was unsound for this step pattern. Discard
-        # the round, rebuild every shard from its journal, re-advance
-        # strictly below the earliest reported completion, and let the
-        # probe machinery handle it. The cap strictly decreases each
-        # iteration, so this terminates; correctness degrades to a
-        # recompute, never to divergence.
-        while True:
-            completions = [
-                r["completed"] for r in replies if r["completed"]
-            ]
-            if not completions:
-                break
-            obs.count("shard.round_truncations")
-            command = ("advance", min(completions), arrival)
-            for client in shards:
-                client.rebuild()
-                client.post(command)
-            replies = [client.collect() for client in shards]
-        events: List[Tuple] = []
-        fetches: List[Tuple] = []
-        for client, reply in zip(shards, replies):
-            obs.observe("shard.step_seconds", reply["seconds"])
-            for digest in reply["digests"]:
-                self._by_order[digest[0]].sim.apply_digest(digest)
-            events.extend(reply["events"])
-            fetches.extend(reply["fetches"])
-            client.commit(command)
-        # Replay capacity events and plan-cache consults in the global
-        # (clock, order, step, seq) key order — the exact total order
-        # the single-process heap commits them in.
-        for key, event in sorted(events, key=lambda pair: pair[0]):
-            self._mirror(self._by_order[key[1]], event)
-        for key, signature, bypassed, in_window in sorted(
-            fetches, key=lambda row: row[0]
-        ):
-            model.record(key[1], signature, bypassed, in_window)
-        obs.count("fleet.shard_rounds")
-
-    def _probe_step(self, tenant: _Tenant, model) -> None:
-        """One shard-side step of one tenant (the cap owner at its
-        final boundary) — the sharded analogue of :meth:`_step`."""
-        reply = tenant.sim._client.call(("step", tenant.order))
-        obs.observe("shard.step_seconds", reply["seconds"])
-        for digest in reply["digests"]:
-            self._by_order[digest[0]].sim.apply_digest(digest)
-        for key, event in reply["events"]:
-            self._mirror(self._by_order[key[1]], event)
-        for key, signature, bypassed, in_window in reply["fetches"]:
-            model.record(key[1], signature, bypassed, in_window)
-        if tenant.sim.done:
-            tenant.state = _DONE
-            tenant.completion_s = tenant.sim.clock
-            obs.event(
-                "fleet.complete", job=tenant.name, t=tenant.sim.clock
-            )
-            obs.count("fleet.completions")
-            logger.debug(
-                "%s: completed at t=%.1fs", tenant.name, tenant.sim.clock
-            )
-            self.allocator.release_all(tenant.name)
-            self._reschedule(tenant.sim.clock)
-
-    def _records_sharded(self, shards, model) -> FleetResult:
-        """Assemble the :class:`FleetResult` from shard-side records,
-        patching per-job plan counters to the single-process values:
-        private states-table hits (process-local, so identical in both
-        modes) plus the modeled shared-cache consults in global order.
-        """
-        node = self.allocator.gpus_per_node
-        total = self.allocator.total_gpus
-        command = ("records", node, total)
-        for client in shards:
-            client.post(command)
-        rows: List[Tuple] = []
-        for client in shards:
-            rows.extend(client.collect()["records"])
-            client.commit(command)
-        rows.sort(key=lambda row: row[0])
-        records = []
-        for order, result, ideal_demand, states_window in rows:
-            t = self._by_order[order]
-            assert t.completion_s is not None and t.start_s is not None
-            hits, misses = model.counts(order)
-            result.plan_cache_hits = states_window + hits
-            result.plan_cache_misses = misses
-            deadline = t.spec.deadline_s
-            if deadline is None and t.spec.slo_factor is not None:
-                deadline = (
-                    t.spec.arrival_s + t.spec.slo_factor * ideal_demand
-                )
-            records.append(
-                FleetJobRecord(
-                    name=t.name,
-                    demand_gpus=t.spec.demand_gpus,
-                    priority=t.spec.priority,
-                    arrival_s=t.spec.arrival_s,
-                    start_s=t.start_s,
-                    completion_s=t.completion_s,
-                    queue_seconds=t.queue_seconds,
-                    preemptions=result.preemptions,
-                    result=result,
-                    ideal_demand_seconds=ideal_demand,
-                    job_class=t.spec.job_class,
-                    deadline_s=deadline,
-                )
-            )
-        return FleetResult(
-            policy=self.policy.name,
-            total_gpus=total,
-            records=records,
-        )
 
     def _unwedge(self) -> bool:
         """Nothing runs and nothing arrives: seat a waiter or finish.
@@ -1084,10 +727,6 @@ class FleetEngine:
         # the batched loop rebuilds its event heap.
         self._last_decision = max(self._last_decision, now)
         self._decisions += 1
-        if self._sharded:
-            # Each decision ends a round of parallel shard advancement
-            # — the sharded run's unit of coordination overhead.
-            obs.count("fleet.decision_epochs")
         # A resize can return a tenant's under-repair capacity to the
         # shared pool, which the targets already computed cannot see —
         # iterate to a fixed point (bounded: each round either frees
@@ -1228,7 +867,6 @@ class FleetEngine:
         tenant.state = _RUNNING
 
 
-def run_fleet(spec: FleetSpec, workers: int = 1) -> FleetResult:
-    """Convenience wrapper: simulate ``spec`` on its shared cluster,
-    process-sharded across ``workers`` cores when > 1."""
-    return FleetEngine(spec, workers=workers).run()
+def run_fleet(spec: FleetSpec) -> FleetResult:
+    """Convenience wrapper: simulate ``spec`` on its shared cluster."""
+    return FleetEngine(spec).run()

@@ -93,11 +93,16 @@ _STRAGGLER_STREAM = 1
 
 
 def _cached_orchestration(
-    config: DistTrainConfig, num_gpus: int, use_cache: bool = True
+    config: DistTrainConfig,
+    num_gpus: int,
+    signature: Tuple[Any, ...],
+    use_cache: bool = True,
 ):
     """Plan (or elastically re-plan) through the process-wide
     :data:`~repro.orchestration.plancache.PLAN_CACHE`.
 
+    ``signature`` is ``planning_signature(config, num_gpus)``, computed
+    once by the caller, which also keys its state cache with it.
     Returns ``(orchestration, was_cache_hit)``. Both the full-size
     ``plan`` and the elastic re-plan land on the same keyed store
     ``core.api.replan`` uses, so every distinct (task, cluster size) is
@@ -116,11 +121,7 @@ def _cached_orchestration(
     else:
         def compute():
             return plan(config)
-    return PLAN_CACHE.fetch(
-        planning_signature(config, num_gpus),
-        compute,
-        bypass=not use_cache,
-    )
+    return PLAN_CACHE.fetch(signature, compute, bypass=not use_cache)
 
 
 #: Process-wide store of built :class:`_ClusterState` objects, keyed by
@@ -300,28 +301,6 @@ class JobSimulator:
         self._batches: Optional[List[List[Any]]] = None
         self._plan_hits = 0
         self._plan_misses = 0
-        #: The slice of ``_plan_hits`` satisfied by the private per-size
-        #: ``_states`` table (no plan-cache consult). The sharded fleet
-        #: engine needs the split: these hits are process-local facts,
-        #: while real plan-cache hits/misses are re-derived on the
-        #: coordinator from the global fetch order.
-        self._states_hits = 0
-        self._states_hits_at_start = 0
-        #: Ordered log of every *successful* plan-cache consult:
-        #: ``(signature, bypassed, in_window)``. ``in_window`` marks
-        #: fetches between :meth:`start`'s counter snapshot and
-        #: :meth:`finish` — the ones the run-scoped hit/miss counters
-        #: cover. Shards drain this per operation so the coordinator can
-        #: replay the fleet-global fetch sequence against one modeled
-        #: cache and keep per-job counters byte-identical to a
-        #: single-process run.
-        self._fetch_log: List[Tuple[Tuple[Any, ...], bool, bool]] = []
-        self._counting = False
-        #: Lower bound on any future iteration's duration: min base
-        #: iteration time across every cluster state built so far. Every
-        #: committed iteration costs at least this (straggler factors
-        #: are >= 1), so it soundly bounds time-to-completion.
-        self._min_iter = float("inf")
         self._started = False
         self._paused = False
         self._preemptions = 0
@@ -357,21 +336,14 @@ class JobSimulator:
             # Already built this run — the plan (and prepared batches)
             # are reused without touching the orchestrator.
             self._plan_hits += 1
-            self._states_hits += 1
             return state
         # The plan cache is consulted (and counted) on every new-size
         # fetch, shared states included — a tenant reusing a co-tenant's
         # state reports exactly the hit/miss tallies a private build
         # would have.
+        signature = planning_signature(self.config, num_gpus)
         orchestration, was_hit = _cached_orchestration(
-            self.config, num_gpus, use_cache=self.use_plan_cache
-        )
-        self._fetch_log.append(
-            (
-                planning_signature(self.config, num_gpus),
-                not self.use_plan_cache,
-                self._counting,
-            )
+            self.config, num_gpus, signature, use_cache=self.use_plan_cache
         )
         if was_hit:
             self._plan_hits += 1
@@ -379,16 +351,12 @@ class JobSimulator:
             self._plan_misses += 1
         if self.share_states:
             state = STATE_CACHE.get_or_compute(
-                planning_signature(self.config, num_gpus)
-                + (self._num_samples,),
+                signature + (self._num_samples,),
                 lambda: self._build_state(num_gpus, orchestration),
             )
         else:
             state = self._build_state(num_gpus, orchestration)
         self._states[num_gpus] = state
-        fastest = min(result.iteration_time for result in state.base)
-        if fastest < self._min_iter:
-            self._min_iter = fastest
         return state
 
     def _build_state(self, num_gpus: int, orchestration) -> _ClusterState:
@@ -565,8 +533,6 @@ class JobSimulator:
 
         self._plan_hits_at_start = self._plan_hits
         self._plan_misses_at_start = self._plan_misses
-        self._states_hits_at_start = self._states_hits
-        self._counting = True
         self._cur = self._state(allocated_gpus)
         self._checkpointer = build_checkpointer(
             self._cur.orchestration.plan, self.checkpoint
@@ -678,36 +644,6 @@ class JobSimulator:
         for i in range(self.scenario.num_iterations):
             total += state.base[i % K].iteration_time
         return total
-
-    def completion_lower_bound(self) -> float:
-        """Earliest wall-clock at which this job could possibly finish.
-
-        ``clock + (remaining - 1) * min_iter``: before the *final*
-        step's boundary, at least ``remaining - 1`` full iterations
-        must commit, each costing at least the cheapest base iteration
-        of any cluster state built so far (straggler slowdowns are
-        >= 1, and failures, rollbacks, stalls, and capacity pauses only
-        add time). The sharded fleet engine uses this to bound how far
-        a shard may advance a tenant without risk of crossing another
-        tenant's completion decision.
-        """
-        if not self._started or self.done:
-            return self._clock
-        remaining = self._n - self._i
-        return self._clock + (remaining - 1) * self._min_iter
-
-    def drain_plan_fetches(
-        self,
-    ) -> List[Tuple[Tuple[Any, ...], bool, bool]]:
-        """Plan-cache consults since the last drain (shard bookkeeping).
-
-        Entries are ``(planning signature, bypassed, in_window)`` in
-        consult order; see ``_fetch_log``. Only the sharded engine
-        drains this — other drivers let the (tiny) log accrete.
-        """
-        log = self._fetch_log
-        self._fetch_log = []
-        return log
 
     def drain_fleet_events(self) -> List[Tuple[Any, ...]]:
         """Capacity changes since the last drain (fleet bookkeeping).
@@ -1183,7 +1119,6 @@ class JobSimulator:
     # ------------------------------------------------------------------ #
     def finish(self) -> ScenarioResult:
         """Build the job's :class:`ScenarioResult` after :attr:`done`."""
-        self._counting = False
         spec = self.scenario
         config = self.config
         n = self._n

@@ -99,7 +99,7 @@ class ScenarioResult:
         return self.metrics()
 
     # ------------------------------------------------------------------ #
-    # Lossless serialization (shard digests, run reports)
+    # Lossless serialization (run reports, result files)
     # ------------------------------------------------------------------ #
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe dict that round-trips through :meth:`from_dict`

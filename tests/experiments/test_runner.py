@@ -1,9 +1,11 @@
 """Campaign execution: caching, failure isolation, determinism.
 
 Runner tests use ``processes=1`` (in-process serial execution) so they
-stay fast and deterministic; the parallel pool path is exercised by the
-CLI smoke test and the figure benchmarks.
+stay fast and deterministic; the supervised parallel path is exercised
+by the CLI smoke test, the figure benchmarks, and the supervisor suite.
 """
+
+import functools
 
 import pytest
 
@@ -14,6 +16,7 @@ from repro.experiments import (
     SweepSpec,
 )
 from repro.experiments.runner import derive_trial_seed, execute_trial
+from repro.experiments.supervisor import SupervisorError
 
 #: A tiny grid every system can run: 2 trials, well under a second each.
 TINY = SweepSpec(
@@ -166,7 +169,7 @@ class TestAcceptance:
         )
         assert spec.num_trials == 12
 
-        first = CampaignRunner(spec, cache=cache).run()  # pooled workers
+        first = CampaignRunner(spec, cache=cache).run()  # parallel workers
         assert first.executed == 12
         assert first.failed == 0
 
@@ -195,70 +198,48 @@ class TestParallelPath:
         ]
 
 
-class _FakeContext:
-    """A multiprocessing context whose Pool fails in a chosen way."""
+class _FailingExecutor:
+    """Stands in for ``SupervisedExecutor``: delivers the first
+    ``deliver`` trials, then fails like workers that cannot start."""
 
-    def __init__(self, pool_factory):
-        self._pool_factory = pool_factory
+    def __init__(self, workers, deliver, **kwargs):
+        self.deliver = deliver
+        self.interrupted = False
 
-    def Pool(self, processes):
-        return self._pool_factory()
-
-
-class _MidStreamPool:
-    """Delivers the first result, then dies like broken pool machinery."""
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return False
-
-    def imap_unordered(self, fn, payloads, chunksize=1):
-        payloads = list(payloads)
-        yield fn(payloads[0])
-        raise RuntimeError("pool machinery failed mid-stream")
+    def run(self, pending):
+        for payload in list(pending)[: self.deliver]:
+            yield execute_trial(payload)
+        raise SupervisorError("cannot start supervised worker")
 
 
-class TestLegacyPoolFallback:
-    """The ``supervised=False`` escape hatch keeps its old degradation:
-    any pool-machinery failure finishes the remaining run serially."""
+class TestSupervisorFallback:
+    """A ``SupervisorError`` finishes the remaining run serially."""
 
-    def _broken(self):
-        raise OSError("cannot spawn pool workers")
-
-    def test_pool_startup_failure_falls_back_to_serial(self, monkeypatch):
+    def _run(self, monkeypatch, spec, deliver):
         from repro.experiments import runner as runner_module
 
         monkeypatch.setattr(
-            runner_module, "_pool_context",
-            lambda: _FakeContext(self._broken),
+            runner_module, "SupervisedExecutor",
+            functools.partial(_FailingExecutor, deliver=deliver),
         )
-        campaign = CampaignRunner(
-            TINY, cache=None, processes=2, supervised=False
-        ).run()
+        return CampaignRunner(spec, cache=None, processes=2).run()
+
+    def test_startup_failure_falls_back_to_serial(self, monkeypatch):
+        campaign = self._run(monkeypatch, TINY, deliver=0)
         assert campaign.executed == 2
         assert campaign.failed == 0
         assert not campaign.interrupted
 
-    def test_mid_stream_pool_failure_completes_without_duplicates(
+    def test_mid_stream_failure_completes_without_duplicates(
         self, monkeypatch
     ):
-        from repro.experiments import runner as runner_module
-
-        monkeypatch.setattr(
-            runner_module, "_pool_context",
-            lambda: _FakeContext(_MidStreamPool),
-        )
         spec = SweepSpec(
             name="fallback",
             axes=[Axis("system", ["disttrain", "megatron-lm"]),
                   Axis("gpus", [32, 48])],
             base={"model": "mllm-9b", "gbs": 8},
         )
-        campaign = CampaignRunner(
-            spec, cache=None, processes=2, supervised=False
-        ).run()
+        campaign = self._run(monkeypatch, spec, deliver=1)
         # The trial delivered before the failure is not re-executed, and
         # every remaining trial completes exactly once.
         assert campaign.executed == 4

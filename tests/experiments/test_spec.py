@@ -121,23 +121,16 @@ class TestTrialSpec:
         assert not config.frozen.train_encoder
         assert config.frozen.train_llm
 
-    def test_fleet_workers_is_execution_side(self):
-        """``fleet_workers`` picks how a fleet trial runs, never what
-        it computes: accepted as a param, stripped from the config,
-        and invisible to the cache key (sharded results are
-        byte-identical, so cached metrics stay valid)."""
-        base = {
-            "model": "mllm-9b", "gpus": 96, "gbs": 16,
-            "fleet_policy": "fifo", "fleet_jobs": 2,
-            "fleet_job_gpus": 48, "scenario_iterations": 10,
-        }
-        plain = TrialSpec(base)
-        sharded = TrialSpec({**base, "fleet_workers": 4})
-        assert sharded.cache_key == plain.cache_key
-        assert sharded.to_fleet().canonical() == (
-            plain.to_fleet().canonical()
+    def test_fleet_workers_rejected(self):
+        """Fleets run in one process; a sweep still passing the removed
+        ``fleet_workers`` parameter fails like any unknown one."""
+        spec = SweepSpec.grid(
+            models=["mllm-9b"], systems=["disttrain"], gpus=[96], gbs=16,
+            fleet_policy="fifo", fleet_jobs=2, fleet_job_gpus=48,
+            scenario_iterations=10, fleet_workers=2,
         )
-        sharded.to_config()  # must not leak into the task config
+        with pytest.raises(ValueError, match="unknown sweep parameters"):
+            spec.expand()
 
 
 class TestConfigHash:

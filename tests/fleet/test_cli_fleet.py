@@ -89,50 +89,20 @@ class TestFleetRun:
         with pytest.raises(SystemExit):
             main(self.ARGS + ["--pack", "chaos-monkey"])
 
-    def test_json_exposes_state_cache_and_execution(self, capsys):
+    def test_json_exposes_state_cache(self, capsys):
         code = main(self.ARGS + ["--json"])
         out = capsys.readouterr().out
         assert code == 0
         payload = json.loads(out)
         # The jobstate-cache satellite contract: per-run hit/miss.
         assert set(payload["state_cache"]) >= {"hits", "misses"}
-        assert payload["execution"]["workers"] == 1
-        assert payload["execution"]["shard_sync_bytes"] == 0
+        assert "execution" not in payload
 
-    def test_sharded_run_matches_in_process(self, capsys):
-        """--workers 2 must produce the identical results payload;
-        only the execution-side keys may differ."""
-        from repro.fleet.job import STATE_CACHE
-        from repro.orchestration.plancache import PLAN_CACHE
-
-        # Both runs must see the same initial cache state for their
-        # plan counters to be comparable (the CLI does not reset
-        # process-wide caches between in-process invocations).
-        PLAN_CACHE.clear()
-        STATE_CACHE.clear()
-        code = main(self.ARGS + ["--policy", "fifo", "--json"])
-        base = json.loads(capsys.readouterr().out)
-        assert code == 0
-        PLAN_CACHE.clear()
-        STATE_CACHE.clear()
-        code = main(
-            self.ARGS + ["--policy", "fifo", "--json", "--workers", "2"]
-        )
-        sharded = json.loads(capsys.readouterr().out)
-        assert code == 0
-        assert sharded["execution"]["workers"] == 2
-        assert sharded["execution"]["shard_sync_bytes"] > 0
-        for doc in (base, sharded):
-            doc.pop("state_cache")
-            doc.pop("execution")
-        assert sharded == base
-
-    def test_sharded_human_report_shows_shard_row(self, capsys):
-        code = main(self.ARGS + ["--workers", "2"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "shard workers" in out
-        assert "jobstate cache (hit/miss)" in out
+    def test_parser_rejects_workers(self):
+        """Fleets run in one process; the old ``--workers`` flag is
+        gone rather than silently ignored."""
+        with pytest.raises(SystemExit):
+            main(self.ARGS + ["--workers", "2"])
 
 
 class TestFleetSweep:

@@ -149,28 +149,3 @@ class TestStateCacheSizing:
             assert resize_state_cache(10**6) == STATE_CACHE_CEILING
         finally:
             STATE_CACHE.resize(before)
-
-    def test_completion_lower_bound_is_sound(self, job_config):
-        """The bound never exceeds the realized completion clock — the
-        invariant the sharded round protocol rests on."""
-        spec = ScenarioSpec(
-            num_iterations=30,
-            checkpoint_interval=10,
-            mtbf_gpu_hours=2.0,
-            straggler_rate=0.1,
-            elastic=True,
-            repair_seconds=120.0,
-            seed=2,
-            restart_seconds=60.0,
-            checkpoint_load_seconds=30.0,
-        )
-        sim = JobSimulator(job_config, spec)
-        sim.start()
-        bounds = []
-        while not sim.done:
-            bounds.append(sim.completion_lower_bound())
-            sim.step()
-        final = sim.clock
-        assert all(bound <= final for bound in bounds)
-        # At the final boundary the bound is exact: clock itself.
-        assert bounds[-1] <= final

@@ -1,12 +1,12 @@
 """Fleet results cross process and file boundaries losslessly.
 
-Sharded execution ships specs and results over pickle pipes, and run
-tooling persists :class:`FleetResult` as JSON; both boundaries must be
-lossless down to the per-iteration trajectories and the realized event
-trace. Pinned here: pickle round-trips of every payload that crosses
-the shard pipe (job specs, scenario results, tagged capacity events)
-and ``to_dict``/``from_dict``/``to_json``/``from_json`` round-trips of
-the record types.
+Callers may pickle specs and results to move them between processes,
+and run tooling persists :class:`FleetResult` as JSON; both boundaries
+must be lossless down to the per-iteration trajectories and the
+realized event trace. Pinned here: pickle round-trips of job specs,
+scenario results and tagged capacity events, and
+``to_dict``/``from_dict``/``to_json``/``from_json`` round-trips of the
+record types.
 """
 
 import pickle
@@ -108,7 +108,7 @@ class TestFleetRecords:
 
 
 class TestShardPipePayloads:
-    """Everything the coordinator<->shard pipe carries must pickle."""
+    """Job specs and capacity-event logs survive pickling."""
 
     def test_job_spec_round_trip(self, job_config):
         scenario = ScenarioSpec(
@@ -127,8 +127,8 @@ class TestShardPipePayloads:
         )
 
     def test_capacity_events_round_trip(self, job_config):
-        """The tagged capacity-event stream a shard ships back is
-        plain tuples end to end."""
+        """The tagged capacity-event stream is plain tuples end to
+        end."""
         scenario = ScenarioSpec(
             num_iterations=40,
             checkpoint_interval=5,
