@@ -7,10 +7,7 @@ and every orchestration solve from cold plan *and* shared-state caches
 pops the lagging tenant off an indexed event heap, shares one
 plan/simulator/prepared-batch build across the 100 identical tenants
 through :data:`~repro.fleet.job.STATE_CACHE`, and prices un-memoized
-straggler evaluations in fused cross-tenant kernel sweeps. A second
-(non-tracked) benchmark holds the batched engine to >=3x over the
-sequential per-tenant reference loop on the same workload — the
-speedup the sharing and fusion exist to deliver.
+straggler evaluations in fused cross-tenant kernel sweeps.
 
 The tracked thousand-tenant benchmark runs 1,000 jobs x 10,000
 iterations each, fair-share on 4,800 shared GPUs, from cold caches.
@@ -54,22 +51,20 @@ def fleet_spec(num_jobs: int = 100, iterations: int = 1000) -> FleetSpec:
     )
 
 
-def cold_engine(spec: FleetSpec, batched: bool = True) -> FleetEngine:
+def cold_engine(spec: FleetSpec) -> FleetEngine:
     # Cold start: every orchestration solve and every shared cluster
     # state build lands inside the measured time.
     PLAN_CACHE.clear()
     STATE_CACHE.clear()
-    return FleetEngine(spec, batched=batched)
+    return FleetEngine(spec)
 
 
-def cold_fleet(batched: bool):
-    return cold_engine(fleet_spec(), batched=batched).run()
+def cold_fleet():
+    return cold_engine(fleet_spec()).run()
 
 
 def test_fleet_100jobs_1000_iterations(benchmark):
-    result = benchmark.pedantic(
-        lambda: cold_fleet(batched=True), rounds=1, iterations=1
-    )
+    result = benchmark.pedantic(cold_fleet, rounds=1, iterations=1)
     metrics = result.metrics()
     print()
     print(format_table(
@@ -101,28 +96,6 @@ def test_fleet_100jobs_1000_iterations(benchmark):
     # ...and stay seed-deterministic across repeated runs.
     again = FleetEngine(fleet_spec()).run()
     assert again.metrics() == metrics
-
-
-def test_batched_engine_speedup_over_sequential(benchmark):
-    """The batched fast path must hold >=3x over the sequential
-    reference loop on the tracked workload (measured ~9x when blessed;
-    the margin absorbs machine noise), while returning the identical
-    result."""
-    import time
-
-    start = time.perf_counter()
-    sequential = cold_fleet(batched=False)
-    sequential_seconds = time.perf_counter() - start
-
-    batched = benchmark.pedantic(
-        lambda: cold_fleet(batched=True), rounds=1, iterations=1
-    )
-    batched_seconds = benchmark.stats.stats.mean
-    speedup = sequential_seconds / batched_seconds
-    print(f"\nsequential {sequential_seconds:.2f}s / "
-          f"batched {batched_seconds:.2f}s = {speedup:.1f}x")
-    assert batched.metrics() == sequential.metrics()
-    assert speedup >= 3.0
 
 
 def test_fleet_1000jobs_10k_iterations(benchmark):

@@ -20,6 +20,7 @@ import pytest
 
 from repro.core.config import DistTrainConfig
 from repro.core.reports import format_table
+from repro.fleet.job import STATE_CACHE
 from repro.obs import METRICS, instrument
 from repro.orchestration.plancache import PLAN_CACHE
 from repro.scenarios import ScenarioSpec, run_scenario
@@ -45,9 +46,10 @@ DYNAMIC_SPEC = ScenarioSpec(
 
 def run_traced_scenario():
     # Cold start, same as the untraced benchmark: orchestration solves
-    # (full cluster plus every elastic re-solve) are part of the
-    # measured time.
+    # (full cluster plus every elastic re-solve) and cluster-state
+    # builds are part of the measured time.
     PLAN_CACHE.clear()
+    STATE_CACHE.clear()
     with instrument.session(trace=True, metrics=True) as tracer:
         result = run_scenario(CONFIG, DYNAMIC_SPEC)
         snapshot = METRICS.snapshot()

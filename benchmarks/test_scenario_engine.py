@@ -15,6 +15,7 @@ import pytest
 from repro.core.config import DistTrainConfig
 from repro.core.reports import format_table
 from repro.experiments import Axis, CampaignRunner, SweepSpec
+from repro.fleet.job import STATE_CACHE
 from repro.scenarios import ScenarioSpec, run_scenario
 from repro.orchestration.plancache import PLAN_CACHE
 
@@ -37,8 +38,10 @@ DYNAMIC_SPEC = ScenarioSpec(
 
 def run_dynamic_scenario():
     # Cold start: include the orchestration solves (full cluster plus
-    # every elastic re-solve) in the measured time.
+    # every elastic re-solve) and the cluster-state builds in the
+    # measured time.
     PLAN_CACHE.clear()
+    STATE_CACHE.clear()
     return run_scenario(CONFIG, DYNAMIC_SPEC)
 
 

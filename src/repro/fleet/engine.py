@@ -11,20 +11,18 @@ and preemptions release capacity first, then grows and starts consume
 it, with every transition preserving the allocator's conservation
 invariant.
 
-The default ``batched`` mode prices and steps many jobs per event tick:
-the lagging tenant comes off an indexed event heap keyed on
-``(clock, arrival order)`` instead of a linear scan, same-task tenants
-share one plan/simulator/prepared-batch build through the process-wide
-:data:`~repro.fleet.job.STATE_CACHE`, and un-memoized straggler
-evaluations are gathered across running tenants
-(:meth:`~repro.fleet.job.JobSimulator.prepare_step`) and priced in one
-fused kernel sweep before any clock commits. Every shared or fused
-value is bit-identical to the sequential per-tenant path
-(``batched=False``, retained as the equivalence reference), so the
-:class:`FleetResult` is byte-identical either way — the hypothesis
-equivalence suite pins this across all three policies. Both loops run
-in the calling process: the whole fleet is one event loop over one
-set of process-wide caches.
+The engine prices and steps many jobs per event tick: the lagging
+tenant comes off an indexed event heap keyed on ``(clock, arrival
+order)``, same-task tenants share one plan/simulator/prepared-batch
+build through the process-wide :data:`~repro.fleet.job.STATE_CACHE`,
+and un-memoized straggler evaluations are gathered across running
+tenants (:meth:`~repro.fleet.job.JobSimulator.prepare_step`) and priced
+in one fused kernel sweep before any clock commits. Every shared or
+fused value is bit-identical to what each tenant's own step would
+compute; the golden fleet fixtures (``tests/fleet/golden``) pin whole
+:class:`FleetResult`\\ s across every policy and scenario pack. The
+whole fleet is one event loop in the calling process over one set of
+process-wide caches.
 
 Failure/repair capacity stays **job-local** (a repaired node returns to
 the job that lost it, as production schedulers do), so a single-job
@@ -340,20 +338,13 @@ _DONE = "done"
 class _Tenant:
     """Mutable per-job scheduling state."""
 
-    def __init__(
-        self,
-        spec: FleetJobSpec,
-        order: int,
-        use_plan_cache: bool,
-        share_states: bool = False,
-    ):
+    def __init__(self, spec: FleetJobSpec, order: int, use_plan_cache: bool):
         self.spec = spec
         self.order = order
         self.sim = JobSimulator(
             spec.config,
             spec.scenario,
             use_plan_cache=use_plan_cache,
-            share_states=share_states,
             name=spec.name,
         )
         self.state = _PENDING
@@ -385,33 +376,17 @@ class FleetEngine:
         spec: Cluster, policy, and tenant jobs.
         use_plan_cache: Forwarded to every job simulator (False re-runs
             every orchestration search; the equivalence suite uses it).
-        batched: Multi-job fast path (default): indexed event heap for
-            the lagging-tenant pick, cluster states shared across
-            same-task tenants, and cross-tenant fused pricing of
-            un-memoized straggler evaluations. ``False`` runs the
-            sequential per-tenant reference loop; both produce
-            byte-identical :class:`FleetResult`\\ s. State sharing rides
-            on the plan cache's purity contract, so
-            ``use_plan_cache=False`` also disables it (every tenant
-            then builds — and searches — privately, as bypass mode
-            promises).
+            Cluster-state sharing rides on the plan cache's purity
+            contract, so ``False`` also makes every tenant build — and
+            search — privately, as bypass mode promises.
     """
 
-    def __init__(
-        self,
-        spec: FleetSpec,
-        use_plan_cache: bool = True,
-        batched: bool = True,
-    ):
+    def __init__(self, spec: FleetSpec, use_plan_cache: bool = True):
         self.spec = spec
-        self.batched = batched
         self.policy: SchedulingPolicy = make_policy(spec.policy)
         self.allocator = GPUAllocator(spec.cluster)
         self._tenants = [
-            _Tenant(
-                job, order, use_plan_cache,
-                share_states=batched and use_plan_cache,
-            )
+            _Tenant(job, order, use_plan_cache)
             for order, job in enumerate(spec.jobs)
         ]
         #: Per-run jobstate (``STATE_CACHE``) accounting — populated by
@@ -421,8 +396,8 @@ class FleetEngine:
         #: preemption time) — the wedged-fleet reschedule must not seat
         #: a waiter earlier than the decision that freed its capacity.
         self._last_decision = 0.0
-        #: Decision epoch: bumped by every policy round so the batched
-        #: loop knows its event heap may hold stale clocks/states.
+        #: Decision epoch: bumped by every policy round so the event
+        #: loop knows its heap may hold stale clocks/states.
         self._decisions = 0
 
     # ------------------------------------------------------------------ #
@@ -473,48 +448,18 @@ class FleetEngine:
             self._tenants, key=lambda t: (t.spec.arrival_s, t.order)
         ))
         self._last_decision = 0.0
-        if self.batched:
-            resize_state_cache(self._distinct_state_pairs())
+        resize_state_cache(self._distinct_state_pairs())
         baseline = STATE_CACHE.stats()
-        if self.batched:
-            self._run_batched(pending)
-        else:
-            self._run_sequential(pending)
+        self._event_loop(pending)
         self._snapshot_state_cache(baseline)
         return self._records()
 
-    def _run_sequential(self, pending: Deque[_Tenant]) -> None:
-        """The per-tenant reference loop: linear lagging-tenant scan,
-        one evaluation at a time (the equivalence suite's oracle)."""
-        while True:
-            running = [t for t in self._tenants if t.state == _RUNNING]
-            next_arrival = pending[0].spec.arrival_s if pending else None
-
-            if running:
-                lagging = min(running, key=lambda t: (t.sim.clock, t.order))
-                if next_arrival is not None and (
-                    next_arrival <= lagging.sim.clock
-                ):
-                    self._admit(pending, next_arrival)
-                    self._reschedule(next_arrival)
-                    continue
-                self._step(lagging)
-                continue
-
-            if next_arrival is not None:
-                self._admit(pending, next_arrival)
-                self._reschedule(next_arrival)
-                continue
-
-            if not self._unwedge():
-                break
-
-    def _run_batched(self, pending: Deque[_Tenant]) -> None:
+    def _event_loop(self, pending: Deque[_Tenant]) -> None:
         """The indexed event loop: running tenants sit on a heap keyed
-        ``(clock, arrival order)`` — the same total order the linear
-        scan minimizes — and un-memoized straggler evaluations are
-        gathered across tenants and priced in one fused kernel sweep
-        before the lagging tenant commits its step.
+        ``(clock, arrival order)``, so the lagging tenant (ties broken
+        by arrival) always steps next, and un-memoized straggler
+        evaluations are gathered across tenants and priced in one fused
+        kernel sweep before the lagging tenant commits its step.
 
         Between policy rounds, tenant clocks only advance through this
         loop's own steps, so heap entries cannot go stale; any round
@@ -589,9 +534,9 @@ class FleetEngine:
         costs one O(1) probe. When it fires, every running tenant's
         pending evaluation rides along in the same kernel sweep, so a
         straggler-heavy fleet prices whole waves at once. Pre-filling
-        the shared memos is invisible to the sequential semantics: the
-        values are bit-identical to what each tenant's own step would
-        have computed.
+        the shared memos is invisible to the results: the values are
+        bit-identical to what each tenant's own step would have
+        computed.
         """
         first = lagging.sim.prepare_step()
         if first is None:
@@ -724,7 +669,7 @@ class FleetEngine:
         # latest decision clock (completions and preemptions route
         # through here too — the wedged-fleet reschedule replays at
         # this clock, never an older arrival's), and bump the epoch so
-        # the batched loop rebuilds its event heap.
+        # the event loop rebuilds its heap.
         self._last_decision = max(self._last_decision, now)
         self._decisions += 1
         # A resize can return a tenant's under-repair capacity to the

@@ -31,18 +31,17 @@ orchestration solves go through the process-wide
 :data:`~repro.orchestration.plancache.PLAN_CACHE`, so co-tenant jobs
 running the same task amortize each other's replans.
 
-Fleets of same-task jobs amortize much more than the plan search: a
+Same-task jobs amortize much more than the plan search: a
 :class:`_ClusterState` — plan, simulator, prepared batches, base
 evaluations, straggler-evaluation memo — is a pure function of
-``(task config, cluster size, sample count)``, so with
-``share_states=True`` (the batched fleet engine's default) states are
-fetched from the process-wide :data:`STATE_CACHE` and 100 identical
-tenants build one. The run-scoped plan hit/miss counters stay exact —
-every state fetch still consults the plan cache exactly like a private
-build — and every shared value is bit-identical to the private one, so
-per-job results do not change. The scenario engine keeps
-``share_states=False``: its byte-identity contract with the
-pre-extraction engine is pinned per-job.
+``(task config, cluster size, sample count)``, so states are fetched
+from the process-wide :data:`STATE_CACHE` and 100 identical fleet
+tenants (or repeated scenario runs of one task) build one. The
+run-scoped plan hit/miss counters stay exact — every state fetch still
+consults the plan cache exactly like a private build — and every
+shared value is bit-identical to the private one, so per-job results
+do not change. Under ``use_plan_cache=False`` states are built
+privately, as bypass mode promises.
 
 The :meth:`JobSimulator.prepare_step` / :meth:`JobSimulator.commit_step`
 split lets the fleet engine gather the straggler evaluations many
@@ -128,8 +127,8 @@ def _cached_orchestration(
 #: ``(config hash, num_gpus, sample count)``. Every field of a state —
 #: plan, compiled simulator, prepared batches, base evaluations, and
 #: the straggler-evaluation memo it accretes — is a pure function of
-#: that key, so same-task fleet tenants (``share_states=True``) can
-#: share one build bit-identically. Sized for a few tasks' worth of
+#: that key, so every job of the same task (plan cache on) shares one
+#: build bit-identically. Sized for a few tasks' worth of
 #: cluster-size oscillation; evicted states a job already holds stay
 #: alive through its private per-size table.
 STATE_CACHE = KeyedCache(maxsize=64, name="jobstate")
@@ -264,13 +263,8 @@ class JobSimulator:
         use_plan_cache: When False, bypass the process-wide plan cache
             and re-run every orchestration search from scratch (the
             replan-cache correctness suite compares both modes
-            byte-for-byte).
-        share_states: Fetch built cluster states from the process-wide
-            :data:`STATE_CACHE` so same-task co-tenants share one
-            plan/simulator/prepared-batch build. Every shared value is
-            bit-identical to a private build and the per-job plan
-            hit/miss counters are unaffected; the batched fleet engine
-            turns this on, the standalone scenario engine does not.
+            byte-for-byte). Cluster states then come from private
+            builds instead of the process-wide :data:`STATE_CACHE`.
         name: Job label for fleet bookkeeping and reports.
     """
 
@@ -280,7 +274,6 @@ class JobSimulator:
         scenario: ScenarioSpec,
         checkpoint: Optional[CheckpointConfig] = None,
         use_plan_cache: bool = True,
-        share_states: bool = False,
         name: str = "job",
     ):
         self.config = config
@@ -289,7 +282,6 @@ class JobSimulator:
             interval_iterations=scenario.checkpoint_interval
         )
         self.use_plan_cache = use_plan_cache
-        self.share_states = share_states
         self.name = name
         #: Distinct global batches every cluster size re-prices (the K
         #: of the per-iteration ``sample`` index).
@@ -349,7 +341,7 @@ class JobSimulator:
             self._plan_hits += 1
         else:
             self._plan_misses += 1
-        if self.share_states:
+        if self.use_plan_cache:
             state = STATE_CACHE.get_or_compute(
                 signature + (self._num_samples,),
                 lambda: self._build_state(num_gpus, orchestration),
@@ -375,16 +367,11 @@ class JobSimulator:
         prepared = [
             simulator.prepare(batch) for batch in self._sample_batches()
         ]
-        if self.share_states:
-            # One fused kernel sweep prices all K base batches
-            # (bit-identical to the per-batch loop; kept off the
-            # scenario path purely to preserve its span-for-span
-            # golden traces).
-            base = evaluate_prepared_many(
-                [(simulator, prep, None) for prep in prepared]
-            )
-        else:
-            base = [simulator.evaluate_prepared(prep) for prep in prepared]
+        # One fused kernel sweep prices all K base batches
+        # (bit-identical to the per-batch loop).
+        base = evaluate_prepared_many(
+            [(simulator, prep, None) for prep in prepared]
+        )
         return _ClusterState(
             num_gpus=num_gpus,
             orchestration=orchestration,
@@ -750,7 +737,7 @@ class JobSimulator:
 
         ``step()`` evaluates the iteration *before* its failure check,
         so pre-filling the memo is safe even when the step turns out to
-        be a failure step — the sequential path would have computed and
+        be a failure step — the step itself would have computed and
         memoized the same value.
         """
         if not self._started or self._paused or self.done:

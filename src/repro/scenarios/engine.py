@@ -24,11 +24,7 @@ from typing import Optional
 
 from repro.core.config import DistTrainConfig
 from repro.obs import instrument as obs
-from repro.fleet.job import (  # noqa: F401  (re-exported compatibility)
-    MAX_FAILURES,
-    JobSimulator,
-    _cached_orchestration,
-)
+from repro.fleet.job import JobSimulator
 from repro.runtime.checkpoint import CheckpointConfig
 from repro.scenarios.result import ScenarioResult  # noqa: F401
 from repro.scenarios.spec import ScenarioSpec

@@ -1,26 +1,22 @@
-"""The batched fleet path is the sequential fleet path, bit for bit.
+"""The fleet engine's batching reorders *work*, never *results*.
 
-``FleetEngine(batched=True)`` reorders *work*, never *results*: the
-indexed event heap pops tenants in exactly the total order the linear
-scan minimizes, shared cluster states are pure functions of
-``(task, size, samples)``, and fused cross-tenant pricing pre-fills the
-same memo entries each tenant's own step would have computed. The
-hypothesis suite here pins full :class:`FleetResult` byte-identity
-against the sequential reference loop across all three policies, and
-the unit tests pin the pieces (prepare/price/commit split, fused
-pricing memo semantics).
+Shared cluster states are pure functions of ``(task, size, samples)``
+and fused cross-tenant pricing pre-fills the same memo entries each
+tenant's own step would have computed. Whole-result identity is pinned
+by the golden fleet fixtures (``tests/fleet/test_golden_fleet.py``);
+the unit tests here pin the pieces (private states under plan-cache
+bypass, prepare/price/commit split, fused pricing memo semantics).
 
-Alongside ride the fleet-clock regression tests this PR's bugfixes
-demand: the wedged-fleet reschedule must replay the *latest* decision
-clock (completions included, not just arrivals), and the
-``ideal_demand_seconds`` walk-down must price an infeasible capped
-demand at the largest feasible size below it.
+Alongside ride the fleet-clock regression tests: the wedged-fleet
+reschedule must replay the *latest* decision clock (completions
+included, not just arrivals), and the ``ideal_demand_seconds``
+walk-down must price an infeasible capped demand at the largest
+feasible size below it.
 """
 
 from typing import Dict, List
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.cluster.allocation import GPUAllocator
 from repro.core.config import DistTrainConfig
@@ -35,11 +31,12 @@ from repro.orchestration.plancache import PLAN_CACHE
 from repro.scenarios import ScenarioSpec
 
 from tests.fleet.conftest import FAST_RECOVERY
-from tests.fleet.test_fleet_equivalence import ENGINE_SETTINGS, snapshot
+from tests.fleet.golden.regen import cold_run
+from tests.fleet.test_fleet_equivalence import snapshot
 
 
 def fleet_snapshot(result):
-    """Everything a FleetResult must reproduce across engine modes."""
+    """Everything a FleetResult must reproduce across a round trip."""
     return (
         result.policy,
         result.total_gpus,
@@ -62,64 +59,19 @@ def fleet_snapshot(result):
     )
 
 
-def cold_run(spec, batched):
-    """One fleet run from cold plan *and* shared-state caches."""
-    PLAN_CACHE.clear()
-    STATE_CACHE.clear()
-    return FleetEngine(spec, batched=batched).run()
-
-
-# --------------------------------------------------------------------- #
-# Batched == sequential, whole-result
-# --------------------------------------------------------------------- #
-@settings(**ENGINE_SETTINGS)
-@given(
-    seed=st.integers(min_value=0, max_value=2**31 - 1),
-    mtbf=st.one_of(st.none(), st.floats(min_value=3.0, max_value=300.0)),
-    straggler_rate=st.floats(min_value=0.0, max_value=0.1),
-    spacing=st.sampled_from([0.0, 150.0]),
-    policy=st.sampled_from(["fifo", "fair-share", "priority"]),
-)
-def test_batched_fleet_is_sequential_fleet(
-    job_config, seed, mtbf, straggler_rate, spacing, policy
-):
-    """Full-result byte-identity under contention, failures, stragglers,
-    elastic resizes, and (under priority) preemptions."""
-    scenario = ScenarioSpec(
-        num_iterations=40,
-        checkpoint_interval=10,
-        mtbf_gpu_hours=mtbf,
-        straggler_rate=straggler_rate,
-        elastic=True,
-        repair_seconds=300.0,
-        seed=seed,
-        **FAST_RECOVERY,
-    )
-    spec = FleetSpec.homogeneous(
-        job_config,
-        cluster_gpus=96,
-        num_jobs=3,
-        arrival_spacing_s=spacing,
-        priorities=(1, 0),
-        policy=policy,
-        scenario=scenario,
-    )
-    reference = fleet_snapshot(cold_run(spec, batched=False))
-    assert fleet_snapshot(cold_run(spec, batched=True)) == reference
-
-
 def test_state_sharing_disabled_under_plan_cache_bypass(job_config):
     """``use_plan_cache=False`` promises a fully private search per
-    tenant; the batched engine must not share states through it."""
+    tenant; the engine must not share states through it."""
     scenario = ScenarioSpec(
         num_iterations=30, checkpoint_interval=10, **FAST_RECOVERY
     )
     spec = FleetSpec.homogeneous(
         job_config, cluster_gpus=96, num_jobs=2, scenario=scenario
     )
-    engine = FleetEngine(spec, use_plan_cache=False, batched=True)
-    assert all(not t.sim.share_states for t in engine._tenants)
+    engine = FleetEngine(spec, use_plan_cache=False)
+    states_before = STATE_CACHE.stats()
     result = engine.run()
+    assert STATE_CACHE.stats() == states_before
     # Every tenant searched privately: no hits, only its own misses...
     assert result.plan_cache_hits == 0
     assert all(r.result.plan_cache_misses >= 1 for r in result.records)
@@ -153,7 +105,9 @@ def test_prepare_price_commit_is_step(job_config):
     PLAN_CACHE.clear()
     STATE_CACHE.clear()
     split = JobSimulator(job_config, scenario)
-    plain = JobSimulator(job_config, scenario)
+    # Private states: the reference prices every step itself instead of
+    # reading the memo entries the split walk pre-fills.
+    plain = JobSimulator(job_config, scenario, use_plan_cache=False)
     split.start(48)
     plain.start(48)
     priced = 0
@@ -175,9 +129,8 @@ def test_prepare_price_commit_is_step(job_config):
     split_result, plain_result = split.finish(), plain.finish()
 
     def physics(result):
-        # Everything but the plan hit/miss counters: the two sims share
-        # the process-wide plan cache, so whichever requests a size
-        # first takes the miss the other then hits.
+        # Everything but the plan hit/miss counters: the reference
+        # bypasses the plan cache, so its every fetch is a miss.
         return (
             result.metrics(),
             result.iteration_times.tobytes(),
@@ -252,10 +205,7 @@ class HoldbackPolicy(SchedulingPolicy):
         return out
 
 
-@pytest.mark.parametrize("batched", [False, True])
-def test_wedged_reschedule_replays_latest_decision_clock(
-    job_config, batched
-):
+def test_wedged_reschedule_replays_latest_decision_clock(job_config):
     scenario = ScenarioSpec(
         num_iterations=20, checkpoint_interval=5, **FAST_RECOVERY
     )
@@ -269,7 +219,7 @@ def test_wedged_reschedule_replays_latest_decision_clock(
     )
     # Instance policies are accepted and canonicalize by name.
     assert spec.canonical()["policy"] == "holdback"
-    result = cold_run(spec, batched=batched)
+    result = cold_run(spec)
     head, held = result.records
     assert head.completion_s > 0.0
     # The held job was seated by the wedged-branch reschedule, which
@@ -326,7 +276,7 @@ def test_ideal_demand_walks_down_from_infeasible_cap():
         ],
         policy="fair-share",
     )
-    result = cold_run(spec, batched=True)
+    result = cold_run(spec)
     record = {r.name: r for r in result.records}["big"]
     engine = FleetEngine(spec)
     probe = engine._tenants[0].sim

@@ -4,7 +4,7 @@ Callers may pickle specs and results to move them between processes,
 and run tooling persists :class:`FleetResult` as JSON; both boundaries
 must be lossless down to the per-iteration trajectories and the
 realized event trace. Pinned here: pickle round-trips of job specs,
-scenario results and tagged capacity events, and
+scenario results and capacity events, and
 ``to_dict``/``from_dict``/``to_json``/``from_json`` round-trips of the
 record types.
 """
@@ -107,7 +107,7 @@ class TestFleetRecords:
         assert FleetResult.from_json(text).to_json() == text
 
 
-class TestShardPipePayloads:
+class TestPicklePayloads:
     """Job specs and capacity-event logs survive pickling."""
 
     def test_job_spec_round_trip(self, job_config):
@@ -127,8 +127,7 @@ class TestShardPipePayloads:
         )
 
     def test_capacity_events_round_trip(self, job_config):
-        """The tagged capacity-event stream is plain tuples end to
-        end."""
+        """The capacity-event stream is plain tuples end to end."""
         scenario = ScenarioSpec(
             num_iterations=40,
             checkpoint_interval=5,
@@ -144,9 +143,7 @@ class TestShardPipePayloads:
         sim.start(48)
         events = []
         while not sim.done:
-            clock = sim.clock
             sim.step()
-            for seq, event in enumerate(sim.drain_fleet_events()):
-                events.append(((clock, 0, 0, seq), event))
+            events.extend(sim.drain_fleet_events())
         assert events, "scenario produced no capacity events"
         assert pickle.loads(pickle.dumps(events)) == events

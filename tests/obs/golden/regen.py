@@ -12,8 +12,8 @@ the counters and gauges of the metrics snapshot. Wall-clock histograms
 measure real time and can never be bit-stable.
 
 Determinism preconditions: every process-level cache is cleared first,
-because a warm plan/profile/kernel cache legitimately changes which
-spans and counters a run emits.
+because a warm plan/profile/kernel/job-state cache legitimately changes
+which spans and counters a run emits.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from pathlib import Path
 
 from repro.core.api import PROFILE_CACHE
 from repro.core.config import DistTrainConfig
+from repro.fleet.job import STATE_CACHE
 from repro.obs import METRICS, instrument
 from repro.orchestration.plancache import PLAN_CACHE
 from repro.orchestration.problem import PROFILER_CACHE
@@ -66,6 +67,7 @@ def reset_process_caches() -> None:
     PLAN_CACHE.clear()
     PROFILE_CACHE.clear()
     PROFILER_CACHE.clear()
+    STATE_CACHE.clear()
     METRICS.reset()
 
 

@@ -183,12 +183,12 @@ def all_fixtures():
     return pairs
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    check = "--check" in argv
-    PACK_GOLDEN_DIR.mkdir(exist_ok=True)
+def sync_fixtures(pairs, check: bool, module: str) -> int:
+    """Write every ``(path, text)`` pair, or with ``check`` compare each
+    to the file on disk; returns the process exit code. ``module`` is
+    the regen module named in the re-bless hint."""
     stale = []
-    for path, text in all_fixtures():
+    for path, text in pairs:
         if check:
             on_disk = (
                 path.read_text(encoding="utf-8")
@@ -206,11 +206,18 @@ def main(argv=None) -> int:
     if stale:
         print(
             f"{len(stale)} fixture(s) diverge from the current code; "
-            "re-bless with: PYTHONPATH=src python -m "
-            "tests.scenarios.golden.regen"
+            f"re-bless with: PYTHONPATH=src python -m {module}"
         )
         return 1
     return 0
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    PACK_GOLDEN_DIR.mkdir(exist_ok=True)
+    return sync_fixtures(
+        all_fixtures(), "--check" in argv, "tests.scenarios.golden.regen"
+    )
 
 
 if __name__ == "__main__":

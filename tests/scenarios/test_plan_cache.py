@@ -10,13 +10,14 @@ orchestration the timeline needed.
 import numpy as np
 import pytest
 
+from repro.fleet.job import STATE_CACHE
 from repro.orchestration.plancache import (
     PLAN_CACHE,
     PlanCache,
     planning_signature,
 )
 from repro.scenarios import EventTrace, ScenarioSpec
-from repro.scenarios.engine import ScenarioEngine
+from repro.scenarios.engine import ScenarioEngine, run_scenario
 from repro.scenarios.events import FailureEvent
 
 from tests.scenarios.conftest import FAST_RECOVERY
@@ -99,6 +100,47 @@ class TestCacheTransparency:
         before = (hits, misses)
         ScenarioEngine(small_config, spec, use_plan_cache=False).run()
         assert PLAN_CACHE.stats() == before
+
+
+class TestSharedClusterStates:
+    """Scenario runs of one task share cluster-state builds through
+    the process-wide job-state cache, invisibly to their results."""
+
+    SPEC = ScenarioSpec(
+        num_iterations=60,
+        checkpoint_interval=15,
+        mtbf_gpu_hours=4.0,
+        straggler_rate=0.05,
+        seed=3,
+        **FAST_RECOVERY,
+    )
+
+    def test_repeat_runs_build_state_once(self, small_config):
+        def counters(result):
+            return result.plan_cache_hits, result.plan_cache_misses
+
+        PLAN_CACHE.clear()
+        STATE_CACHE.clear()
+        first = run_scenario(small_config, self.SPEC)
+        # Cold plans again, warm states: the plan counters a run
+        # reports do not depend on where its states came from.
+        PLAN_CACHE.clear()
+        second = run_scenario(small_config, self.SPEC)
+        assert STATE_CACHE.stats() == (1, 1)
+        assert snapshot(first) == snapshot(second)
+        assert counters(first) == counters(second) == (0, 1)
+
+    def test_plan_cache_bypass_builds_private_states(self, small_config):
+        before = STATE_CACHE.stats()
+        engines = [
+            ScenarioEngine(small_config, self.SPEC, use_plan_cache=False)
+            for _ in range(2)
+        ]
+        results = [engine.run() for engine in engines]
+        assert STATE_CACHE.stats() == before
+        first, second = (engine._job._states[48] for engine in engines)
+        assert first is not second
+        assert snapshot(results[0]) == snapshot(results[1])
 
 
 class TestPlanCacheUnit:
