@@ -3,11 +3,12 @@
 The tracked 100-job benchmark pins the batched engine's headline: a
 1000-iteration-per-job fair-share fleet — failures, elastic resizes,
 and every orchestration solve from cold plan *and* shared-state caches
-— completes end-to-end in about a second, because the batched engine
-pops the lagging tenant off an indexed event heap, shares one
+— completes end-to-end well under a second, because the engine pops
+tenants off an event heap keyed by their next side-effecting step and
+advances the plain iterations in between in closed form, shares one
 plan/simulator/prepared-batch build across the 100 identical tenants
 through :data:`~repro.fleet.job.STATE_CACHE`, and prices un-memoized
-straggler evaluations in fused cross-tenant kernel sweeps.
+straggler evaluations in fused segment-wide kernel sweeps.
 
 The tracked thousand-tenant benchmark runs 1,000 jobs x 10,000
 iterations each, fair-share on 4,800 shared GPUs, from cold caches.
@@ -80,7 +81,7 @@ def test_fleet_100jobs_1000_iterations(benchmark):
         ],
         title="100 x 1000-iteration jobs, fair-share on 480 shared GPUs:",
     ))
-    # Acceptance criterion: end-to-end around ~1 s at nominal machine
+    # Acceptance criterion: end-to-end around ~0.3 s at nominal machine
     # speed (the tracked guard enforces the calibrated budget; this
     # bound only catches order-of-magnitude breakage on any machine).
     assert benchmark.stats.stats.mean < 10.0
@@ -120,7 +121,7 @@ def test_fleet_1000jobs_10k_iterations(benchmark):
         title="1000 x 10k-iteration jobs, fair-share on 4800 shared GPUs:",
     ))
     # Order-of-magnitude guard only; the tracked baseline enforces the
-    # calibrated budget (~112 s when blessed).
+    # calibrated budget (~12.7 s when blessed).
     assert benchmark.stats.stats.mean < 600.0
     assert len(result.records) == 1000
     assert all(r.result.num_iterations == 10_000 for r in result.records)

@@ -139,6 +139,15 @@ def canonical_json(obj: Any) -> str:
     )
 
 
+#: Most recently hashed configs: ``id(config) -> (config, hash)``. The
+#: entry holds the config itself, so its ``id`` cannot be reused by
+#: another object while the entry lives; the identity check on lookup
+#: is belt and braces. Bounded FIFO — a fleet hashes a handful of
+#: distinct task configs thousands of times.
+_HASH_MEMO: Dict[int, Tuple[DistTrainConfig, str]] = {}
+_HASH_MEMO_SIZE = 256
+
+
 def config_hash(config: DistTrainConfig) -> str:
     """Stable content hash of a fully materialized config.
 
@@ -146,9 +155,22 @@ def config_hash(config: DistTrainConfig) -> str:
     cluster, frozen, and data-distribution specs) is equal — so a cache
     keyed by this hash is invalidated exactly when the task changes.
     The hash is independent of process, platform, and dict ordering.
+
+    Configs are frozen, so each :class:`DistTrainConfig` object is
+    hashed once and its hash memoized by identity.
     """
+    memoizable = isinstance(config, DistTrainConfig)
+    if memoizable:
+        hit = _HASH_MEMO.get(id(config))
+        if hit is not None and hit[0] is config:
+            return hit[1]
     digest = hashlib.sha256(canonical_json(config).encode("utf-8"))
-    return digest.hexdigest()[:HASH_LENGTH]
+    value = digest.hexdigest()[:HASH_LENGTH]
+    if memoizable:
+        if len(_HASH_MEMO) >= _HASH_MEMO_SIZE:
+            del _HASH_MEMO[next(iter(_HASH_MEMO))]
+        _HASH_MEMO[id(config)] = (config, value)
+    return value
 
 
 # --------------------------------------------------------------------- #

@@ -1,28 +1,34 @@
 """Shared-cluster fleet simulation: N jobs, one event clock.
 
 :class:`FleetEngine` drives one :class:`~repro.fleet.job.JobSimulator`
-per tenant in global clock order (always stepping the job whose clock
-lags the most), so job timelines interleave exactly as they would on a
-real shared cluster. Scheduling decision points — job arrivals, job
-completions, preemption resumes — invoke the configured
+per tenant in global clock order, so job timelines interleave exactly
+as they would on a real shared cluster. Scheduling decision points —
+job arrivals, job completions, preemption resumes — invoke the configured
 :class:`~repro.fleet.policies.SchedulingPolicy` and apply its targets
 through the :class:`~repro.cluster.allocation.GPUAllocator`: shrinks
 and preemptions release capacity first, then grows and starts consume
 it, with every transition preserving the allocator's conservation
 invariant.
 
-The engine prices and steps many jobs per event tick: the lagging
-tenant comes off an indexed event heap keyed on ``(clock, arrival
-order)``, same-task tenants share one plan/simulator/prepared-batch
-build through the process-wide :data:`~repro.fleet.job.STATE_CACHE`,
-and un-memoized straggler evaluations are gathered across running
-tenants (:meth:`~repro.fleet.job.JobSimulator.prepare_step`) and priced
-in one fused kernel sweep before any clock commits. Every shared or
-fused value is bit-identical to what each tenant's own step would
-compute; the golden fleet fixtures (``tests/fleet/golden``) pin whole
-:class:`FleetResult`\\ s across every policy and scenario pack. The
-whole fleet is one event loop in the calling process over one set of
-process-wide caches.
+The engine does not tick iterations. Only some steps reach outside
+their own job — failures and outages, re-growths and resizes, and the
+final iteration (a completion decision) — so the event heap is keyed by
+each running tenant's *next segment end*: the ``(start clock, arrival
+order)`` of its next such step, or of its next checkpoint boundary
+(:meth:`~repro.fleet.job.JobSimulator.peek_segment`). Arrivals sort
+first on ties. Popping a tenant advances its plain iterations in closed
+form (:meth:`~repro.fleet.job.JobSimulator.advance_until`) and runs the
+one irregular step, so irregular steps and decisions keep exactly the
+global order of a step-by-step walk; a tenant a decision resizes or
+preempts is first brought to its boundary at that decision. Same-task
+tenants share one plan/simulator/prepared-batch build through the
+process-wide :data:`~repro.fleet.job.STATE_CACHE`, and a segment's
+un-memoized straggler evaluations are priced in one fused kernel sweep
+before its clock commits. Every shared or fused value is bit-identical
+to what each tenant's own step would compute; the golden fleet fixtures
+(``tests/fleet/golden``) pin whole :class:`FleetResult`\\ s across every
+policy and scenario pack. The whole fleet is one event loop in the
+calling process over one set of process-wide caches.
 
 Failure/repair capacity stays **job-local** (a repaired node returns to
 the job that lost it, as production schedulers do), so a single-job
@@ -31,9 +37,9 @@ fleet reproduces the standalone
 — the equivalence suite pins metrics, trajectories, and the realized
 event trace.
 
-Iterations are non-preemptible, and between steps every running job
-sits at an iteration boundary on its own clock, which lags the decision
-time by at most one unit of work. Reshapes of *running* jobs therefore
+Iterations are non-preemptible, and at a decision every running job it
+reshapes sits at an iteration boundary on its own clock, at most one
+unit of work past the decision time. Reshapes of *running* jobs therefore
 land at the job's own boundary (no simulated time is lost or invented),
 while seats of queued/preempted jobs land at the decision time; the
 discrepancy is bounded by one iteration and keeps the allocator's books
@@ -51,6 +57,7 @@ from __future__ import annotations
 
 import heapq
 import logging
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Tuple
@@ -347,11 +354,18 @@ class _Tenant:
             use_plan_cache=use_plan_cache,
             name=spec.name,
         )
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget a previous run's scheduling state."""
         self.state = _PENDING
         self.start_s: Optional[float] = None
         self.completion_s: Optional[float] = None
-        self.queue_since: float = spec.arrival_s
+        self.queue_since: float = self.spec.arrival_s
         self.queue_seconds = 0.0
+        #: Cached :meth:`~repro.fleet.job.JobSimulator.peek_segment` of
+        #: the current segment; None once the simulator has moved on.
+        self.segment: Optional[Tuple[float, bool, list]] = None
 
     @property
     def name(self) -> str:
@@ -399,6 +413,12 @@ class FleetEngine:
         #: Decision epoch: bumped by every policy round so the event
         #: loop knows its heap may hold stale clocks/states.
         self._decisions = 0
+        #: ``(clock, arrival order)`` of the event behind the current
+        #: decision: an arrival sorts before every tenant (order -1), a
+        #: completion sits at its final step's start. A running tenant
+        #: is brought to its first boundary past this key before the
+        #: decision reads its clock (:meth:`_catch_up`).
+        self._decision_key: Tuple[float, int] = (0.0, -1)
 
     # ------------------------------------------------------------------ #
     def run(self) -> FleetResult:
@@ -442,6 +462,11 @@ class FleetEngine:
         }
 
     def _run_impl(self) -> FleetResult:
+        # A second run of one engine starts from scratch, not from the
+        # first run's queue times and completion clocks.
+        for tenant in self._tenants:
+            tenant.reset()
+        self.allocator = GPUAllocator(self.spec.cluster)
         # Consumed front-first (popleft) as arrivals are admitted — a
         # thousand-job arrival burst admits in O(1) per job.
         pending: Deque[_Tenant] = deque(sorted(
@@ -455,23 +480,39 @@ class FleetEngine:
         return self._records()
 
     def _event_loop(self, pending: Deque[_Tenant]) -> None:
-        """The indexed event loop: running tenants sit on a heap keyed
-        ``(clock, arrival order)``, so the lagging tenant (ties broken
-        by arrival) always steps next, and un-memoized straggler
-        evaluations are gathered across tenants and priced in one fused
-        kernel sweep before the lagging tenant commits its step.
+        """The indexed event loop over segment ends.
 
-        Between policy rounds, tenant clocks only advance through this
-        loop's own steps, so heap entries cannot go stale; any round
-        (``_reschedule``) bumps the decision epoch and the heap is
-        rebuilt once from the surviving running set.
+        Only some steps touch anything outside their own job: a failure
+        or outage, a re-growth or resize (allocator books, plan and
+        state caches, the policy), and a job's final iteration (a
+        completion decision). Every other iteration only advances its
+        job's own clock, so its global order does not matter. Running
+        tenants therefore sit on a heap keyed by the ``(start clock,
+        arrival order)`` of the step that ends their current segment
+        (:meth:`~repro.fleet.job.JobSimulator.peek_segment`); arrivals
+        sort first on ties. Popping a tenant advances its plain
+        iterations in closed form and, if the segment ends in an
+        irregular step, runs that one step. Irregular steps and
+        decisions therefore happen in exactly the global order of the
+        step-by-step walk — the order that fixes per-job plan-cache
+        tallies and allocator books.
+
+        A segment needing un-memoized straggler evaluations enters the
+        heap under a lower-bound key: the start of its first iteration
+        needing one. When it reaches the top, the segment's evaluations
+        are priced in one fused kernel sweep and it re-enters under its
+        exact key.
+
+        Any policy round (``_reschedule``) bumps the decision epoch and
+        the heap is rebuilt once from the surviving running set; the
+        segments of tenants the round did not touch stay cached.
         """
         heap: List[Tuple[float, int, _Tenant]] = []
         epoch = -1
         while True:
             if epoch != self._decisions:
                 heap = [
-                    (t.sim.clock, t.order, t)
+                    (self._segment(t)[0], t.order, t)
                     for t in self._tenants
                     if t.state == _RUNNING
                 ]
@@ -480,27 +521,59 @@ class FleetEngine:
             next_arrival = pending[0].spec.arrival_s if pending else None
 
             if heap:
-                clock, _, lagging = heap[0]
+                clock, order, tenant = heap[0]
                 if next_arrival is not None and next_arrival <= clock:
-                    self._admit(pending, next_arrival)
-                    self._reschedule(next_arrival)
+                    self._arrive(pending, next_arrival)
+                    continue
+                _, irregular, unpriced = tenant.segment
+                if unpriced:
+                    price_pending_steps(unpriced)
+                    tenant.segment = tenant.sim.peek_segment()
+                    heapq.heapreplace(
+                        heap, (tenant.segment[0], order, tenant)
+                    )
                     continue
                 heapq.heappop(heap)
-                self._price_pending(lagging)
-                self._step(lagging)
-                if epoch == self._decisions and lagging.state == _RUNNING:
+                tenant.sim.advance_until(clock)
+                tenant.segment = None
+                if irregular:
+                    self._step(tenant, clock)
+                if epoch == self._decisions and tenant.state == _RUNNING:
                     heapq.heappush(
-                        heap, (lagging.sim.clock, lagging.order, lagging)
+                        heap, (self._segment(tenant)[0], order, tenant)
                     )
                 continue
 
             if next_arrival is not None:
-                self._admit(pending, next_arrival)
-                self._reschedule(next_arrival)
+                self._arrive(pending, next_arrival)
                 continue
 
             if not self._unwedge():
                 break
+
+    @staticmethod
+    def _segment(tenant: _Tenant) -> Tuple[float, bool, list]:
+        """The tenant's cached current segment (lower-bound keyed)."""
+        if tenant.segment is None:
+            tenant.segment = tenant.sim.peek_segment(lower_bound=True)
+        return tenant.segment
+
+    def _arrive(self, pending: Deque[_Tenant], now: float) -> None:
+        self._admit(pending, now)
+        self._decision_key = (now, -1)
+        self._reschedule(now)
+
+    def _catch_up(self, tenant: _Tenant) -> None:
+        """Bring a running tenant to where the step-by-step walk would
+        have it at the current decision: the first boundary whose
+        ``(clock, arrival order)`` lies past the decision key. Only
+        plain iterations lie before it — the tenant's own segment end
+        sorts after the decision, or the decision would not be next."""
+        clock, order = self._decision_key
+        if tenant.order < order:
+            # Equal clocks: the earlier arrival stepped first.
+            clock = math.nextafter(clock, math.inf)
+        tenant.sim.advance_until(clock)
 
     def _unwedge(self) -> bool:
         """Nothing runs and nothing arrives: seat a waiter or finish.
@@ -516,6 +589,7 @@ class FleetEngine:
         ]
         if not waiting:
             return False
+        self._decision_key = (self._last_decision, -1)
         self._reschedule(self._last_decision)
         if not any(t.state == _RUNNING for t in self._tenants):
             names = sorted(t.name for t in waiting)
@@ -525,30 +599,6 @@ class FleetEngine:
                 f"free of {self.allocator.total_gpus})"
             )
         return True
-
-    def _price_pending(self, lagging: _Tenant) -> None:
-        """Fused pricing of the evaluations upcoming steps need.
-
-        Only fires when the lagging tenant's next step actually needs an
-        un-memoized (straggler) evaluation — the common base-batch tick
-        costs one O(1) probe. When it fires, every running tenant's
-        pending evaluation rides along in the same kernel sweep, so a
-        straggler-heavy fleet prices whole waves at once. Pre-filling
-        the shared memos is invisible to the results: the values are
-        bit-identical to what each tenant's own step would have
-        computed.
-        """
-        first = lagging.sim.prepare_step()
-        if first is None:
-            return
-        items = [first]
-        for t in self._tenants:
-            if t is lagging or t.state != _RUNNING:
-                continue
-            item = t.sim.prepare_step()
-            if item is not None:
-                items.append(item)
-        price_pending_steps(items)
 
     def _records(self) -> FleetResult:
         records = []
@@ -607,11 +657,13 @@ class FleetEngine:
     # ------------------------------------------------------------------ #
     # Stepping and event mirroring
     # ------------------------------------------------------------------ #
-    def _step(self, tenant: _Tenant) -> None:
+    def _step(self, tenant: _Tenant, start: float) -> None:
+        """Run the irregular step starting at clock ``start``."""
         tenant.sim.step()
         for event in tenant.sim.drain_fleet_events():
             self._mirror(tenant, event)
         if tenant.sim.done:
+            self._decision_key = (start, tenant.order)
             tenant.state = _DONE
             tenant.completion_s = tenant.sim.clock
             obs.event(
@@ -770,7 +822,9 @@ class FleetEngine:
         # The job's own boundary, not the decision time: teleporting a
         # lagging clock forward would invent idle time, and a job ahead
         # of the decision cannot replan in its past.
+        self._catch_up(tenant)
         tenant.sim.apply_resize(size, tenant.sim.clock)
+        tenant.segment = None
         self._account_delta(tenant, size - held)
         # The resize supersedes the job's pending failure repair (the
         # simulator cancels its internal re-growth), so capacity still
@@ -781,9 +835,11 @@ class FleetEngine:
 
     def _preempt(self, tenant: _Tenant, now: float) -> None:
         # Killed at its own boundary (see _resize_running).
+        self._catch_up(tenant)
         at = tenant.sim.clock
         obs.count("fleet.preemptions")
         tenant.sim.preempt(at)
+        tenant.segment = None
         held = self.allocator.held_by(tenant.name)
         if held:
             self.allocator.release(tenant.name, held)
@@ -810,6 +866,7 @@ class FleetEngine:
         tenant.queue_seconds += max(0.0, now - tenant.queue_since)
         self.allocator.carve(tenant.name, grant)
         tenant.state = _RUNNING
+        tenant.segment = None
 
 
 def run_fleet(spec: FleetSpec) -> FleetResult:

@@ -25,9 +25,18 @@ Two drivers consume it:
 Thousand-iteration jobs stay fast because nothing is simulated per
 iteration: the simulator prepares ``sample_iterations`` distinct global
 batches per cluster size and memoizes every distinct
-``(cluster size, sample, straggler profile)`` evaluation, so the
-per-iteration cost is a dictionary lookup plus clock arithmetic. All
-orchestration solves go through the process-wide
+``(cluster size, sample, straggler profile)`` evaluation. Nor is an
+iteration even *stepped* one at a time: between irregular steps — a
+timed event firing, a repair re-growth, a scripted resize —
+:meth:`JobSimulator.advance_until` advances in closed form. Iteration
+times are a gather (``base[i % K]``, the sparse straggler iterations
+overwritten from the memo), and the clock, trajectories, and GPU-seconds
+move by one ``np.cumsum`` per checkpoint interval, bitwise the
+sequential fold :meth:`JobSimulator.step` performs. ``searchsorted`` on
+the end-of-compute clocks finds where the next event fires; only
+checkpoint iterations call the checkpointer, and only irregular steps
+go through :meth:`~JobSimulator.step`, which stays the one-unit
+primitive. All orchestration solves go through the process-wide
 :data:`~repro.orchestration.plancache.PLAN_CACHE`, so co-tenant jobs
 running the same task amortize each other's replans.
 
@@ -43,14 +52,20 @@ shared value is bit-identical to the private one, so per-job results
 do not change. Under ``use_plan_cache=False`` states are built
 privately, as bypass mode promises.
 
-The :meth:`JobSimulator.prepare_step` / :meth:`JobSimulator.commit_step`
-split lets the fleet engine gather the straggler evaluations many
-tenants need for their *next* iteration and price them in one fused
-kernel sweep (:func:`price_pending_steps`) before committing any clock.
+:meth:`JobSimulator.peek_segment` tells the fleet engine where a job's
+current segment ends — its next irregular step, its completion, or its
+next checkpoint boundary — without advancing it, and lists the straggler
+evaluations the segment still needs, so the engine can price them in
+one fused kernel sweep (:func:`price_pending_steps`) before committing
+any clock. The older one-step :meth:`JobSimulator.prepare_step` /
+:meth:`JobSimulator.commit_step` split remains for callers stepping by
+hand.
 """
 
 from __future__ import annotations
 
+import bisect
+import copy
 import logging
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
@@ -185,14 +200,20 @@ class _ClusterState:
         default_factory=dict
     )
 
+    def __post_init__(self) -> None:
+        # Base iteration times and MFUs by sample index: the gather
+        # source of closed-form segment advance.
+        self.times = np.array([r.iteration_time for r in self.base])
+        self.mfus = np.array([r.mfu for r in self.base])
+
 
 @dataclass
 class PendingEvaluation:
-    """One un-memoized iteration evaluation a job needs before its next
-    :meth:`JobSimulator.step` — the gatherable half of the
-    :meth:`~JobSimulator.prepare_step`/:meth:`~JobSimulator.commit_step`
-    split. :func:`price_pending_steps` fills the owning state's memo so
-    the commit is a lookup."""
+    """One un-memoized iteration evaluation a job needs ahead — listed
+    by :meth:`JobSimulator.peek_segment` for a whole segment, or by
+    :meth:`JobSimulator.prepare_step` for the next step.
+    :func:`price_pending_steps` fills the owning state's memo so the
+    advance is a lookup."""
 
     state: _ClusterState
     sample: int
@@ -211,6 +232,55 @@ def _slowdown_factors(
         idx = rank % n_ranks
         factors[idx] = max(factors[idx], slowdown)
     return factors
+
+
+def _fold(values: np.ndarray) -> float:
+    """Sequential left-fold sum, ``((0 + v0) + v1) + ...``.
+
+    ``np.cumsum`` accumulates strictly left to right, so its last entry
+    is bitwise the Python loop's total (unlike ``np.sum``, which adds
+    pairwise).
+    """
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+
+
+def _cut(
+    ends: np.ndarray, event_t: float, repair: float, horizon: float
+) -> Tuple[int, int, bool]:
+    """Where a run of plain iterations with end-of-compute clocks
+    ``ends`` stops: ``(take, evaluated, irregular)``.
+
+    ``take`` iterations retain before the stop; ``evaluated`` of them
+    (plus the killed one, when a timed event fires) are priced on the
+    current cluster state, exactly as the step-by-step walk would;
+    ``irregular`` tells whether the next step must go through
+    :meth:`JobSimulator.step`. Precedence follows :meth:`step`: a
+    repair lands at the boundary before the iteration it would
+    otherwise price, and a horizon reached at a boundary stops the walk
+    before anything at that boundary happens.
+    """
+    last = ends[-1]
+    take = evaluated = len(ends)
+    irregular = False
+    if event_t <= last:
+        # The first iteration whose compute ends at or after the event
+        # is killed mid-flight (it is priced, then the event fires).
+        take = int(np.searchsorted(ends, event_t))
+        evaluated = take + 1
+        irregular = True
+    if repair <= last:
+        # The boundary after the first iteration ending at or after the
+        # repair time fires the re-growth.
+        r = int(np.searchsorted(ends, repair)) + 1
+        if r <= take:
+            take = evaluated = r
+            irregular = True
+    if horizon <= last:
+        h = int(np.searchsorted(ends, horizon)) + 1
+        if h <= take:
+            take = evaluated = h
+            irregular = False
+    return take, evaluated, irregular
 
 
 def price_pending_steps(pending: List[PendingEvaluation]) -> None:
@@ -512,6 +582,10 @@ class JobSimulator:
         self._profiles = self._straggler_profiles(
             trace.stragglers + sampled_stragglers
         )
+        #: Sorted iteration indices with a straggler profile / a
+        #: scripted resize — the sparse breaks in a segment's gather.
+        self._profile_iters = sorted(self._profiles)
+        self._resize_iters = sorted(self._resizes)
 
         self._failure_model = None if replaying else spec.failure_model()
         self._failure_rng = np.random.default_rng(
@@ -531,15 +605,12 @@ class JobSimulator:
         self._n = n
         K = self._num_samples
         self._K = K
-        full_base = self._states[allocated_gpus].base
-        ideal_times = [full_base[i % K].iteration_time for i in range(n)]
         # Sequential (not pairwise) accumulation, matching how the
         # timeline clock advances — a zero-event scenario's goodput is
         # exactly 1 up to its checkpoint stalls, never above.
-        ideal_seconds = 0.0
-        for t in ideal_times:
-            ideal_seconds += t
-        self._ideal_seconds = ideal_seconds
+        self._ideal_seconds = _fold(
+            self._states[allocated_gpus].times[np.arange(n) % K]
+        )
 
         self._times = np.zeros(n)
         self._mfu_traj = np.zeros(n)
@@ -626,11 +697,8 @@ class JobSimulator:
         run-scoped hit/miss counters.
         """
         state = self._state(num_gpus)
-        K = self._num_samples
-        total = 0.0
-        for i in range(self.scenario.num_iterations):
-            total += state.base[i % K].iteration_time
-        return total
+        n = self.scenario.num_iterations
+        return _fold(state.times[np.arange(n) % self._num_samples])
 
     def drain_fleet_events(self) -> List[Tuple[Any, ...]]:
         """Capacity changes since the last drain (fleet bookkeeping).
@@ -727,9 +795,10 @@ class JobSimulator:
 
         Returns a :class:`PendingEvaluation` when the next step's
         iteration pricing is a straggler evaluation not yet in the
-        current state's memo — the fleet engine collects these across
-        tenants and batches them through :func:`price_pending_steps`
-        before committing any clock. Returns ``None`` when nothing
+        current state's memo, for a caller stepping by hand to batch
+        through :func:`price_pending_steps` (the fleet engine gathers
+        whole segments via :meth:`peek_segment` instead). Returns
+        ``None`` when nothing
         needs pre-pricing: the job is not running, a capacity change
         (repair re-growth, scripted resize) lands at this boundary and
         may move the job to a different cluster state, or the needed
@@ -759,10 +828,9 @@ class JobSimulator:
     def commit_step(self) -> None:
         """Commit one unit of work after :meth:`prepare_step`.
 
-        Identical to :meth:`step` — the split exists so the fleet
-        engine can gather many tenants' pending evaluations first; with
-        the memo pre-filled the commit reduces to lookups and clock
-        arithmetic.
+        Identical to :meth:`step` — the split exists so a caller can
+        gather pending evaluations first; with the memo pre-filled the
+        commit reduces to lookups and clock arithmetic.
         """
         self.step()
 
@@ -1010,15 +1078,177 @@ class JobSimulator:
             ("failure", event, from_gpus, self._cur.num_gpus, self._clock)
         )
 
+    # ------------------------------------------------------------------ #
+    # Segment advance
+    # ------------------------------------------------------------------ #
     def advance_until(self, horizon: float) -> None:
         """Step until the job's clock reaches ``horizon`` or it ends.
+
+        Exactly ``while clock < horizon: step()``, without a Python call
+        per plain iteration: runs of plain iterations advance in closed
+        form (:meth:`_walk`), and only the irregular steps between them
+        — a timed event firing, a repair re-growth, a scripted resize —
+        go through :meth:`step`.
 
         Iterations are non-preemptible, so the clock may overshoot the
         horizon by up to one unit of work — allocation changes then
         apply at the job's next boundary at-or-after the horizon.
         """
         while not self.done and not self._paused and self._clock < horizon:
+            self._walk(horizon, commit=True)
+            if self.done or self._clock >= horizon:
+                return
             self.step()
+
+    def peek_segment(
+        self, lower_bound: bool = False
+    ) -> Tuple[float, bool, List[PendingEvaluation]]:
+        """Where the job's current segment ends, without advancing it.
+
+        A segment is the run of plain iterations from the current
+        boundary up to the next irregular step (a timed event, a repair
+        re-growth, a scripted resize, or the final iteration, which
+        completes the job) or the end of the current checkpoint
+        interval, whichever comes first. Returns ``(clock, irregular,
+        pending)``: the start clock of the step that ends the segment,
+        whether that step is irregular (and so must go through
+        :meth:`step`), and the straggler evaluations the segment needs
+        that are not memoized yet.
+
+        With ``lower_bound`` nothing is priced: if the segment needs
+        un-memoized evaluations, ``clock`` is the start of the first
+        iteration needing one — a lower bound on the segment's end —
+        and ``pending`` lists every evaluation the segment would price
+        if those iterations took their base-batch time (a superset of
+        what it needs up to its exact end, as a straggling rank never
+        speeds an iteration up). Otherwise ``pending`` is empty,
+        anything needed is priced, and ``clock`` is exact.
+        """
+        return self._walk(
+            float("inf"), commit=False, lower_bound=lower_bound
+        )
+
+    def _next_event_time(self) -> float:
+        """Wall-clock of the earliest pending timed event (inf if none);
+        the time :meth:`_next_timed` would return, without building
+        the event."""
+        t = self._next_sampled if self._next_sampled is not None else np.inf
+        if self._failure_idx < len(self._timed_events):
+            t = min(t, self._timed_events[self._failure_idx].time_s)
+        return t
+
+    def _walk(
+        self, horizon: float, commit: bool, lower_bound: bool = False
+    ) -> Tuple[float, bool, List[PendingEvaluation]]:
+        """Advance plain iterations in closed form.
+
+        A plain iteration retains one iteration: the clock moves by its
+        time, then by its checkpoint stall. Between checkpoint
+        iterations the stall is an exact ``0.0``, so within one
+        checkpoint interval the boundary clocks are one ``np.cumsum``
+        over the gathered iteration times — bitwise the sequential
+        fold :meth:`step` performs. The walk stops before the first
+        irregular step (``searchsorted`` on the end-of-compute clocks
+        finds the iteration a timed event kills and the boundary a
+        repair lands on) or at the first boundary at or after
+        ``horizon``.
+
+        With ``commit`` the job state advances (several intervals, up
+        to the stop). Without it nothing changes and the walk ends
+        after one checkpoint interval, stopping before the final
+        iteration too: that is :meth:`peek_segment`. Returns ``(clock,
+        irregular, pending)`` as :meth:`peek_segment` documents.
+        """
+        if self._num_failures > MAX_FAILURES:
+            return self._clock, True, []  # step() raises
+        state = self._cur
+        i, clock, n, K = self._i, self._clock, self._n, self._K
+        interval = self._checkpointer.config.interval_iterations
+        end = n if commit else n - 1
+        r = bisect.bisect_left(self._resize_iters, i)
+        if r < len(self._resize_iters):
+            end = min(end, self._resize_iters[r])
+        repair = self._repair_at if self._repair_at is not None else np.inf
+        event_t = self._next_event_time()
+        while i < end:
+            if clock >= horizon:
+                return clock, False, []
+            if clock >= repair:
+                return clock, True, []
+            checkpoint = max(interval, -(-i // interval) * interval)
+            stop = min(end, checkpoint + 1)
+            idx = np.arange(i, stop) % K
+            times = state.times[idx]
+            mfus = state.mfus[idx]
+            missing = []
+            lo = bisect.bisect_left(self._profile_iters, i)
+            hi = bisect.bisect_left(self._profile_iters, stop, lo)
+            for it in self._profile_iters[lo:hi]:
+                sample = it % K
+                profile = self._profiles[it]
+                result = state.evaluations.get((sample, profile))
+                if result is None:
+                    missing.append(
+                        (it - i, PendingEvaluation(state, sample, profile))
+                    )
+                else:
+                    times[it - i] = result.iteration_time
+                    mfus[it - i] = result.mfu
+            while True:
+                # Missing evaluations stand in at their base time (a
+                # lower bound), so the cut computed here is at or after
+                # the true one; pricing what lies before it and cutting
+                # again converges on the exact cut.
+                ends = times.copy()
+                ends[0] += clock
+                np.cumsum(ends, out=ends)
+                take, evaluated, irregular = _cut(
+                    ends, event_t, repair, horizon
+                )
+                need = [
+                    (pos, item) for pos, item in missing if pos < evaluated
+                ]
+                if not need:
+                    break
+                if lower_bound:
+                    # Everything before the first unpriced iteration is
+                    # exact, and the segment cannot end before that
+                    # iteration starts.
+                    first = need[0][0]
+                    key = clock if first == 0 else float(ends[first - 1])
+                    return key, False, [item for _, item in need]
+                price_pending_steps([item for _, item in need])
+                still = []
+                for pos, item in missing:
+                    key = (item.sample, item.profile)
+                    result = state.evaluations.get(key)
+                    if result is None:
+                        still.append((pos, item))
+                    else:
+                        times[pos] = result.iteration_time
+                        mfus[pos] = result.mfu
+                missing = still
+            if take:
+                clock = float(ends[take - 1])
+                if commit:
+                    self._times[i:i + take] = times[:take]
+                    self._mfu_traj[i:i + take] = mfus[:take]
+                    gpu = state.num_gpus * times[:take]
+                    gpu[0] += self._gpu_seconds
+                    self._gpu_seconds = float(np.cumsum(gpu)[-1])
+                if take == len(times) and stop == checkpoint + 1:
+                    # A peek ends at its first checkpoint and stalls a
+                    # copy of the checkpointer, leaving the job's as is.
+                    ck = self._checkpointer
+                    if not commit:
+                        ck = copy.copy(ck)
+                    clock += ck.on_iteration(checkpoint, clock)
+                i += take
+                if commit:
+                    self._clock, self._i = clock, i
+            if irregular or take < len(times) or not commit:
+                return clock, irregular or i == end, []
+        return clock, i < n, []
 
     # ------------------------------------------------------------------ #
     # Fleet controls
@@ -1110,9 +1340,7 @@ class JobSimulator:
         config = self.config
         n = self._n
         total_stall = self._stall_carry + self._checkpointer.total_stall
-        useful_seconds = 0.0  # sequential, like the clock
-        for t in self._times:
-            useful_seconds += float(t)
+        useful_seconds = _fold(self._times)  # sequential, like the clock
         total_seconds = self._clock - self._start_time
         tokens = float(n) * config.global_batch_size * config.mllm.seq_len
         return ScenarioResult(
@@ -1153,6 +1381,5 @@ class JobSimulator:
         """Single-job convenience: start at the full config cluster,
         walk the whole timeline, and assemble the result."""
         self.start()
-        while not self.done:
-            self.step()
+        self.advance_until(float("inf"))
         return self.finish()

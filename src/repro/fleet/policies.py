@@ -29,6 +29,7 @@ Three policies ship, spanning the classic design space:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Type
 
@@ -141,19 +142,23 @@ class ElasticFairSharePolicy(SchedulingPolicy):
         # demand (FIFO tie-break). Equalizing allocations — not
         # deficits — is what makes the shares max-min fair; chasing the
         # largest deficit would hand a big-demand tenant nearly
-        # everything and starve small ones.
-        while budget >= node:
-            wanting = [
-                job for job in admitted
-                if out[job.name] < job.demand_gpus
-            ]
-            if not wanting:
-                break
-            best: JobView = min(
-                wanting, key=lambda j: (out[j.name],) + j.fifo_key
-            )
-            out[best.name] += node
+        # everything and starve small ones. The wanting jobs sit on a
+        # heap keyed (allocation, arrival order, name).
+        wanting = [
+            (out[job.name],) + job.fifo_key + (job.demand_gpus,)
+            for job in admitted
+            if out[job.name] < job.demand_gpus
+        ]
+        heapq.heapify(wanting)
+        while budget >= node and wanting:
+            held, order, name, demand = wanting[0]
+            held += node
+            out[name] = held
             budget -= node
+            if held < demand:
+                heapq.heapreplace(wanting, (held, order, name, demand))
+            else:
+                heapq.heappop(wanting)
         return out
 
 

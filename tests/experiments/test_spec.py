@@ -149,6 +149,49 @@ class TestConfigHash:
             DistTrainConfig.preset("mllm-9b", 16, 16)
         ) != base
 
+    def test_memoized_hash_equals_fresh_computation(self):
+        import hashlib
+
+        from repro.experiments.spec import HASH_LENGTH
+
+        config = self._config()
+        fresh = hashlib.sha256(
+            canonical_json(config).encode("utf-8")
+        ).hexdigest()[:HASH_LENGTH]
+        assert config_hash(config) == fresh
+        assert config_hash(config) == fresh  # served from the memo
+
+    def test_equal_distinct_configs_share_a_hash(self):
+        first, second = self._config(), self._config()
+        assert first is not second
+        assert config_hash(first) == config_hash(second)
+
+    def test_with_copy_gets_its_own_hash(self):
+        config = self._config()
+        base = config_hash(config)
+        changed = config.with_(data_seed=config.data_seed + 1)
+        assert config_hash(changed) != base
+        assert config_hash(config.with_()) == base
+        assert config_hash(config) == base
+
+    def test_memo_ignores_an_entry_under_a_reused_id(self, monkeypatch):
+        from repro.experiments import spec as spec_module
+
+        config = self._config(data_seed=7)
+        stranger = self._config()
+        monkeypatch.setitem(
+            spec_module._HASH_MEMO, id(config), (stranger, "stale")
+        )
+        assert config_hash(config) != "stale"
+
+    def test_memo_is_bounded(self):
+        from repro.experiments import spec as spec_module
+
+        base = self._config()
+        for seed in range(spec_module._HASH_MEMO_SIZE + 10):
+            config_hash(base.with_(data_seed=seed))
+        assert len(spec_module._HASH_MEMO) <= spec_module._HASH_MEMO_SIZE
+
     def test_canonical_json_is_sorted_and_compact(self):
         text = canonical_json(self._config())
         assert " " not in text

@@ -1,12 +1,26 @@
 """The stepping API of the extracted per-job state machine."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.fleet.job import JobSimulator
+from repro.fleet.job import STATE_CACHE, JobSimulator, _fold
 from repro.orchestration.errors import InfeasibleClusterError
 from repro.scenarios import ScenarioSpec
 from repro.scenarios.engine import ScenarioEngine
+from repro.scenarios.events import (
+    DomainFailureEvent,
+    EventTrace,
+    FailureEvent,
+    MaintenanceEvent,
+    ResizeEvent,
+    SpotReclaimEvent,
+)
+
+from tests.fleet.conftest import FAST_RECOVERY
 
 
 class TestLifecycle:
@@ -149,3 +163,185 @@ class TestStateCacheSizing:
             assert resize_state_cache(10**6) == STATE_CACHE_CEILING
         finally:
             STATE_CACHE.resize(before)
+
+
+# --------------------------------------------------------------------- #
+# Segment advance == the step-by-step walk
+# --------------------------------------------------------------------- #
+#: Domains of a 48-GPU slice (node0..node5, rack0..) plus names it never
+#: reaches, which must be consumed without effect.
+DOMAINS = ("node0", "node3", "node5", "node7", "rack0", "rack1", "rack9")
+
+timed_events = st.one_of(
+    st.builds(
+        FailureEvent,
+        time_s=st.floats(1.0, 150.0),
+        gpus_lost=st.sampled_from([8, 16]),
+    ),
+    st.builds(
+        DomainFailureEvent,
+        time_s=st.floats(1.0, 150.0),
+        domain=st.sampled_from(DOMAINS),
+    ),
+    st.builds(
+        SpotReclaimEvent,
+        time_s=st.floats(1.0, 150.0),
+        gpus=st.sampled_from([8, 16]),
+        duration_s=st.floats(5.0, 60.0),
+    ),
+    st.builds(
+        MaintenanceEvent,
+        time_s=st.floats(1.0, 150.0),
+        duration_s=st.floats(5.0, 60.0),
+        domain=st.sampled_from(DOMAINS),
+    ),
+)
+resizes = st.builds(
+    ResizeEvent,
+    iteration=st.integers(1, 80),
+    num_gpus=st.sampled_from([32, 40, 48]),
+)
+
+
+@st.composite
+def scenarios(draw):
+    n = draw(st.integers(10, 80))
+    common = dict(
+        num_iterations=n,
+        checkpoint_interval=draw(
+            st.sampled_from([1, 7, 20, n + 5])
+        ),
+        elastic=draw(st.booleans()),
+        repair_seconds=draw(st.floats(20.0, 200.0)),
+        seed=draw(st.integers(0, 2**16)),
+        **FAST_RECOVERY,
+    )
+    if draw(st.booleans()):
+        # Sampled dynamics: Poisson failures and straggler episodes.
+        return ScenarioSpec(
+            mtbf_gpu_hours=draw(st.sampled_from([None, 2.0, 6.0])),
+            straggler_rate=draw(st.sampled_from([0.0, 0.05, 0.3])),
+            straggler_iterations=draw(st.integers(1, 8)),
+            **common,
+        )
+    # A scripted trace: resizes, spot reclaims, maintenance windows,
+    # plain and domain failures (unique resize iterations).
+    events = draw(st.lists(timed_events, max_size=5)) + list(
+        {e.iteration: e for e in draw(st.lists(resizes, max_size=3))}
+        .values()
+    )
+    return ScenarioSpec(events=EventTrace(events), **common)
+
+
+def _step_walk(sim, horizons):
+    marks = []
+    for horizon in horizons:
+        while not sim.done and sim.clock < horizon:
+            sim.step()
+        marks.append(
+            (sim.clock, sim.iterations_retained, sim.drain_fleet_events())
+        )
+    return marks
+
+
+def _segment_walk(sim, horizons):
+    marks = []
+    for horizon in horizons:
+        sim.advance_until(horizon)
+        marks.append(
+            (sim.clock, sim.iterations_retained, sim.drain_fleet_events())
+        )
+    return marks
+
+
+def _result_bytes(sim):
+    return json.dumps(sim.finish().to_dict(), sort_keys=True)
+
+
+@given(st.lists(st.floats(0.0, 1e4), max_size=300))
+def test_fold_is_the_sequential_loop(values):
+    total = 0.0
+    for value in values:
+        total += value
+    assert _fold(np.array(values, dtype=float)) == total
+
+
+class TestSegmentAdvance:
+    """``advance_until`` is ``while clock < horizon: step()``: same
+    clocks at every horizon, same capacity-change log, byte-identical
+    result — across failures, stragglers, elastic repair, scripted
+    resizes, spot and maintenance outages, and checkpoint intervals of
+    one and longer than the run."""
+
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        spec=scenarios(),
+        picks=st.lists(st.integers(0, 10**6), max_size=4),
+        extra=st.lists(st.floats(0.0, 250.0), max_size=2),
+    )
+    def test_matches_step_walk(self, job_config, spec, picks, extra):
+        probe = JobSimulator(job_config, spec)
+        probe.start()
+        boundaries = [probe.clock]
+        while not probe.done:
+            probe.step()
+            boundaries.append(probe.clock)
+        # Horizons exactly on boundary clocks, between them, and inf.
+        horizons = sorted(
+            [boundaries[p % len(boundaries)] for p in picks] + extra
+        ) + [float("inf")]
+
+        # Each walk starts from an empty straggler memo, so the segment
+        # walk does its own pricing; plan fetches are all hits.
+        STATE_CACHE.clear()
+        segment = JobSimulator(job_config, spec)
+        segment.start()
+        segment_marks = _segment_walk(segment, horizons)
+        STATE_CACHE.clear()
+        stepped = JobSimulator(job_config, spec)
+        stepped.start()
+        step_marks = _step_walk(stepped, horizons)
+
+        assert segment_marks == step_marks
+        assert segment.done and stepped.done
+        assert _result_bytes(segment) == _result_bytes(stepped)
+
+    def test_run_is_segment_advance(self, job_config):
+        spec = ScenarioSpec(
+            num_iterations=60,
+            checkpoint_interval=15,
+            mtbf_gpu_hours=1.0,
+            straggler_rate=0.2,
+            elastic=True,
+            repair_seconds=100.0,
+            seed=3,
+            **FAST_RECOVERY,
+        )
+        ran = JobSimulator(job_config, spec).run()
+        stepped = JobSimulator(job_config, spec)
+        stepped.start()
+        while not stepped.done:
+            stepped.step()
+        assert ran.num_failures > 0
+        assert json.dumps(ran.to_dict(), sort_keys=True) == _result_bytes(
+            stepped
+        )
+
+    def test_peek_does_not_advance(self, job_config):
+        spec = ScenarioSpec(
+            num_iterations=40, checkpoint_interval=10, straggler_rate=0.3
+        )
+        sim = JobSimulator(job_config, spec)
+        sim.start()
+        clock, irregular, pending = sim.peek_segment(lower_bound=True)
+        assert sim.clock == 0.0 and sim.iterations_retained == 0
+        exact, _, _ = sim.peek_segment()
+        assert clock <= exact
+        # The segment ends at the first checkpoint boundary.
+        sim.advance_until(exact)
+        assert sim.clock == exact
+        assert sim.iterations_retained == 11

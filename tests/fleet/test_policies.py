@@ -1,5 +1,8 @@
 """Policy target computation in isolation (no engine, no simulators)."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.cluster.allocation import GPUAllocator
 from repro.cluster.cluster import make_cluster
 from repro.fleet.policies import (
@@ -91,6 +94,72 @@ class TestFairShare:
             allocator(96),
         )
         assert targets == {"a": 16, "b": 80}
+
+
+def reference_fair_share(jobs, alloc):
+    """The O(nodes x jobs) max-min refill the heap replaced: one node at
+    a time to the admitted job with the smallest allocation still below
+    its demand (FIFO tie-break)."""
+    node = alloc.gpus_per_node
+    budget = alloc.free_gpus + sum(
+        j.allocated_gpus for j in jobs if j.running
+    )
+    out = {j.name: 0 for j in jobs}
+    admitted = []
+    for job in sorted(jobs, key=lambda j: j.fifo_key):
+        floor = min(job.min_gpus, job.demand_gpus)
+        if budget >= floor:
+            out[job.name] = floor
+            budget -= floor
+            admitted.append(job)
+    while budget >= node:
+        wanting = [j for j in admitted if out[j.name] < j.demand_gpus]
+        if not wanting:
+            break
+        best = min(wanting, key=lambda j: (out[j.name],) + j.fifo_key)
+        out[best.name] += node
+        budget -= node
+    return out
+
+
+@st.composite
+def fair_share_inputs(draw):
+    rows = draw(st.lists(
+        st.tuples(
+            st.integers(1, 100),  # demand GPUs (not always whole nodes)
+            st.integers(1, 4),    # floor, in nodes
+            st.integers(0, 6),    # nodes held while running
+        ),
+        min_size=1,
+        max_size=12,
+    ))
+    orders = draw(st.permutations(range(len(rows))))
+    free_nodes = draw(st.integers(0, 30))
+    jobs = [
+        JobView(
+            name=f"j{i}",
+            demand_gpus=demand,
+            min_gpus=8 * floor,
+            priority=0,
+            arrival_order=orders[i],
+            allocated_gpus=8 * held,
+            running=held > 0,
+        )
+        for i, (demand, floor, held) in enumerate(rows)
+    ]
+    carved = [(j.name, j.allocated_gpus) for j in jobs if j.running]
+    total = 8 * free_nodes + sum(gpus for _, gpus in carved)
+    return jobs, allocator(max(total, 8), carved=carved)
+
+
+class TestFairShareHeap:
+    @settings(max_examples=200, deadline=None)
+    @given(inputs=fair_share_inputs())
+    def test_matches_brute_force_refill(self, inputs):
+        jobs, alloc = inputs
+        assert ElasticFairSharePolicy().targets(0.0, jobs, alloc) == (
+            reference_fair_share(jobs, alloc)
+        )
 
 
 class TestPriority:
