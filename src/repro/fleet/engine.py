@@ -65,12 +65,7 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.cluster.allocation import GPUAllocator
-from repro.fleet.job import (
-    JobSimulator,
-    STATE_CACHE,
-    price_pending_steps,
-    resize_state_cache,
-)
+from repro.fleet.job import JobSimulator, STATE_CACHE, resize_state_cache
 from repro.obs import instrument as obs
 from repro.fleet.policies import JobView, SchedulingPolicy, make_policy
 from repro.fleet.spec import FleetJobSpec, FleetSpec
@@ -527,7 +522,8 @@ class FleetEngine:
                     continue
                 _, irregular, unpriced = tenant.segment
                 if unpriced:
-                    price_pending_steps(unpriced)
+                    # Prices the segment in one fused sweep, then keys
+                    # it exactly.
                     tenant.segment = tenant.sim.peek_segment()
                     heapq.heapreplace(
                         heap, (tenant.segment[0], order, tenant)

@@ -54,10 +54,9 @@ privately, as bypass mode promises.
 
 :meth:`JobSimulator.peek_segment` tells the fleet engine where a job's
 current segment ends — its next irregular step, its completion, or its
-next checkpoint boundary — without advancing it, and lists the straggler
-evaluations the segment still needs, so the engine can price them in
-one fused kernel sweep (:func:`price_pending_steps`) before committing
-any clock. The older one-step :meth:`JobSimulator.prepare_step` /
+next checkpoint boundary — without advancing it, pricing the straggler
+evaluations the segment needs in one fused kernel sweep
+(:func:`price_pending_steps`) before any clock commits. The older one-step :meth:`JobSimulator.prepare_step` /
 :meth:`JobSimulator.commit_step` split remains for callers stepping by
 hand.
 """
@@ -1122,7 +1121,8 @@ class JobSimulator:
         if those iterations took their base-batch time (a superset of
         what it needs up to its exact end, as a straggling rank never
         speeds an iteration up). Otherwise ``pending`` is empty,
-        anything needed is priced, and ``clock`` is exact.
+        anything needed is priced in one fused kernel sweep
+        (:func:`price_pending_steps`), and ``clock`` is exact.
         """
         return self._walk(
             float("inf"), commit=False, lower_bound=lower_bound
