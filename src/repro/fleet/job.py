@@ -25,7 +25,10 @@ Two drivers consume it:
 Thousand-iteration jobs stay fast because nothing is simulated per
 iteration: the simulator prepares ``sample_iterations`` distinct global
 batches per cluster size and memoizes every distinct
-``(cluster size, sample, straggler profile)`` evaluation. Nor is an
+``(cluster size, sample, slowdown factors)`` evaluation. A straggler
+profile is keyed by the factors the simulated ranks see
+(:func:`_canonical_profile`), so the thousands of sampled ranks that
+wrap onto the same few simulated ranks share one pricing. Nor is an
 iteration even *stepped* one at a time: between irregular steps — a
 timed event firing, a repair re-growth, a scripted resize —
 :meth:`JobSimulator.advance_until` advances in closed form. Iteration
@@ -185,6 +188,11 @@ def resize_state_cache(distinct_pairs: int) -> int:
     return target
 
 
+#: A straggler profile: ``(rank, slowdown)`` pairs, one per active
+#: episode, sorted.
+Profile = Tuple[Tuple[int, float], ...]
+
+
 @dataclass
 class _ClusterState:
     """Everything memoized for one cluster size."""
@@ -194,8 +202,11 @@ class _ClusterState:
     simulator: Any
     prepared: List[PreparedIteration]
     base: List[IterationResult]
-    #: (sample index, straggler profile) -> IterationResult
-    evaluations: Dict[Tuple[int, Tuple[Tuple[int, float], ...]], IterationResult] = field(
+    #: (sample index, canonical profile) -> IterationResult, one pricing
+    #: per distinct factor vector (:func:`_canonical_profile`), plus
+    #: the raw profiles seen so far aliased to the same result objects
+    #: (:func:`_memo_lookup`).
+    evaluations: Dict[Tuple[int, Profile], IterationResult] = field(
         default_factory=dict
     )
 
@@ -211,18 +222,18 @@ class PendingEvaluation:
     """One un-memoized iteration evaluation a job needs ahead — listed
     by :meth:`JobSimulator.peek_segment` for a whole segment, or by
     :meth:`JobSimulator.prepare_step` for the next step.
-    :func:`price_pending_steps` fills the owning state's memo so the
-    advance is a lookup."""
+    ``profile`` is the canonical key (:func:`_canonical_profile`), so
+    co-tenants needing the same slowdown factors list equal items.
+    :func:`price_pending_steps` fills the owning state's memo under it
+    so the advance is a lookup."""
 
     state: _ClusterState
     sample: int
-    profile: Tuple[Tuple[int, float], ...]
+    profile: Profile
 
 
 def _slowdown_factors(
-    state: _ClusterState,
-    sample: int,
-    profile: Tuple[Tuple[int, float], ...],
+    state: _ClusterState, sample: int, profile: Profile
 ) -> np.ndarray:
     """Per-simulated-rank slowdown factors for one straggler profile."""
     n_ranks = len(state.prepared[sample].rank_work)
@@ -231,6 +242,50 @@ def _slowdown_factors(
         idx = rank % n_ranks
         factors[idx] = max(factors[idx], slowdown)
     return factors
+
+
+def _canonical_profile(
+    state: _ClusterState, sample: int, profile: Profile
+) -> Profile:
+    """The memo key of a straggler profile: the factors it gives the
+    simulated ranks, as sorted ``(rank % n_ranks, slowdown)`` pairs.
+
+    Slowdowns on one simulated rank merge by ``max`` from 1.0, exactly
+    as :func:`_slowdown_factors` builds the vector, and ranks left at
+    1.0 are dropped, so two profiles share a key iff they share a factor
+    vector (``n_ranks`` is per sample: rank selection can keep a
+    different count per batch). A canonical key is its own canonical
+    key, and :func:`_slowdown_factors` of it is the raw profile's.
+    """
+    n_ranks = len(state.prepared[sample].rank_work)
+    merged: Dict[int, float] = {}
+    for rank, slowdown in profile:
+        idx = rank % n_ranks
+        merged[idx] = max(merged.get(idx, 1.0), slowdown)
+    return tuple(sorted((idx, s) for idx, s in merged.items() if s != 1.0))
+
+
+def _memo_lookup(
+    state: _ClusterState, sample: int, profile: Profile
+) -> Tuple[Optional[IterationResult], Profile]:
+    """``(memoized evaluation or None, canonical key)`` for a profile.
+
+    The raw profile is tried first: after one canonical lookup it is
+    aliased to the canonical entry's result, so repeat lookups (and
+    warm runs over a shared :data:`STATE_CACHE`) skip the
+    canonicalization. A raw profile that is already canonical is its
+    own key, so the two key kinds can never disagree. On a hit the
+    returned key is ``profile`` itself; on a miss it is the canonical
+    key the pricing must land under.
+    """
+    result = state.evaluations.get((sample, profile))
+    if result is not None:
+        return result, profile
+    canonical = _canonical_profile(state, sample, profile)
+    result = state.evaluations.get((sample, canonical))
+    if result is not None:
+        state.evaluations[(sample, profile)] = result
+    return result, canonical
 
 
 def _fold(values: np.ndarray) -> float:
@@ -286,13 +341,14 @@ def price_pending_steps(pending: List[PendingEvaluation]) -> None:
     """Fill the memo behind many tenants' pending evaluations at once.
 
     Deduplicates by ``(state, sample, profile)`` (co-tenants sharing a
-    state may need the same evaluation) and prices the remainder through
-    one fused :func:`~repro.runtime.iteration.evaluate_prepared_many`
-    call — each result lands in its state's ``evaluations`` memo exactly
-    where the sequential :meth:`JobSimulator._evaluate` would have put
-    it, bit-identical to the value it would have computed.
+    state may need the same evaluation) and prices the un-memoized
+    remainder through one fused
+    :func:`~repro.runtime.iteration.evaluate_prepared_many` call — each
+    result lands in its state's ``evaluations`` memo under the same key
+    :meth:`JobSimulator._evaluate` would have used, bit-identical to the
+    value it would have computed.
     """
-    unique: Dict[Tuple[int, int, Tuple], PendingEvaluation] = {}
+    unique: Dict[Tuple[int, int, Profile], PendingEvaluation] = {}
     for item in pending:
         unique.setdefault(
             (id(item.state), item.sample, item.profile), item
@@ -300,7 +356,7 @@ def price_pending_steps(pending: List[PendingEvaluation]) -> None:
     items = [
         item
         for item in unique.values()
-        if (item.sample, item.profile) not in item.state.evaluations
+        if _memo_lookup(item.state, item.sample, item.profile)[0] is None
     ]
     if not items:
         return
@@ -450,23 +506,19 @@ class JobSimulator:
         )
 
     def _evaluate(
-        self,
-        state: _ClusterState,
-        sample: int,
-        profile: Tuple[Tuple[int, float], ...],
+        self, state: _ClusterState, sample: int, profile: Profile
     ) -> IterationResult:
         """Memoized iteration evaluation for one straggler profile."""
         if not profile:
             return state.base[sample]
-        key = (sample, profile)
-        cached = state.evaluations.get(key)
-        if cached is not None:
-            return cached
-        result = state.simulator.evaluate_prepared(
-            state.prepared[sample],
-            rank_slowdowns=_slowdown_factors(state, sample, profile),
-        )
-        state.evaluations[key] = result
+        result, canonical = _memo_lookup(state, sample, profile)
+        if result is None:
+            result = state.simulator.evaluate_prepared(
+                state.prepared[sample],
+                rank_slowdowns=_slowdown_factors(state, sample, canonical),
+            )
+            state.evaluations[(sample, canonical)] = result
+            state.evaluations[(sample, profile)] = result
         return result
 
     def feasible(self, num_gpus: int) -> bool:
@@ -513,8 +565,8 @@ class JobSimulator:
 
     def _straggler_profiles(
         self, stragglers: List[StragglerEvent]
-    ) -> Dict[int, Tuple[Tuple[int, float], ...]]:
-        """Iteration -> canonical active-straggler profile."""
+    ) -> Dict[int, Profile]:
+        """Iteration -> sorted active-straggler profile."""
         profiles: Dict[int, List[Tuple[int, float]]] = {}
         for episode in stragglers:
             for i in range(episode.iteration, episode.end_iteration):
@@ -818,10 +870,11 @@ class JobSimulator:
         if not profile:
             return None
         sample = self._i % self._K
-        if (sample, profile) in self._cur.evaluations:
+        result, canonical = _memo_lookup(self._cur, sample, profile)
+        if result is not None:
             return None
         return PendingEvaluation(
-            state=self._cur, sample=sample, profile=profile
+            state=self._cur, sample=sample, profile=canonical
         )
 
     def commit_step(self) -> None:
@@ -1186,10 +1239,15 @@ class JobSimulator:
             for it in self._profile_iters[lo:hi]:
                 sample = it % K
                 profile = self._profiles[it]
+                # The raw-profile hit is inlined: every peek and advance
+                # re-reads a segment's straggler iterations, ~7 lookups
+                # per iteration on a busy fleet.
                 result = state.evaluations.get((sample, profile))
                 if result is None:
+                    result, key = _memo_lookup(state, sample, profile)
+                if result is None:
                     missing.append(
-                        (it - i, PendingEvaluation(state, sample, profile))
+                        (it - i, PendingEvaluation(state, sample, key))
                     )
                 else:
                     times[it - i] = result.iteration_time
@@ -1220,8 +1278,7 @@ class JobSimulator:
                 price_pending_steps([item for _, item in need])
                 still = []
                 for pos, item in missing:
-                    key = (item.sample, item.profile)
-                    result = state.evaluations.get(key)
+                    result, _ = _memo_lookup(state, item.sample, item.profile)
                     if result is None:
                         still.append((pos, item))
                     else:

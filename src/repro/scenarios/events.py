@@ -45,6 +45,7 @@ v1 schema (no ``version`` marker), and v1 fixtures parse unchanged.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Union
@@ -66,7 +67,10 @@ class FailureEvent:
     kind = "failure"
 
     def __post_init__(self) -> None:
-        if self.time_s < 0:
+        # Guards on times, durations and slowdowns are written so NaN
+        # fails them (every comparison with NaN is False); Python's json
+        # reads NaN and Infinity, so a trace file can carry either.
+        if not self.time_s >= 0:
             raise ValueError("failure time must be non-negative")
         if self.gpus_lost < 1:
             raise ValueError("a failure must lose at least one GPU")
@@ -96,8 +100,8 @@ class StragglerEvent:
             raise ValueError("straggler duration must be >= 1 iteration")
         if self.rank < 0:
             raise ValueError("straggler rank must be >= 0")
-        if self.slowdown < 1.0:
-            raise ValueError("slowdown must be >= 1.0")
+        if not 1.0 <= self.slowdown < math.inf:
+            raise ValueError("slowdown must be finite and >= 1.0")
 
     @property
     def end_iteration(self) -> int:
@@ -143,7 +147,7 @@ class DomainFailureEvent:
     kind = "domain-failure"
 
     def __post_init__(self) -> None:
-        if self.time_s < 0:
+        if not self.time_s >= 0:
             raise ValueError("failure time must be non-negative")
         if not self.domain:
             raise ValueError("domain failure must name a failure domain")
@@ -167,11 +171,11 @@ class SpotReclaimEvent:
     kind = "spot-reclaim"
 
     def __post_init__(self) -> None:
-        if self.time_s < 0:
+        if not self.time_s >= 0:
             raise ValueError("reclaim time must be non-negative")
         if self.gpus < 1:
             raise ValueError("a reclamation must take at least one GPU")
-        if self.duration_s <= 0:
+        if not self.duration_s > 0:
             raise ValueError("reclaim duration must be positive")
 
 
@@ -191,9 +195,9 @@ class MaintenanceEvent:
     kind = "maintenance"
 
     def __post_init__(self) -> None:
-        if self.time_s < 0:
+        if not self.time_s >= 0:
             raise ValueError("maintenance time must be non-negative")
-        if self.duration_s <= 0:
+        if not self.duration_s > 0:
             raise ValueError("maintenance duration must be positive")
         if not self.domain:
             raise ValueError("maintenance must name a failure domain")

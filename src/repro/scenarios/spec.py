@@ -12,6 +12,7 @@ so changing any scenario field re-executes exactly the affected trials.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional
 
@@ -87,25 +88,29 @@ class ScenarioSpec:
     pack: Optional[str] = None
 
     def __post_init__(self) -> None:
+        # Float guards are written so NaN fails them: every comparison
+        # with NaN is False.
         if self.num_iterations < 1:
             raise ValueError("num_iterations must be >= 1")
         if self.checkpoint_interval < 1:
             raise ValueError("checkpoint_interval must be >= 1")
-        if self.mtbf_gpu_hours is not None and self.mtbf_gpu_hours <= 0:
+        if self.mtbf_gpu_hours is not None and not self.mtbf_gpu_hours > 0:
             raise ValueError("mtbf_gpu_hours must be positive")
         if not 0.0 <= self.straggler_rate <= 1.0:
             raise ValueError("straggler_rate is a per-iteration probability")
-        if self.straggler_slowdown < 1.0:
-            raise ValueError("straggler_slowdown must be >= 1.0")
+        if not 1.0 <= self.straggler_slowdown < math.inf:
+            raise ValueError("straggler_slowdown must be finite and >= 1.0")
         if self.straggler_iterations < 1:
             raise ValueError("straggler_iterations must be >= 1")
         if self.sample_iterations < 1:
             raise ValueError("sample_iterations must be >= 1")
         if self.gpus_lost_per_failure < 1:
             raise ValueError("gpus_lost_per_failure must be >= 1")
-        if self.repair_seconds < 0 or self.replan_seconds < 0:
+        if not (self.repair_seconds >= 0 and self.replan_seconds >= 0):
             raise ValueError("recovery times must be non-negative")
-        if self.restart_seconds < 0 or self.checkpoint_load_seconds < 0:
+        if not (
+            self.restart_seconds >= 0 and self.checkpoint_load_seconds >= 0
+        ):
             # A negative component would flow into downtime_seconds as
             # a per-failure time *credit*.
             raise ValueError("downtime components must be non-negative")

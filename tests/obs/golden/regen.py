@@ -1,9 +1,14 @@
-"""Regenerate the golden flight-recorder trace.
+"""Regenerate (or check) the golden flight-recorder trace.
 
 Run after an *intentional* change to the instrumentation points, the
 trace schema, or the engine semantics::
 
     PYTHONPATH=src python -m tests.obs.golden.regen
+
+or verify that the fixture on disk matches what the current code
+produces, byte for byte (the CI replay-smoke step)::
+
+    PYTHONPATH=src python -m tests.obs.golden.regen --check
 
 The fixture pins the complete JSONL byte stream of a canonical
 elastic-failure scenario traced on a deterministic integer clock, plus
@@ -19,6 +24,7 @@ which spans and counters a run emits.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 from repro.core.api import PROFILE_CACHE
@@ -29,6 +35,8 @@ from repro.orchestration.plancache import PLAN_CACHE
 from repro.orchestration.problem import PROFILER_CACHE
 from repro.pipeline.kernel import clear_kernel_cache
 from repro.scenarios import ScenarioSpec, run_scenario
+
+from tests.scenarios.golden.regen import sync_fixtures
 
 GOLDEN_DIR = Path(__file__).resolve().parent
 
@@ -85,14 +93,14 @@ def trace_fixture():
     }
 
 
-def main() -> None:
-    fixture = trace_fixture()
-    path = GOLDEN_DIR / "trace_canonical.json"
-    path.write_text(json.dumps(fixture, indent=1) + "\n")
-    lines = fixture["jsonl"].count("\n")
-    print(f"wrote {path} ({lines} trace lines, "
-          f"{len(fixture['counters'])} counters)")
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    pairs = [(
+        GOLDEN_DIR / "trace_canonical.json",
+        json.dumps(trace_fixture(), indent=1) + "\n",
+    )]
+    return sync_fixtures(pairs, "--check" in argv, "tests.obs.golden.regen")
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

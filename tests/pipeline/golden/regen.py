@@ -1,8 +1,13 @@
-"""Regenerate the golden pipeline-trace fixtures.
+"""Regenerate (or check) the golden pipeline-trace fixtures.
 
 Run after an *intentional* simulator semantics change::
 
     PYTHONPATH=src python -m tests.pipeline.golden.regen
+
+or verify that every fixture on disk matches what the current code
+produces, byte for byte (the CI replay-smoke step)::
+
+    PYTHONPATH=src python -m tests.pipeline.golden.regen --check
 
 Every fixture captures one canonical schedule evaluated on fixed
 duration tables, with all floats serialized as C99 hex strings so the
@@ -14,12 +19,15 @@ change that perturbs a single ULP of any start/end time fails.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 
 from repro.pipeline.schedules import ScheduleKind
 from repro.pipeline.simulator import PipelineSimulator, StageWork
+
+from tests.scenarios.golden.regen import sync_fixtures
 
 GOLDEN_DIR = Path(__file__).resolve().parent
 
@@ -87,13 +95,19 @@ def trace_to_fixture(name, kind, p, l, vpp, fwd, bwd, comm):
     }
 
 
-def main() -> None:
-    for case in canonical_cases():
-        fixture = trace_to_fixture(*case)
-        path = GOLDEN_DIR / f"{fixture['name']}.json"
-        path.write_text(json.dumps(fixture, indent=1) + "\n")
-        print(f"wrote {path} ({len(fixture['records'])} records)")
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    pairs = [
+        (
+            GOLDEN_DIR / f"{case[0]}.json",
+            json.dumps(trace_to_fixture(*case), indent=1) + "\n",
+        )
+        for case in canonical_cases()
+    ]
+    return sync_fixtures(
+        pairs, "--check" in argv, "tests.pipeline.golden.regen"
+    )
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

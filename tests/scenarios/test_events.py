@@ -1,5 +1,8 @@
 """Event model and trace-schema tests."""
 
+import json
+import math
+
 import pytest
 
 from repro.scenarios.events import (
@@ -61,6 +64,50 @@ class TestEventValidation:
             MaintenanceEvent(time_s=10.0, duration_s=0.0, domain="rack0")
         with pytest.raises(ValueError):
             MaintenanceEvent(time_s=10.0, duration_s=60.0, domain="")
+
+    @pytest.mark.parametrize("record", [
+        pytest.param(
+            {"kind": "straggler", "iteration": 0, "duration_iterations": 5,
+             "rank": 1, "slowdown": math.nan},
+            id="straggler-slowdown-nan",
+        ),
+        pytest.param(
+            {"kind": "straggler", "iteration": 0, "duration_iterations": 5,
+             "rank": 1, "slowdown": math.inf},
+            id="straggler-slowdown-inf",
+        ),
+        pytest.param(
+            {"kind": "failure", "time_s": math.nan}, id="failure-time-nan"
+        ),
+        pytest.param(
+            {"kind": "domain-failure", "time_s": math.nan, "domain": "rack0"},
+            id="domain-failure-time-nan",
+        ),
+        pytest.param(
+            {"kind": "spot-reclaim", "time_s": math.nan},
+            id="spot-reclaim-time-nan",
+        ),
+        pytest.param(
+            {"kind": "spot-reclaim", "time_s": 10.0, "duration_s": math.nan},
+            id="spot-reclaim-duration-nan",
+        ),
+        pytest.param(
+            {"kind": "maintenance", "time_s": math.nan, "duration_s": 60.0,
+             "domain": "rack0"},
+            id="maintenance-time-nan",
+        ),
+        pytest.param(
+            {"kind": "maintenance", "time_s": 10.0, "duration_s": math.nan,
+             "domain": "rack0"},
+            id="maintenance-duration-nan",
+        ),
+    ])
+    def test_rejects_non_finite(self, record):
+        # Python's json writes and reads NaN and Infinity, so a trace
+        # file can carry them; a NaN slowdown would silently price as no
+        # slowdown at all.
+        with pytest.raises(ValueError):
+            EventTrace.from_json(json.dumps({"events": [record]}))
 
 
 class TestEventTrace:

@@ -1,5 +1,7 @@
 """ScenarioSpec validation, sweep-parameter mapping, canonical form."""
 
+import math
+
 import pytest
 
 from repro.runtime.failure import FailureModel
@@ -26,6 +28,21 @@ class TestValidation:
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             ScenarioSpec(**kwargs)
+
+    @pytest.mark.parametrize("field, value", [
+        ("straggler_slowdown", math.nan),
+        ("straggler_slowdown", math.inf),
+        ("mtbf_gpu_hours", math.nan),
+        ("repair_seconds", math.nan),
+        ("replan_seconds", math.nan),
+        ("restart_seconds", math.nan),
+        ("checkpoint_load_seconds", math.nan),
+    ])
+    def test_rejects_non_finite(self, field, value):
+        # NaN slips past a plain ``< 1.0`` / ``< 0`` guard; a NaN
+        # slowdown would silently price as no slowdown at all.
+        with pytest.raises(ValueError):
+            ScenarioSpec(**{field: value})
 
     def test_defaults_are_valid(self):
         spec = ScenarioSpec()
