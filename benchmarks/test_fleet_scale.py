@@ -16,6 +16,7 @@ iterations each, fair-share on 4,800 shared GPUs, from cold caches.
 
 import pytest
 
+from repro.core.api import BATCH_CACHE
 from repro.core.config import DistTrainConfig
 from repro.core.reports import format_table
 from repro.fleet import FleetEngine, FleetSpec
@@ -53,10 +54,11 @@ def fleet_spec(num_jobs: int = 100, iterations: int = 1000) -> FleetSpec:
 
 
 def cold_engine(spec: FleetSpec) -> FleetEngine:
-    # Cold start: every orchestration solve and every shared cluster
-    # state build lands inside the measured time.
+    # Cold start: every orchestration solve, batch draw and shared
+    # cluster state build lands inside the measured time.
     PLAN_CACHE.clear()
     STATE_CACHE.clear()
+    BATCH_CACHE.clear()
     return FleetEngine(spec)
 
 

@@ -18,6 +18,7 @@ scenario as ``test_scenario_1000_iterations``):
 
 import pytest
 
+from repro.core.api import BATCH_CACHE
 from repro.core.config import DistTrainConfig
 from repro.core.reports import format_table
 from repro.fleet.job import STATE_CACHE
@@ -46,10 +47,11 @@ DYNAMIC_SPEC = ScenarioSpec(
 
 def run_traced_scenario():
     # Cold start, same as the untraced benchmark: orchestration solves
-    # (full cluster plus every elastic re-solve) and cluster-state
-    # builds are part of the measured time.
+    # (full cluster plus every elastic re-solve), the batch draw and
+    # cluster-state builds are part of the measured time.
     PLAN_CACHE.clear()
     STATE_CACHE.clear()
+    BATCH_CACHE.clear()
     with instrument.session(trace=True, metrics=True) as tracer:
         result = run_scenario(CONFIG, DYNAMIC_SPEC)
         snapshot = METRICS.snapshot()

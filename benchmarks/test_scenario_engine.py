@@ -12,6 +12,7 @@ like any other experiment.
 import numpy as np
 import pytest
 
+from repro.core.api import BATCH_CACHE
 from repro.core.config import DistTrainConfig
 from repro.core.reports import format_table
 from repro.experiments import Axis, CampaignRunner, SweepSpec
@@ -38,10 +39,11 @@ DYNAMIC_SPEC = ScenarioSpec(
 
 def run_dynamic_scenario():
     # Cold start: include the orchestration solves (full cluster plus
-    # every elastic re-solve) and the cluster-state builds in the
-    # measured time.
+    # every elastic re-solve), the batch draw and the cluster-state
+    # builds in the measured time.
     PLAN_CACHE.clear()
     STATE_CACHE.clear()
+    BATCH_CACHE.clear()
     return run_scenario(CONFIG, DYNAMIC_SPEC)
 
 

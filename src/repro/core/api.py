@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import DistTrainConfig
 from repro.core.keyedcache import KeyedCache
+from repro.data.sample import TrainingSample
 from repro.data.synthetic import SyntheticMultimodalDataset
 from repro.orchestration.adaptive import (
     AdaptiveOrchestrator,
@@ -56,6 +57,43 @@ def _cached_profile(
 
     return PROFILE_CACHE.get_or_compute(
         (seq_len, data_config, data_seed), compute
+    )
+
+
+#: Process-wide global batches, keyed by (seq_len, distribution config,
+#: seed, global batch size, count). Paper-sweep trials of one task draw
+#: the same batch under every system; scenario and fleet jobs re-price
+#: the same K batches at every cluster size.
+BATCH_CACHE = KeyedCache(maxsize=16, name="batch")
+
+
+def sample_batches(
+    config: DistTrainConfig, count: int = 1
+) -> Tuple[Tuple[TrainingSample, ...], ...]:
+    """The first ``count`` global batches of ``config``'s seeded stream.
+
+    Equal to ``count`` successive ``take(global_batch_size)`` calls on a
+    fresh dataset. Each ``take`` drops its open tail, so the batches
+    depend on the batch size and not only on the stream, which is why
+    both are part of the key. Samples are frozen, so every caller can
+    share the cached tuples.
+    """
+    def compute() -> Tuple[Tuple[TrainingSample, ...], ...]:
+        dataset = _dataset(config)
+        return tuple(
+            tuple(dataset.take(config.global_batch_size))
+            for _ in range(count)
+        )
+
+    return BATCH_CACHE.get_or_compute(
+        (
+            config.mllm.seq_len,
+            config.data_config,
+            config.data_seed,
+            config.global_batch_size,
+            count,
+        ),
+        compute,
     )
 
 
@@ -200,8 +238,7 @@ def simulate(
 ) -> IterationResult:
     """Plan (if needed) and simulate one training iteration."""
     simulator = build_simulator(config, orchestration)
-    batch = _dataset(config).take(config.global_batch_size)
-    return simulator.simulate(batch)
+    return simulator.simulate(sample_batches(config)[0])
 
 
 def simulate_run(

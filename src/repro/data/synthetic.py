@@ -105,7 +105,15 @@ class SyntheticMultimodalDataset:
     # Public stream
     # ------------------------------------------------------------------ #
     def take(self, num_samples: int) -> List[TrainingSample]:
-        """Generate the next ``num_samples`` packed training samples."""
+        """Generate the next ``num_samples`` packed training samples.
+
+        Packing starts afresh on every call, and the call drops the
+        documents still open when it returns (its partially filled tail,
+        and any complete sequences past ``num_samples``). The stream is
+        therefore a function of the call sizes as well as the seed:
+        ``take(100)`` followed by ``take(100)`` differs from
+        ``take(200)`` after its first 100 samples.
+        """
         if num_samples < 1:
             raise ValueError("num_samples must be positive")
         samples: List[TrainingSample] = []
@@ -117,8 +125,9 @@ class SyntheticMultimodalDataset:
             )
             if len(packed) > 1:
                 # All but the trailing partially-filled sequence are
-                # complete; re-queue the tail's subsequences so no data
-                # is dropped and ids stay dense and unique.
+                # complete; re-queue the tail's subsequences so this
+                # call drops nothing mid-batch and ids stay dense and
+                # unique.
                 complete, tail = packed[:-1], packed[-1]
                 samples.extend(complete)
                 self._next_sample_id += len(complete)

@@ -76,7 +76,6 @@ import numpy as np
 
 from repro.core.config import DistTrainConfig
 from repro.core.keyedcache import KeyedCache
-from repro.data.synthetic import SyntheticMultimodalDataset
 from repro.obs import instrument as obs
 from repro.orchestration.plancache import PLAN_CACHE, planning_signature
 from repro.runtime.checkpoint import CheckpointConfig
@@ -415,7 +414,7 @@ class JobSimulator:
         )
         self._states: Dict[int, _ClusterState] = {}
         self._infeasible: set = set()
-        self._batches: Optional[List[List[Any]]] = None
+        self._batches: Optional[Tuple[Tuple[Any, ...], ...]] = None
         self._plan_hits = 0
         self._plan_misses = 0
         self._started = False
@@ -428,7 +427,7 @@ class JobSimulator:
     # ------------------------------------------------------------------ #
     # Cluster-state memoization
     # ------------------------------------------------------------------ #
-    def _sample_batches(self) -> List[List[Any]]:
+    def _sample_batches(self) -> Tuple[Tuple[Any, ...], ...]:
         """The K distinct global batches every cluster size re-prices.
 
         Drawn from the same seeded stream :class:`TrainingRun` consumes,
@@ -436,15 +435,9 @@ class JobSimulator:
         replays the training run's exact batch sequence.
         """
         if self._batches is None:
-            dataset = SyntheticMultimodalDataset(
-                seq_len=self.config.mllm.seq_len,
-                config=self.config.data_config,
-                seed=self.config.data_seed,
-            )
-            self._batches = [
-                dataset.take(self.config.global_batch_size)
-                for _ in range(self._num_samples)
-            ]
+            from repro.core.api import sample_batches
+
+            self._batches = sample_batches(self.config, self._num_samples)
         return self._batches
 
     def _state(self, num_gpus: int) -> _ClusterState:

@@ -24,6 +24,7 @@ from repro.reordering.intra import (
 from repro.reordering.inter import (
     InterReorderer,
     MicrobatchCostModel,
+    reorder_ranks,
 )
 from repro.reordering.baselines import (
     random_order,
@@ -39,6 +40,7 @@ __all__ = [
     "brute_force_optimal_makespan",
     "InterReorderer",
     "MicrobatchCostModel",
+    "reorder_ranks",
     "random_order",
     "sorted_order",
     "round_robin_partition",

@@ -20,14 +20,23 @@ recurrence (we reuse the cycle-accurate simulator on the placed prefix —
 the same recursion the paper implements as an ``O(p)`` dynamic program)
 and reports the first unfilled idle window at stage 0.
 
+All DP ranks of an iteration share the pipeline shape ``(l, p, vpp)``,
+and Algorithm 2 places the same number of microbatches at each step on
+every rank. :func:`reorder_ranks` therefore runs the construction for
+all ranks in lockstep: one batched kernel sweep per step prices every
+rank's placed prefix, and one more prices every rank's portfolio guard.
+The kernel reduces the rows of a sweep independently, so each rank gets
+exactly the order it would get alone.
+
 Reordering permutes microbatches within one DP rank's local batch only,
 preserving convergence semantics (gradient accumulation commutes).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
+from typing import List, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -57,8 +66,12 @@ class MicrobatchCostModel:
         self.bwd = np.asarray(self.bwd, dtype=float)
         if self.fwd.shape != self.bwd.shape or self.fwd.ndim != 2:
             raise ValueError("fwd/bwd must be (l, p) arrays of equal shape")
+        if not (np.isfinite(self.fwd).all() and np.isfinite(self.bwd).all()):
+            raise ValueError("durations must be finite")
         if (self.fwd < 0).any() or (self.bwd < 0).any():
             raise ValueError("durations must be non-negative")
+        if not math.isfinite(self.comm) or self.comm < 0:
+            raise ValueError(f"comm must be finite and >= 0, got {self.comm!r}")
 
     @property
     def num_microbatches(self) -> int:
@@ -98,69 +111,10 @@ class InterReorderer:
         self.costs = costs
         self.vpp = vpp
 
-    # ------------------------------------------------------------------ #
-    # Public API
-    # ------------------------------------------------------------------ #
     def reorder(self) -> List[int]:
-        """Return the reordered microbatch indices (a permutation).
-
-        The constructed order is guarded by a small portfolio: the
-        heuristic is evaluated against the identity and both sorted
-        orders with the pipeline recurrence, and the best wins. The
-        guard costs two extra O(l*p) evaluations and guarantees the
-        reordering never regresses the orders it replaces.
-        """
-        constructed = self._construct()
-        key = self.costs.total_size
-        l = self.costs.num_microbatches
-        portfolio = [
-            constructed,
-            list(range(l)),
-            sorted(range(l), key=key),
-            sorted(range(l), key=key, reverse=True),
-        ]
-        # One batched kernel sweep prices all four candidate orders.
-        kernel, scale = self._kernel(l)
-        durations = np.stack([
-            self._durations(kernel, order, scale) for order in portfolio
-        ])
-        _, end = kernel.evaluate_batch(durations, self.costs.comm)
-        makespans = end.max(axis=1)
-        return portfolio[int(np.argmin(makespans))]
-
-    def _construct(self) -> List[int]:
-        """Algorithm 2's interval-filling construction."""
-        costs = self.costs
-        l, p = costs.num_microbatches, costs.num_stages
-        remaining = list(range(l))
-        if l <= 2 or p < 2:
-            return remaining
-
-        key = costs.total_size
-
-        # Line 3: schedule the smallest microbatch first.
-        first = min(remaining, key=key)
-        ret: List[int] = [first]
-        remaining.remove(first)
-
-        # Line 4: reserve the p-1 smallest for the rear.
-        rear = self._select_min(remaining, min(p - 1, len(remaining)))
-        for j in rear:
-            remaining.remove(j)
-
-        # Lines 5-11: fill intervals.
-        first_fill = True
-        while remaining:
-            interval = self._get_interval(ret)
-            count = min(p - 1, len(remaining)) if first_fill else 1
-            chosen = self._select_closest(remaining, count, interval)
-            ret.extend(chosen)
-            for j in chosen:
-                remaining.remove(j)
-            first_fill = False
-
-        ret.extend(rear)  # line 12
-        return ret
+        """Return the reordered microbatch indices (a permutation):
+        :func:`reorder_ranks` for this one rank."""
+        return reorder_ranks([self.costs], self.vpp)[0]
 
     def reorder_items(self, items: Sequence[T]) -> List[T]:
         """Reorder arbitrary objects aligned with the cost model rows."""
@@ -170,83 +124,174 @@ class InterReorderer:
 
     def evaluate(self, order: Sequence[int]) -> float:
         """Pipeline makespan of executing microbatches in ``order``."""
-        _, end, kernel = self._evaluate_order(list(order))
-        return kernel.makespan(end)
+        costs = self.costs
+        kernel, _, end = _sweep(
+            costs.fwd[None], costs.bwd[None], np.array([costs.comm]),
+            [list(order)], self.vpp,
+        )
+        return kernel.makespan(end[0])
 
-    # ------------------------------------------------------------------ #
-    # Algorithm internals
-    # ------------------------------------------------------------------ #
-    def _select_min(self, candidates: Sequence[int], k: int) -> List[int]:
-        """``SELECTMIN``: the k smallest microbatches by size."""
-        ordered = sorted(candidates, key=self.costs.total_size)
-        return ordered[:k]
 
-    def _select_closest(
-        self, candidates: Sequence[int], k: int, interval: float
-    ) -> List[int]:
-        """``SELECTCLOSEST``: k microbatches whose aggregate stage-0
-        forward time best matches ``interval``.
+def reorder_ranks(
+    costs: Sequence[MicrobatchCostModel], vpp: int = 1
+) -> List[List[int]]:
+    """Algorithm 2 for several DP ranks' local batches in lockstep.
 
-        For ``k == 1`` this is a nearest-value scan; for ``k > 1`` a
-        greedy descending pass that adds items while they fit, then tops
-        up with the smallest leftovers. Sizes are the total heterogeneous
-        computation times (see ``MicrobatchCostModel.total_size``), which
-        empirically fill intervals better than first-stage-only times
-        when both encoder and generator are heterogeneous.
-        """
-        key = self.costs.total_size
-        if k <= 0:
-            return []
-        if k == 1:
-            return [min(candidates, key=lambda j: abs(key(j) - interval))]
-        ordered = sorted(candidates, key=key, reverse=True)
-        chosen: List[int] = []
-        total = 0.0
-        for j in ordered:
-            if len(chosen) == k:
-                break
-            if total + key(j) <= interval or not chosen:
-                chosen.append(j)
-                total += key(j)
-        if len(chosen) < k:
-            leftovers = [j for j in reversed(ordered) if j not in chosen]
-            chosen.extend(leftovers[: k - len(chosen)])
-        return chosen
+    Returns one permutation per cost model, each equal to what that
+    rank's construction and portfolio guard produce alone. The guard
+    evaluates the constructed order against the identity and both
+    sorted orders with the pipeline recurrence, and the best wins, so
+    reordering never regresses the orders it replaces.
 
-    def _get_interval(self, placed: List[int]) -> float:
-        """``GETINTERVAL``: first unfilled idle window at stage 0 under
-        the current partial order."""
-        start, end, kernel = self._evaluate_order(placed)
-        return kernel.first_stage_gap(start, end)
+    Raises:
+        ValueError: ``vpp < 1``, or the cost models differ in shape.
+    """
+    if vpp < 1:
+        raise ValueError("vpp must be >= 1")
+    if not costs:
+        return []
+    shape = costs[0].fwd.shape
+    if any(c.fwd.shape != shape for c in costs):
+        raise ValueError(
+            "lockstep reordering needs cost models of one (l, p) shape, "
+            f"got {sorted({c.fwd.shape for c in costs})}"
+        )
+    l = shape[0]
+    fwd = np.stack([c.fwd for c in costs])
+    bwd = np.stack([c.bwd for c in costs])
+    comm = np.array([c.comm for c in costs], dtype=float)
+    sizes = [[c.total_size(j) for j in range(l)] for c in costs]
 
-    # ------------------------------------------------------------------ #
-    # Pipeline evaluation (vectorized kernel; no trace objects)
-    # ------------------------------------------------------------------ #
-    def _kernel(self, num_microbatches: int):
-        """Compiled kernel + duration scale for an order of this length.
+    portfolios = []
+    for order, size in zip(_construct(fwd, bwd, comm, sizes, vpp), sizes):
+        key = size.__getitem__
+        portfolios.append([
+            order,
+            list(range(l)),
+            sorted(range(l), key=key),
+            sorted(range(l), key=key, reverse=True),
+        ])
+    # One batched sweep prices the four candidate orders of every rank.
+    width = len(portfolios[0])
+    _, _, end = _sweep(
+        np.repeat(fwd, width, axis=0),
+        np.repeat(bwd, width, axis=0),
+        np.repeat(comm, width),
+        [order for portfolio in portfolios for order in portfolio],
+        vpp,
+    )
+    makespans = end.max(axis=1).reshape(len(costs), width)
+    return [
+        portfolio[int(np.argmin(row))]
+        for portfolio, row in zip(portfolios, makespans)
+    ]
 
-        Orders whose length fits the interleaving constraint evaluate
-        under the interleaved schedule with per-chunk (1/vpp) durations;
-        partial prefixes fall back to plain 1F1B.
-        """
-        p = self.costs.num_stages
-        if self.vpp > 1 and num_microbatches % p == 0:
-            kernel = get_kernel(
-                ScheduleKind.INTERLEAVED, p, num_microbatches, self.vpp
-            )
-            return kernel, 1.0 / self.vpp
-        return get_kernel(ScheduleKind.ONE_F_ONE_B, p, num_microbatches, 1), 1.0
 
-    def _durations(
-        self, kernel: SimulatorKernel, order: Sequence[int], scale: float
-    ) -> np.ndarray:
-        """Per-op durations for one microbatch permutation."""
-        return kernel.durations_from_tables(
-            self.costs.fwd, self.costs.bwd, order=order, transpose=True
-        ) * scale
+def _construct(
+    fwd: np.ndarray,
+    bwd: np.ndarray,
+    comm: np.ndarray,
+    sizes: List[List[float]],
+    vpp: int,
+) -> List[List[int]]:
+    """Algorithm 2's interval-filling construction, for every rank."""
+    num_ranks, l, p = fwd.shape
+    if l <= 2 or p < 2:
+        return [list(range(l)) for _ in range(num_ranks)]
 
-    def _evaluate_order(self, order: List[int]):
-        kernel, scale = self._kernel(len(order))
-        durations = self._durations(kernel, order, scale)
-        start, end = kernel.evaluate(durations, self.costs.comm)
-        return start, end, kernel
+    placed: List[List[int]] = []
+    remaining: List[List[int]] = []
+    rears: List[List[int]] = []
+    for size in sizes:
+        key = size.__getitem__
+        rest = list(range(l))
+        # Line 3: schedule the smallest microbatch first.
+        first = min(rest, key=key)
+        rest.remove(first)
+        # Line 4: reserve the p-1 smallest (SELECTMIN) for the rear.
+        rear = sorted(rest, key=key)[: min(p - 1, len(rest))]
+        for j in rear:
+            rest.remove(j)
+        placed.append([first])
+        remaining.append(rest)
+        rears.append(rear)
+
+    # Lines 5-11: fill intervals. Every rank places the same count at
+    # each step, so one sweep prices all placed prefixes.
+    count = min(p - 1, len(remaining[0]))
+    while remaining[0]:
+        kernel, start, end = _sweep(fwd, bwd, comm, placed, vpp)
+        for r, size in enumerate(sizes):
+            interval = kernel.first_stage_gap(start[r], end[r])
+            chosen = _select_closest(remaining[r], count, interval, size)
+            placed[r].extend(chosen)
+            for j in chosen:
+                remaining[r].remove(j)
+        count = 1
+
+    for order, rear in zip(placed, rears):
+        order.extend(rear)  # line 12
+    return placed
+
+
+def _select_closest(
+    candidates: List[int], k: int, interval: float, size: List[float]
+) -> List[int]:
+    """``SELECTCLOSEST``: k microbatches whose aggregate size best
+    matches ``interval``.
+
+    For ``k == 1`` this is a nearest-value scan; for ``k > 1`` a
+    greedy descending pass that adds items while they fit, then tops
+    up with the smallest leftovers. Sizes are the total heterogeneous
+    computation times (see ``MicrobatchCostModel.total_size``), which
+    empirically fill intervals better than first-stage-only times
+    when both encoder and generator are heterogeneous.
+    """
+    if k == 1:
+        return [min(candidates, key=lambda j: abs(size[j] - interval))]
+    ordered = sorted(candidates, key=size.__getitem__, reverse=True)
+    chosen: List[int] = []
+    total = 0.0
+    for j in ordered:
+        if len(chosen) == k:
+            break
+        if total + size[j] <= interval or not chosen:
+            chosen.append(j)
+            total += size[j]
+    if len(chosen) < k:
+        leftovers = [j for j in reversed(ordered) if j not in chosen]
+        chosen.extend(leftovers[: k - len(chosen)])
+    return chosen
+
+
+def _sweep(
+    fwd: np.ndarray,
+    bwd: np.ndarray,
+    comm: np.ndarray,
+    orders: Sequence[Sequence[int]],
+    vpp: int,
+) -> Tuple[SimulatorKernel, np.ndarray, np.ndarray]:
+    """Start/end times of ``orders[r]`` over tables ``fwd[r]``/``bwd[r]``
+    (``(B, l, p)``) with delay ``comm[r]``, in one batched kernel sweep.
+
+    The orders share one length, which may be a partial prefix. Orders
+    whose length fits the interleaving constraint evaluate under the
+    interleaved schedule with per-chunk (1/vpp) durations; partial
+    prefixes fall back to plain 1F1B.
+    """
+    p = fwd.shape[2]
+    length = len(orders[0])
+    if vpp > 1 and length % p == 0:
+        kernel = get_kernel(ScheduleKind.INTERLEAVED, p, length, vpp)
+        scale = 1.0 / vpp
+    else:
+        kernel = get_kernel(ScheduleKind.ONE_F_ONE_B, p, length, 1)
+        scale = 1.0
+    rows = np.arange(len(orders))[:, None]
+    mb = np.asarray(orders, dtype=np.int64)[:, kernel.op_microbatch]
+    stage = kernel.op_stage
+    durations = np.where(
+        kernel.op_is_forward, fwd[rows, mb, stage], bwd[rows, mb, stage]
+    ) * scale
+    start, end = kernel.evaluate_batch(durations, comm)
+    return kernel, start, end

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import numbers
-from typing import Callable, List, Sequence, TypeVar
+from typing import Callable, List, Sequence, Tuple, TypeVar
 
 T = TypeVar("T")
 
@@ -44,8 +44,15 @@ def lpt_partition(
     Lines 2-8 of Algorithm 1: sort descending by size, then repeatedly
     assign the next sample to the group with the smallest current load.
     """
-    if num_groups < 1:
-        raise ValueError("num_groups must be positive")
+    return _lpt(samples, num_groups, size)[0]
+
+
+def _lpt(
+    samples: Sequence[T], num_groups: int, size: SizeFn
+) -> Tuple[List[List[T]], List[float]]:
+    """:func:`lpt_partition`'s groups, and each group's load: a running
+    ``+=`` from 0.0 over its samples in append order."""
+    _check_groups(num_groups)
     sorted_samples = sorted(samples, key=size, reverse=True)
     groups: List[List[T]] = [[] for _ in range(num_groups)]
     loads = [0.0] * num_groups
@@ -53,7 +60,12 @@ def lpt_partition(
         min_index = min(range(num_groups), key=loads.__getitem__)
         groups[min_index].append(sample)
         loads[min_index] += size(sample)
-    return groups
+    return groups, loads
+
+
+def _check_groups(num_groups: int) -> None:
+    if num_groups < 1:
+        raise ValueError("num_groups must be positive")
 
 
 def intra_reorder(
@@ -65,28 +77,33 @@ def intra_reorder(
     concatenated). The result is a permutation of the input — gradient
     accumulation is commutative, so convergence semantics are preserved.
     """
+    _check_groups(num_groups)
     if len(samples) % num_groups != 0:
         raise ValueError(
             f"{len(samples)} samples do not split evenly into "
             f"{num_groups} DP groups"
         )
-    groups = lpt_partition(samples, num_groups, size)
+    groups, loads = _lpt(samples, num_groups, size)
     # LPT leaves groups with unequal cardinality; DP groups must receive
     # equal sample counts. Rebalance by moving the smallest samples of
-    # overfull groups into underfull ones (smallest-first keeps loads
-    # near-balanced).
+    # overfull groups into the lightest underfull group with room
+    # (smallest-first keeps loads near-balanced). LPT's running loads
+    # are carried forward with ``+=`` rather than re-summing every
+    # underfull group per move: the same left fold from zero in append
+    # order, so each move costs one scan over the underfull groups.
     per_group = len(samples) // num_groups
     overfull = [g for g in groups if len(g) > per_group]
-    underfull = [g for g in groups if len(g) < per_group]
+    underfull = [i for i, g in enumerate(groups) if len(g) < per_group]
     for group in overfull:
         group.sort(key=size, reverse=True)
         while len(group) > per_group:
             moved = group.pop()  # smallest
             target = min(
-                (g for g in underfull if len(g) < per_group),
-                key=lambda g: sum(size(s) for s in g),
+                (i for i in underfull if len(groups[i]) < per_group),
+                key=loads.__getitem__,
             )
-            target.append(moved)
+            groups[target].append(moved)
+            loads[target] += size(moved)
     result: List[T] = []
     for group in groups:
         result.extend(group)
@@ -106,6 +123,7 @@ def reordered_makespan(
     ordered: Sequence[T], num_groups: int, size: SizeFn = _default_size
 ) -> float:
     """Makespan when DP group ``j`` reads the ``j``-th contiguous block."""
+    _check_groups(num_groups)
     if len(ordered) % num_groups != 0:
         raise ValueError("samples do not split evenly")
     per_group = len(ordered) // num_groups

@@ -33,7 +33,7 @@ from repro.preprocessing.colocated import CoLocatedPreprocessing
 from repro.preprocessing.cost import PreprocessCostModel
 from repro.preprocessing.disaggregated import DisaggregatedPreprocessing
 from repro.preprocessing.transfer import TransferModel
-from repro.reordering.inter import InterReorderer, MicrobatchCostModel
+from repro.reordering.inter import MicrobatchCostModel, reorder_ranks
 from repro.reordering.intra import intra_reorder
 from repro.runtime.frozen import FrozenConfig
 from repro.runtime.mfu import ModelFlopsAccountant, mfu, token_throughput
@@ -289,9 +289,22 @@ class TrainingIterationSimulator:
         ]
 
         ranks_to_simulate = self._select_ranks(rank_batches)
-        rank_work = [
-            self._rank_work(rank_batches[r], num_microbatches)
+        tables = [
+            self._rank_tables(rank_batches[r], num_microbatches)
             for r in ranks_to_simulate
+        ]
+        comm = self._boundary_comm_time()
+        if self.inter_reordering and num_microbatches > 2:
+            # Algorithm 2 for every simulated rank in lockstep.
+            orders = reorder_ranks(
+                [MicrobatchCostModel(fwd, bwd, comm) for fwd, bwd in tables],
+                vpp=self.plan.plans["llm"].vpp,
+            )
+        else:
+            orders = [list(range(num_microbatches)) for _ in tables]
+        rank_work = [
+            (fwd, bwd, order, comm)
+            for (fwd, bwd), order in zip(tables, orders)
         ]
         return PreparedIteration(
             global_batch=list(global_batch),
@@ -386,10 +399,10 @@ class TrainingIterationSimulator:
         picks.update(order[::step][: limit - 2])
         return sorted(picks)
 
-    def _rank_work(
+    def _rank_tables(
         self, rank_batch: List[TrainingSample], num_microbatches: int
-    ) -> Tuple[np.ndarray, np.ndarray, List[int], float]:
-        """One DP rank's duration tables, microbatch order, and comm delay."""
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """One DP rank's ``(l, p)`` forward and backward duration tables."""
         M = self.plan.microbatch_size
         microbatches = [
             rank_batch[i * M : (i + 1) * M] for i in range(num_microbatches)
@@ -399,16 +412,7 @@ class TrainingIterationSimulator:
             f, b = self._microbatch_stage_times(mb)
             fwd_rows.append(f)
             bwd_rows.append(b)
-        fwd = np.array(fwd_rows)
-        bwd = np.array(bwd_rows)
-        comm = self._boundary_comm_time()
-
-        order = list(range(num_microbatches))
-        if self.inter_reordering and num_microbatches > 2:
-            costs = MicrobatchCostModel(fwd=fwd, bwd=bwd, comm=comm)
-            vpp = self.plan.plans["llm"].vpp
-            order = InterReorderer(costs, vpp=vpp).reorder()
-        return fwd, bwd, order, comm
+        return np.array(fwd_rows), np.array(bwd_rows)
 
     def _rank_durations(
         self,

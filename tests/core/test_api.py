@@ -3,13 +3,16 @@
 import pytest
 
 from repro.core.api import (
+    BATCH_CACHE,
     build_simulator,
     compare_systems,
     plan,
+    sample_batches,
     simulate,
     simulate_run,
 )
 from repro.core.config import DistTrainConfig
+from repro.data.synthetic import SyntheticMultimodalDataset
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +54,37 @@ class TestSimulate:
         simulator = build_simulator(config, disttrain_plan)
         assert simulator.intra_reordering
         assert simulator.preprocessing == "disaggregated"
+
+
+class TestSampleBatches:
+    def test_equals_successive_takes(self, config):
+        BATCH_CACHE.clear()
+        batches = sample_batches(config, 3)
+        dataset = SyntheticMultimodalDataset(
+            seq_len=config.mllm.seq_len,
+            config=config.data_config,
+            seed=config.data_seed,
+        )
+        expected = [dataset.take(config.global_batch_size) for _ in range(3)]
+        assert isinstance(batches, tuple)
+        assert all(isinstance(batch, tuple) for batch in batches)
+        assert [list(batch) for batch in batches] == expected
+        assert BATCH_CACHE.stats() == (0, 1)
+
+    def test_second_call_is_a_hit(self, config):
+        BATCH_CACHE.clear()
+        first = sample_batches(config)
+        assert sample_batches(config) is first
+        assert BATCH_CACHE.stats() == (1, 1)
+        # Another count or batch size is another stream prefix.
+        sample_batches(config, 2)
+        sample_batches(config.with_(global_batch_size=16))
+        assert BATCH_CACHE.stats() == (1, 3)
+
+    def test_simulate_draws_the_first_batch(self, config, disttrain_plan):
+        batch = sample_batches(config)[0]
+        expected = build_simulator(config, disttrain_plan).simulate(batch)
+        assert simulate(config, disttrain_plan) == expected
 
 
 class TestComparison:

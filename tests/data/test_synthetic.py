@@ -51,6 +51,15 @@ class TestDeterminism:
         b = SyntheticMultimodalDataset(seed=2).take(32)
         assert [s.image_tokens for s in a] != [s.image_tokens for s in b]
 
+    def test_each_take_drops_its_open_tail(self):
+        """Packing restarts per call, so the stream depends on the call
+        sizes: the batch cache keys batches by their size for this."""
+        ds = SyntheticMultimodalDataset(seed=0)
+        split = ds.take(100) + ds.take(100)
+        whole = SyntheticMultimodalDataset(seed=0).take(200)
+        assert split[:100] == whole[:100]
+        assert split != whole
+
 
 class TestHeterogeneity:
     """The generated population must carry the paper's straggler

@@ -36,6 +36,7 @@ import sys
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Tuple
 
+from repro.core.api import BATCH_CACHE
 from repro.core.config import DistTrainConfig
 from repro.fleet import FleetEngine, FleetResult, FleetSpec
 from repro.fleet.job import STATE_CACHE
@@ -110,10 +111,12 @@ def cases() -> List[Tuple[str, Callable[[], FleetSpec]]]:
 
 
 def cold_run(spec: FleetSpec) -> FleetResult:
-    """One fleet run from cold plan *and* job-state caches (the per-job
-    plan hit/miss counters in every row depend on cache warmth)."""
+    """One fleet run from cold plan, job-state and batch caches (the
+    per-job plan hit/miss counters in every row depend on cache
+    warmth)."""
     PLAN_CACHE.clear()
     STATE_CACHE.clear()
+    BATCH_CACHE.clear()
     return FleetEngine(spec).run()
 
 

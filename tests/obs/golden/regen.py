@@ -27,7 +27,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.core.api import PROFILE_CACHE
+from repro.core.api import BATCH_CACHE, PROFILE_CACHE
 from repro.core.config import DistTrainConfig
 from repro.fleet.job import STATE_CACHE
 from repro.obs import METRICS, instrument
@@ -74,6 +74,7 @@ def reset_process_caches() -> None:
     clear_kernel_cache()
     PLAN_CACHE.clear()
     PROFILE_CACHE.clear()
+    BATCH_CACHE.clear()
     PROFILER_CACHE.clear()
     STATE_CACHE.clear()
     METRICS.reset()

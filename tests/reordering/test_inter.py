@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.reordering.baselines import random_order, sorted_order
-from repro.reordering.inter import InterReorderer, MicrobatchCostModel
+from repro.reordering.inter import (
+    InterReorderer,
+    MicrobatchCostModel,
+    reorder_ranks,
+)
 
 
 def heterogeneous_costs(l=16, p=4, seed=0, encoder_sigma=0.6):
@@ -27,6 +31,24 @@ class TestCostModel:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             MicrobatchCostModel(fwd=-np.ones((2, 2)), bwd=np.ones((2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("table", ["fwd", "bwd"])
+    def test_non_finite_durations_rejected(self, bad, table):
+        tables = {"fwd": np.ones((4, 3)), "bwd": np.ones((4, 3))}
+        tables[table][1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            MicrobatchCostModel(**tables)
+
+    def test_all_nan_table_rejected(self):
+        nan = np.full((4, 3), np.nan)
+        with pytest.raises(ValueError, match="finite"):
+            MicrobatchCostModel(fwd=nan, bwd=nan)
+
+    @pytest.mark.parametrize("comm", [-1.0, -1e-12, np.nan, np.inf])
+    def test_bad_comm_rejected(self, comm):
+        with pytest.raises(ValueError, match="comm"):
+            MicrobatchCostModel(np.ones((4, 3)), np.ones((4, 3)), comm=comm)
 
     def test_accessors(self):
         cm = heterogeneous_costs(l=6, p=3)
@@ -126,3 +148,97 @@ def test_reorder_always_permutation(seed):
     bwd = rng.uniform(0.1, 5.0, (l, p))
     order = InterReorderer(MicrobatchCostModel(fwd, bwd)).reorder()
     assert sorted(order) == list(range(l))
+
+
+def _lockstep_costs(seed, l, p, comm):
+    """Seeded cost model; odd seeds draw integer stage times, so many
+    microbatch sizes tie and tie-breaking is exercised."""
+    rng = np.random.default_rng(seed)
+    if seed % 2:
+        fwd = rng.integers(1, 4, (l, p)).astype(float)
+        bwd = 2.0 * fwd
+    else:
+        fwd = rng.uniform(0.1, 3.0, (l, p))
+        bwd = rng.uniform(0.1, 5.0, (l, p))
+    return MicrobatchCostModel(fwd, bwd, comm)
+
+
+#: (seed, l, p, vpp, comm, order): the orders the per-rank
+#: implementation (one kernel call per placed prefix) returned for
+#: these models before ranks were reordered in lockstep.
+RECORDED_ORDERS = [
+    (0, 3, 2, 1, 0.0, [1, 2, 0]),
+    (1, 3, 2, 1, 0.05, [2, 1, 0]),
+    (2, 3, 2, 1, 0.4, [0, 2, 1]),
+    (3, 8, 4, 1, 0.0, [2, 0, 3, 4, 6, 1, 5, 7]),
+    (4, 8, 4, 1, 0.05, [1, 0, 2, 7, 5, 3, 6, 4]),
+    (5, 8, 4, 1, 0.4, [3, 4, 1, 2, 5, 6, 0, 7]),
+    (6, 12, 3, 2, 0.0, [7, 3, 4, 6, 10, 8, 9, 1, 2, 0, 5, 11]),
+    (7, 12, 3, 2, 0.05, [11, 0, 1, 5, 8, 4, 6, 9, 10, 2, 3, 7]),
+    (8, 12, 3, 2, 0.4, [8, 7, 9, 4, 10, 2, 3, 6, 5, 11, 1, 0]),
+    (9, 24, 6, 1, 0.0, [1, 8, 5, 7, 2, 3, 6, 10, 15, 18, 0, 4, 9, 14, 20,
+                        11, 17, 22, 12, 13, 16, 23, 21, 19]),
+    (10, 24, 6, 1, 0.05, [19, 10, 23, 3, 15, 4, 8, 22, 17, 9, 20, 12, 2, 5,
+                          18, 6, 16, 1, 0, 21, 11, 13, 14, 7]),
+    (11, 24, 6, 1, 0.4, [13, 6, 11, 10, 0, 23, 1, 2, 4, 21, 3, 5, 12, 17,
+                         22, 8, 14, 15, 9, 16, 18, 7, 19, 20]),
+    (12, 10, 5, 2, 0.0, [6, 8, 5, 3, 2, 0, 1, 9, 7, 4]),
+    (13, 10, 5, 2, 0.05, [8, 0, 9, 4, 6, 2, 1, 5, 3, 7]),
+    (14, 10, 5, 2, 0.4, [1, 7, 2, 3, 6, 4, 0, 9, 5, 8]),
+    (15, 7, 2, 2, 0.0, [3, 4, 5, 0, 1, 6, 2]),
+    (16, 7, 2, 2, 0.05, [5, 2, 1, 4, 6, 3, 0]),
+    (17, 7, 2, 2, 0.4, [1, 2, 5, 3, 6, 0, 4]),
+    (18, 16, 4, 2, 0.0, [5, 12, 10, 15, 2, 13, 6, 9, 4, 11, 0, 8, 3, 1, 7,
+                         14]),
+    (19, 16, 4, 2, 0.05, [7, 8, 0, 3, 4, 5, 6, 9, 12, 14, 11, 13, 1, 2, 15,
+                          10]),
+    (20, 16, 4, 2, 0.4, [8, 2, 6, 7, 13, 15, 12, 5, 11, 9, 3, 4, 14, 0, 10,
+                         1]),
+]
+
+
+class TestLockstep:
+    """``reorder_ranks`` prices every rank's prefix in one kernel sweep
+    per step; each rank must still get exactly its own order."""
+
+    @pytest.mark.parametrize(
+        "seed,l,p,vpp,comm,expected", RECORDED_ORDERS,
+        ids=[f"seed{case[0]}" for case in RECORDED_ORDERS],
+    )
+    def test_single_rank_matches_recorded(self, seed, l, p, vpp, comm,
+                                          expected):
+        costs = _lockstep_costs(seed, l, p, comm)
+        assert reorder_ranks([costs], vpp) == [expected]
+        assert InterReorderer(costs, vpp=vpp).reorder() == expected
+
+    def test_same_shape_groups_match_recorded(self):
+        groups = {}
+        for seed, l, p, vpp, comm, expected in RECORDED_ORDERS:
+            groups.setdefault((l, p, vpp), []).append(
+                (_lockstep_costs(seed, l, p, comm), expected)
+            )
+        assert all(len(members) == 3 for members in groups.values())
+        for (_, _, vpp), members in groups.items():
+            costs = [c for c, _ in members]
+            expected = [order for _, order in members]
+            assert reorder_ranks(costs, vpp) == expected
+            # Rank order within the group does not matter.
+            assert reorder_ranks(costs[::-1], vpp) == expected[::-1]
+
+    def test_identical_ranks_get_identical_orders(self):
+        costs = heterogeneous_costs(l=12, p=4, seed=7)
+        orders = reorder_ranks([costs] * 5)
+        assert orders == [InterReorderer(costs).reorder()] * 5
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            reorder_ranks([heterogeneous_costs(l=8, p=4),
+                           heterogeneous_costs(l=8, p=3)])
+        with pytest.raises(ValueError, match="shape"):
+            reorder_ranks([heterogeneous_costs(l=8, p=4),
+                           heterogeneous_costs(l=12, p=4)])
+
+    def test_invalid_vpp_and_empty(self):
+        with pytest.raises(ValueError):
+            reorder_ranks([heterogeneous_costs()], vpp=0)
+        assert reorder_ranks([]) == []

@@ -1,8 +1,10 @@
 """Algorithm 1 (intra-microbatch reordering) tests."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.data.sample import Subsequence, TrainingSample
 from repro.reordering.baselines import random_order
@@ -34,6 +36,16 @@ class TestLPT:
     def test_invalid_groups(self):
         with pytest.raises(ValueError):
             lpt_partition([1], 0)
+
+    @pytest.mark.parametrize("num_groups", [0, -1, -2])
+    def test_non_positive_groups_rejected(self, num_groups):
+        # Checked before any ``len(...) % num_groups``.
+        with pytest.raises(ValueError, match="positive"):
+            lpt_partition([1], num_groups)
+        with pytest.raises(ValueError, match="positive"):
+            intra_reorder([1.0, 2.0], num_groups)
+        with pytest.raises(ValueError, match="positive"):
+            reordered_makespan([1.0, 2.0], num_groups)
 
     def test_covers_all_samples(self):
         samples = [5.0, 1.0, 3.0, 2.0, 8.0, 1.0]
@@ -102,6 +114,71 @@ def test_lpt_within_4_3_of_optimal(sizes):
     greedy = partition_makespan(groups)
     optimal = brute_force_optimal_makespan(sizes, 2)
     assert greedy <= optimal * 4.0 / 3.0 + 1e-9
+
+
+@dataclass(frozen=True, eq=False)
+class _Item:
+    """A sized sample compared by identity, so equal sizes stay
+    distinguishable in the permutation."""
+
+    size: float
+
+
+def _resumming_intra_reorder(samples, num_groups):
+    """Oracle: Algorithm 1 with the fixup that re-sums every underfull
+    group's load for each moved sample."""
+    size = lambda item: item.size  # noqa: E731
+    groups = lpt_partition(samples, num_groups, size)
+    per_group = len(samples) // num_groups
+    overfull = [g for g in groups if len(g) > per_group]
+    underfull = [g for g in groups if len(g) < per_group]
+    for group in overfull:
+        group.sort(key=size, reverse=True)
+        while len(group) > per_group:
+            moved = group.pop()
+            target = min(
+                (g for g in underfull if len(g) < per_group),
+                key=lambda g: sum(size(s) for s in g),
+            )
+            target.append(moved)
+    return [item for group in groups for item in group]
+
+
+@st.composite
+def _tied_batches(draw):
+    """A batch of ``groups x per_group`` items whose sizes come from a
+    few values, so loads tie often and LPT leaves groups underfull.
+
+    The values are dyadic, so every load is exact and the oracle's
+    ``sum()`` equals a running ``+=`` on every Python version.
+    """
+    num_groups = draw(st.integers(min_value=1, max_value=8))
+    per_group = draw(st.integers(min_value=1, max_value=8))
+    pool = draw(st.lists(
+        st.integers(min_value=1, max_value=64).map(lambda k: k / 8),
+        min_size=1, max_size=4, unique=True,
+    ))
+    sizes = draw(st.lists(
+        st.sampled_from(pool),
+        min_size=num_groups * per_group,
+        max_size=num_groups * per_group,
+    ))
+    return sizes, num_groups
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tied_batches())
+@example(([8.0] + [1.0] * 7, 2))
+@example(([4.5, 4.5, 0.25, 0.25, 0.25, 0.25, 0.25, 0.25, 0.25], 3))
+def test_running_load_fixup_matches_resumming(batch):
+    """Carrying each underfull group's load forward picks the same
+    target group as re-summing it, move for move."""
+    sizes, num_groups = batch
+    items = [_Item(size) for size in sizes]
+    expected = _resumming_intra_reorder(items, num_groups)
+    actual = intra_reorder(items, num_groups)
+    assert len(actual) == len(expected)
+    assert all(a is e for a, e in zip(actual, expected))
 
 
 def test_brute_force_guard():
