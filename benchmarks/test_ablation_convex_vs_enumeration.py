@@ -9,6 +9,10 @@ matches exhaustive enumeration of integer (x, y, z) splits.
 import numpy as np
 import pytest
 
+# The SLSQP oracle imports scipy on first use; import it here so the
+# single timed round below measures the solves, not that import.
+import scipy.optimize  # noqa: F401
+
 from repro.cluster.cluster import make_cluster
 from repro.core.reports import format_table
 from repro.data.synthetic import SyntheticMultimodalDataset

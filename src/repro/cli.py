@@ -88,18 +88,26 @@ def _add_task_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--seed", type=int, default=0, help="synthetic data seed"
     )
+    parser.set_defaults(prog=parser.prog)
+
+
+class _TaskError(ValueError):
+    """Task flags that describe no valid :class:`DistTrainConfig`."""
 
 
 def _config(args: argparse.Namespace, system: Optional[str] = None) -> DistTrainConfig:
-    return DistTrainConfig.preset(
-        args.model,
-        num_gpus=args.gpus,
-        global_batch_size=args.gbs,
-        frozen=args.frozen,
-        system=system or args.system,
-        vpp=args.vpp,
-        data_seed=args.seed,
-    )
+    try:
+        return DistTrainConfig.preset(
+            args.model,
+            num_gpus=args.gpus,
+            global_batch_size=args.gbs,
+            frozen=args.frozen,
+            system=system or args.system,
+            vpp=args.vpp,
+            data_seed=args.seed,
+        )
+    except ValueError as exc:
+        raise _TaskError(exc) from exc
 
 
 def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
@@ -1225,7 +1233,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.obs import configure_logging
 
         configure_logging(args.log_level)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _TaskError as exc:
+        print(f"{args.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

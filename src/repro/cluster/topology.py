@@ -5,18 +5,14 @@ parallelism unit occupies. DistTrain (like Megatron-LM) places tensor-
 parallel groups inside a node so TP collectives ride NVLink, while
 pipeline- and data-parallel communication crosses the RoCE fabric.
 
-The topology is also exposed as a :mod:`networkx` graph so benchmarks can
-reason about path counts and bisection bandwidth of the rail-optimized
-fabric, and as a catalog of :class:`FailureDomain` blast radii (nodes,
-racks) that correlated fault events target by name.
+The topology is also exposed as a catalog of :class:`FailureDomain`
+blast radii (nodes, racks) that correlated fault events target by name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
-
-import networkx as nx
 
 from repro.cluster.cluster import ClusterSpec
 from repro.cluster.interconnect import LinkSpec
@@ -202,56 +198,3 @@ class ClusterTopology:
                 )
                 rack_index += 1
         return domains
-
-    # ------------------------------------------------------------------ #
-    # Graph view
-    # ------------------------------------------------------------------ #
-    def to_graph(self) -> nx.Graph:
-        """Node-level topology graph.
-
-        Nodes are physical servers; edges carry the inter-node bandwidth.
-        The rail-optimized fabric is modeled as a full mesh at the node
-        level, which matches the non-blocking behaviour the paper assumes.
-        """
-        graph = nx.Graph()
-        node_index = 0
-        for pool in self.cluster.pools:
-            for _ in range(pool.num_nodes):
-                graph.add_node(
-                    node_index,
-                    pool=pool.name,
-                    gpus=pool.node.gpus_per_node,
-                )
-                node_index += 1
-        nodes = list(graph.nodes)
-        for i, a in enumerate(nodes):
-            spec_a = self._node_spec_of(a)
-            for b in nodes[i + 1 :]:
-                bandwidth = min(
-                    spec_a.inter_link.effective_bandwidth
-                    * spec_a.gpus_per_node,
-                    self._node_spec_of(b).inter_link.effective_bandwidth
-                    * self._node_spec_of(b).gpus_per_node,
-                )
-                graph.add_edge(a, b, bandwidth=bandwidth)
-        return graph
-
-    def bisection_bandwidth(self) -> float:
-        """Aggregate bandwidth across an even node bisection, in bytes/s."""
-        graph = self.to_graph()
-        nodes = list(graph.nodes)
-        half = len(nodes) // 2
-        left, right = set(nodes[:half]), set(nodes[half:])
-        return sum(
-            data["bandwidth"]
-            for a, b, data in graph.edges(data=True)
-            if (a in left) != (b in left)
-        )
-
-    def _node_spec_of(self, node_index: int):
-        remaining = node_index
-        for pool in self.cluster.pools:
-            if remaining < pool.num_nodes:
-                return pool.node
-            remaining -= pool.num_nodes
-        raise IndexError(f"node index {node_index} out of range")

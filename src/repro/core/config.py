@@ -62,6 +62,10 @@ class DistTrainConfig:
             raise ValueError(
                 f"unknown system {self.system!r}; expected {KNOWN_SYSTEMS}"
             )
+        for name in ("global_batch_size", "microbatch_size", "vpp",
+                     "num_iterations"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.global_batch_size % self.microbatch_size != 0:
             raise ValueError("global batch must divide by microbatch size")
 

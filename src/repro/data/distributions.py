@@ -18,6 +18,10 @@ from typing import List
 
 import numpy as np
 
+# numpy 2 loads numpy.random on the first default_rng call; load it at
+# import so that cost lands in set-up, not in the first simulated run.
+import numpy.random  # noqa: F401
+
 
 @dataclass(frozen=True)
 class DataDistributionConfig:

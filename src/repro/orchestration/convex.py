@@ -24,7 +24,7 @@ ways:
   (n-1)*t``. Retained as the cross-checking oracle (standing in for the
   paper's CVX/DCP solver), mirroring the kernel's ``run_reference``
   pattern; the equivalence suite asserts the analytic solver never does
-  worse.
+  worse. The only user of scipy, which it imports on first call.
 * **analytic waterfilling** (:func:`waterfill_split`): ignore the
   warm-up terms and equalize ``A/y = B/x = C/z`` at full budget (the
   oracle's initial guess).
@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from repro.obs import instrument as obs
 
@@ -98,7 +97,19 @@ def solve_resource_split(
         num_microbatches: ``n``; the steady phase runs ``n - 1`` slots.
         budget: Total GPUs ``N``.
         x_min / y_min / z_min: Memory-driven lower bounds.
+
+    Raises:
+        RuntimeError: if scipy is not installed.
     """
+    # Deferred: scipy serves only this oracle, and importing it would
+    # cost every default (analytic) run more than the run itself.
+    try:
+        from scipy.optimize import minimize
+    except ImportError as exc:
+        raise RuntimeError(
+            "scipy is not installed; the default analytic solver "
+            "(solver=\"analytic\") needs no extras"
+        ) from exc
     if budget < x_min + y_min + z_min:
         raise ValueError(
             f"budget {budget} below the memory floor "

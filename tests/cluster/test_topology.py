@@ -128,20 +128,3 @@ class TestFailureDomains:
         with pytest.raises(ValueError):
             FailureDomain("x", "node", (), 8)
 
-
-class TestGraph:
-    def test_graph_is_full_mesh(self):
-        topo = ClusterTopology(make_cluster(32))
-        graph = topo.to_graph()
-        n = graph.number_of_nodes()
-        assert n == 4
-        assert graph.number_of_edges() == n * (n - 1) // 2
-
-    def test_bisection_bandwidth_positive(self):
-        topo = ClusterTopology(make_cluster(32))
-        assert topo.bisection_bandwidth() > 0
-
-    def test_bisection_scales_with_cluster(self):
-        small = ClusterTopology(make_cluster(16)).bisection_bandwidth()
-        large = ClusterTopology(make_cluster(64)).bisection_bandwidth()
-        assert large > small

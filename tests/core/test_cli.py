@@ -59,6 +59,20 @@ class TestCommands:
         assert code == 0
         assert "cv_image_tokens" in out
 
+    @pytest.mark.parametrize("command", ["plan", "simulate", "compare"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--gpus", "48", "--gbs", "0"], "global_batch_size must be >= 1"),
+        (["--gpus", "48", "--gbs", "32", "--vpp", "0"], "vpp must be >= 1"),
+        (["--gpus", "12", "--gbs", "32"], "not a multiple"),
+    ])
+    def test_invalid_task_exits_2(self, capsys, command, flags, message):
+        code = main([command, "--model", "mllm-9b"] + flags)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(f"repro {command}: error: ")
+        assert message in captured.err
+        assert captured.out == ""
+
     def test_frozen_flag(self, capsys):
         code = main(
             ["plan", "--model", "mllm-9b", "--gpus", "48", "--gbs", "32",

@@ -34,6 +34,20 @@ class TestPreset:
         with pytest.raises(ValueError):
             DistTrainConfig.preset("mllm-9b", 48, 65, microbatch_size=2)
 
+    @pytest.mark.parametrize("field, value", [
+        ("global_batch_size", 0),
+        ("global_batch_size", -32),
+        ("microbatch_size", 0),
+        ("microbatch_size", -1),
+        ("vpp", 0),
+        ("num_iterations", 0),
+        ("num_iterations", -2),
+    ])
+    def test_task_sizes_below_one_rejected(self, field, value):
+        config = DistTrainConfig.preset("mllm-9b", 48, 32)
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            config.with_(**{field: value})
+
 
 class TestDerivedSettings:
     def test_disttrain_defaults(self):

@@ -1,5 +1,7 @@
 """Convex resource-split subproblem tests."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,15 @@ class TestSolver:
                     continue
                 best = min(best, objective(x, y, z))
         assert solution.objective <= best * 1.01
+
+    def test_missing_scipy_points_at_the_analytic_solver(
+        self, monkeypatch
+    ):
+        monkeypatch.setitem(sys.modules, "scipy.optimize", None)
+        with pytest.raises(RuntimeError) as info:
+            self.solve()
+        assert "scipy is not installed" in str(info.value)
+        assert "analytic solver" in str(info.value)
 
     def test_infeasible_budget_rejected(self):
         with pytest.raises(ValueError):
