@@ -125,16 +125,6 @@ class KeyedCache:
         """(hits, misses) snapshot."""
         return self.hits, self.misses
 
-    def stats_dict(self) -> Dict[str, int]:
-        """Unified stats row: name, hits, misses, resident size."""
-        return {
-            "name": self.name or "anonymous",
-            "hits": self.hits,
-            "misses": self.misses,
-            "size": len(self._entries),
-            "maxsize": self.maxsize,
-        }
-
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()

@@ -343,9 +343,9 @@ def price_pending_steps(pending: List[PendingEvaluation]) -> None:
     state may need the same evaluation) and prices the un-memoized
     remainder through one fused
     :func:`~repro.runtime.iteration.evaluate_prepared_many` call — each
-    result lands in its state's ``evaluations`` memo under the same key
-    :meth:`JobSimulator._evaluate` would have used, bit-identical to the
-    value it would have computed.
+    result lands in its state's ``evaluations`` memo under its canonical
+    key. This is the only straggler pricing path: a memo miss in
+    :meth:`JobSimulator._evaluate` prices through it too.
     """
     unique: Dict[Tuple[int, int, Profile], PendingEvaluation] = {}
     for item in pending:
@@ -506,11 +506,8 @@ class JobSimulator:
             return state.base[sample]
         result, canonical = _memo_lookup(state, sample, profile)
         if result is None:
-            result = state.simulator.evaluate_prepared(
-                state.prepared[sample],
-                rank_slowdowns=_slowdown_factors(state, sample, canonical),
-            )
-            state.evaluations[(sample, canonical)] = result
+            price_pending_steps([PendingEvaluation(state, sample, canonical)])
+            result = state.evaluations[(sample, canonical)]
             state.evaluations[(sample, profile)] = result
         return result
 
@@ -810,7 +807,8 @@ class JobSimulator:
         return table.get(domain, 0)
 
     def _switch_cluster(self, num_gpus: int, now: float) -> None:
-        """Replan on a resized slice and rebuild the checkpointer."""
+        """Replan on a resized slice, rebuild the checkpointer, and pay
+        the modeled re-orchestration pause."""
         with obs.span(
             "job.replan", job=self.name, gpus=num_gpus, t=now
         ):
@@ -833,6 +831,8 @@ class JobSimulator:
                 self._next_sampled = now + self._failure_rng.exponential(
                     self._failure_model.cluster_mtbf_seconds(num_gpus)
                 )
+        self._clock += self.scenario.replan_seconds
+        self._recovery_seconds += self.scenario.replan_seconds
 
     def prepare_step(self) -> Optional[PendingEvaluation]:
         """The evaluation the next :meth:`step` will need, if gatherable.
@@ -888,7 +888,6 @@ class JobSimulator:
         trace-scripted resizes) are applied at the iteration boundary
         before the work.
         """
-        spec = self.scenario
         if self._num_failures > MAX_FAILURES:
             raise RuntimeError(
                 f"scenario exceeded {MAX_FAILURES} failures; downtime "
@@ -900,8 +899,6 @@ class JobSimulator:
             if self._cur.num_gpus != self._allocated:
                 grown_from = self._cur.num_gpus
                 self._switch_cluster(self._allocated, self._clock)
-                self._clock += spec.replan_seconds
-                self._recovery_seconds += spec.replan_seconds
                 self._fleet_log.append(
                     ("grow", grown_from, self._cur.num_gpus, self._clock)
                 )
@@ -919,8 +916,6 @@ class JobSimulator:
             self._switch_cluster(
                 self._resizes[self._i].num_gpus, self._clock
             )
-            self._clock += spec.replan_seconds
-            self._recovery_seconds += spec.replan_seconds
             self._fleet_log.append(
                 ("resize", resized_from, self._cur.num_gpus, self._clock)
             )
@@ -1046,20 +1041,9 @@ class JobSimulator:
         self._clock = at + spec.downtime_seconds
         self._recovery_seconds += spec.downtime_seconds
         shrunk_from = self._cur.num_gpus
-        if spec.elastic:
-            lost_nodes = -(-gpus_lost // self._node_gpus)
-            survivors = (
-                self._cur.num_gpus - lost_nodes * self._node_gpus
-            )
-            if survivors >= self._node_gpus and self.feasible(survivors):
-                self._switch_cluster(survivors, self._clock)
-                self._clock += spec.replan_seconds
-                self._recovery_seconds += spec.replan_seconds
-                self._repair_at = (
-                    max(self._repair_at or 0.0, at + spec.repair_seconds)
-                )
-            # Too few survivors: restart on replacement hardware
-            # at the current size instead of shrinking further.
+        # Without a shrink (inelastic, or too few survivors) the job
+        # restarts on replacement hardware at the current size.
+        self._shrink(gpus_lost, at + spec.repair_seconds)
         self._fleet_log.append(
             ("failure", failure, shrunk_from, self._cur.num_gpus,
              self._clock)
@@ -1076,7 +1060,6 @@ class JobSimulator:
         orchestrable size) vacates for the remainder of the window and
         resumes at unchanged size.
         """
-        spec = self.scenario
         self._failure_idx += 1
         obs.count("job.outages")
         at = max(self._clock, event.time_s)
@@ -1091,18 +1074,7 @@ class JobSimulator:
         if gpus_lost <= 0:
             # A maintenance domain outside the slice: nothing to drain.
             return
-        lost_nodes = -(-gpus_lost // self._node_gpus)
-        survivors = self._cur.num_gpus - lost_nodes * self._node_gpus
-        if (
-            spec.elastic
-            and survivors >= self._node_gpus
-            and self.feasible(survivors)
-        ):
-            self._switch_cluster(survivors, self._clock)
-            self._clock += spec.replan_seconds
-            self._recovery_seconds += spec.replan_seconds
-            self._repair_at = max(self._repair_at or 0.0, resume_at)
-        else:
+        if not self._shrink(gpus_lost, resume_at):
             # The whole job vacates for the remainder of the window.
             pause = max(0.0, resume_at - self._clock)
             self._clock += pause
@@ -1122,6 +1094,21 @@ class JobSimulator:
         self._fleet_log.append(
             ("failure", event, from_gpus, self._cur.num_gpus, self._clock)
         )
+
+    def _shrink(self, gpus_lost: int, until: float) -> bool:
+        """Elastic shrink: shed the nodes holding ``gpus_lost`` GPUs and
+        replan on the survivors, re-growing at ``until``. False, with
+        nothing changed, when the job is inelastic or the surviving
+        slice is below one node or cannot be orchestrated."""
+        if not self.scenario.elastic:
+            return False
+        lost_nodes = -(-gpus_lost // self._node_gpus)
+        survivors = self._cur.num_gpus - lost_nodes * self._node_gpus
+        if survivors < self._node_gpus or not self.feasible(survivors):
+            return False
+        self._switch_cluster(survivors, self._clock)
+        self._repair_at = max(self._repair_at or 0.0, until)
+        return True
 
     # ------------------------------------------------------------------ #
     # Segment advance
@@ -1329,8 +1316,6 @@ class JobSimulator:
             )
             obs.count("job.resizes")
             self._switch_cluster(num_gpus, self._clock)
-            self._clock += self.scenario.replan_seconds
-            self._recovery_seconds += self.scenario.replan_seconds
 
     def preempt(self, now: float) -> None:
         """Preempt the job: roll back to the latest durable checkpoint
@@ -1371,8 +1356,6 @@ class JobSimulator:
         self._allocated = num_gpus
         if self._cur.num_gpus != num_gpus:
             self._switch_cluster(num_gpus, self._clock)
-            self._clock += self.scenario.replan_seconds
-            self._recovery_seconds += self.scenario.replan_seconds
         elif self._failure_model is not None:
             # Same slice: re-arm the failure clock so arrivals sampled
             # before the pause cannot fire inside the paused window.

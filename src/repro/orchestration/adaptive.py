@@ -195,8 +195,8 @@ def simulated_pipeline_seconds_batch(
     per plan, but all kernel evaluations sharing one schedule shape
     ``(stages, microbatches)`` run as a single batched sweep — the
     shortlist refinement prices every finalist in a handful of
-    :meth:`~repro.pipeline.kernel.SimulatorKernel.evaluate_batch` calls
-    instead of a per-plan simulation loop.
+    :meth:`~repro.pipeline.kernel.SimulatorKernel.makespans_from_durations`
+    calls instead of a per-plan simulation loop.
     """
     M = problem.microbatch_size
     llm = problem.mllm.llm
@@ -221,18 +221,6 @@ def simulated_pipeline_seconds_batch(
     makespans: Dict[Tuple[int, int, int], float] = {}
     for (p, n), members in tasks.items():
         kernel = get_kernel(ScheduleKind.ONE_F_ONE_B, p, n, 1)
-        if len(members) == 1:
-            # The 1-D sweep is cheaper than a one-row batch (and
-            # bit-identical to it — the kernel equivalence suite pins
-            # both against the reference evaluator).
-            i = members[0]
-            durations = kernel.durations_from_stage_times(
-                prepared[i][0], prepared[i][1]
-            )
-            makespans[(p, n, i)] = kernel.makespan_from_durations(
-                durations, comm
-            )
-            continue
         durations = np.stack(
             [
                 kernel.durations_from_stage_times(
@@ -957,13 +945,6 @@ class AdaptiveOrchestrator:
         obs.count("orch.refine_simulated", len(missing))
         obs.count("orch.refine_warm_hits", len(keys) - len(missing))
         return [memo[key] for key in keys]
-
-    def _simulated_cost(
-        self, candidate: CandidateConfig, plans: Dict[str, ParallelismPlan]
-    ) -> float:
-        """Kernel-refined uniform-workload pipeline makespan (see
-        :func:`simulated_pipeline_seconds`)."""
-        return simulated_pipeline_seconds(self.problem, self.collectives, plans)
 
     def _dp_sync_cost(self, plans: Dict[str, ParallelismPlan]) -> float:
         """Exposed gradient reduce-scatter + param allgather time.

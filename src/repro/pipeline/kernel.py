@@ -24,9 +24,10 @@ Evaluation then sweeps the levels with numpy gathers::
     start[level] = ready;  end[level] = ready + duration[level]
 
 which is arithmetically identical (same IEEE operations per op) to the
-reference per-op worklist, so traces are bit-identical. A second, batched
-entry point evaluates ``(B, n)`` duration matrices simultaneously —
-one level sweep prices a whole portfolio of candidate orders.
+reference per-op worklist, so traces are bit-identical. Every entry
+point runs the same sweep: a batch of duration vectors rides as a
+trailing axis, so one sweep prices a whole portfolio of candidate
+orders with the same three numpy operations per level as one vector.
 
 Kernels are cached per shape via :func:`get_kernel`; repeated
 evaluations only pay for new duration tables.
@@ -500,44 +501,9 @@ class SimulatorKernel:
         vector aligned with ``ops``.
         """
         with obs.kernel_span("kernel.evaluate", 1):
-            return self._evaluate(durations, delays)
-
-    def _evaluate(
-        self,
-        durations: np.ndarray,
-        delays: Union[float, np.ndarray] = 0.0,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        n = self.num_ops
-        levels = self.levels
-        uniform = np.ndim(delays) == 0
-        # Ops are evaluated in level order (each level one contiguous
-        # slice); one reserved trailing slot stays 0.0 so missing
-        # predecessors gather a zero readiness. Results are scattered
-        # back to op order once at the end.
-        durations_l = np.asarray(durations, dtype=float)[levels.order]
-        start_l = np.zeros(n)
-        end_l = np.zeros(n + 1)
-        pred3 = levels.pred3
-        if uniform:
-            edge3 = levels.edge_mask3 * delays
-        else:
-            delays_ext = np.concatenate(
-                [np.asarray(delays, dtype=float), [0.0]]
+            return self._sweep(
+                durations, self._edges(delays, batch=False), with_start=True
             )
-            edge3 = delays_ext[levels.edge_op3]
-        bounds = levels.bounds
-        reduce_max = np.maximum.reduce
-        for lo, hi in zip(bounds, bounds[1:]):
-            gathered = end_l.take(pred3[lo:hi])
-            gathered += edge3[lo:hi]
-            ready = reduce_max(gathered, 1)
-            start_l[lo:hi] = ready
-            end_l[lo:hi] = ready + durations_l[lo:hi]
-        start = np.empty(n)
-        end = np.empty(n)
-        start[levels.order] = start_l
-        end[levels.order] = end_l[:n]
-        return start, end
 
     def evaluate_batch(
         self,
@@ -547,45 +513,12 @@ class SimulatorKernel:
         """Start/end times for a ``(B, n)`` duration matrix.
 
         ``delays`` is a scalar shared by the whole batch or a ``(B,)``
-        vector of per-item uniform delays.
+        vector of per-item uniform delays. Returns ``(B, n)`` views of
+        the sweep's op-major results (not C-contiguous).
         """
         with obs.kernel_span("kernel.evaluate_batch", len(durations)):
-            return self._evaluate_batch(durations, delays)
-
-    def _evaluate_batch(
-        self,
-        durations: np.ndarray,
-        delays: Union[float, np.ndarray] = 0.0,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        durations = np.asarray(durations, dtype=float)
-        if durations.ndim != 2 or durations.shape[1] != self.num_ops:
-            raise ValueError(
-                f"expected (B, {self.num_ops}) durations, "
-                f"got {durations.shape}"
-            )
-        batch = durations.shape[0]
-        n = self.num_ops
-        levels = self.levels
-        if np.ndim(delays) == 1:
-            delays = np.asarray(delays, dtype=float)[:, None, None]
-        durations_l = durations[:, levels.order]
-        start_l = np.zeros((batch, n))
-        end_l = np.zeros((batch, n + 1))
-        pred3 = levels.pred3
-        edge3 = levels.edge_mask3 * delays
-        bounds = levels.bounds
-        reduce_max = np.maximum.reduce
-        for lo, hi in zip(bounds, bounds[1:]):
-            gathered = end_l[:, pred3[lo:hi]]
-            gathered += edge3[..., lo:hi, :]
-            ready = reduce_max(gathered, 2)
-            start_l[:, lo:hi] = ready
-            end_l[:, lo:hi] = ready + durations_l[:, lo:hi]
-        start = np.empty((batch, n))
-        end = np.empty((batch, n))
-        start[:, levels.order] = start_l
-        end[:, levels.order] = end_l[:, :n]
-        return start, end
+            start, end = self._sweep_rows(durations, delays, with_start=True)
+            return start.T, end.T
 
     def makespan_from_durations(
         self,
@@ -594,37 +527,13 @@ class SimulatorKernel:
     ) -> float:
         """Makespan of one duration vector, skipping start-time
         bookkeeping and the op-order scatter (the max is permutation-
-        invariant) — the orchestration refinement's fast path.
-        Bit-identical to ``makespan(evaluate(...)[1])``.
+        invariant). Bit-identical to ``makespan(evaluate(...)[1])``.
         """
         with obs.kernel_span("kernel.makespan", 1):
-            return self._makespan_from_durations(durations, delays)
-
-    def _makespan_from_durations(
-        self,
-        durations: np.ndarray,
-        delays: Union[float, np.ndarray] = 0.0,
-    ) -> float:
-        n = self.num_ops
-        levels = self.levels
-        uniform = np.ndim(delays) == 0
-        durations_l = np.asarray(durations, dtype=float)[levels.order]
-        end_l = np.zeros(n + 1)
-        pred3 = levels.pred3
-        if uniform:
-            edge3 = levels.edge_mask3 * delays
-        else:
-            delays_ext = np.concatenate(
-                [np.asarray(delays, dtype=float), [0.0]]
+            end = self._sweep(
+                durations, self._edges(delays, batch=False), with_start=False
             )
-            edge3 = delays_ext[levels.edge_op3]
-        bounds = levels.bounds
-        reduce_max = np.maximum.reduce
-        for lo, hi in zip(bounds, bounds[1:]):
-            gathered = end_l.take(pred3[lo:hi])
-            gathered += edge3[lo:hi]
-            end_l[lo:hi] = reduce_max(gathered, 1) + durations_l[lo:hi]
-        return float(end_l[:n].max()) if n else 0.0
+            return float(end.max()) if len(end) else 0.0
 
     def makespans_from_durations(
         self,
@@ -635,35 +544,81 @@ class SimulatorKernel:
         durations (bit-identical to ``makespans(evaluate_batch(...)[1])``).
         """
         with obs.kernel_span("kernel.makespan_batch", len(durations)):
-            return self._makespans_from_durations(durations, delays)
+            end = self._sweep_rows(durations, delays, with_start=False)
+            return end.max(axis=0)
 
-    def _makespans_from_durations(
+    def _sweep_rows(
         self,
         durations: np.ndarray,
-        delays: Union[float, np.ndarray] = 0.0,
-    ) -> np.ndarray:
+        delays: Union[float, np.ndarray],
+        with_start: bool,
+    ):
+        """:meth:`_sweep` over a checked ``(B, n)`` duration matrix."""
         durations = np.asarray(durations, dtype=float)
         if durations.ndim != 2 or durations.shape[1] != self.num_ops:
             raise ValueError(
                 f"expected (B, {self.num_ops}) durations, "
                 f"got {durations.shape}"
             )
-        batch = durations.shape[0]
+        return self._sweep(
+            durations.T, self._edges(delays, batch=True), with_start
+        )
+
+    def _edges(
+        self, delays: Union[float, np.ndarray], batch: bool
+    ) -> np.ndarray:
+        """Per-edge delays aligned with ``levels.pred3``.
+
+        A scalar is a uniform delay on every data edge; under ``batch``
+        a vector is one uniform delay per row (a trailing ``(B,)`` axis),
+        otherwise it is a per-op vector aligned with ``ops``. The
+        reserved dummy slot reads a zero delay.
+        """
+        levels = self.levels
+        if np.ndim(delays) == 0:
+            edge3 = levels.edge_mask3 * delays
+            return edge3[:, :, None] if batch else edge3
+        delays = np.asarray(delays, dtype=float)
+        if batch:
+            return levels.edge_mask3[:, :, None] * delays
+        return np.append(delays, 0.0)[levels.edge_op3]
+
+    def _sweep(
+        self, durations: np.ndarray, edge3: np.ndarray, with_start: bool
+    ):
+        """The level sweep over op-major ``durations``.
+
+        ``durations`` is ``(n,)`` for one evaluation or ``(n, B)`` for a
+        batch: the batch rides as a trailing axis, so both shapes run
+        the same three operations per level (gather, add the edge
+        delays, row-max). Ops are evaluated in level order, each level
+        one contiguous slice; one reserved trailing slot stays 0.0 so
+        missing predecessors gather a zero readiness. Returns op-order
+        ``(start, end)``, or with ``with_start`` false only the
+        level-order end times (a makespan is order-free).
+        """
         n = self.num_ops
         levels = self.levels
-        if np.ndim(delays) == 1:
-            delays = np.asarray(delays, dtype=float)[:, None, None]
-        durations_l = durations[:, levels.order]
-        end_l = np.zeros((batch, n + 1))
+        durations_l = np.asarray(durations, dtype=float)[levels.order]
+        end_l = np.zeros((n + 1,) + durations_l.shape[1:])
+        start_l = np.empty_like(durations_l) if with_start else None
         pred3 = levels.pred3
-        edge3 = levels.edge_mask3 * delays
         bounds = levels.bounds
         reduce_max = np.maximum.reduce
         for lo, hi in zip(bounds, bounds[1:]):
-            gathered = end_l[:, pred3[lo:hi]]
-            gathered += edge3[..., lo:hi, :]
-            end_l[:, lo:hi] = reduce_max(gathered, 2) + durations_l[:, lo:hi]
-        return end_l[:, :n].max(axis=1)
+            gathered = end_l.take(pred3[lo:hi], axis=0)
+            gathered += edge3[lo:hi]
+            ready = reduce_max(gathered, 1)
+            if with_start:
+                start_l[lo:hi] = ready
+            end_l[lo:hi] = ready + durations_l[lo:hi]
+        if not with_start:
+            return end_l[:n]
+        start = np.empty_like(start_l)
+        end = np.empty_like(start_l)
+        start[levels.order] = start_l
+        end[levels.order] = end_l[:n]
+        return start, end
 
     # ------------------------------------------------------------------ #
     # Derived quantities (trace-free fast paths)

@@ -225,18 +225,6 @@ class PipelineSimulator:
             ]
         return end.max(axis=1) if len(work_tables) else np.zeros(0)
 
-    def makespan_from_tables(
-        self,
-        fwd: Sequence[Sequence[float]],
-        bwd: Sequence[Sequence[float]],
-        comm: float = 0.0,
-    ) -> float:
-        """Makespan only — no trace objects (hot-path convenience)."""
-        kernel = self.kernel
-        durations = kernel.durations_from_tables(fwd, bwd)
-        _, end = kernel.evaluate(durations, comm)
-        return kernel.makespan(end)
-
     # ------------------------------------------------------------------ #
     # Reference evaluator (test oracle)
     # ------------------------------------------------------------------ #

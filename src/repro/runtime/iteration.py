@@ -82,8 +82,7 @@ class PreparedIteration:
     batch ordering, per-sample cost-model pricing, and inter-microbatch
     reordering — is independent of runtime dynamics. The scenario engine
     prepares a batch once and re-prices it under straggler slowdowns via
-    :meth:`TrainingIterationSimulator.evaluate_prepared` without
-    re-running any of it.
+    :func:`evaluate_prepared_many` without re-running any of it.
     """
 
     global_batch: List[TrainingSample]
@@ -107,7 +106,8 @@ class TrainingIterationSimulator:
         preprocessing: ``"disaggregated"``, ``"colocated"`` or ``"none"``.
         max_simulated_ranks: Simulate at most this many DP ranks' pipe-
             lines (the heaviest and lightest by encoder load are always
-            included, so the straggler max is preserved); 0 = all.
+            included, so the straggler max is preserved); 0 = all,
+            otherwise at least 2.
     """
 
     def __init__(
@@ -124,6 +124,11 @@ class TrainingIterationSimulator:
     ):
         if preprocessing not in ("disaggregated", "colocated", "none"):
             raise ValueError(f"unknown preprocessing mode {preprocessing!r}")
+        if max_simulated_ranks != 0 and max_simulated_ranks < 2:
+            raise ValueError(
+                "max_simulated_ranks must be 0 (all ranks) or at least 2, "
+                f"got {max_simulated_ranks}"
+            )
         self.plan = plan
         self.frozen = frozen
         self.schedule = schedule
@@ -186,10 +191,6 @@ class TrainingIterationSimulator:
                     workload, plan.tp,
                     weight_grads=self.frozen.trains(name),
                 )
-                if not self.frozen.trains(name):
-                    # dX-only relay was priced by backward_time already
-                    # via weight_grads=False.
-                    pass
         self._sample_time_cache[key] = value
         return value
 
@@ -328,12 +329,7 @@ class TrainingIterationSimulator:
                 kernel sweep while communication delays stay fixed. None
                 evaluates the batch exactly as :meth:`simulate` would.
         """
-        makespans, bubble_fractions = self._evaluate_ranks(
-            prepared.rank_work,
-            prepared.num_microbatches,
-            rank_slowdowns=rank_slowdowns,
-        )
-        return self._assemble(prepared, makespans, bubble_fractions)
+        return evaluate_prepared_many([(self, prepared, rank_slowdowns)])[0]
 
     def _assemble(
         self,
@@ -341,12 +337,9 @@ class TrainingIterationSimulator:
         makespans: List[float],
         bubble_fractions: Sequence[float],
     ) -> IterationResult:
-        """Scalar result assembly from per-rank sweep outputs.
-
-        Split from :meth:`evaluate_prepared` so a fused multi-batch
-        sweep (:func:`evaluate_prepared_many`) can assemble each task's
-        result from its slice of one stacked kernel call.
-        """
+        """Scalar result assembly from per-rank sweep outputs — one
+        task's slice of :func:`evaluate_prepared_many`'s stacked kernel
+        call."""
         plan = self.plan
         global_batch = prepared.global_batch
         pipeline_time = max(makespans)
@@ -395,8 +388,9 @@ class TrainingIterationSimulator:
         ]
         order = sorted(range(dp), key=loads.__getitem__)
         picks = {order[0], order[-1]}
-        step = max(1, dp // (limit - 2))
-        picks.update(order[::step][: limit - 2])
+        if limit > 2:
+            step = max(1, dp // (limit - 2))
+            picks.update(order[::step][: limit - 2])
         return sorted(picks)
 
     def _rank_tables(
@@ -446,32 +440,12 @@ class TrainingIterationSimulator:
                     f"expected {len(rank_work)} rank slowdowns, "
                     f"got shape {factors.shape}"
                 )
+            if not np.all(np.isfinite(factors)):
+                raise ValueError("straggler slowdowns must be finite")
             if np.any(factors < 1.0):
                 raise ValueError("straggler slowdowns must be >= 1.0")
             durations *= factors[:, None]
         return kernel, durations, delays
-
-    def _evaluate_ranks(
-        self,
-        rank_work: List[Tuple[np.ndarray, np.ndarray, List[int], float]],
-        num_microbatches: int,
-        rank_slowdowns: Optional[Sequence[float]] = None,
-    ) -> Tuple[List[float], List[float]]:
-        """Makespan and bubble fraction per simulated rank.
-
-        All ranks share one schedule shape, so their final (reordered)
-        duration tables are priced in a single batched kernel sweep.
-        ``rank_slowdowns`` scales each rank's compute durations (not its
-        communication delay) before the sweep — the scenario engine's
-        straggler injection point.
-        """
-        kernel, durations, delays = self._rank_durations(
-            rank_work, num_microbatches, rank_slowdowns=rank_slowdowns
-        )
-        start, end = kernel.evaluate_batch(durations, delays)
-        makespans = [float(m) for m in kernel.makespans(end)]
-        bubbles = kernel.bubble_fractions(start, end)
-        return makespans, bubbles
 
     def _effective_schedule(
         self, num_microbatches: int, num_stages: int
@@ -531,16 +505,17 @@ def evaluate_prepared_many(
         ]
     ],
 ) -> List[IterationResult]:
-    """Price many prepared batches through fused kernel sweeps.
+    """Price many prepared batches through fused kernel sweeps — the one
+    pricing path (:meth:`TrainingIterationSimulator.evaluate_prepared`
+    is a one-task call).
 
     Each task is ``(simulator, prepared, rank_slowdowns_or_None)``.
     Tasks whose batches compile to the same pipeline kernel (same
     schedule shape — the common case for a fleet of same-config jobs)
-    are stacked into one :meth:`~repro.pipeline.kernel.PipelineKernel
-    .evaluate_batch` call; the kernel's level sweep reduces rows
-    independently, so every returned :class:`IterationResult` is
-    bit-identical to the sequential
-    ``simulator.evaluate_prepared(prepared, rank_slowdowns)``.
+    are stacked into one :meth:`~repro.pipeline.kernel.SimulatorKernel
+    .evaluate_batch` call. The kernel's level sweep reduces rows
+    independently, so a task's result does not depend on which other
+    tasks share its call.
     """
     gathered = [
         sim._rank_durations(

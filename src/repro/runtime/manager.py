@@ -78,7 +78,6 @@ class DistTrainManager:
         self.config = config
         self.checkpoint = checkpoint
         self._profile: Optional[SampleProfile] = None
-        self._problem: Optional[OrchestrationProblem] = None
         self._orchestration: Optional[OrchestrationResult] = None
         self._initialization: Optional[InitializationReport] = None
 
@@ -111,7 +110,6 @@ class DistTrainManager:
                 vpp=self.config.vpp,
                 tp_overlap_fraction=self.config.tp_overlap_fraction,
             )
-            self._problem = problem
             orchestrator = {
                 "disttrain": AdaptiveOrchestrator,
                 "megatron-lm": MegatronOrchestrator,

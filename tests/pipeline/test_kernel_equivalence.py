@@ -165,9 +165,11 @@ def test_batched_shape_validation():
     ],
 )
 def test_makespan_only_paths_match_evaluate(kind, p, n, vpp):
-    """The makespan-only entry points (the orchestration refinement's
-    fast path) are bit-identical to ``makespan(evaluate(...)[1])`` for
-    every delay form they accept."""
+    """Every entry point runs the one level sweep: the makespan-only
+    ones (the orchestration refinement's path) are bit-identical to
+    ``makespan(evaluate(...)[1])``, and each row of a batch is
+    bit-identical to evaluating it alone, for every delay form each
+    entry point accepts."""
     kernel = get_kernel(kind, p, n, vpp)
     rng = np.random.default_rng(p * 1000 + n)
     durations = rng.uniform(0.0, 1.0, kernel.num_ops)
@@ -178,6 +180,19 @@ def test_makespan_only_paths_match_evaluate(kind, p, n, vpp):
 
     batch = rng.uniform(0.0, 1.0, (3, kernel.num_ops))
     for delays in (0.0, 0.37, rng.uniform(0.0, 0.1, 3)):
-        expected = kernel.makespans(kernel.evaluate_batch(batch, delays)[1])
+        start, end = kernel.evaluate_batch(batch, delays)
+        assert start.shape == end.shape == batch.shape
+        for r in range(len(batch)):
+            row_delay = delays if np.ndim(delays) == 0 else delays[r]
+            row_start, row_end = kernel.evaluate(batch[r], row_delay)
+            assert np.array_equal(start[r], row_start)
+            assert np.array_equal(end[r], row_end)
+        expected = kernel.makespans(end)
         got = kernel.makespans_from_durations(batch, delays)
         assert np.array_equal(got, expected)
+
+    empty = np.zeros((0, kernel.num_ops))
+    for delays in (0.37, np.zeros(0)):
+        start, end = kernel.evaluate_batch(empty, delays)
+        assert start.shape == end.shape == (0, kernel.num_ops)
+        assert kernel.makespans_from_durations(empty, delays).shape == (0,)

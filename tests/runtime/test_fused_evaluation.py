@@ -1,12 +1,17 @@
-"""Fused multi-batch evaluation is per-batch evaluation, bit for bit.
+"""A task's price does not depend on which tasks share its call.
 
-:func:`~repro.runtime.iteration.evaluate_prepared_many` stacks the
-per-rank duration rows of many prepared batches that compile to the
-same pipeline kernel into one ``evaluate_batch`` sweep. The kernel's
-level sweep is row-independent, so every task's slice of the stacked
-call must equal its own :meth:`evaluate_prepared` — including straggler
-re-pricing — and tasks on *different* kernels must group correctly.
+:func:`~repro.runtime.iteration.evaluate_prepared_many` is the one
+pricing path: it stacks the per-rank duration rows of many prepared
+batches that compile to the same pipeline kernel into one
+``evaluate_batch`` sweep, and :meth:`evaluate_prepared` is a one-task
+call of it. The kernel's level sweep is row-independent, so every
+task's slice of a stacked call must equal the task priced alone — bit
+for bit, straggler re-pricing included — tasks on *different* kernels
+must group correctly, and bad slowdown factors are rejected by both
+entry points.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -81,3 +86,23 @@ def test_fused_singleton_is_evaluate_prepared(small_plan, small_batch):
     prepared = sim.prepare(small_batch)
     [fused] = evaluate_prepared_many([(sim, prepared, None)])
     assert fused == sim.evaluate_prepared(prepared)
+
+
+@pytest.mark.parametrize(
+    "make_factors",
+    [
+        pytest.param(lambda n: [math.nan] * n, id="nan"),
+        pytest.param(lambda n: [1.0] * (n - 1) + [math.inf], id="inf"),
+        pytest.param(lambda n: [1.0] * (n + 1), id="wrong-length"),
+    ],
+)
+@pytest.mark.parametrize("fused", [False, True], ids=["single", "fused"])
+def test_bad_slowdowns_rejected(small_plan, small_batch, make_factors, fused):
+    sim = simulator(small_plan)
+    prepared = sim.prepare(small_batch)
+    factors = make_factors(len(prepared.rank_work))
+    with pytest.raises(ValueError, match="slowdowns"):
+        if fused:
+            evaluate_prepared_many([(sim, prepared, factors)])
+        else:
+            sim.evaluate_prepared(prepared, rank_slowdowns=factors)

@@ -2,6 +2,11 @@
 
 import pytest
 
+from repro.cluster.cluster import make_cluster
+from repro.data.synthetic import SyntheticMultimodalDataset
+from repro.models.mllm import MLLM_9B
+from repro.parallelism.orchestration_plan import ModelOrchestrationPlan
+from repro.parallelism.plan import ParallelismPlan
 from repro.runtime.frozen import FROZEN_PRESETS
 from repro.runtime.iteration import TrainingIterationSimulator
 
@@ -108,3 +113,41 @@ class TestRankSubsampling:
         assert sampled.pipeline_time == pytest.approx(
             full.pipeline_time, rel=0.05
         )
+
+    @pytest.fixture(scope="class")
+    def dp8_plan(self):
+        """LLM DP 8, so every cap below 8 subsamples."""
+        return ModelOrchestrationPlan(
+            mllm=MLLM_9B,
+            cluster=make_cluster(80),
+            encoder_plan=ParallelismPlan(tp=1, pp=1, dp=8),
+            llm_plan=ParallelismPlan(tp=8, pp=1, dp=8),
+            generator_plan=ParallelismPlan(tp=1, pp=1, dp=8),
+        )
+
+    @pytest.mark.parametrize("cap", [2, 3, 4, 7, 8, 0])
+    def test_cap_bounds_simulated_ranks(self, dp8_plan, cap):
+        batch = SyntheticMultimodalDataset(seed=2).take(32)
+        sim = simulator(
+            dp8_plan, intra_reordering=False, max_simulated_ranks=cap
+        )
+        prepared = sim.prepare(batch)
+        # Without intra-reordering rank r holds the r-th block of 4.
+        loads = [sum(s.size for s in batch[r * 4:(r + 1) * 4])
+                 for r in range(8)]
+        by_load = sorted(range(8), key=loads.__getitem__)
+        extremes = sorted({by_load[0], by_load[-1]})
+        ranks = prepared.simulated_ranks
+        assert set(extremes) <= set(ranks)
+        assert len(ranks) <= (cap or 8)
+        if cap == 2:
+            assert ranks == extremes
+        if cap in (0, 8):
+            assert ranks == list(range(8))
+        result = sim.evaluate_prepared(prepared)
+        assert len(result.per_rank_makespans) == len(ranks)
+
+    @pytest.mark.parametrize("cap", [1, -1, -8])
+    def test_cap_below_two_rejected(self, dp8_plan, cap):
+        with pytest.raises(ValueError, match="max_simulated_ranks"):
+            simulator(dp8_plan, max_simulated_ranks=cap)

@@ -28,6 +28,8 @@ must be re-blessed here.
 
 from __future__ import annotations
 
+import difflib
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -183,10 +185,15 @@ def all_fixtures():
     return pairs
 
 
+#: Lines of unified diff printed under each stale fixture.
+DIFF_LINES = 20
+
+
 def sync_fixtures(pairs, check: bool, module: str) -> int:
     """Write every ``(path, text)`` pair, or with ``check`` compare each
-    to the file on disk; returns the process exit code. ``module`` is
-    the regen module named in the re-bless hint."""
+    to the file on disk and print the head of a unified diff under each
+    stale one; returns the process exit code. ``module`` is the regen
+    module named in the re-bless hint."""
     stale = []
     for path, text in pairs:
         if check:
@@ -198,6 +205,15 @@ def sync_fixtures(pairs, check: bool, module: str) -> int:
             if on_disk != text:
                 stale.append(path)
                 print(f"STALE {path}")
+                diff = difflib.unified_diff(
+                    (on_disk or "").splitlines(),
+                    text.splitlines(),
+                    f"{path} (on disk)",
+                    f"{path} (regenerated)",
+                    lineterm="",
+                )
+                for line in itertools.islice(diff, DIFF_LINES):
+                    print(line)
             else:
                 print(f"ok    {path}")
         else:

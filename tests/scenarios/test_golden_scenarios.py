@@ -12,10 +12,12 @@ import json
 import pytest
 
 from tests.scenarios.golden.regen import (
+    DIFF_LINES,
     GOLDEN_DIR,
     goodput_cases,
     goodput_fixture,
     scenario_fixture,
+    sync_fixtures,
 )
 
 
@@ -64,3 +66,34 @@ def test_canonical_scenario_exercises_dynamics():
     assert fixture["min_gpus"] < fixture["final_gpus"]
     kinds = {event["kind"] for event in fixture["events"]}
     assert kinds == {"failure", "straggler"}
+
+
+def test_check_prints_diff_head_of_stale_fixtures(tmp_path, capsys):
+    """``--check`` leaves fixtures alone, exits 1, and prints the head
+    of a unified diff under each stale one (every regen script shares
+    ``sync_fixtures``)."""
+    lines = [f"line {i}" for i in range(60)]
+    fresh = tmp_path / "fresh.json"
+    stale = tmp_path / "stale.json"
+    missing = tmp_path / "missing.json"
+    fresh.write_text("\n".join(lines))
+    stale.write_text("\n".join(lines))
+    moved = lines[:30] + ["line 30 moved"] + lines[31:]
+    pairs = [
+        (fresh, "\n".join(lines)),
+        (stale, "\n".join(moved)),
+        (missing, "\n".join(lines)),
+    ]
+    assert sync_fixtures(pairs, True, "tests.example.regen") == 1
+    out = capsys.readouterr().out.splitlines()
+    assert stale.read_text() == "\n".join(lines)
+    assert not missing.exists()
+    assert f"ok    {fresh}" in out
+    head = out[out.index(f"STALE {stale}") + 1:out.index(f"STALE {missing}")]
+    assert head[0] == f"--- {stale} (on disk)"
+    assert head[1] == f"+++ {stale} (regenerated)"
+    assert "-line 30" in head and "+line 30 moved" in head
+    missing_head = out[out.index(f"STALE {missing}") + 1:-1]
+    assert len(missing_head) == DIFF_LINES
+    assert out[-1].startswith("2 fixture(s) diverge")
+
