@@ -33,6 +33,7 @@ from repro.core.config import KNOWN_SYSTEMS, DistTrainConfig
 from repro.core.reports import format_comparison, format_table
 from repro.obs.report import format_hit_miss
 from repro.models.mllm import MLLM_PRESETS
+from repro.orchestration.errors import InfeasibleClusterError
 from repro.runtime.frozen import FROZEN_PRESETS
 
 #: Default on-disk location of the campaign result cache.
@@ -1235,7 +1236,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         configure_logging(args.log_level)
     try:
         return args.fn(args)
-    except _TaskError as exc:
+    except (_TaskError, InfeasibleClusterError) as exc:
+        # Flags that describe no valid task, or a task no plan fits on
+        # the requested (or a scripted) cluster size.
         print(f"{args.prog}: error: {exc}", file=sys.stderr)
         return 2
 

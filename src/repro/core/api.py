@@ -128,14 +128,12 @@ def plan(config: DistTrainConfig) -> OrchestrationResult:
 def replan(config: DistTrainConfig, num_gpus: int) -> OrchestrationResult:
     """Re-orchestrate the same task on an elastically resized cluster.
 
-    DistTrain tasks go through the adaptive re-solve entry point
-    (:func:`repro.orchestration.adaptive.replan_for_cluster`); baseline
-    systems re-run their own orchestrators on the resized cluster.
-
     Results are memoized process-wide in
     :data:`repro.orchestration.plancache.PLAN_CACHE`: planning is a pure
     function of ``(config, num_gpus)``, and elastic scenarios oscillate
-    between the same few sizes, so each distinct size is solved once.
+    between the same few sizes, so each distinct size is solved once —
+    by the same cold search (:func:`_replan_uncached`) the scenario and
+    fleet engines fill the cache with.
     """
     return PLAN_CACHE.get_or_compute(
         planning_signature(config, num_gpus),
@@ -144,36 +142,26 @@ def replan(config: DistTrainConfig, num_gpus: int) -> OrchestrationResult:
 
 
 def _replan_uncached(
-    config: DistTrainConfig,
-    num_gpus: int,
-    warm_start_from_cache: bool = True,
+    config: DistTrainConfig, num_gpus: int
 ) -> OrchestrationResult:
-    """One uncached re-orchestration of ``config`` at ``num_gpus``.
+    """One cold orchestration of ``config`` at ``num_gpus`` GPUs.
 
-    With ``warm_start_from_cache`` (the default), a DistTrain re-solve
-    is warm-started from the nearest cached neighbor size's
-    ``refined_portfolio`` — the incremental-replanning fast path for
-    elastic ±1-node resizes. The warm start only skips refinement
-    simulations whose result it already knows, so the returned plan is
-    bit-identical to a cold search; callers bypassing the plan cache
-    pass ``False`` to stay entirely cache-free.
+    The only compute any :data:`PLAN_CACHE` key is filled with. At the
+    config's own size it is :func:`plan`; DistTrain tasks re-solve on a
+    resized cluster through the adaptive entry point
+    (:func:`repro.orchestration.adaptive.replan_for_cluster`), and
+    baseline systems re-run their own orchestrators there. Sizes whole
+    nodes cannot form raise
+    :class:`~repro.orchestration.errors.InfeasibleClusterError`, like a
+    memory-infeasible slice.
     """
     from repro.cluster.cluster import resized_cluster
     from repro.orchestration.errors import InfeasibleClusterError
 
+    if num_gpus == config.cluster.num_gpus:
+        return plan(config)
     if config.system == "disttrain":
-        warm_start = None
-        if warm_start_from_cache:
-            neighbor = PLAN_CACHE.nearest(
-                *planning_signature(config, num_gpus)
-            )
-            if neighbor is not None:
-                warm_start = getattr(
-                    neighbor[1], "refined_portfolio", None
-                )
-        return replan_for_cluster(
-            _problem(config), num_gpus, warm_start=warm_start
-        )
+        return replan_for_cluster(_problem(config), num_gpus)
     try:
         return plan(
             config.with_(cluster=resized_cluster(config.cluster, num_gpus))

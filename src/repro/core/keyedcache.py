@@ -1,14 +1,13 @@
 """One keyed cache for every process-wide memo in the repo.
 
-Three subsystems memoize pure functions of hashable keys: the
-orchestration plan cache (``repro.orchestration.plancache``), the
-data-distribution profile cache (``repro.core.api``), and the noise-free
-profiler cache (``repro.orchestration.problem``). They used to carry
-three hand-rolled implementations (an ``lru_cache``, a bare dict with
-inline eviction, and an explicit class); this module is the single
-implementation they all share.
+Every process-wide memo of a pure function of a hashable key is a plain
+:class:`KeyedCache` instance — no subclasses: the orchestration plan
+cache (``repro.orchestration.plancache``), the data-distribution profile
+and global-batch caches (``repro.core.api``), the noise-free profiler
+cache (``repro.orchestration.problem``) and the fleet's cluster-state
+cache (``repro.fleet.job``).
 
-Semantics, chosen for the plan cache and inherited by everyone:
+Semantics, shared by all of them:
 
 * **Explicit and thread-safe** — a lock guards the entry table; hit and
   miss counters are part of the public surface (the scenario engine and

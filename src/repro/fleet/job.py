@@ -39,9 +39,12 @@ sequential fold :meth:`JobSimulator.step` performs. ``searchsorted`` on
 the end-of-compute clocks finds where the next event fires; only
 checkpoint iterations call the checkpointer, and only irregular steps
 go through :meth:`~JobSimulator.step`, which stays the one-unit
-primitive. All orchestration solves go through the process-wide
+primitive. Every plan a job needs — its full size or an elastic
+replan — is one cold search, :func:`repro.core.api._replan_uncached`,
+fetched through the process-wide
 :data:`~repro.orchestration.plancache.PLAN_CACHE`, so co-tenant jobs
-running the same task amortize each other's replans.
+running the same task amortize each other's replans and each
+``(task, size)`` is solved once per process.
 
 Same-task jobs amortize much more than the plan search: a
 :class:`_ClusterState` — plan, simulator, prepared batches, base
@@ -105,38 +108,6 @@ MAX_FAILURES = 10_000
 #: sampling independent of each other.
 _FAILURE_STREAM = 0
 _STRAGGLER_STREAM = 1
-
-
-def _cached_orchestration(
-    config: DistTrainConfig,
-    num_gpus: int,
-    signature: Tuple[Any, ...],
-    use_cache: bool = True,
-):
-    """Plan (or elastically re-plan) through the process-wide
-    :data:`~repro.orchestration.plancache.PLAN_CACHE`.
-
-    ``signature`` is ``planning_signature(config, num_gpus)``, computed
-    once by the caller, which also keys its state cache with it.
-    Returns ``(orchestration, was_cache_hit)``. Both the full-size
-    ``plan`` and the elastic re-plan land on the same keyed store
-    ``core.api.replan`` uses, so every distinct (task, cluster size) is
-    solved once per process — across every job of a fleet;
-    ``use_cache=False`` scopes the bypass to this call without
-    disturbing concurrent cache users (including the warm-start peek —
-    a bypassed replan runs the full cold search, cache-free).
-    """
-    from repro.core.api import _replan_uncached, plan
-
-    if num_gpus != config.cluster.num_gpus:
-        def compute():
-            return _replan_uncached(
-                config, num_gpus, warm_start_from_cache=use_cache
-            )
-    else:
-        def compute():
-            return plan(config)
-    return PLAN_CACHE.fetch(signature, compute, bypass=not use_cache)
 
 
 #: Process-wide store of built :class:`_ClusterState` objects, keyed by
@@ -451,9 +422,13 @@ class JobSimulator:
         # fetch, shared states included — a tenant reusing a co-tenant's
         # state reports exactly the hit/miss tallies a private build
         # would have.
+        from repro.core.api import _replan_uncached
+
         signature = planning_signature(self.config, num_gpus)
-        orchestration, was_hit = _cached_orchestration(
-            self.config, num_gpus, signature, use_cache=self.use_plan_cache
+        orchestration, was_hit = PLAN_CACHE.fetch(
+            signature,
+            lambda: _replan_uncached(self.config, num_gpus),
+            bypass=not self.use_plan_cache,
         )
         if was_hit:
             self._plan_hits += 1

@@ -30,7 +30,7 @@ solves the same searches in single-digit milliseconds).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -56,11 +56,7 @@ from repro.parallelism.orchestration_plan import ModelOrchestrationPlan
 from repro.parallelism.plan import ParallelismPlan
 from repro.pipeline.kernel import get_kernel
 from repro.pipeline.schedules import ScheduleKind
-from repro.timing.collectives import CollectiveModel
-
-#: Exposed fraction of the DP gradient reduce-scatter/allgather after
-#: overlap with backward compute.
-DP_SYNC_EXPOSED_FRACTION = 0.3
+from repro.timing.collectives import DP_SYNC_EXPOSED_FRACTION, CollectiveModel
 
 #: Shortlist size for the simulation-refined evaluation.
 REFINE_TOP_K = 12
@@ -99,43 +95,10 @@ class OrchestrationResult:
     #: Kernel-refined uniform-workload pipeline makespan of the chosen
     #: plan (captures warm-up/cool-down/schedule effects Eqs. 1-2 omit).
     simulated_pipeline_seconds: Optional[float] = None
-    #: Every refinement makespan this search computed (or inherited),
-    #: keyed by plan structure (:func:`_structure_key`). A neighboring
-    #: replan warm-starts its shortlist refinement from this portfolio —
-    #: the makespans are pure functions of the plan structure and the
-    #: node type, independent of the cluster's GPU count. Excluded from
-    #: equality so warm- and cold-search results still compare equal.
-    refined_portfolio: Optional[Tuple] = field(
-        default=None, compare=False, repr=False
-    )
 
     @property
     def predicted_iteration_time(self) -> float:
         return self.breakdown.total
-
-
-def _structure_key(plans: Dict[str, ParallelismPlan]) -> Tuple:
-    """Canonical refinement-memo key for one plan dictionary.
-
-    Covers every :class:`~repro.parallelism.plan.ParallelismPlan` field
-    of all three units — the full input of :func:`_stage_times` and the
-    microbatch-count arithmetic in
-    :func:`simulated_pipeline_seconds_batch` (given one problem).
-    """
-    return tuple(
-        (
-            name,
-            plan.tp,
-            plan.pp,
-            plan.dp,
-            plan.vpp,
-            plan.sp,
-            plan.ep,
-            plan.microbatch_size,
-        )
-        for name in ("encoder", "llm", "generator")
-        for plan in (plans[name],)
-    )
 
 
 def simulated_pipeline_seconds(
@@ -247,27 +210,20 @@ def simulated_pipeline_seconds_batch(
 
 
 def replan_for_cluster(
-    problem: OrchestrationProblem,
-    num_gpus: int,
-    warm_start: Optional[Tuple] = None,
+    problem: OrchestrationProblem, num_gpus: int
 ) -> OrchestrationResult:
     """Elastic re-orchestration: re-solve the resource split on a resized
     cluster (surviving GPUs after a failure, or capacity returning after
     repair).
 
-    The adaptive search re-runs from scratch on the new cluster — the
-    paper's algorithm is fast enough (hundreds of ms at thousand-GPU
-    scale) that re-solving at every membership change is cheap relative
-    to restart and checkpoint-reload time. Callers that re-plan the same
-    cluster sizes repeatedly should go through
-    :mod:`repro.orchestration.plancache`.
-
-    ``warm_start`` optionally carries a neighboring size's
-    ``refined_portfolio``: cached shortlist-refinement makespans that
-    this search reuses instead of re-simulating (they are pure
-    functions of plan structure, not cluster size, so the chosen plan
-    is bit-identical to a cold search — structures the portfolio
-    misses simply fall back to fresh simulation).
+    Every replan is a cold search on the new cluster — the paper's
+    algorithm is fast enough (hundreds of ms at thousand-GPU scale) that
+    re-solving at every membership change is cheap relative to restart
+    and checkpoint-reload time, and its result depends on nothing the
+    process planned before. Callers that re-plan the same cluster sizes
+    repeatedly go through :func:`repro.core.api.replan`, which solves
+    each (task, size) once per process via
+    :data:`repro.orchestration.plancache.PLAN_CACHE`.
 
     Shrinking below the minimum feasible size raises a clear
     :class:`~repro.orchestration.errors.InfeasibleClusterError` — both
@@ -284,7 +240,7 @@ def replan_for_cluster(
             f"cannot re-plan {problem.mllm.name} on {num_gpus} GPUs: {exc}",
             num_gpus=num_gpus,
         ) from exc
-    return AdaptiveOrchestrator(shrunk, warm_start=warm_start).plan()
+    return AdaptiveOrchestrator(shrunk).plan()
 
 
 class AdaptiveOrchestrator:
@@ -297,25 +253,20 @@ class AdaptiveOrchestrator:
             ``"slsqp"`` runs the retained per-candidate SLSQP oracle
             instead (slow — used by the equivalence suite to cross-check
             the analytic engine).
-        warm_start: A neighbor plan's ``refined_portfolio`` — cached
-            shortlist-refinement makespans keyed by plan structure.
-            Structures it covers skip the kernel simulation; everything
-            else is simulated fresh, so the search result is
-            bit-identical to a cold run.
+
+    Each :meth:`plan` call is a self-contained search: its memo tables
+    live and die with the orchestrator, so the result depends only on
+    the problem and the solver.
     """
 
     label = "disttrain"
 
     def __init__(self, problem: OrchestrationProblem,
-                 solver: str = "analytic",
-                 warm_start: Optional[Tuple] = None):
+                 solver: str = "analytic"):
         if solver not in ("analytic", "slsqp"):
             raise ValueError(f"unknown solver {solver!r}")
         self.problem = problem
         self.solver = solver
-        self._refine_memo: Dict[Tuple, float] = (
-            dict(warm_start) if warm_start else {}
-        )
         gpu = problem.cluster.gpu
         self.memory = MemoryModel(gpu_memory_bytes=gpu.memory_bytes)
         node = problem.cluster.node
@@ -431,7 +382,6 @@ class AdaptiveOrchestrator:
             candidates_evaluated=candidates_evaluated,
             convex_solutions=convex_solutions,
             simulated_pipeline_seconds=simulated_seconds,
-            refined_portfolio=tuple(sorted(self._refine_memo.items())),
         )
 
     # ------------------------------------------------------------------ #
@@ -922,29 +872,12 @@ class AdaptiveOrchestrator:
     def _refined_batch(
         self, plans_list: Sequence[Dict[str, ParallelismPlan]]
     ) -> List[float]:
-        """Refinement makespans, memoized across warm-started searches.
-
-        Structures already in ``self._refine_memo`` (seeded from a
-        neighbor plan's ``refined_portfolio``) are returned as-is; the
-        rest go through one :func:`simulated_pipeline_seconds_batch`
-        call. The kernel sweep prices each plan row-independently, so
-        dropping covered structures from the batch leaves the fresh
-        values bit-identical to a cold full-batch run.
-        """
-        memo = self._refine_memo
-        keys = [_structure_key(plans) for plans in plans_list]
-        missing = [i for i, key in enumerate(keys) if key not in memo]
-        if missing:
-            fresh = simulated_pipeline_seconds_batch(
-                self.problem,
-                self.collectives,
-                [plans_list[i] for i in missing],
-            )
-            for i, value in zip(missing, fresh):
-                memo[keys[i]] = value
-        obs.count("orch.refine_simulated", len(missing))
-        obs.count("orch.refine_warm_hits", len(keys) - len(missing))
-        return [memo[key] for key in keys]
+        """Refinement makespans of ``plans_list``, one batched kernel
+        pass (:func:`simulated_pipeline_seconds_batch`)."""
+        obs.count("orch.refine_simulated", len(plans_list))
+        return simulated_pipeline_seconds_batch(
+            self.problem, self.collectives, plans_list
+        )
 
     def _dp_sync_cost(self, plans: Dict[str, ParallelismPlan]) -> float:
         """Exposed gradient reduce-scatter + param allgather time.
@@ -954,12 +887,8 @@ class AdaptiveOrchestrator:
         extreme-DP configurations pay their synchronization bill.
         """
         total = 0.0
-        for name, plan in plans.items():
-            if not self.problem.frozen.trains(name):
-                continue
-            module = self.problem.mllm.module(name)
-            shard = module.param_count() / (plan.tp * plan.pp) * 2.0
-            rs = self.collectives.dp_reduce_scatter(shard, plan.dp)
-            ag = self.collectives.dp_allgather(shard, plan.dp)
-            total += (rs + ag) * DP_SYNC_EXPOSED_FRACTION
+        for name in ("encoder", "llm", "generator"):
+            if self.problem.frozen.trains(name):
+                plan = plans[name]
+                total += self._dp_sync_term(name, plan.tp, plan.pp, plan.dp)
         return total

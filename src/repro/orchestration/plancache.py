@@ -9,22 +9,27 @@ configuration and the cluster size, so every distinct
 ``(problem signature, num_gpus)`` pair needs to be solved exactly once
 per process; everything after that is a dictionary lookup.
 
-The cache is deliberately tiny and explicit (no ``lru_cache``): hit and
-miss counters are part of the public contract — the scenario engine
-reports them on :class:`~repro.scenarios.engine.ScenarioResult`, the
-fleet engine aggregates them per job, and the CLI surfaces them after
-``repro plan`` / ``repro scenario run`` / ``repro fleet run``.
+Every key has exactly one compute, :func:`repro.core.api._replan_uncached`
+— a cold search that reads nothing else from the cache — so an entry is
+the same value whichever caller (``core.api.replan``, a scenario, a
+fleet job) fills it first.
+
+The cache is a plain :class:`repro.core.keyedcache.KeyedCache`, the
+store the profile and profiler caches use too: explicit FIFO eviction
+and hit/miss counters that are part of the public contract — the
+scenario engine reports them on
+:class:`~repro.scenarios.engine.ScenarioResult`, the fleet engine
+aggregates them per job, and the CLI surfaces them after ``repro plan``
+/ ``repro scenario run`` / ``repro fleet run``.
 
 Failed plans (e.g. a shrunken cluster too small for the model) are *not*
 cached; exceptions propagate to the caller unrecorded so a transiently
-infeasible size is re-checked the next time it appears. The store
-semantics live in :class:`repro.core.keyedcache.KeyedCache`, shared with
-the profile and profiler caches.
+infeasible size is re-checked the next time it appears.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.core.keyedcache import KeyedCache
 
@@ -32,38 +37,9 @@ from repro.core.keyedcache import KeyedCache
 #: trace visits, but bounded so long sweeps cannot grow without limit.
 PLAN_CACHE_SIZE = 128
 
-
-class PlanCache(KeyedCache):
-    """A keyed plan store with FIFO eviction and hit/miss accounting."""
-
-    def __init__(self, maxsize: int = PLAN_CACHE_SIZE, name: str = "plan"):
-        super().__init__(maxsize=maxsize, name=name)
-
-    def nearest(self, config_hash: str, num_gpus: int):
-        """The cached plan for ``config_hash`` closest to ``num_gpus``.
-
-        Scans the store for entries of the same task at *any* cluster
-        size and returns ``(cached_num_gpus, value)`` for the nearest
-        one (ties broken toward the smaller cluster, deterministically),
-        or ``None`` when the task has no cached plan at all. This is a
-        peek — neither hit nor miss counters move — used to warm-start
-        an incremental replan from a ±1-node neighbor's solution.
-        """
-        candidates = []
-        with self._lock:
-            for (key_hash, key_gpus), value in self._entries.items():
-                if key_hash == config_hash:
-                    candidates.append((key_gpus, value))
-        if not candidates:
-            return None
-        return min(
-            candidates, key=lambda item: (abs(item[0] - num_gpus), item[0])
-        )
-
-
 #: The process-wide instance ``core.api.replan``, the scenario engine,
 #: and the fleet engine share.
-PLAN_CACHE = PlanCache()
+PLAN_CACHE = KeyedCache(maxsize=PLAN_CACHE_SIZE, name="plan")
 
 
 def planning_signature(config, num_gpus: int) -> Tuple[str, int]:

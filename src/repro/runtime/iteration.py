@@ -37,12 +37,8 @@ from repro.reordering.inter import MicrobatchCostModel, reorder_ranks
 from repro.reordering.intra import intra_reorder
 from repro.runtime.frozen import FrozenConfig
 from repro.runtime.mfu import ModelFlopsAccountant, mfu, token_throughput
-from repro.timing.collectives import CollectiveModel
+from repro.timing.collectives import DP_SYNC_EXPOSED_FRACTION, CollectiveModel
 from repro.timing.costmodel import ModuleCostModel
-
-#: Fraction of DP gradient traffic left exposed after overlapping with
-#: the backward pass.
-DP_SYNC_EXPOSED_FRACTION = 0.3
 
 #: Optimizer step + bookkeeping per iteration (seconds).
 OPTIMIZER_STEP_SECONDS = 0.04

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Union
 
@@ -231,6 +231,56 @@ _TIMED_KINDS = (FailureEvent, DomainFailureEvent, SpotReclaimEvent, MaintenanceE
 SCHEMA_VERSION = 2
 
 
+#: Declared event-field type (the annotation as written — this module
+#: defers annotations) -> (accepted JSON types, description). Bools are
+#: ints to Python, but never a count, a time or a name to a trace, so
+#: they are rejected everywhere.
+_FIELD_TYPES = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "str": ((str,), "a string"),
+}
+
+
+def _parse_record(index: int, record: Any) -> ClusterEvent:
+    """One schema record as an event, or a ``ValueError`` naming the
+    record's index and kind."""
+    if not isinstance(record, dict):
+        raise ValueError(
+            f"event record {index} is not an object: {record!r}"
+        )
+    payload = dict(record)
+    kind = payload.pop("kind", None)
+    if not isinstance(kind, str) or kind not in _EVENT_KINDS:
+        raise ValueError(
+            f"event record {index}: unknown event kind {kind!r}; "
+            f"expected one of {sorted(_EVENT_KINDS)}"
+        )
+    event_type = _EVENT_KINDS[kind]
+    where = f"event record {index} ({kind})"
+    declared = {f.name: f for f in fields(event_type)}
+    unknown = [name for name in payload if name not in declared]
+    if unknown:
+        raise ValueError(f"{where}: unknown field(s) {unknown}")
+    missing = [
+        name
+        for name, f in declared.items()
+        if name not in payload and f.default is MISSING
+    ]
+    if missing:
+        raise ValueError(f"{where}: missing field(s) {missing}")
+    for name, value in payload.items():
+        accepted, expected = _FIELD_TYPES[declared[name].type]
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise ValueError(
+                f"{where}: {name} must be {expected}, got {value!r}"
+            )
+    try:
+        return event_type(**payload)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class EventTrace:
     """An ordered, replayable set of cluster events."""
@@ -329,17 +379,12 @@ class EventTrace:
 
     @classmethod
     def from_dicts(cls, records: Iterable[Dict[str, Any]]) -> "EventTrace":
-        events: List[ClusterEvent] = []
-        for record in records:
-            payload = dict(record)
-            kind = payload.pop("kind", None)
-            if kind not in _EVENT_KINDS:
-                raise ValueError(
-                    f"unknown event kind {kind!r}; "
-                    f"expected one of {sorted(_EVENT_KINDS)}"
-                )
-            events.append(_EVENT_KINDS[kind](**payload))
-        return cls(events)
+        """Events from schema records; a malformed record raises a
+        ``ValueError`` naming its index and kind."""
+        return cls(
+            _parse_record(index, record)
+            for index, record in enumerate(records)
+        )
 
     def to_json(self, path: Union[str, Path, None] = None) -> str:
         # Traces with only v1 kinds keep the original unversioned form
@@ -361,7 +406,9 @@ class EventTrace:
         with a ``"version"`` marker) or a bare top-level array of event
         records. Anything else is treated as a filesystem path; an
         unreadable path raises a ``ValueError`` naming the source
-        instead of a bare ``OSError``.
+        instead of a bare ``OSError``. Any other malformed input — bad
+        JSON, a non-object record, a missing, unknown or mistyped field
+        — raises a ``ValueError`` too.
         """
         text = str(source)
         if not text.lstrip().startswith(("{", "[")):

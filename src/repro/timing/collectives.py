@@ -17,6 +17,11 @@ from dataclasses import dataclass
 
 from repro.cluster.interconnect import LinkSpec
 
+#: Fraction of the DP gradient reduce-scatter + param allgather left
+#: exposed after overlapping with the backward pass. The orchestration
+#: search and the iteration simulator both charge it.
+DP_SYNC_EXPOSED_FRACTION = 0.3
+
 
 def _validate(volume_bytes: float, group_size: int) -> None:
     if volume_bytes < 0:

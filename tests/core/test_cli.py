@@ -1,5 +1,7 @@
 """CLI tests."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -61,15 +63,65 @@ class TestCommands:
 
     @pytest.mark.parametrize("command", ["plan", "simulate", "compare"])
     @pytest.mark.parametrize("flags, message", [
-        (["--gpus", "48", "--gbs", "0"], "global_batch_size must be >= 1"),
-        (["--gpus", "48", "--gbs", "32", "--vpp", "0"], "vpp must be >= 1"),
-        (["--gpus", "12", "--gbs", "32"], "not a multiple"),
+        (["--model", "mllm-9b", "--gpus", "48", "--gbs", "0"],
+         "global_batch_size must be >= 1"),
+        (["--model", "mllm-9b", "--gpus", "48", "--gbs", "32", "--vpp", "0"],
+         "vpp must be >= 1"),
+        (["--model", "mllm-9b", "--gpus", "12", "--gbs", "32"],
+         "not a multiple"),
+        # Valid tasks no plan fits on: DistTrain's search and a baseline
+        # orchestrator (compare plans megatron-lm by default) both
+        # report InfeasibleClusterError the same way.
+        (["--model", "mllm-72b", "--gpus", "8", "--gbs", "16"],
+         "no feasible orchestration"),
+        (["--model", "mllm-9b", "--gpus", "16", "--gbs", "32",
+          "--system", "megatron-lm"],
+         "cluster too small"),
     ])
     def test_invalid_task_exits_2(self, capsys, command, flags, message):
-        code = main([command, "--model", "mllm-9b"] + flags)
+        code = main([command] + flags)
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith(f"repro {command}: error: ")
+        assert message in captured.err
+        assert captured.out == ""
+
+    def test_infeasible_fleet_exits_2(self, capsys):
+        code = main(
+            ["fleet", "run", "--model", "mllm-72b", "--gpus", "16",
+             "--gbs", "16", "--jobs", "1"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("repro fleet run: error: ")
+        assert "no feasible orchestration" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("record, message", [
+        pytest.param(
+            {"kind": "resize", "iteration": 5, "num_gpus": 12},
+            "cannot re-plan mllm-9b on 12 GPUs", id="resize-to-12",
+        ),
+        pytest.param(
+            {"kind": "failure", "gpus_lost": 8},
+            "missing field(s) ['time_s']", id="failure-without-time",
+        ),
+        pytest.param(
+            {"kind": "straggler", "iteration": 1.5,
+             "duration_iterations": 2, "rank": 0, "slowdown": 1.5},
+            "iteration must be an integer", id="fractional-iteration",
+        ),
+    ])
+    def test_bad_event_trace_exits_2(self, capsys, tmp_path, record, message):
+        trace = tmp_path / "trace.json"
+        trace.write_text(json.dumps({"events": [record]}), encoding="utf-8")
+        code = main(
+            ["scenario", "run", "--model", "mllm-9b", "--gpus", "48",
+             "--gbs", "16", "--iterations", "20", "--events", str(trace)]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("repro scenario run: error: ")
         assert message in captured.err
         assert captured.out == ""
 

@@ -1,7 +1,9 @@
 """One keyed-cache implementation backs every process-wide memo."""
 
+import pytest
+
 from repro.core.keyedcache import KeyedCache
-from repro.orchestration.plancache import PlanCache
+from repro.orchestration.plancache import PLAN_CACHE
 
 
 class TestKeyedCache:
@@ -21,6 +23,12 @@ class TestKeyedCache:
         assert cache.lookup("c") == "C"
         assert len(cache) == 2
 
+    def test_fetch_reports_hit_flag(self):
+        cache = KeyedCache()
+        assert cache.fetch("k", lambda: 7) == (7, False)
+        assert cache.fetch("k", lambda: 99) == (7, True)
+        assert cache.stats() == (1, 1)
+
     def test_bypass_leaves_no_trace(self):
         cache = KeyedCache()
         value, hit = cache.fetch("k", lambda: 1, bypass=True)
@@ -28,14 +36,27 @@ class TestKeyedCache:
         assert len(cache) == 0
         assert cache.stats() == (0, 0)
 
+    def test_fetch_per_call_bypass(self):
+        cache = KeyedCache()
+        cache.fetch("k", lambda: 7)
+        # A bypassed call neither reads nor writes nor counts — and
+        # does not disturb other users of the same cache.
+        assert cache.fetch("k", lambda: 99, bypass=True) == (99, False)
+        assert cache.stats() == (0, 1)
+        assert cache.fetch("k", lambda: 5) == (7, True)
+
     def test_failures_are_not_cached(self):
         cache = KeyedCache()
-        try:
+        with pytest.raises(ZeroDivisionError):
             cache.get_or_compute("k", lambda: 1 / 0)
-        except ZeroDivisionError:
-            pass
         assert len(cache) == 0
+        # The miss was never recorded for a failed compute.
+        assert cache.stats() == (0, 0)
         assert cache.get_or_compute("k", lambda: 5) == 5
+
+    def test_invalid_maxsize(self):
+        with pytest.raises(ValueError):
+            KeyedCache(maxsize=0)
 
     def test_keys_in_fifo_order(self):
         cache = KeyedCache(maxsize=4)
@@ -63,8 +84,6 @@ class TestKeyedCache:
         assert cache.keys() == ("c", "d")
 
     def test_resize_rejects_nonpositive(self):
-        import pytest
-
         with pytest.raises(ValueError):
             KeyedCache().resize(0)
 
@@ -73,7 +92,7 @@ class TestSharedImplementation:
     def test_plan_cache_is_a_keyed_cache(self):
         # The plan cache, the data-profile cache, and the profiler cache
         # all share this one implementation.
-        assert issubclass(PlanCache, KeyedCache)
+        assert isinstance(PLAN_CACHE, KeyedCache)
 
     def test_profile_caches_share_the_module(self):
         from repro.core.api import PROFILE_CACHE

@@ -4,6 +4,7 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.scenarios.events import (
     DomainFailureEvent,
@@ -216,3 +217,140 @@ class TestFromJsonSources:
     def test_rejects_non_list_payload(self):
         with pytest.raises(ValueError):
             EventTrace.from_json('{"events": {"kind": "failure"}}')
+
+
+class TestMalformedRecords:
+    """Records that used to escape the parser as ``TypeError`` (or,
+    for a fractional iteration, crash the simulator much later) are
+    rejected at the parse boundary with a ``ValueError`` naming the
+    record's index and kind."""
+
+    STRAGGLER = {"kind": "straggler", "iteration": 1,
+                 "duration_iterations": 2, "rank": 0, "slowdown": 1.5}
+
+    @pytest.mark.parametrize("records, message", [
+        pytest.param([5], "event record 0 is not an object", id="number"),
+        pytest.param([None], "event record 0 is not an object", id="null"),
+        pytest.param(
+            [{"kind": "failure", "time_s": 1.0}, {"kind": "failure"}],
+            r"event record 1 \(failure\): missing field\(s\) \['time_s'\]",
+            id="missing-time",
+        ),
+        pytest.param(
+            [{"kind": "resize", "iteration": 1, "num_gpus": 8, "gpus": 8}],
+            r"event record 0 \(resize\): unknown field\(s\) \['gpus'\]",
+            id="unknown-field",
+        ),
+        pytest.param(
+            [{"kind": "failure", "time_s": "x"}],
+            r"\(failure\): time_s must be a number, got 'x'",
+            id="string-time",
+        ),
+        pytest.param(
+            [{"kind": "resize", "iteration": 1, "num_gpus": None}],
+            r"\(resize\): num_gpus must be an integer, got None",
+            id="null-gpus",
+        ),
+        pytest.param(
+            [dict(STRAGGLER, iteration=1.5)],
+            r"\(straggler\): iteration must be an integer, got 1.5",
+            id="fractional-iteration",
+        ),
+        pytest.param(
+            [dict(STRAGGLER, rank=True)],
+            r"\(straggler\): rank must be an integer, got True",
+            id="bool-rank",
+        ),
+        pytest.param(
+            [dict(STRAGGLER, slowdown=False)],
+            r"\(straggler\): slowdown must be a number, got False",
+            id="bool-slowdown",
+        ),
+        pytest.param(
+            [{"kind": "domain-failure", "time_s": 1.0, "domain": 3}],
+            r"\(domain-failure\): domain must be a string, got 3",
+            id="numeric-domain",
+        ),
+        pytest.param(
+            [{"kind": ["failure"], "time_s": 1.0}],
+            "event record 0: unknown event kind",
+            id="unhashable-kind",
+        ),
+        pytest.param(
+            [{"kind": "failure", "time_s": -1.0}],
+            r"event record 0 \(failure\): failure time must be",
+            id="event-own-check",
+        ),
+    ])
+    def test_rejected_with_index_and_kind(self, records, message):
+        with pytest.raises(ValueError, match=message):
+            EventTrace.from_json(json.dumps({"events": records}))
+
+
+_KIND_FIELDS = {
+    "failure": ("time_s", "gpus_lost"),
+    "straggler": ("iteration", "duration_iterations", "rank", "slowdown"),
+    "resize": ("iteration", "num_gpus"),
+    "domain-failure": ("time_s", "domain"),
+    "spot-reclaim": ("time_s", "gpus", "duration_s"),
+    "maintenance": ("time_s", "duration_s", "domain"),
+}
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-3, max_value=10**6),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=6),
+)
+
+_JSON = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(max_size=6), children, max_size=4),
+    ),
+    max_leaves=10,
+)
+
+#: Records of a known kind whose fields are each present or not, with
+#: a scalar of any type — the near-valid inputs the parser must sort.
+_RECORDS = st.sampled_from(sorted(_KIND_FIELDS)).flatmap(
+    lambda kind: st.fixed_dictionaries(
+        {"kind": st.just(kind)},
+        optional={
+            name: _SCALARS for name in _KIND_FIELDS[kind] + ("bogus",)
+        },
+    )
+)
+
+_EVENT_LISTS = st.lists(st.one_of(_RECORDS, _JSON), max_size=5)
+
+_DOCUMENTS = st.one_of(
+    _JSON,
+    _EVENT_LISTS,
+    st.fixed_dictionaries(
+        {"events": _EVENT_LISTS},
+        optional={"version": st.one_of(st.sampled_from([1, 2]), _JSON)},
+    ),
+)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(document=_DOCUMENTS)
+def test_any_json_document_parses_and_round_trips_or_raises_value_error(
+    document,
+):
+    try:
+        trace = EventTrace.from_json(json.dumps(document))
+    except ValueError:
+        return
+    text = trace.to_json()
+    again = EventTrace.from_json(text)
+    assert again == trace
+    assert again.to_json() == text
+

@@ -7,15 +7,8 @@ single metric byte, and the hit/miss counters on
 orchestration the timeline needed.
 """
 
-import numpy as np
-import pytest
-
 from repro.fleet.job import STATE_CACHE
-from repro.orchestration.plancache import (
-    PLAN_CACHE,
-    PlanCache,
-    planning_signature,
-)
+from repro.orchestration.plancache import PLAN_CACHE, planning_signature
 from repro.scenarios import EventTrace, ScenarioSpec
 from repro.scenarios.engine import ScenarioEngine, run_scenario
 from repro.scenarios.events import FailureEvent
@@ -143,53 +136,7 @@ class TestSharedClusterStates:
         assert snapshot(results[0]) == snapshot(results[1])
 
 
-class TestPlanCacheUnit:
-    def test_counts_and_eviction(self):
-        cache = PlanCache(maxsize=2)
-        calls = []
-
-        def compute(v):
-            return lambda: calls.append(v) or v
-
-        assert cache.get_or_compute("a", compute(1)) == 1
-        assert cache.get_or_compute("a", compute(99)) == 1
-        assert cache.stats() == (1, 1)
-        cache.get_or_compute("b", compute(2))
-        cache.get_or_compute("c", compute(3))  # evicts "a" (FIFO)
-        assert cache.lookup("a") is None
-        assert len(cache) == 2
-
-    def test_fetch_reports_hit_flag(self):
-        cache = PlanCache()
-        assert cache.fetch("k", lambda: 7) == (7, False)
-        assert cache.fetch("k", lambda: 99) == (7, True)
-        assert cache.stats() == (1, 1)
-
-    def test_fetch_per_call_bypass(self):
-        cache = PlanCache()
-        cache.fetch("k", lambda: 7)
-        # A bypassed call neither reads nor writes nor counts — and
-        # does not disturb other users of the same cache.
-        assert cache.fetch("k", lambda: 99, bypass=True) == (99, False)
-        assert cache.stats() == (0, 1)
-        assert cache.fetch("k", lambda: 5) == (7, True)
-
-    def test_failed_compute_not_cached(self):
-        cache = PlanCache()
-
-        def boom():
-            raise RuntimeError("infeasible")
-
-        with pytest.raises(RuntimeError):
-            cache.get_or_compute("k", boom)
-        assert cache.lookup("k") is None
-        # The miss was never recorded for a failed solve.
-        assert cache.stats() == (0, 0)
-
-    def test_invalid_maxsize(self):
-        with pytest.raises(ValueError):
-            PlanCache(maxsize=0)
-
+class TestPlanningSignature:
     def test_planning_signature_tracks_config_and_size(self, small_config):
         a = planning_signature(small_config, 48)
         b = planning_signature(small_config, 40)
