@@ -7,7 +7,11 @@ single metric byte, and the hit/miss counters on
 orchestration the timeline needed.
 """
 
+import pytest
+
+from repro.core.api import replan
 from repro.fleet.job import STATE_CACHE
+from repro.orchestration.errors import InfeasibleClusterError
 from repro.orchestration.plancache import PLAN_CACHE, planning_signature
 from repro.scenarios import EventTrace, ScenarioSpec
 from repro.scenarios.engine import ScenarioEngine, run_scenario
@@ -134,6 +138,19 @@ class TestSharedClusterStates:
         first, second = (engine._job._states[48] for engine in engines)
         assert first is not second
         assert snapshot(results[0]) == snapshot(results[1])
+
+
+class TestPlanCacheUnit:
+    def test_failed_compute_not_cached(self, small_config):
+        PLAN_CACHE.clear()
+        # 44 GPUs is not a whole number of 8-GPU nodes: the replan fails.
+        for _ in range(2):
+            with pytest.raises(InfeasibleClusterError):
+                replan(small_config, 44)
+        assert PLAN_CACHE.lookup(planning_signature(small_config, 44)) is None
+        # The miss was never recorded for a failed solve, so the size is
+        # re-checked each time it appears.
+        assert PLAN_CACHE.stats() == (0, 0)
 
 
 class TestPlanningSignature:
