@@ -15,7 +15,9 @@ Three fixture families, mirroring ``tests/pipeline/golden``:
 * ``run_with_failures_*.json`` — the legacy goodput model on fixed
   canonical inputs;
 * ``scenario_canonical.json`` — one failure + straggler + elastic
-  scenario through the full engine;
+  scenario through the full engine, and ``scenario_microbatch4.json``
+  — the same scenario with four-sample microbatches (GBS 64), which
+  pins iteration pricing for microbatches of more than one sample;
 * ``packs/pack_*.json`` — every shipped scenario pack expanded on the
   canonical task (arrivals, class mix, SLOs, and each job's full v2
   event trace — the pack's replayable golden trace).
@@ -108,6 +110,12 @@ def scenario_case():
     return config, spec
 
 
+def scenario_microbatch4_case():
+    """The canonical scenario at ``microbatch_size=4`` and GBS 64."""
+    config, spec = scenario_case()
+    return config.with_(microbatch_size=4, global_batch_size=64), spec
+
+
 def goodput_fixture(name, kwargs):
     report = run_with_failures(**kwargs)
     failures = kwargs["failures"]
@@ -132,15 +140,15 @@ def goodput_fixture(name, kwargs):
     }
 
 
-def scenario_fixture():
-    config, spec = scenario_case()
+def scenario_fixture(name="scenario_canonical", case=scenario_case):
+    config, spec = case()
     result = run_scenario(config, spec)
     metrics = {
         key: (value.hex() if isinstance(value, float) else value)
         for key, value in result.metrics().items()
     }
     return {
-        "name": "scenario_canonical",
+        "name": name,
         "metrics": metrics,
         "goodput": result.goodput.hex(),
         "num_failures": result.num_failures,
@@ -171,11 +179,15 @@ def all_fixtures():
             (GOLDEN_DIR / f"{name}.json",
              json.dumps(fixture, indent=1) + "\n")
         )
-    fixture = scenario_fixture()
-    pairs.append(
-        (GOLDEN_DIR / "scenario_canonical.json",
-         json.dumps(fixture, indent=1) + "\n")
-    )
+    for name, case in (
+        ("scenario_canonical", scenario_case),
+        ("scenario_microbatch4", scenario_microbatch4_case),
+    ):
+        fixture = scenario_fixture(name, case)
+        pairs.append(
+            (GOLDEN_DIR / f"{name}.json",
+             json.dumps(fixture, indent=1) + "\n")
+        )
     for name in sorted(PACKS):
         fixture = pack_fixture(PACKS[name])
         pairs.append(

@@ -17,6 +17,7 @@ from tests.scenarios.golden.regen import (
     goodput_cases,
     goodput_fixture,
     scenario_fixture,
+    scenario_microbatch4_case,
     sync_fixtures,
 )
 
@@ -54,6 +55,19 @@ def test_canonical_scenario_matches_golden():
     assert actual["iteration_times"] == expected["iteration_times"]
     assert actual["mfu_trajectory"] == expected["mfu_trajectory"]
     assert actual["events"] == expected["events"]
+    assert actual == expected
+
+
+def test_microbatch4_scenario_matches_golden():
+    """Four-sample microbatches: the only golden whose iterations sum
+    more than one sample's module times per microbatch."""
+    config, _ = scenario_microbatch4_case()
+    assert config.microbatch_size == 4
+    expected = load_fixture("scenario_microbatch4")
+    actual = scenario_fixture("scenario_microbatch4", scenario_microbatch4_case)
+    assert actual["metrics"] == expected["metrics"]
+    assert actual["iteration_times"] == expected["iteration_times"]
+    assert actual["mfu_trajectory"] == expected["mfu_trajectory"]
     assert actual == expected
 
 
