@@ -80,7 +80,9 @@ class TrainingSample:
     # Subsequences are immutable, so the per-modality aggregates are
     # computed once at construction: reordering and statistics consult
     # ``size``/``pixels`` O(n log n) times per batch, which made the
-    # repeated generator-expression sums a measurable hot spot.
+    # repeated generator-expression sums a measurable hot spot. The
+    # workload is built once too: every simulator and FLOPs accountant
+    # that prices the sample reads it.
     def __post_init__(self) -> None:
         text = image = audio = images = clips = raw = pixels = 0
         for s in self.subsequences:
@@ -102,6 +104,10 @@ class TrainingSample:
         set_(self, "_num_audio_clips", clips)
         set_(self, "_raw_bytes", raw)
         set_(self, "_pixels", pixels)
+        set_(self, "_workload", ModuleWorkload(
+            samples=1, text_tokens=text, image_tokens=image, images=images,
+            audio_tokens=audio, audio_clips=clips,
+        ))
 
     @property
     def text_tokens(self) -> int:
@@ -147,14 +153,7 @@ class TrainingSample:
 
     def workload(self) -> ModuleWorkload:
         """Per-module workload induced by this sample."""
-        return ModuleWorkload(
-            samples=1,
-            text_tokens=self.text_tokens,
-            image_tokens=self.image_tokens,
-            images=self.num_images,
-            audio_tokens=self.audio_tokens,
-            audio_clips=self.num_audio_clips,
-        )
+        return self._workload
 
     def image_token_sizes(self) -> List[int]:
         return [s.tokens for s in self.subsequences if s.modality == "image"]

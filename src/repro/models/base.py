@@ -54,7 +54,7 @@ class ModuleWorkload:
 
     def __post_init__(self) -> None:
         if min(self.samples, self.text_tokens, self.image_tokens,
-               self.audio_tokens) < 0:
+               self.images, self.audio_tokens, self.audio_clips) < 0:
             raise ValueError("workload fields must be non-negative")
 
     @property

@@ -7,8 +7,9 @@ iteration's timing:
 2. shard it across the LLM's DP ranks (contiguous blocks, as the
    intra-reorder contract requires) and cut each shard into microbatches;
 3. build per-(stage, microbatch) forward/backward durations from the
-   module cost models — encoder/generator durations vary per microbatch
-   (data heterogeneity), LLM durations are constant;
+   module cost models, pricing each distinct module workload once —
+   encoder/generator durations vary per microbatch (data
+   heterogeneity), LLM durations are constant;
 4. run the cycle-accurate pipeline simulator for every DP rank; the
    iteration's pipeline phase is the slowest rank (they synchronize at
    the gradient reduction — the intra-microbatch straggler effect);
@@ -75,16 +76,18 @@ class PreparedIteration:
     """One global batch's duration tables, ready for (re-)evaluation.
 
     The expensive half of :meth:`TrainingIterationSimulator.simulate` —
-    batch ordering, per-sample cost-model pricing, and inter-microbatch
-    reordering — is independent of runtime dynamics. The scenario engine
-    prepares a batch once and re-prices it under straggler slowdowns via
-    :func:`evaluate_prepared_many` without re-running any of it.
+    batch ordering, cost-model pricing, inter-microbatch reordering and
+    the batch's model FLOPs — is independent of runtime dynamics. The
+    scenario engine prepares a batch once and re-prices it under
+    straggler slowdowns via :func:`evaluate_prepared_many` without
+    re-running any of it.
     """
 
     global_batch: List[TrainingSample]
     rank_work: List[Tuple[np.ndarray, np.ndarray, List[int], float]]
     simulated_ranks: List[int]
     num_microbatches: int
+    model_flops: float
 
 
 class TrainingIterationSimulator:
@@ -155,83 +158,32 @@ class TrainingIterationSimulator:
             cpu_nodes=cpu_nodes,
             cores_per_node=plan.cluster.cpu_cores_per_node,
         )
-        self._sample_time_cache: Dict[Tuple[int, str, str], float] = {}
+        # Module name -> {workload: (forward, backward) seconds}.
+        self._module_times: Dict[
+            str, Dict[ModuleWorkload, Tuple[float, float]]
+        ] = {name: {} for name in ("encoder", "llm", "generator")}
 
     # ------------------------------------------------------------------ #
-    # Per-sample module times
+    # Module times
     # ------------------------------------------------------------------ #
-    def _module_sample_time(
-        self, sample: TrainingSample, name: str, which: str
-    ) -> float:
-        """Forward or backward time of ``sample`` through one module."""
-        key = (sample.sample_id, name, which)
-        cached = self._sample_time_cache.get(key)
-        if cached is not None:
-            return cached
-        cost = self.cost_models[name]
-        plan = self.plan.plans[name]
-        if name == "generator":
-            workload = self.accountant.generator_workload(sample)
-        elif name == "llm":
-            workload = ModuleWorkload(samples=1)
-        else:
-            workload = sample.workload()
-        if which == "fwd":
-            value = cost.forward_time(workload, plan.tp)
-        else:
-            factor = self.frozen.backward_factor(name)
-            if factor == 0.0:
-                value = 0.0
-            else:
-                value = cost.backward_time(
-                    workload, plan.tp,
-                    weight_grads=self.frozen.trains(name),
+    def _module_time(
+        self, name: str, workload: ModuleWorkload
+    ) -> Tuple[float, float]:
+        """(forward, backward) time of ``workload`` through one module,
+        priced once per distinct workload."""
+        memo = self._module_times[name]
+        times = memo.get(workload)
+        if times is None:
+            cost = self.cost_models[name]
+            tp = self.plan.plans[name].tp
+            forward = cost.forward_time(workload, tp)
+            backward = 0.0
+            if self.frozen.backward_factor(name) != 0.0:
+                backward = cost.backward_time(
+                    workload, tp, weight_grads=self.frozen.trains(name)
                 )
-        self._sample_time_cache[key] = value
-        return value
-
-    # ------------------------------------------------------------------ #
-    # Stage-time tables
-    # ------------------------------------------------------------------ #
-    def _stage_layout(self) -> List[Tuple[str, int]]:
-        """Ordered (module, intra-module stage index) per pipeline stage."""
-        layout: List[Tuple[str, int]] = []
-        for name in ("encoder", "llm", "generator"):
-            for s in range(self.plan.plans[name].pp):
-                layout.append((name, s))
-        return layout
-
-    def _microbatch_stage_times(
-        self, microbatch: Sequence[TrainingSample]
-    ) -> Tuple[List[float], List[float]]:
-        """(fwd, bwd) stage-time vectors for one microbatch."""
-        plans = self.plan.plans
-        dp_lm = plans["llm"].dp
-        fwd: List[float] = []
-        bwd: List[float] = []
-        for name, _ in self._stage_layout():
-            plan = plans[name]
-            if name == "llm":
-                sample = microbatch[0]
-                f = self._module_sample_time(sample, name, "fwd")
-                b = self._module_sample_time(sample, name, "bwd")
-                f *= len(microbatch) / plan.pp
-                b *= len(microbatch) / plan.pp
-            else:
-                # Work of this rank's microbatch, spread over the unit's
-                # DP replicas relative to the LLM's DP degree.
-                share = dp_lm / plan.dp
-                f = sum(
-                    self._module_sample_time(s, name, "fwd")
-                    for s in microbatch
-                ) * share / plan.pp
-                b = sum(
-                    self._module_sample_time(s, name, "bwd")
-                    for s in microbatch
-                ) * share / plan.pp
-            fwd.append(f)
-            bwd.append(b)
-        return fwd, bwd
+            times = memo[workload] = (forward, backward)
+        return times
 
     def _boundary_comm_time(self) -> float:
         """Inter-stage activation transfer per microbatch.
@@ -308,6 +260,7 @@ class TrainingIterationSimulator:
             rank_work=rank_work,
             simulated_ranks=ranks_to_simulate,
             num_microbatches=num_microbatches,
+            model_flops=self.accountant.batch_flops(global_batch),
         )
 
     def evaluate_prepared(
@@ -345,7 +298,7 @@ class TrainingIterationSimulator:
             pipeline_time + dp_sync + preprocess + OPTIMIZER_STEP_SECONDS
         )
 
-        flops = self.accountant.batch_flops(global_batch)
+        flops = prepared.model_flops
         peak = plan.cluster.gpu.peak("bf16")
         return IterationResult(
             iteration_time=iteration_time,
@@ -392,17 +345,41 @@ class TrainingIterationSimulator:
     def _rank_tables(
         self, rank_batch: List[TrainingSample], num_microbatches: int
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """One DP rank's ``(l, p)`` forward and backward duration tables."""
+        """One DP rank's ``(l, p)`` forward and backward duration tables.
+
+        Encoder and generator stage times sum the microbatch's per-sample
+        times, spread over the unit's DP replicas relative to the LLM's DP
+        degree; the LLM sees ``seq_len`` tokens per sample, so its stage
+        time is one sample's time scaled by the microbatch size.
+        """
+        plans = self.plan.plans
         M = self.plan.microbatch_size
-        microbatches = [
-            rank_batch[i * M : (i + 1) * M] for i in range(num_microbatches)
-        ]
-        fwd_rows, bwd_rows = [], []
-        for mb in microbatches:
-            f, b = self._microbatch_stage_times(mb)
-            fwd_rows.append(f)
-            bwd_rows.append(b)
-        return np.array(fwd_rows), np.array(bwd_rows)
+        dp_lm = plans["llm"].dp
+        workload_of = {
+            "encoder": TrainingSample.workload,
+            "generator": self.accountant.generator_workload,
+        }
+        starts = range(0, num_microbatches * M, M)
+        fwd_cols: List[List[float]] = []
+        bwd_cols: List[List[float]] = []
+        for name in ("encoder", "llm", "generator"):
+            plan = plans[name]
+            if name == "llm":
+                f, b = self._module_time(name, ModuleWorkload(samples=1))
+                scale = M / plan.pp
+                fwd = [f * scale] * num_microbatches
+                bwd = [b * scale] * num_microbatches
+            else:
+                to_workload = workload_of[name]
+                f, b = zip(*[
+                    self._module_time(name, to_workload(s)) for s in rank_batch
+                ])
+                share = dp_lm / plan.dp
+                fwd = [sum(f[i : i + M]) * share / plan.pp for i in starts]
+                bwd = [sum(b[i : i + M]) * share / plan.pp for i in starts]
+            fwd_cols += [fwd] * plan.pp
+            bwd_cols += [bwd] * plan.pp
+        return np.array(fwd_cols).T.copy(), np.array(bwd_cols).T.copy()
 
     def _rank_durations(
         self,

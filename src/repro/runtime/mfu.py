@@ -11,7 +11,7 @@ lower MFU by inflating wall-clock time, never by inflating FLOPs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict, Sequence, Tuple
 
 from repro.data.sample import TrainingSample
 from repro.models.base import ModuleWorkload
@@ -21,10 +21,24 @@ from repro.runtime.frozen import FrozenConfig
 
 @dataclass
 class ModelFlopsAccountant:
-    """Computes required model FLOPs for batches of training samples."""
+    """Computes required model FLOPs for batches of training samples.
+
+    The backbone sees ``seq_len`` tokens per sample whatever the modality
+    mix, and the generator and output projector see only the sample's
+    image count, so those terms are priced once per accountant: the LLM's
+    at construction, the generator's per image count.
+    """
 
     mllm: MultimodalLLMSpec
     frozen: FrozenConfig
+
+    def __post_init__(self) -> None:
+        self._encoder_factor = 1.0 + self.frozen.backward_factor("encoder")
+        self._llm_term = self.mllm.llm.forward_flops(
+            ModuleWorkload(samples=1)
+        ) * (1.0 + self.frozen.backward_factor("llm"))
+        # Image count -> (generator term, output-projector forward FLOPs).
+        self._image_terms: Dict[int, Tuple[float, float]] = {}
 
     def generator_workload(self, sample: TrainingSample) -> ModuleWorkload:
         """The generator produces every image of the sample at the
@@ -39,23 +53,24 @@ class ModelFlopsAccountant:
     def sample_flops(self, sample: TrainingSample) -> float:
         """Model FLOPs one sample requires under the frozen config."""
         workload = sample.workload()
-        total = 0.0
-        for name in ("encoder", "llm", "generator"):
-            module = self.mllm.module(name)
-            module_workload = (
-                self.generator_workload(sample)
-                if name == "generator"
-                else workload
+        terms = self._image_terms.get(sample.num_images)
+        if terms is None:
+            generated = self.generator_workload(sample)
+            terms = self._image_terms[sample.num_images] = (
+                self.mllm.generator.forward_flops(generated)
+                * (1.0 + self.frozen.backward_factor("generator")),
+                self.mllm.output_projector.forward_flops(generated),
             )
-            fwd = module.forward_flops(module_workload)
-            total += fwd * (1.0 + self.frozen.backward_factor(name))
+        generator, output_projector = terms
+        total = (
+            self.mllm.encoder.forward_flops(workload) * self._encoder_factor
+            + self._llm_term
+            + generator
+        )
         # Projectors (always trainable: forward + full backward).
         proj_fwd = self.mllm.input_projector.forward_flops(workload)
-        proj_fwd += self.mllm.output_projector.forward_flops(
-            self.generator_workload(sample)
-        )
-        total += proj_fwd * 3.0
-        return total
+        proj_fwd += output_projector
+        return total + proj_fwd * 3.0
 
     def batch_flops(self, samples: Sequence[TrainingSample]) -> float:
         return sum(self.sample_flops(s) for s in samples)

@@ -104,3 +104,11 @@ class TestWorkloadAudioFields:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             ModuleWorkload(audio_tokens=-1)
+
+    def test_negative_images_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            ModuleWorkload(images=-1)
+
+    def test_negative_audio_clips_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            ModuleWorkload(audio_clips=-2)

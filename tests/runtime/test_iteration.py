@@ -4,11 +4,16 @@ import pytest
 
 from repro.cluster.cluster import make_cluster
 from repro.data.synthetic import SyntheticMultimodalDataset
+from repro.models.base import ModuleWorkload
 from repro.models.mllm import MLLM_9B
 from repro.parallelism.orchestration_plan import ModelOrchestrationPlan
 from repro.parallelism.plan import ParallelismPlan
 from repro.runtime.frozen import FROZEN_PRESETS
-from repro.runtime.iteration import TrainingIterationSimulator
+from repro.runtime.iteration import (
+    TrainingIterationSimulator,
+    evaluate_prepared_many,
+)
+from repro.runtime.mfu import ModelFlopsAccountant
 
 
 def simulator(plan, **kwargs):
@@ -151,3 +156,128 @@ class TestRankSubsampling:
     def test_cap_below_two_rejected(self, dp8_plan, cap):
         with pytest.raises(ValueError, match="max_simulated_ranks"):
             simulator(dp8_plan, max_simulated_ranks=cap)
+
+
+def reference_tables(sim, rank_batch):
+    """A rank's ``(l, p)`` tables from per-sample cost-model calls and
+    one ``sum()`` per microbatch and module, stage by stage."""
+    plans = sim.plan.plans
+    frozen = sim.frozen
+    M = sim.plan.microbatch_size
+    gen_tokens = sim.plan.mllm.generation_image_tokens
+
+    def times(name, workload):
+        cost, tp = sim.cost_models[name], plans[name].tp
+        backward = 0.0
+        if frozen.backward_factor(name) != 0.0:
+            backward = cost.backward_time(
+                workload, tp, weight_grads=frozen.trains(name)
+            )
+        return cost.forward_time(workload, tp), backward
+
+    def module_workload(name, sample):
+        if name == "encoder":
+            return ModuleWorkload(
+                samples=1,
+                text_tokens=sample.text_tokens,
+                image_tokens=sample.image_tokens,
+                images=sample.num_images,
+                audio_tokens=sample.audio_tokens,
+                audio_clips=sample.num_audio_clips,
+            )
+        return ModuleWorkload(
+            samples=1,
+            image_tokens=sample.num_images * gen_tokens,
+            images=sample.num_images,
+        )
+
+    fwd_rows, bwd_rows = [], []
+    for start in range(0, len(rank_batch), M):
+        microbatch = rank_batch[start:start + M]
+        fwd_row, bwd_row = [], []
+        for name in ("encoder", "llm", "generator"):
+            plan = plans[name]
+            if name == "llm":
+                f, b = times(name, ModuleWorkload(samples=1))
+                f *= len(microbatch) / plan.pp
+                b *= len(microbatch) / plan.pp
+            else:
+                share = plans["llm"].dp / plan.dp
+                per_sample = [
+                    times(name, module_workload(name, s))
+                    for s in microbatch
+                ]
+                f = sum(t[0] for t in per_sample) * share / plan.pp
+                b = sum(t[1] for t in per_sample) * share / plan.pp
+            fwd_row += [f] * plan.pp
+            bwd_row += [b] * plan.pp
+        fwd_rows.append(fwd_row)
+        bwd_rows.append(bwd_row)
+    return fwd_rows, bwd_rows
+
+
+class TestRankTables:
+    """Workload-memoized rank tables equal per-sample pricing exactly,
+    for microbatches of one and of several samples."""
+
+    @pytest.mark.parametrize("microbatch_size", [1, 2, 4])
+    @pytest.mark.parametrize("preset", sorted(FROZEN_PRESETS))
+    def test_tables_match_per_sample_pricing(self, preset, microbatch_size):
+        # Pipelined LLM and generator, and encoder/generator DP degrees
+        # that differ from the LLM's, so every scale factor is live.
+        plan = ModelOrchestrationPlan(
+            mllm=MLLM_9B,
+            cluster=make_cluster(24),
+            encoder_plan=ParallelismPlan(tp=1, pp=1, dp=4),
+            llm_plan=ParallelismPlan(
+                tp=4, pp=2, dp=2, microbatch_size=microbatch_size
+            ),
+            generator_plan=ParallelismPlan(tp=1, pp=2, dp=2),
+        )
+        batch = SyntheticMultimodalDataset(seed=2).take(32)
+        assert {0, 1} < {s.num_images for s in batch}
+        sim = simulator(
+            plan, frozen=FROZEN_PRESETS[preset], intra_reordering=False
+        )
+        prepared = sim.prepare(batch)
+        assert prepared.simulated_ranks == [0, 1]
+        assert prepared.num_microbatches == 16 // microbatch_size
+        for rank, (fwd, bwd, _, _) in zip(
+            prepared.simulated_ranks, prepared.rank_work
+        ):
+            expected_fwd, expected_bwd = reference_tables(
+                sim, batch[rank * 16:(rank + 1) * 16]
+            )
+            assert fwd.tolist() == expected_fwd
+            assert bwd.tolist() == expected_bwd
+
+
+def test_straggler_repricing_reuses_model_flops(
+    small_plan, small_batch, monkeypatch
+):
+    """A prepared batch carries its model FLOPs: re-evaluating it under
+    straggler slowdowns never re-sums the batch."""
+    calls = []
+    batch_flops = ModelFlopsAccountant.batch_flops
+
+    def counting(self, samples):
+        calls.append(len(samples))
+        return batch_flops(self, samples)
+
+    monkeypatch.setattr(ModelFlopsAccountant, "batch_flops", counting)
+    sim = simulator(small_plan)
+    prepared = sim.prepare(small_batch)
+    assert calls == [len(small_batch)]
+    n_ranks = len(prepared.rank_work)
+    results = [
+        sim.evaluate_prepared(prepared, [factor] * n_ranks)
+        for factor in (1.0, 1.5, 3.0)
+    ]
+    results += evaluate_prepared_many(
+        [(sim, prepared, None), (sim, prepared, [2.0] * n_ranks)]
+    )
+    assert calls == [len(small_batch)]
+    assert results[0].iteration_time < results[2].iteration_time
+    for result in results:
+        assert result.model_flops == prepared.model_flops
+    assert prepared.model_flops == sim.accountant.batch_flops(small_batch)

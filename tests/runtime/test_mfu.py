@@ -2,12 +2,58 @@
 
 import pytest
 
+from repro.data.sample import Subsequence, TrainingSample, text_subsequence
 from repro.data.synthetic import SyntheticMultimodalDataset
-from repro.models.mllm import MLLM_9B
+from repro.models.base import ModuleWorkload
+from repro.models.mllm import MLLM_9B, MLLM_PRESETS
 from repro.runtime.frozen import FROZEN_PRESETS, FrozenConfig
 from repro.runtime.mfu import ModelFlopsAccountant, mfu, token_throughput
 
 SAMPLES = SyntheticMultimodalDataset(seed=0).take(16)
+
+
+def image(tokens):
+    return Subsequence("image", tokens, raw_bytes=tokens * 100,
+                       pixels=tokens * 256)
+
+
+#: Samples with no, one and several images (and repeated image counts,
+#: so the accountant's per-image-count terms are reused).
+MIXED = [
+    TrainingSample(0, (text_subsequence(8192),)),
+    TrainingSample(1, (text_subsequence(7000), image(1024))),
+    TrainingSample(2, (image(256), text_subsequence(3000), image(4096))),
+    TrainingSample(3, tuple(image(576) for _ in range(6))),
+    TrainingSample(4, (text_subsequence(100), image(64))),
+    TrainingSample(5, (image(2048), image(16), text_subsequence(5))),
+] + list(SAMPLES)
+
+
+def reference_sample_flops(mllm, frozen, sample):
+    """Per-module FLOPs of one sample: encoder, LLM and generator with
+    their required backward, then the projectors' forward + backward."""
+    workload = ModuleWorkload(
+        samples=1,
+        text_tokens=sample.text_tokens,
+        image_tokens=sample.image_tokens,
+        images=sample.num_images,
+        audio_tokens=sample.audio_tokens,
+        audio_clips=sample.num_audio_clips,
+    )
+    generated = ModuleWorkload(
+        samples=1,
+        image_tokens=sample.num_images * mllm.generation_image_tokens,
+        images=sample.num_images,
+    )
+    total = 0.0
+    for name in ("encoder", "llm", "generator"):
+        module_workload = generated if name == "generator" else workload
+        fwd = mllm.module(name).forward_flops(module_workload)
+        total += fwd * (1.0 + frozen.backward_factor(name))
+    proj_fwd = mllm.input_projector.forward_flops(workload)
+    proj_fwd += mllm.output_projector.forward_flops(generated)
+    total += proj_fwd * 3.0
+    return total
 
 
 class TestAccountant:
@@ -23,7 +69,22 @@ class TestAccountant:
     def test_batch_is_sum_of_samples(self):
         accountant = ModelFlopsAccountant(MLLM_9B, FrozenConfig())
         total = sum(accountant.sample_flops(s) for s in SAMPLES)
-        assert accountant.batch_flops(SAMPLES) == pytest.approx(total)
+        assert accountant.batch_flops(SAMPLES) == total
+
+    @pytest.mark.parametrize("preset", sorted(FROZEN_PRESETS))
+    @pytest.mark.parametrize("model", sorted(MLLM_PRESETS))
+    def test_sample_flops_match_per_module_formula(self, model, preset):
+        mllm, frozen = MLLM_PRESETS[model], FROZEN_PRESETS[preset]
+        accountant = ModelFlopsAccountant(mllm, frozen)
+        assert {0, 1, 2, 6} <= {s.num_images for s in MIXED}
+        for _ in range(2):
+            for sample in MIXED:
+                assert accountant.sample_flops(sample) == (
+                    reference_sample_flops(mllm, frozen, sample)
+                )
+        assert accountant.batch_flops(MIXED) == sum(
+            reference_sample_flops(mllm, frozen, s) for s in MIXED
+        )
 
     def test_llm_dominates_sample_flops(self):
         accountant = ModelFlopsAccountant(MLLM_9B, FrozenConfig())

@@ -64,7 +64,9 @@ def test_microbatch4_scenario_matches_golden():
     config, _ = scenario_microbatch4_case()
     assert config.microbatch_size == 4
     expected = load_fixture("scenario_microbatch4")
-    actual = scenario_fixture("scenario_microbatch4", scenario_microbatch4_case)
+    actual = scenario_fixture(
+        "scenario_microbatch4", scenario_microbatch4_case
+    )
     assert actual["metrics"] == expected["metrics"]
     assert actual["iteration_times"] == expected["iteration_times"]
     assert actual["mfu_trajectory"] == expected["mfu_trajectory"]
