@@ -44,14 +44,14 @@ def main() -> None:
     llm_plan = orchestration.plans["llm"]
     from repro.models.base import ModuleWorkload
 
+    llm = config.mllm.llm
     static = memory.static_bytes_per_gpu(
-        config.mllm.llm, llm_plan.tp, llm_plan.pp, llm_plan.dp, True
+        llm.param_count(), llm_plan.tp, llm_plan.pp, llm_plan.dp, True
     )
     activations = memory.activation_bytes_per_gpu(
-        config.mllm.llm,
-        ModuleWorkload(samples=config.microbatch_size),
+        llm.activation_bytes(ModuleWorkload(samples=config.microbatch_size)),
         llm_plan.tp,
-        in_flight_microbatches=llm_plan.pp + 2,
+        in_flight=llm_plan.pp + 2,
     ) / llm_plan.pp
     print(format_table(
         ["component", "GiB per GPU"],

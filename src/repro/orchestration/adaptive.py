@@ -10,10 +10,15 @@ The search decomposes into:
    (:func:`repro.orchestration.convex.solve_resource_split_batch`; the
    per-candidate SLSQP oracle is retained behind ``solver="slsqp"``);
 3. **round** the continuous splits to feasible integer configurations
-   (pipeline depths dividing the layer count) and screen memory
-   feasibility through the vectorized
-   :meth:`~repro.orchestration.memory.MemoryModel.fits_batch`;
-4. **evaluate** the exact objective (plus the DP gradient-sync cost the
+   (pipeline depths dividing the layer count, floored by the exact
+   minimum-depth grid of
+   :meth:`~repro.orchestration.memory.MemoryModel.min_pp_for_llm`) and
+   screen every rounded plan's memory in one
+   :meth:`~repro.orchestration.memory.MemoryModel.fits` call;
+4. **evaluate** the exact objective
+   (:func:`~repro.orchestration.formulation.iteration_breakdown`, the
+   Eqs. 1-2 that :func:`~repro.orchestration.formulation.objective`
+   evaluates on one point, plus the DP gradient-sync cost the
    steady-state formulation abstracts away) for every rounded plan at
    once, shortlist the best few, and
 5. **refine** the shortlist with a fast uniform-workload pipeline
@@ -47,6 +52,7 @@ from repro.orchestration.convex import (
 from repro.orchestration.formulation import (
     CandidateConfig,
     ObjectiveBreakdown,
+    iteration_breakdown,
     module_sample_time,
     objective,
 )
@@ -80,6 +86,25 @@ def _divisors(n: int) -> Tuple[int, ...]:
 def divisors(n: int) -> List[int]:
     """All positive divisors of ``n``, ascending (memoized)."""
     return list(_divisors(n))
+
+
+def _leading_true(mask: np.ndarray) -> int:
+    """Length of ``mask``'s leading run of ``True``."""
+    return len(mask) if mask.all() else int(mask.argmin())
+
+
+def _degrees(
+    plans_list: Sequence[Dict[str, ParallelismPlan]]
+) -> Dict[str, Tuple[np.ndarray, ...]]:
+    """Each module's ``(tp, pp, dp)`` arrays over ``plans_list`` (see
+    :meth:`AdaptiveOrchestrator._dp_sync_cost`)."""
+    return {
+        name: tuple(
+            np.array([getattr(plans[name], field) for plans in plans_list])
+            for field in ("tp", "pp", "dp")
+        )
+        for name in ("encoder", "llm", "generator")
+    }
 
 
 @dataclass
@@ -348,16 +373,23 @@ class AdaptiveOrchestrator:
         simulated = self._refined_batch(
             [plans for _, plans in finalists]
         )
+        dp_sync = self._dp_sync_cost(
+            _degrees([plans for _, plans in finalists])
+        )
         best: Optional[Tuple[float, CandidateConfig,
                              Dict[str, ParallelismPlan], float]] = None
-        for (cand, plans), sim in zip(finalists, simulated):
-            refined = sim + self._dp_sync_cost(plans)
+        for (cand, plans), sim, sync in zip(finalists, simulated, dp_sync):
+            refined = sim + float(sync)
             if best is None or refined < best[0]:
                 best = (refined, cand, plans, sim)
         assert best is not None
         _, candidate, plans, winner_sim = best
         trimmed = self._trim_small_units(candidate, plans)
-        _, breakdown = self._evaluate(candidate, trimmed)
+        breakdown = objective(
+            problem, candidate,
+            *(float(trimmed[name].num_gpus)
+              for name in ("encoder", "llm", "generator")),
+        )
         if trimmed == plans:
             # Trim was a no-op: the refinement stage already priced
             # exactly this plan dictionary.
@@ -443,13 +475,12 @@ class AdaptiveOrchestrator:
         c_me = module_sample_time(problem, "encoder", tp_me)
         c_mg = module_sample_time(problem, "generator", tp_mg)
 
-        # --- memory floors (vectorized min-PP + feasible-depth snap) -- #
+        # --- memory floors (exact min-PP grid + feasible-depth snap) -- #
         llm = problem.mllm.llm
-        param_count = llm.param_count()
-        act_llm = llm.activation_bytes(ModuleWorkload(samples=M))
-        trainable_llm = problem.frozen.trains("llm")
-        pp_floor = self.memory.min_pp_for_llm_batch(
-            param_count, act_llm, width, dp_lm, trainable_llm,
+        pp_floor = self.memory.min_pp_for_llm(
+            llm.param_count(),
+            llm.activation_bytes(ModuleWorkload(samples=M)),
+            width, dp_lm, problem.frozen.trains("llm"),
             max_pp=llm.num_layers,
         )
         feasible_pps = np.asarray(self._feasible_llm_pps(), dtype=np.int64)
@@ -458,8 +489,9 @@ class AdaptiveOrchestrator:
         pp_min = np.where(
             has_pp, feasible_pps[np.minimum(snap, len(feasible_pps) - 1)], 0
         )
-        x_min = float(tp_me)  # pp_me == 1
-        z_min = float(tp_mg)  # pp_mg == 1
+        # Encoder and generator run one pipeline stage each.
+        x_min = float(tp_me)
+        z_min = float(tp_mg)
         y_min = (width * dp_lm * pp_min).astype(float)
         ok = has_pp & (y_min <= budget - 2) & (
             x_min + y_min + z_min <= budget
@@ -553,9 +585,8 @@ class AdaptiveOrchestrator:
         y = width_rows * dp_lm_rows * pp_c
         z = dp_mg_c * tp_mg
         valid &= (x + y + z) <= budget
-        valid &= self._memory_ok_batch(
-            width_rows, dp_lm_rows, pp_c, dp_me_c, dp_mg_c, tp_me, tp_mg,
-            param_count, act_llm, trainable_llm,
+        valid &= self._memory_ok(
+            width_rows, dp_lm_rows, pp_c, dp_me_c, dp_mg_c, tp_me, tp_mg
         )
         keep = np.flatnonzero(valid)
         if not len(keep):
@@ -570,86 +601,61 @@ class AdaptiveOrchestrator:
         )
 
         # --- exact objective + DP sync, vectorized -------------------- #
-        dp = dp_lm[cand_idx]
-        w = width[cand_idx]
-        cl = c_lm[cand_idx]
-        n = n_mb[cand_idx]
-        t_lm = (dp * w * M) * cl / y
-        t_me = (dp * tp_me * M) * c_me / x
-        t_mg = (dp * tp_mg * M) * c_mg / z
-        warmup = (
-            M * cl / problem.vpp
-            + (dp * M * tp_me) * c_me / x
-            + (dp * M * tp_mg) * c_mg / z
+        breakdown = iteration_breakdown(
+            problem, dp_lm[cand_idx], width[cand_idx], tp_me, tp_mg,
+            c_lm[cand_idx], c_me, c_mg, x, y, z,
         )
-        steady = (
-            np.maximum(t_lm, np.maximum(t_me, t_mg))
-            * np.maximum(0, n - 1)
-        )
-        total = warmup + steady
-        cost = total + self._dp_sync_batch(
-            tp_me, tp_mg, tp_lm[cand_idx], pp_c, dp_lm[cand_idx],
-            dp_me_c, dp_mg_c,
-        )
+        one = np.ones_like(pp_c)
+        cost = breakdown.total + self._dp_sync_cost({
+            "encoder": (tp_me * one, one, dp_me_c),
+            "llm": (tp_lm[cand_idx], pp_c, dp_lm[cand_idx]),
+            "generator": (tp_mg * one, one, dp_mg_c),
+        })
         return (
             cost, cand_idx, tp_lm[cand_idx], dp_lm[cand_idx], pp_c,
             dp_me_c, dp_mg_c, convex_solutions,
         )
 
-    def _memory_ok_batch(
-        self,
-        width: np.ndarray,
-        dp_lm: np.ndarray,
-        pp_lm: np.ndarray,
-        dp_me: np.ndarray,
-        dp_mg: np.ndarray,
-        tp_me: int,
-        tp_mg: int,
-        param_count: float,
-        act_llm: float,
-        trainable_llm: bool,
+    def _memory_ok(
+        self, width_lm, dp_lm, pp_lm, dp_me, dp_mg, tp_me, tp_mg
     ) -> np.ndarray:
-        """Vectorized :meth:`_memory_ok` over the rounded-combo arrays."""
+        """Whether each plan fits every module's memory, elementwise over
+        arrays of its degrees (scalars broadcast)."""
         problem = self.problem
         frozen = problem.frozen
         M = problem.microbatch_size
-        pipeline_depth = 1 + pp_lm + 1  # pp_me == pp_mg == 1
-
-        ok = self.memory.fits_batch(
-            param_count,
-            act_llm,
-            tp=width,
-            pp=pp_lm,
-            dp=dp_lm,
-            trainable=trainable_llm,
-            in_flight_microbatches=np.minimum(pipeline_depth, pp_lm + 2),
+        llm = problem.mllm.llm
+        # Encoder and generator run one stage each, so the first encoder
+        # stage pins the whole pipeline's depth of microbatches, and so
+        # does the first LLM stage.
+        pipeline_depth = pp_lm + 2
+        ok = self.memory.fits(
+            llm.param_count(),
+            llm.activation_bytes(ModuleWorkload(samples=M)),
+            width_lm, pp_lm, dp_lm, frozen.trains("llm"),
+            in_flight=pipeline_depth,
         )
         for name, tp, dp in (
             ("encoder", tp_me, dp_me),
             ("generator", tp_mg, dp_mg),
         ):
             share = np.maximum(1.0, dp_lm * M / dp)
-            act = self._module_activation_batch(name, share)
-            ok &= self.memory.fits_batch(
+            ok = ok & self.memory.fits(
                 problem.mllm.module(name).param_count(),
-                act,
-                tp=np.full(len(dp), tp, dtype=np.int64),
-                pp=np.ones(len(dp), dtype=np.int64),
-                dp=dp,
-                trainable=frozen.trains(name),
-                in_flight_microbatches=pipeline_depth,
+                self._module_activation(name, share),
+                tp, 1, dp, frozen.trains(name),
+                in_flight=pipeline_depth,
             )
         return ok
 
-    def _module_activation_batch(
-        self, name: str, shares: np.ndarray
-    ) -> np.ndarray:
+    def _module_activation(self, name: str, shares) -> np.ndarray:
         """Per-combo activation footprints, memoized per distinct
         workload share (the expensive model walk happens once)."""
         problem = self.problem
         module = problem.mllm.module(name)
         per_sample = problem.per_sample_workload(name)
         memo = self._activation_memo
+        shares = np.asarray(shares)
         uniq, inverse = np.unique(shares, return_inverse=True)
         values = np.empty(len(uniq))
         for j, share in enumerate(uniq):
@@ -661,7 +667,7 @@ class AdaptiveOrchestrator:
                 )
                 memo[key] = cached
             values[j] = cached
-        return values[inverse]
+        return values[inverse].reshape(shares.shape)
 
     def _dp_sync_term(self, name: str, tp: int, pp: int, dp: int) -> float:
         """One module's exposed DP sync cost, memoized (see
@@ -677,35 +683,27 @@ class AdaptiveOrchestrator:
             self._dp_sync_memo[key] = cached
         return cached
 
-    def _dp_sync_batch(
-        self,
-        tp_me: int,
-        tp_mg: int,
-        tp_lm: np.ndarray,
-        pp_lm: np.ndarray,
-        dp_lm: np.ndarray,
-        dp_me: np.ndarray,
-        dp_mg: np.ndarray,
+    def _dp_sync_cost(
+        self, degrees: Dict[str, Tuple[np.ndarray, ...]]
     ) -> np.ndarray:
-        """Vectorized :meth:`_dp_sync_cost`, accumulated in the scalar
-        path's module order (encoder, llm, generator)."""
-        frozen = self.problem.frozen
-        total = np.zeros(len(pp_lm))
-        if frozen.trains("encoder"):
-            total = total + np.asarray([
-                self._dp_sync_term("encoder", tp_me, 1, int(dp))
-                for dp in dp_me
-            ])
-        if frozen.trains("llm"):
-            total = total + np.asarray([
-                self._dp_sync_term("llm", int(tp), int(pp), int(dp))
-                for tp, pp, dp in zip(tp_lm, pp_lm, dp_lm)
-            ])
-        if frozen.trains("generator"):
-            total = total + np.asarray([
-                self._dp_sync_term("generator", tp_mg, 1, int(dp))
-                for dp in dp_mg
-            ])
+        """Exposed gradient reduce-scatter + param allgather time.
+
+        ``degrees`` maps each module to its ``(tp, pp, dp)`` integer
+        arrays over a batch of plans (see :func:`_degrees`); the trained
+        modules' terms add up in encoder, llm, generator order.
+
+        Not part of Eqs. 1-2 (the paper models DP communication as
+        volume/bandwidth separately); added to the integer evaluation so
+        extreme-DP configurations pay their synchronization bill.
+        """
+        total = np.zeros(len(degrees["llm"][0]))
+        for name in ("encoder", "llm", "generator"):
+            if self.problem.frozen.trains(name):
+                columns = (d.tolist() for d in degrees[name])
+                total = total + np.asarray([
+                    self._dp_sync_term(name, tp, pp, dp)
+                    for tp, pp, dp in zip(*columns)
+                ])
         return total
 
     # ------------------------------------------------------------------ #
@@ -745,13 +743,13 @@ class AdaptiveOrchestrator:
         module = problem.mllm.module(name)
         workload = problem.per_sample_workload(name)
         return self.memory.fits(
-            module,
-            workload,
+            module.param_count(),
+            module.activation_bytes(workload),
             tp=tp,
             pp=1,
             dp=1,
             trainable=problem.frozen.trains(name),
-            in_flight_microbatches=4,
+            in_flight=4,
         )
 
     def _feasible_llm_pps(self) -> List[int]:
@@ -768,63 +766,9 @@ class AdaptiveOrchestrator:
             ]
         return self._feasible_pps
 
-    def _memory_ok(
-        self,
-        candidate: CandidateConfig,
-        pp_lm: int,
-        dp_me: int,
-        dp_mg: int,
-    ) -> bool:
-        problem = self.problem
-        frozen = problem.frozen
-        M = problem.microbatch_size
-        pipeline_depth = candidate.pp_me + pp_lm + candidate.pp_mg
-
-        llm_ok = self.memory.fits(
-            problem.mllm.llm,
-            ModuleWorkload(samples=M),
-            tp=candidate.width_lm,
-            pp=pp_lm,
-            dp=candidate.dp_lm,
-            trainable=frozen.trains("llm"),
-            in_flight_microbatches=min(pipeline_depth, pp_lm + 2),
-        )
-        if not llm_ok:
-            return False
-
-        for name, tp, dp in (
-            ("encoder", candidate.tp_me, dp_me),
-            ("generator", candidate.tp_mg, dp_mg),
-        ):
-            per_sample = problem.per_sample_workload(name)
-            share = max(1.0, candidate.dp_lm * M / dp)
-            workload = per_sample.scaled(share)
-            if not self.memory.fits(
-                problem.mllm.module(name),
-                workload,
-                tp=tp,
-                pp=1,
-                dp=dp,
-                trainable=frozen.trains(name),
-                in_flight_microbatches=pipeline_depth,
-            ):
-                return False
-        return True
-
     # ------------------------------------------------------------------ #
-    # Exact evaluation
+    # Winner post-processing
     # ------------------------------------------------------------------ #
-    def _evaluate(
-        self, candidate: CandidateConfig, plans: Dict[str, ParallelismPlan]
-    ) -> Tuple[float, ObjectiveBreakdown]:
-        problem = self.problem
-        x = plans["encoder"].num_gpus
-        y = plans["llm"].num_gpus
-        z = plans["generator"].num_gpus
-        breakdown = objective(problem, candidate, float(x), float(y), float(z))
-        cost = breakdown.total + self._dp_sync_cost(plans)
-        return cost, breakdown
-
     def _trim_small_units(
         self, candidate: CandidateConfig, plans: Dict[str, ParallelismPlan]
     ) -> Dict[str, ParallelismPlan]:
@@ -839,10 +783,11 @@ class AdaptiveOrchestrator:
         """
         problem = self.problem
         M = problem.microbatch_size
-        dp_lm = plans["llm"].dp
+        llm = plans["llm"]
+        dp_lm = llm.dp
 
         c_lm = module_sample_time(problem, "llm", candidate.tp_lm)
-        t_lm = c_lm * M / plans["llm"].pp  # bottleneck stage time
+        t_lm = c_lm * M / llm.pp  # bottleneck stage time
 
         trimmed = dict(plans)
         for name, tp in (("encoder", candidate.tp_me),
@@ -852,21 +797,21 @@ class AdaptiveOrchestrator:
             # Smallest dp whose *average* stage time stays well below the
             # LLM's (the skewed image distribution makes individual
             # microbatches ~1.5-2x the mean, so leave generous headroom)
-            # while still fitting in memory.
-            dp = plan.dp
-            while dp > 1:
-                next_dp = dp - 1
-                stage_time = dp_lm * M * c / (next_dp * plan.pp)
-                ok = stage_time <= 0.6 * t_lm and self._memory_ok(
-                    candidate,
-                    plans["llm"].pp,
-                    next_dp if name == "encoder" else plans["encoder"].dp,
-                    next_dp if name == "generator" else plans["generator"].dp,
-                )
-                if not ok:
-                    break
-                dp = next_dp
-            trimmed[name] = plan.with_(dp=dp)
+            # while still fitting in memory. Walk down one replica at a
+            # time: the steps that keep the stage fast form a prefix, whose
+            # memory is screened in one call; stop at the first failure.
+            steps = np.arange(plan.dp - 1, 0, -1)
+            fast = dp_lm * M * c / (steps * plan.pp) <= 0.6 * t_lm
+            kept = _leading_true(fast)
+            if kept:
+                steps = steps[:kept]
+                kept = _leading_true(self._memory_ok(
+                    candidate.width_lm, dp_lm, llm.pp,
+                    steps if name == "encoder" else plans["encoder"].dp,
+                    steps if name == "generator" else plans["generator"].dp,
+                    candidate.tp_me, candidate.tp_mg,
+                ))
+            trimmed[name] = plan.with_(dp=plan.dp - kept)
         return trimmed
 
     def _refined_batch(
@@ -878,17 +823,3 @@ class AdaptiveOrchestrator:
         return simulated_pipeline_seconds_batch(
             self.problem, self.collectives, plans_list
         )
-
-    def _dp_sync_cost(self, plans: Dict[str, ParallelismPlan]) -> float:
-        """Exposed gradient reduce-scatter + param allgather time.
-
-        Not part of Eqs. 1-2 (the paper models DP communication as
-        volume/bandwidth separately); added to the integer evaluation so
-        extreme-DP configurations pay their synchronization bill.
-        """
-        total = 0.0
-        for name in ("encoder", "llm", "generator"):
-            if self.problem.frozen.trains(name):
-                plan = plans[name]
-                total += self._dp_sync_term(name, plan.tp, plan.pp, plan.dp)
-        return total

@@ -143,13 +143,18 @@ class MegatronOrchestrator:
         if llm.name in name_map:
             return name_map[llm.name]
         pp_min = self.memory.min_pp_for_llm(
-            llm,
-            workload,
+            llm.param_count(),
+            llm.activation_bytes(workload),
             tp=self.tp,
             dp=1,
             trainable=problem.frozen.trains("llm"),
             max_pp=llm.num_layers,
         )
+        if not pp_min:
+            raise ValueError(
+                f"{llm.name} does not fit at tp={self.tp} even with "
+                f"pp={llm.num_layers}"
+            )
         feasible = [pp for pp in divisors(llm.num_layers) if pp >= pp_min]
         return min(feasible)
 
@@ -199,6 +204,8 @@ class DistMMOrchestrator:
         # LLM: fit tp/pp/dp inside its share.
         y = shares["llm"]
         llm = problem.mllm.llm
+        param_count = llm.param_count()
+        activation = llm.activation_bytes(ModuleWorkload(samples=M))
         per_iter_samples = problem.global_batch_size // M
         best: Optional[ParallelismPlan] = None
         for pp in divisors(llm.num_layers):
@@ -211,11 +218,9 @@ class DistMMOrchestrator:
             )
             if dp is None:
                 continue
-            workload = ModuleWorkload(samples=M)
             if not self.memory.fits(
-                llm, workload, tp=self.tp_lm, pp=pp, dp=dp,
-                trainable=frozen.trains("llm"),
-                in_flight_microbatches=pp + 2,
+                param_count, activation, tp=self.tp_lm, pp=pp, dp=dp,
+                trainable=frozen.trains("llm"), in_flight=pp + 2,
             ):
                 continue
             plan = ParallelismPlan(

@@ -21,7 +21,9 @@ size (section 4.3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from repro.orchestration.problem import OrchestrationProblem
 
@@ -37,22 +39,18 @@ class CandidateConfig:
             ``tp_lm`` multiplier below becomes the intra-layer width
             ``tp_lm * ep_lm``.
         tp_me / tp_mg: Encoder/generator TP degrees (their DP degrees
-            follow from the resource variables: ``dp = gpus/(tp*pp)``).
-        pp_me / pp_mg: Encoder/generator pipeline depths (1 in all of the
-            paper's configurations — the modules are small).
+            follow from the resource variables: ``dp = gpus/tp``; the
+            small modules run one pipeline stage each).
     """
 
     tp_lm: int
     dp_lm: int
     tp_me: int = 1
     tp_mg: int = 1
-    pp_me: int = 1
-    pp_mg: int = 1
     ep_lm: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("tp_lm", "dp_lm", "tp_me", "tp_mg", "pp_me", "pp_mg",
-                     "ep_lm"):
+        for name in ("tp_lm", "dp_lm", "tp_me", "tp_mg", "ep_lm"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 
@@ -118,6 +116,54 @@ class ObjectiveBreakdown:
         return max(stages, key=stages.get)
 
 
+def iteration_breakdown(
+    problem: OrchestrationProblem,
+    dp_lm,
+    width_lm,
+    tp_me,
+    tp_mg,
+    c_lm,
+    c_me,
+    c_mg,
+    x,
+    y,
+    z,
+) -> ObjectiveBreakdown:
+    """Eqs. 1-2, elementwise over Python numbers or numpy arrays.
+
+    ``c_*`` are the modules' :func:`module_sample_time` values and
+    ``width_lm`` the LLM's TP times EP. The search prices every rounded
+    plan in one call with array fields; :func:`objective` is the call on
+    one point. ``steady`` comes out of ``np.maximum``, so it is a numpy
+    scalar even for scalar inputs.
+    """
+    M = problem.microbatch_size
+    num_microbatches = problem.global_batch_size // (dp_lm * M)
+
+    # Eq. 2 stage times (per microbatch, per PP stage).
+    t_lm = dp_lm * width_lm * M * c_lm / y
+    t_me = dp_lm * tp_me * M * c_me / x
+    t_mg = dp_lm * tp_mg * M * c_mg / z
+
+    # Eq. 1 warm-up; VPP shrinks the LLM's pipeline-fill contribution.
+    warmup = (
+        M * c_lm / problem.vpp
+        + dp_lm * M * tp_me * c_me / x
+        + dp_lm * M * tp_mg * c_mg / z
+    )
+    steady = np.maximum(t_lm, np.maximum(t_me, t_mg)) * np.maximum(
+        0, num_microbatches - 1
+    )
+    return ObjectiveBreakdown(
+        warmup=warmup,
+        steady=steady,
+        stage_time_llm=t_lm,
+        stage_time_encoder=t_me,
+        stage_time_generator=t_mg,
+        num_microbatches=num_microbatches,
+    )
+
+
 def objective(
     problem: OrchestrationProblem,
     candidate: CandidateConfig,
@@ -128,32 +174,17 @@ def objective(
     """Evaluate Eqs. 1-2 at a (possibly fractional) resource split."""
     if min(x, y, z) <= 0:
         raise ValueError("resource variables must be positive")
-    M = problem.microbatch_size
-    bs = problem.global_batch_size
-    dp_lm = candidate.dp_lm
-    num_microbatches = bs // (dp_lm * M)
-
-    c_lm = module_sample_time(problem, "llm", candidate.tp_lm)
-    c_me = module_sample_time(problem, "encoder", candidate.tp_me)
-    c_mg = module_sample_time(problem, "generator", candidate.tp_mg)
-
-    # Eq. 2 stage times (per microbatch, per PP stage).
-    t_lm = dp_lm * candidate.width_lm * M * c_lm / y
-    t_me = dp_lm * candidate.tp_me * M * c_me / x
-    t_mg = dp_lm * candidate.tp_mg * M * c_mg / z
-
-    # Eq. 1 warm-up; VPP shrinks the LLM's pipeline-fill contribution.
-    warmup = (
-        M * c_lm / problem.vpp
-        + dp_lm * M * candidate.tp_me * candidate.pp_me * c_me / x
-        + dp_lm * M * candidate.tp_mg * candidate.pp_mg * c_mg / z
+    breakdown = iteration_breakdown(
+        problem,
+        candidate.dp_lm,
+        candidate.width_lm,
+        candidate.tp_me,
+        candidate.tp_mg,
+        module_sample_time(problem, "llm", candidate.tp_lm),
+        module_sample_time(problem, "encoder", candidate.tp_me),
+        module_sample_time(problem, "generator", candidate.tp_mg),
+        x,
+        y,
+        z,
     )
-    steady = max(t_lm, t_me, t_mg) * max(0, num_microbatches - 1)
-    return ObjectiveBreakdown(
-        warmup=warmup,
-        steady=steady,
-        stage_time_llm=t_lm,
-        stage_time_encoder=t_me,
-        stage_time_generator=t_mg,
-        num_microbatches=num_microbatches,
-    )
+    return replace(breakdown, steady=float(breakdown.steady))

@@ -10,6 +10,13 @@ Per-GPU memory of a module with parameters ``P`` under mixed precision:
 * activations under 1F1B: the first stage pins ``PP`` microbatches,
   giving ``L/TP`` bytes per GPU where ``L`` is one microbatch's
   activation footprint across the whole module.
+
+Every formula takes the module's scalar accounting (``param_count`` and
+one microbatch's ``activation_bytes``) rather than the spec object, and
+works elementwise on Python numbers or numpy arrays of parallelism
+degrees alike: the orchestration search screens thousands of
+candidates in one call, and a scalar call is the same arithmetic on one
+point.
 """
 
 from __future__ import annotations
@@ -17,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from repro.models.base import ModuleSpec, ModuleWorkload
 
 
 @dataclass(frozen=True)
@@ -43,87 +48,8 @@ class MemoryModel:
     def capacity(self) -> float:
         return self.gpu_memory_bytes * self.usable_fraction
 
-    # ------------------------------------------------------------------ #
-    # Components
-    # ------------------------------------------------------------------ #
-    def static_bytes_per_gpu(
-        self,
-        module: ModuleSpec,
-        tp: int,
-        pp: int,
-        dp: int,
-        trainable: bool,
-    ) -> float:
+    def static_bytes_per_gpu(self, param_count, tp, pp, dp, trainable: bool):
         """Parameters, gradients, and ZeRO-1 optimizer shard."""
-        params = module.param_count()
-        per_model_parallel = params / (tp * pp)
-        static = per_model_parallel * self.param_bytes
-        if trainable:
-            static += per_model_parallel * self.grad_bytes
-            static += params * self.optimizer_bytes / (tp * pp * dp)
-        return static
-
-    def activation_bytes_per_gpu(
-        self,
-        module: ModuleSpec,
-        microbatch_workload: ModuleWorkload,
-        tp: int,
-        in_flight_microbatches: int,
-    ) -> float:
-        """1F1B peak activation footprint.
-
-        ``in_flight_microbatches`` is the number of microbatches whose
-        activations the stage pins simultaneously (its 1F1B warm-up
-        depth; the first stage of a ``p``-deep pipeline pins ``p``).
-        """
-        if in_flight_microbatches < 1:
-            raise ValueError("in_flight_microbatches must be >= 1")
-        per_microbatch = module.activation_bytes(microbatch_workload) / tp
-        return per_microbatch * in_flight_microbatches
-
-    # ------------------------------------------------------------------ #
-    # Feasibility
-    # ------------------------------------------------------------------ #
-    def fits(
-        self,
-        module: ModuleSpec,
-        microbatch_workload: ModuleWorkload,
-        tp: int,
-        pp: int,
-        dp: int,
-        trainable: bool,
-        in_flight_microbatches: int,
-    ) -> bool:
-        total = self.static_bytes_per_gpu(module, tp, pp, dp, trainable)
-        total += self.activation_bytes_per_gpu(
-            module, microbatch_workload, tp, in_flight_microbatches
-        ) / pp
-        return total <= self.capacity
-
-    def fits_batch(
-        self,
-        param_count: float,
-        activation_bytes: np.ndarray,
-        tp: np.ndarray,
-        pp: np.ndarray,
-        dp: np.ndarray,
-        trainable: bool,
-        in_flight_microbatches: np.ndarray,
-    ) -> np.ndarray:
-        """Vectorized :meth:`fits` over arrays of parallelism degrees.
-
-        Takes the module's scalar accounting (``param_count`` and the
-        per-microbatch ``activation_bytes``, possibly an array when the
-        workload varies across the batch) instead of the spec object, so
-        the expensive model walks happen once per search rather than per
-        candidate. Floating-point operations replicate the scalar path's
-        association order exactly — the batched screen is bit-identical
-        to calling :meth:`fits` in a loop.
-        """
-        tp = np.asarray(tp, dtype=float)
-        pp = np.asarray(pp, dtype=float)
-        dp = np.asarray(dp, dtype=float)
-        in_flight = np.asarray(in_flight_microbatches, dtype=float)
         per_model_parallel = param_count / (tp * pp)
         static = per_model_parallel * self.param_bytes
         if trainable:
@@ -131,92 +57,44 @@ class MemoryModel:
             static = static + param_count * self.optimizer_bytes / (
                 tp * pp * dp
             )
-        per_microbatch = np.asarray(activation_bytes, dtype=float) / tp
-        total = static + (per_microbatch * in_flight) / pp
+        return static
+
+    def activation_bytes_per_gpu(self, activation_bytes, tp, in_flight):
+        """1F1B peak activation footprint.
+
+        ``in_flight`` is the number of microbatches whose activations
+        the stage pins simultaneously (its 1F1B warm-up depth; the first
+        stage of a ``p``-deep pipeline pins ``p``).
+        """
+        if np.any(np.less(in_flight, 1)):
+            raise ValueError("in_flight must be >= 1")
+        return activation_bytes / tp * in_flight
+
+    def fits(self, param_count, activation_bytes, tp, pp, dp,
+             trainable: bool, in_flight):
+        """Whether the module fits one GPU at these degrees; a ``bool``
+        for scalar degrees, a boolean array for arrays."""
+        total = self.static_bytes_per_gpu(param_count, tp, pp, dp, trainable)
+        total = total + self.activation_bytes_per_gpu(
+            activation_bytes, tp, in_flight
+        ) / pp
         return total <= self.capacity
 
-    def min_pp_for_llm_batch(
-        self,
-        param_count: float,
-        activation_bytes: float,
-        tp: np.ndarray,
-        dp: np.ndarray,
-        trainable: bool,
-        max_pp: int,
-    ) -> np.ndarray:
-        """Vectorized :meth:`min_pp_for_llm` over (tp, dp) arrays.
+    def min_pp_for_llm(self, param_count, activation_bytes, tp, dp,
+                       trainable: bool, max_pp: int):
+        """Smallest pipeline depth at which the LLM fits, with the first
+        stage pinning ``pp`` microbatches; ``0`` where no depth up to
+        ``max_pp`` does.
 
-        With ``in_flight = pp`` the activation term is constant in
-        ``pp``, so the smallest feasible depth has the closed form
-        ``ceil(static_numerator / (capacity - activations))``. The
-        analytic guess is then nudged by one exact vectorized
-        feasibility check in each direction, so boundary rounding can
-        never disagree with the scalar loop. Rows that do not fit even
-        at ``max_pp`` (where the scalar path raises) return ``0``.
+        Evaluates :meth:`fits` on the whole ``pp = 1..max_pp`` grid of
+        every (tp, dp) row, so the answer is exactly the first fitting
+        depth. Returns an ``int`` for scalar ``tp``/``dp``, an integer
+        array for arrays.
         """
-        tp = np.asarray(tp, dtype=float)
-        dp = np.asarray(dp, dtype=float)
-
-        def fits_at(pp: np.ndarray) -> np.ndarray:
-            ok = self.fits_batch(
-                param_count,
-                activation_bytes,
-                tp,
-                np.maximum(pp, 1.0),
-                dp,
-                trainable,
-                in_flight_microbatches=np.maximum(pp, 1.0),
-            )
-            return ok & (pp >= 1.0)
-
-        numer = param_count / tp * self.param_bytes
-        if trainable:
-            numer = numer + param_count / tp * self.grad_bytes
-            numer = numer + param_count * self.optimizer_bytes / (tp * dp)
-        headroom = self.capacity - activation_bytes / tp
-        with np.errstate(divide="ignore", invalid="ignore"):
-            guess = np.where(
-                headroom > 0, np.ceil(numer / headroom), float(max_pp) + 1
-            )
-        guess = np.clip(guess, 1.0, float(max_pp) + 1)
-        # Exact correction: the closed form can disagree with the scalar
-        # predicate only at float boundaries (by one either way); nudge
-        # with the bit-identical feasibility check until settled.
-        for _ in range(3):
-            guess = np.where(fits_at(guess - 1.0), guess - 1.0, guess)
-        for _ in range(3):
-            guess = np.where(fits_at(guess) | (guess > max_pp), guess,
-                             guess + 1.0)
-        result = np.where(
-            (guess <= max_pp) & fits_at(guess), guess, 0.0
+        depths = np.arange(1, max_pp + 1)
+        ok = self.fits(
+            param_count, activation_bytes, np.asarray(tp)[..., None],
+            depths, np.asarray(dp)[..., None], trainable, depths,
         )
-        return result.astype(np.int64)
-
-    def min_pp_for_llm(
-        self,
-        module: ModuleSpec,
-        microbatch_workload: ModuleWorkload,
-        tp: int,
-        dp: int,
-        trainable: bool,
-        max_pp: int,
-    ) -> int:
-        """Smallest pipeline depth at which the LLM fits, or raise.
-
-        Raises:
-            ValueError: if the module does not fit even at ``max_pp``.
-        """
-        for pp in range(1, max_pp + 1):
-            if self.fits(
-                module,
-                microbatch_workload,
-                tp,
-                pp,
-                dp,
-                trainable,
-                in_flight_microbatches=pp,
-            ):
-                return pp
-        raise ValueError(
-            f"{module.name} does not fit at tp={tp} even with pp={max_pp}"
-        )
+        first = np.where(ok.any(axis=-1), ok.argmax(axis=-1) + 1, 0)
+        return int(first) if first.ndim == 0 else first
