@@ -194,15 +194,19 @@ class DistMMOrchestrator:
             fwd = module.forward_flops(workload)
             factor = 1.0 + frozen.backward_factor(name)
             flops[name] = fwd * factor
-        total_flops = sum(flops.values())
+        # Left to right, so no compensated sum() can move a share.
+        total_flops = flops["encoder"] + flops["llm"] + flops["generator"]
 
         shares = {
             name: max(1, round(budget * f / total_flops))
             for name, f in flops.items()
         }
 
-        # LLM: fit tp/pp/dp inside its share.
-        y = shares["llm"]
+        # LLM: fit tp/pp/dp inside its share, and inside what the
+        # encoder's and generator's shares (at least one GPU each) leave.
+        y = min(
+            shares["llm"], budget - shares["encoder"] - shares["generator"]
+        )
         llm = problem.mllm.llm
         param_count = llm.param_count()
         activation = llm.activation_bytes(ModuleWorkload(samples=M))

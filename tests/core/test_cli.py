@@ -86,6 +86,28 @@ class TestCommands:
         assert message in captured.err
         assert captured.out == ""
 
+    def test_distmm_plan_stays_within_budget(self, capsys):
+        # The FLOPs shares round to at least one GPU each; the LLM is
+        # sized within what the encoder and generator leave.
+        code = main(
+            ["plan", "--model", "mllm-15b", "--gpus", "16", "--gbs", "32",
+             "--system", "distmm*", "--frozen", "llm-only"]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "orchestration [distmm*] for mllm-15b on 10/16 GPUs" in out
+
+    def test_distmm_without_room_for_the_llm_exits_2(self, capsys):
+        code = main(
+            ["plan", "--model", "mllm-72b", "--gpus", "16", "--gbs", "32",
+             "--system", "distmm*", "--frozen", "encoder-only"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("repro plan: error: ")
+        assert "DistMM* found no feasible LLM plan" in captured.err
+        assert captured.out == ""
+
     def test_infeasible_fleet_exits_2(self, capsys):
         code = main(
             ["fleet", "run", "--model", "mllm-72b", "--gpus", "16",
