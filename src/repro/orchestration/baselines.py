@@ -134,7 +134,8 @@ class MegatronOrchestrator:
 
         Reproduced by taking the smallest layer-dividing depth that fits
         memory with one extra safety factor for the monolithic pipeline's
-        longer in-flight window.
+        longer in-flight window. Other LLMs take that depth too; where no
+        depth fits, the cluster is infeasible.
         """
         problem = self.problem
         llm = problem.mllm.llm
@@ -151,9 +152,10 @@ class MegatronOrchestrator:
             max_pp=llm.num_layers,
         )
         if not pp_min:
-            raise ValueError(
-                f"{llm.name} does not fit at tp={self.tp} even with "
-                f"pp={llm.num_layers}"
+            raise InfeasibleClusterError(
+                f"{llm.name} does not fit GPU memory at tp={self.tp} even "
+                f"with pp={llm.num_layers} ({problem.num_gpus} GPUs)",
+                num_gpus=problem.num_gpus,
             )
         feasible = [pp for pp in divisors(llm.num_layers) if pp >= pp_min]
         return min(feasible)

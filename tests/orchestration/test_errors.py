@@ -1,11 +1,22 @@
 """Infeasible shrinks surface as a clear, typed, recoverable error."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.cluster.cluster import make_cluster
+from repro.cluster.node import AMPERE_NODE
 from repro.core.api import _problem, replan
 from repro.core.config import DistTrainConfig
 from repro.orchestration import InfeasibleClusterError
-from repro.orchestration.adaptive import replan_for_cluster
+from repro.orchestration.adaptive import (
+    AdaptiveOrchestrator,
+    replan_for_cluster,
+)
+from repro.orchestration.baselines import (
+    DistMMOrchestrator,
+    MegatronOrchestrator,
+)
 from repro.orchestration.plancache import PLAN_CACHE
 
 
@@ -45,3 +56,18 @@ class TestInfeasibleClusterError:
                 replan(config, 64)
         # Both attempts computed; neither landed in the cache.
         assert len(PLAN_CACHE) == 0
+
+    @pytest.mark.parametrize("orchestrator", [
+        AdaptiveOrchestrator, MegatronOrchestrator, DistMMOrchestrator,
+    ])
+    def test_no_fitting_depth_is_infeasible(self, orchestrator):
+        # mllm-moe-40b's LLM has no published Megatron-LM depth, so every
+        # orchestrator searches for one; on 1 GiB GPUs none fits.
+        node = replace(
+            AMPERE_NODE, gpu=replace(AMPERE_NODE.gpu, memory_bytes=1024**3)
+        )
+        config = DistTrainConfig.preset("mllm-moe-40b", 64, 128)
+        problem = replace(_problem(config), cluster=make_cluster(64, node))
+        with pytest.raises(InfeasibleClusterError) as info:
+            orchestrator(problem).plan()
+        assert info.value.num_gpus == 64
