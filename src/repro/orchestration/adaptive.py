@@ -62,7 +62,7 @@ from repro.parallelism.orchestration_plan import ModelOrchestrationPlan
 from repro.parallelism.plan import ParallelismPlan
 from repro.pipeline.kernel import get_kernel
 from repro.pipeline.schedules import ScheduleKind
-from repro.timing.collectives import DP_SYNC_EXPOSED_FRACTION, CollectiveModel
+from repro.timing.collectives import CollectiveModel
 
 #: Shortlist size for the simulation-refined evaluation.
 REFINE_TOP_K = 12
@@ -675,11 +675,9 @@ class AdaptiveOrchestrator:
         key = (name, tp, pp, dp)
         cached = self._dp_sync_memo.get(key)
         if cached is None:
-            module = self.problem.mllm.module(name)
-            shard = module.param_count() / (tp * pp) * 2.0
-            rs = self.collectives.dp_reduce_scatter(shard, dp)
-            ag = self.collectives.dp_allgather(shard, dp)
-            cached = (rs + ag) * DP_SYNC_EXPOSED_FRACTION
+            cached = self.collectives.dp_sync_exposed(
+                self.problem.mllm.module(name).param_count(), tp, pp, dp
+            )
             self._dp_sync_memo[key] = cached
         return cached
 

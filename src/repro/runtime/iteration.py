@@ -38,7 +38,7 @@ from repro.reordering.inter import MicrobatchCostModel, reorder_ranks
 from repro.reordering.intra import intra_reorder
 from repro.runtime.frozen import FrozenConfig
 from repro.runtime.mfu import ModelFlopsAccountant, mfu, token_throughput
-from repro.timing.collectives import DP_SYNC_EXPOSED_FRACTION, CollectiveModel
+from repro.timing.collectives import CollectiveModel
 from repro.timing.costmodel import ModuleCostModel
 
 #: Optimizer step + bookkeeping per iteration (seconds).
@@ -444,11 +444,10 @@ class TrainingIterationSimulator:
         for name, plan in self.plan.plans.items():
             if not self.frozen.trains(name):
                 continue
-            module = self.plan.mllm.module(name)
-            shard_bytes = module.param_count() / (plan.tp * plan.pp) * 2.0
-            rs = self.collectives.dp_reduce_scatter(shard_bytes, plan.dp)
-            ag = self.collectives.dp_allgather(shard_bytes, plan.dp)
-            worst = max(worst, (rs + ag) * DP_SYNC_EXPOSED_FRACTION)
+            worst = max(worst, self.collectives.dp_sync_exposed(
+                self.plan.mllm.module(name).param_count(),
+                plan.tp, plan.pp, plan.dp,
+            ))
         return worst
 
     def _preprocess_overhead(

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from repro.cluster.interconnect import LinkSpec
 
 #: Fraction of the DP gradient reduce-scatter + param allgather left
-#: exposed after overlapping with the backward pass. The orchestration
-#: search and the iteration simulator both charge it.
+#: exposed after overlapping with the backward pass (see
+#: :meth:`CollectiveModel.dp_sync_exposed`).
 DP_SYNC_EXPOSED_FRACTION = 0.3
 
 
@@ -116,6 +116,22 @@ class CollectiveModel:
 
     def dp_allgather(self, volume_bytes: float, dp: int) -> float:
         return ring_allgather_time(volume_bytes, dp, self.inter_link)
+
+    def dp_sync_exposed(
+        self, param_count: float, tp: int, pp: int, dp: int
+    ) -> float:
+        """Exposed ZeRO-1 sync of one module's DP group: the gradient
+        reduce-scatter plus the param allgather of its bf16 shard
+        (``param_count / (tp*pp)`` parameters at 2 bytes each), of which
+        :data:`DP_SYNC_EXPOSED_FRACTION` stays exposed.
+
+        The orchestration search and the iteration simulator both
+        charge it.
+        """
+        shard_bytes = param_count / (tp * pp) * 2.0
+        rs = self.dp_reduce_scatter(shard_bytes, dp)
+        ag = self.dp_allgather(shard_bytes, dp)
+        return (rs + ag) * DP_SYNC_EXPOSED_FRACTION
 
     def pp_send(self, volume_bytes: float) -> float:
         """Pipeline activation send between adjacent stages."""

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster.interconnect import NVLINK_300, ROCE_4X200, LinkSpec
 from repro.timing.collectives import (
+    DP_SYNC_EXPOSED_FRACTION,
     CollectiveModel,
     p2p_time,
     ring_allgather_time,
@@ -72,3 +73,13 @@ class TestCollectiveModel:
 
     def test_pp_send(self):
         assert self.model.pp_send(1e6) > 0
+
+    def test_dp_sync_exposed_charges_the_bf16_shard(self):
+        params, tp, pp, dp = 7.5e9, 4, 2, 8
+        shard = params / (tp * pp) * 2.0
+        expected = (
+            self.model.dp_reduce_scatter(shard, dp)
+            + self.model.dp_allgather(shard, dp)
+        ) * DP_SYNC_EXPOSED_FRACTION
+        assert self.model.dp_sync_exposed(params, tp, pp, dp) == expected
+        assert self.model.dp_sync_exposed(params, tp, pp, 1) == 0.0
