@@ -93,20 +93,6 @@ def _leading_true(mask: np.ndarray) -> int:
     return len(mask) if mask.all() else int(mask.argmin())
 
 
-def _degrees(
-    plans_list: Sequence[Dict[str, ParallelismPlan]]
-) -> Dict[str, Tuple[np.ndarray, ...]]:
-    """Each module's ``(tp, pp, dp)`` arrays over ``plans_list`` (see
-    :meth:`AdaptiveOrchestrator._dp_sync_cost`)."""
-    return {
-        name: tuple(
-            np.array([getattr(plans[name], field) for plans in plans_list])
-            for field in ("tp", "pp", "dp")
-        )
-        for name in ("encoder", "llm", "generator")
-    }
-
-
 @dataclass
 class OrchestrationResult:
     """Outcome of an orchestration run."""
@@ -373,8 +359,10 @@ class AdaptiveOrchestrator:
         simulated = self._refined_batch(
             [plans for _, plans in finalists]
         )
+        rows = np.asarray(diverse)
         dp_sync = self._dp_sync_cost(
-            _degrees([plans for _, plans in finalists])
+            tp_lm[rows], dp_lm[rows], pp_lm[rows], dp_me[rows], dp_mg[rows],
+            tp_me, tp_mg,
         )
         best: Optional[Tuple[float, CandidateConfig,
                              Dict[str, ParallelismPlan], float]] = None
@@ -605,12 +593,10 @@ class AdaptiveOrchestrator:
             problem, dp_lm[cand_idx], width[cand_idx], tp_me, tp_mg,
             c_lm[cand_idx], c_me, c_mg, x, y, z,
         )
-        one = np.ones_like(pp_c)
-        cost = breakdown.total + self._dp_sync_cost({
-            "encoder": (tp_me * one, one, dp_me_c),
-            "llm": (tp_lm[cand_idx], pp_c, dp_lm[cand_idx]),
-            "generator": (tp_mg * one, one, dp_mg_c),
-        })
+        cost = breakdown.total + self._dp_sync_cost(
+            tp_lm[cand_idx], dp_lm[cand_idx], pp_c, dp_me_c, dp_mg_c,
+            tp_me, tp_mg,
+        )
         return (
             cost, cand_idx, tp_lm[cand_idx], dp_lm[cand_idx], pp_c,
             dp_me_c, dp_mg_c, convex_solutions,
@@ -682,19 +668,23 @@ class AdaptiveOrchestrator:
         return cached
 
     def _dp_sync_cost(
-        self, degrees: Dict[str, Tuple[np.ndarray, ...]]
+        self, tp_lm, dp_lm, pp_lm, dp_me, dp_mg, tp_me: int, tp_mg: int
     ) -> np.ndarray:
-        """Exposed gradient reduce-scatter + param allgather time.
-
-        ``degrees`` maps each module to its ``(tp, pp, dp)`` integer
-        arrays over a batch of plans (see :func:`_degrees`); the trained
+        """Exposed gradient reduce-scatter + param allgather time of each
+        plan, elementwise over integer arrays of its degrees; the trained
         modules' terms add up in encoder, llm, generator order.
 
         Not part of Eqs. 1-2 (the paper models DP communication as
         volume/bandwidth separately); added to the integer evaluation so
         extreme-DP configurations pay their synchronization bill.
         """
-        total = np.zeros(len(degrees["llm"][0]))
+        one = np.ones_like(pp_lm)
+        degrees = {
+            "encoder": (tp_me * one, one, dp_me),
+            "llm": (tp_lm, pp_lm, dp_lm),
+            "generator": (tp_mg * one, one, dp_mg),
+        }
+        total = np.zeros(len(pp_lm))
         for name in ("encoder", "llm", "generator"):
             if self.problem.frozen.trains(name):
                 columns = (d.tolist() for d in degrees[name])
