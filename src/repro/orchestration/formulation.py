@@ -93,7 +93,8 @@ def module_sample_time(
 
 @dataclass(frozen=True)
 class ObjectiveBreakdown:
-    """Evaluated objective for one (candidate, x, y, z) point."""
+    """Evaluated objective for one (candidate, x, y, z) point, or for
+    many at once with array fields (:func:`iteration_breakdown`)."""
 
     warmup: float
     steady: float
@@ -117,17 +118,8 @@ class ObjectiveBreakdown:
 
 
 def iteration_breakdown(
-    problem: OrchestrationProblem,
-    dp_lm,
-    width_lm,
-    tp_me,
-    tp_mg,
-    c_lm,
-    c_me,
-    c_mg,
-    x,
-    y,
-    z,
+    problem: OrchestrationProblem, dp_lm, width_lm, tp_me, tp_mg,
+    c_lm, c_me, c_mg, x, y, z,
 ) -> ObjectiveBreakdown:
     """Eqs. 1-2, elementwise over Python numbers or numpy arrays.
 
@@ -175,16 +167,12 @@ def objective(
     if min(x, y, z) <= 0:
         raise ValueError("resource variables must be positive")
     breakdown = iteration_breakdown(
-        problem,
-        candidate.dp_lm,
-        candidate.width_lm,
-        candidate.tp_me,
-        candidate.tp_mg,
+        problem, candidate.dp_lm, candidate.width_lm,
+        candidate.tp_me, candidate.tp_mg,
         module_sample_time(problem, "llm", candidate.tp_lm),
         module_sample_time(problem, "encoder", candidate.tp_me),
         module_sample_time(problem, "generator", candidate.tp_mg),
-        x,
-        y,
-        z,
+        x, y, z,
     )
+    # One point: every field a Python number, steady included.
     return replace(breakdown, steady=float(breakdown.steady))
