@@ -66,7 +66,7 @@ class MemoryModel:
         the stage pins simultaneously (its 1F1B warm-up depth; the first
         stage of a ``p``-deep pipeline pins ``p``).
         """
-        if np.any(np.less(in_flight, 1)):
+        if np.any(in_flight < 1):
             raise ValueError("in_flight must be >= 1")
         return activation_bytes / tp * in_flight
 
