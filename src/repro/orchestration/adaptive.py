@@ -786,20 +786,22 @@ class AdaptiveOrchestrator:
             # LLM's (the skewed image distribution makes individual
             # microbatches ~1.5-2x the mean, so leave generous headroom)
             # while still fitting in memory. Walk down one replica at a
-            # time: the steps that keep the stage fast form a prefix, whose
-            # memory is screened in one call; stop at the first failure.
-            steps = np.arange(plan.dp - 1, 0, -1)
-            fast = dp_lm * M * c / (steps * plan.pp) <= 0.6 * t_lm
-            kept = _leading_true(fast)
-            if kept:
-                steps = steps[:kept]
-                kept = _leading_true(self._memory_ok(
+            # time while the stage stays fast, then screen the memory of
+            # every step walked in one call; stop at the first failure.
+            dp = plan.dp
+            while dp > 1 and (
+                dp_lm * M * c / ((dp - 1) * plan.pp) <= 0.6 * t_lm
+            ):
+                dp -= 1
+            if dp < plan.dp:
+                steps = np.arange(plan.dp - 1, dp - 1, -1)
+                dp = plan.dp - _leading_true(self._memory_ok(
                     candidate.width_lm, dp_lm, llm.pp,
                     steps if name == "encoder" else plans["encoder"].dp,
                     steps if name == "generator" else plans["generator"].dp,
                     candidate.tp_me, candidate.tp_mg,
                 ))
-            trimmed[name] = plan.with_(dp=plan.dp - kept)
+            trimmed[name] = plan.with_(dp=dp)
         return trimmed
 
     def _refined_batch(
