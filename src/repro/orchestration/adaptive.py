@@ -641,8 +641,10 @@ class AdaptiveOrchestrator:
         module = problem.mllm.module(name)
         per_sample = problem.per_sample_workload(name)
         memo = self._activation_memo
-        shares = np.asarray(shares)
-        uniq, inverse = np.unique(shares, return_inverse=True)
+        # Distinct shares, ascending; cheaper than np.unique on the few
+        # rows a trim screens.
+        uniq = np.sort(shares, axis=None)
+        uniq = uniq[np.concatenate(([True], uniq[1:] != uniq[:-1]))]
         values = np.empty(len(uniq))
         for j, share in enumerate(uniq):
             key = (name, float(share))
@@ -653,7 +655,7 @@ class AdaptiveOrchestrator:
                 )
                 memo[key] = cached
             values[j] = cached
-        return values[inverse].reshape(shares.shape)
+        return values[np.searchsorted(uniq, shares)]
 
     def _dp_sync_term(self, name: str, tp: int, pp: int, dp: int) -> float:
         """One module's exposed DP sync cost, memoized (see
