@@ -88,11 +88,6 @@ def divisors(n: int) -> List[int]:
     return list(_divisors(n))
 
 
-def _leading_true(mask: np.ndarray) -> int:
-    """Length of ``mask``'s leading run of ``True``."""
-    return len(mask) if mask.all() else int(mask.argmin())
-
-
 @dataclass
 class OrchestrationResult:
     """Outcome of an orchestration run."""
@@ -797,12 +792,14 @@ class AdaptiveOrchestrator:
                 dp -= 1
             if dp < plan.dp:
                 steps = np.arange(plan.dp - 1, dp - 1, -1)
-                dp = plan.dp - _leading_true(self._memory_ok(
+                fits = self._memory_ok(
                     candidate.width_lm, dp_lm, llm.pp,
                     steps if name == "encoder" else plans["encoder"].dp,
                     steps if name == "generator" else plans["generator"].dp,
                     candidate.tp_me, candidate.tp_mg,
-                ))
+                )
+                kept = len(fits) if fits.all() else int(fits.argmin())
+                dp = plan.dp - kept
             trimmed[name] = plan.with_(dp=dp)
         return trimmed
 
