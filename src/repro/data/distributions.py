@@ -103,8 +103,10 @@ def sample_text_subsequence_tokens_batch(
     and per-call sampling produce the same dataset.
     """
     draws = rng.lognormal(config.text_mu, config.text_sigma, size=count)
-    tmax = config.text_max_tokens
-    return [min(max(int(value), 1), tmax) for value in draws]
+    # One clamp for the whole document: truncating the clipped float
+    # equals the scalar samplers' ``min(max(int(v), 1), max)`` on every
+    # finite draw.
+    return np.clip(draws, 1, config.text_max_tokens).astype(np.int64).tolist()
 
 
 def sample_image_side_pixels(

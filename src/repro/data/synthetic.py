@@ -22,7 +22,7 @@ from repro.data.distributions import (
     sample_text_subsequence_tokens,
     sample_text_subsequence_tokens_batch,
 )
-from repro.data.packing import pack_subsequences
+from repro.data.packing import SequencePacker
 from repro.data.sample import Subsequence, TrainingSample, text_subsequence
 
 
@@ -107,33 +107,25 @@ class SyntheticMultimodalDataset:
     def take(self, num_samples: int) -> List[TrainingSample]:
         """Generate the next ``num_samples`` packed training samples.
 
-        Packing starts afresh on every call, and the call drops the
-        documents still open when it returns (its partially filled tail,
-        and any complete sequences past ``num_samples``). The stream is
-        therefore a function of the call sizes as well as the seed:
-        ``take(100)`` followed by ``take(100)`` differs from
-        ``take(200)`` after its first 100 samples.
+        One greedy packer (:class:`~repro.data.packing.SequencePacker`)
+        packs the documents in a single pass until ``num_samples``
+        sequences are closed; sample ids stay dense and unique, since
+        the dataset's next id advances past every sequence closed, those
+        beyond ``num_samples`` included. Packing starts afresh on every
+        call, and the call drops what is still open when it returns (its
+        last sequence, partially or exactly full, and any complete
+        sequences past ``num_samples``). The stream is therefore a
+        function of the call sizes as well as the seed: ``take(100)``
+        followed by ``take(100)`` differs from ``take(200)`` after its
+        first 100 samples.
         """
         if num_samples < 1:
             raise ValueError("num_samples must be positive")
+        packer = SequencePacker(self.seq_len, self._next_sample_id)
         samples: List[TrainingSample] = []
-        pending: List[Subsequence] = []
         while len(samples) < num_samples:
-            pending.extend(self._raw_subsequences())
-            packed = pack_subsequences(
-                pending, self.seq_len, start_sample_id=self._next_sample_id
-            )
-            if len(packed) > 1:
-                # All but the trailing partially-filled sequence are
-                # complete; re-queue the tail's subsequences so this
-                # call drops nothing mid-batch and ids stay dense and
-                # unique.
-                complete, tail = packed[:-1], packed[-1]
-                samples.extend(complete)
-                self._next_sample_id += len(complete)
-                pending = list(tail.subsequences)
-            else:
-                pending = [sub for s in packed for sub in s.subsequences]
+            packer.feed(self._raw_subsequences(), samples)
+        self._next_sample_id = packer.next_id
         return samples[:num_samples]
 
     def global_batches(

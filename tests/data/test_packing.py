@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.data.packing import pack_subsequences
+from repro.data.packing import SequencePacker, pack_subsequences
 from repro.data.sample import Subsequence
 
 
@@ -76,3 +76,63 @@ def test_no_tokens_lost(subsequence_spec):
     # Subsequence order is preserved.
     flat = [sub.tokens for s in samples for sub in s.subsequences]
     assert flat == [s.tokens for s in subs]
+
+
+class TestSequencePacker:
+    def test_exact_fill_stays_open_until_next_subsequence(self):
+        """An exactly full sequence closes only when the next
+        subsequence arrives (or on ``close``), never on the fill."""
+        packer = SequencePacker(seq_len=10, start_sample_id=3)
+        out = []
+        packer.feed([text(4), text(6)], out)
+        assert out == []
+        packer.feed([text(0)], out)
+        assert [(s.sample_id, s.total_tokens) for s in out] == [(3, 10)]
+        packer.close(out)
+        assert [(s.sample_id, s.total_tokens) for s in out] == [
+            (3, 10), (4, 0)
+        ]
+        assert packer.next_id == 5
+
+    def test_close_on_empty_packer_emits_nothing(self):
+        packer = SequencePacker(seq_len=10)
+        out = []
+        packer.close(out)
+        packer.feed([], out)
+        packer.close(out)
+        assert out == [] and packer.next_id == 0
+
+    def test_invalid_seq_len(self):
+        with pytest.raises(ValueError):
+            SequencePacker(seq_len=0)
+
+
+subsequences = st.builds(
+    Subsequence,
+    st.sampled_from(["text", "image", "audio"]),
+    # Zero-token spans, and spans longer than any seq_len drawn below.
+    st.one_of(st.just(0), st.integers(min_value=0, max_value=200)),
+    raw_bytes=st.integers(min_value=0, max_value=10_000),
+    pixels=st.integers(min_value=0, max_value=50_000),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    stream=st.lists(subsequences, max_size=40),
+    cuts=st.lists(st.integers(min_value=0, max_value=40), max_size=8),
+    seq_len=st.integers(min_value=1, max_value=64),
+    start=st.integers(min_value=0, max_value=1000),
+)
+def test_chunked_feed_then_close_equals_one_shot(stream, cuts, seq_len, start):
+    """Feeding a stream in arbitrary chunks and then closing the packer
+    packs it exactly as ``pack_subsequences`` on the whole stream."""
+    packer = SequencePacker(seq_len, start)
+    out = []
+    lo = 0
+    for hi in sorted(min(cut, len(stream)) for cut in cuts) + [len(stream)]:
+        packer.feed(stream[lo:hi], out)
+        lo = hi
+    packer.close(out)
+    assert out == pack_subsequences(stream, seq_len, start)
+    assert packer.next_id == start + len(out)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.data.sample import TrainingSample
 from repro.data.stats import DatasetStatistics
 from repro.data.synthetic import SyntheticMultimodalDataset
 
@@ -59,6 +60,22 @@ class TestDeterminism:
         whole = SyntheticMultimodalDataset(seed=0).take(200)
         assert split[:100] == whole[:100]
         assert split != whole
+
+    def test_one_packing_pass(self, monkeypatch):
+        """``take`` builds each sequence it closes once, under the id it
+        keeps: no tail is re-packed into a fresh sample."""
+        built = []
+        post_init = TrainingSample.__post_init__
+
+        def counting(sample):
+            built.append(sample.sample_id)
+            post_init(sample)
+
+        monkeypatch.setattr(TrainingSample, "__post_init__", counting)
+        ds = SyntheticMultimodalDataset(seed=0)
+        ds.take(64)
+        ds.take(64)
+        assert built == list(range(ds._next_sample_id))
 
 
 class TestHeterogeneity:
