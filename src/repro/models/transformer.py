@@ -67,6 +67,16 @@ class TransformerConfig:
                 f"num_heads={self.num_heads} not divisible by "
                 f"num_query_groups={groups}"
             )
+        # The config is frozen, so its per-layer GEMM FLOPs are fixed:
+        # derive them once here, not on every FLOP call. Not a field,
+        # so equality and config hashes never see it.
+        object.__setattr__(
+            self,
+            "_matmul_flops_per_token_per_layer",
+            2.0 * (
+                self.attention_params_per_layer() + self.mlp_params_per_layer()
+            ),
+        )
 
     @property
     def groups(self) -> int:
@@ -122,9 +132,7 @@ class TransformerConfig:
     # ------------------------------------------------------------------ #
     def matmul_flops_per_token_per_layer(self) -> float:
         """GEMM FLOPs per token in one layer (projections + MLP)."""
-        return 2.0 * (
-            self.attention_params_per_layer() + self.mlp_params_per_layer()
-        )
+        return self._matmul_flops_per_token_per_layer
 
     def attention_score_flops_per_token_per_layer(self, seq_len: int) -> float:
         """Score-matrix FLOPs (QK^T and attention-weighted V) per token."""

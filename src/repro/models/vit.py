@@ -40,6 +40,10 @@ class ViTSpec(ModuleSpec):
             raise ValueError("ViTSpec requires a TransformerConfig")
         if self.patch_size <= 0:
             raise ValueError("patch_size must be positive")
+        # Per-token patch-embedding FLOPs, fixed for a frozen spec.
+        object.__setattr__(self, "_patch_embed_flops", 2.0 * (
+            self.in_channels * self.patch_size**2 * self.config.hidden_size
+        ))
 
     # ModuleSpec interface ------------------------------------------------
     def param_count(self) -> int:
@@ -56,11 +60,8 @@ class ViTSpec(ModuleSpec):
         per_token += self.config.attention_score_flops_per_token_per_layer(
             tokens_per_image
         )
-        patch_embed = 2.0 * (
-            self.in_channels * self.patch_size**2 * self.config.hidden_size
-        )
         return workload.image_tokens * (
-            self.config.num_layers * per_token + patch_embed
+            self.config.num_layers * per_token + self._patch_embed_flops
         )
 
     def activation_bytes(self, workload: ModuleWorkload) -> float:

@@ -1,5 +1,7 @@
 """Tests for shared transformer arithmetic."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -76,6 +78,20 @@ class TestFlops:
         assert cfg.matmul_flops_per_token_per_layer() == pytest.approx(
             2.0 * per_layer_params
         )
+
+    def test_matmul_flops_memo_is_not_a_field(self):
+        """The per-config constant is derived once at construction, from
+        the same expression, and stays out of equality and hashing."""
+        cfg = small_config(num_query_groups=2)
+        assert cfg.matmul_flops_per_token_per_layer() == 2.0 * (
+            cfg.attention_params_per_layer() + cfg.mlp_params_per_layer()
+        )
+        wider = dataclasses.replace(cfg, ffn_hidden_size=512)
+        assert wider.matmul_flops_per_token_per_layer() == 2.0 * (
+            wider.attention_params_per_layer() + wider.mlp_params_per_layer()
+        )
+        assert dataclasses.replace(cfg) == cfg
+        assert hash(dataclasses.replace(cfg)) == hash(cfg)
 
     def test_causal_halves_attention_scores(self):
         causal = small_config(causal=True)
