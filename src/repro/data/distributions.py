@@ -13,7 +13,8 @@ clipped log-normals calibrated to the figure's supports:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import List
 
 import numpy as np
@@ -72,6 +73,41 @@ class DataDistributionConfig:
     audio_seconds_sigma: float = 0.7
     audio_max_seconds: float = 30.0
     audio_tokens_per_second: int = 50
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+            low = _MINIMUM.get(f.name)
+            if low is not None and value < low:
+                raise ValueError(f"{f.name} must be >= {low}, got {value!r}")
+        for name in ("text_heavy_fraction", "audio_fraction"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+        if self.image_min_side > self.image_max_side:
+            raise ValueError(
+                f"image_min_side={self.image_min_side} exceeds "
+                f"image_max_side={self.image_max_side}"
+            )
+
+
+#: Lower bounds of the fields that have one (every field must also be
+#: finite, and the two fractions lie in [0, 1]).
+_MINIMUM = {
+    "text_sigma": 0,
+    "image_side_sigma": 0,
+    "images_sigma": 0,
+    "text_heavy_spans_sigma": 0,
+    "audio_seconds_sigma": 0,
+    "jpeg_bytes_per_pixel": 0,
+    "decoded_bytes_per_pixel": 0,
+    "max_images": 0,
+    "text_max_tokens": 1,
+    "patch_size": 1,
+    "audio_tokens_per_second": 1,
+}
 
 
 LAION_400M_LIKE = DataDistributionConfig()

@@ -77,3 +77,44 @@ class TestCustomConfig:
         )
         values = draws(sample_image_subsequence_tokens, config=config, n=100)
         assert np.all(values == 256)
+
+
+class TestConfigValidation:
+    """A malformed config fails at construction with a ValueError that
+    names the field, not deep inside (or silently through) the draw."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("text_mu", float("nan")),
+        ("image_side_sigma", float("inf")),
+        ("audio_max_seconds", float("-inf")),
+        ("text_sigma", -0.1),
+        ("images_sigma", -1.0),
+        ("text_heavy_spans_sigma", -2.0),
+        ("audio_seconds_sigma", -0.5),
+        ("text_heavy_fraction", 2.0),
+        ("text_heavy_fraction", -0.1),
+        ("audio_fraction", 1.5),
+        ("text_max_tokens", 0),
+        ("patch_size", 0),
+        ("audio_tokens_per_second", 0),
+        ("max_images", -3),
+        ("jpeg_bytes_per_pixel", -0.5),
+        ("decoded_bytes_per_pixel", -3.0),
+    ])
+    def test_rejects_bad_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            DataDistributionConfig(**{field: value})
+
+    def test_rejects_min_side_above_max_side(self):
+        with pytest.raises(ValueError, match="image_min_side"):
+            DataDistributionConfig(image_min_side=512, image_max_side=256)
+
+    @pytest.mark.parametrize("kwargs", [
+        {},
+        {"audio_fraction": 0.5},
+        {"audio_fraction": 1.0, "text_heavy_fraction": 0.0},
+        {"image_min_side": 256, "image_max_side": 256},
+        {"text_sigma": 0.0, "max_images": 0, "jpeg_bytes_per_pixel": 0.0},
+    ])
+    def test_accepts_shipped_and_boundary_configs(self, kwargs):
+        DataDistributionConfig(**kwargs)
