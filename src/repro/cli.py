@@ -237,6 +237,19 @@ def cmd_data_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """An ``int`` flag value of at least 1 (argparse reports the rest)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _parse_filter(text: str):
     """``key=value`` with value coerced to int/float/bool when possible."""
     if "=" not in text:
@@ -1005,7 +1018,7 @@ def build_parser() -> argparse.ArgumentParser:
     data_parser = subparsers.add_parser(
         "data-stats", help="characterize the synthetic data stream"
     )
-    data_parser.add_argument("--samples", type=int, default=500)
+    data_parser.add_argument("--samples", type=_positive_int, default=500)
     data_parser.add_argument("--seed", type=int, default=0)
     data_parser.set_defaults(fn=cmd_data_stats)
 

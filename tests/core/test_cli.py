@@ -61,6 +61,21 @@ class TestCommands:
         assert code == 0
         assert "cv_image_tokens" in out
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_data_stats_rejects_non_positive_samples(self, capsys, samples):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["data-stats", "--samples", samples])
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2
+        assert "repro data-stats: error: argument --samples: must be >= 1" \
+            in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_data_stats_accepts_small_sample_count(self, capsys):
+        assert main(["data-stats", "--samples", "5"]) == 0
+        assert "5 samples" in capsys.readouterr().out
+
     @pytest.mark.parametrize("command", ["plan", "simulate", "compare"])
     @pytest.mark.parametrize("flags, message", [
         (["--model", "mllm-9b", "--gpus", "48", "--gbs", "0"],
