@@ -10,6 +10,7 @@ from repro.data.distributions import (
     sample_image_side_pixels,
     sample_image_subsequence_tokens,
     sample_text_subsequence_tokens,
+    sample_text_subsequence_tokens_batch,
 )
 
 
@@ -28,6 +29,31 @@ class TestTextSizes:
         values = draws(sample_text_subsequence_tokens)
         assert np.median(values) < values.mean() * 1.2
         assert values.std() > 10
+
+
+class TestTextBatch:
+    @pytest.mark.parametrize("text_mu, text_max_tokens", [
+        (3.4, 128),  # the default: clamps long spans
+        (0.0, 128),  # most draws below one token
+        (3.4, 30),   # most draws above the clip
+    ])
+    def test_batch_equals_scalar_loop(self, text_mu, text_max_tokens):
+        """The one-clip batch draw equals per-span scalar draws (the
+        ``min(max(int(v), 1), max)`` reference) and leaves the RNG in
+        the same state."""
+        config = DataDistributionConfig(
+            text_mu=text_mu, text_max_tokens=text_max_tokens
+        )
+        batch_rng = np.random.default_rng(3)
+        loop_rng = np.random.default_rng(3)
+        batch = sample_text_subsequence_tokens_batch(batch_rng, 5000, config)
+        loop = [
+            sample_text_subsequence_tokens(loop_rng, config)
+            for _ in range(5000)
+        ]
+        assert batch == loop
+        assert {type(t) for t in batch} == {int}
+        assert batch_rng.bit_generator.state == loop_rng.bit_generator.state
 
 
 class TestImageSizes:
