@@ -238,7 +238,7 @@ def cmd_data_stats(args: argparse.Namespace) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """An ``int`` flag value of at least 1 (argparse reports the rest)."""
+    """Parse a flag value that must be an integer of at least 1."""
     try:
         value = int(text)
     except ValueError:

@@ -24,6 +24,23 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 
+#: Lower bounds of the fields that have one (every field must also be
+#: finite, and the two fractions lie in [0, 1]).
+_MINIMUM = {
+    "text_sigma": 0,
+    "image_side_sigma": 0,
+    "images_sigma": 0,
+    "text_heavy_spans_sigma": 0,
+    "audio_seconds_sigma": 0,
+    "jpeg_bytes_per_pixel": 0,
+    "decoded_bytes_per_pixel": 0,
+    "max_images": 0,
+    "text_max_tokens": 1,
+    "patch_size": 1,
+    "audio_tokens_per_second": 1,
+}
+
+
 @dataclass(frozen=True)
 class DataDistributionConfig:
     """Parameters of the synthetic multimodal data sampler.
@@ -91,23 +108,6 @@ class DataDistributionConfig:
                 f"image_min_side={self.image_min_side} exceeds "
                 f"image_max_side={self.image_max_side}"
             )
-
-
-#: Lower bounds of the fields that have one (every field must also be
-#: finite, and the two fractions lie in [0, 1]).
-_MINIMUM = {
-    "text_sigma": 0,
-    "image_side_sigma": 0,
-    "images_sigma": 0,
-    "text_heavy_spans_sigma": 0,
-    "audio_seconds_sigma": 0,
-    "jpeg_bytes_per_pixel": 0,
-    "decoded_bytes_per_pixel": 0,
-    "max_images": 0,
-    "text_max_tokens": 1,
-    "patch_size": 1,
-    "audio_tokens_per_second": 1,
-}
 
 
 LAION_400M_LIKE = DataDistributionConfig()

@@ -2,18 +2,16 @@
 
 Interleaves text and image subsequences into fixed-length training
 sequences (8192 tokens in the paper). Packing is greedy, and one packer,
-:class:`SequencePacker`, does all of it: subsequences are appended to
-the open sequence until the next one would overflow it; oversized
+:class:`SequencePacker`, does all of it. It appends subsequences to its
+open sequence and carries that sequence across ``feed`` calls, so a
+stream can be packed document by document in one pass. The open
+sequence closes when the next subsequence arrives and the sequence is
+already exactly full or the subsequence would overflow it, so an exactly
+full sequence stays open until then (or until ``close``). Oversized
 subsequences that cannot fit into an empty sequence are truncated to the
 sequence budget (mirroring production preprocessing, which re-tiles huge
-images).
-
-The packer carries its open sequence across :meth:`SequencePacker.feed`
-calls, so a stream can be packed document by document in one pass. An
-exactly full sequence stays open until the next subsequence arrives (or
-:meth:`SequencePacker.close`): a stream that stops on an exact fill
-leaves that sequence open, just as one that stops mid-sequence does.
-:func:`pack_subsequences` is one ``feed`` followed by ``close``.
+images). :func:`pack_subsequences` is one ``feed`` followed by
+``close``.
 """
 
 from __future__ import annotations
@@ -45,9 +43,7 @@ class SequencePacker:
         self, subsequences: Iterable[Subsequence], out: List[TrainingSample]
     ) -> None:
         """Pack ``subsequences`` in order, appending every sequence this
-        closes to ``out``. The open sequence is closed when the next
-        subsequence arrives and the sequence is already exactly full or
-        the subsequence would overflow it."""
+        closes to ``out``."""
         seq_len = self.seq_len
         current, used = self._open, self._used
         for sub in subsequences:

@@ -107,17 +107,17 @@ class SyntheticMultimodalDataset:
     def take(self, num_samples: int) -> List[TrainingSample]:
         """Generate the next ``num_samples`` packed training samples.
 
-        One greedy packer (:class:`~repro.data.packing.SequencePacker`)
-        packs the documents in a single pass until ``num_samples``
-        sequences are closed; sample ids stay dense and unique, since
-        the dataset's next id advances past every sequence closed, those
-        beyond ``num_samples`` included. Packing starts afresh on every
-        call, and the call drops what is still open when it returns (its
-        last sequence, partially or exactly full, and any complete
-        sequences past ``num_samples``). The stream is therefore a
-        function of the call sizes as well as the seed: ``take(100)``
-        followed by ``take(100)`` differs from ``take(200)`` after its
-        first 100 samples.
+        One :class:`~repro.data.packing.SequencePacker` packs documents
+        in a single pass until ``num_samples`` sequences have closed.
+        The dataset's next sample id advances past every closed
+        sequence, those beyond ``num_samples`` included, so ids stay
+        unique. Packing starts afresh on every call, and the call drops
+        what is still open when it returns (its last sequence, partially
+        or exactly full) along with any complete sequences past
+        ``num_samples``. The stream is therefore a function of the call
+        sizes as well as the seed: ``take(100)`` followed by
+        ``take(100)`` differs from ``take(200)`` after its first 100
+        samples.
         """
         if num_samples < 1:
             raise ValueError("num_samples must be positive")
