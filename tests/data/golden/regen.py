@@ -38,7 +38,7 @@ from repro.data.distributions import LAION_400M_LIKE, DataDistributionConfig
 from repro.data.sample import TrainingSample
 from repro.data.synthetic import SyntheticMultimodalDataset
 
-from tests.scenarios.golden.regen import sync_fixtures
+from tests.scenarios.golden.regen import fixture_text, sync_fixtures
 
 GOLDEN_DIR = Path(__file__).resolve().parent
 FIXTURE = GOLDEN_DIR / "stream.json"
@@ -119,13 +119,6 @@ def case_rows(
 
 def rows() -> List[Dict[str, Any]]:
     return [row for case in cases() for row in case_rows(*case)]
-
-
-def fixture_text(fixture_rows: List[Dict[str, Any]]) -> str:
-    lines = ",\n".join(
-        json.dumps(row, sort_keys=True) for row in fixture_rows
-    )
-    return f"[\n{lines}\n]\n"
 
 
 def main(argv=None) -> int:

@@ -26,7 +26,6 @@ so a unified diff names exactly the cases that moved.
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -45,7 +44,7 @@ from repro.orchestration.baselines import (
 from repro.orchestration.problem import OrchestrationProblem
 from repro.runtime.frozen import FROZEN_PRESETS
 
-from tests.scenarios.golden.regen import sync_fixtures
+from tests.scenarios.golden.regen import fixture_text, sync_fixtures
 
 GOLDEN_DIR = Path(__file__).resolve().parent
 FIXTURE = GOLDEN_DIR / "plans.json"
@@ -141,13 +140,6 @@ def case_row(case_id: str, config: DistTrainConfig, ep: int) -> Dict[str, Any]:
 
 def rows() -> List[Dict[str, Any]]:
     return [case_row(*case) for case in cases()]
-
-
-def fixture_text(fixture_rows: List[Dict[str, Any]]) -> str:
-    lines = ",\n".join(
-        json.dumps(row, sort_keys=True) for row in fixture_rows
-    )
-    return f"[\n{lines}\n]\n"
 
 
 def main(argv=None) -> int:

@@ -201,6 +201,15 @@ def all_fixtures():
 DIFF_LINES = 20
 
 
+def fixture_text(fixture_rows) -> str:
+    """A JSON list with one sorted-key row per line, so a unified diff
+    names exactly the rows that moved."""
+    lines = ",\n".join(
+        json.dumps(row, sort_keys=True) for row in fixture_rows
+    )
+    return f"[\n{lines}\n]\n"
+
+
 def sync_fixtures(pairs, check: bool, module: str) -> int:
     """Write every ``(path, text)`` pair, or with ``check`` compare each
     to the file on disk and print the head of a unified diff under each
