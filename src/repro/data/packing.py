@@ -31,7 +31,7 @@ class SequencePacker:
 
     __slots__ = ("seq_len", "next_id", "_open", "_used")
 
-    def __init__(self, seq_len: int = 8192, start_sample_id: int = 0) -> None:
+    def __init__(self, seq_len: int, start_sample_id: int = 0) -> None:
         if seq_len < 1:
             raise ValueError("seq_len must be positive")
         self.seq_len = seq_len

@@ -94,18 +94,6 @@ class TestSequencePacker:
         ]
         assert packer.next_id == 5
 
-    def test_close_on_empty_packer_emits_nothing(self):
-        packer = SequencePacker(seq_len=10)
-        out = []
-        packer.close(out)
-        packer.feed([], out)
-        packer.close(out)
-        assert out == [] and packer.next_id == 0
-
-    def test_invalid_seq_len(self):
-        with pytest.raises(ValueError):
-            SequencePacker(seq_len=0)
-
 
 subsequences = st.builds(
     Subsequence,
