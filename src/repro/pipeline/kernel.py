@@ -47,8 +47,10 @@ from repro.pipeline.schedules import ScheduleKind, schedule_order
 from repro.pipeline.trace import OpRecord, PipelineTrace
 
 #: Distinct shapes kept compiled. Inter-microbatch reordering evaluates
-#: one shape per placed-prefix length, so a campaign touches O(l) shapes
-#: per pipeline; 1024 covers every realistic sweep without growing
+#: one shape per placed-prefix length only while some rank's interval is
+#: still open (every length at vpp > 1; at vpp = 1 usually just the
+#: first and the p-th), so a campaign touches at most O(l) shapes per
+#: pipeline; 1024 covers every realistic sweep without growing
 #: unboundedly.
 KERNEL_CACHE_SIZE = 1024
 
@@ -643,8 +645,10 @@ class SimulatorKernel:
 
     def first_stage_gap(
         self, start: np.ndarray, end: np.ndarray
-    ) -> float:
-        """Length of the first idle window at stage 0, or 0.0.
+    ) -> Tuple[float, Optional[int]]:
+        """The first idle window at stage 0: its length and the stage-0
+        index (in schedule order) of the op that ends it, or
+        ``(0.0, None)`` when stage 0 never idles.
 
         Matches ``PipelineTrace.stage_idle_gaps(0)``: stage-0 ops sorted
         by (start, end), gaps wider than 1e-12 count.
@@ -657,9 +661,9 @@ class SimulatorKernel:
         s, e = s[sorted_rows], e[sorted_rows]
         gaps = np.flatnonzero(s[1:] > e[:-1] + 1e-12)
         if not len(gaps):
-            return 0.0
+            return 0.0, None
         g = gaps[0]
-        return float(s[g + 1] - e[g])
+        return float(s[g + 1] - e[g]), int(sorted_rows[g + 1])
 
     def bubble_fraction(self, start: np.ndarray, end: np.ndarray) -> float:
         """Mean idle fraction across stages, without building a trace.

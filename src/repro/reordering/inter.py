@@ -20,13 +20,30 @@ recurrence (we reuse the cycle-accurate simulator on the placed prefix —
 the same recursion the paper implements as an ``O(p)`` dynamic program)
 and reports the first unfilled idle window at stage 0.
 
+A rank's interval is *final* once no longer prefix can move it; it is
+then reused instead of re-priced. With ``vpp = 1`` and ``k >= p - 1``
+placed microbatches the prefix runs plain 1F1B: stage ``s`` runs
+``p - s - 1`` warm-up forwards, then ``k - p + s + 1`` forward/backward
+pairs, then ``p - s - 1`` drain backwards. Call everything before a
+stage's drain its *body*; on stage 0 that is the first ``2k - p + 1``
+ops. Appending a microbatch inserts one forward/backward pair before
+each stage's drain and changes nothing earlier. Every predecessor of a
+body op is a body op, whose duration and delay do not change either,
+and the kernel computes an op's end from exactly those inputs, so every
+body op keeps its start and end, bit for bit, in every longer prefix.
+So when stage 0's first gap lies between two body ops, every longer
+prefix returns the same gap. A gap that ends at a drain op, no gap at
+all, ``k < p - 1`` and ``vpp > 1`` (whose prefixes alternate between
+interleaved and 1F1B kernels) keep the rank open.
+
 All DP ranks of an iteration share the pipeline shape ``(l, p, vpp)``,
 and Algorithm 2 places the same number of microbatches at each step on
 every rank. :func:`reorder_ranks` therefore runs the construction for
-all ranks in lockstep: one batched kernel sweep per step prices every
-rank's placed prefix, and one more prices every rank's portfolio guard.
-The kernel reduces the rows of a sweep independently, so each rank gets
-exactly the order it would get alone.
+all ranks in lockstep: one batched kernel sweep per step prices the
+placed prefixes of the ranks still open (a step with none open only
+selects), and one more prices every rank's portfolio guard. The kernel
+reduces the rows of a sweep independently, so each rank gets exactly
+the order it would get alone.
 
 Reordering permutes microbatches within one DP rank's local batch only,
 preserving convergence semantics (gradient accumulation commutes).
@@ -217,13 +234,30 @@ def _construct(
         rears.append(rear)
 
     # Lines 5-11: fill intervals. Every rank places the same count at
-    # each step, so one sweep prices all placed prefixes.
+    # each step, so one sweep prices the placed prefixes of the ranks
+    # whose interval is still open; the others reuse their final one.
+    intervals = [0.0] * num_ranks
+    open_ranks = list(range(num_ranks))
     count = min(p - 1, len(remaining[0]))
     while remaining[0]:
-        kernel, start, end = _sweep(fwd, bwd, comm, placed, vpp)
+        if open_ranks:
+            k = len(placed[0])
+            # Stage 0's body (see the module docstring).
+            body = 2 * k - p + 1 if vpp == 1 and k >= p - 1 else 0
+            kernel, start, end = _sweep(
+                fwd[open_ranks], bwd[open_ranks], comm[open_ranks],
+                [placed[r] for r in open_ranks], vpp,
+            )
+            still_open = []
+            for row, r in enumerate(open_ranks):
+                intervals[r], ends_at = kernel.first_stage_gap(
+                    start[row], end[row]
+                )
+                if ends_at is None or ends_at >= body:
+                    still_open.append(r)
+            open_ranks = still_open
         for r, size in enumerate(sizes):
-            interval = kernel.first_stage_gap(start[r], end[r])
-            chosen = _select_closest(remaining[r], count, interval, size)
+            chosen = _select_closest(remaining[r], count, intervals[r], size)
             placed[r].extend(chosen)
             for j in chosen:
                 remaining[r].remove(j)

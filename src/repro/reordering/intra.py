@@ -8,12 +8,21 @@ problem, so the paper uses the classic greedy longest-processing-time
 ``INTRAREORDER`` sorts the global batch's samples by size (descending),
 assigns each to the currently lightest DP group, and returns the groups
 concatenated — DP group ``j`` then reads the ``j``-th contiguous block of
-the reordered global batch. Complexity ``O(n log n + m n)`` as stated in
-the paper (the arg-min is a linear scan over ``m`` groups).
+the reordered global batch.
+
+The paper states ``O(n log n + m n)``, its arg-min being a linear scan
+over the ``m`` groups. Here each sample's size is taken once and the
+lightest group comes off a heap of ``(load, group)`` pairs, so the
+assignment costs ``O(n log m)``. Tuples compare the load first and the
+group index second, so among equally light groups the heap yields the
+lowest index, which is the group the linear scan returns. Each load is
+still a running ``+=`` from 0.0 in append order, so the groups and loads
+are identical.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import numbers
 from typing import Callable, List, Sequence, Tuple, TypeVar
@@ -44,23 +53,28 @@ def lpt_partition(
     Lines 2-8 of Algorithm 1: sort descending by size, then repeatedly
     assign the next sample to the group with the smallest current load.
     """
-    return _lpt(samples, num_groups, size)[0]
+    groups, _, _ = _lpt(samples, num_groups, size)
+    return [[samples[i] for i in group] for group in groups]
 
 
 def _lpt(
     samples: Sequence[T], num_groups: int, size: SizeFn
-) -> Tuple[List[List[T]], List[float]]:
-    """:func:`lpt_partition`'s groups, and each group's load: a running
-    ``+=`` from 0.0 over its samples in append order."""
+) -> Tuple[List[List[int]], List[float], List[float]]:
+    """:func:`lpt_partition` over sample indices: each group's indices
+    in append order, each group's load (a running ``+=`` from 0.0 over
+    its samples in append order), and every sample's size."""
     _check_groups(num_groups)
-    sorted_samples = sorted(samples, key=size, reverse=True)
-    groups: List[List[T]] = [[] for _ in range(num_groups)]
+    sizes = [size(sample) for sample in samples]
+    groups: List[List[int]] = [[] for _ in range(num_groups)]
+    heap = [(0.0, g) for g in range(num_groups)]
+    for i in sorted(range(len(sizes)), key=sizes.__getitem__, reverse=True):
+        load, g = heap[0]
+        groups[g].append(i)
+        heapq.heapreplace(heap, (load + sizes[i], g))
     loads = [0.0] * num_groups
-    for sample in sorted_samples:
-        min_index = min(range(num_groups), key=loads.__getitem__)
-        groups[min_index].append(sample)
-        loads[min_index] += size(sample)
-    return groups, loads
+    for load, g in heap:
+        loads[g] = load
+    return groups, loads, sizes
 
 
 def _check_groups(num_groups: int) -> None:
@@ -83,7 +97,7 @@ def intra_reorder(
             f"{len(samples)} samples do not split evenly into "
             f"{num_groups} DP groups"
         )
-    groups, loads = _lpt(samples, num_groups, size)
+    groups, loads, sizes = _lpt(samples, num_groups, size)
     # LPT leaves groups with unequal cardinality; DP groups must receive
     # equal sample counts. Rebalance by moving the smallest samples of
     # overfull groups into the lightest underfull group with room
@@ -95,7 +109,7 @@ def intra_reorder(
     overfull = [g for g in groups if len(g) > per_group]
     underfull = [i for i, g in enumerate(groups) if len(g) < per_group]
     for group in overfull:
-        group.sort(key=size, reverse=True)
+        group.sort(key=sizes.__getitem__, reverse=True)
         while len(group) > per_group:
             moved = group.pop()  # smallest
             target = min(
@@ -103,11 +117,8 @@ def intra_reorder(
                 key=loads.__getitem__,
             )
             groups[target].append(moved)
-            loads[target] += size(moved)
-    result: List[T] = []
-    for group in groups:
-        result.extend(group)
-    return result
+            loads[target] += sizes[moved]
+    return [samples[i] for group in groups for i in group]
 
 
 def partition_makespan(

@@ -130,7 +130,15 @@ def test_traceless_fast_paths_match_trace(instance):
     assert kernel.bubble_fraction(start, end) == trace.bubble_fraction()
     gaps = trace.stage_idle_gaps(0)
     expected = (gaps[0][1] - gaps[0][0]) if gaps else 0.0
-    assert kernel.first_stage_gap(start, end) == expected
+    records = trace.stage_records(0)
+    closing = next(
+        (nxt for prev, nxt in zip(records, records[1:])
+         if nxt.start > prev.end + 1e-12),
+        None,
+    )
+    # Stage 0's ops lead the kernel's stage-major op order.
+    ends_at = None if closing is None else kernel.ops.index(closing.op)
+    assert kernel.first_stage_gap(start, end) == (expected, ends_at)
 
 
 def test_kernel_cache_reuses_shapes():
