@@ -140,11 +140,21 @@ class InterReorderer:
         return [items[j] for j in self.reorder()]
 
     def evaluate(self, order: Sequence[int]) -> float:
-        """Pipeline makespan of executing microbatches in ``order``."""
+        """Pipeline makespan of executing microbatches in ``order``.
+
+        Raises:
+            ValueError: ``order`` is not a permutation of ``range(l)``.
+        """
         costs = self.costs
+        order = list(order)
+        l = costs.num_microbatches
+        if sorted(order) != list(range(l)):
+            raise ValueError(
+                f"order must be a permutation of range({l}), got {order}"
+            )
         kernel, _, end = _sweep(
             costs.fwd[None], costs.bwd[None], np.array([costs.comm]),
-            [list(order)], self.vpp,
+            [order], self.vpp,
         )
         return kernel.makespan(end[0])
 

@@ -98,6 +98,29 @@ class TestReorder:
             InterReorderer(heterogeneous_costs(), vpp=0)
 
 
+class TestEvaluate:
+    def test_permutation_priced(self):
+        reorderer = InterReorderer(MicrobatchCostModel(
+            np.ones((6, 3)), 2.0 * np.ones((6, 3))
+        ))
+        assert reorderer.evaluate(range(6)) == 24.0
+        assert reorderer.evaluate([5, 4, 3, 2, 1, 0]) == 24.0
+
+    @pytest.mark.parametrize("order", [
+        [0, 1],                # a 2-microbatch prefix priced 12.0
+        [0] * 6,               # repeats priced 24.0
+        [0, 1, 2, 3, 4, -1],   # negative index priced 24.0
+        list(range(7)),        # out of range raised IndexError
+        [],
+    ])
+    def test_non_permutation_rejected(self, order):
+        reorderer = InterReorderer(MicrobatchCostModel(
+            np.ones((6, 3)), 2.0 * np.ones((6, 3))
+        ))
+        with pytest.raises(ValueError, match="permutation"):
+            reorderer.evaluate(order)
+
+
 class TestEffectiveness:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_no_worse_than_descending_order(self, seed):
