@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import numbers
 from typing import Callable, List, Sequence, Tuple, TypeVar
 
@@ -52,6 +53,9 @@ def lpt_partition(
 
     Lines 2-8 of Algorithm 1: sort descending by size, then repeatedly
     assign the next sample to the group with the smallest current load.
+
+    Raises:
+        ValueError: ``num_groups < 1``, or a sample's size is not finite.
     """
     groups, _, _ = _lpt(samples, num_groups, size)
     return [[samples[i] for i in group] for group in groups]
@@ -65,6 +69,9 @@ def _lpt(
     its samples in append order), and every sample's size."""
     _check_groups(num_groups)
     sizes = [size(sample) for sample in samples]
+    for i, value in enumerate(sizes):
+        if not math.isfinite(value):
+            raise ValueError(f"sample {i} has a non-finite size {value!r}")
     groups: List[List[int]] = [[] for _ in range(num_groups)]
     heap = [(0.0, g) for g in range(num_groups)]
     for i in sorted(range(len(sizes)), key=sizes.__getitem__, reverse=True):
@@ -90,6 +97,10 @@ def intra_reorder(
     Returns the reordered flat sample list (lines 9-11: groups
     concatenated). The result is a permutation of the input — gradient
     accumulation is commutative, so convergence semantics are preserved.
+
+    Raises:
+        ValueError: ``num_groups < 1``, the samples do not split evenly
+            into ``num_groups`` groups, or a sample's size is not finite.
     """
     _check_groups(num_groups)
     if len(samples) % num_groups != 0:

@@ -56,6 +56,19 @@ class TestLPT:
         groups = lpt_partition([1.0] * 12, 4)
         assert partition_makespan(groups) == 3.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_size_rejected(self, bad):
+        sizes = [3.0, bad, 1.0, 2.0]
+        with pytest.raises(ValueError, match="sample 1 .*finite"):
+            lpt_partition(sizes, 2)
+        with pytest.raises(ValueError, match="sample 1 .*finite"):
+            intra_reorder(sizes, 2)
+
+    def test_non_finite_size_function_rejected(self):
+        samples = [_Item(2.0), _Item(1.0), _Item(float("nan"))]
+        with pytest.raises(ValueError, match="sample 2 "):
+            lpt_partition(samples, 3, size=lambda item: item.size)
+
 
 class TestIntraReorder:
     def test_permutation_invariant(self):
