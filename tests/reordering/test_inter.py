@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.pipeline.kernel import get_kernel
+from repro.pipeline.schedules import ScheduleKind
 from repro.reordering.baselines import random_order, sorted_order
 from repro.reordering.inter import (
     InterReorderer,
     MicrobatchCostModel,
+    _select_closest,
     reorder_ranks,
 )
 
@@ -265,3 +268,147 @@ class TestLockstep:
         with pytest.raises(ValueError):
             reorder_ranks([heterogeneous_costs()], vpp=0)
         assert reorder_ranks([]) == []
+
+
+def _first_interval(costs, prefix, vpp):
+    """GETINTERVAL on a whole placed prefix, read off its trace: the
+    first stage-0 gap's length, and where it ends: ``"body"`` or
+    ``"drain"`` (before or in stage 0's drain under plain 1F1B),
+    ``"nowhere"``, or ``"early"`` (``vpp > 1`` or ``k < p - 1``)."""
+    p, k = costs.num_stages, len(prefix)
+    if vpp > 1 and k % p == 0:
+        kernel = get_kernel(ScheduleKind.INTERLEAVED, p, k, vpp)
+        scale = 1.0 / vpp
+    else:
+        kernel = get_kernel(ScheduleKind.ONE_F_ONE_B, p, k)
+        scale = 1.0
+    durations = kernel.durations_from_tables(
+        costs.fwd, costs.bwd, order=prefix, transpose=True
+    ) * scale
+    start, end = kernel.evaluate(durations, costs.comm)
+    records = kernel.trace(start, end).stage_records(0)
+    for i in range(1, len(records)):
+        if records[i].start > records[i - 1].end + 1e-12:
+            if vpp > 1 or k < p - 1:
+                where = "early"
+            else:
+                where = "body" if i < 2 * k - p + 1 else "drain"
+            return records[i].start - records[i - 1].end, where
+    return 0.0, "nowhere"
+
+
+def _resweeping_reorder(costs, vpp, found=None):
+    """Oracle: one rank's Algorithm 2, pricing its whole placed prefix
+    at every step, then the portfolio guard. ``found`` collects where
+    each step's gap lies."""
+    l, p = costs.fwd.shape
+    size = [costs.total_size(j) for j in range(l)]
+    key = size.__getitem__
+    order = list(range(l))
+    if l > 2 and p > 1:
+        rest = list(range(l))
+        first = min(rest, key=key)
+        rest.remove(first)
+        rear = sorted(rest, key=key)[: p - 1]
+        rest = [j for j in rest if j not in rear]
+        order = [first]
+        count = min(p - 1, len(rest))
+        while rest:
+            interval, where = _first_interval(costs, order, vpp)
+            if found is not None:
+                found.append(where)
+            chosen = _select_closest(rest, count, interval, size)
+            order += chosen
+            rest = [j for j in rest if j not in chosen]
+            count = 1
+        order += rear
+    portfolio = [
+        order,
+        list(range(l)),
+        sorted(range(l), key=key),
+        sorted(range(l), key=key, reverse=True),
+    ]
+    reorderer = InterReorderer(costs, vpp)
+    makespans = [reorderer.evaluate(candidate) for candidate in portfolio]
+    return portfolio[makespans.index(min(makespans))]
+
+
+COST_STYLES = (
+    "uniform", "integer-ties", "fwd-heavy-first", "stage0-heavy",
+    "zero-durations", "bwd-heavy-last",
+)
+COMMS = (0.0, 0.01, 0.3, 2.0, 10.0)
+
+
+def _styled_costs(style, seed, l, p, comm):
+    rng = np.random.default_rng(seed)
+    if style == "integer-ties":
+        fwd = rng.integers(1, 4, (l, p)).astype(float)
+        bwd = 2.0 * fwd
+    else:
+        fwd = rng.uniform(0.1, 3.0, (l, p))
+        bwd = rng.uniform(0.1, 5.0, (l, p))
+    if style in ("fwd-heavy-first", "stage0-heavy"):
+        fwd[:, 0] *= 20.0
+    if style == "stage0-heavy":
+        bwd[:, 0] *= 20.0
+    elif style == "zero-durations":
+        zero_frac = rng.uniform()
+        fwd[rng.uniform(size=(l, p)) < zero_frac] = 0.0
+        bwd[rng.uniform(size=(l, p)) < zero_frac] = 0.0
+    elif style == "bwd-heavy-last":
+        bwd[:, -1] *= 20.0
+    return MicrobatchCostModel(fwd, bwd, comm)
+
+
+@st.composite
+def _rank_groups(draw):
+    """Same-shape ranks of mixed cost styles, so ranks whose interval
+    is final share lockstep steps with ranks still open."""
+    l = draw(st.integers(min_value=3, max_value=48))
+    p = draw(st.integers(min_value=2, max_value=8))
+    vpp = draw(st.integers(min_value=1, max_value=3))
+    ranks = draw(st.lists(
+        st.tuples(
+            st.sampled_from(COST_STYLES),
+            st.integers(min_value=0, max_value=2**32 - 1),
+            st.sampled_from(COMMS),
+        ),
+        min_size=1, max_size=5,
+    ))
+    return [_styled_costs(style, seed, l, p, comm)
+            for style, seed, comm in ranks], vpp
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rank_groups())
+def test_reorder_ranks_matches_resweeping_oracle(group):
+    costs, vpp = group
+    assert reorder_ranks(costs, vpp) == [
+        _resweeping_reorder(c, vpp) for c in costs
+    ]
+
+
+#: (where, style, seed, l, p, comm): vpp = 1 models with a step whose
+#: first stage-0 gap lies in the body, in the drain, or nowhere.
+GAP_CASES = [
+    ("body", "uniform", 0, 16, 4, 0.3),
+    ("drain", "fwd-heavy-first", 0, 16, 4, 0.0),
+    ("nowhere", "stage0-heavy", 0, 16, 4, 0.0),
+]
+
+
+@pytest.mark.parametrize(
+    "where,style,seed,l,p,comm", GAP_CASES, ids=[c[0] for c in GAP_CASES]
+)
+def test_gap_location_matches_resweeping_oracle(where, style, seed, l, p,
+                                                comm):
+    costs = _styled_costs(style, seed, l, p, comm)
+    found = []
+    assert reorder_ranks([costs]) == [_resweeping_reorder(costs, 1, found)]
+    assert where in found
+
+
+def test_mixed_gap_locations_in_lockstep():
+    costs = [_styled_costs(*case[1:]) for case in GAP_CASES]
+    assert reorder_ranks(costs) == [_resweeping_reorder(c, 1) for c in costs]

@@ -137,21 +137,60 @@ class _Item:
     size: float
 
 
+def _size(item):
+    return item.size
+
+
+def _linear_scan_lpt(items, num_groups):
+    """Oracle: LPT with the paper's linear arg-min scan over the groups;
+    returns the groups and each group's running load."""
+    groups = [[] for _ in range(num_groups)]
+    loads = [0.0] * num_groups
+    for item in sorted(items, key=_size, reverse=True):
+        target = min(range(num_groups), key=loads.__getitem__)
+        groups[target].append(item)
+        loads[target] += item.size
+    return groups, loads
+
+
+def _linear_scan_intra_reorder(items, num_groups):
+    """Oracle: Algorithm 1 on the linear-scan LPT, whose equal-count
+    fixup carries each group's running load."""
+    groups, loads = _linear_scan_lpt(items, num_groups)
+    per_group = len(items) // num_groups
+    for group in [g for g in groups if len(g) > per_group]:
+        group.sort(key=_size, reverse=True)
+        while len(group) > per_group:
+            moved = group.pop()
+            target = min(
+                (i for i, g in enumerate(groups) if len(g) < per_group),
+                key=loads.__getitem__,
+            )
+            groups[target].append(moved)
+            loads[target] += moved.size
+    return [item for group in groups for item in group]
+
+
+def _same_items(actual, expected):
+    return len(actual) == len(expected) and all(
+        a is e for a, e in zip(actual, expected)
+    )
+
+
 def _resumming_intra_reorder(samples, num_groups):
     """Oracle: Algorithm 1 with the fixup that re-sums every underfull
     group's load for each moved sample."""
-    size = lambda item: item.size  # noqa: E731
-    groups = lpt_partition(samples, num_groups, size)
+    groups, _ = _linear_scan_lpt(samples, num_groups)
     per_group = len(samples) // num_groups
     overfull = [g for g in groups if len(g) > per_group]
     underfull = [g for g in groups if len(g) < per_group]
     for group in overfull:
-        group.sort(key=size, reverse=True)
+        group.sort(key=_size, reverse=True)
         while len(group) > per_group:
             moved = group.pop()
             target = min(
                 (g for g in underfull if len(g) < per_group),
-                key=lambda g: sum(size(s) for s in g),
+                key=lambda g: sum(s.size for s in g),
             )
             target.append(moved)
     return [item for group in groups for item in group]
@@ -189,9 +228,38 @@ def test_running_load_fixup_matches_resumming(batch):
     sizes, num_groups = batch
     items = [_Item(size) for size in sizes]
     expected = _resumming_intra_reorder(items, num_groups)
-    actual = intra_reorder(items, num_groups)
+    assert _same_items(intra_reorder(items, num_groups), expected)
+
+
+@st.composite
+def _float_batches(draw):
+    """A batch of ``groups x per_group`` items with arbitrary sizes."""
+    num_groups = draw(st.integers(min_value=1, max_value=16))
+    per_group = draw(st.integers(min_value=1, max_value=8))
+    sizes = draw(st.lists(
+        st.floats(min_value=0.0, max_value=1e6),
+        min_size=num_groups * per_group,
+        max_size=num_groups * per_group,
+    ))
+    return sizes, num_groups
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_tied_batches(), _float_batches()))
+def test_heap_lpt_matches_linear_scan(batch):
+    """Taking the lightest group off a heap places every item where the
+    linear arg-min scan does, ties going to the lowest group index, and
+    leaves the fixup the same loads."""
+    sizes, num_groups = batch
+    items = [_Item(size) for size in sizes]
+    expected, _ = _linear_scan_lpt(items, num_groups)
+    actual = lpt_partition(items, num_groups)
     assert len(actual) == len(expected)
-    assert all(a is e for a, e in zip(actual, expected))
+    assert all(_same_items(a, e) for a, e in zip(actual, expected))
+    assert _same_items(
+        intra_reorder(items, num_groups),
+        _linear_scan_intra_reorder(items, num_groups),
+    )
 
 
 def test_brute_force_guard():
