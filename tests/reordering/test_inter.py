@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.pipeline.kernel import get_kernel
 from repro.pipeline.schedules import ScheduleKind
@@ -382,6 +382,11 @@ def _rank_groups(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(_rank_groups())
+# A vpp = 1 gap that ends at stage 0's first drain op.
+@example(([_styled_costs("zero-durations", 2, 9, 2, 2.0)], 1))
+# At vpp > 1 the prefixes alternate between interleaved and 1F1B kernels.
+@example(([_styled_costs("uniform", 1, 12, 3, 2.0)], 2))
+@example(([_styled_costs("zero-durations", 2, 9, 3, 2.0)], 3))
 def test_reorder_ranks_matches_resweeping_oracle(group):
     costs, vpp = group
     assert reorder_ranks(costs, vpp) == [
