@@ -104,9 +104,11 @@ class TrainingIterationSimulator:
             reordering (both off reproduces Megatron's random order).
         preprocessing: ``"disaggregated"``, ``"colocated"`` or ``"none"``.
         max_simulated_ranks: Simulate at most this many DP ranks' pipe-
-            lines (the heaviest and lightest by encoder load are always
-            included, so the straggler max is preserved); 0 = all,
-            otherwise at least 2.
+            lines: the lightest and heaviest by total sample size plus
+            an evenly spaced sample between them; 0 = all, otherwise at
+            least 2. Once Algorithm 1 has balanced the sizes, the pick
+            can miss the slowest rank, so only 0 gives the exact
+            straggler max.
     """
 
     def __init__(
