@@ -102,26 +102,26 @@ class TestReorder:
 
 
 class TestEvaluate:
+    """A uniform 6-microbatch model: every permutation prices 24.0."""
+
+    reorderer = InterReorderer(MicrobatchCostModel(
+        np.ones((6, 3)), 2.0 * np.ones((6, 3))
+    ))
+
     def test_permutation_priced(self):
-        reorderer = InterReorderer(MicrobatchCostModel(
-            np.ones((6, 3)), 2.0 * np.ones((6, 3))
-        ))
-        assert reorderer.evaluate(range(6)) == 24.0
-        assert reorderer.evaluate([5, 4, 3, 2, 1, 0]) == 24.0
+        assert self.reorderer.evaluate(range(6)) == 24.0
+        assert self.reorderer.evaluate([5, 4, 3, 2, 1, 0]) == 24.0
 
     @pytest.mark.parametrize("order", [
-        [0, 1],                # a 2-microbatch prefix priced 12.0
-        [0] * 6,               # repeats priced 24.0
-        [0, 1, 2, 3, 4, -1],   # negative index priced 24.0
-        list(range(7)),        # out of range raised IndexError
+        [0, 1],                # a prefix
+        [0] * 6,               # repeats
+        [0, 1, 2, 3, 4, -1],   # a negative index
+        list(range(7)),        # an index out of range
         [],
     ])
     def test_non_permutation_rejected(self, order):
-        reorderer = InterReorderer(MicrobatchCostModel(
-            np.ones((6, 3)), 2.0 * np.ones((6, 3))
-        ))
         with pytest.raises(ValueError, match="permutation"):
-            reorderer.evaluate(order)
+            self.reorderer.evaluate(order)
 
 
 class TestEffectiveness:
