@@ -73,14 +73,13 @@ def _lpt(
         if not math.isfinite(value):
             raise ValueError(f"sample {i} has a non-finite size {value!r}")
     groups: List[List[int]] = [[] for _ in range(num_groups)]
+    loads = [0.0] * num_groups
     heap = [(0.0, g) for g in range(num_groups)]
     for i in sorted(range(len(sizes)), key=sizes.__getitem__, reverse=True):
-        load, g = heap[0]
+        g = heap[0][1]
         groups[g].append(i)
-        heapq.heapreplace(heap, (load + sizes[i], g))
-    loads = [0.0] * num_groups
-    for load, g in heap:
-        loads[g] = load
+        loads[g] += sizes[i]
+        heapq.heapreplace(heap, (loads[g], g))
     return groups, loads, sizes
 
 
