@@ -11,7 +11,14 @@ either reordering returns must re-bless it via::
 
 import json
 
-from tests.reordering.golden.regen import FIXTURE, fixture_text, rows
+from tests.reordering.golden.regen import (
+    COST_CASES,
+    FIXTURE,
+    cost_model,
+    fixture_text,
+    rows,
+)
+from tests.reordering.test_inter import _resweeping_reorder
 
 REBLESS = "PYTHONPATH=src python -m tests.reordering.golden.regen"
 
@@ -26,3 +33,14 @@ def test_orders_match_golden():
         f"{len(moved)} order(s) moved, first {moved[:5]}; {REBLESS}"
     )
     assert fixture_text(actual) == FIXTURE.read_text(encoding="utf-8")
+
+
+def test_cost_cases_reach_no_final_interval():
+    """The seeded cost-model rows pin orders where every step re-prices
+    its prefix: no step's first stage-0 gap ends in the body."""
+    for style, l, p, vpp, comms in COST_CASES:
+        for seed, comm in enumerate(comms):
+            costs = cost_model(style, seed, l, p, comm)
+            found = []
+            _resweeping_reorder(costs, vpp, found)
+            assert "body" not in found, (style, seed, found)
