@@ -49,7 +49,6 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.experiments.workers import (
     WorkerHandle,
     WorkerSpawnError,
-    describe_exit as _describe_exit,
     mp_context as _mp_context,
     start_heartbeat,
 )
@@ -146,15 +145,12 @@ def _worker_main(conn, heartbeat, interval: float) -> None:
 
 
 class _WorkerSlot:
-    """One supervised worker: process, private pipe, heartbeat, task."""
+    """One supervised worker: its handle and the trial it runs."""
 
-    __slots__ = ("process", "conn", "heartbeat", "task", "started",
-                 "deadline")
+    __slots__ = ("handle", "task", "started", "deadline")
 
-    def __init__(self, process, conn, heartbeat) -> None:
-        self.process = process
-        self.conn = conn
-        self.heartbeat = heartbeat
+    def __init__(self, handle: WorkerHandle) -> None:
+        self.handle = handle
         self.task: Optional[Tuple] = None  # (index, params, key, attempt)
         self.started: float = 0.0
         self.deadline: Optional[float] = None
@@ -273,7 +269,7 @@ class SupervisedExecutor:
             ready_at, seq, payload, attempt = heappop(heap)
             task = (payload[0], payload[1], payload[2], attempt)
             try:
-                slot.conn.send(task)
+                slot.handle.conn.send(task)
             except (BrokenPipeError, OSError):
                 # Worker already dead while idle: no trial to blame.
                 heappush(heap, (ready_at, seq, payload, attempt))
@@ -284,7 +280,7 @@ class SupervisedExecutor:
             slot.deadline = (
                 now + self.timeout if self.timeout is not None else None
             )
-            slot.heartbeat.value = now
+            slot.handle.heartbeat.value = now
 
     def _collect(self, wait: float):
         """(completions, faults) after one bounded select cycle.
@@ -294,7 +290,7 @@ class SupervisedExecutor:
         """
         completions = []
         faults = []
-        conns = {slot.conn: slot for slot in self._slots}
+        conns = {slot.handle.conn: slot for slot in self._slots}
         if not conns:
             if wait > 0:
                 time.sleep(wait)
@@ -336,7 +332,7 @@ class SupervisedExecutor:
                 faults.append((payload, attempt, CAUSE_TIMEOUT, detail))
                 continue
             if self.heartbeat_timeout is not None:
-                stale = now - slot.heartbeat.value
+                stale = slot.handle.heartbeat_age(now)
                 if stale > self.heartbeat_timeout:
                     payload, attempt = slot.task[:3], slot.task[3]
                     detail = (
@@ -352,14 +348,16 @@ class SupervisedExecutor:
 
     def _reap(self, slot: _WorkerSlot, faults: List) -> None:
         """A worker's pipe hit EOF: the process died. Attribute it."""
-        slot.process.join(timeout=2.0)
-        code = slot.process.exitcode
+        slot.handle.join(timeout=2.0)
         if slot.busy:
             payload, attempt = slot.task[:3], slot.task[3]
-            detail = f"worker died mid-trial ({_describe_exit(code)})"
+            detail = (
+                f"worker died mid-trial ({slot.handle.exit_description()})"
+            )
             obs.event(
                 "supervisor.worker_death",
-                trial=payload[0], attempt=attempt, exitcode=code,
+                trial=payload[0], attempt=attempt,
+                exitcode=slot.handle.process.exitcode,
             )
             faults.append((payload, attempt, CAUSE_WORKER_DEATH, detail))
         self._discard(slot)
@@ -419,8 +417,8 @@ class SupervisedExecutor:
             if slot.deadline is not None:
                 wait = min(wait, max(0.0, slot.deadline - now))
             if self.heartbeat_timeout is not None:
-                due = slot.heartbeat.value + self.heartbeat_timeout
-                wait = min(wait, max(0.0, due - now))
+                left = self.heartbeat_timeout - slot.handle.heartbeat_age(now)
+                wait = min(wait, max(0.0, left))
         return wait
 
     # ------------------------------------------------------------------ #
@@ -457,44 +455,30 @@ class SupervisedExecutor:
                 f"cannot start supervised worker: {exc}"
             ) from exc
         obs.count("campaign.workers_spawned")
-        return _WorkerSlot(handle.process, handle.conn, handle.heartbeat)
+        return _WorkerSlot(handle)
 
     def _kill(self, slot: _WorkerSlot) -> None:
-        try:
-            slot.process.kill()
-        except OSError:
-            pass
-        slot.process.join(timeout=2.0)
+        slot.handle.kill()
         obs.count("campaign.workers_killed")
         self._discard(slot)
 
     def _discard(self, slot: _WorkerSlot) -> None:
-        try:
-            slot.conn.close()
-        except OSError:
-            pass
+        slot.handle.close()
         if slot in self._slots:
             self._slots.remove(slot)
 
     def _shutdown(self) -> None:
         for slot in self._slots:
             try:
-                slot.conn.send(None)
+                slot.handle.conn.send(None)
             except (BrokenPipeError, OSError):
                 pass
         deadline = time.monotonic() + max(self.grace_seconds, 0.2)
         for slot in self._slots:
-            slot.process.join(timeout=max(0.0, deadline - time.monotonic()))
-            if slot.process.is_alive():
-                try:
-                    slot.process.kill()
-                except OSError:
-                    pass
-                slot.process.join(timeout=2.0)
-            try:
-                slot.conn.close()
-            except OSError:
-                pass
+            slot.handle.join(timeout=max(0.0, deadline - time.monotonic()))
+            if slot.handle.alive:
+                slot.handle.kill()
+            slot.handle.close()
         self._slots = []
 
     # ------------------------------------------------------------------ #
