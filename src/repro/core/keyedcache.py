@@ -10,8 +10,9 @@ cache (``repro.fleet.job``).
 Semantics, shared by all of them:
 
 * **Explicit and thread-safe** — a lock guards the entry table; hit and
-  miss counters are part of the public surface (the scenario engine and
-  the fleet engine report them per run).
+  miss counters count process-wide lookups (the fleet engine reports
+  the job-state cache's growth over a run). The per-job plan counters
+  on results are tallied per run by the job simulator, not read here.
 * **FIFO eviction** — insertion order, not recency. The keyed working
   sets here are tiny (a handful of cluster sizes, model/node pairs); a
   FIFO bound only exists so unbounded sweeps cannot leak.
@@ -36,8 +37,7 @@ class KeyedCache:
             ``cache.<name>.hits`` / ``.misses`` counters and a
             ``cache.<name>.size`` gauge through :mod:`repro.obs` when
             metrics collection is on; the local ``hits``/``misses``
-            fields stay byte-identical either way (the per-run engine
-            accounting reads them directly).
+            fields stay byte-identical either way.
     """
 
     def __init__(self, maxsize: int = 128, name: Optional[str] = None):
@@ -57,30 +57,11 @@ class KeyedCache:
         self, key: Hashable, compute: Callable[[], Any]
     ) -> Any:
         """Return the cached value for ``key``, computing it on a miss."""
-        return self.fetch(key, compute)[0]
-
-    def fetch(
-        self,
-        key: Hashable,
-        compute: Callable[[], Any],
-        bypass: bool = False,
-    ) -> Tuple[Any, bool]:
-        """Like :meth:`get_or_compute`, but returns ``(value, was_hit)``.
-
-        Callers that report hit/miss accounting (the scenario and fleet
-        engines) read the flag directly — exact even when other threads
-        use the cache concurrently. ``bypass=True`` scopes cache
-        avoidance to this one call: ``compute`` runs directly and
-        neither counters nor entries change, leaving concurrent cache
-        users undisturbed.
-        """
-        if bypass:
-            return compute(), False
         with self._lock:
             if key in self._entries:
                 self.hits += 1
                 self._observe(hit=True)
-                return self._entries[key], True
+                return self._entries[key]
         result = compute()
         with self._lock:
             self.misses += 1
@@ -88,7 +69,7 @@ class KeyedCache:
                 self._entries.pop(next(iter(self._entries)))
             self._entries[key] = result
             self._observe(hit=False)
-        return result, False
+        return result
 
     def _observe(self, hit: bool) -> None:
         """Publish unified cache metrics (no-op unless named + enabled)."""
@@ -100,25 +81,6 @@ class KeyedCache:
     def lookup(self, key: Hashable) -> Optional[Any]:
         """Peek without counting or computing."""
         return self._entries.get(key)
-
-    def keys(self) -> Tuple[Hashable, ...]:
-        """Resident keys in FIFO insertion order (oldest first)."""
-        with self._lock:
-            return tuple(self._entries)
-
-    def resize(self, maxsize: int) -> None:
-        """Rebound the FIFO, evicting oldest entries if shrinking.
-
-        Counters are untouched: resizing is capacity planning (the
-        fleet engine sizes the jobstate cache from the fleet spec), not
-        a reset.
-        """
-        if maxsize < 1:
-            raise ValueError("maxsize must be >= 1")
-        with self._lock:
-            self.maxsize = maxsize
-            while len(self._entries) > maxsize:
-                self._entries.pop(next(iter(self._entries)))
 
     def stats(self) -> Tuple[int, int]:
         """(hits, misses) snapshot."""

@@ -47,10 +47,12 @@ equal to every job's physical size at all times.
 
 All jobs share the process-wide orchestration
 :data:`~repro.orchestration.plancache.PLAN_CACHE`, so co-tenant replans
-of the same task at the same slice size are solved once per process;
-per-job hit/miss counters surface on each
+of the same task at the same slice size are solved once per process.
+Per-job hit/miss counters surface on each
 :class:`~repro.scenarios.result.ScenarioResult` and aggregate on the
-:class:`FleetResult`.
+:class:`FleetResult`; they count against the signatures solved in the
+current :meth:`FleetEngine.run`, one set shared by all tenants, so a
+run reports the same counters in a cold or a warm process.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.cluster.allocation import GPUAllocator
-from repro.fleet.job import JobSimulator, STATE_CACHE, resize_state_cache
+from repro.fleet.job import JobSimulator, STATE_CACHE
 from repro.obs import instrument as obs
 from repro.fleet.policies import JobView, SchedulingPolicy, make_policy
 from repro.fleet.spec import FleetJobSpec, FleetSpec
@@ -340,13 +342,13 @@ _DONE = "done"
 class _Tenant:
     """Mutable per-job scheduling state."""
 
-    def __init__(self, spec: FleetJobSpec, order: int, use_plan_cache: bool):
+    def __init__(self, spec: FleetJobSpec, order: int, solved_plans: set):
         self.spec = spec
         self.order = order
         self.sim = JobSimulator(
             spec.config,
             spec.scenario,
-            use_plan_cache=use_plan_cache,
+            solved_plans=solved_plans,
             name=spec.name,
         )
         self.reset()
@@ -383,19 +385,17 @@ class FleetEngine:
 
     Args:
         spec: Cluster, policy, and tenant jobs.
-        use_plan_cache: Forwarded to every job simulator (False re-runs
-            every orchestration search; the equivalence suite uses it).
-            Cluster-state sharing rides on the plan cache's purity
-            contract, so ``False`` also makes every tenant build — and
-            search — privately, as bypass mode promises.
     """
 
-    def __init__(self, spec: FleetSpec, use_plan_cache: bool = True):
+    def __init__(self, spec: FleetSpec):
         self.spec = spec
         self.policy: SchedulingPolicy = make_policy(spec.policy)
         self.allocator = GPUAllocator(spec.cluster)
+        #: Planning signatures solved in the current run, shared by
+        #: every tenant's plan hit/miss counting.
+        self._solved_plans: set = set()
         self._tenants = [
-            _Tenant(job, order, use_plan_cache)
+            _Tenant(job, order, self._solved_plans)
             for order, job in enumerate(spec.jobs)
         ]
         #: Per-run jobstate (``STATE_CACHE``) accounting — populated by
@@ -438,15 +438,6 @@ class FleetEngine:
         )
         return result
 
-    def _distinct_state_pairs(self) -> int:
-        """Distinct (task config, demand size) pairs across the fleet —
-        the jobstate working set a run touches, before elastic-shrink
-        sizes (headroom for those is the sizing multiplier's job)."""
-        return len({
-            (id(t.spec.config), t.spec.demand_gpus)
-            for t in self._tenants
-        })
-
     def _snapshot_state_cache(self, baseline: Tuple[int, int]) -> None:
         hits, misses = STATE_CACHE.stats()
         self.state_cache_stats = {
@@ -458,7 +449,8 @@ class FleetEngine:
 
     def _run_impl(self) -> FleetResult:
         # A second run of one engine starts from scratch, not from the
-        # first run's queue times and completion clocks.
+        # first run's queue times, completion clocks and solved plans.
+        self._solved_plans.clear()
         for tenant in self._tenants:
             tenant.reset()
         self.allocator = GPUAllocator(self.spec.cluster)
@@ -468,7 +460,6 @@ class FleetEngine:
             self._tenants, key=lambda t: (t.spec.arrival_s, t.order)
         ))
         self._last_decision = 0.0
-        resize_state_cache(self._distinct_state_pairs())
         baseline = STATE_CACHE.stats()
         self._event_loop(pending)
         self._snapshot_state_cache(baseline)

@@ -51,12 +51,16 @@ Same-task jobs amortize much more than the plan search: a
 evaluations, straggler-evaluation memo — is a pure function of
 ``(task config, cluster size, sample count)``, so states are fetched
 from the process-wide :data:`STATE_CACHE` and 100 identical fleet
-tenants (or repeated scenario runs of one task) build one. The
-run-scoped plan hit/miss counters stay exact — every state fetch still
-consults the plan cache exactly like a private build — and every
-shared value is bit-identical to the private one, so per-job results
-do not change. Under ``use_plan_cache=False`` states are built
-privately, as bypass mode promises.
+tenants (or repeated scenario runs of one task) build one. Every
+shared value is bit-identical to a private build's, so per-job results
+do not change.
+
+The plan hit/miss counters on a job's result are counted per run, not
+read off the process-wide caches: a plan need is a hit when the current
+run has already solved its planning signature (a fleet's tenants share
+one set of solved signatures) and a miss that adds the signature
+otherwise. A cold plan cache would report the same counts, and so does
+any warm process, so a result depends on its spec alone.
 
 :meth:`JobSimulator.peek_segment` tells the fleet engine where a job's
 current segment ends — its next irregular step, its completion, or its
@@ -73,7 +77,7 @@ import bisect
 import copy
 import logging
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -114,49 +118,11 @@ _STRAGGLER_STREAM = 1
 #: ``(config hash, num_gpus, sample count)``. Every field of a state —
 #: plan, compiled simulator, prepared batches, base evaluations, and
 #: the straggler-evaluation memo it accretes — is a pure function of
-#: that key, so every job of the same task (plan cache on) shares one
-#: build bit-identically. Sized for a few tasks' worth of
-#: cluster-size oscillation; evicted states a job already holds stay
-#: alive through its private per-size table.
+#: that key, so every job of the same task shares one build
+#: bit-identically. Sized for a few tasks' worth of cluster-size
+#: oscillation; evicted states a job already holds stay alive through
+#: its private per-size table.
 STATE_CACHE = KeyedCache(maxsize=64, name="jobstate")
-
-#: Bounds for :func:`resize_state_cache`: never below the historical
-#: default, never above a ceiling that keeps a pathological
-#: every-job-distinct 1,000-tenant fleet from pinning thousands of
-#: compiled simulators in memory.
-STATE_CACHE_FLOOR = 64
-STATE_CACHE_CEILING = 1024
-
-#: Cluster-size oscillation headroom per distinct (task, demand) pair:
-#: an elastic job shrinks node-by-node after failures and re-grows, so
-#: one pair commonly touches a handful of sizes over a run.
-STATE_CACHE_SIZES_PER_PAIR = 4
-
-
-def resize_state_cache(distinct_pairs: int) -> int:
-    """Rebound :data:`STATE_CACHE` for a fleet's working set.
-
-    ``distinct_pairs`` is the number of distinct (task config, demand
-    size) pairs across the fleet's jobs; each gets
-    :data:`STATE_CACHE_SIZES_PER_PAIR` slots of elastic-shrink headroom,
-    clamped to [:data:`STATE_CACHE_FLOOR`, :data:`STATE_CACHE_CEILING`].
-    The pinned ``maxsize=64`` default thrashed on heterogeneous
-    1,000-job fleets — every eviction throws away a compiled simulator
-    plus K prepared batches some co-tenant is about to need again.
-    Returns the applied bound. Values are pure functions of their keys,
-    so resizing can never change results — only rebuild counts.
-    """
-    target = max(
-        STATE_CACHE_FLOOR,
-        min(
-            STATE_CACHE_CEILING,
-            STATE_CACHE_SIZES_PER_PAIR * max(1, int(distinct_pairs)),
-        ),
-    )
-    if target != STATE_CACHE.maxsize:
-        STATE_CACHE.resize(target)
-    return target
-
 
 #: A straggler profile: ``(rank, slowdown)`` pairs, one per active
 #: episode, sorted.
@@ -168,6 +134,10 @@ class _ClusterState:
     """Everything memoized for one cluster size."""
 
     num_gpus: int
+    #: ``planning_signature(config, num_gpus)``, kept so a per-size
+    #: table hit counts against the run's solved plans without
+    #: re-hashing the config.
+    signature: Tuple[str, int]
     orchestration: Any
     simulator: Any
     prepared: List[PreparedIteration]
@@ -355,11 +325,11 @@ class JobSimulator:
         scenario: The cluster dynamics to inject.
         checkpoint: Optional checkpoint policy overriding the default
             built from ``scenario.checkpoint_interval``.
-        use_plan_cache: When False, bypass the process-wide plan cache
-            and re-run every orchestration search from scratch (the
-            replan-cache correctness suite compares both modes
-            byte-for-byte). Cluster states then come from private
-            builds instead of the process-wide :data:`STATE_CACHE`.
+        solved_plans: The planning signatures the current run has
+            solved, which decide whether a plan need counts as a hit or
+            a miss. A fleet hands all its tenants one set and empties it
+            at the start of each run; by default the job owns a set,
+            which :meth:`run` empties.
         name: Job label for fleet bookkeeping and reports.
     """
 
@@ -368,7 +338,7 @@ class JobSimulator:
         config: DistTrainConfig,
         scenario: ScenarioSpec,
         checkpoint: Optional[CheckpointConfig] = None,
-        use_plan_cache: bool = True,
+        solved_plans: Optional[Set[Tuple[str, int]]] = None,
         name: str = "job",
     ):
         self.config = config
@@ -376,7 +346,7 @@ class JobSimulator:
         self.checkpoint = checkpoint or CheckpointConfig(
             interval_iterations=scenario.checkpoint_interval
         )
-        self.use_plan_cache = use_plan_cache
+        self._solved_plans = set() if solved_plans is None else solved_plans
         self.name = name
         #: Distinct global batches every cluster size re-prices (the K
         #: of the per-iteration ``sample`` index).
@@ -413,38 +383,30 @@ class JobSimulator:
 
     def _state(self, num_gpus: int) -> _ClusterState:
         state = self._states.get(num_gpus)
-        if state is not None:
-            # Already built this run — the plan (and prepared batches)
-            # are reused without touching the orchestrator.
-            self._plan_hits += 1
-            return state
-        # The plan cache is consulted (and counted) on every new-size
-        # fetch, shared states included — a tenant reusing a co-tenant's
-        # state reports exactly the hit/miss tallies a private build
-        # would have.
-        from repro.core.api import _replan_uncached
+        if state is None:
+            from repro.core.api import _replan_uncached
 
-        signature = planning_signature(self.config, num_gpus)
-        orchestration, was_hit = PLAN_CACHE.fetch(
-            signature,
-            lambda: _replan_uncached(self.config, num_gpus),
-            bypass=not self.use_plan_cache,
-        )
-        if was_hit:
+            signature = planning_signature(self.config, num_gpus)
+            orchestration = PLAN_CACHE.get_or_compute(
+                signature, lambda: _replan_uncached(self.config, num_gpus)
+            )
+            state = STATE_CACHE.get_or_compute(
+                signature + (self._num_samples,),
+                lambda: self._build_state(num_gpus, signature, orchestration),
+            )
+            self._states[num_gpus] = state
+        # Counted against this run alone, whichever tenant solved the
+        # plan and whatever the process planned before the run.
+        if state.signature in self._solved_plans:
             self._plan_hits += 1
         else:
             self._plan_misses += 1
-        if self.use_plan_cache:
-            state = STATE_CACHE.get_or_compute(
-                signature + (self._num_samples,),
-                lambda: self._build_state(num_gpus, orchestration),
-            )
-        else:
-            state = self._build_state(num_gpus, orchestration)
-        self._states[num_gpus] = state
+            self._solved_plans.add(state.signature)
         return state
 
-    def _build_state(self, num_gpus: int, orchestration) -> _ClusterState:
+    def _build_state(
+        self, num_gpus: int, signature: Tuple[str, int], orchestration
+    ) -> _ClusterState:
         """Build one cluster size's memoized state from its plan."""
         from repro.core.api import build_simulator
 
@@ -467,6 +429,7 @@ class JobSimulator:
         )
         return _ClusterState(
             num_gpus=num_gpus,
+            signature=signature,
             orchestration=orchestration,
             simulator=simulator,
             prepared=prepared,
@@ -608,8 +571,9 @@ class JobSimulator:
             [spec.seed, _FAILURE_STREAM]
         )
 
-        self._plan_hits_at_start = self._plan_hits
-        self._plan_misses_at_start = self._plan_misses
+        # The result counts plan needs from here on: scheduling probes
+        # before the start are not the job's own.
+        self._plan_hits = self._plan_misses = 0
         self._cur = self._state(allocated_gpus)
         self._checkpointer = build_checkpointer(
             self._cur.orchestration.plan, self.checkpoint
@@ -708,9 +672,9 @@ class JobSimulator:
 
         The fleet engine prices every tenant's *demand-size* ideal with
         this (its goodput numerator); sequential accumulation matches
-        how the timeline clock advances. Counts against the plan memo,
-        so call it only after :meth:`finish` has snapshotted the
-        run-scoped hit/miss counters.
+        how the timeline clock advances. Counts as a plan need, so call
+        it only after :meth:`finish` has read the job's hit/miss
+        counters.
         """
         state = self._state(num_gpus)
         n = self.scenario.num_iterations
@@ -1377,17 +1341,18 @@ class JobSimulator:
             mfu_trajectory=self._mfu_traj,
             iteration_times=self._times,
             events=EventTrace(self._events_log),
-            plan_cache_hits=self._plan_hits - self._plan_hits_at_start,
-            plan_cache_misses=(
-                self._plan_misses - self._plan_misses_at_start
-            ),
+            plan_cache_hits=self._plan_hits,
+            plan_cache_misses=self._plan_misses,
             gpu_seconds=self._gpu_seconds,
             preemptions=self._preemptions,
         )
 
     def run(self) -> ScenarioResult:
         """Single-job convenience: start at the full config cluster,
-        walk the whole timeline, and assemble the result."""
+        walk the whole timeline, and assemble the result. Each call is
+        a new run: plans solved by an earlier one count as misses
+        again."""
+        self._solved_plans.clear()
         self.start()
         self.advance_until(float("inf"))
         return self.finish()

@@ -16,11 +16,12 @@ fleet job) fills it first.
 
 The cache is a plain :class:`repro.core.keyedcache.KeyedCache`, the
 store the profile and profiler caches use too: explicit FIFO eviction
-and hit/miss counters that are part of the public contract — the
-scenario engine reports them on
-:class:`~repro.scenarios.engine.ScenarioResult`, the fleet engine
-aggregates them per job, and the CLI surfaces them after ``repro plan``
-/ ``repro scenario run`` / ``repro fleet run``.
+and process-wide hit/miss counters. The plan hit/miss counts a
+:class:`~repro.scenarios.result.ScenarioResult` reports (and a fleet
+aggregates per job, and ``repro scenario run`` / ``repro fleet run``
+print) are not read from here: the job simulator counts them against
+the signatures the current run has solved, so they depend on the run
+alone, not on what the process planned before it.
 
 Failed plans (e.g. a shrunken cluster too small for the model) are *not*
 cached; exceptions propagate to the caller unrecorded so a transiently

@@ -40,10 +40,6 @@ class ScenarioEngine:
             built from ``scenario.checkpoint_interval`` — e.g. the
             policy a :class:`~repro.runtime.manager.DistTrainManager`
             was constructed with.
-        use_plan_cache: When False, bypass the process-wide plan cache
-            and re-run every orchestration search from scratch (the
-            replan-cache correctness suite compares both modes
-            byte-for-byte).
     """
 
     def __init__(
@@ -51,24 +47,18 @@ class ScenarioEngine:
         config: DistTrainConfig,
         scenario: ScenarioSpec,
         checkpoint: Optional[CheckpointConfig] = None,
-        use_plan_cache: bool = True,
     ):
         self.config = config
         self.scenario = scenario
-        self.use_plan_cache = use_plan_cache
-        self._job = JobSimulator(
-            config,
-            scenario,
-            checkpoint=checkpoint,
-            use_plan_cache=use_plan_cache,
-        )
+        self._job = JobSimulator(config, scenario, checkpoint=checkpoint)
         self.checkpoint = self._job.checkpoint
 
     def run(self) -> ScenarioResult:
         """Walk the full timeline on the whole configured cluster.
 
-        Repeated calls reuse the per-size plan/batch memo tables (the
-        run-scoped hit/miss counters on the result account for that).
+        Repeated calls reuse the per-size plan/batch memo tables, but
+        each reports the plan hit/miss counters of a run from cold
+        caches: the counters depend on the run alone.
         """
         with obs.span(
             "scenario.run",

@@ -40,12 +40,13 @@ class ScenarioResult:
     mfu_trajectory: np.ndarray
     iteration_times: np.ndarray
     events: EventTrace
-    #: Plan-lookup accounting for this run: a hit is an orchestration
+    #: Plan-need accounting for this run: a hit is an orchestration
     #: that was needed (initial plan, elastic shrink, repair re-growth)
-    #: and found already solved — in this engine's per-size state table
-    #: or the process-wide plan cache; a miss ran the full search.
-    #: Process-state dependent, so deliberately NOT part of
-    #: :meth:`metrics` (which must stay a pure function of the task).
+    #: and already solved earlier in the run, by this job or a fleet
+    #: co-tenant; a miss is the run's first need of that (task, size),
+    #: the search a cold process would run. Counted per run, so a pure
+    #: function of the spec, but NOT part of :meth:`metrics`, which
+    #: describes the simulated training rather than the simulator.
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
     #: GPU-seconds spent executing iterations (including replayed work),

@@ -4,8 +4,8 @@ Shared cluster states are pure functions of ``(task, size, samples)``
 and fused cross-tenant pricing pre-fills the same memo entries each
 tenant's own step would have computed. Whole-result identity is pinned
 by the golden fleet fixtures (``tests/fleet/test_golden_fleet.py``);
-the unit tests here pin the pieces (private states under plan-cache
-bypass, prepare/price/commit split, fused pricing memo semantics).
+the unit tests here pin the pieces (prepare/price/commit split, fused
+pricing memo semantics).
 
 Alongside ride the fleet-clock regression tests: the wedged-fleet
 reschedule must replay the *latest* decision clock (completions
@@ -27,7 +27,6 @@ from repro.fleet.job import (
     price_pending_steps,
 )
 from repro.fleet.policies import JobView, SchedulingPolicy
-from repro.orchestration.plancache import PLAN_CACHE
 from repro.scenarios import ScenarioSpec
 
 from tests.fleet.conftest import FAST_RECOVERY
@@ -59,32 +58,6 @@ def fleet_snapshot(result):
     )
 
 
-def test_state_sharing_disabled_under_plan_cache_bypass(job_config):
-    """``use_plan_cache=False`` promises a fully private search per
-    tenant; the engine must not share states through it."""
-    scenario = ScenarioSpec(
-        num_iterations=30, checkpoint_interval=10, **FAST_RECOVERY
-    )
-    spec = FleetSpec.homogeneous(
-        job_config, cluster_gpus=96, num_jobs=2, scenario=scenario
-    )
-    engine = FleetEngine(spec, use_plan_cache=False)
-    states_before = STATE_CACHE.stats()
-    result = engine.run()
-    assert STATE_CACHE.stats() == states_before
-    # Every tenant searched privately: no hits, only its own misses...
-    assert result.plan_cache_hits == 0
-    assert all(r.result.plan_cache_misses >= 1 for r in result.records)
-    # ...and the cluster states it built are its own objects.
-    first, second = engine._tenants
-    shared_sizes = set(first.sim._states) & set(second.sim._states)
-    assert shared_sizes
-    assert all(
-        first.sim._states[size] is not second.sim._states[size]
-        for size in shared_sizes
-    )
-
-
 # --------------------------------------------------------------------- #
 # prepare_step / price / commit_step
 # --------------------------------------------------------------------- #
@@ -102,15 +75,21 @@ def test_prepare_price_commit_is_step(job_config):
         seed=11,
         **FAST_RECOVERY,
     )
-    PLAN_CACHE.clear()
+    # The reference walks first on a state of its own, pricing every
+    # step itself; the split walk then builds a fresh state whose memo
+    # it pre-fills.
+    STATE_CACHE.clear()
+    plain = JobSimulator(job_config, scenario)
+    plain.start(48)
+    clocks = []
+    while not plain.done:
+        plain.step()
+        clocks.append(plain.clock)
     STATE_CACHE.clear()
     split = JobSimulator(job_config, scenario)
-    # Private states: the reference prices every step itself instead of
-    # reading the memo entries the split walk pre-fills.
-    plain = JobSimulator(job_config, scenario, use_plan_cache=False)
     split.start(48)
-    plain.start(48)
     priced = 0
+    steps = 0
     while not split.done:
         item = split.prepare_step()
         if item is not None:
@@ -121,30 +100,11 @@ def test_prepare_price_commit_is_step(job_config):
             assert split.prepare_step() is None  # now memoized
             priced += 1
         split.commit_step()
-        plain.step()
-        assert split.clock == plain.clock
+        assert split.clock == clocks[steps]
+        steps += 1
     assert priced > 0, "scenario never exercised fused pricing"
-    while not plain.done:
-        plain.step()
-    split_result, plain_result = split.finish(), plain.finish()
-
-    def physics(result):
-        # Everything but the plan hit/miss counters: the reference
-        # bypasses the plan cache, so its every fetch is a miss.
-        return (
-            result.metrics(),
-            result.iteration_times.tobytes(),
-            result.mfu_trajectory.tobytes(),
-            [repr(e) for e in result.events],
-            result.num_iterations,
-            result.preemptions,
-        )
-
-    assert physics(split_result) == physics(plain_result)
-    assert (
-        split_result.plan_cache_hits + split_result.plan_cache_misses
-        == plain_result.plan_cache_hits + plain_result.plan_cache_misses
-    )
+    assert steps == len(clocks)
+    assert snapshot(split.finish()) == snapshot(plain.finish())
 
 
 def test_prepare_step_none_outside_running_window(job_config):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster.cluster import make_cluster
+from repro.core.api import simulate_fleet
 from repro.fleet import FleetEngine, FleetJobSpec, FleetSpec, run_fleet
 from repro.fleet.engine import FleetSchedulingError
 from repro.orchestration.plancache import PLAN_CACHE
@@ -36,7 +37,6 @@ class TestRepeatedRuns:
         engine = FleetEngine(homogeneous(job_config, "fifo"))
         first = engine.run()
         second = engine.run()
-        # Plan-cache counters depend on process history; left out.
         assert second.metrics() == first.metrics()
         queued = [r.queue_seconds for r in first.records]
         assert any(q > 0.0 for q in queued)
@@ -44,6 +44,29 @@ class TestRepeatedRuns:
         assert [r.start_s for r in second.records] == [
             r.start_s for r in first.records
         ]
+
+    def test_second_run_of_one_engine_serializes_identically(
+        self, job_config
+    ):
+        """Plan counters count against the run, so the plans the
+        tenants solved in the first run count as misses again."""
+        # A cold first run: the second must repeat its counters.
+        PLAN_CACHE.clear()
+        engine = FleetEngine(homogeneous(job_config, "fair-share", 3))
+        first = engine.run()
+        assert (first.plan_cache_hits, first.plan_cache_misses) == (7, 2)
+        assert engine.run().to_json() == first.to_json()
+
+    def test_identical_simulate_fleet_calls_serialize_identically(
+        self, job_config
+    ):
+        """A plan the process cache already holds is still the run's
+        miss the first time the run needs it."""
+        spec = homogeneous(job_config, "fair-share", 3)
+        PLAN_CACHE.clear()
+        first = simulate_fleet(spec)
+        assert (first.plan_cache_hits, first.plan_cache_misses) == (7, 2)
+        assert simulate_fleet(spec).to_json() == first.to_json()
 
 
 class TestFIFOExclusive:
@@ -295,7 +318,6 @@ class TestAccountingAndMetrics:
         assert 0.0 < metrics["fleet_goodput"] <= 1.0
 
     def test_cotenant_plans_amortize_through_shared_cache(self, job_config):
-        PLAN_CACHE.clear()
         result = run_fleet(
             homogeneous(job_config, "fifo", num_jobs=3, spacing=0.0,
                         cluster_gpus=144)

@@ -3,14 +3,14 @@
 The JobSimulator extraction and the FleetEngine's scheduling machinery
 must not perturb a single byte of a lone job's physics: a one-job fleet
 with no contention is the standalone ``ScenarioEngine`` timeline —
-metrics, per-iteration trajectories, realized event trace, and (from a
-cold plan cache) even the plan hit/miss counters. Pinned three ways:
+metrics, per-iteration trajectories, realized event trace, and even the
+plan hit/miss counters. Pinned three ways:
 
 1. against the live ``ScenarioEngine`` over a hypothesis-sampled space
    of dynamics, under every scheduling policy;
 2. against the checked-in golden canonical scenario fixture (hex-exact
    floats — a single ULP of drift fails);
-3. under plan-cache bypass, which must change nothing but the counters.
+3. on a warm re-run, which must change nothing, counters included.
 """
 
 import json
@@ -20,11 +20,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.fleet import FleetEngine, FleetJobSpec, FleetSpec
-from repro.orchestration.plancache import PLAN_CACHE
 from repro.scenarios import ScenarioSpec
 from repro.scenarios.engine import ScenarioEngine
 
 from tests.fleet.conftest import FAST_RECOVERY
+from tests.fleet.golden.regen import cold_run
 from tests.scenarios.golden.regen import GOLDEN_DIR, scenario_case
 
 ENGINE_SETTINGS = dict(
@@ -77,9 +77,7 @@ def test_single_job_fleet_is_scenario_engine(
         seed=seed,
         **FAST_RECOVERY,
     )
-    PLAN_CACHE.clear()
     reference = snapshot(ScenarioEngine(job_config, spec).run())
-    PLAN_CACHE.clear()
     fleet = FleetEngine(solo_fleet(job_config, spec, policy)).run()
     assert len(fleet.records) == 1
     record = fleet.records[0]
@@ -157,7 +155,7 @@ def test_late_arrival_replays_traces_job_relative(job_config):
         assert value == pytest.approx(reference[key], rel=1e-9), key
 
 
-def test_plan_cache_bypass_changes_nothing_but_counters(job_config):
+def test_warm_rerun_changes_nothing(job_config):
     spec = ScenarioSpec(
         num_iterations=50,
         checkpoint_interval=10,
@@ -167,13 +165,7 @@ def test_plan_cache_bypass_changes_nothing_but_counters(job_config):
         seed=9,
         **FAST_RECOVERY,
     )
-    cached = FleetEngine(
-        solo_fleet(job_config, spec, "fair-share"), use_plan_cache=True
-    ).run()
-    bypass = FleetEngine(
-        solo_fleet(job_config, spec, "fair-share"), use_plan_cache=False
-    ).run()
-    a, b = cached.records[0].result, bypass.records[0].result
-    assert a.metrics() == b.metrics()
-    assert np.array_equal(a.iteration_times, b.iteration_times)
-    assert a.events.to_dicts() == b.events.to_dicts()
+    fleet = solo_fleet(job_config, spec, "fair-share")
+    cold = cold_run(fleet)
+    warm = FleetEngine(fleet).run()
+    assert warm.to_json() == cold.to_json()

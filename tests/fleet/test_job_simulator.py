@@ -146,25 +146,6 @@ class TestFleetControls:
         assert sim.drain_fleet_events() == []  # drained
 
 
-class TestStateCacheSizing:
-    def test_target_scales_with_working_set(self):
-        from repro.fleet.job import (
-            STATE_CACHE,
-            STATE_CACHE_CEILING,
-            STATE_CACHE_FLOOR,
-            resize_state_cache,
-        )
-
-        before = STATE_CACHE.maxsize
-        try:
-            assert resize_state_cache(1) == STATE_CACHE_FLOOR
-            assert resize_state_cache(100) == 400
-            assert STATE_CACHE.maxsize == 400
-            assert resize_state_cache(10**6) == STATE_CACHE_CEILING
-        finally:
-            STATE_CACHE.resize(before)
-
-
 # --------------------------------------------------------------------- #
 # Segment advance == the step-by-step walk
 # --------------------------------------------------------------------- #

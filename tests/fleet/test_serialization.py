@@ -15,8 +15,7 @@ import pytest
 
 from repro.fleet import FleetEngine, FleetJobSpec, FleetSpec
 from repro.fleet.engine import FleetJobRecord, FleetResult
-from repro.fleet.job import STATE_CACHE, JobSimulator
-from repro.orchestration.plancache import PLAN_CACHE
+from repro.fleet.job import JobSimulator
 from repro.scenarios import ScenarioSpec
 from repro.scenarios.result import ScenarioResult
 
@@ -46,8 +45,6 @@ def fleet_result(job_config):
         policy="fair-share",
         scenario=scenario,
     )
-    PLAN_CACHE.clear()
-    STATE_CACHE.clear()
     return FleetEngine(spec).run()
 
 
@@ -137,8 +134,6 @@ class TestPicklePayloads:
             seed=2,
             **FAST_RECOVERY,
         )
-        PLAN_CACHE.clear()
-        STATE_CACHE.clear()
         sim = JobSimulator(job_config, scenario)
         sim.start(48)
         events = []

@@ -25,7 +25,6 @@ from repro.fleet.job import (
     _slowdown_factors,
     price_pending_steps,
 )
-from repro.orchestration.plancache import PLAN_CACHE
 from repro.runtime.iteration import TrainingIterationSimulator
 from repro.scenarios import ScenarioSpec
 
@@ -45,12 +44,10 @@ def _bits(result):
 
 @pytest.fixture(scope="module")
 def memo_job(job_config):
-    """A started job on a private cluster state whose memo every
-    example of the property shares, and ``seen``: (sample, factor
-    vector) -> the one result object handed out for it."""
-    sim = JobSimulator(
-        job_config, ScenarioSpec(num_iterations=8), use_plan_cache=False
-    )
+    """A started job whose cluster-state memo every example of the
+    property shares, and ``seen``: (sample, factor vector) -> the one
+    result object handed out for it."""
+    sim = JobSimulator(job_config, ScenarioSpec(num_iterations=8))
     sim.start()
     return sim, {}
 
@@ -152,10 +149,8 @@ def test_fleet_prices_each_factor_vector_once(job_config, monkeypatch):
     assert priced, "the fleet never priced a straggler evaluation"
     assert len(set(priced)) == len(priced)
 
-    # A re-run over the shared cluster states prices nothing (a cold
-    # plan cache keeps the per-job plan counters comparable).
+    # A re-run over the shared cluster states prices nothing.
     cold_priced = len(priced)
-    PLAN_CACHE.clear()
     engine = FleetEngine(spec)
     warm = engine.run()
     assert len(priced) == cold_priced

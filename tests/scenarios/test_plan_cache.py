@@ -1,15 +1,17 @@
-"""Replan-cache correctness: caching never changes scenario physics.
+"""Replan-cache correctness: caching never changes scenario results.
 
 A failure/repair oscillation visits the same cluster sizes repeatedly;
 the process-wide plan cache must make that cheaper without perturbing a
-single metric byte, and the hit/miss counters on
-:class:`~repro.scenarios.engine.ScenarioResult` must account for every
-orchestration the timeline needed.
+single byte of the result. The hit/miss counters on
+:class:`~repro.scenarios.engine.ScenarioResult` account for every
+orchestration the timeline needed, counted against the run alone, so a
+run reports the same counters whatever the process ran before it.
 """
 
 import pytest
 
 from repro.core.api import replan
+from repro.fleet import FleetSpec, run_fleet
 from repro.fleet.job import STATE_CACHE
 from repro.orchestration.errors import InfeasibleClusterError
 from repro.orchestration.plancache import PLAN_CACHE, planning_signature
@@ -54,19 +56,17 @@ def snapshot(result):
 
 class TestCacheTransparency:
     def test_cache_on_off_byte_identical(self, small_config):
+        """A run from cold plan and state caches and one from the warm
+        caches it left give the same result, counters included."""
         spec = oscillation_spec()
         PLAN_CACHE.clear()
-        cached = ScenarioEngine(
-            small_config, spec, use_plan_cache=True
-        ).run()
-        uncached = ScenarioEngine(
-            small_config, spec, use_plan_cache=False
-        ).run()
-        assert snapshot(cached) == snapshot(uncached)
+        STATE_CACHE.clear()
+        cold = ScenarioEngine(small_config, spec).run()
+        warm = ScenarioEngine(small_config, spec).run()
+        assert warm.to_dict() == cold.to_dict()
 
     def test_oscillation_hit_counts(self, small_config):
         spec = oscillation_spec()
-        PLAN_CACHE.clear()
         first = ScenarioEngine(small_config, spec).run()
         # shrink -> re-grow -> shrink again: three membership changes
         # over just two distinct cluster sizes.
@@ -78,25 +78,40 @@ class TestCacheTransparency:
         assert first.plan_cache_misses == 2
         assert first.plan_cache_hits == 4
 
-        # A second engine (fresh per-size state, same process) finds
-        # every plan already cached.
+        # A second engine in the same process finds every plan in the
+        # process cache, but counts its own run: the same tallies.
         second = ScenarioEngine(small_config, spec).run()
-        assert second.plan_cache_misses == 0
-        assert second.plan_cache_hits == 6
+        assert second.plan_cache_misses == 2
+        assert second.plan_cache_hits == 4
         assert snapshot(first) == snapshot(second)
 
-    def test_cache_off_counts_every_solve_as_miss(self, small_config):
-        spec = oscillation_spec()
-        result = ScenarioEngine(
-            small_config, spec, use_plan_cache=False
-        ).run()
-        # Distinct sizes are still memoized per engine (state table),
-        # but nothing comes from (or goes into) the process cache.
-        assert result.plan_cache_misses == 2
-        hits, misses = PLAN_CACHE.stats()
-        before = (hits, misses)
-        ScenarioEngine(small_config, spec, use_plan_cache=False).run()
-        assert PLAN_CACHE.stats() == before
+
+class TestRunScopedCounters:
+    """A result depends on its spec alone: no run reads plan counters
+    left by what the process ran before it."""
+
+    CALM = ScenarioSpec(num_iterations=20, checkpoint_interval=10)
+
+    def test_scenario_engine_run_twice(self, small_config):
+        # A cold first run: the second must repeat its counters.
+        PLAN_CACHE.clear()
+        engine = ScenarioEngine(small_config, oscillation_spec())
+        first = engine.run()
+        assert (first.plan_cache_hits, first.plan_cache_misses) == (4, 2)
+        assert engine.run().to_dict() == first.to_dict()
+
+    def test_scenario_after_fleet_of_same_task(self, small_config):
+        PLAN_CACHE.clear()
+        cold = run_scenario(small_config, self.CALM)
+        assert (cold.plan_cache_hits, cold.plan_cache_misses) == (0, 1)
+        run_fleet(
+            FleetSpec.homogeneous(
+                small_config, cluster_gpus=96, num_jobs=2, scenario=self.CALM
+            )
+        )
+        assert run_scenario(small_config, self.CALM).to_dict() == (
+            cold.to_dict()
+        )
 
 
 class TestSharedClusterStates:
@@ -116,28 +131,14 @@ class TestSharedClusterStates:
         def counters(result):
             return result.plan_cache_hits, result.plan_cache_misses
 
-        PLAN_CACHE.clear()
         STATE_CACHE.clear()
         first = run_scenario(small_config, self.SPEC)
-        # Cold plans again, warm states: the plan counters a run
-        # reports do not depend on where its states came from.
-        PLAN_CACHE.clear()
+        # A warm state: the plan counters a run reports do not depend
+        # on where its states came from.
         second = run_scenario(small_config, self.SPEC)
         assert STATE_CACHE.stats() == (1, 1)
         assert snapshot(first) == snapshot(second)
         assert counters(first) == counters(second) == (0, 1)
-
-    def test_plan_cache_bypass_builds_private_states(self, small_config):
-        before = STATE_CACHE.stats()
-        engines = [
-            ScenarioEngine(small_config, self.SPEC, use_plan_cache=False)
-            for _ in range(2)
-        ]
-        results = [engine.run() for engine in engines]
-        assert STATE_CACHE.stats() == before
-        first, second = (engine._job._states[48] for engine in engines)
-        assert first is not second
-        assert snapshot(results[0]) == snapshot(results[1])
 
 
 class TestPlanCacheUnit:
