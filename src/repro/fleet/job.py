@@ -84,6 +84,7 @@ import numpy as np
 from repro.core.config import DistTrainConfig
 from repro.core.keyedcache import KeyedCache
 from repro.obs import instrument as obs
+from repro.orchestration.errors import InfeasibleClusterError
 from repro.orchestration.plancache import PLAN_CACHE, planning_signature
 from repro.runtime.checkpoint import CheckpointConfig
 from repro.runtime.iteration import (
@@ -454,19 +455,22 @@ class JobSimulator:
 
         A successful probe leaves the solved plan in the per-size state
         table (and the process-wide plan cache), so probing is never
-        wasted work when the size is later granted. Infeasible sizes
-        are memoized per job — the task and node type are fixed for the
+        wasted work when the size is later granted. Sizes that raise
+        :class:`~repro.orchestration.errors.InfeasibleClusterError` are
+        memoized per job — the task and node type are fixed for the
         job's life, so a size that failed once fails forever and repeat
-        probes at scheduling decision points stay O(1).
+        probes at scheduling decision points stay O(1). Any other
+        exception is a fault, not a property of the size, and
+        propagates.
         """
         if num_gpus in self._infeasible:
             return False
         try:
             self._state(num_gpus)
-            return True
-        except Exception:
+        except InfeasibleClusterError:
             self._infeasible.add(num_gpus)
             return False
+        return True
 
     # ------------------------------------------------------------------ #
     # Event sampling

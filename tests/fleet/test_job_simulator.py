@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.fleet.job import STATE_CACHE, JobSimulator, _fold
 from repro.orchestration.errors import InfeasibleClusterError
+from repro.orchestration.plancache import PLAN_CACHE
 from repro.scenarios import ScenarioSpec
 from repro.scenarios.engine import ScenarioEngine
 from repro.scenarios.events import (
@@ -78,6 +79,31 @@ class TestLifecycle:
         assert not sim.feasible(64)
         with pytest.raises(InfeasibleClusterError):
             sim.start(allocated_gpus=64)
+
+    def test_feasible_remembers_only_infeasibility(
+        self, job_config, monkeypatch
+    ):
+        """An infeasible size is remembered for the job's life; any
+        other planning error is a fault and propagates each time."""
+        from repro.core import api
+
+        solves = []
+
+        def replan(config, num_gpus):
+            solves.append(num_gpus)
+            if num_gpus == 32:
+                raise RuntimeError("orchestrator fault")
+            raise InfeasibleClusterError("no plan fits", num_gpus)
+
+        monkeypatch.setattr(api, "_replan_uncached", replan)
+        # No cache may hold the probed sizes, or the stub never runs.
+        PLAN_CACHE.clear()
+        sim = JobSimulator(job_config, ScenarioSpec(num_iterations=4))
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="orchestrator fault"):
+                sim.feasible(32)
+            assert not sim.feasible(40)
+        assert solves == [32, 40, 32]
 
 
 class TestFleetControls:
