@@ -111,9 +111,13 @@ def cases() -> List[Tuple[str, Callable[[], FleetSpec]]]:
 
 
 def cold_run(spec: FleetSpec) -> FleetResult:
-    """One fleet run from cold plan, job-state and batch caches (the
-    per-job plan hit/miss counters in every row depend on cache
-    warmth)."""
+    """One fleet run from cold plan, job-state and batch caches.
+
+    Plan hit/miss counters are counted per run, so a result does not
+    depend on cache warmth, but the work that produces it does: this is
+    for the blessing pass and for callers that count state builds or
+    straggler pricings.
+    """
     PLAN_CACHE.clear()
     STATE_CACHE.clear()
     BATCH_CACHE.clear()
