@@ -31,9 +31,13 @@ profile is keyed by the factors the simulated ranks see
 wrap onto the same few simulated ranks share one pricing. Nor is an
 iteration even *stepped* one at a time: between irregular steps — a
 timed event firing, a repair re-growth, a scripted resize —
-:meth:`JobSimulator.advance_until` advances in closed form. Iteration
-times are a gather (``base[i % K]``, the sparse straggler iterations
-overwritten from the memo), and the clock, trajectories, and GPU-seconds
+:meth:`JobSimulator.advance_until` advances in closed form. Straggler
+episodes are kept as runs — sorted, disjoint iteration ranges sharing
+one profile (:func:`_straggler_runs`), built once at
+:meth:`~JobSimulator.start` — so iteration times are a gather
+(``base[i % K]``) with each run that meets a segment overlaid from the
+memo by at most K lookups and strided writes (every K-th iteration of a
+run repeats one sample). The clock, trajectories, and GPU-seconds
 move by one ``np.cumsum`` per checkpoint interval, bitwise the
 sequential fold :meth:`JobSimulator.step` performs. ``searchsorted`` on
 the end-of-compute clocks finds where the next event fires; only
@@ -129,6 +133,9 @@ STATE_CACHE = KeyedCache(maxsize=64, name="jobstate")
 #: episode, sorted.
 Profile = Tuple[Tuple[int, float], ...]
 
+#: A straggler run: iterations ``[start, end)`` share one profile.
+Run = Tuple[int, int, Profile]
+
 
 @dataclass
 class _ClusterState:
@@ -199,6 +206,11 @@ def _canonical_profile(
     key, and :func:`_slowdown_factors` of it is the raw profile's.
     """
     n_ranks = len(state.prepared[sample].rank_work)
+    if len(profile) == 1:
+        # One active episode, the common case: the merge below, inline.
+        ((rank, slowdown),) = profile
+        slowdown = max(1.0, slowdown)
+        return () if slowdown == 1.0 else ((rank % n_ranks, slowdown),)
     merged: Dict[int, float] = {}
     for rank, slowdown in profile:
         idx = rank % n_ranks
@@ -227,6 +239,37 @@ def _memo_lookup(
     if result is not None:
         state.evaluations[(sample, profile)] = result
     return result, canonical
+
+
+def _straggler_runs(episodes: List[StragglerEvent], n: int) -> List[Run]:
+    """The straggler episodes as sorted, disjoint runs.
+
+    One sweep over the episodes' start and end edges, clipped at ``n``
+    iterations. A run's profile lists the ``(rank, slowdown)`` pair of
+    every episode active across it, sorted and with duplicates kept, so
+    an iteration's profile is the one of the run covering it, or ``()``
+    if none does.
+    """
+    edges = []
+    for episode in episodes:
+        if episode.iteration < n:
+            pair = (episode.rank, episode.slowdown)
+            edges.append((episode.iteration, True, pair))
+            edges.append((min(episode.end_iteration, n), False, pair))
+    edges.sort()
+    runs: List[Run] = []
+    active: List[Tuple[int, float]] = []
+    for k, (at, opens, pair) in enumerate(edges):
+        if opens:
+            bisect.insort(active, pair)
+        else:
+            active.remove(pair)
+        # A run reaches the next edge; after the last one nothing is
+        # active.
+        nxt = edges[k + 1][0] if k + 1 < len(edges) else at
+        if nxt != at and active:
+            runs.append((at, nxt, tuple(active)))
+    return runs
 
 
 def _fold(values: np.ndarray) -> float:
@@ -495,21 +538,12 @@ class JobSimulator:
             )
         return episodes
 
-    def _straggler_profiles(
-        self, stragglers: List[StragglerEvent]
-    ) -> Dict[int, Profile]:
-        """Iteration -> sorted active-straggler profile."""
-        profiles: Dict[int, List[Tuple[int, float]]] = {}
-        for episode in stragglers:
-            for i in range(episode.iteration, episode.end_iteration):
-                if i >= self.scenario.num_iterations:
-                    break
-                profiles.setdefault(i, []).append(
-                    (episode.rank, episode.slowdown)
-                )
-        return {
-            i: tuple(sorted(active)) for i, active in profiles.items()
-        }
+    def _profile(self, i: int) -> Profile:
+        """The straggler profile of iteration ``i`` (``()`` if none)."""
+        r = bisect.bisect_right(self._run_starts, i) - 1
+        if r >= 0 and i < self._run_ends[r]:
+            return self._runs[r][2]
+        return ()
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -562,12 +596,14 @@ class JobSimulator:
         sampled_stragglers = (
             [] if replaying else self._sampled_stragglers()
         )
-        self._profiles = self._straggler_profiles(
-            trace.stragglers + sampled_stragglers
+        #: Straggler runs (:func:`_straggler_runs`) with their start and
+        #: end iterations, and the sorted scripted-resize iterations —
+        #: the sparse breaks in a segment's gather.
+        self._runs = _straggler_runs(
+            trace.stragglers + sampled_stragglers, spec.num_iterations
         )
-        #: Sorted iteration indices with a straggler profile / a
-        #: scripted resize — the sparse breaks in a segment's gather.
-        self._profile_iters = sorted(self._profiles)
+        self._run_starts = [run[0] for run in self._runs]
+        self._run_ends = [run[1] for run in self._runs]
         self._resize_iters = sorted(self._resizes)
 
         self._failure_model = None if replaying else spec.failure_model()
@@ -802,7 +838,7 @@ class JobSimulator:
             return None
         if self._i in self._resizes:
             return None
-        profile = self._profiles.get(self._i, ())
+        profile = self._profile(self._i)
         if not profile:
             return None
         sample = self._i % self._K
@@ -871,7 +907,7 @@ class JobSimulator:
             )
 
         result = self._evaluate(
-            self._cur, self._i % self._K, self._profiles.get(self._i, ())
+            self._cur, self._i % self._K, self._profile(self._i)
         )
         end_compute = self._clock + result.iteration_time
 
@@ -1123,11 +1159,16 @@ class JobSimulator:
         iterations the stall is an exact ``0.0``, so within one
         checkpoint interval the boundary clocks are one ``np.cumsum``
         over the gathered iteration times — bitwise the sequential
-        fold :meth:`step` performs. The walk stops before the first
-        irregular step (``searchsorted`` on the end-of-compute clocks
-        finds the iteration a timed event kills and the boundary a
-        repair lands on) or at the first boundary at or after
-        ``horizon``.
+        fold :meth:`step` performs. The times are the base times by
+        sample with each straggler run that meets the interval laid
+        over them: a run's iterations ``p, p + K, ...`` share a sample
+        (a group), so one memo lookup and one strided write. A group
+        not yet memoized is one pending evaluation, needed iff its first
+        iteration is; pricing takes the keys in order of first need.
+        The walk stops before the first irregular step (``searchsorted``
+        on the end-of-compute clocks finds the iteration a timed event
+        kills and the boundary a repair lands on) or at the first
+        boundary at or after ``horizon``.
 
         With ``commit`` the job state advances (several intervals, up
         to the stop). Without it nothing changes and the walk ends
@@ -1156,25 +1197,30 @@ class JobSimulator:
             idx = np.arange(i, stop) % K
             times = state.times[idx]
             mfus = state.mfus[idx]
+            # Unpriced (run, sample) groups as ``(first, end, pending)``:
+            # positions ``first, first + K, ...`` before ``end`` share
+            # one evaluation. Runs are disjoint and sorted, so the
+            # groups are in order of their first positions.
             missing = []
-            lo = bisect.bisect_left(self._profile_iters, i)
-            hi = bisect.bisect_left(self._profile_iters, stop, lo)
-            for it in self._profile_iters[lo:hi]:
-                sample = it % K
-                profile = self._profiles[it]
-                # The raw-profile hit is inlined: every peek and advance
-                # re-reads a segment's straggler iterations, ~7 lookups
-                # per iteration on a busy fleet.
-                result = state.evaluations.get((sample, profile))
-                if result is None:
-                    result, key = _memo_lookup(state, sample, profile)
-                if result is None:
-                    missing.append(
-                        (it - i, PendingEvaluation(state, sample, key))
-                    )
-                else:
-                    times[it - i] = result.iteration_time
-                    mfus[it - i] = result.mfu
+            lo = bisect.bisect_right(self._run_ends, i)
+            hi = bisect.bisect_left(self._run_starts, stop, lo)
+            for start, run_end, profile in self._runs[lo:hi]:
+                a = max(start, i) - i
+                b = min(run_end, stop) - i
+                for p in range(a, min(a + K, b)):
+                    sample = (i + p) % K
+                    # The raw-profile hit is inlined: every peek and
+                    # advance re-reads a segment's runs.
+                    result = state.evaluations.get((sample, profile))
+                    if result is None:
+                        result, key = _memo_lookup(state, sample, profile)
+                    if result is None:
+                        missing.append(
+                            (p, b, PendingEvaluation(state, sample, key))
+                        )
+                    else:
+                        times[p:b:K] = result.iteration_time
+                        mfus[p:b:K] = result.mfu
             while True:
                 # Missing evaluations stand in at their base time (a
                 # lower bound), so the cut computed here is at or after
@@ -1186,27 +1232,27 @@ class JobSimulator:
                 take, evaluated, irregular = _cut(
                     ends, event_t, repair, horizon
                 )
-                need = [
-                    (pos, item) for pos, item in missing if pos < evaluated
-                ]
+                # A group is needed iff its first position is; pricing
+                # deduplicates by key, in order of first need.
+                need = [item for p, _, item in missing if p < evaluated]
                 if not need:
                     break
                 if lower_bound:
-                    # Everything before the first unpriced iteration is
-                    # exact, and the segment cannot end before that
-                    # iteration starts.
-                    first = need[0][0]
+                    # Everything before the first unpriced iteration (the
+                    # first group's, which is needed) is exact, and the
+                    # segment cannot end before that iteration starts.
+                    first = missing[0][0]
                     key = clock if first == 0 else float(ends[first - 1])
-                    return key, False, [item for _, item in need]
-                price_pending_steps([item for _, item in need])
+                    return key, False, need
+                price_pending_steps(need)
                 still = []
-                for pos, item in missing:
+                for p, b, item in missing:
                     result, _ = _memo_lookup(state, item.sample, item.profile)
                     if result is None:
-                        still.append((pos, item))
+                        still.append((p, b, item))
                     else:
-                        times[pos] = result.iteration_time
-                        mfus[pos] = result.mfu
+                        times[p:b:K] = result.iteration_time
+                        mfus[p:b:K] = result.mfu
                 missing = still
             if take:
                 clock = float(ends[take - 1])

@@ -19,6 +19,7 @@ from repro.scenarios.events import (
     MaintenanceEvent,
     ResizeEvent,
     SpotReclaimEvent,
+    StragglerEvent,
 )
 
 from tests.fleet.conftest import FAST_RECOVERY
@@ -265,12 +266,101 @@ def _result_bytes(sim):
     return json.dumps(sim.finish().to_dict(), sort_keys=True)
 
 
+def _assert_walks_agree(job_config, spec, picks, extra=()):
+    """The segment walk equals the step walk at horizons on boundary
+    clocks (``picks`` index them, modulo), at ``extra`` clocks and at
+    inf, and both end byte-identical. Returns the boundary clocks."""
+    probe = JobSimulator(job_config, spec)
+    probe.start()
+    boundaries = [probe.clock]
+    while not probe.done:
+        probe.step()
+        boundaries.append(probe.clock)
+    horizons = sorted(
+        [boundaries[p % len(boundaries)] for p in picks] + list(extra)
+    ) + [float("inf")]
+
+    # Each walk starts from an empty straggler memo, so the segment
+    # walk does its own pricing; plan fetches are all hits.
+    STATE_CACHE.clear()
+    segment = JobSimulator(job_config, spec)
+    segment.start()
+    segment_marks = _segment_walk(segment, horizons)
+    STATE_CACHE.clear()
+    stepped = JobSimulator(job_config, spec)
+    stepped.start()
+    step_marks = _step_walk(stepped, horizons)
+
+    assert segment_marks == step_marks
+    assert segment.done and stepped.done
+    assert _result_bytes(segment) == _result_bytes(stepped)
+    return boundaries
+
+
 @given(st.lists(st.floats(0.0, 1e4), max_size=300))
 def test_fold_is_the_sequential_loop(values):
     total = 0.0
     for value in values:
         total += value
     assert _fold(np.array(values, dtype=float)) == total
+
+
+def _per_iteration_profiles(episodes, n):
+    """Iteration -> sorted active-straggler profile, built one iteration
+    at a time: the oracle for the simulator's runs."""
+    profiles = {}
+    for episode in episodes:
+        for i in range(episode.iteration, episode.end_iteration):
+            if i >= n:
+                break
+            profiles.setdefault(i, []).append(
+                (episode.rank, episode.slowdown)
+            )
+    return {i: tuple(sorted(active)) for i, active in profiles.items()}
+
+
+@st.composite
+def straggler_traces(draw):
+    """``(n, episodes)``: episodes that overlap, repeat ``(rank,
+    slowdown)`` pairs, and may start at or past the end."""
+    n = draw(st.integers(1, 120))
+    episodes = draw(
+        st.lists(
+            st.builds(
+                StragglerEvent,
+                iteration=st.integers(0, n + 5),
+                duration_iterations=st.integers(1, 30),
+                rank=st.integers(0, 4),
+                slowdown=st.sampled_from([1.0, 1.5, 2.0]),
+            ),
+            max_size=12,
+        )
+    )
+    return n, episodes
+
+
+class TestStragglerRuns:
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(trace=straggler_traces())
+    def test_runs_give_per_iteration_profiles(self, job_config, trace):
+        n, episodes = trace
+        sim = JobSimulator(
+            job_config,
+            ScenarioSpec(num_iterations=n, events=EventTrace(episodes)),
+        )
+        sim.start()
+        expected = _per_iteration_profiles(episodes, n)
+        assert [sim._profile(i) for i in range(n)] == [
+            expected.get(i, ()) for i in range(n)
+        ]
+        runs = sim._runs
+        assert all(start < end <= n for start, end, _ in runs)
+        assert all(a[1] <= b[0] for a, b in zip(runs, runs[1:]))
+        assert all(profile for _, _, profile in runs)
 
 
 class TestSegmentAdvance:
@@ -291,31 +381,59 @@ class TestSegmentAdvance:
         extra=st.lists(st.floats(0.0, 250.0), max_size=2),
     )
     def test_matches_step_walk(self, job_config, spec, picks, extra):
-        probe = JobSimulator(job_config, spec)
-        probe.start()
-        boundaries = [probe.clock]
-        while not probe.done:
-            probe.step()
-            boundaries.append(probe.clock)
         # Horizons exactly on boundary clocks, between them, and inf.
-        horizons = sorted(
-            [boundaries[p % len(boundaries)] for p in picks] + extra
-        ) + [float("inf")]
+        _assert_walks_agree(job_config, spec, picks, extra)
 
-        # Each walk starts from an empty straggler memo, so the segment
-        # walk does its own pricing; plan fetches are all hits.
+    @pytest.mark.parametrize(
+        "n, interval, samples, episodes",
+        [
+            pytest.param(
+                40, 10, 4,
+                [(2, 9, 1, 1.5), (5, 3, 1, 2.0), (6, 14, 1, 1.5),
+                 (7, 2, 3, 1.5)],
+                id="overlapping-lengths",
+            ),
+            pytest.param(
+                30, 7, 4, [(4, 6, 2, 1.5), (4, 6, 2, 1.5)],
+                id="identical-episodes",
+            ),
+            pytest.param(
+                40, 10, 4, [(8, 7, 0, 2.0), (13, 25, 5, 1.5)],
+                id="across-checkpoints",
+            ),
+            pytest.param(
+                50, 20, 4,
+                [(1, 5, 1, 1.5), (11, 7, 2, 2.0), (25, 3, 4, 1.5),
+                 (45, 9, 0, 1.5), (60, 2, 1, 2.0)],
+                id="lengths-not-multiples-of-k",
+            ),
+            pytest.param(
+                30, 7, 1, [(2, 5, 1, 1.5), (4, 6, 3, 2.0)], id="k-1"
+            ),
+        ],
+    )
+    def test_explicit_stragglers_match_step_walk(
+        self, job_config, n, interval, samples, episodes
+    ):
+        """Scripted straggler runs: overlaps, duplicate pairs, runs
+        crossing checkpoints or clipped at the end, K = 1."""
+        spec = ScenarioSpec(
+            num_iterations=n,
+            checkpoint_interval=interval,
+            sample_iterations=samples,
+            events=EventTrace([StragglerEvent(*e) for e in episodes]),
+        )
+        boundaries = _assert_walks_agree(
+            job_config, spec, picks=range(0, n, 3)
+        )
+        # The first straggler iteration lies in the first segment, so a
+        # lower-bound peek keys the segment at that iteration's start.
         STATE_CACHE.clear()
-        segment = JobSimulator(job_config, spec)
-        segment.start()
-        segment_marks = _segment_walk(segment, horizons)
-        STATE_CACHE.clear()
-        stepped = JobSimulator(job_config, spec)
-        stepped.start()
-        step_marks = _step_walk(stepped, horizons)
-
-        assert segment_marks == step_marks
-        assert segment.done and stepped.done
-        assert _result_bytes(segment) == _result_bytes(stepped)
+        sim = JobSimulator(job_config, spec)
+        sim.start()
+        key, _, pending = sim.peek_segment(lower_bound=True)
+        assert pending
+        assert key == boundaries[min(e[0] for e in episodes)]
 
     def test_run_is_segment_advance(self, job_config):
         spec = ScenarioSpec(
