@@ -62,15 +62,26 @@ def load_trace(path: str) -> Dict[str, Any]:
 def span_aggregates(
     spans: List[Dict[str, Any]]
 ) -> Dict[str, Dict[str, float]]:
-    """Per-name span stats: count, total/mean/max duration seconds."""
+    """Per-name span stats: count, total/mean/max duration seconds, and
+    ``self`` seconds — each span's duration less the durations of the
+    spans whose ``parent`` is its ``id``. A span without ``id`` or
+    ``parent`` is a root whose self time is its duration."""
+    children: Dict[Any, float] = {}
+    for record in spans:
+        parent = record.get("parent")
+        if parent is not None:
+            duration = record["end"] - record["start"]
+            children[parent] = children.get(parent, 0.0) + duration
     stats: Dict[str, Dict[str, float]] = {}
     for record in spans:
         duration = record["end"] - record["start"]
         s = stats.setdefault(
-            record["name"], {"count": 0, "total": 0.0, "max": 0.0}
+            record["name"],
+            {"count": 0, "total": 0.0, "self": 0.0, "max": 0.0},
         )
         s["count"] += 1
         s["total"] += duration
+        s["self"] += duration - children.get(record.get("id"), 0.0)
         if duration > s["max"]:
             s["max"] = duration
     for s in stats.values():
@@ -164,6 +175,7 @@ def summarize_trace(
                 name,
                 str(int(stats[name]["count"])),
                 stats[name]["total"],
+                stats[name]["self"],
                 stats[name]["mean"],
                 stats[name]["max"],
             ]
@@ -173,7 +185,7 @@ def summarize_trace(
         ]
         parts.append(
             format_table(
-                ["span", "count", "total_s", "mean_s", "max_s"],
+                ["span", "count", "total_s", "self_s", "mean_s", "max_s"],
                 rows,
                 title="spans (by total wall time)",
             )

@@ -75,8 +75,20 @@ class TestAggregates:
         ]
         stats = span_aggregates(spans)
         assert stats["a"] == {"count": 2, "total": 6.0, "max": 4.0,
-                              "mean": 3.0}
+                              "mean": 3.0, "self": 6.0}
         assert stats["b"]["count"] == 1
+
+    def test_self_time_subtracts_children(self):
+        spans = [
+            {"name": "p", "id": 1, "parent": None,
+             "start": 0.0, "end": 10.0},
+            {"name": "c", "id": 2, "parent": 1, "start": 1.0, "end": 4.0},
+            {"name": "c", "id": 3, "parent": 1, "start": 5.0, "end": 6.0},
+        ]
+        stats = span_aggregates(spans)
+        assert stats["p"]["self"] == 6.0
+        assert stats["p"]["total"] == 10.0
+        assert stats["c"]["self"] == stats["c"]["total"] == 4.0
 
     def test_event_counts(self):
         events = [{"name": "x"}, {"name": "y"}, {"name": "x"}]
