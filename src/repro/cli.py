@@ -863,7 +863,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     from repro.experiments import ResultCache, ResultFrame
 
     if args.input:
-        frame = ResultFrame.from_json(args.input)
+        try:
+            frame = ResultFrame.from_json(args.input)
+        except (OSError, ValueError) as exc:
+            print(f"repro report: error: {exc}", file=sys.stderr)
+            return 2
         source = args.input
     else:
         cache = ResultCache(args.cache_dir)

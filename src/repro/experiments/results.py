@@ -71,10 +71,26 @@ class ResultFrame:
 
     @classmethod
     def from_json(cls, path: Union[str, Path]) -> "ResultFrame":
-        """Load a frame exported with :meth:`to_json`."""
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        """Load a frame exported with :meth:`to_json`: a JSON list of
+        record objects, or an object whose ``records`` is one.
+
+        Raises:
+            OSError: The file cannot be read.
+            ValueError: It is not JSON, or not in either layout.
+        """
+        try:
+            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ValueError(f"{path}: not JSON ({exc})") from exc
         if isinstance(payload, dict):
-            payload = payload.get("records", [])
+            payload = payload.get("records")
+        if not isinstance(payload, list) or not all(
+            isinstance(record, dict) for record in payload
+        ):
+            raise ValueError(
+                f"{path}: expected a list of record objects, or an "
+                "object whose 'records' is one"
+            )
         return cls(payload)
 
     def _derive(self, rows: List[Row]) -> "ResultFrame":

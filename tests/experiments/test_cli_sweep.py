@@ -211,6 +211,38 @@ class TestReport:
         assert code == 0
         assert "4 results" in out
 
+    @pytest.mark.parametrize(
+        "content",
+        [None, "not json {", "[1, 2]", '{"records": {"a": 1}}'],
+        ids=["missing", "not-json", "list-of-numbers", "records-not-list"],
+    )
+    def test_report_bad_input_is_a_clean_error(
+        self, tmp_path, capsys, content
+    ):
+        path = tmp_path / "results.json"
+        if content is not None:
+            path.write_text(content, encoding="utf-8")
+        code = main(["report", "--input", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("repro report: error: ")
+        assert str(path) in err
+
+    def test_report_reads_exported_frame(self, tmp_path, capsys):
+        from repro.experiments import ResultFrame
+
+        path = tmp_path / "frame.json"
+        ResultFrame([{
+            "params": {"model": "mllm-9b", "system": "disttrain",
+                       "gpus": 32, "gbs": 8},
+            "metrics": {"mfu": 0.4},
+            "status": "ok",
+        }]).to_json(path)
+        code = main(["report", "--input", str(path)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "1 results" in out and "mllm-9b" in out
+
     def test_report_failures_lists_errors_and_tracebacks(
         self, cache_dir, tmp_path, capsys
     ):
