@@ -206,11 +206,6 @@ def _canonical_profile(
     key, and :func:`_slowdown_factors` of it is the raw profile's.
     """
     n_ranks = len(state.prepared[sample].rank_work)
-    if len(profile) == 1:
-        # One active episode, the common case: the merge below, inline.
-        ((rank, slowdown),) = profile
-        slowdown = max(1.0, slowdown)
-        return () if slowdown == 1.0 else ((rank % n_ranks, slowdown),)
     merged: Dict[int, float] = {}
     for rank, slowdown in profile:
         idx = rank % n_ranks
