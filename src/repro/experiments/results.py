@@ -72,7 +72,8 @@ class ResultFrame:
     @classmethod
     def from_json(cls, path: Union[str, Path]) -> "ResultFrame":
         """Load a frame exported with :meth:`to_json`: a JSON list of
-        record objects, or an object whose ``records`` is one.
+        record objects, or an object whose ``records`` is one. A record's
+        ``params`` and ``metrics``, where present, must be objects.
 
         Raises:
             OSError: The file cannot be read.
@@ -85,11 +86,16 @@ class ResultFrame:
         if isinstance(payload, dict):
             payload = payload.get("records")
         if not isinstance(payload, list) or not all(
-            isinstance(record, dict) for record in payload
+            isinstance(record, dict)
+            and all(
+                isinstance(record.get(key, {}), dict)
+                for key in ("params", "metrics")
+            )
+            for record in payload
         ):
             raise ValueError(
-                f"{path}: expected a list of record objects, or an "
-                "object whose 'records' is one"
+                f"{path}: expected a list of record objects whose params "
+                "and metrics are objects, or an object whose 'records' is one"
             )
         return cls(payload)
 

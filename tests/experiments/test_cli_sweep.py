@@ -213,8 +213,10 @@ class TestReport:
 
     @pytest.mark.parametrize(
         "content",
-        [None, "not json {", "[1, 2]", '{"records": {"a": 1}}'],
-        ids=["missing", "not-json", "list-of-numbers", "records-not-list"],
+        [None, "not json {", "[1, 2]", '{"records": {"a": 1}}',
+         '[{"params": 5}]', '[{"metrics": [1]}]'],
+        ids=["missing", "not-json", "list-of-numbers", "records-not-list",
+             "params-not-object", "metrics-not-object"],
     )
     def test_report_bad_input_is_a_clean_error(
         self, tmp_path, capsys, content
