@@ -87,7 +87,7 @@ def _add_task_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--vpp", type=int, default=1, help="virtual PP size")
     parser.add_argument(
-        "--seed", type=int, default=0, help="synthetic data seed"
+        "--seed", type=_seed, default=0, help="synthetic data seed"
     )
     parser.set_defaults(prog=parser.prog)
 
@@ -239,14 +239,26 @@ def cmd_data_stats(args: argparse.Namespace) -> int:
 
 def _positive_int(text: str) -> int:
     """Parse a flag value that must be an integer of at least 1."""
+    return _int_at_least(text, 1)
+
+
+def _seed(text: str) -> int:
+    """Parse a seed: an integer of at least 0 (numpy rejects less)."""
+    return _int_at_least(text, 0)
+
+
+def _int_at_least(text: str, minimum: int) -> int:
+    """Parse an integer flag value of at least ``minimum``."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"invalid int value: {text!r}"
         ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(
+            f"must be >= {minimum}, got {value}"
+        )
     return value
 
 
@@ -295,7 +307,7 @@ def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--vpp", type=int, default=1)
     parser.add_argument(
-        "--seed", type=int, default=None,
+        "--seed", type=_seed, default=None,
         help="data seed shared by every trial (default 0)",
     )
     parser.add_argument(
@@ -388,7 +400,7 @@ def _add_scenario_sweep_arguments(parser: argparse.ArgumentParser) -> None:
         help="iterations between asynchronous checkpoints (default 50)",
     )
     parser.add_argument(
-        "--failure-seed", type=int, default=None,
+        "--failure-seed", type=_seed, default=None,
         help="seed for sampled failures and stragglers (default 0)",
     )
 
@@ -476,7 +488,7 @@ def _add_fleet_arguments(
         **many,
     )
     parser.add_argument(
-        "--job-gpus", type=int, default=None,
+        "--job-gpus", type=_positive_int, default=None,
         help="per-job GPU demand (default: the whole cluster)",
     )
     parser.add_argument(
@@ -1023,7 +1035,7 @@ def build_parser() -> argparse.ArgumentParser:
         "data-stats", help="characterize the synthetic data stream"
     )
     data_parser.add_argument("--samples", type=_positive_int, default=500)
-    data_parser.add_argument("--seed", type=int, default=0)
+    data_parser.add_argument("--seed", type=_seed, default=0)
     data_parser.set_defaults(fn=cmd_data_stats)
 
     sweep_parser = subparsers.add_parser(
@@ -1082,7 +1094,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="distinct global batches priced per cluster size",
     )
     scenario_run.add_argument(
-        "--failure-seed", type=int, default=0,
+        "--failure-seed", type=_seed, default=0,
         help="seed for sampled failures and stragglers",
     )
     scenario_run.add_argument(
@@ -1152,7 +1164,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="distinct global batches priced per cluster size",
     )
     fleet_run.add_argument(
-        "--failure-seed", type=int, default=0,
+        "--failure-seed", type=_seed, default=0,
         help="base seed for per-job failures (job i uses seed + i)",
     )
     fleet_run.add_argument(

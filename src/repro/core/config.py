@@ -68,6 +68,8 @@ class DistTrainConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.global_batch_size % self.microbatch_size != 0:
             raise ValueError("global batch must divide by microbatch size")
+        if self.data_seed < 0:
+            raise ValueError(f"data_seed must be >= 0, got {self.data_seed}")
 
     # ------------------------------------------------------------------ #
     # Constructors

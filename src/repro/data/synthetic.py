@@ -43,6 +43,8 @@ class SyntheticMultimodalDataset:
     def __post_init__(self) -> None:
         if self.seq_len < 1:
             raise ValueError("seq_len must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         self._rng = np.random.default_rng(self.seed)
         self._next_sample_id = 0
 

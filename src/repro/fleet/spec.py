@@ -182,7 +182,7 @@ class FleetSpec:
                 f"{num_jobs} jobs"
             )
         scenario = scenario or ScenarioSpec()
-        demand = job_gpus or config.cluster.num_gpus
+        demand = config.cluster.num_gpus if job_gpus is None else job_gpus
         if demand != config.cluster.num_gpus:
             config = config.with_(
                 cluster=resized_cluster(config.cluster, demand)

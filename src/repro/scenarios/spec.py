@@ -106,6 +106,8 @@ class ScenarioSpec:
             raise ValueError("sample_iterations must be >= 1")
         if self.gpus_lost_per_failure < 1:
             raise ValueError("gpus_lost_per_failure must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (self.repair_seconds >= 0 and self.replan_seconds >= 0):
             raise ValueError("recovery times must be non-negative")
         if not (

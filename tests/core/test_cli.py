@@ -72,6 +72,46 @@ class TestCommands:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["simulate", "--model", "mllm-9b", "--gpus", "48",
+                      "--gbs", "32", "--seed", "-1"], id="simulate"),
+        pytest.param(["data-stats", "--seed", "-1"], id="data-stats"),
+        pytest.param(["sweep", "--models", "mllm-9b", "--systems",
+                      "disttrain", "--gpus", "48", "--gbs", "32",
+                      "--seed", "-1"], id="sweep"),
+        pytest.param(["scenario", "run", "--model", "mllm-9b", "--gpus",
+                      "48", "--gbs", "16", "--iterations", "20", "--mtbf",
+                      "3", "--failure-seed", "-1"], id="scenario-run"),
+        pytest.param(["fleet", "run", "--model", "mllm-9b", "--gpus", "96",
+                      "--gbs", "16", "--jobs", "2", "--iterations", "20",
+                      "--mtbf", "3", "--failure-seed", "-3"],
+                     id="fleet-run"),
+        pytest.param(["fleet", "run", "--model", "mllm-9b", "--gpus", "96",
+                      "--gbs", "16", "--jobs", "2", "--iterations", "20",
+                      "--job-gpus", "0"], id="fleet-run-job-gpus"),
+    ])
+    def test_out_of_range_flag_exits_2_before_work(
+        self, capsys, tmp_path, argv
+    ):
+        """Negative seeds (numpy takes none) and a zero per-job demand
+        fail at parse time, not in a traceback or a run of failures."""
+        command = " ".join(argv[:2] if argv[0] in ("scenario", "fleet")
+                           else argv[:1])
+        flag, value = argv[-2:]
+        minimum = 1 if flag == "--job-gpus" else 0
+        if argv[0] == "sweep":
+            argv = argv + ["--cache-dir", str(tmp_path)]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2
+        assert (
+            f"repro {command}: error: argument {flag}: "
+            f"must be >= {minimum}, got {value}"
+        ) in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_data_stats_accepts_small_sample_count(self, capsys):
         assert main(["data-stats", "--samples", "5"]) == 0
         assert "5 samples" in capsys.readouterr().out

@@ -48,6 +48,11 @@ class TestPreset:
         with pytest.raises(ValueError, match=f"{field} must be >= 1"):
             config.with_(**{field: value})
 
+    def test_negative_data_seed_rejected(self):
+        config = DistTrainConfig.preset("mllm-9b", 48, 32)
+        with pytest.raises(ValueError, match="data_seed must be >= 0"):
+            config.with_(data_seed=-1)
+
 
 class TestDerivedSettings:
     def test_disttrain_defaults(self):

@@ -33,6 +33,10 @@ class TestGeneration:
         with pytest.raises(ValueError):
             SyntheticMultimodalDataset().take(0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            SyntheticMultimodalDataset(seed=-1)
+
     def test_global_batches(self):
         ds = SyntheticMultimodalDataset(seed=3)
         batches = list(ds.global_batches(8, num_batches=3))

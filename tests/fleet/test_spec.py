@@ -92,6 +92,14 @@ class TestFleetSpec:
         # Identical tenants must not fail in lockstep: derived seeds.
         assert [j.scenario.seed for j in spec.jobs] == [7, 8, 9]
 
+    def test_homogeneous_zero_job_gpus_is_not_the_default(self, job_config):
+        # 0 is a demand, not "unset": it must fail, not become the
+        # whole cluster.
+        with pytest.raises(ValueError, match="num_gpus must be positive"):
+            FleetSpec.homogeneous(
+                job_config, cluster_gpus=96, num_jobs=2, job_gpus=0
+            )
+
     def test_homogeneous_accepts_explicit_arrivals(self, job_config):
         spec = FleetSpec.homogeneous(
             job_config,

@@ -29,6 +29,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             ScenarioSpec(**kwargs)
 
+    def test_rejects_negative_seed(self):
+        # numpy's generators take no negative seed: fail at the spec.
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            ScenarioSpec(seed=-1)
+
     @pytest.mark.parametrize("field, value", [
         ("straggler_slowdown", math.nan),
         ("straggler_slowdown", math.inf),
