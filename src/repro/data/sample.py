@@ -13,7 +13,10 @@ training sequences"). The compute a sample induces differs per module:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from repro.models.base import ModuleWorkload
 
@@ -182,6 +185,18 @@ class Microbatch:
         for sample in self.samples:
             total = total + sample.workload()
         return total
+
+
+def image_arrays(
+    samples: Sequence[TrainingSample],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The samples' image tokens and image counts as int64 arrays, for
+    pricing a batch's encoder and generator work on arrays."""
+    n = len(samples)
+    return (
+        np.fromiter(map(attrgetter("image_tokens"), samples), np.int64, n),
+        np.fromiter(map(attrgetter("num_images"), samples), np.int64, n),
+    )
 
 
 def make_microbatches(

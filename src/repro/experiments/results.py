@@ -29,6 +29,7 @@ from typing import (
 from repro.experiments.cache import ResultCache
 from repro.experiments.runner import TrialRecord
 from repro.experiments.spec import KNOWN_PARAMS
+from repro.numerics import fold_sum
 
 #: Row keys that come from the record envelope rather than params/metrics.
 META_COLUMNS = ("status", "config_hash", "error", "traceback")
@@ -195,7 +196,7 @@ class ResultFrame:
         ]
         if not values:
             raise ValueError(f"no numeric values in column {column!r}")
-        return sum(values) / len(values)
+        return fold_sum(values) / len(values)
 
     # ------------------------------------------------------------------ #
     # Derived columns

@@ -71,6 +71,7 @@ from repro.fleet.job import JobSimulator, STATE_CACHE
 from repro.obs import instrument as obs
 from repro.fleet.policies import JobView, SchedulingPolicy, make_policy
 from repro.fleet.spec import FleetJobSpec, FleetSpec
+from repro.numerics import fold_sum
 from repro.scenarios.result import ScenarioResult
 
 logger = logging.getLogger(__name__)
@@ -189,10 +190,10 @@ class FleetResult:
         close the fleet came to giving every tenant its full-demand,
         zero-dynamics, zero-queueing experience. 1.0 means nobody would
         have done better on a private cluster."""
-        total_jct = sum(r.jct_seconds for r in self.records)
+        total_jct = fold_sum(r.jct_seconds for r in self.records)
         if total_jct <= 0:
             return 1.0
-        ideal = sum(r.ideal_demand_seconds for r in self.records)
+        ideal = fold_sum(r.ideal_demand_seconds for r in self.records)
         return ideal / total_jct
 
     @property
@@ -202,7 +203,7 @@ class FleetResult:
         span = self.makespan_seconds
         if span <= 0 or self.total_gpus <= 0:
             return 0.0
-        busy = sum(r.result.gpu_seconds for r in self.records)
+        busy = fold_sum(r.result.gpu_seconds for r in self.records)
         return busy / (self.total_gpus * span)
 
     @property
@@ -249,7 +250,7 @@ class FleetResult:
         """Flat metric row for campaign records / ResultFrame."""
         records = self.records
         span = self.makespan_seconds
-        total_tokens = sum(
+        total_tokens = fold_sum(
             r.result.effective_tokens_per_s * r.result.total_seconds
             for r in records
         )

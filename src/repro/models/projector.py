@@ -49,8 +49,12 @@ class ProjectorSpec(ModuleSpec):
         return params
 
     def forward_flops(self, workload: ModuleWorkload) -> float:
-        tokens = workload.image_tokens
-        return 2.0 * tokens * self.param_count()
+        return self.token_flops(workload.image_tokens)
+
+    def token_flops(self, image_tokens):
+        """Forward FLOPs over ``image_tokens`` tokens: one body for an
+        ``int`` or an int64 array of per-sample token counts."""
+        return 2.0 * image_tokens * self.param_count()
 
     def activation_bytes(self, workload: ModuleWorkload) -> float:
         width = self.hidden_dim or max(self.in_dim, self.out_dim)

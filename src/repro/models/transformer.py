@@ -138,6 +138,11 @@ class TransformerConfig:
         """Score-matrix FLOPs (QK^T and attention-weighted V) per token."""
         if seq_len < 0:
             raise ValueError("seq_len must be non-negative")
+        return self.attention_score_flops(seq_len)
+
+    def attention_score_flops(self, seq_len):
+        """:meth:`attention_score_flops_per_token_per_layer` without its
+        check: one body for an ``int`` or an int64 array of lengths."""
         flops = 2.0 * 2.0 * seq_len * self.hidden_size
         if self.causal:
             flops /= 2.0

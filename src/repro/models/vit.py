@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.models.base import ModuleKind, ModuleSpec, ModuleWorkload
 from repro.models.transformer import TransformerConfig
 
@@ -55,12 +57,29 @@ class ViTSpec(ModuleSpec):
     def forward_flops(self, workload: ModuleWorkload) -> float:
         if workload.image_tokens == 0:
             return 0.0
-        tokens_per_image = self._tokens_per_image(workload)
-        per_token = self.config.matmul_flops_per_token_per_layer()
-        per_token += self.config.attention_score_flops_per_token_per_layer(
-            tokens_per_image
+        return self._token_flops(
+            workload.image_tokens, self._tokens_per_image(workload)
         )
-        return workload.image_tokens * (
+
+    def forward_flops_array(
+        self, image_tokens: np.ndarray, images: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`forward_flops` of many one-sample workloads at once.
+
+        Takes int64 arrays of image tokens and image counts, one element
+        per workload, and returns float64 FLOPs equal bit for bit to the
+        scalar form's: the same integer and IEEE operations, in the
+        same order. (Zero tokens give ``0 * x``, exactly 0.0.)
+        """
+        per_image = image_tokens // np.maximum(images, 1)
+        return self._token_flops(image_tokens, np.maximum(per_image, 1))
+
+    def _token_flops(self, image_tokens, tokens_per_image):
+        """Forward FLOPs of ``image_tokens`` tokens in images of
+        ``tokens_per_image``: one body for ints and int64 arrays."""
+        per_token = self.config.matmul_flops_per_token_per_layer()
+        per_token += self.config.attention_score_flops(tokens_per_image)
+        return image_tokens * (
             self.config.num_layers * per_token + self._patch_embed_flops
         )
 

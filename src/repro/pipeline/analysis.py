@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.numerics import fold_sum
 from repro.pipeline.ops import Direction, PipelineOp
 from repro.pipeline.trace import OpRecord, PipelineTrace
 
@@ -151,7 +152,7 @@ def summarize(trace: PipelineTrace) -> Dict[str, float]:
         "makespan": trace.makespan,
         "bubble_fraction": trace.bubble_fraction(),
         "mean_forward_latency": (
-            sum(l.forward_latency for l in latencies) / len(latencies)
+            fold_sum(l.forward_latency for l in latencies) / len(latencies)
             if latencies
             else 0.0
         ),

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
+from repro.numerics import fold_sum
 from repro.pipeline.ops import Direction, PipelineOp
 
 
@@ -60,7 +61,7 @@ class PipelineTrace:
         return list(self._by_stage.get(stage, []))
 
     def stage_busy_time(self, stage: int) -> float:
-        return sum(r.duration for r in self._by_stage.get(stage, []))
+        return fold_sum(r.duration for r in self._by_stage.get(stage, []))
 
     def stage_bubble_time(self, stage: int) -> float:
         """Idle time at ``stage`` within the pipeline makespan."""
@@ -71,7 +72,7 @@ class PipelineTrace:
         measure."""
         if self.makespan == 0:
             return 0.0
-        total_busy = sum(
+        total_busy = fold_sum(
             self.stage_busy_time(s) for s in range(self.num_stages)
         )
         capacity = self.makespan * self.num_stages
@@ -91,7 +92,7 @@ class PipelineTrace:
 
     def first_stage_unfilled_time(self) -> float:
         """Total unfilled interval volume at the first stage."""
-        return sum(b - a for a, b in self.stage_idle_gaps(0))
+        return fold_sum(b - a for a, b in self.stage_idle_gaps(0))
 
     def op_record(self, op: PipelineOp) -> OpRecord:
         for record in self._by_stage.get(op.stage, []):

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.data.sample import TrainingSample
+from repro.numerics import fold_sum
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,7 @@ class PreprocessCostModel:
 
     def batch_cpu_seconds(self, samples: Iterable[TrainingSample]) -> float:
         """Single-core seconds for a whole batch."""
-        return sum(self.sample_cpu_seconds(s) for s in samples)
+        return fold_sum(self.sample_cpu_seconds(s) for s in samples)
 
     def images_cpu_seconds(self, num_images: int, resolution: int) -> float:
         """Cost of ``num_images`` square images (Figure 17's x-axis)."""

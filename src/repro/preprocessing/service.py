@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Deque, List, Optional, Sequence
 
 from repro.data.sample import TrainingSample
+from repro.numerics import fold_sum
 from repro.preprocessing.cost import PreprocessCostModel
 from repro.preprocessing.transfer import TransferModel
 
@@ -106,10 +107,10 @@ class PreprocessingService:
 
     @staticmethod
     def total_stall(feeds: Sequence[IterationFeed]) -> float:
-        return sum(f.stall for f in feeds)
+        return fold_sum(f.stall for f in feeds)
 
     @staticmethod
     def mean_overhead(feeds: Sequence[IterationFeed]) -> float:
         if not feeds:
             return 0.0
-        return sum(f.stall + f.transfer for f in feeds) / len(feeds)
+        return fold_sum(f.stall + f.transfer for f in feeds) / len(feeds)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from repro.cluster.interconnect import LinkSpec, ROCE_4X200
 from repro.data.sample import TrainingSample
+from repro.numerics import fold_sum
 
 
 @dataclass(frozen=True)
@@ -48,6 +49,6 @@ class TransferModel:
 
     def microbatch_transfer_time(self, samples) -> float:
         """Samples of one microbatch ship as a single batched message."""
-        total_bytes = sum(self.sample_bytes(s) for s in samples)
+        total_bytes = fold_sum(self.sample_bytes(s) for s in samples)
         overhead = self.rpc_overhead_s * (0.1 if self.use_rdma else 1.0)
         return overhead + self.link.transfer_time(total_bytes)

@@ -28,6 +28,8 @@ import math
 import numbers
 from typing import Callable, List, Sequence, Tuple, TypeVar
 
+from repro.numerics import fold_sum
+
 T = TypeVar("T")
 
 SizeFn = Callable[[T], float]
@@ -137,7 +139,7 @@ def partition_makespan(
     """Maximum per-group load — the straggler time the paper minimizes."""
     if not groups:
         raise ValueError("no groups")
-    return max(sum(size(s) for s in group) for group in groups)
+    return max(fold_sum(size(s) for s in group) for group in groups)
 
 
 def reordered_makespan(
@@ -149,7 +151,9 @@ def reordered_makespan(
         raise ValueError("samples do not split evenly")
     per_group = len(ordered) // num_groups
     return max(
-        sum(size(s) for s in ordered[j * per_group : (j + 1) * per_group])
+        fold_sum(
+            size(s) for s in ordered[j * per_group : (j + 1) * per_group]
+        )
         for j in range(num_groups)
     )
 

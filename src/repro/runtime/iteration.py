@@ -7,8 +7,8 @@ iteration's timing:
 2. shard it across the LLM's DP ranks (contiguous blocks, as the
    intra-reorder contract requires) and cut each shard into microbatches;
 3. build per-(stage, microbatch) forward/backward durations from the
-   module cost models, pricing each distinct module workload once —
-   encoder/generator durations vary per microbatch (data
+   module cost models, pricing the simulated ranks' samples in one
+   array pass — encoder/generator durations vary per microbatch (data
    heterogeneity), LLM durations are constant;
 4. run the cycle-accurate pipeline simulator for every DP rank; the
    iteration's pipeline phase is the slowest rank (they synchronize at
@@ -24,8 +24,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.data.sample import TrainingSample
+from repro.data.sample import TrainingSample, image_arrays
 from repro.models.base import ModuleWorkload
+from repro.models.mllm import MODULE_NAMES
+from repro.numerics import price_by_count
 from repro.parallelism.broker import broker_transfer_time
 from repro.parallelism.orchestration_plan import ModelOrchestrationPlan
 from repro.pipeline.kernel import get_kernel
@@ -160,10 +162,6 @@ class TrainingIterationSimulator:
             cpu_nodes=cpu_nodes,
             cores_per_node=plan.cluster.cpu_cores_per_node,
         )
-        # Module name -> {workload: (forward, backward) seconds}.
-        self._module_times: Dict[
-            str, Dict[ModuleWorkload, Tuple[float, float]]
-        ] = {name: {} for name in ("encoder", "llm", "generator")}
 
     # ------------------------------------------------------------------ #
     # Module times
@@ -171,21 +169,16 @@ class TrainingIterationSimulator:
     def _module_time(
         self, name: str, workload: ModuleWorkload
     ) -> Tuple[float, float]:
-        """(forward, backward) time of ``workload`` through one module,
-        priced once per distinct workload."""
-        memo = self._module_times[name]
-        times = memo.get(workload)
-        if times is None:
-            cost = self.cost_models[name]
-            tp = self.plan.plans[name].tp
-            forward = cost.forward_time(workload, tp)
-            backward = 0.0
-            if self.frozen.backward_factor(name) != 0.0:
-                backward = cost.backward_time(
-                    workload, tp, weight_grads=self.frozen.trains(name)
-                )
-            times = memo[workload] = (forward, backward)
-        return times
+        """(forward, backward) time of ``workload`` through one module."""
+        cost = self.cost_models[name]
+        tp = self.plan.plans[name].tp
+        forward = cost.forward_time(workload, tp)
+        backward = 0.0
+        if self.frozen.backward_factor(name) != 0.0:
+            backward = cost.backward_time(
+                workload, tp, weight_grads=self.frozen.trains(name)
+            )
+        return forward, backward
 
     def _boundary_comm_time(self) -> float:
         """Inter-stage activation transfer per microbatch.
@@ -240,10 +233,10 @@ class TrainingIterationSimulator:
         ]
 
         ranks_to_simulate = self._select_ranks(rank_batches)
-        tables = [
-            self._rank_tables(rank_batches[r], num_microbatches)
-            for r in ranks_to_simulate
-        ]
+        tables = self._rank_tables(
+            [s for r in ranks_to_simulate for s in rank_batches[r]],
+            num_microbatches,
+        )
         comm = self._boundary_comm_time()
         if self.inter_reordering and num_microbatches > 2:
             # Algorithm 2 for every simulated rank in lockstep.
@@ -345,43 +338,63 @@ class TrainingIterationSimulator:
         return sorted(picks)
 
     def _rank_tables(
-        self, rank_batch: List[TrainingSample], num_microbatches: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """One DP rank's ``(l, p)`` forward and backward duration tables.
+        self, samples: Sequence[TrainingSample], num_microbatches: int
+    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """The ``(l, p)`` forward and backward duration tables of the DP
+        ranks whose batches ``samples`` holds back to back.
 
-        Encoder and generator stage times sum the microbatch's per-sample
-        times, spread over the unit's DP replicas relative to the LLM's DP
-        degree; the LLM sees ``seq_len`` tokens per sample, so its stage
-        time is one sample's time scaled by the microbatch size.
+        One array pass prices every sample: the encoder through
+        :meth:`ModuleCostModel.sample_times`, the generator from its
+        scalar times by image count (its workload depends on nothing
+        else). A microbatch's encoder or generator stage time sums its
+        samples' times by strided left-to-right adds, bit for bit the
+        ``sum(t[i:i+M])`` of CPython 3.10/3.11 (numpy's pairwise
+        reduction and 3.12's compensated ``sum()`` need not be), spread
+        over the unit's DP replicas relative to the LLM's DP degree. The
+        LLM sees ``seq_len`` tokens per sample, so its stage time is one
+        sample's time scaled by the microbatch size.
         """
         plans = self.plan.plans
         M = self.plan.microbatch_size
         dp_lm = plans["llm"].dp
-        workload_of = {
-            "encoder": TrainingSample.workload,
-            "generator": self.accountant.generator_workload,
+        image_tokens, images = image_arrays(samples)
+        frozen = self.frozen
+        encoder = self.cost_models["encoder"].sample_times(
+            image_tokens,
+            images,
+            plans["encoder"].tp,
+            weight_grads=frozen.trains("encoder"),
+            backward=frozen.backward_factor("encoder") != 0.0,
+        )
+
+        def generator(num_images: int) -> Tuple[float, float]:
+            workload = self.accountant.generator_workload(num_images)
+            return self._module_time("generator", workload)
+
+        per_sample = {
+            "encoder": np.array(encoder),
+            "generator": price_by_count(images, generator),
         }
-        starts = range(0, num_microbatches * M, M)
-        fwd_cols: List[List[float]] = []
-        bwd_cols: List[List[float]] = []
-        for name in ("encoder", "llm", "generator"):
+        num_ranks = len(samples) // (num_microbatches * M)
+        num_stages = sum(plans[name].pp for name in MODULE_NAMES)
+        tables = np.empty((2, num_ranks, num_microbatches, num_stages))
+        column = 0
+        for name in MODULE_NAMES:
             plan = plans[name]
             if name == "llm":
                 f, b = self._module_time(name, ModuleWorkload(samples=1))
                 scale = M / plan.pp
-                fwd = [f * scale] * num_microbatches
-                bwd = [b * scale] * num_microbatches
+                stage = np.array([[[f * scale]], [[b * scale]]])
             else:
-                to_workload = workload_of[name]
-                f, b = zip(*[
-                    self._module_time(name, to_workload(s)) for s in rank_batch
-                ])
-                share = dp_lm / plan.dp
-                fwd = [sum(f[i : i + M]) * share / plan.pp for i in starts]
-                bwd = [sum(b[i : i + M]) * share / plan.pp for i in starts]
-            fwd_cols += [fwd] * plan.pp
-            bwd_cols += [bwd] * plan.pp
-        return np.array(fwd_cols).T.copy(), np.array(bwd_cols).T.copy()
+                times = per_sample[name]
+                total = times[:, 0::M].copy()
+                for j in range(1, M):
+                    total += times[:, j::M]
+                stage = total * (dp_lm / plan.dp) / plan.pp
+                stage = stage.reshape(2, num_ranks, num_microbatches)
+            tables[..., column : column + plan.pp] = stage[..., None]
+            column += plan.pp
+        return [(tables[0, r], tables[1, r]) for r in range(num_ranks)]
 
     def _rank_durations(
         self,

@@ -13,9 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
-from repro.data.sample import TrainingSample
+from repro.data.sample import TrainingSample, image_arrays
 from repro.models.base import ModuleWorkload
 from repro.models.mllm import MultimodalLLMSpec
+from repro.numerics import fold_sum, price_by_count
 from repro.runtime.frozen import FrozenConfig
 
 
@@ -26,7 +27,10 @@ class ModelFlopsAccountant:
     The backbone sees ``seq_len`` tokens per sample whatever the modality
     mix, and the generator and output projector see only the sample's
     image count, so those terms are priced once per accountant: the LLM's
-    at construction, the generator's per image count.
+    at construction, the generator's per image count. :meth:`batch_flops`
+    prices a batch on arrays (the encoder and input projector per
+    sample, the image-count terms gathered by count) and sums the
+    per-sample totals left to right, bit for bit the scalar fold.
     """
 
     mllm: MultimodalLLMSpec
@@ -40,28 +44,18 @@ class ModelFlopsAccountant:
         # Image count -> (generator term, output-projector forward FLOPs).
         self._image_terms: Dict[int, Tuple[float, float]] = {}
 
-    def generator_workload(self, sample: TrainingSample) -> ModuleWorkload:
-        """The generator produces every image of the sample at the
-        model's generation resolution."""
+    def generator_workload(self, num_images: int) -> ModuleWorkload:
+        """The generator's workload for a sample of ``num_images``: it
+        produces every image at the model's generation resolution."""
         gen_tokens = self.mllm.generation_image_tokens
         return ModuleWorkload(
-            samples=1,
-            image_tokens=sample.num_images * gen_tokens,
-            images=sample.num_images,
+            samples=1, image_tokens=num_images * gen_tokens, images=num_images
         )
 
     def sample_flops(self, sample: TrainingSample) -> float:
         """Model FLOPs one sample requires under the frozen config."""
         workload = sample.workload()
-        terms = self._image_terms.get(sample.num_images)
-        if terms is None:
-            generated = self.generator_workload(sample)
-            terms = self._image_terms[sample.num_images] = (
-                self.mllm.generator.forward_flops(generated)
-                * (1.0 + self.frozen.backward_factor("generator")),
-                self.mllm.output_projector.forward_flops(generated),
-            )
-        generator, output_projector = terms
+        generator, output_projector = self._terms_for(sample.num_images)
         total = (
             self.mllm.encoder.forward_flops(workload) * self._encoder_factor
             + self._llm_term
@@ -73,7 +67,34 @@ class ModelFlopsAccountant:
         return total + proj_fwd * 3.0
 
     def batch_flops(self, samples: Sequence[TrainingSample]) -> float:
-        return sum(self.sample_flops(s) for s in samples)
+        """:meth:`sample_flops` of every sample, summed left to right,
+        priced on arrays: the same operations in the same order, so the
+        total equals the scalar fold bit for bit."""
+        image_tokens, images = image_arrays(samples)
+        generator, output_projector = price_by_count(images, self._terms_for)
+        mllm = self.mllm
+        total = (
+            mllm.encoder.forward_flops_array(image_tokens, images)
+            * self._encoder_factor
+            + self._llm_term
+            + generator
+        )
+        proj_fwd = mllm.input_projector.token_flops(image_tokens)
+        proj_fwd += output_projector
+        return fold_sum((total + proj_fwd * 3.0).tolist())
+
+    def _terms_for(self, num_images: int) -> Tuple[float, float]:
+        """(generator term, output-projector forward FLOPs) of a sample
+        with ``num_images`` images."""
+        terms = self._image_terms.get(num_images)
+        if terms is None:
+            generated = self.generator_workload(num_images)
+            terms = self._image_terms[num_images] = (
+                self.mllm.generator.forward_flops(generated)
+                * (1.0 + self.frozen.backward_factor("generator")),
+                self.mllm.output_projector.forward_flops(generated),
+            )
+        return terms
 
 
 def mfu(

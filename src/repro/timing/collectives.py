@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.cluster.interconnect import LinkSpec
 
 #: Fraction of the DP gradient reduce-scatter + param allgather left
@@ -37,7 +39,25 @@ def ring_allreduce_time(
     _validate(volume_bytes, group_size)
     if group_size == 1 or volume_bytes == 0:
         return 0.0
-    n = group_size
+    return _ring_allreduce(volume_bytes, group_size, link)
+
+
+def ring_allreduce_times(
+    volume_bytes: np.ndarray, group_size: int, link: LinkSpec
+) -> np.ndarray:
+    """:func:`ring_allreduce_time` of each element of a float64 array of
+    non-negative volumes, bit for bit; zero volumes take exactly 0.0 s."""
+    if group_size < 1:
+        raise ValueError("group size must be >= 1")
+    if group_size == 1:
+        return np.zeros_like(volume_bytes)
+    times = _ring_allreduce(volume_bytes, group_size, link)
+    return np.where(volume_bytes == 0, 0.0, times)
+
+
+def _ring_allreduce(volume_bytes, n: int, link: LinkSpec):
+    """Ring allreduce time on ``n > 1`` ranks: one body for floats and
+    arrays."""
     moved = 2.0 * (n - 1) / n * volume_bytes
     return moved / link.effective_bandwidth + 2 * (n - 1) * link.latency
 
@@ -103,6 +123,12 @@ class CollectiveModel:
     def tp_allreduce(self, volume_bytes: float, tp: int) -> float:
         """One TP allreduce on the NVLink fabric."""
         return ring_allreduce_time(volume_bytes, tp, self.intra_link)
+
+    def tp_allreduce_times(
+        self, volume_bytes: np.ndarray, tp: int
+    ) -> np.ndarray:
+        """:meth:`tp_allreduce` of each element of an array of volumes."""
+        return ring_allreduce_times(volume_bytes, tp, self.intra_link)
 
     def tp_allgather(self, volume_bytes: float, tp: int) -> float:
         return ring_allgather_time(volume_bytes, tp, self.intra_link)

@@ -15,18 +15,23 @@ and feeds into the orchestration objective (Eqs. 1-2), where it appears as
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Tuple
+
+import numpy as np
 
 from repro.cluster.node import NodeSpec
 from repro.models.base import ModuleKind, ModuleSpec, ModuleWorkload
 from repro.models.diffusion import DiffusionSpec
 from repro.models.llm import LLMSpec
 from repro.models.projector import ProjectorSpec
+from repro.models.transformer import TransformerConfig
 from repro.models.vit import ViTSpec
 from repro.timing.collectives import CollectiveModel
 from repro.timing.roofline import (
     DEFAULT_EFFICIENCY,
     EfficiencyModel,
     kernel_time,
+    kernel_times,
 )
 
 BF16_BYTES = 2.0
@@ -42,12 +47,9 @@ def tp_comm_bytes_forward(module: ModuleSpec, workload: ModuleWorkload) -> float
     """
     if isinstance(module, LLMSpec):
         tokens = workload.samples * module.seq_len
-        per_layer = 2.0 * tokens * module.config.hidden_size * BF16_BYTES
-        return module.config.num_layers * per_layer
+        return transformer_tp_bytes(module.config, tokens)
     if isinstance(module, ViTSpec):
-        tokens = workload.image_tokens
-        per_layer = 2.0 * tokens * module.config.hidden_size * BF16_BYTES
-        return module.config.num_layers * per_layer
+        return transformer_tp_bytes(module.config, workload.image_tokens)
     if isinstance(module, DiffusionSpec):
         if workload.image_tokens == 0:
             return 0.0
@@ -70,6 +72,13 @@ def tp_comm_bytes_forward(module: ModuleSpec, workload: ModuleWorkload) -> float
     if isinstance(module, ProjectorSpec):
         return 0.0  # projectors are replicated, never tensor-parallel
     return 0.0
+
+
+def transformer_tp_bytes(config: TransformerConfig, tokens):
+    """Bytes one TP forward pass of a transformer stack allreduces over
+    ``tokens`` tokens: one body for an ``int`` or an int64 array."""
+    per_layer = 2.0 * tokens * config.hidden_size * BF16_BYTES
+    return config.num_layers * per_layer
 
 
 @dataclass
@@ -158,6 +167,46 @@ class ModuleCostModel:
             + factor * self.exposed_tp_comm_time(workload, tp)
             + factor * self.ep_comm_time(workload, ep)
         )
+
+    def sample_times(
+        self,
+        image_tokens: np.ndarray,
+        images: np.ndarray,
+        tp: int = 1,
+        weight_grads: bool = True,
+        backward: bool = True,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-sample (forward, backward) seconds of a ViT encoder.
+
+        ``image_tokens`` and ``images`` are int64 arrays, one element per
+        sample. Element ``i`` of each result equals, bit for bit, what
+        :meth:`forward_time` and :meth:`backward_time` return for a
+        workload of ``image_tokens[i]`` tokens in ``images[i]`` images:
+        the same IEEE operations in the same order, and 0.0 s of compute
+        and communication for a zero. ``backward=False`` gives a zero
+        backward (a frozen encoder runs none). A ViT has no experts, so
+        EP only widens the compute split, as in the scalar forms.
+        """
+        module = self.module
+        flops = module.forward_flops_array(image_tokens, images)
+        comm = 0.0
+        if tp > 1:
+            volume = transformer_tp_bytes(module.config, image_tokens)
+            raw = self.collectives.tp_allreduce_times(volume, tp)
+            comm = raw * (1.0 - self.tp_overlap_fraction)
+        roofline = dict(
+            gpu=self.node.gpu,
+            kind=module.kind,
+            tp=tp * self.ep,
+            num_layers=module.num_layers,
+            efficiency=self.efficiency,
+        )
+        forward = kernel_times(flops, **roofline) + comm
+        if not backward:
+            return forward, np.zeros_like(forward)
+        factor = 2.0 if weight_grads else 1.0
+        backward_s = kernel_times(factor * flops, **roofline) + factor * comm
+        return forward, backward_s
 
     def fwd_bwd_time(
         self,

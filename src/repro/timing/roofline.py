@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.cluster.gpu import GPUSpec
 from repro.models.base import ModuleKind
 
@@ -102,6 +104,26 @@ def kernel_time(
         raise ValueError("flops must be non-negative")
     if flops == 0:
         return 0.0
+    return _roofline(flops, gpu, kind, tp, num_layers, efficiency, precision)
+
+
+def kernel_times(
+    flops: np.ndarray,
+    gpu: GPUSpec,
+    kind: ModuleKind,
+    tp: int = 1,
+    num_layers: int = 1,
+    efficiency: EfficiencyModel = DEFAULT_EFFICIENCY,
+    precision: str = "bf16",
+) -> np.ndarray:
+    """:func:`kernel_time` of each element of a float64 array of
+    non-negative FLOPs, bit for bit; zero FLOPs take exactly 0.0 s."""
+    times = _roofline(flops, gpu, kind, tp, num_layers, efficiency, precision)
+    return np.where(flops == 0, 0.0, times)
+
+
+def _roofline(flops, gpu, kind, tp, num_layers, efficiency, precision):
+    """Compute plus launch overhead: one body for floats and arrays."""
     eff = efficiency.efficiency(kind, tp)
     achieved = gpu.peak(precision) * eff
     compute = flops / tp / achieved

@@ -15,6 +15,8 @@ from repro.runtime.iteration import (
 )
 from repro.runtime.mfu import ModelFlopsAccountant
 
+from tests.summation import left_fold
+
 
 def simulator(plan, **kwargs):
     defaults = dict(intra_reordering=True, inter_reordering=True,
@@ -160,7 +162,7 @@ class TestRankSubsampling:
 
 def reference_tables(sim, rank_batch):
     """A rank's ``(l, p)`` tables from per-sample cost-model calls and
-    one ``sum()`` per microbatch and module, stage by stage."""
+    one left-to-right sum per microbatch and module, stage by stage."""
     plans = sim.plan.plans
     frozen = sim.frozen
     M = sim.plan.microbatch_size
@@ -207,8 +209,8 @@ def reference_tables(sim, rank_batch):
                     times(name, module_workload(name, s))
                     for s in microbatch
                 ]
-                f = sum(t[0] for t in per_sample) * share / plan.pp
-                b = sum(t[1] for t in per_sample) * share / plan.pp
+                f = left_fold(t[0] for t in per_sample) * share / plan.pp
+                b = left_fold(t[1] for t in per_sample) * share / plan.pp
             fwd_row += [f] * plan.pp
             bwd_row += [b] * plan.pp
         fwd_rows.append(fwd_row)
@@ -217,7 +219,7 @@ def reference_tables(sim, rank_batch):
 
 
 class TestRankTables:
-    """Workload-memoized rank tables equal per-sample pricing exactly,
+    """Rank tables priced on arrays equal per-sample pricing exactly,
     for microbatches of one and of several samples."""
 
     @pytest.mark.parametrize("microbatch_size", [1, 2, 4])

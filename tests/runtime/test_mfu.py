@@ -9,6 +9,8 @@ from repro.models.mllm import MLLM_9B, MLLM_PRESETS
 from repro.runtime.frozen import FROZEN_PRESETS, FrozenConfig
 from repro.runtime.mfu import ModelFlopsAccountant, mfu, token_throughput
 
+from tests.summation import left_fold
+
 SAMPLES = SyntheticMultimodalDataset(seed=0).take(16)
 
 
@@ -68,7 +70,7 @@ class TestAccountant:
 
     def test_batch_is_sum_of_samples(self):
         accountant = ModelFlopsAccountant(MLLM_9B, FrozenConfig())
-        total = sum(accountant.sample_flops(s) for s in SAMPLES)
+        total = left_fold(accountant.sample_flops(s) for s in SAMPLES)
         assert accountant.batch_flops(SAMPLES) == total
 
     @pytest.mark.parametrize("preset", sorted(FROZEN_PRESETS))
@@ -82,7 +84,7 @@ class TestAccountant:
                 assert accountant.sample_flops(sample) == (
                     reference_sample_flops(mllm, frozen, sample)
                 )
-        assert accountant.batch_flops(MIXED) == sum(
+        assert accountant.batch_flops(MIXED) == left_fold(
             reference_sample_flops(mllm, frozen, s) for s in MIXED
         )
 
@@ -95,7 +97,7 @@ class TestAccountant:
     def test_generator_workload_uses_generation_resolution(self):
         accountant = ModelFlopsAccountant(MLLM_9B, FrozenConfig())
         sample = next(s for s in SAMPLES if s.num_images > 0)
-        workload = accountant.generator_workload(sample)
+        workload = accountant.generator_workload(sample.num_images)
         assert workload.image_tokens == sample.num_images * 1024
 
 
