@@ -40,12 +40,11 @@ EDGES = [(0, 0), (0, 3), (7, 0), (32_768, 0), (1, 32), (32_768, 1)]
 
 
 def sample(sample_id, image_tokens, images):
-    """A sample of ``images`` image spans holding ``image_tokens`` (a
-    sample without images holds none)."""
-    if images == 0:
-        image_tokens = 0
-    sizes = [image_tokens // images] * (images - 1) if images else []
+    """A sample of ``images`` image spans holding ``image_tokens``
+    between them (a sample without images holds none)."""
+    sizes = []
     if images:
+        sizes = [image_tokens // images] * (images - 1)
         sizes.append(image_tokens - sum(sizes))
     spans = tuple(Subsequence("image", t) for t in sizes)
     return TrainingSample(sample_id, spans + (text_subsequence(100),))
