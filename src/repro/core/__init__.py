@@ -21,8 +21,10 @@ from repro.core.api import (
     SystemComparison,
 )
 from repro.core.reports import format_table, format_comparison
-# The lifecycle manager lives in repro.runtime but sits above the config
-# layer, so it is exported here to keep imports acyclic.
+# The lifecycle manager lives in repro.runtime but runs its phases on
+# repro.core.api, so it is imported here, after api has loaded. Importing
+# repro.runtime.manager first also works: the repro package loads this
+# one (and so api) before any submodule.
 from repro.runtime.manager import DistTrainManager, InitializationReport
 
 # The campaign engine (repro.experiments) builds ON TOP of this package,

@@ -25,7 +25,8 @@ from repro.timing.costmodel import ModuleCostModel
 PROFILE_SAMPLES = 256
 
 
-def _dataset(config: DistTrainConfig) -> SyntheticMultimodalDataset:
+def dataset(config: DistTrainConfig) -> SyntheticMultimodalDataset:
+    """A fresh copy of ``config``'s seeded training stream."""
     return SyntheticMultimodalDataset(
         seq_len=config.mllm.seq_len,
         config=config.data_config,
@@ -40,23 +41,19 @@ def _dataset(config: DistTrainConfig) -> SyntheticMultimodalDataset:
 PROFILE_CACHE = KeyedCache(maxsize=64, name="profile")
 
 
-def _cached_profile(
-    seq_len: int, data_config, data_seed: int
-) -> SampleProfile:
-    """Data-distribution profile for one (seq_len, distribution, seed).
+def profile(config: DistTrainConfig) -> SampleProfile:
+    """Data-distribution profile of ``config``'s stream.
 
-    Datasets are seeded and deterministic, so the profile is a pure
-    function of this key; planning every system/config variant of the
-    same task re-uses one profile instead of regenerating 256 samples.
+    Datasets are seeded and deterministic, so the profile of the first
+    :data:`PROFILE_SAMPLES` samples is a pure function of (seq_len,
+    distribution, seed); planning every system/config variant of the
+    same task re-uses one profile instead of regenerating the samples.
     """
-    def compute() -> SampleProfile:
-        dataset = SyntheticMultimodalDataset(
-            seq_len=seq_len, config=data_config, seed=data_seed
-        )
-        return SampleProfile.from_samples(dataset.take(PROFILE_SAMPLES))
-
     return PROFILE_CACHE.get_or_compute(
-        (seq_len, data_config, data_seed), compute
+        (config.mllm.seq_len, config.data_config, config.data_seed),
+        lambda: SampleProfile.from_samples(
+            dataset(config).take(PROFILE_SAMPLES)
+        ),
     )
 
 
@@ -79,9 +76,9 @@ def sample_batches(
     share the cached tuples.
     """
     def compute() -> Tuple[Tuple[TrainingSample, ...], ...]:
-        dataset = _dataset(config)
+        stream = dataset(config)
         return tuple(
-            tuple(dataset.take(config.global_batch_size))
+            tuple(stream.take(config.global_batch_size))
             for _ in range(count)
         )
 
@@ -98,16 +95,13 @@ def sample_batches(
 
 
 def _problem(config: DistTrainConfig) -> OrchestrationProblem:
-    profile = _cached_profile(
-        config.mllm.seq_len, config.data_config, config.data_seed
-    )
     return OrchestrationProblem(
         mllm=config.mllm,
         cluster=config.cluster,
         global_batch_size=config.global_batch_size,
         microbatch_size=config.microbatch_size,
         frozen=config.frozen,
-        profile=profile,
+        profile=profile(config),
         vpp=config.vpp,
         tp_overlap_fraction=config.tp_overlap_fraction,
     )
@@ -197,8 +191,13 @@ def simulate_fleet(spec):
 def build_simulator(
     config: DistTrainConfig,
     orchestration: Optional[OrchestrationResult] = None,
+    cpu_nodes: int = 8,
 ) -> TrainingIterationSimulator:
-    """Assemble the iteration simulator for a (planned) task."""
+    """Assemble the iteration simulator for a (planned) task.
+
+    ``cpu_nodes`` is the disaggregated preprocessing pool; the
+    lifecycle manager passes the pool its initializer sized.
+    """
     if orchestration is None:
         orchestration = plan(config)
     cost_models = {
@@ -217,6 +216,7 @@ def build_simulator(
         intra_reordering=config.effective_intra_reordering,
         inter_reordering=config.effective_inter_reordering,
         preprocessing=config.effective_preprocessing,
+        cpu_nodes=cpu_nodes,
     )
 
 
@@ -237,7 +237,7 @@ def simulate_run(
     simulator = build_simulator(config, orchestration)
     run = TrainingRun(
         simulator=simulator,
-        dataset=_dataset(config),
+        dataset=dataset(config),
         global_batch_size=config.global_batch_size,
         num_iterations=config.num_iterations,
     )

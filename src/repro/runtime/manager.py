@@ -1,42 +1,39 @@
 """DistTrain manager / initializer / runtime flow (section 3, Figure 8).
 
-:class:`DistTrainManager` drives the full lifecycle the paper describes:
+:class:`DistTrainManager` drives the lifecycle the paper describes on the
+:mod:`repro.core.api` entry points every sweep, scenario and fleet uses,
+and keeps only what is its own:
 
-1. **manager** — gather the model architecture and training
-   configuration, sample training data to analyze its distribution, run
-   benchmarking trials to build the interpolating profiler, and decide
-   the orchestration with the adaptive algorithm;
-2. **initializer** — materialize the parallelism units on the cluster
-   (contiguous GPU blocks, communication groups), set up the
-   communication brokers between adjacent units, and run communication
-   warm-up trials to verify connectivity;
-3. **runtime** — feed reordered global batches from the (disaggregated)
-   preprocessing service through the iteration simulator, with periodic
+1. **manager** — profile the data distribution
+   (:func:`~repro.core.api.profile`, the cached 256-sample draw) and
+   decide the orchestration (:func:`~repro.core.api.replan` at the
+   config's own size, through the process-wide plan cache);
+2. **initializer** — materialize the parallelism units (contiguous GPU
+   blocks, communication groups), set up the communication brokers
+   between adjacent units, run communication warm-up trials to verify
+   connectivity, and size the elastic preprocessing pool on the first
+   global batch (:func:`~repro.core.api.sample_batches`);
+3. **runtime** — run the iteration simulator
+   (:func:`~repro.core.api.build_simulator` with the sized pool) over
+   the training stream (:func:`~repro.core.api.dataset`), with periodic
    asynchronous checkpointing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.cluster.topology import ClusterTopology
+from repro.core import api
 from repro.core.config import DistTrainConfig
-from repro.data.synthetic import SyntheticMultimodalDataset
-from repro.orchestration.adaptive import AdaptiveOrchestrator, OrchestrationResult
-from repro.orchestration.baselines import DistMMOrchestrator, MegatronOrchestrator
-from repro.orchestration.problem import OrchestrationProblem, SampleProfile
+from repro.orchestration.adaptive import OrchestrationResult
+from repro.orchestration.problem import SampleProfile
 from repro.parallelism.broker import CommunicationBroker, broker_transfer_time
 from repro.parallelism.unit import ParallelismUnit
 from repro.preprocessing.cost import PreprocessCostModel
 from repro.preprocessing.disaggregated import required_cpu_nodes
 from repro.runtime.checkpoint import CheckpointConfig
-from repro.runtime.iteration import TrainingIterationSimulator
 from repro.runtime.trainer import TrainingRun, TrainingRunResult
-from repro.timing.costmodel import ModuleCostModel
-
-#: Samples the manager draws to analyze the data distribution.
-DATA_ANALYSIS_SAMPLES = 256
 
 
 @dataclass
@@ -77,8 +74,6 @@ class DistTrainManager:
     ):
         self.config = config
         self.checkpoint = checkpoint
-        self._profile: Optional[SampleProfile] = None
-        self._orchestration: Optional[OrchestrationResult] = None
         self._initialization: Optional[InitializationReport] = None
 
     # ------------------------------------------------------------------ #
@@ -86,37 +81,11 @@ class DistTrainManager:
     # ------------------------------------------------------------------ #
     def analyze_data(self) -> SampleProfile:
         """Sample the training stream and profile its distribution."""
-        if self._profile is None:
-            dataset = SyntheticMultimodalDataset(
-                seq_len=self.config.mllm.seq_len,
-                config=self.config.data_config,
-                seed=self.config.data_seed,
-            )
-            self._profile = SampleProfile.from_samples(
-                dataset.take(DATA_ANALYSIS_SAMPLES)
-            )
-        return self._profile
+        return api.profile(self.config)
 
     def orchestrate(self) -> OrchestrationResult:
         """Run benchmarking trials and decide the orchestration."""
-        if self._orchestration is None:
-            problem = OrchestrationProblem(
-                mllm=self.config.mllm,
-                cluster=self.config.cluster,
-                global_batch_size=self.config.global_batch_size,
-                microbatch_size=self.config.microbatch_size,
-                frozen=self.config.frozen,
-                profile=self.analyze_data(),
-                vpp=self.config.vpp,
-                tp_overlap_fraction=self.config.tp_overlap_fraction,
-            )
-            orchestrator = {
-                "disttrain": AdaptiveOrchestrator,
-                "megatron-lm": MegatronOrchestrator,
-                "distmm*": DistMMOrchestrator,
-            }[self.config.system](problem)
-            self._orchestration = orchestrator.plan()
-        return self._orchestration
+        return api.replan(self.config, self.config.cluster.num_gpus)
 
     # ------------------------------------------------------------------ #
     # Phase 2: initializer
@@ -127,13 +96,7 @@ class DistTrainManager:
             return self._initialization
         orchestration = self.orchestrate()
         plan = orchestration.plan
-
-        # Place units on physical GPUs (contiguous blocks).
-        topology = ClusterTopology(self.config.cluster)
         units = plan.build_units()
-        for unit in units.values():
-            topology.allocate(unit.name, unit.num_gpus)
-
         brokers = plan.build_brokers()
         groups = sum(len(u.all_groups()) for u in units.values())
 
@@ -150,15 +113,9 @@ class DistTrainManager:
         }
 
         # Elastic preprocessing pool sizing.
-        dataset = SyntheticMultimodalDataset(
-            seq_len=self.config.mllm.seq_len,
-            config=self.config.data_config,
-            seed=self.config.data_seed,
-        )
-        batch = dataset.take(self.config.global_batch_size)
         cpu_nodes = required_cpu_nodes(
             PreprocessCostModel(),
-            batch,
+            api.sample_batches(self.config)[0],
             max(orchestration.predicted_iteration_time, 1.0),
             cores_per_node=self.config.cluster.cpu_cores_per_node,
         )
@@ -179,34 +136,15 @@ class DistTrainManager:
         """Run the training loop."""
         if num_iterations is not None and num_iterations < 1:
             raise ValueError("num_iterations must be >= 1")
-        orchestration = self.orchestrate()
-        self.initialize()
         config = self.config
-        cost_models = {
-            name: ModuleCostModel(
-                config.mllm.module(name),
-                config.cluster.node,
-                tp_overlap_fraction=config.tp_overlap_fraction,
-            )
-            for name in ("encoder", "llm", "generator")
-        }
-        simulator = TrainingIterationSimulator(
-            plan=orchestration.plan,
-            frozen=config.frozen,
-            cost_models=cost_models,
-            schedule=config.schedule,
-            intra_reordering=config.effective_intra_reordering,
-            inter_reordering=config.effective_inter_reordering,
-            preprocessing=config.effective_preprocessing,
-            cpu_nodes=self._initialization.recommended_cpu_nodes,
+        simulator = api.build_simulator(
+            config,
+            self.orchestrate(),
+            cpu_nodes=self.initialize().recommended_cpu_nodes,
         )
         run = TrainingRun(
             simulator=simulator,
-            dataset=SyntheticMultimodalDataset(
-                seq_len=config.mllm.seq_len,
-                config=config.data_config,
-                seed=config.data_seed,
-            ),
+            dataset=api.dataset(config),
             global_batch_size=config.global_batch_size,
             num_iterations=(
                 num_iterations
@@ -232,7 +170,6 @@ class DistTrainManager:
         """
         from repro.scenarios.engine import ScenarioEngine
 
-        self.orchestrate()
         self.initialize()
         return ScenarioEngine(
             self.config, scenario, checkpoint=self.checkpoint

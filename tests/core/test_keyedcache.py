@@ -51,16 +51,12 @@ class TestSharedImplementation:
         assert isinstance(PROFILER_CACHE, KeyedCache)
 
     def test_profile_cache_deduplicates_work(self):
-        from repro.core.api import PROFILE_CACHE, _cached_profile
+        from repro.core.api import PROFILE_CACHE, profile
         from repro.core.config import DistTrainConfig
 
         config = DistTrainConfig.preset("mllm-9b", 48, 16)
         PROFILE_CACHE.clear()
-        first = _cached_profile(
-            config.mllm.seq_len, config.data_config, config.data_seed
-        )
-        second = _cached_profile(
-            config.mllm.seq_len, config.data_config, config.data_seed
-        )
+        first = profile(config)
+        second = profile(config)
         assert first is second
         assert PROFILE_CACHE.stats() == (1, 1)

@@ -1,10 +1,34 @@
 """DistTrainManager lifecycle tests (section 3, Figure 8)."""
 
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from repro.core import api
 from repro.core.config import DistTrainConfig
 from repro.runtime.checkpoint import CheckpointConfig
 from repro.runtime.manager import DistTrainManager
+from repro.runtime.trainer import TrainingRun
+
+
+def _hex(value):
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, list):
+        return [_hex(v) for v in value]
+    return value
+
+
+def _hex_run(result):
+    """Every IterationResult field and the stall, floats by float.hex."""
+    return [
+        {k: _hex(v) for k, v in dataclasses.asdict(r).items()}
+        for r in result.iterations
+    ], result.checkpoint_stall.hex()
 
 
 @pytest.fixture(scope="module")
@@ -125,3 +149,77 @@ class TestErrorPaths:
             config, checkpoint=CheckpointConfig(interval_iterations=2)
         ).run_scenario(spec)
         assert with_policy.checkpoint_stall_seconds > 0.0
+
+
+class TestOnePath:
+    """Each phase is the core.api entry point every sweep, scenario and
+    fleet uses, not a second copy of it."""
+
+    def test_phases_are_the_api_entry_points(self, manager):
+        config = manager.config
+        assert manager.analyze_data() is api.profile(config)
+        assert manager.orchestrate() is api.replan(
+            config, config.cluster.num_gpus
+        )
+
+    def test_run_is_a_training_run_on_the_api_builders(self):
+        # On one-core preprocessing nodes the sized pool keeps up where
+        # build_simulator's default of 8 nodes would stall, so the
+        # comparison also shows that the sized pool reaches the run.
+        config = DistTrainConfig.preset("mllm-9b", 128, 32)
+        config = config.with_(
+            cluster=dataclasses.replace(config.cluster, cpu_cores_per_node=1)
+        )
+        checkpoint = CheckpointConfig(interval_iterations=1)
+        manager = DistTrainManager(config, checkpoint=checkpoint)
+        result = manager.run(2)
+        cpu_nodes = manager.initialize().recommended_cpu_nodes
+        assert cpu_nodes > 8
+        expected = TrainingRun(
+            simulator=api.build_simulator(
+                config, api.plan(config), cpu_nodes=cpu_nodes
+            ),
+            dataset=api.dataset(config),
+            global_batch_size=config.global_batch_size,
+            num_iterations=2,
+            checkpoint=checkpoint,
+        ).run()
+        assert result.checkpoint_stall > 0
+        assert _hex_run(result) == _hex_run(expected)
+        default_pool = api.simulate_run(config.with_(num_iterations=2))
+        assert _hex_run(default_pool)[0] != _hex_run(result)[0]
+
+    def test_run_and_scenario_solve_one_plan(self):
+        # The scenario engine plans the manager's task at the same
+        # size, so it must hit the plan the manager put in PLAN_CACHE.
+        from repro.obs import METRICS, instrument
+        from repro.orchestration.plancache import PLAN_CACHE
+        from repro.scenarios import ScenarioSpec
+
+        config = DistTrainConfig.preset("mllm-9b", 48, 16)
+        PLAN_CACHE.clear()
+        api.PROFILE_CACHE.clear()
+        manager = DistTrainManager(config)
+        with instrument.session(metrics=True):
+            manager.run(1)
+            manager.run_scenario(ScenarioSpec(num_iterations=4))
+            counters = METRICS.snapshot()["counters"]
+        assert counters["orch.plans"] == 1
+
+    def test_manager_imported_first_in_a_fresh_interpreter(self):
+        script = (
+            "import repro.runtime.manager as manager\n"
+            "from repro.core.config import DistTrainConfig\n"
+            "config = DistTrainConfig.preset('mllm-9b', 48, 16)\n"
+            "init = manager.DistTrainManager(config).initialize()\n"
+            "print(init.recommended_cpu_nodes)\n"
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = f"{src}{os.pathsep}" + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) >= 1
