@@ -2,21 +2,21 @@
 
 :class:`TrainingRun` drives the full DistTrain runtime loop (section 3):
 the preprocessing service feeds reordered global batches; each iteration
-runs through the iteration simulator; asynchronous checkpoints and
-(optionally) failures overlay the timeline. The result aggregates the
-paper's headline metrics over the run.
+runs through the iteration simulator; asynchronous checkpoints overlay
+the timeline. The result aggregates the paper's headline metrics over
+the run. Failures and elastic resizes are the scenario engine's
+(:mod:`repro.scenarios`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional
 
 import numpy as np
 
 from repro.data.synthetic import SyntheticMultimodalDataset
 from repro.runtime.checkpoint import AsyncCheckpointer, CheckpointConfig
-from repro.runtime.failure import FailureModel, GoodputReport, run_with_failures
 from repro.runtime.iteration import IterationResult, TrainingIterationSimulator
 
 
@@ -54,7 +54,6 @@ class TrainingRunResult:
 
     iterations: List[IterationResult]
     checkpoint_stall: float
-    goodput: Optional[GoodputReport] = None
 
     @property
     def mean_iteration_time(self) -> float:
@@ -96,7 +95,6 @@ class TrainingRun:
         global_batch_size: Samples per iteration.
         num_iterations: Iterations to run.
         checkpoint: Optional checkpoint policy.
-        failures: Optional failure model (adds a goodput report).
     """
 
     simulator: TrainingIterationSimulator
@@ -104,8 +102,6 @@ class TrainingRun:
     global_batch_size: int
     num_iterations: int = 4
     checkpoint: Optional[CheckpointConfig] = None
-    failures: Optional[FailureModel] = None
-    failure_seed: int = 0
 
     def run(self) -> TrainingRunResult:
         if self.num_iterations < 1:
@@ -120,26 +116,8 @@ class TrainingRun:
             if checkpointer is not None:
                 clock += checkpointer.on_iteration(i, clock)
             results.append(result)
-
-        goodput = None
-        if self.failures is not None:
-            mean_iter = float(np.mean([r.iteration_time for r in results]))
-            goodput = run_with_failures(
-                iteration_seconds=mean_iter,
-                num_iterations=self.num_iterations,
-                num_gpus=self.simulator.plan.num_gpus,
-                failures=self.failures,
-                checkpoint_interval=(
-                    self.checkpoint.interval_iterations
-                    if self.checkpoint
-                    else 50
-                ),
-                seed=self.failure_seed,
-            )
         stall = checkpointer.total_stall if checkpointer else 0.0
-        return TrainingRunResult(
-            iterations=results, checkpoint_stall=stall, goodput=goodput
-        )
+        return TrainingRunResult(iterations=results, checkpoint_stall=stall)
 
     def _build_checkpointer(self) -> Optional[AsyncCheckpointer]:
         return build_checkpointer(self.simulator.plan, self.checkpoint)

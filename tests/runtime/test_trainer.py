@@ -4,7 +4,6 @@ import pytest
 
 from repro.data.synthetic import SyntheticMultimodalDataset
 from repro.runtime.checkpoint import CheckpointConfig
-from repro.runtime.failure import FailureModel
 from repro.runtime.iteration import TrainingIterationSimulator
 from repro.runtime.trainer import TrainingRun
 
@@ -37,14 +36,6 @@ class TestTrainingRun:
             checkpoint=CheckpointConfig(interval_iterations=2),
         ).run()
         assert result.checkpoint_stall > 0
-
-    def test_failures_produce_goodput_report(self, small_plan):
-        result = make_run(
-            small_plan,
-            failures=FailureModel(mtbf_gpu_hours=1e12),
-        ).run()
-        assert result.goodput is not None
-        assert result.goodput.goodput > 0.9
 
     def test_invalid_iterations(self, small_plan):
         with pytest.raises(ValueError):
