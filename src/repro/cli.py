@@ -373,7 +373,7 @@ def _add_scenario_sweep_arguments(parser: argparse.ArgumentParser) -> None:
     trial. Any scenario option switches the sweep into scenario mode.
     """
     parser.add_argument(
-        "--scenario-iterations", type=int, default=None,
+        "--scenario-iterations", type=_positive_int, default=None,
         help="simulate this many iterations under cluster dynamics "
              "(enables the scenario engine; default 1000)",
     )
@@ -396,7 +396,7 @@ def _add_scenario_sweep_arguments(parser: argparse.ArgumentParser) -> None:
         help="re-orchestrate on the surviving cluster after failures",
     )
     parser.add_argument(
-        "--checkpoint-interval", type=int, default=None,
+        "--checkpoint-interval", type=_positive_int, default=None,
         help="iterations between asynchronous checkpoints (default 50)",
     )
     parser.add_argument(
@@ -420,8 +420,6 @@ def _scenario_sweep_params(args: argparse.Namespace, default_on: bool):
     )
     if not scenario_on:
         return None, []
-    if args.scenario_iterations is not None and args.scenario_iterations < 1:
-        raise ValueError("--scenario-iterations must be >= 1")
     base = {
         "scenario_iterations": (
             args.scenario_iterations
@@ -481,7 +479,7 @@ def _add_fleet_arguments(
     parser.add_argument(
         "--jobs" if not sweep else "--fleet-jobs",
         dest="fleet_jobs",
-        type=int,
+        type=_positive_int,
         default=[4] if sweep else 4,
         help="tenant jobs sharing the cluster"
              + (" (several values add a sweep axis)" if sweep else ""),

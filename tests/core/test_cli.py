@@ -89,17 +89,31 @@ class TestCommands:
         pytest.param(["fleet", "run", "--model", "mllm-9b", "--gpus", "96",
                       "--gbs", "16", "--jobs", "2", "--iterations", "20",
                       "--job-gpus", "0"], id="fleet-run-job-gpus"),
+        pytest.param(["fleet", "sweep", "--models", "mllm-9b", "--systems",
+                      "disttrain", "--gpus", "96", "--gbs", "16",
+                      "--scenario-iterations", "10", "--fleet-jobs", "0"],
+                     id="fleet-sweep-fleet-jobs"),
+        pytest.param(["sweep", "--models", "mllm-9b", "--systems",
+                      "disttrain", "--gpus", "48", "--gbs", "16",
+                      "--scenario-iterations", "10",
+                      "--checkpoint-interval", "0"],
+                     id="sweep-checkpoint-interval"),
+        pytest.param(["sweep", "--models", "mllm-9b", "--systems",
+                      "disttrain", "--gpus", "48", "--gbs", "16",
+                      "--scenario-iterations", "0"],
+                     id="sweep-scenario-iterations"),
     ])
     def test_out_of_range_flag_exits_2_before_work(
         self, capsys, tmp_path, argv
     ):
-        """Negative seeds (numpy takes none) and a zero per-job demand
-        fail at parse time, not in a traceback or a run of failures."""
+        """Negative seeds (numpy takes none), a zero per-job demand and
+        zero sweep counts fail at parse time, not in a traceback or a
+        run of failed trials."""
         command = " ".join(argv[:2] if argv[0] in ("scenario", "fleet")
                            else argv[:1])
         flag, value = argv[-2:]
-        minimum = 1 if flag == "--job-gpus" else 0
-        if argv[0] == "sweep":
+        minimum = 0 if flag in ("--seed", "--failure-seed") else 1
+        if "sweep" in argv[:2]:
             argv = argv + ["--cache-dir", str(tmp_path)]
         with pytest.raises(SystemExit) as exit_info:
             main(argv)

@@ -49,13 +49,14 @@ class TestFleetRun:
         assert payload["policy"] == "priority"
 
     def test_bad_parameters_exit_2(self, capsys):
-        code = main([
-            "fleet", "run", "--model", "mllm-9b", "--gpus", "96",
-            "--gbs", "16", "--jobs", "0",
-        ])
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "fleet", "run", "--model", "mllm-9b", "--gpus", "96",
+                "--gbs", "16", "--jobs", "0",
+            ])
         err = capsys.readouterr().err
-        assert code == 2
-        assert "error" in err
+        assert exit_info.value.code == 2
+        assert "error: argument --jobs: must be >= 1" in err
 
     def test_parser_rejects_unknown_policy(self):
         with pytest.raises(SystemExit):
