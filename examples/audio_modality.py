@@ -1,11 +1,13 @@
 """Audio as an additional modality (Table 1: BEATs, AudioLDM).
 
-The MLLM architecture is modality-agnostic: any encoder/generator pair
-implementing ModuleSpec plugs into the cost models, reordering, and
-orchestration machinery. This example prices a BEATs audio encoder and
-an AudioLDM generator, generates a mixed image+audio data stream, and
-shows that Algorithm 1 balances audio-induced stragglers exactly like
-image-induced ones.
+The audio encoder and generator implement ModuleSpec, so the cost
+models price them on audio workloads, and Algorithm 1 balances the audio
+tokens a sample carries. The profiler, the MLLM composition, the
+orchestration and the iteration simulator build image workloads only
+(MultimodalLLMSpec rejects an audio encoder or generator). This example
+prices a BEATs audio encoder and an AudioLDM generator, generates a
+mixed image+audio data stream, and shows that Algorithm 1 balances
+audio-induced stragglers exactly like image-induced ones.
 
 Run:  python examples/audio_modality.py
 """

@@ -11,8 +11,12 @@ consuming conditioning tokens. This module provides:
   reusing the UNet machinery of :mod:`repro.models.diffusion`, with work
   driven by ``audio_tokens`` instead of ``image_tokens``.
 
-Both implement :class:`ModuleSpec`, so every downstream system — cost
-models, profiler, orchestration, pipeline simulation — works unchanged.
+Both implement :class:`ModuleSpec`, so the cost models price them on
+audio workloads, and Algorithm 1 balances the audio tokens a sample
+carries. The profiler, the MLLM composition
+(:class:`~repro.models.mllm.MultimodalLLMSpec`), the orchestration and
+the iteration simulator build image workloads only, so an MLLM rejects
+a BEATs encoder or an AudioLDM generator.
 """
 
 from __future__ import annotations

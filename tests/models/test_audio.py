@@ -87,6 +87,30 @@ class TestCostModelIntegration:
         assert cost.forward_time(audio_workload(), tp=1) > 0
 
 
+class TestMLLMComposition:
+    """The MLLM prices image workloads only, so audio modules fail at
+    construction instead of deep in the accountant or pricing 0 FLOPs."""
+
+    @pytest.mark.parametrize("encoder, generator, module", [
+        (BEATS_BASE, AUDIO_LDM, "encoder 'beats-base'"),
+        (BEATS_BASE, None, "encoder 'beats-base'"),
+        (None, AUDIO_LDM, "generator 'audioldm'"),
+    ])
+    def test_audio_module_rejected(self, encoder, generator, module):
+        from repro.models.diffusion import STABLE_DIFFUSION_2_1
+        from repro.models.llm import LLAMA3_7B
+        from repro.models.mllm import MultimodalLLMSpec
+        from repro.models.vit import VIT_HUGE
+
+        with pytest.raises(ValueError, match=module):
+            MultimodalLLMSpec(
+                name="mllm-audio",
+                encoder=encoder or VIT_HUGE,
+                llm=LLAMA3_7B,
+                generator=generator or STABLE_DIFFUSION_2_1,
+            )
+
+
 class TestWorkloadAudioFields:
     def test_sequence_tokens_include_audio(self):
         w = ModuleWorkload(samples=1, text_tokens=10, image_tokens=20,
