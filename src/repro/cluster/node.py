@@ -50,10 +50,6 @@ class NodeSpec:
         """Aggregate bf16 peak across the node's GPUs."""
         return self.gpus_per_node * self.gpu.peak("bf16")
 
-    @property
-    def total_gpu_memory(self) -> float:
-        return self.gpus_per_node * self.gpu.memory_bytes
-
 
 AMPERE_NODE = NodeSpec(name="ampere-8xA100", gpu=AMPERE_A100_80G)
 

@@ -61,14 +61,6 @@ class DatasetStatistics:
             if sub.modality == "image"
         ]
 
-    def audio_subsequence_sizes(self) -> List[int]:
-        return [
-            sub.tokens
-            for sample in self.samples
-            for sub in sample.subsequences
-            if sub.modality == "audio"
-        ]
-
     def image_counts(self) -> List[int]:
         return [sample.num_images for sample in self.samples]
 

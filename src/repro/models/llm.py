@@ -62,10 +62,6 @@ class LLMSpec(ModuleSpec):
     def num_layers(self) -> int:
         return self.config.num_layers
 
-    # Convenience ---------------------------------------------------------
-    def forward_flops_per_sample(self) -> float:
-        return self.forward_flops(ModuleWorkload(samples=1))
-
     @property
     def hidden_size(self) -> int:
         return self.config.hidden_size

@@ -47,10 +47,6 @@ class ModelOrchestrationPlan:
                 f"plan needs {self.num_gpus} GPUs but cluster has "
                 f"{self.cluster.num_gpus}"
             )
-        if self.llm_plan.microbatch_size != self.encoder_plan.microbatch_size:
-            # The microbatch size M is a global constant (section 4.2);
-            # encoder/generator microbatches derive from the LLM's.
-            pass
 
     # ------------------------------------------------------------------ #
     # Units

@@ -130,9 +130,6 @@ class CollectiveModel:
         """:meth:`tp_allreduce` of each element of an array of volumes."""
         return ring_allreduce_times(volume_bytes, tp, self.intra_link)
 
-    def tp_allgather(self, volume_bytes: float, tp: int) -> float:
-        return ring_allgather_time(volume_bytes, tp, self.intra_link)
-
     def dp_allreduce(self, volume_bytes: float, dp: int) -> float:
         """Gradient allreduce across data-parallel peers (cross-node)."""
         return ring_allreduce_time(volume_bytes, dp, self.inter_link)

@@ -264,7 +264,3 @@ class ModuleCostModel:
         reduce = self.collectives.dp_reduce_scatter(shard_bytes, dp)
         gather = self.collectives.dp_allgather(shard_bytes, dp)
         return reduce + gather
-
-    def pp_boundary_time(self, boundary_bytes: float) -> float:
-        """Send one microbatch's boundary activation to the next stage."""
-        return self.collectives.pp_send(boundary_bytes)
