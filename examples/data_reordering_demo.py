@@ -11,7 +11,6 @@ Run:  python examples/data_reordering_demo.py
 import numpy as np
 
 from repro.data.synthetic import SyntheticMultimodalDataset
-from repro.pipeline.ops import PipelineOp
 from repro.pipeline.schedules import ScheduleKind
 from repro.pipeline.simulator import PipelineSimulator, StageWork
 from repro.reordering.baselines import random_order
@@ -53,12 +52,8 @@ def inter_demo() -> None:
     reorderer = InterReorderer(costs)
 
     def render(order, label):
-        def duration(op: PipelineOp) -> float:
-            table = fwd if op.is_forward else bwd
-            return float(table[order[op.microbatch], op.stage])
-
         sim = PipelineSimulator(p, l, ScheduleKind.ONE_F_ONE_B)
-        trace = sim.run(StageWork(duration=duration))
+        trace = sim.run(StageWork.from_tables(fwd[order].T, bwd[order].T))
         print(f"{label}: makespan {trace.makespan:.1f}s, "
               f"bubble {trace.bubble_fraction() * 100:.0f}%")
         print(trace.render_ascii(100))

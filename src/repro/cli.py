@@ -24,6 +24,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from contextlib import contextmanager
 from typing import Iterator, List, Optional
@@ -87,7 +88,7 @@ def _add_task_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--vpp", type=int, default=1, help="virtual PP size")
     parser.add_argument(
-        "--seed", type=_seed, default=0, help="synthetic data seed"
+        "--seed", type=_non_negative_int, default=0, help="synthetic data seed"
     )
     parser.set_defaults(prog=parser.prog)
 
@@ -242,9 +243,25 @@ def _positive_int(text: str) -> int:
     return _int_at_least(text, 1)
 
 
-def _seed(text: str) -> int:
-    """Parse a seed: an integer of at least 0 (numpy rejects less)."""
+def _non_negative_int(text: str) -> int:
+    """Parse an integer flag value of at least 0 (a seed: numpy rejects
+    less; a retry count)."""
     return _int_at_least(text, 0)
+
+
+def _positive_seconds(text: str) -> float:
+    """Parse a positive, finite number of seconds."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}"
+        ) from None
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, got {text}"
+        )
+    return value
 
 
 def _int_at_least(text: str, minimum: int) -> int:
@@ -307,7 +324,7 @@ def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--vpp", type=int, default=1)
     parser.add_argument(
-        "--seed", type=_seed, default=None,
+        "--seed", type=_non_negative_int, default=None,
         help="data seed shared by every trial (default 0)",
     )
     parser.add_argument(
@@ -327,12 +344,13 @@ def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
         help="worker processes (default: one per core; 1 = serial)",
     )
     parser.add_argument(
-        "--trial-timeout", type=float, default=None, metavar="SECONDS",
+        "--trial-timeout", type=_positive_seconds, default=None,
+        metavar="SECONDS",
         help="per-trial wall-clock limit; overrunning trials are killed "
              "and retried on a fresh worker (default: unlimited)",
     )
     parser.add_argument(
-        "--retries", type=int, default=2, metavar="N",
+        "--retries", type=_non_negative_int, default=2, metavar="N",
         help="retries per trial on transient faults — worker death, "
              "timeout, stalled heartbeat (default: %(default)s)",
     )
@@ -400,7 +418,7 @@ def _add_scenario_sweep_arguments(parser: argparse.ArgumentParser) -> None:
         help="iterations between asynchronous checkpoints (default 50)",
     )
     parser.add_argument(
-        "--failure-seed", type=_seed, default=None,
+        "--failure-seed", type=_non_negative_int, default=None,
         help="seed for sampled failures and stragglers (default 0)",
     )
 
@@ -585,7 +603,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     try:
         retry = RetryPolicy(
-            max_attempts=max(1, args.retries + 1),
+            max_attempts=args.retries + 1,
             poison_after=args.poison_after,
         )
     except ValueError as exc:
@@ -1033,7 +1051,7 @@ def build_parser() -> argparse.ArgumentParser:
         "data-stats", help="characterize the synthetic data stream"
     )
     data_parser.add_argument("--samples", type=_positive_int, default=500)
-    data_parser.add_argument("--seed", type=_seed, default=0)
+    data_parser.add_argument("--seed", type=_non_negative_int, default=0)
     data_parser.set_defaults(fn=cmd_data_stats)
 
     sweep_parser = subparsers.add_parser(
@@ -1092,7 +1110,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="distinct global batches priced per cluster size",
     )
     scenario_run.add_argument(
-        "--failure-seed", type=_seed, default=0,
+        "--failure-seed", type=_non_negative_int, default=0,
         help="seed for sampled failures and stragglers",
     )
     scenario_run.add_argument(
@@ -1162,7 +1180,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="distinct global batches priced per cluster size",
     )
     fleet_run.add_argument(
-        "--failure-seed", type=_seed, default=0,
+        "--failure-seed", type=_non_negative_int, default=0,
         help="base seed for per-job failures (job i uses seed + i)",
     )
     fleet_run.add_argument(

@@ -288,8 +288,8 @@ class CampaignRunner:
             e.g. :func:`print_progress`. None is silent.
         derive_seeds: Give each trial a distinct deterministic data seed
             derived from its parameters (unless it sets one explicitly).
-        timeout: Per-trial wall-clock limit in seconds; None falls back
-            to ``spec.trial_timeout`` (and unlimited when that is unset).
+        timeout: Per-trial wall-clock limit in seconds; None is
+            unlimited.
         retry: Transient-fault policy for the supervised path; None uses
             :class:`~repro.experiments.supervisor.RetryPolicy` defaults.
         journal_dir: Directory for the durable campaign journal; None
@@ -481,17 +481,12 @@ class CampaignRunner:
             return max(1, min(self.processes, pending))
         return max(1, min(multiprocessing.cpu_count(), pending))
 
-    def _effective_timeout(self) -> Optional[float]:
-        if self.timeout is not None:
-            return self.timeout
-        return self.spec.trial_timeout
-
     def _execute(self, pending):
         """Yield ``(index, TrialRecord)`` as trials reach terminal state."""
         self._interrupted = False
         if not pending:
             return
-        timeout = self._effective_timeout()
+        timeout = self.timeout
         workers = self._worker_count(len(pending))
         if self.processes is not None and self.processes <= 1:
             # Explicitly serial: no worker boundary, so no supervision.

@@ -36,7 +36,6 @@ from typing import (
     Iterable,
     List,
     Mapping,
-    Optional,
     Sequence,
     Tuple,
     Union,
@@ -461,15 +460,11 @@ class SweepSpec:
             grid; :class:`ZippedAxes` groups advance in lockstep.
         base: Parameters shared by every trial (overridden by axes).
         name: Campaign label for reports and progress lines.
-        trial_timeout: Per-trial wall-clock limit in seconds, enforced
-            by the supervised runner (None = unlimited). Execution
-            policy, not task identity: it does not enter cache keys.
     """
 
     axes: Sequence[AxisLike] = field(default_factory=list)
     base: Mapping[str, Any] = field(default_factory=dict)
     name: str = "campaign"
-    trial_timeout: Optional[float] = None
 
     def __post_init__(self) -> None:
         seen: Dict[str, str] = {}
@@ -509,7 +504,6 @@ class SweepSpec:
         gpus: Sequence[int],
         gbs: Union[int, Sequence[int]],
         name: str = "campaign",
-        trial_timeout: Optional[float] = None,
         **base: Any,
     ) -> "SweepSpec":
         """Build the canonical models x systems x cluster-sizes sweep.
@@ -533,6 +527,4 @@ class SweepSpec:
         else:
             base = {**base, "gbs": gbs}
             axes.append(Axis("gpus", gpus))
-        return cls(
-            axes=axes, base=base, name=name, trial_timeout=trial_timeout
-        )
+        return cls(axes=axes, base=base, name=name)

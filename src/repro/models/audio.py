@@ -16,7 +16,9 @@ audio workloads, and Algorithm 1 balances the audio tokens a sample
 carries. The profiler, the MLLM composition
 (:class:`~repro.models.mllm.MultimodalLLMSpec`), the orchestration and
 the iteration simulator build image workloads only, so an MLLM rejects
-a BEATs encoder or an AudioLDM generator.
+a BEATs encoder or an AudioLDM generator, and
+:class:`~repro.timing.profiler.PerformanceProfiler` rejects a cost
+model of either.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from repro.timing.profiler import PerformanceProfiler
 from repro.timing.roofline import DEFAULT_EFFICIENCY, EfficiencyModel
 
 
-#: Noise-free profilers shared across problems (see
+#: Profilers shared across problems (see
 #: :meth:`OrchestrationProblem.profiler`) — the same keyed-cache module
 #: the plan cache and data-profile cache use.
 PROFILER_CACHE = KeyedCache(maxsize=32, name="profiler")
@@ -73,7 +73,6 @@ class OrchestrationProblem:
             powers of two up to the node size; section 4.3).
         efficiency: Roofline efficiency model for the cost models.
         tp_overlap_fraction: StepCCL overlap applied to TP communication.
-        profiler_noise_std: Measurement noise of the profiling trials.
         llm_ep: Expert-parallel degree for MoE backbones (1 = dense).
     """
 
@@ -89,7 +88,6 @@ class OrchestrationProblem:
         default_factory=lambda: DEFAULT_EFFICIENCY
     )
     tp_overlap_fraction: float = 0.9
-    profiler_noise_std: float = 0.0
     llm_ep: int = 1
 
     def __post_init__(self) -> None:
@@ -142,27 +140,22 @@ class OrchestrationProblem:
     def profiler(self) -> PerformanceProfiler:
         """Build (once) and return the profiled time functions.
 
-        Noise-free profilers are additionally shared process-wide: the
-        trial grid is a pure function of the model, node hardware, and
-        data profile, and elastic re-planning builds hundreds of
-        otherwise-identical problems that differ only in cluster *size*
-        (which the profiler never reads).
+        Profilers are shared process-wide: the trial grid is a pure
+        function of the model, node hardware, and data profile, and
+        elastic re-planning builds hundreds of otherwise-identical
+        problems that differ only in cluster *size* (which the profiler
+        never reads).
         """
         if self._profiler is None:
-            key = self._profiler_key()
-            if key is not None:
-                self._profiler = PROFILER_CACHE.get_or_compute(
-                    key, self._build_profiler
-                )
-            else:
-                self._profiler = self._build_profiler()
+            self._profiler = PROFILER_CACHE.get_or_compute(
+                self._profiler_key(), self._build_profiler
+            )
         return self._profiler
 
     def _build_profiler(self) -> PerformanceProfiler:
         profiler = PerformanceProfiler(
             cost_models=self.cost_models(),
             tp_candidates=tuple(self.tp_candidates),
-            noise_std=self.profiler_noise_std,
         )
         enc = self.per_sample_workload("encoder")
         gen = self.per_sample_workload("generator")
@@ -177,27 +170,22 @@ class OrchestrationProblem:
         return profiler
 
     def _profiler_key(self):
-        """Process-wide profiler cache key, or None when unshareable
-        (noisy trials draw from a per-problem RNG stream; exotic specs
-        may be unhashable)."""
-        if self.profiler_noise_std != 0.0:
-            return None
-        try:
-            # Specs are frozen dataclasses; their reprs are contentful
-            # and deterministic, and stay hashable even when a nested
-            # field (e.g. an efficiency table dict) is not.
-            return (
-                repr(self.mllm),
-                repr(self.cluster.node),
-                tuple(self.tp_candidates),
-                repr(self.efficiency),
-                self.tp_overlap_fraction,
-                self.llm_ep,
-                self.microbatch_size,
-                repr(self.profile),
-            )
-        except Exception:
-            return None
+        """Process-wide profiler cache key.
+
+        Specs are frozen dataclasses; their reprs are contentful and
+        deterministic, and stay hashable even when a nested field (e.g.
+        an efficiency table dict) is not.
+        """
+        return (
+            repr(self.mllm),
+            repr(self.cluster.node),
+            tuple(self.tp_candidates),
+            repr(self.efficiency),
+            self.tp_overlap_fraction,
+            self.llm_ep,
+            self.microbatch_size,
+            repr(self.profile),
+        )
 
     @property
     def num_gpus(self) -> int:

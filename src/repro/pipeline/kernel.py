@@ -65,15 +65,13 @@ class _CompiledLevels:
     contiguous slice, and readiness is one ``(k, 3)`` gather plus a
     row-max. Column 0 is the data edge, 1 the forward pred, 2 the stage
     pred; missing predecessors point at the reserved always-zero slot
-    ``num_ops``. ``pred3`` holds *positions in level order*; ``edge_op3``
-    holds original op ids (for per-op delay gathers).
+    ``num_ops``. ``pred3`` holds *positions in level order*.
     """
 
     order: np.ndarray        # (n,) op ids in level-sorted order
     bounds: Tuple[int, ...]  # L+1 prefix offsets into ``order``
     pred3: np.ndarray        # (n, 3) predecessor positions, dummy = n
     edge_mask3: np.ndarray   # (n, 3) 1.0 exactly at live data edges
-    edge_op3: np.ndarray     # (n, 3) op id at data edges, dummy = n
 
 
 def _schedule_arrays(
@@ -159,8 +157,8 @@ class SimulatorKernel:
 
     @property
     def ops(self) -> Tuple[PipelineOp, ...]:
-        """Op objects in kernel order (built lazily — only the trace
-        and callable-work paths need them)."""
+        """Op objects in kernel order (built lazily — only traces and
+        the deadlock message need them)."""
         cached = self.__dict__.get("_ops")
         if cached is None:
             direction = [Direction.BWD, Direction.FWD]
@@ -388,7 +386,6 @@ class SimulatorKernel:
                 bounds=(0,),
                 pred3=np.zeros((0, 3), dtype=np.int64),
                 edge_mask3=np.zeros((0, 3)),
-                edge_op3=np.zeros((0, 3), dtype=np.int64),
             )
         order = np.argsort(level, kind="stable")
         lvl_sorted = level[order]
@@ -405,18 +402,14 @@ class SimulatorKernel:
         pred = np.stack(
             [data_pred[order], fwd_pred[order], stage_prev[order]], axis=1
         )
-        has_edge = pred[:, 0] >= 0
         edge_mask = np.zeros((n, 3))
-        edge_mask[:, 0] = has_edge
-        edge_op = np.full((n, 3), n, dtype=np.int64)
-        edge_op[:, 0] = np.where(has_edge, order, n)
+        edge_mask[:, 0] = pred[:, 0] >= 0
         pred3 = position[np.where(pred >= 0, pred, n)]
         return _CompiledLevels(
             order=order,
             bounds=bounds,
             pred3=pred3,
             edge_mask3=edge_mask,
-            edge_op3=edge_op,
         )
 
     # ------------------------------------------------------------------ #
@@ -470,41 +463,17 @@ class SimulatorKernel:
             stage_bwd[self.op_stage],
         )
 
-    def durations_from_callable(self, duration) -> np.ndarray:
-        """Per-op durations from an arbitrary ``op -> seconds`` callable."""
-        return np.fromiter(
-            (duration(op) for op in self.ops), float, self.num_ops
-        )
-
-    def delays_from_callable(self, comm_delay) -> np.ndarray:
-        """Per-op communication delays from a ``(src, dst, dir)`` callable.
-
-        ``delays[i]`` is the transfer time on op ``i``'s data edge; ops
-        without a data edge keep 0 (never read during evaluation).
-        """
-        delays = np.zeros(self.num_ops)
-        for i in np.flatnonzero(self.data_pred >= 0):
-            op = self.ops[i]
-            pred = self.ops[self.data_pred[i]]
-            delays[i] = comm_delay(pred.stage, op.stage, op.direction)
-        return delays
-
     # ------------------------------------------------------------------ #
     # Evaluation
     # ------------------------------------------------------------------ #
     def evaluate(
-        self,
-        durations: np.ndarray,
-        delays: Union[float, np.ndarray] = 0.0,
+        self, durations: np.ndarray, delay: float = 0.0
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Start/end times for one duration vector.
-
-        ``delays`` is a scalar (uniform inter-stage delay) or a per-op
-        vector aligned with ``ops``.
-        """
+        """Start/end times for one duration vector and a uniform
+        inter-stage delay."""
         with obs.kernel_span("kernel.evaluate", 1):
             return self._sweep(
-                durations, self._edges(delays, batch=False), with_start=True
+                durations, self._edges(delay, batch=False), with_start=True
             )
 
     def evaluate_batch(
@@ -523,9 +492,7 @@ class SimulatorKernel:
             return start.T, end.T
 
     def makespan_from_durations(
-        self,
-        durations: np.ndarray,
-        delays: Union[float, np.ndarray] = 0.0,
+        self, durations: np.ndarray, delay: float = 0.0
     ) -> float:
         """Makespan of one duration vector, skipping start-time
         bookkeeping and the op-order scatter (the max is permutation-
@@ -533,7 +500,7 @@ class SimulatorKernel:
         """
         with obs.kernel_span("kernel.makespan", 1):
             end = self._sweep(
-                durations, self._edges(delays, batch=False), with_start=False
+                durations, self._edges(delay, batch=False), with_start=False
             )
             return float(end.max()) if len(end) else 0.0
 
@@ -569,21 +536,15 @@ class SimulatorKernel:
     def _edges(
         self, delays: Union[float, np.ndarray], batch: bool
     ) -> np.ndarray:
-        """Per-edge delays aligned with ``levels.pred3``.
-
-        A scalar is a uniform delay on every data edge; under ``batch``
-        a vector is one uniform delay per row (a trailing ``(B,)`` axis),
-        otherwise it is a per-op vector aligned with ``ops``. The
-        reserved dummy slot reads a zero delay.
+        """Per-edge delays aligned with ``levels.pred3``: the uniform
+        delay on every data edge, zero elsewhere (the reserved dummy slot
+        included). Under ``batch`` the edges gain a trailing axis and
+        ``delays`` may be one uniform delay per row (a ``(B,)`` vector).
         """
-        levels = self.levels
-        if np.ndim(delays) == 0:
-            edge3 = levels.edge_mask3 * delays
-            return edge3[:, :, None] if batch else edge3
-        delays = np.asarray(delays, dtype=float)
+        edge_mask3 = self.levels.edge_mask3
         if batch:
-            return levels.edge_mask3[:, :, None] * delays
-        return np.append(delays, 0.0)[levels.edge_op3]
+            return edge_mask3[:, :, None] * np.asarray(delays, dtype=float)
+        return edge_mask3 * float(delays)
 
     def _sweep(
         self, durations: np.ndarray, edge3: np.ndarray, with_start: bool

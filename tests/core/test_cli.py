@@ -102,17 +102,33 @@ class TestCommands:
                       "disttrain", "--gpus", "48", "--gbs", "16",
                       "--scenario-iterations", "0"],
                      id="sweep-scenario-iterations"),
+        *(
+            pytest.param(["sweep", "--models", "mllm-9b", "--systems",
+                          "disttrain", "--gpus", "48", "--gbs", "16",
+                          "--trial-timeout", value],
+                         id=f"sweep-trial-timeout-{value}")
+            for value in ("0", "-1", "nan")
+        ),
+        pytest.param(["sweep", "--models", "mllm-9b", "--systems",
+                      "disttrain", "--gpus", "48", "--gbs", "16",
+                      "--retries", "-1"], id="sweep-retries"),
     ])
     def test_out_of_range_flag_exits_2_before_work(
         self, capsys, tmp_path, argv
     ):
-        """Negative seeds (numpy takes none), a zero per-job demand and
-        zero sweep counts fail at parse time, not in a traceback or a
-        run of failed trials."""
+        """Negative seeds (numpy takes none), a zero per-job demand,
+        zero sweep counts, a trial timeout that is not a positive finite
+        number and a negative retry count fail at parse time, not in a
+        traceback or a run of failed trials."""
         command = " ".join(argv[:2] if argv[0] in ("scenario", "fleet")
                            else argv[:1])
         flag, value = argv[-2:]
-        minimum = 0 if flag in ("--seed", "--failure-seed") else 1
+        if flag == "--trial-timeout":
+            expected = f"must be a positive finite number, got {value}"
+        else:
+            minimum = 0 if flag in ("--seed", "--failure-seed",
+                                    "--retries") else 1
+            expected = f"must be >= {minimum}, got {value}"
         if "sweep" in argv[:2]:
             argv = argv + ["--cache-dir", str(tmp_path)]
         with pytest.raises(SystemExit) as exit_info:
@@ -120,9 +136,9 @@ class TestCommands:
         captured = capsys.readouterr()
         assert exit_info.value.code == 2
         assert (
-            f"repro {command}: error: argument {flag}: "
-            f"must be >= {minimum}, got {value}"
+            f"repro {command}: error: argument {flag}: {expected}"
         ) in captured.err
+        assert not any(tmp_path.iterdir())
         assert "Traceback" not in captured.err
         assert captured.out == ""
 

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.pipeline.ops import Direction, PipelineOp
 from repro.pipeline.schedules import ScheduleKind
 from repro.pipeline.simulator import PipelineSimulator, StageWork
 
@@ -87,7 +86,8 @@ class TestVppSimulation:
 
 class TestStageWork:
     def test_from_tables_duration_lookup(self):
-        work = StageWork.from_tables([[1.0, 2.0]], [[3.0, 4.0]], comm=0.5)
-        assert work.duration(PipelineOp(0, 1, Direction.FWD)) == 2.0
-        assert work.duration(PipelineOp(0, 0, Direction.BWD)) == 3.0
-        assert work.comm_delay(0, 1, Direction.FWD) == 0.5
+        work = StageWork.from_tables([[1, 2]], [[3, 4]], comm=1)
+        assert work.fwd_table.dtype == work.bwd_table.dtype == float
+        assert work.fwd_table[0, 1] == 2.0
+        assert work.bwd_table[0, 0] == 3.0
+        assert type(work.comm) is float and work.comm == 1.0

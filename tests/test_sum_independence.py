@@ -85,7 +85,7 @@ def test_trace_busy_sums(compensated_sum, seed):
     work = StageWork.from_tables(fwd, bwd, comm=float(rng.uniform(0, 0.5)))
     kernel = sim.kernel
     start, end = kernel.evaluate(
-        kernel.durations_from_tables(fwd, bwd), work.uniform_comm
+        kernel.durations_from_tables(fwd, bwd), work.comm
     )
     trace = sim.run_reference(work)
     assert kernel.bubble_fraction(start, end) == trace.bubble_fraction()
