@@ -309,11 +309,11 @@ def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
         choices=KNOWN_SYSTEMS,
     )
     parser.add_argument(
-        "--gpus", nargs="+", type=int, required=True,
+        "--gpus", nargs="+", type=_positive_int, required=True,
         help="cluster sizes to sweep",
     )
     parser.add_argument(
-        "--gbs", nargs="+", type=int, required=True,
+        "--gbs", nargs="+", type=_positive_int, required=True,
         help="one global batch size for all cluster sizes, or one per "
              "--gpus value (zipped: batch scales with the cluster)",
     )
@@ -322,7 +322,7 @@ def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
         choices=sorted(FROZEN_PRESETS),
         help="frozen-training phases (several values add a sweep axis)",
     )
-    parser.add_argument("--vpp", type=int, default=1)
+    parser.add_argument("--vpp", type=_positive_int, default=1)
     parser.add_argument(
         "--seed", type=_non_negative_int, default=None,
         help="data seed shared by every trial (default 0)",
@@ -340,7 +340,7 @@ def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
         "--no-cache", action="store_true", help="always re-execute"
     )
     parser.add_argument(
-        "--jobs", type=int, default=None,
+        "--jobs", type=_positive_int, default=None,
         help="worker processes (default: one per core; 1 = serial)",
     )
     parser.add_argument(

@@ -12,8 +12,8 @@ separately from the GPU pools.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Iterator, Optional, Tuple
 
 from repro.cluster.gpu import GPUSpec
 from repro.cluster.node import NodeSpec, AMPERE_NODE

@@ -8,7 +8,7 @@ training process for exactly these cores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cluster.gpu import GPUSpec, AMPERE_A100_80G, L20
 from repro.cluster.interconnect import LinkSpec, NVLINK_300, ROCE_4X200, intra_node_link

@@ -6,7 +6,7 @@ show; these helpers keep the formatting consistent.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.core.api import SystemComparison
 

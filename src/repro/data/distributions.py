@@ -108,23 +108,71 @@ class DataDistributionConfig:
                 f"image_min_side={self.image_min_side} exceeds "
                 f"image_max_side={self.image_max_side}"
             )
+        # A side is at least one patch and at most image_max_side, so a
+        # patch wider than that leaves every image with 0 tokens.
+        if self.patch_size > self.image_max_side:
+            raise ValueError(
+                f"patch_size={self.patch_size} exceeds "
+                f"image_max_side={self.image_max_side}"
+            )
 
 
 LAION_400M_LIKE = DataDistributionConfig()
 
 
-# Scalar samplers clamp with builtin min/max rather than ``np.clip``:
-# a scalar np.clip routes through array wrapping and costs ~10 us, which
-# dominated dataset generation (Figure 5's whole runtime). min/max is
-# bit-identical on non-NaN values, and draws stay on the same RNG stream.
+# Each clamp/snap formula is written once and serves both the public
+# scalar samplers (on one draw) and the synthetic dataset's document draw
+# (on all of a document's draws at once, with numpy ufuncs).
+
+
+def text_tokens_from_draws(
+    draws: np.ndarray, config: DataDistributionConfig = LAION_400M_LIKE
+) -> np.ndarray:
+    """Text subsequence lengths from log-normal draws: clamped to
+    ``[1, text_max_tokens]`` and truncated to whole tokens.
+
+    Truncating the clamped float equals ``min(max(int(v), 1), max)`` on
+    every finite draw.
+    """
+    return np.minimum(
+        np.maximum(draws, 1), config.text_max_tokens
+    ).astype(np.int64)
+
+
+def image_steps_from_draws(
+    draws: np.ndarray, config: DataDistributionConfig = LAION_400M_LIKE
+) -> np.ndarray:
+    """Image edges from log-normal draws, in patches: each draw clamped to
+    the resolution clips and rounded half to even onto the patch grid."""
+    clamped = np.minimum(
+        np.maximum(draws, config.image_min_side), config.image_max_side
+    )
+    return np.rint(clamped / config.patch_size).astype(np.int64)
+
+
+def image_side_pixels(
+    steps: int, config: DataDistributionConfig = LAION_400M_LIKE
+) -> int:
+    """Edge length of an image ``steps`` patches wide (see
+    :func:`image_steps_from_draws`): at least one patch, at most
+    ``image_max_side``."""
+    patch = config.patch_size
+    return min(max(steps * patch, patch), config.image_max_side)
+
+
+def image_tokens(
+    side: int, config: DataDistributionConfig = LAION_400M_LIKE
+) -> int:
+    """Image subsequence length in tokens: (side / patch) squared."""
+    return (side // config.patch_size) ** 2
 
 
 def sample_text_subsequence_tokens(
     rng: np.random.Generator, config: DataDistributionConfig = LAION_400M_LIKE
 ) -> int:
     """Draw one text subsequence length in tokens."""
-    tokens = int(rng.lognormal(config.text_mu, config.text_sigma))
-    return min(max(tokens, 1), config.text_max_tokens)
+    draw = rng.lognormal(config.text_mu, config.text_sigma)
+    return int(text_tokens_from_draws(draw, config))
 
 
 def sample_text_subsequence_tokens_batch(
@@ -139,29 +187,23 @@ def sample_text_subsequence_tokens_batch(
     and per-call sampling produce the same dataset.
     """
     draws = rng.lognormal(config.text_mu, config.text_sigma, size=count)
-    # One clamp for the whole document: truncating the clipped float
-    # equals the scalar samplers' ``min(max(int(v), 1), max)`` on every
-    # finite draw.
-    return np.clip(draws, 1, config.text_max_tokens).astype(np.int64).tolist()
+    return text_tokens_from_draws(draws, config).tolist()
 
 
 def sample_image_side_pixels(
     rng: np.random.Generator, config: DataDistributionConfig = LAION_400M_LIKE
 ) -> int:
     """Draw one image edge length, snapped to the patch grid."""
-    side = rng.lognormal(config.image_side_mu, config.image_side_sigma)
-    side = min(max(float(side), float(config.image_min_side)),
-               float(config.image_max_side))
-    snapped = max(config.patch_size, round(side / config.patch_size) * config.patch_size)
-    return int(min(snapped, config.image_max_side))
+    draw = rng.lognormal(config.image_side_mu, config.image_side_sigma)
+    return image_side_pixels(int(image_steps_from_draws(draw, config)), config)
 
 
 def sample_image_subsequence_tokens(
     rng: np.random.Generator, config: DataDistributionConfig = LAION_400M_LIKE
 ) -> int:
     """Draw one image subsequence length in tokens (side/patch squared)."""
-    side = sample_image_side_pixels(rng, config)
-    return (side // config.patch_size) ** 2
+    return image_tokens(sample_image_side_pixels(rng, config), config)
+
 
 def sample_audio_subsequence_tokens(
     rng: np.random.Generator, config: DataDistributionConfig = LAION_400M_LIKE

@@ -12,9 +12,9 @@ training sequences"). The compute a sample induces differs per module:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -51,15 +51,27 @@ _TEXT_INTERN_MAX = 4096
 _TEXT_INTERNED: List[Subsequence] = []
 
 
+def _text_interned() -> List[Subsequence]:
+    if not _TEXT_INTERNED:
+        _TEXT_INTERNED.extend(
+            Subsequence("text", t) for t in range(_TEXT_INTERN_MAX)
+        )
+    return _TEXT_INTERNED
+
+
 def text_subsequence(tokens: int) -> Subsequence:
     """A (shared, immutable) text subsequence of ``tokens`` length."""
     if 0 <= tokens < _TEXT_INTERN_MAX:
-        if not _TEXT_INTERNED:
-            _TEXT_INTERNED.extend(
-                Subsequence("text", t) for t in range(_TEXT_INTERN_MAX)
-            )
-        return _TEXT_INTERNED[tokens]
+        return _text_interned()[tokens]
     return Subsequence("text", tokens)
+
+
+def text_subsequence_lookup(max_tokens: int) -> Callable[[int], Subsequence]:
+    """:func:`text_subsequence` for token counts in ``[0, max_tokens]``:
+    the intern table's own ``__getitem__`` when they all fit in it."""
+    if max_tokens < _TEXT_INTERN_MAX:
+        return _text_interned().__getitem__
+    return text_subsequence
 
 
 @dataclass(frozen=True)
@@ -84,8 +96,8 @@ class TrainingSample:
     # computed once at construction: reordering and statistics consult
     # ``size``/``pixels`` O(n log n) times per batch, which made the
     # repeated generator-expression sums a measurable hot spot. The
-    # workload is built once too: every simulator and FLOPs accountant
-    # that prices the sample reads it.
+    # workload is built on first use and kept: batches are priced on
+    # arrays of the aggregates, so most samples never need one.
     def __post_init__(self) -> None:
         text = image = audio = images = clips = raw = pixels = 0
         for s in self.subsequences:
@@ -107,10 +119,6 @@ class TrainingSample:
         set_(self, "_num_audio_clips", clips)
         set_(self, "_raw_bytes", raw)
         set_(self, "_pixels", pixels)
-        set_(self, "_workload", ModuleWorkload(
-            samples=1, text_tokens=text, image_tokens=image, images=images,
-            audio_tokens=audio, audio_clips=clips,
-        ))
 
     @property
     def text_tokens(self) -> int:
@@ -156,7 +164,18 @@ class TrainingSample:
 
     def workload(self) -> ModuleWorkload:
         """Per-module workload induced by this sample."""
-        return self._workload
+        workload = self.__dict__.get("_workload")
+        if workload is None:
+            workload = ModuleWorkload(
+                samples=1,
+                text_tokens=self._text_tokens,
+                image_tokens=self._image_tokens,
+                images=self._num_images,
+                audio_tokens=self._audio_tokens,
+                audio_clips=self._num_audio_clips,
+            )
+            object.__setattr__(self, "_workload", workload)
+        return workload
 
     def image_token_sizes(self) -> List[int]:
         return [s.tokens for s in self.subsequences if s.modality == "image"]

@@ -9,21 +9,54 @@ fixed-length sequences. The dataset is an infinite deterministic stream
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from operator import attrgetter
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.data.distributions import (
     DataDistributionConfig,
     LAION_400M_LIKE,
+    image_side_pixels,
+    image_steps_from_draws,
+    image_tokens,
     sample_audio_subsequence_tokens,
     sample_image_count,
-    sample_image_subsequence_tokens,
-    sample_text_subsequence_tokens,
     sample_text_subsequence_tokens_batch,
+    text_tokens_from_draws,
 )
 from repro.data.packing import SequencePacker
-from repro.data.sample import Subsequence, TrainingSample, text_subsequence
+from repro.data.sample import (
+    Subsequence,
+    TrainingSample,
+    text_subsequence_lookup,
+)
+
+_TOKENS = attrgetter("tokens")
+
+
+class _ImageSpans(dict):
+    """Interned image spans of one config, keyed by their edge in patches
+    (see :func:`~repro.data.distributions.image_steps_from_draws`): a
+    lookup builds a missing span once, so a config's few dozen distinct
+    edges (61 at the default) cost a few dozen spans, not one per draw.
+    Safe because Subsequence is frozen."""
+
+    def __init__(self, config: DataDistributionConfig) -> None:
+        super().__init__()
+        self.config = config
+
+    def __missing__(self, steps: int) -> Subsequence:
+        cfg = self.config
+        tokens = image_tokens(image_side_pixels(steps, cfg), cfg)
+        pixels = tokens * cfg.patch_size**2
+        span = self[steps] = Subsequence(
+            "image",
+            tokens,
+            raw_bytes=round(pixels * cfg.jpeg_bytes_per_pixel),
+            pixels=pixels,
+        )
+        return span
 
 
 @dataclass
@@ -47,61 +80,63 @@ class SyntheticMultimodalDataset:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         self._rng = np.random.default_rng(self.seed)
         self._next_sample_id = 0
+        cfg = self.config
+        # Log-normal parameters of an image-rich document's spans (text,
+        # image, text, ..., text) at its largest, max_images images.
+        longest = 2 * cfg.max_images + 1
+        self._mus = np.resize([cfg.text_mu, cfg.image_side_mu], longest)
+        self._sigmas = np.resize(
+            [cfg.text_sigma, cfg.image_side_sigma], longest
+        )
+        self._text_span = text_subsequence_lookup(cfg.text_max_tokens)
+        self._image_span = _ImageSpans(cfg).__getitem__
 
     # ------------------------------------------------------------------ #
     # Raw (pre-packing) sample construction
     # ------------------------------------------------------------------ #
-    def _raw_subsequences(self) -> List[Subsequence]:
-        """One logical document: interleaved text spans and images.
+    def _document(self) -> Tuple[List[Subsequence], List[int]]:
+        """One logical document: interleaved text spans and images, and
+        their token counts.
 
         Documents are a mixture of long-form text (few or no images) and
         image-rich web pages; the mixture is what keeps per-sample image
         density heterogeneous after packing (see
         ``DataDistributionConfig.text_heavy_fraction``).
+
+        The Python work is per document, not per span: the span sizes
+        come from one log-normal call (after the mixture and count
+        draws) and become tokens on arrays, and the spans are interned.
+        The draws are those of one scalar call per span, in span order.
         """
         rng, cfg = self._rng, self.config
         if rng.random() < cfg.text_heavy_fraction:
-            spans = max(
+            count = max(
                 1,
                 int(rng.lognormal(cfg.text_heavy_spans_mu,
                                   cfg.text_heavy_spans_sigma)),
             )
-            # One vectorized draw for the whole document; same RNG
-            # stream as per-span scalar draws.
-            return [
-                text_subsequence(tokens)
-                for tokens in sample_text_subsequence_tokens_batch(
-                    rng, spans, cfg
-                )
-            ]
-        num_images = sample_image_count(rng, cfg)
-        subsequences: List[Subsequence] = []
-        # Leading text span.
-        text_tokens = sample_text_subsequence_tokens(rng, cfg)
-        subsequences.append(text_subsequence(text_tokens))
-        for _ in range(num_images):
-            tokens = sample_image_subsequence_tokens(rng, cfg)
-            pixels = tokens * cfg.patch_size**2
-            subsequences.append(
-                Subsequence(
-                    "image",
-                    tokens,
-                    raw_bytes=round(pixels * cfg.jpeg_bytes_per_pixel),
-                    pixels=pixels,
-                )
-            )
-            # Interleaving text between images.
-            text_tokens = sample_text_subsequence_tokens(rng, cfg)
-            subsequences.append(text_subsequence(text_tokens))
+            tokens = sample_text_subsequence_tokens_batch(rng, count, cfg)
+            return list(map(self._text_span, tokens)), tokens
+        count = 2 * sample_image_count(rng, cfg) + 1
+        # Array parameters draw element by element, in order, so this
+        # is the stream of one scalar draw per span.
+        draws = rng.lognormal(self._mus[:count], self._sigmas[:count])
+        text = text_tokens_from_draws(draws[0::2], cfg).tolist()
+        spans = [None] * count
+        spans[0::2] = map(self._text_span, text)
+        spans[1::2] = map(
+            self._image_span, image_steps_from_draws(draws[1::2], cfg).tolist()
+        )
+        tokens = list(map(_TOKENS, spans))
         if cfg.audio_fraction > 0 and rng.random() < cfg.audio_fraction:
-            tokens = sample_audio_subsequence_tokens(rng, cfg)
+            audio = sample_audio_subsequence_tokens(rng, cfg)
             # Raw audio bytes: 16 kHz mono 16-bit per clip second.
-            seconds = tokens / cfg.audio_tokens_per_second
-            subsequences.append(
-                Subsequence("audio", tokens,
-                            raw_bytes=round(seconds * 32_000))
+            seconds = audio / cfg.audio_tokens_per_second
+            spans.append(
+                Subsequence("audio", audio, raw_bytes=round(seconds * 32_000))
             )
-        return subsequences
+            tokens.append(audio)
+        return spans, tokens
 
     # ------------------------------------------------------------------ #
     # Public stream
@@ -126,7 +161,7 @@ class SyntheticMultimodalDataset:
         packer = SequencePacker(self.seq_len, self._next_sample_id)
         samples: List[TrainingSample] = []
         while len(samples) < num_samples:
-            packer.feed(self._raw_subsequences(), samples)
+            packer.feed_counted(*self._document(), samples)
         self._next_sample_id = packer.next_id
         return samples[:num_samples]
 

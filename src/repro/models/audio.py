@@ -23,7 +23,7 @@ model of either.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.models.base import ModuleKind, ModuleSpec, ModuleWorkload
 from repro.models.diffusion import DiffusionSpec, UNetConfig

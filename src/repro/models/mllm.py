@@ -11,11 +11,11 @@ configurations the paper evaluates (section 7, "Models"):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro.models.audio import AudioLDMSpec
-from repro.models.base import ModuleKind, ModuleSpec, ModuleWorkload
+from repro.models.base import ModuleSpec, ModuleWorkload
 from repro.models.diffusion import DiffusionSpec, STABLE_DIFFUSION_2_1
 from repro.models.llm import LLMSpec, LLAMA3_7B, LLAMA3_13B, LLAMA3_70B
 from repro.models.projector import ProjectorSpec, mlp_projector

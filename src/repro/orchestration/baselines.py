@@ -13,7 +13,6 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.models.base import ModuleWorkload
@@ -26,7 +25,6 @@ from repro.orchestration.adaptive import (
 from repro.timing.collectives import CollectiveModel
 from repro.orchestration.formulation import (
     CandidateConfig,
-    module_sample_time,
     objective,
 )
 from repro.orchestration.memory import MemoryModel

@@ -9,8 +9,8 @@ adjacent units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List
 
 from repro.cluster.cluster import ClusterSpec
 from repro.models.mllm import MultimodalLLMSpec

@@ -10,8 +10,8 @@ its own distributed initialization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 from repro.models.base import ModuleSpec
 from repro.parallelism.plan import ParallelismPlan

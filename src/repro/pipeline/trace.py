@@ -9,11 +9,11 @@ makespan, per-stage busy/idle time, bubble fraction, and the idle
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from repro.numerics import fold_sum
-from repro.pipeline.ops import Direction, PipelineOp
+from repro.pipeline.ops import PipelineOp
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ motivating example — a 256-word text plus ten 1024x1024 images — takes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.data.sample import TrainingSample
 from repro.numerics import fold_sum

@@ -10,8 +10,8 @@ a burst of image-heavy batches exceeding producer throughput).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Deque, List, Sequence
 
 from repro.data.sample import TrainingSample
 from repro.numerics import fold_sum

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from repro.cluster.node import NodeSpec
-from repro.models.base import ModuleKind, ModuleWorkload
+from repro.models.base import ModuleKind
 from repro.models.llm import LLMSpec
 from repro.timing.collectives import CollectiveModel
 from repro.timing.roofline import DEFAULT_EFFICIENCY, EfficiencyModel, kernel_time

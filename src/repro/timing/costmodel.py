@@ -20,7 +20,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.cluster.node import NodeSpec
-from repro.models.base import ModuleKind, ModuleSpec, ModuleWorkload
+from repro.models.base import ModuleSpec, ModuleWorkload
 from repro.models.diffusion import DiffusionSpec
 from repro.models.llm import LLMSpec
 from repro.models.projector import ProjectorSpec

@@ -6,7 +6,7 @@ benchmark reports — the closest a terminal gets to the paper's figures.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List
 
 from repro.pipeline.trace import PipelineTrace
 

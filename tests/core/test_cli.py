@@ -112,14 +112,33 @@ class TestCommands:
         pytest.param(["sweep", "--models", "mllm-9b", "--systems",
                       "disttrain", "--gpus", "48", "--gbs", "16",
                       "--retries", "-1"], id="sweep-retries"),
+        pytest.param(["sweep", "--models", "mllm-9b", "--systems",
+                      "disttrain", "--gbs", "16", "--gpus", "0"],
+                     id="sweep-gpus"),
+        pytest.param(["sweep", "--models", "mllm-9b", "--systems",
+                      "disttrain", "--gpus", "48", "--gbs", "0"],
+                     id="sweep-gbs"),
+        pytest.param(["scenario", "sweep", "--models", "mllm-9b", "--gpus",
+                      "48", "--gbs", "16", "--vpp", "0"],
+                     id="scenario-sweep-vpp"),
+        pytest.param(["sweep", "--models", "mllm-9b", "--systems",
+                      "disttrain", "--gpus", "48", "--gbs", "16",
+                      "--vpp", "0"], id="sweep-vpp"),
+        *(
+            pytest.param(["sweep", "--models", "mllm-9b", "--systems",
+                          "disttrain", "--gpus", "48", "--gbs", "16",
+                          "--jobs", value], id=f"sweep-jobs-{value}")
+            for value in ("0", "-3")
+        ),
     ])
     def test_out_of_range_flag_exits_2_before_work(
         self, capsys, tmp_path, argv
     ):
         """Negative seeds (numpy takes none), a zero per-job demand,
-        zero sweep counts, a trial timeout that is not a positive finite
-        number and a negative retry count fail at parse time, not in a
-        traceback or a run of failed trials."""
+        zero sweep counts, grid values (cluster sizes, batch sizes, VPP)
+        and worker counts below 1, a trial timeout that is not a positive
+        finite number and a negative retry count fail at parse time, not
+        in a traceback or a run of failed trials."""
         command = " ".join(argv[:2] if argv[0] in ("scenario", "fleet")
                            else argv[:1])
         flag, value = argv[-2:]

@@ -135,11 +135,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="image_min_side"):
             DataDistributionConfig(image_min_side=512, image_max_side=256)
 
+    def test_rejects_patch_wider_than_max_side(self):
+        """A patch wider than the largest image would give every image 0
+        tokens and 0 pixels."""
+        with pytest.raises(
+            ValueError, match="patch_size=2048 exceeds image_max_side=1024"
+        ):
+            DataDistributionConfig(patch_size=2048)
+
     @pytest.mark.parametrize("kwargs", [
         {},
         {"audio_fraction": 0.5},
         {"audio_fraction": 1.0, "text_heavy_fraction": 0.0},
         {"image_min_side": 256, "image_max_side": 256},
+        {"patch_size": 1024},
         {"text_sigma": 0.0, "max_images": 0, "jpeg_bytes_per_pixel": 0.0},
     ])
     def test_accepts_shipped_and_boundary_configs(self, kwargs):
