@@ -46,15 +46,18 @@ class Subsequence:
 
 #: Text spans carry no bytes/pixels, so there is one distinct value per
 #: token count; interning them makes the dominant allocation of dataset
-#: generation a list lookup. Safe because Subsequence is frozen.
+#: generation a list lookup. Safe because Subsequence is frozen. The
+#: table grows to the largest count asked for, up to _TEXT_INTERN_MAX.
 _TEXT_INTERN_MAX = 4096
 _TEXT_INTERNED: List[Subsequence] = []
 
 
-def _text_interned() -> List[Subsequence]:
-    if not _TEXT_INTERNED:
+def _text_interned(count: int) -> List[Subsequence]:
+    """The intern table, holding at least token counts ``[0, count)``."""
+    have = len(_TEXT_INTERNED)
+    if have < count:
         _TEXT_INTERNED.extend(
-            Subsequence("text", t) for t in range(_TEXT_INTERN_MAX)
+            Subsequence("text", t) for t in range(have, count)
         )
     return _TEXT_INTERNED
 
@@ -62,7 +65,7 @@ def _text_interned() -> List[Subsequence]:
 def text_subsequence(tokens: int) -> Subsequence:
     """A (shared, immutable) text subsequence of ``tokens`` length."""
     if 0 <= tokens < _TEXT_INTERN_MAX:
-        return _text_interned()[tokens]
+        return _text_interned(tokens + 1)[tokens]
     return Subsequence("text", tokens)
 
 
@@ -70,7 +73,7 @@ def text_subsequence_lookup(max_tokens: int) -> Callable[[int], Subsequence]:
     """:func:`text_subsequence` for token counts in ``[0, max_tokens]``:
     the intern table's own ``__getitem__`` when they all fit in it."""
     if max_tokens < _TEXT_INTERN_MAX:
-        return _text_interned().__getitem__
+        return _text_interned(max_tokens + 1).__getitem__
     return text_subsequence
 
 
