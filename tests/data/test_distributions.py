@@ -148,8 +148,8 @@ class TestConfigValidation:
         {"audio_fraction": 0.5},
         {"audio_fraction": 1.0, "text_heavy_fraction": 0.0},
         {"image_min_side": 256, "image_max_side": 256},
-        {"patch_size": 1024},
         {"text_sigma": 0.0, "max_images": 0, "jpeg_bytes_per_pixel": 0.0},
+        {"patch_size": 1024},
     ])
     def test_accepts_shipped_and_boundary_configs(self, kwargs):
         DataDistributionConfig(**kwargs)
