@@ -81,13 +81,9 @@ class SyntheticMultimodalDataset:
         self._rng = np.random.default_rng(self.seed)
         self._next_sample_id = 0
         cfg = self.config
-        # Log-normal parameters of an image-rich document's spans (text,
-        # image, text, ..., text) at its largest, max_images images.
-        longest = 2 * cfg.max_images + 1
-        self._mus = np.resize([cfg.text_mu, cfg.image_side_mu], longest)
-        self._sigmas = np.resize(
-            [cfg.text_sigma, cfg.image_side_sigma], longest
-        )
+        # Log-normal parameters of the spans (text, image, text, ...,
+        # text) of the longest image-rich document drawn so far.
+        self._mus = self._sigmas = np.empty(0)
         self._text_span = text_subsequence_lookup(cfg.text_max_tokens)
         self._image_span = _ImageSpans(cfg).__getitem__
 
@@ -118,6 +114,11 @@ class SyntheticMultimodalDataset:
             tokens = sample_text_subsequence_tokens_batch(rng, count, cfg)
             return list(map(self._text_span, tokens)), tokens
         count = 2 * sample_image_count(rng, cfg) + 1
+        if count > self._mus.size:
+            self._mus = np.resize([cfg.text_mu, cfg.image_side_mu], count)
+            self._sigmas = np.resize(
+                [cfg.text_sigma, cfg.image_side_sigma], count
+            )
         # Array parameters draw element by element, in order, so this
         # is the stream of one scalar draw per span.
         draws = rng.lognormal(self._mus[:count], self._sigmas[:count])
