@@ -249,17 +249,32 @@ def _non_negative_int(text: str) -> int:
     return _int_at_least(text, 0)
 
 
-def _positive_seconds(text: str) -> float:
-    """Parse a positive, finite number of seconds."""
+def _float(text: str) -> float:
+    """Parse a float flag value (finiteness is the caller's check)."""
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"invalid float value: {text!r}"
         ) from None
+
+
+def _positive_seconds(text: str) -> float:
+    """Parse a positive, finite number of seconds."""
+    value = _float(text)
     if not 0.0 < value < math.inf:
         raise argparse.ArgumentTypeError(
             f"must be a positive finite number, got {text}"
+        )
+    return value
+
+
+def _non_negative_seconds(text: str) -> float:
+    """Parse a non-negative, finite number of seconds."""
+    value = _float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative finite number, got {text}"
         )
     return value
 
@@ -425,8 +440,14 @@ def _add_scenario_sweep_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _scenario_sweep_params(args: argparse.Namespace, default_on: bool):
     """(base params, axes) for the scenario options, or (None, []) when
-    the sweep stays a plain single-iteration grid."""
+    the sweep stays a plain single-iteration grid.
+
+    Raises:
+        ValueError: if the base values, or any axis value over them,
+            make an invalid :class:`~repro.scenarios.spec.ScenarioSpec`.
+    """
     from repro.experiments import Axis
+    from repro.scenarios.spec import ScenarioSpec
 
     scenario_on = default_on or args.elastic or any(
         value is not None
@@ -464,6 +485,10 @@ def _scenario_sweep_params(args: argparse.Namespace, default_on: bool):
         base["checkpoint_interval"] = args.checkpoint_interval
     if args.failure_seed is not None:
         base["failure_seed"] = args.failure_seed
+    ScenarioSpec.from_params(base)
+    for axis in axes:
+        for value in axis.values:
+            ScenarioSpec.from_params({**base, axis.name: value})
     return base, axes
 
 
@@ -508,7 +533,7 @@ def _add_fleet_arguments(
         help="per-job GPU demand (default: the whole cluster)",
     )
     parser.add_argument(
-        "--arrival-spacing", type=float, default=0.0,
+        "--arrival-spacing", type=_non_negative_seconds, default=0.0,
         help="seconds between consecutive job arrivals",
     )
     parser.add_argument(

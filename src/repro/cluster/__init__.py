@@ -19,7 +19,6 @@ from repro.cluster.node import NodeSpec, AMPERE_NODE, L20_NODE, NODE_PRESETS
 from repro.cluster.interconnect import LinkSpec, NVLINK_300, ROCE_4X200, PCIE_GEN4
 from repro.cluster.cluster import ClusterSpec, NodePool, make_cluster, resized_cluster
 from repro.cluster.allocation import AllocationError, GPUAllocator
-from repro.cluster.topology import ClusterTopology, RankPlacement
 
 __all__ = [
     "GPUSpec",
@@ -41,6 +40,4 @@ __all__ = [
     "AllocationError",
     "GPUAllocator",
     "make_cluster",
-    "ClusterTopology",
-    "RankPlacement",
 ]

@@ -13,7 +13,7 @@ separately from the GPU pools.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.cluster.gpu import GPUSpec
 from repro.cluster.node import NodeSpec, AMPERE_NODE
@@ -107,44 +107,6 @@ class ClusterSpec:
         return sum(
             pool.num_nodes * pool.node.total_peak_flops for pool in self.pools
         )
-
-    @property
-    def total_cpu_cores(self) -> int:
-        """Cores available for disaggregated preprocessing."""
-        return self.cpu_nodes * self.cpu_cores_per_node
-
-    # ------------------------------------------------------------------ #
-    # Lookup
-    # ------------------------------------------------------------------ #
-    def node_of_gpu(self, gpu_index: int) -> Tuple[NodeSpec, int]:
-        """Map a flat GPU index to ``(node_spec, node_index)``.
-
-        GPUs are numbered pool by pool, node by node.
-        """
-        if gpu_index < 0 or gpu_index >= self.num_gpus:
-            raise IndexError(
-                f"gpu index {gpu_index} out of range [0, {self.num_gpus})"
-            )
-        node_base = 0
-        remaining = gpu_index
-        for pool in self.pools:
-            if remaining < pool.num_gpus:
-                return pool.node, node_base + remaining // pool.node.gpus_per_node
-            remaining -= pool.num_gpus
-            node_base += pool.num_nodes
-        raise AssertionError("unreachable")
-
-    def same_node(self, gpu_a: int, gpu_b: int) -> bool:
-        """True if both flat GPU indices live on the same physical node."""
-        _, node_a = self.node_of_gpu(gpu_a)
-        _, node_b = self.node_of_gpu(gpu_b)
-        return node_a == node_b
-
-    def iter_gpu_specs(self) -> Iterator[GPUSpec]:
-        """Yield the GPUSpec of every GPU in flat order."""
-        for pool in self.pools:
-            for _ in range(pool.num_gpus):
-                yield pool.node.gpu
 
 
 def resized_cluster(cluster: ClusterSpec, num_gpus: int) -> ClusterSpec:

@@ -8,7 +8,7 @@ generator, the packing, and the statistics — the raw dataset itself is
 substituted by a calibrated synthetic sampler (see DESIGN.md).
 """
 
-from repro.data.sample import Subsequence, TrainingSample, Microbatch
+from repro.data.sample import Subsequence, TrainingSample
 from repro.data.distributions import (
     DataDistributionConfig,
     LAION_400M_LIKE,
@@ -17,7 +17,6 @@ from repro.data.distributions import (
     sample_audio_subsequence_tokens,
     sample_image_count,
 )
-from repro.data.tokenizer import SyntheticTokenizer
 from repro.data.synthetic import SyntheticMultimodalDataset
 from repro.data.packing import pack_subsequences
 from repro.data.stats import DatasetStatistics, histogram_density
@@ -25,14 +24,12 @@ from repro.data.stats import DatasetStatistics, histogram_density
 __all__ = [
     "Subsequence",
     "TrainingSample",
-    "Microbatch",
     "DataDistributionConfig",
     "LAION_400M_LIKE",
     "sample_text_subsequence_tokens",
     "sample_image_subsequence_tokens",
     "sample_audio_subsequence_tokens",
     "sample_image_count",
-    "SyntheticTokenizer",
     "SyntheticMultimodalDataset",
     "pack_subsequences",
     "DatasetStatistics",

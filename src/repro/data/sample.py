@@ -148,10 +148,6 @@ class TrainingSample:
         return self.text_tokens + self.image_tokens + self.audio_tokens
 
     @property
-    def padding_tokens(self) -> int:
-        return max(0, self.seq_len - self.total_tokens)
-
-    @property
     def raw_bytes(self) -> int:
         return self._raw_bytes
 
@@ -180,34 +176,6 @@ class TrainingSample:
             object.__setattr__(self, "_workload", workload)
         return workload
 
-    def image_token_sizes(self) -> List[int]:
-        return [s.tokens for s in self.subsequences if s.modality == "image"]
-
-
-@dataclass(frozen=True)
-class Microbatch:
-    """A group of samples trained together in one pipeline pass."""
-
-    samples: Tuple[TrainingSample, ...]
-
-    def __post_init__(self) -> None:
-        if not self.samples:
-            raise ValueError("microbatch cannot be empty")
-
-    @property
-    def size(self) -> int:
-        return sum(s.size for s in self.samples)
-
-    @property
-    def num_samples(self) -> int:
-        return len(self.samples)
-
-    def workload(self) -> ModuleWorkload:
-        total = ModuleWorkload(samples=0)
-        for sample in self.samples:
-            total = total + sample.workload()
-        return total
-
 
 def image_arrays(
     samples: Sequence[TrainingSample],
@@ -219,20 +187,3 @@ def image_arrays(
         np.fromiter(map(attrgetter("image_tokens"), samples), np.int64, n),
         np.fromiter(map(attrgetter("num_images"), samples), np.int64, n),
     )
-
-
-def make_microbatches(
-    samples: Sequence[TrainingSample], microbatch_size: int
-) -> List[Microbatch]:
-    """Chunk an ordered sample list into fixed-size microbatches."""
-    if microbatch_size < 1:
-        raise ValueError("microbatch_size must be positive")
-    if len(samples) % microbatch_size != 0:
-        raise ValueError(
-            f"{len(samples)} samples do not divide into microbatches of "
-            f"{microbatch_size}"
-        )
-    return [
-        Microbatch(tuple(samples[i : i + microbatch_size]))
-        for i in range(0, len(samples), microbatch_size)
-    ]

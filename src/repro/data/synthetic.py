@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -165,12 +165,3 @@ class SyntheticMultimodalDataset:
             packer.feed_counted(*self._document(), samples)
         self._next_sample_id = packer.next_id
         return samples[:num_samples]
-
-    def global_batches(
-        self, batch_size: int, num_batches: Optional[int] = None
-    ) -> Iterator[List[TrainingSample]]:
-        """Yield global batches of ``batch_size`` samples."""
-        produced = 0
-        while num_batches is None or produced < num_batches:
-            yield self.take(batch_size)
-            produced += 1

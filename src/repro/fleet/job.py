@@ -763,7 +763,7 @@ class JobSimulator:
         racks a small job never occupies.
         """
         from repro.cluster.cluster import resized_cluster
-        from repro.cluster.topology import ClusterTopology
+        from repro.cluster.topology import failure_domains
 
         num_gpus = self._cur.num_gpus
         table = self._domain_tables.get(num_gpus)
@@ -773,9 +773,7 @@ class JobSimulator:
                 cluster = resized_cluster(cluster, num_gpus)
             table = {
                 name: dom.num_gpus
-                for name, dom in ClusterTopology(cluster)
-                .failure_domains()
-                .items()
+                for name, dom in failure_domains(cluster).items()
             }
             self._domain_tables[num_gpus] = table
         return table.get(domain, 0)

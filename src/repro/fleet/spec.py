@@ -15,6 +15,7 @@ cluster that cannot hold them all at full demand.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, Sequence, Tuple
 
@@ -60,16 +61,23 @@ class FleetJobSpec:
     slo_factor: Optional[float] = None
 
     def __post_init__(self) -> None:
+        # Float guards are written so NaN fails them: every comparison
+        # with NaN is False.
         if not self.name:
             raise ValueError("job needs a name")
-        if self.arrival_s < 0:
-            raise ValueError("arrival_s must be non-negative")
-        if self.deadline_s is not None and self.deadline_s <= self.arrival_s:
+        if not 0 <= self.arrival_s < math.inf:
             raise ValueError(
-                "deadline_s must lie after the job's arrival"
+                f"arrival_s must be finite and non-negative, got "
+                f"{self.arrival_s}"
             )
-        if self.slo_factor is not None and self.slo_factor <= 0:
-            raise ValueError("slo_factor must be positive")
+        if self.deadline_s is not None and not (
+            self.arrival_s < self.deadline_s < math.inf
+        ):
+            raise ValueError(
+                "deadline_s must be finite and lie after the job's arrival"
+            )
+        if self.slo_factor is not None and not 0 < self.slo_factor < math.inf:
+            raise ValueError("slo_factor must be positive and finite")
         if self.scenario.events is not None and any(
             e.kind == "resize" for e in self.scenario.events
         ):

@@ -57,11 +57,6 @@ class ModuleWorkload:
                self.images, self.audio_tokens, self.audio_clips) < 0:
             raise ValueError("workload fields must be non-negative")
 
-    @property
-    def sequence_tokens(self) -> int:
-        """Tokens the LLM backbone processes (modalities interleaved)."""
-        return self.text_tokens + self.image_tokens + self.audio_tokens
-
     def scaled(self, factor: float) -> "ModuleWorkload":
         """Return a workload scaled by ``factor`` (for sub-microbatches)."""
         return ModuleWorkload(

@@ -172,10 +172,6 @@ class DiffusionSpec(ModuleSpec):
     def param_count(self) -> int:
         return self.unet_param_count() + self.vae_params
 
-    def trainable_param_count(self) -> int:
-        """The VAE stays frozen even when the generator trains."""
-        return self.unet_param_count()
-
     # ------------------------------------------------------------------ #
     # FLOPs
     # ------------------------------------------------------------------ #

@@ -93,17 +93,6 @@ class ViTSpec(ModuleSpec):
     def num_layers(self) -> int:
         return self.config.num_layers
 
-    # Convenience ---------------------------------------------------------
-    def tokens_for_resolution(self, resolution: int) -> int:
-        """Image tokens produced for a square ``resolution`` image."""
-        if resolution % self.patch_size != 0:
-            raise ValueError(
-                f"resolution {resolution} not divisible by patch size "
-                f"{self.patch_size}"
-            )
-        side = resolution // self.patch_size
-        return side * side
-
     def boundary_activation_bytes(self, image_tokens: int) -> float:
         """bf16 bytes of the token tensor leaving the encoder."""
         return 2.0 * image_tokens * self.config.hidden_size

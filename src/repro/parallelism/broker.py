@@ -107,29 +107,3 @@ def broker_transfer_time(
     if not asynchronous:
         transfer += link.latency + per_broker / link.effective_bandwidth
     return transfer
-
-
-def route_microbatch(
-    sample_ids: Sequence[int],
-    dp_up: int,
-    dp_down: int,
-) -> List[List[int]]:
-    """Re-partition an ordered sample list from DP_up to DP_down shards.
-
-    Models the broker's concentrate/scatter: upstream shards are the
-    row-major split of ``sample_ids`` into ``dp_up`` parts; the function
-    returns the ``dp_down`` downstream shards. Order must be preserved
-    end-to-end — the property tests assert concatenation round-trips.
-    """
-    if dp_up < 1 or dp_down < 1:
-        raise ValueError("DP sizes must be positive")
-    n = len(sample_ids)
-    if n % dp_down != 0:
-        raise ValueError(
-            f"{n} samples do not evenly re-partition into {dp_down} shards"
-        )
-    per_down = n // dp_down
-    return [
-        list(sample_ids[i * per_down : (i + 1) * per_down])
-        for i in range(dp_down)
-    ]

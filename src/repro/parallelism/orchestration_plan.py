@@ -92,10 +92,6 @@ class ModelOrchestrationPlan:
         )
 
     @property
-    def total_pipeline_stages(self) -> int:
-        return self.encoder_plan.pp + self.llm_plan.pp + self.generator_plan.pp
-
-    @property
     def microbatch_size(self) -> int:
         return self.llm_plan.microbatch_size
 

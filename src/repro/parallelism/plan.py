@@ -60,10 +60,6 @@ class ParallelismPlan:
         """GPUs consumed by this unit."""
         return self.intra_layer_width * self.pp * self.dp
 
-    @property
-    def model_parallel_size(self) -> int:
-        return self.intra_layer_width * self.pp
-
     def with_(self, **kwargs) -> "ParallelismPlan":
         """Functional update."""
         return replace(self, **kwargs)

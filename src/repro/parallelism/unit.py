@@ -79,31 +79,12 @@ class ParallelismUnit:
     def global_ranks(self) -> range:
         return range(self.gpu_offset, self.gpu_offset + self.num_gpus)
 
-    def local_rank(self, global_rank: int) -> int:
-        if global_rank not in self.global_ranks:
-            raise ValueError(
-                f"rank {global_rank} not in unit {self.name!r} "
-                f"({self.global_ranks})"
-            )
-        return global_rank - self.gpu_offset
-
-    def coords(self, local_rank: int) -> Tuple[int, int, int]:
-        """Decompose a local rank into ``(pp_stage, dp_index, tp_index)``.
+    def rank_of(self, pp_stage: int, dp_index: int, tp_index: int) -> int:
+        """Global rank at the given parallel coordinates.
 
         The fastest-varying dimension is the intra-layer width (TP*EP),
         so expert-parallel ranks are laid out like tensor-parallel ones.
         """
-        plan = self.plan
-        width = plan.intra_layer_width
-        if not 0 <= local_rank < self.num_gpus:
-            raise ValueError(f"local rank {local_rank} out of range")
-        tp_index = local_rank % width
-        dp_index = (local_rank // width) % plan.dp
-        pp_stage = local_rank // (width * plan.dp)
-        return pp_stage, dp_index, tp_index
-
-    def rank_of(self, pp_stage: int, dp_index: int, tp_index: int) -> int:
-        """Global rank at the given parallel coordinates."""
         plan = self.plan
         width = plan.intra_layer_width
         if not (0 <= pp_stage < plan.pp and 0 <= dp_index < plan.dp

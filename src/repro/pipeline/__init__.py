@@ -12,7 +12,6 @@ from repro.pipeline.kernel import (
     SimulatorKernel,
     clear_kernel_cache,
     get_kernel,
-    kernel_cache_info,
 )
 from repro.pipeline.ops import Direction, PipelineOp
 from repro.pipeline.schedules import (
@@ -39,6 +38,5 @@ __all__ = [
     "OpRecord",
     "SimulatorKernel",
     "get_kernel",
-    "kernel_cache_info",
     "clear_kernel_cache",
 ]

@@ -694,10 +694,5 @@ def get_kernel(
     return SimulatorKernel.build(kind, num_stages, num_microbatches, vpp)
 
 
-def kernel_cache_info():
-    """Hit/miss statistics of the shape cache (for diagnostics)."""
-    return get_kernel.cache_info()
-
-
 def clear_kernel_cache() -> None:
     get_kernel.cache_clear()

@@ -90,16 +90,6 @@ class PipelineTrace:
                 gaps.append((prev.end, nxt.start))
         return gaps
 
-    def first_stage_unfilled_time(self) -> float:
-        """Total unfilled interval volume at the first stage."""
-        return fold_sum(b - a for a, b in self.stage_idle_gaps(0))
-
-    def op_record(self, op: PipelineOp) -> OpRecord:
-        for record in self._by_stage.get(op.stage, []):
-            if record.op == op:
-                return record
-        raise KeyError(f"op {op} not in trace")
-
     # ------------------------------------------------------------------ #
     # Validation helpers (used by property tests)
     # ------------------------------------------------------------------ #

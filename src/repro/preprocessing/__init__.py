@@ -18,7 +18,6 @@ from repro.preprocessing.disaggregated import (
     DisaggregatedPreprocessing,
     required_cpu_nodes,
 )
-from repro.preprocessing.service import PreprocessingService, IterationFeed
 
 __all__ = [
     "PreprocessCostModel",
@@ -26,6 +25,4 @@ __all__ = [
     "CoLocatedPreprocessing",
     "DisaggregatedPreprocessing",
     "required_cpu_nodes",
-    "PreprocessingService",
-    "IterationFeed",
 ]

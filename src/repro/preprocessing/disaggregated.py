@@ -55,12 +55,6 @@ class DisaggregatedPreprocessing:
         total *= 1.0 + self.reorder_cost_fraction
         return total / self.total_cores
 
-    def keeps_up(
-        self, samples: Sequence[TrainingSample], iteration_time: float
-    ) -> bool:
-        """True if producers sustain the training consumption rate."""
-        return self.producer_seconds(samples) <= iteration_time
-
     # ------------------------------------------------------------------ #
     # Exposed overhead on the GPU side
     # ------------------------------------------------------------------ #

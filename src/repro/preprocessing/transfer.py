@@ -42,11 +42,6 @@ class TransferModel:
             + sample.text_tokens * self.bytes_per_text_token
         )
 
-    def sample_transfer_time(self, sample: TrainingSample) -> float:
-        """Seconds to deliver one sample to its GPU consumer."""
-        overhead = self.rpc_overhead_s * (0.1 if self.use_rdma else 1.0)
-        return overhead + self.link.transfer_time(self.sample_bytes(sample))
-
     def microbatch_transfer_time(self, samples) -> float:
         """Samples of one microbatch ship as a single batched message."""
         total_bytes = fold_sum(self.sample_bytes(s) for s in samples)

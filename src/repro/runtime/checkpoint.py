@@ -91,11 +91,6 @@ class AsyncCheckpointer:
         self.total_stall += stall
         return stall
 
-    def last_checkpoint_iteration(self, current_iteration: int) -> int:
-        """Most recent iteration with a snapshot taken (durable or not)."""
-        interval = self.config.interval_iterations
-        return (current_iteration // interval) * interval
-
     def durable_resume_iteration(self, now: float) -> int:
         """First iteration a job failing at ``now`` must re-execute.
 

@@ -34,7 +34,7 @@ Schema **v2** adds topology-correlated and capacity-lifecycle events
     }
 
 A *domain failure* names a node/rack failure domain drawn from
-:meth:`repro.cluster.topology.ClusterTopology.failure_domains` and kills
+:func:`repro.cluster.topology.failure_domains` and kills
 every GPU in its blast radius. *Spot reclamations* and *maintenance
 windows* are graceful capacity outages: no work is rolled back, the
 capacity returns after ``duration_s``. Serialization stays
@@ -134,7 +134,7 @@ class DomainFailureEvent:
     """A correlated failure of a whole failure domain at ``time_s``.
 
     ``domain`` names a node/rack blast radius from
-    :meth:`repro.cluster.topology.ClusterTopology.failure_domains`
+    :func:`repro.cluster.topology.failure_domains`
     (e.g. ``"node3"`` or ``"rack1"``). Every GPU the job holds inside
     the domain dies at once; the job rolls back and recovers exactly as
     for a :class:`FailureEvent` of that size. A domain that lies

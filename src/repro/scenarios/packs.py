@@ -9,7 +9,7 @@ workload beyond the training task itself:
   budgets, priorities, and deadline/SLO factors;
 * a :class:`FaultProfile` — correlated failure domains with rack/node
   blast radius (drawn from
-  :meth:`repro.cluster.topology.ClusterTopology.failure_domains`),
+  :func:`repro.cluster.topology.failure_domains`),
   spot-capacity reclamation, maintenance windows, and stragglers.
 
 ``build_fleet`` expands a pack into an ordinary
@@ -39,7 +39,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.cluster.cluster import make_cluster, resized_cluster
-from repro.cluster.topology import DEFAULT_NODES_PER_RACK, ClusterTopology
+from repro.cluster.topology import DEFAULT_NODES_PER_RACK, failure_domains
 from repro.core.config import DistTrainConfig
 from repro.fleet.spec import FleetJobSpec, FleetSpec
 from repro.scenarios.events import (
@@ -318,9 +318,7 @@ class FaultProfile:
         Timed events come out chronologically sorted; stragglers follow.
         """
         rng = np.random.default_rng([seed, _FAULT_STREAM, index])
-        domains = ClusterTopology(cluster).failure_domains(
-            self.nodes_per_rack
-        )
+        domains = failure_domains(cluster, self.nodes_per_rack)
         node_names = [
             n for n, d in domains.items() if d.scope == "node"
         ]

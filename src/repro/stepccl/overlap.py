@@ -121,10 +121,3 @@ def simulate_overlapped(config: OverlapConfig) -> OverlapTimeline:
     else:
         timeline.remap = (compute_clock, compute_clock + config.remap_time)
     return timeline
-
-
-def overlapped_speedup(config: OverlapConfig) -> float:
-    """Sequential / StepCCL total-time ratio for one layer."""
-    seq = simulate_sequential(config).total_time
-    ovl = simulate_overlapped(config).total_time
-    return seq / ovl if ovl > 0 else 1.0

@@ -130,10 +130,6 @@ class CollectiveModel:
         """:meth:`tp_allreduce` of each element of an array of volumes."""
         return ring_allreduce_times(volume_bytes, tp, self.intra_link)
 
-    def dp_allreduce(self, volume_bytes: float, dp: int) -> float:
-        """Gradient allreduce across data-parallel peers (cross-node)."""
-        return ring_allreduce_time(volume_bytes, dp, self.inter_link)
-
     def dp_reduce_scatter(self, volume_bytes: float, dp: int) -> float:
         return ring_reduce_scatter_time(volume_bytes, dp, self.inter_link)
 

@@ -208,20 +208,6 @@ class ModuleCostModel:
         backward_s = kernel_times(factor * flops, **roofline) + factor * comm
         return forward, backward_s
 
-    def fwd_bwd_time(
-        self,
-        workload: ModuleWorkload,
-        tp: int = 1,
-        weight_grads: bool = True,
-        backward: bool = True,
-    ) -> float:
-        """Combined forward+backward time (the orchestration objective
-        replaces ``C`` with this sum; section 4.2)."""
-        total = self.forward_time(workload, tp)
-        if backward:
-            total += self.backward_time(workload, tp, weight_grads=weight_grads)
-        return total
-
     # ------------------------------------------------------------------ #
     # Communication components
     # ------------------------------------------------------------------ #
@@ -250,17 +236,3 @@ class ModuleCostModel:
         if dispatch is None:
             return 0.0
         return self.collectives.ep_all_to_all(dispatch(workload), ep)
-
-    def dp_gradient_sync_time(self, tp: int, pp: int, dp: int) -> float:
-        """Gradient reduce-scatter + param allgather under ZeRO-1.
-
-        Each GPU holds ``P/(tp*pp)`` gradient elements; ZeRO-1 reduce-
-        scatters gradients and allgathers updated parameters across the DP
-        group, both in bf16.
-        """
-        if dp <= 1:
-            return 0.0
-        shard_bytes = self.module.param_count() / (tp * pp) * BF16_BYTES
-        reduce = self.collectives.dp_reduce_scatter(shard_bytes, dp)
-        gather = self.collectives.dp_allgather(shard_bytes, dp)
-        return reduce + gather

@@ -155,9 +155,6 @@ class PerformanceProfiler:
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
-    def is_profiled(self) -> bool:
-        return bool(self._tables)
-
     def estimate(
         self,
         name: str,

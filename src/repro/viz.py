@@ -1,7 +1,7 @@
 """Terminal visualization helpers.
 
-ASCII bar charts and utilization timelines for the examples and
-benchmark reports — the closest a terminal gets to the paper's figures.
+ASCII bar charts for the examples — the closest a terminal gets to the
+paper's figures — and the flight-recorder trace plot.
 """
 
 from __future__ import annotations
@@ -34,34 +34,6 @@ def bar_chart(
     return "\n".join(lines)
 
 
-def grouped_bar_chart(
-    groups: Dict[str, Dict[str, float]],
-    width: int = 40,
-    unit: str = "",
-    title: str = "",
-) -> str:
-    """Bar chart with one sub-bar per series inside each group
-    (Figure 13/15-style model x system comparisons)."""
-    if not groups:
-        raise ValueError("no groups to chart")
-    peak = max(v for series in groups.values() for v in series.values())
-    if peak <= 0:
-        raise ValueError("values must contain a positive entry")
-    series_names = list(next(iter(groups.values())))
-    label_width = max(len(s) for s in series_names)
-    lines = [title] if title else []
-    for group, series in groups.items():
-        lines.append(f"{group}:")
-        for name in series_names:
-            value = series.get(name, 0.0)
-            bar = "#" * max(0, round(width * value / peak))
-            lines.append(
-                f"  {name.ljust(label_width)} |{bar.ljust(width)}| "
-                f"{value:.3g}{unit}"
-            )
-    return "\n".join(lines)
-
-
 def stage_utilization_chart(trace: PipelineTrace, width: int = 50) -> str:
     """Per-stage busy fraction of a pipeline trace."""
     values = {
@@ -73,33 +45,6 @@ def stage_utilization_chart(trace: PipelineTrace, width: int = 50) -> str:
         for s in range(trace.num_stages)
     }
     return bar_chart(values, width=width, title="stage utilization:")
-
-
-def utilization_timeline(
-    trace: PipelineTrace, stage: int, bins: int = 60
-) -> str:
-    """Busy/idle timeline of one stage, binned into characters.
-
-    ``#`` = fully busy bin, ``.`` = fully idle, intermediate shades for
-    partial bins.
-    """
-    if trace.makespan <= 0:
-        return "(empty trace)"
-    shades = ".:-=+*#"
-    bin_width = trace.makespan / bins
-    busy = [0.0] * bins
-    for record in trace.stage_records(stage):
-        lo = record.start
-        while lo < record.end - 1e-12:
-            index = min(bins - 1, int(lo / bin_width))
-            hi = min(record.end, (index + 1) * bin_width)
-            busy[index] += hi - lo
-            lo = hi
-    chars = []
-    for amount in busy:
-        fraction = min(1.0, amount / bin_width)
-        chars.append(shades[round(fraction * (len(shades) - 1))])
-    return f"s{stage} |" + "".join(chars) + "|"
 
 
 def plot_trace_timeline(trace: Dict[str, Any], path: str) -> str:

@@ -1,4 +1,4 @@
-"""Tests for cluster composition and lookup."""
+"""Tests for cluster composition."""
 
 import pytest
 
@@ -43,32 +43,6 @@ class TestMakeCluster:
         )
 
 
-class TestGPULookup:
-    def test_node_of_gpu(self):
-        cluster = make_cluster(24)
-        _, node0 = cluster.node_of_gpu(0)
-        _, node1 = cluster.node_of_gpu(7)
-        _, node2 = cluster.node_of_gpu(8)
-        assert node0 == node1 == 0
-        assert node2 == 1
-
-    def test_out_of_range(self):
-        cluster = make_cluster(16)
-        with pytest.raises(IndexError):
-            cluster.node_of_gpu(16)
-        with pytest.raises(IndexError):
-            cluster.node_of_gpu(-1)
-
-    def test_same_node(self):
-        cluster = make_cluster(16)
-        assert cluster.same_node(0, 7)
-        assert not cluster.same_node(7, 8)
-
-    def test_iter_gpu_specs_counts(self):
-        cluster = make_cluster(16)
-        assert sum(1 for _ in cluster.iter_gpu_specs()) == 16
-
-
 class TestHeterogeneousCluster:
     def test_two_pools(self):
         cluster = ClusterSpec(
@@ -79,14 +53,7 @@ class TestHeterogeneousCluster:
         )
         assert cluster.num_gpus == 24
         assert not cluster.is_homogeneous
-        spec, node_index = cluster.node_of_gpu(16)
-        assert spec is L20_NODE
-        assert node_index == 2
 
     def test_requires_a_pool(self):
         with pytest.raises(ValueError):
             ClusterSpec(pools=())
-
-    def test_cpu_cores_total(self):
-        cluster = make_cluster(8, cpu_nodes=4)
-        assert cluster.total_cpu_cores == 4 * cluster.cpu_cores_per_node

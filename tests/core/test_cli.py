@@ -130,6 +130,17 @@ class TestCommands:
                           "--jobs", value], id=f"sweep-jobs-{value}")
             for value in ("0", "-3")
         ),
+        *(
+            pytest.param(["fleet", "run", "--model", "mllm-9b", "--gpus",
+                          "96", "--gbs", "16", "--jobs", "2", "--job-gpus",
+                          "48", "--iterations", "5", "--arrival-spacing",
+                          value], id=f"fleet-run-arrival-spacing-{value}")
+            for value in ("nan", "inf", "-1")
+        ),
+        pytest.param(["fleet", "sweep", "--models", "mllm-9b", "--systems",
+                      "disttrain", "--gpus", "96", "--gbs", "16",
+                      "--scenario-iterations", "10", "--arrival-spacing",
+                      "nan"], id="fleet-sweep-arrival-spacing"),
     ])
     def test_out_of_range_flag_exits_2_before_work(
         self, capsys, tmp_path, argv
@@ -137,13 +148,16 @@ class TestCommands:
         """Negative seeds (numpy takes none), a zero per-job demand,
         zero sweep counts, grid values (cluster sizes, batch sizes, VPP)
         and worker counts below 1, a trial timeout that is not a positive
-        finite number and a negative retry count fail at parse time, not
-        in a traceback or a run of failed trials."""
+        finite number, a negative retry count and an arrival spacing that
+        is not a non-negative finite number fail at parse time, not in a
+        traceback, a run of failed trials or an endless fleet loop."""
         command = " ".join(argv[:2] if argv[0] in ("scenario", "fleet")
                            else argv[:1])
         flag, value = argv[-2:]
         if flag == "--trial-timeout":
             expected = f"must be a positive finite number, got {value}"
+        elif flag == "--arrival-spacing":
+            expected = f"must be a non-negative finite number, got {value}"
         else:
             minimum = 0 if flag in ("--seed", "--failure-seed",
                                     "--retries") else 1
@@ -160,6 +174,37 @@ class TestCommands:
         assert not any(tmp_path.iterdir())
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("flags, message", [
+        pytest.param(["--mtbf", "-5"], "mtbf_gpu_hours must be positive",
+                     id="mtbf-negative"),
+        pytest.param(["--mtbf", "0"], "mtbf_gpu_hours must be positive",
+                     id="mtbf-zero"),
+        pytest.param(["--straggler-rate", "1.5"],
+                     "straggler_rate is a per-iteration probability",
+                     id="straggler-rate"),
+        pytest.param(["--straggler-slowdown", "0.5"],
+                     "straggler_slowdown must be finite and >= 1.0",
+                     id="straggler-slowdown"),
+        pytest.param(["--mtbf", "10", "-5"],
+                     "mtbf_gpu_hours must be positive", id="mtbf-axis"),
+    ])
+    def test_invalid_scenario_value_exits_2_before_work(
+        self, capsys, tmp_path, flags, message
+    ):
+        """The sweep builds a ScenarioSpec from its base values and from
+        each axis value before any trial runs, so the spec's own checks
+        reject what ``repro scenario run`` rejects."""
+        code = main(
+            ["sweep", "--models", "mllm-9b", "--systems", "disttrain",
+             "--gpus", "48", "--gbs", "16", "--scenario-iterations", "20",
+             *flags, "--cache-dir", str(tmp_path)]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"repro sweep: error: {message}\n"
+        assert captured.out == ""
+        assert not any(tmp_path.iterdir())
 
     def test_data_stats_accepts_small_sample_count(self, capsys):
         assert main(["data-stats", "--samples", "5"]) == 0

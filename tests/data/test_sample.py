@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.data.sample import (
-    Microbatch,
-    Subsequence,
-    TrainingSample,
-    make_microbatches,
-)
+from repro.data.sample import Subsequence, TrainingSample
 
 
 def sample(sample_id=0, text=100, image_tokens=(1024, 2048)):
@@ -38,7 +33,6 @@ class TestTrainingSample:
         assert s.image_tokens == 3072
         assert s.num_images == 2
         assert s.total_tokens == 3172
-        assert s.padding_tokens == 8192 - 3172
 
     def test_size_is_image_tokens(self):
         assert sample().size == 3072
@@ -51,40 +45,5 @@ class TestTrainingSample:
     def test_workload(self):
         w = sample().workload()
         assert w.samples == 1
+        assert w.text_tokens == 100
         assert w.image_tokens == 3072
-        assert w.sequence_tokens == 3172
-
-    def test_image_token_sizes(self):
-        assert sample().image_token_sizes() == [1024, 2048]
-
-
-class TestMicrobatch:
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            Microbatch(())
-
-    def test_size_sums_samples(self):
-        mb = Microbatch((sample(0), sample(1)))
-        assert mb.size == 2 * 3072
-        assert mb.num_samples == 2
-
-    def test_workload_sums(self):
-        mb = Microbatch((sample(0), sample(1)))
-        w = mb.workload()
-        assert w.samples == 2
-        assert w.image_tokens == 2 * 3072
-
-
-class TestMakeMicrobatches:
-    def test_even_split(self):
-        mbs = make_microbatches([sample(i) for i in range(6)], 2)
-        assert len(mbs) == 3
-        assert all(mb.num_samples == 2 for mb in mbs)
-
-    def test_uneven_rejected(self):
-        with pytest.raises(ValueError):
-            make_microbatches([sample(i) for i in range(5)], 2)
-
-    def test_invalid_size(self):
-        with pytest.raises(ValueError):
-            make_microbatches([sample(0)], 0)

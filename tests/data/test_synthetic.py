@@ -37,12 +37,6 @@ class TestGeneration:
         with pytest.raises(ValueError, match="seed must be >= 0"):
             SyntheticMultimodalDataset(seed=-1)
 
-    def test_global_batches(self):
-        ds = SyntheticMultimodalDataset(seed=3)
-        batches = list(ds.global_batches(8, num_batches=3))
-        assert len(batches) == 3
-        assert all(len(b) == 8 for b in batches)
-
 
 class TestDeterminism:
     def test_same_seed_same_stream(self):

@@ -53,6 +53,32 @@ class TestFleetJobSpec:
                 slo_factor=0.0,
             )
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("arrival_s", float("nan"), "arrival_s"),
+        ("arrival_s", float("inf"), "arrival_s"),
+        ("arrival_s", -1.0, "arrival_s"),
+        ("deadline_s", float("nan"), "deadline_s"),
+        ("deadline_s", float("inf"), "deadline_s"),
+        ("slo_factor", float("nan"), "slo_factor"),
+        ("slo_factor", float("inf"), "slo_factor"),
+    ])
+    def test_rejects_non_finite_times(self, job_config, field, value, match):
+        """An arrival the engine can never reach (NaN compares false
+        with every clock) would make it re-arrive the job forever."""
+        with pytest.raises(ValueError, match=match):
+            FleetJobSpec(
+                name="a", config=job_config, scenario=ScenarioSpec(),
+                **{field: value},
+            )
+
+    def test_homogeneous_rejects_infinite_spacing(self, job_config):
+        # 0 * inf is NaN: the first job's arrival would be NaN.
+        with pytest.raises(ValueError, match="arrival_s"):
+            FleetSpec.homogeneous(
+                job_config, cluster_gpus=96, num_jobs=2,
+                arrival_spacing_s=float("inf"),
+            )
+
 
 class TestFleetSpec:
     def test_rejects_duplicate_names(self, job_config):

@@ -112,11 +112,6 @@ class TestMLLMComposition:
 
 
 class TestWorkloadAudioFields:
-    def test_sequence_tokens_include_audio(self):
-        w = ModuleWorkload(samples=1, text_tokens=10, image_tokens=20,
-                           audio_tokens=30)
-        assert w.sequence_tokens == 60
-
     def test_add_and_scale(self):
         a = audio_workload(clips=1)
         b = audio_workload(clips=1)

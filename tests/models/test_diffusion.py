@@ -11,13 +11,6 @@ class TestParams:
         # SD 2.1 is ~0.87B UNet + ~0.08B VAE; the paper rounds to 1B.
         assert 0.8e9 < STABLE_DIFFUSION_2_1.param_count() < 1.1e9
 
-    def test_vae_not_trainable(self):
-        spec = STABLE_DIFFUSION_2_1
-        assert (
-            spec.trainable_param_count()
-            == spec.param_count() - spec.vae_params
-        )
-
     def test_kind(self):
         assert STABLE_DIFFUSION_2_1.kind is ModuleKind.GENERATOR
 

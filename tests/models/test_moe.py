@@ -127,9 +127,13 @@ class TestEPPlans:
             "llm", LLAMA3_MOE_8X7B, ParallelismPlan(tp=1, ep=4, pp=2, dp=2)
         )
         assert unit.num_gpus == 16
-        for local in range(unit.num_gpus):
-            pp, dp, tp = unit.coords(local)
-            assert unit.rank_of(pp, dp, tp) == local
+        ranks = [
+            unit.rank_of(pp, dp, tp)
+            for pp in range(2)
+            for dp in range(2)
+            for tp in range(unit.plan.intra_layer_width)
+        ]
+        assert ranks == list(range(16))
 
     def test_orchestration_with_ep(self):
         from repro.cluster.cluster import make_cluster

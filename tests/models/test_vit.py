@@ -3,6 +3,7 @@
 import pytest
 
 from repro.models.base import ModuleKind, ModuleWorkload
+from repro.models.mllm import image_tokens_for_resolution
 from repro.models.vit import VIT_HUGE, VIT_LARGE
 
 
@@ -19,15 +20,18 @@ class TestParams:
 
 
 class TestTokens:
+    """The MLLM counts a ViT's image tokens with
+    ``image_tokens_for_resolution`` at the encoder's patch size."""
+
     def test_tokens_for_512(self):
-        assert VIT_HUGE.tokens_for_resolution(512) == 1024
+        assert image_tokens_for_resolution(512, VIT_HUGE.patch_size) == 1024
 
     def test_tokens_for_1024(self):
-        assert VIT_HUGE.tokens_for_resolution(1024) == 4096
+        assert image_tokens_for_resolution(1024, VIT_HUGE.patch_size) == 4096
 
     def test_non_divisible_resolution_rejected(self):
         with pytest.raises(ValueError):
-            VIT_HUGE.tokens_for_resolution(500)
+            image_tokens_for_resolution(500, VIT_HUGE.patch_size)
 
 
 class TestFlops:

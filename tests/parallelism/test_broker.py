@@ -3,7 +3,6 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.cluster.interconnect import ROCE_4X200
 from repro.models.llm import LLAMA3_7B
@@ -11,7 +10,6 @@ from repro.models.vit import VIT_HUGE
 from repro.parallelism.broker import (
     broker_transfer_time,
     plan_brokers,
-    route_microbatch,
 )
 from repro.parallelism.plan import ParallelismPlan
 from repro.parallelism.unit import ParallelismUnit
@@ -79,26 +77,3 @@ class TestTransferTime:
         brokers = plan_brokers(*units(2, 2))
         with pytest.raises(ValueError):
             broker_transfer_time(brokers, -1.0, ROCE_4X200)
-
-
-class TestRouting:
-    def test_order_preserved(self):
-        ids = list(range(12))
-        shards = route_microbatch(ids, dp_up=3, dp_down=4)
-        flattened = [i for shard in shards for i in shard]
-        assert flattened == ids  # concentrate/scatter preserves order
-
-    @given(
-        st.integers(min_value=1, max_value=6),
-        st.integers(min_value=1, max_value=6),
-        st.integers(min_value=1, max_value=5),
-    )
-    def test_roundtrip_property(self, dp_up, dp_down, scale):
-        ids = list(range(dp_up * dp_down * scale))
-        shards = route_microbatch(ids, dp_up, dp_down)
-        assert len(shards) == dp_down
-        assert [i for s in shards for i in s] == ids
-
-    def test_uneven_rejected(self):
-        with pytest.raises(ValueError):
-            route_microbatch([1, 2, 3], dp_up=1, dp_down=2)

@@ -28,9 +28,6 @@ class TestPlan:
         with pytest.raises(ValueError):
             make_plan(enc_dp=40, gpus=48)
 
-    def test_total_stages(self):
-        assert make_plan().total_pipeline_stages == 4
-
     def test_units_contiguous(self):
         units = make_plan().build_units()
         assert units["encoder"].gpu_offset == 0

@@ -9,7 +9,6 @@ class TestConstruction:
     def test_num_gpus(self):
         plan = ParallelismPlan(tp=4, pp=3, dp=2)
         assert plan.num_gpus == 24
-        assert plan.model_parallel_size == 12
 
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):

@@ -17,6 +17,17 @@ def make_unit(tp=2, pp=3, dp=2, offset=16):
     )
 
 
+def all_ranks(unit):
+    """``rank_of`` at every (pp, dp, tp) coordinate of the unit."""
+    plan = unit.plan
+    return [
+        unit.rank_of(pp, dp, tp)
+        for pp in range(plan.pp)
+        for dp in range(plan.dp)
+        for tp in range(plan.intra_layer_width)
+    ]
+
+
 class TestRankArithmetic:
     def test_global_ranks(self):
         unit = make_unit()
@@ -24,22 +35,13 @@ class TestRankArithmetic:
 
     def test_coords_roundtrip(self):
         unit = make_unit()
-        for local in range(unit.num_gpus):
-            pp, dp, tp = unit.coords(local)
-            assert unit.rank_of(pp, dp, tp) == unit.gpu_offset + local
+        assert all_ranks(unit) == list(unit.global_ranks)
 
     def test_tp_fastest_varying(self):
         unit = make_unit()
-        assert unit.coords(0) == (0, 0, 0)
-        assert unit.coords(1) == (0, 0, 1)
-        assert unit.coords(2) == (0, 1, 0)
-
-    def test_local_rank_bounds(self):
-        unit = make_unit()
-        with pytest.raises(ValueError):
-            unit.local_rank(15)
-        with pytest.raises(ValueError):
-            unit.coords(unit.num_gpus)
+        assert unit.rank_of(0, 0, 0) == unit.gpu_offset
+        assert unit.rank_of(0, 0, 1) == unit.gpu_offset + 1
+        assert unit.rank_of(0, 1, 0) == unit.gpu_offset + 2
 
     def test_rank_of_bounds(self):
         unit = make_unit()
@@ -55,10 +57,7 @@ class TestRankArithmetic:
         unit = ParallelismUnit(
             "u", LLAMA3_7B, ParallelismPlan(tp=tp, pp=pp, dp=dp)
         )
-        seen = set()
-        for local in range(unit.num_gpus):
-            seen.add(unit.coords(local))
-        assert len(seen) == unit.num_gpus
+        assert sorted(all_ranks(unit)) == list(range(unit.num_gpus))
 
 
 class TestGroups:

@@ -34,15 +34,6 @@ class TestAccounting:
     def test_first_stage_idle_gaps_exist(self):
         trace = uniform_trace()
         assert len(trace.stage_idle_gaps(0)) > 0
-        assert trace.first_stage_unfilled_time() > 0
-
-    def test_op_record_lookup(self):
-        trace = uniform_trace()
-        op = PipelineOp(0, 0, Direction.FWD)
-        record = trace.op_record(op)
-        assert record.start == 0.0
-        with pytest.raises(KeyError):
-            trace.op_record(PipelineOp(0, 99, Direction.FWD))
 
 
 class TestValidation:

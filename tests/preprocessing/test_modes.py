@@ -69,10 +69,10 @@ class TestDisaggregated:
 
     def test_keeps_up_with_enough_nodes(self):
         batch = [image_sample(8, 1024) for _ in range(32)]
-        assert disaggregated(cpu_nodes=16).keeps_up(batch, iteration_time=10.0)
-        assert not disaggregated(cpu_nodes=1, cores_per_node=2).keeps_up(
-            batch, iteration_time=1.0
-        )
+        enough = disaggregated(cpu_nodes=16)
+        starved = disaggregated(cpu_nodes=1, cores_per_node=2)
+        assert enough.producer_seconds(batch) <= 10.0
+        assert starved.producer_seconds(batch) > 1.0
 
     def test_starvation_stalls_training(self):
         starved = disaggregated(cpu_nodes=1, cores_per_node=1)

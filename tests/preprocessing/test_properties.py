@@ -6,32 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.data.synthetic import SyntheticMultimodalDataset
 from repro.preprocessing.cost import PreprocessCostModel
-from repro.preprocessing.service import PreprocessingService
+from repro.preprocessing.disaggregated import DisaggregatedPreprocessing
 from repro.preprocessing.transfer import TransferModel
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    cores=st.integers(min_value=8, max_value=4096),
-    iteration=st.floats(min_value=0.5, max_value=20.0, allow_nan=False),
-    seed=st.integers(min_value=0, max_value=1000),
-)
-def test_service_conservation(cores, iteration, seed):
-    """The queue simulation conserves batches and never time-travels."""
-    dataset = SyntheticMultimodalDataset(seed=seed)
-    batches = [dataset.take(4) for _ in range(5)]
-    service = PreprocessingService(
-        cost=PreprocessCostModel(),
-        transfer=TransferModel(),
-        total_cores=cores,
-    )
-    feeds = service.simulate(batches, gpu_iteration_time=iteration)
-    assert len(feeds) == 5
-    assert all(f.stall >= 0 for f in feeds)
-    assert all(f.transfer > 0 for f in feeds)
-    # Ready times are non-decreasing (FIFO producers).
-    ready = [f.ready_time for f in feeds]
-    assert ready == sorted(ready)
 
 
 @settings(max_examples=20, deadline=None)
@@ -40,21 +16,18 @@ def test_service_conservation(cores, iteration, seed):
     multiplier=st.integers(min_value=2, max_value=16),
 )
 def test_more_cores_never_more_stall(cores_small, multiplier):
-    dataset = SyntheticMultimodalDataset(seed=0)
-    batches = [dataset.take(4) for _ in range(4)]
+    batch = SyntheticMultimodalDataset(seed=0).take(16)
 
-    def total_stall(cores):
-        service = PreprocessingService(
+    def overhead(cores):
+        model = DisaggregatedPreprocessing(
             cost=PreprocessCostModel(),
             transfer=TransferModel(),
-            total_cores=cores,
+            cpu_nodes=1,
+            cores_per_node=cores,
         )
-        feeds = service.simulate(batches, gpu_iteration_time=2.0)
-        return PreprocessingService.total_stall(feeds)
+        return model.exposed_overhead(batch, iteration_time=2.0)
 
-    assert total_stall(cores_small * multiplier) <= total_stall(
-        cores_small
-    ) + 1e-9
+    assert overhead(cores_small * multiplier) <= overhead(cores_small) + 1e-9
 
 
 @settings(max_examples=30, deadline=None)

@@ -18,15 +18,16 @@ class TestTransfer:
         s = image_sample(8, 512)
         rdma = TransferModel(use_rdma=True)
         tcp = TransferModel(use_rdma=False)
-        assert rdma.sample_transfer_time(s) < tcp.sample_transfer_time(s)
+        rdma_s = rdma.microbatch_transfer_time([s])
+        assert rdma_s < tcp.microbatch_transfer_time([s])
 
     def test_batched_message_cheaper_than_singles(self):
         t = TransferModel()
         samples = [image_sample(4, 512) for _ in range(8)]
         batched = t.microbatch_transfer_time(samples)
-        singles = sum(t.sample_transfer_time(s) for s in samples)
+        singles = sum(t.microbatch_transfer_time([s]) for s in samples)
         assert batched < singles
 
     def test_transfer_is_milliseconds(self):
         t = TransferModel()
-        assert t.sample_transfer_time(image_sample(10, 1024)) < 0.05
+        assert t.microbatch_transfer_time([image_sample(10, 1024)]) < 0.05

@@ -41,11 +41,6 @@ class TestCheckpointer:
         assert cp.snapshots_taken == 4
         assert cp.total_stall == pytest.approx(4 * cp.snapshot_stall)
 
-    def test_last_checkpoint_iteration(self):
-        cp = checkpointer(interval=10)
-        assert cp.last_checkpoint_iteration(37) == 30
-        assert cp.last_checkpoint_iteration(9) == 0
-
     def test_invalid_interval(self):
         with pytest.raises(ValueError):
             CheckpointConfig(interval_iterations=0)

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.cluster.cluster import make_cluster
-from repro.cluster.topology import ClusterTopology
+from repro.cluster.topology import failure_domains
 from repro.core.config import DistTrainConfig
 from repro.fleet.spec import FleetSpec
 from repro.scenarios import (
@@ -145,9 +145,7 @@ class TestBlastRadius:
             maintenance_every_s=7200.0,
             maintenance_duration_s=1800.0,
         )
-        domains = ClusterTopology(cluster).failure_domains(
-            profile.nodes_per_rack
-        )
+        domains = failure_domains(cluster, profile.nodes_per_rack)
         trace = profile.events_for(cluster, 50, seed, index)
         named = [
             event
@@ -164,7 +162,7 @@ class TestBlastRadius:
         ``demand - domain.num_gpus`` — the blast radius is the domain,
         not the cluster."""
         config = DistTrainConfig.preset("mllm-9b", 48, 16)
-        domains = ClusterTopology(config.cluster).failure_domains()
+        domains = failure_domains(config.cluster)
         spec = ScenarioSpec(
             num_iterations=40,
             checkpoint_interval=10,

@@ -4,12 +4,7 @@ import pytest
 
 from repro.pipeline.schedules import ScheduleKind
 from repro.pipeline.simulator import PipelineSimulator
-from repro.viz import (
-    bar_chart,
-    grouped_bar_chart,
-    stage_utilization_chart,
-    utilization_timeline,
-)
+from repro.viz import bar_chart, stage_utilization_chart
 
 
 @pytest.fixture(scope="module")
@@ -38,42 +33,9 @@ class TestBarChart:
             bar_chart({"a": 0.0})
 
 
-class TestGroupedBarChart:
-    def test_structure(self):
-        art = grouped_bar_chart(
-            {
-                "mllm-9b": {"disttrain": 46.0, "megatron": 15.0},
-                "mllm-72b": {"disttrain": 44.0, "megatron": 35.0},
-            },
-            title="MFU",
-        )
-        assert "mllm-9b:" in art and "mllm-72b:" in art
-        assert art.count("disttrain") == 2
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            grouped_bar_chart({})
-
-
 class TestTraceCharts:
     def test_stage_utilization(self, trace):
         art = stage_utilization_chart(trace)
         lines = art.splitlines()
         assert lines[0] == "stage utilization:"
         assert len(lines) == 4  # title + one row per stage
-
-    def test_timeline_width(self, trace):
-        art = utilization_timeline(trace, 0, bins=40)
-        assert art.startswith("s0 |")
-        assert len(art) == len("s0 |") + 40 + 1
-
-    def test_timeline_last_stage_mostly_busy(self, trace):
-        # The last stage of a uniform 1F1B runs nearly continuously.
-        art = utilization_timeline(trace, 2, bins=30)
-        assert art.count("#") > 15
-
-    def test_empty_trace(self):
-        from repro.pipeline.trace import PipelineTrace
-
-        empty = PipelineTrace(1, 0, 1, [])
-        assert utilization_timeline(empty, 0) == "(empty trace)"

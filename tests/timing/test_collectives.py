@@ -63,13 +63,15 @@ class TestCollectiveModel:
 
     def test_tp_on_nvlink_faster_than_dp_on_roce(self):
         volume = 1e9
-        assert self.model.tp_allreduce(volume, 8) < self.model.dp_allreduce(
-            volume, 8
-        )
+        # A ring allreduce is a reduce-scatter plus an allgather.
+        dp = self.model.dp_reduce_scatter(volume, 8)
+        dp += self.model.dp_allgather(volume, 8)
+        assert self.model.tp_allreduce(volume, 8) < dp
 
     def test_group_size_scaling(self):
         v = 10e9
-        assert self.model.dp_allreduce(v, 16) > self.model.dp_allreduce(v, 2)
+        wide = self.model.dp_reduce_scatter(v, 16)
+        assert wide > self.model.dp_reduce_scatter(v, 2)
 
     def test_pp_send(self):
         assert self.model.pp_send(1e6) > 0

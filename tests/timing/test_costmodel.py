@@ -26,19 +26,6 @@ class TestForwardBackward:
         relay = cm.backward_time(W_LLM, tp=1, weight_grads=False)
         assert relay < 0.6 * full
 
-    def test_fwd_bwd_composition(self):
-        cm = ModuleCostModel(LLAMA3_7B, AMPERE_NODE)
-        combined = cm.fwd_bwd_time(W_LLM, tp=2)
-        assert combined == pytest.approx(
-            cm.forward_time(W_LLM, 2) + cm.backward_time(W_LLM, 2)
-        )
-
-    def test_no_backward(self):
-        cm = ModuleCostModel(LLAMA3_7B, AMPERE_NODE)
-        assert cm.fwd_bwd_time(W_LLM, tp=2, backward=False) == pytest.approx(
-            cm.forward_time(W_LLM, 2)
-        )
-
     def test_larger_model_slower(self):
         small = ModuleCostModel(LLAMA3_7B, AMPERE_NODE).forward_time(W_LLM, 8)
         large = ModuleCostModel(LLAMA3_70B, AMPERE_NODE).forward_time(W_LLM, 8)
@@ -90,12 +77,17 @@ class TestCommVolumes:
 
 
 class TestDPSync:
+    @staticmethod
+    def sync(cm, tp, pp, dp):
+        params = cm.module.param_count()
+        return cm.collectives.dp_sync_exposed(params, tp, pp, dp)
+
     def test_zero_for_dp1(self):
         cm = ModuleCostModel(LLAMA3_7B, AMPERE_NODE)
-        assert cm.dp_gradient_sync_time(tp=8, pp=1, dp=1) == 0.0
+        assert self.sync(cm, tp=8, pp=1, dp=1) == 0.0
 
     def test_sharding_reduces_volume(self):
         cm = ModuleCostModel(LLAMA3_70B, AMPERE_NODE)
-        wide = cm.dp_gradient_sync_time(tp=1, pp=1, dp=8)
-        sharded = cm.dp_gradient_sync_time(tp=8, pp=10, dp=8)
+        wide = self.sync(cm, tp=1, pp=1, dp=8)
+        sharded = self.sync(cm, tp=8, pp=10, dp=8)
         assert sharded < wide / 50

@@ -88,13 +88,6 @@ class TestProfiler:
         with pytest.raises(KeyError):
             profiler.profile(max_units={})
 
-    def test_is_profiled(self):
-        cost_models = {"llm": ModuleCostModel(LLAMA3_7B, AMPERE_NODE)}
-        profiler = PerformanceProfiler(cost_models=cost_models)
-        assert not profiler.is_profiled()
-        profiler.profile(max_units={"llm": 4})
-        assert profiler.is_profiled()
-
     @pytest.mark.parametrize("name, module", [
         pytest.param("encoder", BEATS_BASE, id="beats"),
         pytest.param("generator", AUDIO_LDM, id="audioldm"),
