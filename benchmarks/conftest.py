@@ -67,6 +67,17 @@ def campaign_cache(tmp_path_factory) -> ResultCache:
     return ResultCache(tmp_path_factory.mktemp("campaign-cache"))
 
 
+def check_budget(benchmark, seconds: float) -> None:
+    """Assert the timed mean is under ``seconds``.
+
+    Under ``--benchmark-disable`` nothing is timed (``benchmark.stats``
+    is None), so there is no mean to bound and the test goes on to its
+    correctness asserts.
+    """
+    if benchmark.stats is not None:
+        assert benchmark.stats.stats.mean < seconds
+
+
 def run_campaign(spec: SweepSpec, cache: ResultCache) -> CampaignResult:
     """Execute a sweep in parallel; benchmark grids must not fail."""
     campaign = CampaignRunner(spec, cache=cache).run()

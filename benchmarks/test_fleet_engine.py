@@ -14,6 +14,7 @@ engine like any other experiment.
 import numpy as np
 import pytest
 
+from benchmarks.conftest import check_budget
 from repro.core.config import DistTrainConfig
 from repro.core.reports import format_table
 from repro.experiments import Axis, CampaignRunner, SweepSpec
@@ -78,7 +79,7 @@ def test_fleet_8jobs_1000_iterations(benchmark):
     # Acceptance criterion: end-to-end under ~2 s at nominal machine
     # speed (the tracked guard enforces the calibrated budget; this
     # bound only catches order-of-magnitude breakage on any machine).
-    assert benchmark.stats.stats.mean < 10.0
+    check_budget(benchmark, 10.0)
     # The fleet must actually contend and adapt...
     assert len(result.records) == 8
     assert metrics["num_failures"] > 0
@@ -101,7 +102,7 @@ def test_every_policy_meets_the_budget(policy, benchmark):
         return run_fleet(fleet_spec(policy))
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert benchmark.stats.stats.mean < 10.0
+    check_budget(benchmark, 10.0)
     assert all(r.result.num_iterations == 1000 for r in result.records)
     if policy == "priority":
         assert result.total_preemptions > 0

@@ -16,6 +16,7 @@ iterations each, fair-share on 4,800 shared GPUs, from cold caches.
 
 import pytest
 
+from benchmarks.conftest import check_budget
 from repro.core.api import BATCH_CACHE
 from repro.core.config import DistTrainConfig
 from repro.core.reports import format_table
@@ -86,7 +87,7 @@ def test_fleet_100jobs_1000_iterations(benchmark):
     # Acceptance criterion: end-to-end around ~0.3 s at nominal machine
     # speed (the tracked guard enforces the calibrated budget; this
     # bound only catches order-of-magnitude breakage on any machine).
-    assert benchmark.stats.stats.mean < 10.0
+    check_budget(benchmark, 10.0)
     # The fleet must actually contend and adapt...
     assert len(result.records) == 100
     assert all(r.result.num_iterations == 1000 for r in result.records)
@@ -124,7 +125,7 @@ def test_fleet_1000jobs_10k_iterations(benchmark):
     ))
     # Order-of-magnitude guard only; the tracked baseline enforces the
     # calibrated budget (~12.7 s when blessed).
-    assert benchmark.stats.stats.mean < 600.0
+    check_budget(benchmark, 600.0)
     assert len(result.records) == 1000
     assert all(r.result.num_iterations == 10_000 for r in result.records)
     assert metrics["num_failures"] > 0

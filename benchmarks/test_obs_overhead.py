@@ -18,6 +18,7 @@ scenario as ``test_scenario_1000_iterations``):
 
 import pytest
 
+from benchmarks.conftest import check_budget
 from repro.core.api import BATCH_CACHE
 from repro.core.config import DistTrainConfig
 from repro.core.reports import format_table
@@ -78,7 +79,7 @@ def test_obs_overhead(benchmark):
         title="traced 1000-iteration dynamic scenario (mllm-9b @ 48):",
     ))
     # Same seconds-class acceptance bar as the untraced benchmark.
-    assert benchmark.stats.stats.mean < 10.0
+    check_budget(benchmark, 10.0)
     # The recorder genuinely flew...
     assert spans > 0
     assert snapshot["counters"]["kernel.evaluations"] > 0

@@ -12,6 +12,7 @@ like any other experiment.
 import numpy as np
 import pytest
 
+from benchmarks.conftest import check_budget
 from repro.core.api import BATCH_CACHE
 from repro.core.config import DistTrainConfig
 from repro.core.reports import format_table
@@ -63,7 +64,7 @@ def test_scenario_1000_iterations(benchmark):
         title="1000-iteration dynamic scenario (mllm-9b @ 48 GPUs):",
     ))
     # Acceptance criterion: end-to-end under 10 s on any machine class.
-    assert benchmark.stats.stats.mean < 10.0
+    check_budget(benchmark, 10.0)
     # The scenario must actually exercise the dynamics...
     assert result.num_failures > 0
     assert result.num_replans > 0

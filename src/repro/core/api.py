@@ -7,7 +7,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.config import DistTrainConfig
 from repro.core.keyedcache import KeyedCache
-from repro.data.sample import TrainingSample
+from repro.data.sample import SampleBatch
 from repro.data.synthetic import SyntheticMultimodalDataset
 from repro.orchestration.adaptive import (
     AdaptiveOrchestrator,
@@ -60,25 +60,26 @@ def profile(config: DistTrainConfig) -> SampleProfile:
 #: Process-wide global batches, keyed by (seq_len, distribution config,
 #: seed, global batch size, count). Paper-sweep trials of one task draw
 #: the same batch under every system; scenario and fleet jobs re-price
-#: the same K batches at every cluster size.
+#: the same K batches at every cluster size. Each batch carries the
+#: int64 columns its pricing reads, so they too are built once.
 BATCH_CACHE = KeyedCache(maxsize=16, name="batch")
 
 
 def sample_batches(
     config: DistTrainConfig, count: int = 1
-) -> Tuple[Tuple[TrainingSample, ...], ...]:
+) -> Tuple[SampleBatch, ...]:
     """The first ``count`` global batches of ``config``'s seeded stream.
 
     Equal to ``count`` successive ``take(global_batch_size)`` calls on a
     fresh dataset. Each ``take`` drops its open tail, so the batches
     depend on the batch size and not only on the stream, which is why
-    both are part of the key. Samples are frozen, so every caller can
-    share the cached tuples.
+    both are part of the key. Samples and columns are immutable, so
+    every caller can share the cached batches.
     """
-    def compute() -> Tuple[Tuple[TrainingSample, ...], ...]:
+    def compute() -> Tuple[SampleBatch, ...]:
         stream = dataset(config)
         return tuple(
-            tuple(stream.take(config.global_batch_size))
+            SampleBatch(stream.take(config.global_batch_size))
             for _ in range(count)
         )
 

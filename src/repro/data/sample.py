@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -177,13 +177,67 @@ class TrainingSample:
         return workload
 
 
-def image_arrays(
-    samples: Sequence[TrainingSample],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The samples' image tokens and image counts as int64 arrays, for
-    pricing a batch's encoder and generator work on arrays."""
-    n = len(samples)
-    return (
-        np.fromiter(map(attrgetter("image_tokens"), samples), np.int64, n),
-        np.fromiter(map(attrgetter("num_images"), samples), np.int64, n),
-    )
+@dataclass(frozen=True, eq=False)
+class BatchColumns:
+    """A batch's per-sample totals as read-only int64 columns, row ``i``
+    for sample ``i``: what the pricing passes read instead of sample
+    attributes. ``size`` is :attr:`TrainingSample.size` (image plus
+    audio tokens), which Algorithm 1 and the rank pick read; the
+    encoder, generator and FLOPs pricing read ``image_tokens`` and
+    ``num_images``; the preprocessing costs read ``pixels`` and
+    ``text_tokens``. Indexing with a slice or an index array gives the
+    columns of those rows.
+    """
+
+    text_tokens: np.ndarray
+    image_tokens: np.ndarray
+    num_images: np.ndarray
+    pixels: np.ndarray
+    size: np.ndarray
+
+    def __post_init__(self) -> None:
+        for column in self._columns():
+            column.flags.writeable = False
+
+    @classmethod
+    def of(cls, samples: Sequence[TrainingSample]) -> "BatchColumns":
+        """The columns of ``samples``, in order."""
+        totals = np.array(
+            list(map(_TOTALS, samples)), dtype=np.int64
+        ).reshape(len(samples), 5).T.copy()
+        text, image, images, pixels, audio = totals
+        return cls(text, image, images, pixels, image + audio)
+
+    def _columns(self) -> Tuple[np.ndarray, ...]:
+        return (
+            self.text_tokens, self.image_tokens, self.num_images,
+            self.pixels, self.size,
+        )
+
+    def __len__(self) -> int:
+        return len(self.size)
+
+    def __getitem__(self, rows) -> "BatchColumns":
+        return BatchColumns(*(column[rows] for column in self._columns()))
+
+
+#: What :meth:`BatchColumns.of` reads from each sample.
+_TOTALS = attrgetter(
+    "_text_tokens", "_image_tokens", "_num_images", "_pixels", "_audio_tokens"
+)
+
+
+class SampleBatch(tuple):
+    """A drawn global batch: its samples in draw order, as a tuple,
+    with their :class:`BatchColumns` built once beside them.
+
+    :func:`repro.core.api.sample_batches` caches these, so every
+    simulator that prices a cached batch reads the same columns.
+    """
+
+    columns: BatchColumns
+
+    def __new__(cls, samples: Iterable[TrainingSample]) -> "SampleBatch":
+        batch = super().__new__(cls, samples)
+        batch.columns = BatchColumns.of(batch)
+        return batch

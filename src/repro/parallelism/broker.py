@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.cluster.interconnect import LinkSpec
 from repro.parallelism.unit import ParallelismUnit
@@ -47,19 +47,24 @@ class CommunicationBroker:
         return len(self.downstream_dp_indices)
 
 
+def broker_count(dp_up: int, dp_down: int) -> int:
+    """Brokers between units of ``dp_up`` and ``dp_down`` DP replicas:
+    ``gcd(DP_up, DP_down)`` (section 6)."""
+    return math.gcd(dp_up, dp_down)
+
+
 def plan_brokers(
     upstream: ParallelismUnit, downstream: ParallelismUnit
 ) -> List[CommunicationBroker]:
     """Lay out brokers between two adjacent units.
 
-    The broker count is ``gcd(DP_up, DP_down)`` (section 6), each serving
-    a contiguous slice of both DP spaces. Brokers alternate hosting
-    between the upstream last stage and downstream first stage to spread
-    load.
+    There are :func:`broker_count` brokers, each serving a contiguous
+    slice of both DP spaces. Brokers alternate hosting between the
+    upstream last stage and downstream first stage to spread load.
     """
     dp_up = upstream.plan.dp
     dp_down = downstream.plan.dp
-    num_brokers = math.gcd(dp_up, dp_down)
+    num_brokers = broker_count(dp_up, dp_down)
     up_per = dp_up // num_brokers
     down_per = dp_down // num_brokers
     up_ranks = upstream.last_stage_ranks()
@@ -85,12 +90,13 @@ def plan_brokers(
 
 
 def broker_transfer_time(
-    brokers: Sequence[CommunicationBroker],
+    num_brokers: int,
     microbatch_bytes: float,
     link: LinkSpec,
     asynchronous: bool = True,
 ) -> float:
-    """Time to move one microbatch's boundary tensor between units.
+    """Time to move one microbatch's boundary tensor between units
+    through ``num_brokers`` brokers.
 
     Brokers operate in parallel, each carrying its slice of the data.
     DistTrain replaces Megatron's synchronous batched send/recv with
@@ -98,11 +104,11 @@ def broker_transfer_time(
     doubles the exposed latency because the upstream stage stalls until
     the downstream receive completes.
     """
-    if not brokers:
+    if num_brokers < 1:
         raise ValueError("no brokers planned")
     if microbatch_bytes < 0:
         raise ValueError("negative transfer volume")
-    per_broker = microbatch_bytes / len(brokers)
+    per_broker = microbatch_bytes / num_brokers
     transfer = link.transfer_time(per_broker)
     if not asynchronous:
         transfer += link.latency + per_broker / link.effective_bandwidth

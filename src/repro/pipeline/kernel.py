@@ -627,43 +627,40 @@ class SimulatorKernel:
         return float(s[g + 1] - e[g]), int(sorted_rows[g + 1])
 
     def bubble_fraction(self, start: np.ndarray, end: np.ndarray) -> float:
-        """Mean idle fraction across stages, without building a trace.
-
-        Mirrors :meth:`PipelineTrace.bubble_fraction` bit-for-bit: per
-        stage, durations are accumulated left-to-right over records
-        sorted by ``(start, end)`` (Python-float sequential sums, same
-        as the trace's ``sum``), then averaged against the makespan.
-        """
-        makespan = self.makespan(end)
-        if makespan == 0:
-            return 0.0
-        total_busy = 0.0
-        for stage in range(self.num_stages):
-            lo = int(self.stage_first[stage])
-            hi = lo + int(self.stage_count[stage])
-            s, e = start[lo:hi], end[lo:hi]
-            sorted_rows = np.lexsort((e, s))
-            busy = 0.0
-            for value in (e[sorted_rows] - s[sorted_rows]).tolist():
-                busy += value
-            total_busy += busy
-        capacity = makespan * self.num_stages
-        return 1.0 - total_busy / capacity
+        """Mean idle fraction across stages, without building a trace:
+        the one-row case of :meth:`bubble_fractions`."""
+        return self.bubble_fractions(start[None], end[None])[0]
 
     def bubble_fractions(
         self, start: np.ndarray, end: np.ndarray
     ) -> List[float]:
-        """Per-row :meth:`bubble_fraction` of a batched ``(B, n)`` sweep.
+        """Per-row mean idle fraction of a batched ``(B, n)`` sweep.
 
-        Each row is reduced independently with the exact sequential
-        Python-float accumulation of the single-row path, so a batch
-        assembled from many callers (the fleet engine's fused stepping)
-        prices every row bit-identically to evaluating it alone.
+        Mirrors :meth:`PipelineTrace.bubble_fraction` bit for bit: per
+        stage, one ``lexsort`` orders every row's ops by ``(start,
+        end)`` and ``np.add.accumulate`` sums their durations, a strict
+        left fold, so its last column is the trace's sequential sum. The
+        stage sums are added in stage order and averaged against each
+        row's makespan. Rows reduce independently, so a batch assembled
+        from many callers (the fleet engine's fused stepping) prices
+        every row bit-identically to evaluating it alone.
         """
-        return [
-            self.bubble_fraction(start[i], end[i])
-            for i in range(len(start))
-        ]
+        rows = np.arange(len(start))[:, None]
+        total_busy = np.zeros(len(start))
+        for stage in range(self.num_stages):
+            lo = int(self.stage_first[stage])
+            hi = lo + int(self.stage_count[stage])
+            s, e = start[:, lo:hi], end[:, lo:hi]
+            order = np.lexsort((e, s), axis=1)
+            durations = e[rows, order] - s[rows, order]
+            total_busy += np.add.accumulate(durations, axis=1)[:, -1]
+        makespans = end.max(axis=1)
+        timed = makespans != 0
+        fractions = np.zeros(len(start))
+        fractions[timed] = 1.0 - total_busy[timed] / (
+            makespans[timed] * self.num_stages
+        )
+        return fractions.tolist()
 
     def trace(self, start: np.ndarray, end: np.ndarray) -> PipelineTrace:
         """Materialize the full :class:`PipelineTrace`.

@@ -14,10 +14,9 @@ loader of the training process. Two effects put it on the critical path:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.cluster.node import NodeSpec
-from repro.data.sample import TrainingSample
+from repro.data.sample import BatchColumns
 from repro.preprocessing.cost import PreprocessCostModel
 
 
@@ -46,18 +45,18 @@ class CoLocatedPreprocessing:
         if not 0.0 <= self.overlap_fraction < 1.0:
             raise ValueError("overlap_fraction must be in [0, 1)")
 
-    def cpu_seconds(self, samples: Sequence[TrainingSample]) -> float:
-        """Wall-clock CPU time to preprocess ``samples`` on this node."""
-        total = self.cost.batch_cpu_seconds(samples)
+    def cpu_seconds(self, columns: BatchColumns) -> float:
+        """Wall-clock CPU time to preprocess a batch on this node."""
+        total = self.cost.batch_cpu_seconds(columns)
         return total / self.dataloader_workers
 
     def exposed_overhead(
         self,
-        samples: Sequence[TrainingSample],
+        columns: BatchColumns,
         gpu_iteration_time: float = 0.0,
     ) -> float:
         """Preprocessing time landing on the iteration critical path."""
-        wall = self.cpu_seconds(samples)
+        wall = self.cpu_seconds(columns)
         hidden = self.overlap_fraction * min(wall, gpu_iteration_time)
         return max(0.0, wall - hidden)
 

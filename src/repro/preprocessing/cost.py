@@ -10,9 +10,8 @@ motivating example — a 256-word text plus ten 1024x1024 images — takes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
-from repro.data.sample import TrainingSample
+from repro.data.sample import BatchColumns
 from repro.numerics import fold_sum
 
 
@@ -43,15 +42,22 @@ class PreprocessCostModel:
             + self.augment_ns_per_pixel
         )
 
-    def sample_cpu_seconds(self, sample: TrainingSample) -> float:
-        """Single-core seconds to preprocess one training sample."""
+    def sample_cpu_seconds(self, sample):
+        """Single-core seconds to preprocess one training sample.
+
+        Reads only ``sample.pixels`` and ``sample.text_tokens``, so a
+        batch's :class:`~repro.data.sample.BatchColumns` gives every
+        sample's seconds as one float64 array: the same operations,
+        elementwise.
+        """
         image = sample.pixels * self.image_ns_per_pixel * 1e-9
         text = sample.text_tokens * self.text_ns_per_token * 1e-9
         return image + text + self.fixed_s_per_sample
 
-    def batch_cpu_seconds(self, samples: Iterable[TrainingSample]) -> float:
-        """Single-core seconds for a whole batch."""
-        return fold_sum(self.sample_cpu_seconds(s) for s in samples)
+    def batch_cpu_seconds(self, columns: BatchColumns) -> float:
+        """Single-core seconds for a whole batch: its samples' seconds
+        summed left to right."""
+        return fold_sum(self.sample_cpu_seconds(columns).tolist())
 
     def images_cpu_seconds(self, num_images: int, resolution: int) -> float:
         """Cost of ``num_images`` square images (Figure 17's x-axis)."""

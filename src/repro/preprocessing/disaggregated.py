@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
-from repro.data.sample import TrainingSample
+from repro.data.sample import BatchColumns
 from repro.preprocessing.cost import PreprocessCostModel
 from repro.preprocessing.transfer import TransferModel
 
@@ -49,9 +48,9 @@ class DisaggregatedPreprocessing:
     # ------------------------------------------------------------------ #
     # Throughput
     # ------------------------------------------------------------------ #
-    def producer_seconds(self, samples: Sequence[TrainingSample]) -> float:
-        """Wall-clock time the producer pool needs for ``samples``."""
-        total = self.cost.batch_cpu_seconds(samples)
+    def producer_seconds(self, columns: BatchColumns) -> float:
+        """Wall-clock time the producer pool needs for a batch."""
+        total = self.cost.batch_cpu_seconds(columns)
         total *= 1.0 + self.reorder_cost_fraction
         return total / self.total_cores
 
@@ -60,7 +59,7 @@ class DisaggregatedPreprocessing:
     # ------------------------------------------------------------------ #
     def exposed_overhead(
         self,
-        samples: Sequence[TrainingSample],
+        columns: BatchColumns,
         iteration_time: float,
     ) -> float:
         """Per-iteration overhead visible to the GPU trainers.
@@ -69,8 +68,8 @@ class DisaggregatedPreprocessing:
         microbatch is exposed; if the producers cannot keep up, the
         deficit stalls training.
         """
-        receive = self.transfer.microbatch_transfer_time(samples[:1])
-        deficit = max(0.0, self.producer_seconds(samples) - iteration_time)
+        receive = self.transfer.microbatch_transfer_time(columns[:1])
+        deficit = max(0.0, self.producer_seconds(columns) - iteration_time)
         return receive + deficit
 
     def exposed_overhead_for_images(
@@ -91,7 +90,7 @@ class DisaggregatedPreprocessing:
 
 def required_cpu_nodes(
     cost: PreprocessCostModel,
-    samples: Sequence[TrainingSample],
+    columns: BatchColumns,
     iteration_time: float,
     cores_per_node: int = 96,
     headroom: float = 1.2,
@@ -103,6 +102,6 @@ def required_cpu_nodes(
     """
     if iteration_time <= 0:
         raise ValueError("iteration_time must be positive")
-    total_cpu = cost.batch_cpu_seconds(samples) * headroom
+    total_cpu = cost.batch_cpu_seconds(columns) * headroom
     cores_needed = total_cpu / iteration_time
     return max(1, math.ceil(cores_needed / cores_per_node))

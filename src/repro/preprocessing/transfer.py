@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cluster.interconnect import LinkSpec, ROCE_4X200
-from repro.data.sample import TrainingSample
+from repro.data.sample import BatchColumns
 from repro.numerics import fold_sum
 
 
@@ -35,15 +35,17 @@ class TransferModel:
     bytes_per_text_token: float = 4.0
     use_rdma: bool = True
 
-    def sample_bytes(self, sample: TrainingSample) -> float:
-        """Wire size of one preprocessed sample."""
+    def sample_bytes(self, sample):
+        """Wire size of one preprocessed sample; given a batch's
+        :class:`~repro.data.sample.BatchColumns`, of every sample, as
+        one float64 array."""
         return (
             sample.image_tokens * self.bytes_per_image_token
             + sample.text_tokens * self.bytes_per_text_token
         )
 
-    def microbatch_transfer_time(self, samples) -> float:
+    def microbatch_transfer_time(self, columns: BatchColumns) -> float:
         """Samples of one microbatch ship as a single batched message."""
-        total_bytes = fold_sum(self.sample_bytes(s) for s in samples)
+        total_bytes = fold_sum(self.sample_bytes(columns).tolist())
         overhead = self.rpc_overhead_s * (0.1 if self.use_rdma else 1.0)
         return overhead + self.link.transfer_time(total_bytes)

@@ -102,14 +102,6 @@ class MicrobatchCostModel:
         """Forward time of microbatch ``j`` at the first pipeline stage."""
         return float(self.fwd[j, 0])
 
-    def total_size(self, j: int) -> float:
-        """The paper's microbatch *size*: its total heterogeneous
-        computation time. Section 5.3: "The size refers to the
-        computation time of the microbatch in modality encoder and
-        generator" — the constant LLM stages cancel out of all
-        comparisons, so summing every stage is equivalent."""
-        return float(self.fwd[j].sum() + self.bwd[j].sum())
-
 
 class InterReorderer:
     """Algorithm 2 (``INTERREORDER``) with optional VPP adaptation.
@@ -187,7 +179,7 @@ def reorder_ranks(
     fwd = np.stack([c.fwd for c in costs])
     bwd = np.stack([c.bwd for c in costs])
     comm = np.array([c.comm for c in costs], dtype=float)
-    sizes = [[c.total_size(j) for j in range(l)] for c in costs]
+    sizes = _microbatch_sizes(fwd, bwd)
 
     portfolios = []
     for order, size in zip(_construct(fwd, bwd, comm, sizes, vpp), sizes):
@@ -212,6 +204,20 @@ def reorder_ranks(
         portfolio[int(np.argmin(row))]
         for portfolio, row in zip(portfolios, makespans)
     ]
+
+
+def _microbatch_sizes(fwd: np.ndarray, bwd: np.ndarray) -> List[List[float]]:
+    """The paper's microbatch *size* of every microbatch of every rank,
+    from ``(R, l, p)`` stacked tables: its total heterogeneous
+    computation time. Section 5.3: "The size refers to the computation
+    time of the microbatch in modality encoder and generator" — the
+    constant LLM stages cancel out of all comparisons, so summing every
+    stage is equivalent. One sum over the stage axis prices every row;
+    numpy reduces each contiguous ``(r, j)`` row exactly as it reduces
+    ``fwd[r, j]`` alone, so ``sizes[r][j]`` is
+    ``float(fwd[r, j].sum() + bwd[r, j].sum())`` bit for bit.
+    """
+    return (fwd.sum(axis=2) + bwd.sum(axis=2)).tolist()
 
 
 def _construct(
@@ -287,7 +293,7 @@ def _select_closest(
     For ``k == 1`` this is a nearest-value scan; for ``k > 1`` a
     greedy descending pass that adds items while they fit, then tops
     up with the smallest leftovers. Sizes are the total heterogeneous
-    computation times (see ``MicrobatchCostModel.total_size``), which
+    computation times (see :func:`_microbatch_sizes`), which
     empirically fill intervals better than first-stage-only times
     when both encoder and generator are heterogeneous.
     """

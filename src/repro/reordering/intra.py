@@ -13,20 +13,26 @@ the reordered global batch.
 The paper states ``O(n log n + m n)``, its arg-min being a linear scan
 over the ``m`` groups. Here each sample's size is taken once and the
 lightest group comes off a heap of ``(load, group)`` pairs, so the
-assignment costs ``O(n log m)``. Tuples compare the load first and the
-group index second, so among equally light groups the heap yields the
-lowest index, which is the group the linear scan returns. Each load is
-still a running ``+=`` from 0.0 in append order, so the groups and loads
-are identical.
+assignment costs ``O(n log m)``; the equal-count fixup takes its targets
+from a heap of the underfull groups the same way. Tuples compare the
+load first and the group index second, so among equally light groups the
+heap yields the lowest index, which is the group the linear scan
+returns. Each load is still a running ``+=`` from 0.0 in append order,
+so the groups and loads are identical.
+
+The iteration simulator reorders sample indices, reading each size from
+its batch's int64 ``size`` column:
+``intra_reorder(range(n), dp, size=sizes.__getitem__)``.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import math
 import numbers
 from typing import Callable, List, Sequence, Tuple, TypeVar
+
+import numpy as np
 
 from repro.numerics import fold_sum
 
@@ -68,16 +74,23 @@ def _lpt(
 ) -> Tuple[List[List[int]], List[float], List[float]]:
     """:func:`lpt_partition` over sample indices: each group's indices
     in append order, each group's load (a running ``+=`` from 0.0 over
-    its samples in append order), and every sample's size."""
+    its samples in append order), and every sample's size.
+
+    The descending sort is one stable argsort of the negated sizes:
+    equal sizes keep their input order, as ``sorted(..., reverse=True)``
+    keeps it.
+    """
     _check_groups(num_groups)
     sizes = [size(sample) for sample in samples]
-    for i, value in enumerate(sizes):
-        if not math.isfinite(value):
-            raise ValueError(f"sample {i} has a non-finite size {value!r}")
+    values = np.array(sizes, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if len(bad):
+        i = int(bad[0])
+        raise ValueError(f"sample {i} has a non-finite size {sizes[i]!r}")
     groups: List[List[int]] = [[] for _ in range(num_groups)]
     loads = [0.0] * num_groups
     heap = [(0.0, g) for g in range(num_groups)]
-    for i in sorted(range(len(sizes)), key=sizes.__getitem__, reverse=True):
+    for i in np.argsort(-values, kind="stable").tolist():
         g = heap[0][1]
         groups[g].append(i)
         loads[g] += sizes[i]
@@ -113,23 +126,29 @@ def intra_reorder(
     # LPT leaves groups with unequal cardinality; DP groups must receive
     # equal sample counts. Rebalance by moving the smallest samples of
     # overfull groups into the lightest underfull group with room
-    # (smallest-first keeps loads near-balanced). LPT's running loads
-    # are carried forward with ``+=`` rather than re-summing every
-    # underfull group per move: the same left fold from zero in append
-    # order, so each move costs one scan over the underfull groups.
+    # (smallest-first keeps loads near-balanced). The underfull groups
+    # sit on a heap of ``(load, group)`` pairs, so among equally light
+    # groups the lowest index takes the sample, as a scan would pick
+    # it; a group leaves the heap once full.
     per_group = len(samples) // num_groups
-    overfull = [g for g in groups if len(g) > per_group]
-    underfull = [i for i, g in enumerate(groups) if len(g) < per_group]
-    for group in overfull:
+    underfull = [
+        (loads[g], g) for g, group in enumerate(groups)
+        if len(group) < per_group
+    ]
+    heapq.heapify(underfull)
+    for group in groups:
+        if len(group) <= per_group:
+            continue
         group.sort(key=sizes.__getitem__, reverse=True)
         while len(group) > per_group:
             moved = group.pop()  # smallest
-            target = min(
-                (i for i in underfull if len(groups[i]) < per_group),
-                key=loads.__getitem__,
-            )
+            target = underfull[0][1]
             groups[target].append(moved)
             loads[target] += sizes[moved]
+            if len(groups[target]) < per_group:
+                heapq.heapreplace(underfull, (loads[target], target))
+            else:
+                heapq.heappop(underfull)
     return [samples[i] for group in groups for i in group]
 
 

@@ -24,11 +24,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.data.sample import TrainingSample, image_arrays
+from repro.data.sample import BatchColumns, SampleBatch, TrainingSample
 from repro.models.base import ModuleWorkload
 from repro.models.mllm import MODULE_NAMES
 from repro.numerics import price_by_count
-from repro.parallelism.broker import broker_transfer_time
+from repro.parallelism.broker import broker_count, broker_transfer_time
 from repro.parallelism.orchestration_plan import ModelOrchestrationPlan
 from repro.pipeline.kernel import get_kernel
 from repro.pipeline.schedules import ScheduleKind
@@ -82,10 +82,11 @@ class PreparedIteration:
     the batch's model FLOPs — is independent of runtime dynamics. The
     scenario engine prepares a batch once and re-prices it under
     straggler slowdowns via :func:`evaluate_prepared_many` without
-    re-running any of it.
+    re-running any of it. ``columns`` are the batch's, in draw order,
+    for the preprocessing overhead.
     """
 
-    global_batch: List[TrainingSample]
+    columns: BatchColumns
     rank_work: List[Tuple[np.ndarray, np.ndarray, List[int], float]]
     simulated_ranks: List[int]
     num_microbatches: int
@@ -194,8 +195,10 @@ class TrainingIterationSimulator:
         intra_unit = self.collectives.pp_send(bytes_)
         link = self.plan.cluster.node.inter_link
         asynchronous = not self.plan.monolithic
+        plans = self.plan.plans
         boundary_times = [intra_unit]
-        for brokers in self.plan.build_brokers().values():
+        for upstream, downstream in (("encoder", "llm"), ("llm", "generator")):
+            brokers = broker_count(plans[upstream].dp, plans[downstream].dp)
             boundary_times.append(
                 broker_transfer_time(
                     brokers, bytes_, link, asynchronous=asynchronous
@@ -212,30 +215,43 @@ class TrainingIterationSimulator:
     def prepare(
         self, global_batch: Sequence[TrainingSample]
     ) -> PreparedIteration:
-        """Order, shard, and price a global batch (no pipeline sweep)."""
+        """Order, shard, and price a global batch (no pipeline sweep).
+
+        Every pass reads the batch's int64 columns: those a
+        :class:`~repro.data.sample.SampleBatch` carries (the cached
+        draws of :func:`repro.core.api.sample_batches`), or, for any
+        other sample sequence, columns built here.
+        """
+        if isinstance(global_batch, SampleBatch):
+            columns = global_batch.columns
+        else:
+            columns = BatchColumns.of(global_batch)
         plan = self.plan
         dp_lm = plan.plans["llm"].dp
         M = plan.microbatch_size
-        if len(global_batch) % (dp_lm * M) != 0:
+        n = len(columns)
+        if n % (dp_lm * M) != 0:
             raise ValueError(
-                f"global batch of {len(global_batch)} does not divide "
+                f"global batch of {n} does not divide "
                 f"across dp={dp_lm}, microbatch={M}"
             )
 
-        ordered = list(global_batch)
         if self.intra_reordering:
-            ordered = intra_reorder(ordered, dp_lm)
+            sizes = columns.size.tolist()
+            ordered = np.array(
+                intra_reorder(range(n), dp_lm, size=sizes.__getitem__),
+                dtype=np.int64,
+            )
+        else:
+            ordered = np.arange(n)
 
-        per_rank = len(ordered) // dp_lm
+        per_rank = n // dp_lm
         num_microbatches = per_rank // M
-        rank_batches = [
-            ordered[r * per_rank : (r + 1) * per_rank] for r in range(dp_lm)
-        ]
+        rank_rows = ordered.reshape(dp_lm, per_rank)
 
-        ranks_to_simulate = self._select_ranks(rank_batches)
+        ranks_to_simulate = self._select_ranks(columns.size[rank_rows])
         tables = self._rank_tables(
-            [s for r in ranks_to_simulate for s in rank_batches[r]],
-            num_microbatches,
+            columns[rank_rows[ranks_to_simulate].ravel()], num_microbatches
         )
         comm = self._boundary_comm_time()
         if self.inter_reordering and num_microbatches > 2:
@@ -251,11 +267,11 @@ class TrainingIterationSimulator:
             for (fwd, bwd), order in zip(tables, orders)
         ]
         return PreparedIteration(
-            global_batch=list(global_batch),
+            columns=columns,
             rank_work=rank_work,
             simulated_ranks=ranks_to_simulate,
             num_microbatches=num_microbatches,
-            model_flops=self.accountant.batch_flops(global_batch),
+            model_flops=self.accountant.batch_flops(columns),
         )
 
     def evaluate_prepared(
@@ -285,10 +301,10 @@ class TrainingIterationSimulator:
         task's slice of :func:`evaluate_prepared_many`'s stacked kernel
         call."""
         plan = self.plan
-        global_batch = prepared.global_batch
+        columns = prepared.columns
         pipeline_time = max(makespans)
         dp_sync = self._dp_sync_time()
-        preprocess = self._preprocess_overhead(global_batch, pipeline_time)
+        preprocess = self._preprocess_overhead(columns, pipeline_time)
         iteration_time = (
             pipeline_time + dp_sync + preprocess + OPTIMIZER_STEP_SECONDS
         )
@@ -305,7 +321,7 @@ class TrainingIterationSimulator:
             num_gpus=plan.num_gpus,
             mfu=mfu(flops, iteration_time, plan.num_gpus, peak),
             throughput_tokens_per_s=token_throughput(
-                len(global_batch), plan.mllm.seq_len, iteration_time
+                len(columns), plan.mllm.seq_len, iteration_time
             ),
             bubble_fraction=float(np.mean(bubble_fractions)),
             per_rank_makespans=makespans,
@@ -314,23 +330,20 @@ class TrainingIterationSimulator:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _select_ranks(
-        self, rank_batches: List[List[TrainingSample]]
-    ) -> List[int]:
-        """Which DP ranks to simulate in full.
+    def _select_ranks(self, rank_sizes: np.ndarray) -> List[int]:
+        """Which DP ranks to simulate in full, from the ``(dp, per_rank)``
+        sample sizes of each rank's batch.
 
         The slowest rank determines the pipeline phase; ranks are ranked
-        by total encoder+generator load and the extremes plus an evenly
-        spaced middle sample are simulated.
+        by total encoder+generator load (exact integer sums, ties in
+        rank order) and the extremes plus an evenly spaced middle
+        sample are simulated.
         """
-        dp = len(rank_batches)
+        dp = len(rank_sizes)
         limit = self.max_simulated_ranks
         if limit <= 0 or dp <= limit:
             return list(range(dp))
-        loads = [
-            sum(s.size for s in batch) for batch in rank_batches
-        ]
-        order = sorted(range(dp), key=loads.__getitem__)
+        order = np.argsort(rank_sizes.sum(axis=1), kind="stable").tolist()
         picks = {order[0], order[-1]}
         if limit > 2:
             step = max(1, dp // (limit - 2))
@@ -338,10 +351,10 @@ class TrainingIterationSimulator:
         return sorted(picks)
 
     def _rank_tables(
-        self, samples: Sequence[TrainingSample], num_microbatches: int
+        self, columns: BatchColumns, num_microbatches: int
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
         """The ``(l, p)`` forward and backward duration tables of the DP
-        ranks whose batches ``samples`` holds back to back.
+        ranks whose batches ``columns`` holds back to back.
 
         One array pass prices every sample: the encoder through
         :meth:`ModuleCostModel.sample_times`, the generator from its
@@ -357,10 +370,10 @@ class TrainingIterationSimulator:
         plans = self.plan.plans
         M = self.plan.microbatch_size
         dp_lm = plans["llm"].dp
-        image_tokens, images = image_arrays(samples)
+        images = columns.num_images
         frozen = self.frozen
         encoder = self.cost_models["encoder"].sample_times(
-            image_tokens,
+            columns.image_tokens,
             images,
             plans["encoder"].tp,
             weight_grads=frozen.trains("encoder"),
@@ -375,7 +388,7 @@ class TrainingIterationSimulator:
             "encoder": np.array(encoder),
             "generator": price_by_count(images, generator),
         }
-        num_ranks = len(samples) // (num_microbatches * M)
+        num_ranks = len(columns) // (num_microbatches * M)
         num_stages = sum(plans[name].pp for name in MODULE_NAMES)
         tables = np.empty((2, num_ranks, num_microbatches, num_stages))
         column = 0
@@ -466,21 +479,20 @@ class TrainingIterationSimulator:
         return worst
 
     def _preprocess_overhead(
-        self, global_batch: Sequence[TrainingSample], pipeline_time: float
+        self, columns: BatchColumns, pipeline_time: float
     ) -> float:
         if self.preprocessing == "none":
             return 0.0
         dp_lm = self.plan.plans["llm"].dp
         if self.preprocessing == "colocated":
-            # Each training node preprocesses its own DP shard.
-            per_rank = len(global_batch) // dp_lm
-            heaviest = sorted(
-                global_batch, key=lambda s: s.pixels, reverse=True
-            )[:per_rank]
-            return self._colocated.exposed_overhead(heaviest, pipeline_time)
-        return self._disaggregated.exposed_overhead(
-            list(global_batch), pipeline_time
-        )
+            # Each training node preprocesses its own DP shard: the
+            # heaviest by pixels, ties in batch order.
+            per_rank = len(columns) // dp_lm
+            heaviest = np.argsort(-columns.pixels, kind="stable")[:per_rank]
+            return self._colocated.exposed_overhead(
+                columns[heaviest], pipeline_time
+            )
+        return self._disaggregated.exposed_overhead(columns, pipeline_time)
 
 
 def evaluate_prepared_many(

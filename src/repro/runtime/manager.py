@@ -108,14 +108,14 @@ class DistTrainManager:
         )
         link = self.config.cluster.node.inter_link
         warmup = {
-            boundary: broker_transfer_time(bs, boundary_bytes, link)
+            boundary: broker_transfer_time(len(bs), boundary_bytes, link)
             for boundary, bs in brokers.items()
         }
 
         # Elastic preprocessing pool sizing.
         cpu_nodes = required_cpu_nodes(
             PreprocessCostModel(),
-            api.sample_batches(self.config)[0],
+            api.sample_batches(self.config)[0].columns,
             max(orchestration.predicted_iteration_time, 1.0),
             cores_per_node=self.config.cluster.cpu_cores_per_node,
         )

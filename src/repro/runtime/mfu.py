@@ -11,9 +11,9 @@ lower MFU by inflating wall-clock time, never by inflating FLOPs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Tuple
 
-from repro.data.sample import TrainingSample, image_arrays
+from repro.data.sample import BatchColumns, TrainingSample
 from repro.models.base import ModuleWorkload
 from repro.models.mllm import MultimodalLLMSpec
 from repro.numerics import fold_sum, price_by_count
@@ -28,8 +28,8 @@ class ModelFlopsAccountant:
     mix, and the generator and output projector see only the sample's
     image count, so those terms are priced once per accountant: the LLM's
     at construction, the generator's per image count. :meth:`batch_flops`
-    prices a batch on arrays (the encoder and input projector per
-    sample, the image-count terms gathered by count) and sums the
+    prices a batch on its int64 columns (the encoder and input projector
+    per sample, the image-count terms gathered by count) and sums the
     per-sample totals left to right, bit for bit the scalar fold.
     """
 
@@ -66,11 +66,12 @@ class ModelFlopsAccountant:
         proj_fwd += output_projector
         return total + proj_fwd * 3.0
 
-    def batch_flops(self, samples: Sequence[TrainingSample]) -> float:
-        """:meth:`sample_flops` of every sample, summed left to right,
-        priced on arrays: the same operations in the same order, so the
-        total equals the scalar fold bit for bit."""
-        image_tokens, images = image_arrays(samples)
+    def batch_flops(self, columns: BatchColumns) -> float:
+        """:meth:`sample_flops` of every sample of a batch, summed left
+        to right, priced on the batch's image columns: the same
+        operations in the same order, so the total equals the scalar
+        fold bit for bit."""
+        image_tokens, images = columns.image_tokens, columns.num_images
         generator, output_projector = price_by_count(images, self._terms_for)
         mllm = self.mllm
         total = (

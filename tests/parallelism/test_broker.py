@@ -8,6 +8,7 @@ from repro.cluster.interconnect import ROCE_4X200
 from repro.models.llm import LLAMA3_7B
 from repro.models.vit import VIT_HUGE
 from repro.parallelism.broker import (
+    broker_count,
     broker_transfer_time,
     plan_brokers,
 )
@@ -33,6 +34,13 @@ class TestBrokerPlanning:
     def test_broker_count_is_gcd(self, dp_up, dp_down):
         brokers = plan_brokers(*units(dp_up, dp_down))
         assert len(brokers) == math.gcd(dp_up, dp_down)
+
+    def test_broker_count_is_the_planned_count(self):
+        for dp_up in range(1, 13):
+            for dp_down in range(1, 13):
+                assert broker_count(dp_up, dp_down) == len(
+                    plan_brokers(*units(dp_up, dp_down))
+                )
 
     def test_brokers_cover_dp_spaces(self):
         brokers = plan_brokers(*units(6, 4))
@@ -61,11 +69,11 @@ class TestTransferTime:
         many = plan_brokers(*units(8, 8))
         volume = 1e9
         assert broker_transfer_time(
-            many, volume, ROCE_4X200
-        ) < broker_transfer_time(few, volume, ROCE_4X200)
+            len(many), volume, ROCE_4X200
+        ) < broker_transfer_time(len(few), volume, ROCE_4X200)
 
     def test_async_faster_than_sync(self):
-        brokers = plan_brokers(*units(4, 4))
+        brokers = len(plan_brokers(*units(4, 4)))
         v = 1e8
         fast = broker_transfer_time(brokers, v, ROCE_4X200, asynchronous=True)
         slow = broker_transfer_time(brokers, v, ROCE_4X200, asynchronous=False)
@@ -73,7 +81,7 @@ class TestTransferTime:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            broker_transfer_time([], 1.0, ROCE_4X200)
-        brokers = plan_brokers(*units(2, 2))
+            broker_transfer_time(0, 1.0, ROCE_4X200)
+        brokers = len(plan_brokers(*units(2, 2)))
         with pytest.raises(ValueError):
             broker_transfer_time(brokers, -1.0, ROCE_4X200)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.data.sample import Subsequence, TrainingSample
+from repro.data.sample import BatchColumns, Subsequence, TrainingSample
 from repro.preprocessing.cost import PreprocessCostModel
 
 
@@ -40,7 +40,8 @@ class TestCostModel:
 
     def test_batch_sums(self):
         samples = [image_sample(), image_sample()]
-        assert self.cost.batch_cpu_seconds(samples) == pytest.approx(
+        columns = BatchColumns.of(samples)
+        assert self.cost.batch_cpu_seconds(columns) == pytest.approx(
             2 * self.cost.sample_cpu_seconds(samples[0])
         )
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster.node import AMPERE_NODE
+from repro.data.sample import BatchColumns
 from repro.preprocessing.colocated import CoLocatedPreprocessing
 from repro.preprocessing.cost import PreprocessCostModel
 from repro.preprocessing.disaggregated import (
@@ -28,12 +29,12 @@ def disaggregated(**kwargs):
 
 class TestCoLocated:
     def test_exposed_overhead_is_seconds_for_heavy_batches(self):
-        batch = [image_sample(16, 1024) for _ in range(8)]
+        batch = BatchColumns.of([image_sample(16, 1024) for _ in range(8)])
         overhead = colocated().exposed_overhead(batch, gpu_iteration_time=5.0)
         assert overhead > 0.5  # seconds-scale (Figure 17 left bars)
 
     def test_overlap_hides_some_cost(self):
-        batch = [image_sample(8, 512)]
+        batch = BatchColumns.of([image_sample(8, 512)])
         eager = colocated(overlap_fraction=0.0)
         lazy = colocated(overlap_fraction=0.5)
         assert lazy.exposed_overhead(batch, 10.0) < eager.exposed_overhead(
@@ -41,7 +42,7 @@ class TestCoLocated:
         )
 
     def test_more_workers_less_overhead(self):
-        batch = [image_sample(8, 1024)]
+        batch = BatchColumns.of([image_sample(8, 1024)])
         few = colocated(dataloader_workers=4)
         many = colocated(dataloader_workers=64)
         assert many.cpu_seconds(batch) < few.cpu_seconds(batch)
@@ -63,12 +64,12 @@ class TestDisaggregated:
     def test_overhead_is_milliseconds(self):
         """Figure 17: disaggregation turns seconds into milliseconds."""
         d = disaggregated(cpu_nodes=8)
-        batch = [image_sample(16, 1024) for _ in range(8)]
+        batch = BatchColumns.of([image_sample(16, 1024) for _ in range(8)])
         overhead = d.exposed_overhead(batch, iteration_time=10.0)
         assert overhead < 0.1
 
     def test_keeps_up_with_enough_nodes(self):
-        batch = [image_sample(8, 1024) for _ in range(32)]
+        batch = BatchColumns.of([image_sample(8, 1024) for _ in range(32)])
         enough = disaggregated(cpu_nodes=16)
         starved = disaggregated(cpu_nodes=1, cores_per_node=2)
         assert enough.producer_seconds(batch) <= 10.0
@@ -76,7 +77,7 @@ class TestDisaggregated:
 
     def test_starvation_stalls_training(self):
         starved = disaggregated(cpu_nodes=1, cores_per_node=1)
-        batch = [image_sample(16, 1024) for _ in range(8)]
+        batch = BatchColumns.of([image_sample(16, 1024) for _ in range(8)])
         overhead = starved.exposed_overhead(batch, iteration_time=1.0)
         assert overhead > 1.0
 
@@ -97,16 +98,17 @@ class TestDisaggregated:
 class TestElasticity:
     def test_required_nodes_scale_with_load(self):
         cost = PreprocessCostModel()
-        light = [image_sample(2, 512) for _ in range(16)]
-        heavy = [image_sample(16, 1024) for _ in range(16)]
+        light = BatchColumns.of([image_sample(2, 512) for _ in range(16)])
+        heavy = BatchColumns.of([image_sample(16, 1024) for _ in range(16)])
         assert required_cpu_nodes(
             cost, heavy, 1.0, cores_per_node=16
         ) > required_cpu_nodes(cost, light, 1.0, cores_per_node=16)
 
     def test_required_nodes_min_one(self):
         cost = PreprocessCostModel()
-        assert required_cpu_nodes(cost, [image_sample(1, 64)], 100.0) == 1
+        batch = BatchColumns.of([image_sample(1, 64)])
+        assert required_cpu_nodes(cost, batch, 100.0) == 1
 
     def test_invalid_iteration_time(self):
         with pytest.raises(ValueError):
-            required_cpu_nodes(PreprocessCostModel(), [], 0.0)
+            required_cpu_nodes(PreprocessCostModel(), BatchColumns.of([]), 0.0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.data.sample import BatchColumns
 from repro.data.synthetic import SyntheticMultimodalDataset
 from repro.preprocessing.cost import PreprocessCostModel
 from repro.preprocessing.disaggregated import DisaggregatedPreprocessing
@@ -16,7 +17,7 @@ from repro.preprocessing.transfer import TransferModel
     multiplier=st.integers(min_value=2, max_value=16),
 )
 def test_more_cores_never_more_stall(cores_small, multiplier):
-    batch = SyntheticMultimodalDataset(seed=0).take(16)
+    batch = BatchColumns.of(SyntheticMultimodalDataset(seed=0).take(16))
 
     def overhead(cores):
         model = DisaggregatedPreprocessing(
@@ -37,7 +38,7 @@ def test_cost_model_additivity(seed):
     dataset = SyntheticMultimodalDataset(seed=seed)
     samples = dataset.take(6)
     cost = PreprocessCostModel()
-    total = cost.batch_cpu_seconds(samples)
+    total = cost.batch_cpu_seconds(BatchColumns.of(samples))
     assert total == pytest.approx(
         sum(cost.sample_cpu_seconds(s) for s in samples)
     )

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.data.sample import BatchColumns
 from repro.preprocessing.transfer import TransferModel
 
 from tests.preprocessing.test_cost import image_sample
@@ -15,19 +16,22 @@ class TestTransfer:
         assert t.sample_bytes(s) == pytest.approx(image_bytes, rel=0.01)
 
     def test_rdma_faster_than_tcp_rpc(self):
-        s = image_sample(8, 512)
+        s = BatchColumns.of([image_sample(8, 512)])
         rdma = TransferModel(use_rdma=True)
         tcp = TransferModel(use_rdma=False)
-        rdma_s = rdma.microbatch_transfer_time([s])
-        assert rdma_s < tcp.microbatch_transfer_time([s])
+        rdma_s = rdma.microbatch_transfer_time(s)
+        assert rdma_s < tcp.microbatch_transfer_time(s)
 
     def test_batched_message_cheaper_than_singles(self):
         t = TransferModel()
-        samples = [image_sample(4, 512) for _ in range(8)]
+        samples = BatchColumns.of([image_sample(4, 512) for _ in range(8)])
         batched = t.microbatch_transfer_time(samples)
-        singles = sum(t.microbatch_transfer_time([s]) for s in samples)
+        singles = sum(
+            t.microbatch_transfer_time(samples[i : i + 1]) for i in range(8)
+        )
         assert batched < singles
 
     def test_transfer_is_milliseconds(self):
         t = TransferModel()
-        assert t.microbatch_transfer_time([image_sample(10, 1024)]) < 0.05
+        batch = BatchColumns.of([image_sample(10, 1024)])
+        assert t.microbatch_transfer_time(batch) < 0.05

@@ -10,6 +10,7 @@ from repro.reordering.baselines import random_order, sorted_order
 from repro.reordering.inter import (
     InterReorderer,
     MicrobatchCostModel,
+    _microbatch_sizes,
     _select_closest,
     reorder_ranks,
 )
@@ -57,7 +58,7 @@ class TestCostModel:
         cm = heterogeneous_costs(l=6, p=3)
         assert cm.num_microbatches == 6
         assert cm.num_stages == 3
-        assert cm.total_size(0) > 0
+        assert _microbatch_sizes(cm.fwd[None], cm.bwd[None])[0][0] > 0
 
 
 class TestReorder:
@@ -302,7 +303,7 @@ def _resweeping_reorder(costs, vpp, found=None):
     at every step, then the portfolio guard. ``found`` collects where
     each step's gap lies."""
     l, p = costs.fwd.shape
-    size = [costs.total_size(j) for j in range(l)]
+    size = [float(costs.fwd[j].sum() + costs.bwd[j].sum()) for j in range(l)]
     key = size.__getitem__
     order = list(range(l))
     if l > 2 and p > 1:

@@ -1,12 +1,14 @@
 """Algorithm 1 (intra-microbatch reordering) tests."""
 
+import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.data.sample import Subsequence, TrainingSample
+from repro.data.sample import BatchColumns, Subsequence, TrainingSample
 from repro.reordering.baselines import random_order
 from repro.reordering.intra import (
     brute_force_optimal_makespan,
@@ -260,6 +262,122 @@ def test_heap_lpt_matches_linear_scan(batch):
         intra_reorder(items, num_groups),
         _linear_scan_intra_reorder(items, num_groups),
     )
+
+
+def _object_scan_intra_reorder(samples, num_groups):
+    """Oracle: Algorithm 1 as it read sample objects, one
+    ``float(sample.size)`` each, LPT in ``sorted(..., reverse=True)``
+    order, and an equal-count fixup that scans the underfull groups for
+    the lightest one at every move."""
+    sizes = [float(sample.size) for sample in samples]
+    for i, value in enumerate(sizes):
+        if not math.isfinite(value):
+            raise ValueError(f"sample {i} has a non-finite size {value!r}")
+    groups = [[] for _ in range(num_groups)]
+    loads = [0.0] * num_groups
+    heap = [(0.0, g) for g in range(num_groups)]
+    for i in sorted(range(len(sizes)), key=sizes.__getitem__, reverse=True):
+        g = heap[0][1]
+        groups[g].append(i)
+        loads[g] += sizes[i]
+        heapq.heapreplace(heap, (loads[g], g))
+    per_group = len(samples) // num_groups
+    overfull = [g for g in groups if len(g) > per_group]
+    underfull = [i for i, g in enumerate(groups) if len(g) < per_group]
+    for group in overfull:
+        group.sort(key=sizes.__getitem__, reverse=True)
+        while len(group) > per_group:
+            moved = group.pop()
+            target = min(
+                (i for i in underfull if len(groups[i]) < per_group),
+                key=loads.__getitem__,
+            )
+            groups[target].append(moved)
+            loads[target] += sizes[moved]
+    return [samples[i] for group in groups for i in group]
+
+
+def _sized_sample(sample_id, image_tokens, audio_tokens):
+    spans = (Subsequence("image", image_tokens),)
+    if audio_tokens:
+        spans += (Subsequence("audio", audio_tokens),)
+    return TrainingSample(sample_id, spans)
+
+
+@st.composite
+def _integer_batches(draw):
+    """Samples whose integer sizes (image plus audio tokens) come from a
+    few values, so sizes and loads tie often, split over ``dp`` in
+    {1, 2, 3, n}."""
+    dp = draw(st.sampled_from([1, 2, 3, "n"]))
+    per_group = draw(st.integers(min_value=1, max_value=12))
+    groups = draw(st.integers(min_value=1, max_value=12)) if dp == "n" else dp
+    pool = draw(st.lists(
+        st.integers(min_value=0, max_value=50_000),
+        min_size=1, max_size=4, unique=True,
+    ))
+    sizes = draw(st.lists(
+        st.sampled_from(pool),
+        min_size=groups * per_group,
+        max_size=groups * per_group,
+    ))
+    audio = draw(st.lists(
+        st.integers(min_value=0, max_value=1_000),
+        min_size=len(sizes), max_size=len(sizes),
+    ))
+    samples = [
+        _sized_sample(i, max(size - extra, 0), min(extra, size))
+        for i, (size, extra) in enumerate(zip(sizes, audio))
+    ]
+    return samples, (len(samples) if dp == "n" else dp)
+
+
+def _column_order(samples, num_groups):
+    """Algorithm 1 as the iteration simulator runs it: over sample
+    indices, reading the batch's ``size`` column."""
+    sizes = BatchColumns.of(samples).size.tolist()
+    return intra_reorder(
+        range(len(samples)), num_groups, size=sizes.__getitem__
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_integer_batches())
+@example(([_sized_sample(0, 64, 0)] + [
+    _sized_sample(i, 1, 0) for i in range(1, 8)
+], 2))
+@example(([_sized_sample(0, 900, 100)] + [
+    _sized_sample(i, 10, i % 2) for i in range(1, 9)
+], 3))
+def test_size_column_matches_object_scan(batch):
+    """Algorithm 1 on the ``size`` column places every sample where the
+    object-and-scan version does, including the moves of the
+    equal-count fixup when LPT leaves groups overfull."""
+    samples, num_groups = batch
+    expected = _object_scan_intra_reorder(samples, num_groups)
+    order = _column_order(samples, num_groups)
+    assert [samples[i].sample_id for i in order] == [
+        s.sample_id for s in expected
+    ]
+    assert [s.sample_id for s in intra_reorder(samples, num_groups)] == [
+        s.sample_id for s in expected
+    ]
+
+
+def test_fixup_examples_leave_lpt_overfull():
+    """The pinned examples above do exercise the fixup."""
+    heavy = [_sized_sample(0, 64, 0)] + [
+        _sized_sample(i, 1, 0) for i in range(1, 8)
+    ]
+    groups = lpt_partition(heavy, 2)
+    assert sorted(len(g) for g in groups) == [1, 7]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_size_column_rejected(bad):
+    sizes = [3.0, bad, 1.0, 2.0]
+    with pytest.raises(ValueError, match="non-finite"):
+        intra_reorder(range(4), 2, size=sizes.__getitem__)
 
 
 def test_brute_force_guard():

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.cluster.cluster import make_cluster
+from repro.data.sample import BatchColumns
 from repro.data.synthetic import SyntheticMultimodalDataset
 from repro.models.base import ModuleWorkload
 from repro.models.mllm import MLLM_9B
+from repro.parallelism.broker import broker_transfer_time
 from repro.parallelism.orchestration_plan import ModelOrchestrationPlan
 from repro.parallelism.plan import ParallelismPlan
 from repro.runtime.frozen import FROZEN_PRESETS
@@ -254,6 +256,38 @@ class TestRankTables:
             assert bwd.tolist() == expected_bwd
 
 
+def brokered_boundary_comm_time(sim):
+    """The boundary delay priced from the planned brokers' rank lists,
+    as the simulator priced it before it read only the broker count."""
+    plan = sim.plan
+    bytes_ = plan.mllm.llm.boundary_activation_bytes(plan.microbatch_size)
+    link = plan.cluster.node.inter_link
+    times = [sim.collectives.pp_send(bytes_)]
+    for brokers in plan.build_brokers().values():
+        times.append(broker_transfer_time(
+            len(brokers), bytes_, link, asynchronous=not plan.monolithic
+        ))
+    return max(times)
+
+
+@pytest.mark.parametrize("monolithic", [False, True])
+@pytest.mark.parametrize("dps", [(1, 1, 1), (6, 4, 3), (8, 8, 2), (3, 5, 7)])
+def test_boundary_comm_time_reads_the_broker_count(dps, monolithic):
+    encoder_dp, llm_dp, generator_dp = dps
+    plan = ModelOrchestrationPlan(
+        mllm=MLLM_9B,
+        cluster=make_cluster(120),
+        encoder_plan=ParallelismPlan(tp=1, pp=1, dp=encoder_dp),
+        llm_plan=ParallelismPlan(tp=2, pp=2, dp=llm_dp, microbatch_size=2),
+        generator_plan=ParallelismPlan(tp=1, pp=1, dp=generator_dp),
+        monolithic=monolithic,
+    )
+    sim = simulator(plan)
+    assert sim._boundary_comm_time().hex() == (
+        brokered_boundary_comm_time(sim).hex()
+    )
+
+
 def test_straggler_repricing_reuses_model_flops(
     small_plan, small_batch, monkeypatch
 ):
@@ -282,4 +316,6 @@ def test_straggler_repricing_reuses_model_flops(
     assert results[0].iteration_time < results[2].iteration_time
     for result in results:
         assert result.model_flops == prepared.model_flops
-    assert prepared.model_flops == sim.accountant.batch_flops(small_batch)
+    assert prepared.model_flops == sim.accountant.batch_flops(
+        BatchColumns.of(small_batch)
+    )

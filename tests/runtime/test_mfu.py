@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.data.sample import Subsequence, TrainingSample, text_subsequence
+from repro.data.sample import (
+    BatchColumns,
+    Subsequence,
+    TrainingSample,
+    text_subsequence,
+)
 from repro.data.synthetic import SyntheticMultimodalDataset
 from repro.models.base import ModuleWorkload
 from repro.models.mllm import MLLM_9B, MLLM_PRESETS
@@ -61,17 +66,18 @@ def reference_sample_flops(mllm, frozen, sample):
 class TestAccountant:
     def test_positive_flops(self):
         accountant = ModelFlopsAccountant(MLLM_9B, FrozenConfig())
-        assert accountant.batch_flops(SAMPLES) > 0
+        assert accountant.batch_flops(BatchColumns.of(SAMPLES)) > 0
 
     def test_frozen_training_needs_fewer_flops(self):
         full = ModelFlopsAccountant(MLLM_9B, FrozenConfig())
         frozen = ModelFlopsAccountant(MLLM_9B, FROZEN_PRESETS["all-frozen"])
-        assert frozen.batch_flops(SAMPLES) < full.batch_flops(SAMPLES)
+        columns = BatchColumns.of(SAMPLES)
+        assert frozen.batch_flops(columns) < full.batch_flops(columns)
 
     def test_batch_is_sum_of_samples(self):
         accountant = ModelFlopsAccountant(MLLM_9B, FrozenConfig())
         total = left_fold(accountant.sample_flops(s) for s in SAMPLES)
-        assert accountant.batch_flops(SAMPLES) == total
+        assert accountant.batch_flops(BatchColumns.of(SAMPLES)) == total
 
     @pytest.mark.parametrize("preset", sorted(FROZEN_PRESETS))
     @pytest.mark.parametrize("model", sorted(MLLM_PRESETS))
@@ -84,7 +90,7 @@ class TestAccountant:
                 assert accountant.sample_flops(sample) == (
                     reference_sample_flops(mllm, frozen, sample)
                 )
-        assert accountant.batch_flops(MIXED) == left_fold(
+        assert accountant.batch_flops(BatchColumns.of(MIXED)) == left_fold(
             reference_sample_flops(mllm, frozen, s) for s in MIXED
         )
 

@@ -95,9 +95,12 @@ def test_trace_busy_sums(compensated_sum, seed):
 
 
 def test_batch_cpu_seconds(compensated_sum):
-    """paper-sweep's 9B batch: 3.12's sum() gives ``...0bfp+9``."""
+    """paper-sweep's 9B batch, priced on the columns cached with it:
+    3.12's sum() gives ``...0bfp+9``."""
     config = DistTrainConfig.preset("mllm-9b", 1296, 1920)
     batch = sample_batches(config)[0]
-    assert len(batch) == 1920
-    seconds = PreprocessCostModel().batch_cpu_seconds(batch)
+    assert len(batch.columns) == 1920
+    seconds = PreprocessCostModel().batch_cpu_seconds(batch.columns)
     assert seconds.hex() == "0x1.9047c0485a0c2p+9"
+    cost = PreprocessCostModel()
+    assert left_fold(cost.sample_cpu_seconds(s) for s in batch) == seconds
