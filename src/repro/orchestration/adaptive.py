@@ -22,8 +22,8 @@ The search decomposes into:
    steady-state formulation abstracts away) for every rounded plan at
    once, shortlist the best few, and
 5. **refine** the shortlist with a fast uniform-workload pipeline
-   simulation — batched through the vectorized kernel, grouped by
-   schedule shape — that captures what Eqs. 1-2 abstract away
+   simulation — every schedule shape in one vectorized kernel sweep —
+   that captures what Eqs. 1-2 abstract away
    (cool-down, inter-stage communication, schedule effects), then keep
    the best.
 
@@ -60,7 +60,7 @@ from repro.orchestration.memory import MemoryModel
 from repro.orchestration.problem import OrchestrationProblem
 from repro.parallelism.orchestration_plan import ModelOrchestrationPlan
 from repro.parallelism.plan import ParallelismPlan
-from repro.pipeline.kernel import get_kernel
+from repro.pipeline.kernel import get_kernel, union_makespans
 from repro.pipeline.schedules import ScheduleKind
 from repro.timing.collectives import CollectiveModel
 
@@ -161,19 +161,17 @@ def simulated_pipeline_seconds_batch(
     """Uniform-workload pipeline makespans for a plan portfolio.
 
     Semantically identical to calling :func:`simulated_pipeline_seconds`
-    per plan, but all kernel evaluations sharing one schedule shape
-    ``(stages, microbatches)`` run as a single batched sweep — the
-    shortlist refinement prices every finalist in a handful of
-    :meth:`~repro.pipeline.kernel.SimulatorKernel.makespans_from_durations`
-    calls instead of a per-plan simulation loop.
+    per plan, but every kernel evaluation of the portfolio — one or two
+    ``(stages, microbatches)`` shapes per plan — runs in one
+    :func:`~repro.pipeline.kernel.union_makespans` level sweep, which
+    prices each evaluation bit-identically to sweeping its shape alone.
     """
     M = problem.microbatch_size
     llm = problem.mllm.llm
     comm = collectives.pp_send(llm.boundary_activation_bytes(M))
-    # (plan index, n) kernel evaluations, grouped by schedule shape.
-    prepared = []
-    tasks: Dict[Tuple[int, int], List[int]] = {}
-    for i, plans in enumerate(plans_list):
+    parts = []
+    shapes = []
+    for plans in plans_list:
         stage_fwd, stage_bwd = _stage_times(problem, plans)
         p = len(stage_fwd)
         num_microbatches = problem.global_batch_size // (
@@ -181,35 +179,23 @@ def simulated_pipeline_seconds_batch(
         )
         n_small = min(num_microbatches, max(2 * p, 4))
         n_smaller = max(p, n_small // 2)
-        prepared.append(
-            (stage_fwd, stage_bwd, p, num_microbatches, n_small, n_smaller)
-        )
-        tasks.setdefault((p, n_small), []).append(i)
-        if n_small != num_microbatches:
-            tasks.setdefault((p, n_smaller), []).append(i)
-    makespans: Dict[Tuple[int, int, int], float] = {}
-    for (p, n), members in tasks.items():
-        kernel = get_kernel(ScheduleKind.ONE_F_ONE_B, p, n, 1)
-        durations = np.stack(
-            [
-                kernel.durations_from_stage_times(
-                    prepared[i][0], prepared[i][1]
-                )
-                for i in members
-            ]
-        )
-        spans = kernel.makespans_from_durations(durations, comm)
-        for i, span in zip(members, spans):
-            makespans[(p, n, i)] = float(span)
+        shapes.append((num_microbatches, n_small, n_smaller))
+        if n_small == num_microbatches:
+            evaluated = (n_small,)
+        else:
+            evaluated = (n_small, n_smaller)
+        for n in evaluated:
+            kernel = get_kernel(ScheduleKind.ONE_F_ONE_B, p, n, 1)
+            durations = kernel.durations_from_stage_times(stage_fwd, stage_bwd)
+            parts.append((kernel, durations))
+    makespans = iter(union_makespans(parts, comm).tolist())
     results = []
-    for i, (_, _, p, num_microbatches, n_small, n_smaller) in enumerate(
-        prepared
-    ):
-        m_small = makespans[(p, n_small, i)]
+    for num_microbatches, n_small, n_smaller in shapes:
+        m_small = next(makespans)
         if n_small == num_microbatches:
             results.append(m_small)
             continue
-        m_smaller = makespans[(p, n_smaller, i)]
+        m_smaller = next(makespans)
         slope = (m_small - m_smaller) / max(1, n_small - n_smaller)
         results.append(m_small + slope * (num_microbatches - n_small))
     return results

@@ -27,7 +27,9 @@ which is arithmetically identical (same IEEE operations per op) to the
 reference per-op worklist, so traces are bit-identical. Every entry
 point runs the same sweep: a batch of duration vectors rides as a
 trailing axis, so one sweep prices a whole portfolio of candidate
-orders with the same three numpy operations per level as one vector.
+orders with the same numpy operations per level as one vector, and
+:func:`union_makespans` prices evaluations of *different* shapes in one
+sweep over the level-aligned union of their DAGs.
 
 Kernels are cached per shape via :func:`get_kernel`; repeated
 evaluations only pay for new duration tables.
@@ -72,6 +74,37 @@ class _CompiledLevels:
     bounds: Tuple[int, ...]  # L+1 prefix offsets into ``order``
     pred3: np.ndarray        # (n, 3) predecessor positions, dummy = n
     edge_mask3: np.ndarray   # (n, 3) 1.0 exactly at live data edges
+
+
+def _level_sweep(
+    durations_l: np.ndarray,
+    pred3: np.ndarray,
+    edge3: np.ndarray,
+    bounds: Sequence[int],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The level loop every evaluation runs: level-order start and end
+    times of ops whose predecessors all sit in earlier levels.
+
+    ``durations_l`` is ``(n,)`` for one evaluation or ``(n, B)`` for a
+    batch, in level order; ``pred3`` holds each op's ``(n, 3)``
+    predecessor positions and ``edge3`` its per-edge delays (a batch
+    adds a trailing axis). Level ``v`` is the contiguous slice
+    ``bounds[v]:bounds[v+1]``, so both shapes run the same operations
+    per level: gather, add the edge delays, row-max into the starts,
+    add the durations into the ends. One reserved trailing end slot
+    stays 0.0, so missing predecessors gather a zero readiness; the
+    returned ``end`` keeps it as its last row.
+    """
+    start_l = np.empty_like(durations_l)
+    end_l = np.zeros((len(durations_l) + 1,) + durations_l.shape[1:])
+    reduce_max = np.maximum.reduce
+    add = np.add
+    for lo, hi in zip(bounds, bounds[1:]):
+        gathered = end_l.take(pred3[lo:hi], axis=0)
+        gathered += edge3[lo:hi]
+        ready = reduce_max(gathered, 1, out=start_l[lo:hi])
+        add(ready, durations_l[lo:hi], out=end_l[lo:hi])
+    return start_l, end_l
 
 
 def _schedule_arrays(
@@ -549,32 +582,19 @@ class SimulatorKernel:
     def _sweep(
         self, durations: np.ndarray, edge3: np.ndarray, with_start: bool
     ):
-        """The level sweep over op-major ``durations``.
-
-        ``durations`` is ``(n,)`` for one evaluation or ``(n, B)`` for a
-        batch: the batch rides as a trailing axis, so both shapes run
-        the same three operations per level (gather, add the edge
-        delays, row-max). Ops are evaluated in level order, each level
-        one contiguous slice; one reserved trailing slot stays 0.0 so
-        missing predecessors gather a zero readiness. Returns op-order
-        ``(start, end)``, or with ``with_start`` false only the
-        level-order end times (a makespan is order-free).
+        """The level sweep (:func:`_level_sweep`) over op-major
+        ``durations``, ``(n,)`` for one evaluation or ``(n, B)`` for a
+        batch. Returns op-order ``(start, end)``, or with ``with_start``
+        false only the level-order end times (a makespan is order-free).
         """
         n = self.num_ops
         levels = self.levels
-        durations_l = np.asarray(durations, dtype=float)[levels.order]
-        end_l = np.zeros((n + 1,) + durations_l.shape[1:])
-        start_l = np.empty_like(durations_l) if with_start else None
-        pred3 = levels.pred3
-        bounds = levels.bounds
-        reduce_max = np.maximum.reduce
-        for lo, hi in zip(bounds, bounds[1:]):
-            gathered = end_l.take(pred3[lo:hi], axis=0)
-            gathered += edge3[lo:hi]
-            ready = reduce_max(gathered, 1)
-            if with_start:
-                start_l[lo:hi] = ready
-            end_l[lo:hi] = ready + durations_l[lo:hi]
+        start_l, end_l = _level_sweep(
+            np.asarray(durations, dtype=float)[levels.order],
+            levels.pred3,
+            edge3,
+            levels.bounds,
+        )
         if not with_start:
             return end_l[:n]
         start = np.empty_like(start_l)
@@ -689,6 +709,82 @@ def get_kernel(
 ) -> SimulatorKernel:
     """The compiled kernel for one schedule shape (process-wide cache)."""
     return SimulatorKernel.build(kind, num_stages, num_microbatches, vpp)
+
+
+def union_makespans(
+    parts: Sequence[Tuple[SimulatorKernel, np.ndarray]], delay: float = 0.0
+) -> np.ndarray:
+    """Makespans of several ``(kernel, durations)`` evaluations, in one
+    level sweep over the level-aligned union of their DAGs.
+
+    Union level ``v`` holds the level-``v`` ops of every part, part
+    after part, so each op's predecessors still sit in earlier union
+    levels and it gathers exactly the ends its own kernel's sweep
+    gathers. A part's makespan is the max of its own ops' ends, which
+    does not depend on order, so every result is bit-identical to that
+    part's ``kernel.makespans_from_durations(durations[None], delay)``
+    while the shapes share one level loop. ``delay`` is the uniform
+    inter-stage delay of every part.
+
+    The union is built per call in whole-array passes: level widths,
+    prefix-sum offsets, then remapped predecessor positions.
+    """
+    with obs.kernel_span("kernel.makespan_batch", len(parts)):
+        if not parts:
+            return np.zeros(0)
+        levels = []
+        durations = []
+        for kernel, row in parts:
+            row = np.asarray(row, dtype=float)
+            if row.shape != (kernel.num_ops,):
+                raise ValueError(
+                    f"expected ({kernel.num_ops},) durations, got {row.shape}"
+                )
+            levels.append(kernel.levels)
+            durations.append(row)
+        sizes = np.array([len(row) for row in durations])
+        part_start = np.cumsum(sizes) - sizes
+        total = int(sizes.sum())
+        # Level widths: width[i, v] ops of part i open at row opens[i, v]
+        # of its level order; levels past a part's last are empty.
+        depth = np.array([len(lv.bounds) - 1 for lv in levels])
+        live = np.arange(depth.max()) < depth[:, None]
+        flat = np.concatenate([lv.bounds for lv in levels])
+        opening = np.ones(len(flat), dtype=bool)
+        opening[np.cumsum(depth + 1) - 1] = False
+        width = np.zeros(live.shape, dtype=np.int64)
+        width[live] = np.diff(flat)[opening[:-1]]
+        opens = np.zeros(live.shape, dtype=np.int64)
+        opens[live] = flat[opening]
+        bounds = np.zeros(live.shape[1] + 1, dtype=np.int64)
+        np.cumsum(width.sum(axis=0), out=bounds[1:])
+        # Union order lays the (level, part) blocks out level-major, so
+        # prefix sums of the block widths give where each block lands;
+        # ``rows[u]`` is the part-major level-order row at union slot u.
+        block_width = width.T.ravel()
+        block_row = (part_start[:, None] + opens).T.ravel()
+        rows = np.arange(total) + np.repeat(
+            block_row - (np.cumsum(block_width) - block_width), block_width
+        )
+        position = np.empty(total, dtype=np.int64)
+        position[rows] = np.arange(total)
+        # Part i's predecessor slots run 0..sizes[i], its dummy last;
+        # every dummy maps to the union's dummy slot ``total``.
+        slot = np.insert(position, part_start + sizes, total)
+        offset = np.repeat(part_start + np.arange(len(parts)), sizes)
+        pred3 = slot[
+            (np.concatenate([lv.pred3 for lv in levels]) + offset[:, None])
+            .take(rows, axis=0)
+        ]
+        edge3 = np.concatenate([lv.edge_mask3 for lv in levels]).take(
+            rows, axis=0
+        ) * float(delay)
+        op = np.concatenate([lv.order for lv in levels]) + np.repeat(
+            part_start, sizes
+        )
+        durations_l = np.concatenate(durations)[op.take(rows)]
+        _, end_l = _level_sweep(durations_l, pred3, edge3, bounds.tolist())
+        return np.maximum.reduceat(end_l.take(position), part_start)
 
 
 def clear_kernel_cache() -> None:

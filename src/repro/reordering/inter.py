@@ -232,10 +232,13 @@ def _construct(
     if l <= 2 or p < 2:
         return [list(range(l)) for _ in range(num_ranks)]
 
-    placed: List[List[int]] = []
+    # placed[r, :k] is rank r's order so far; taken marks what it holds
+    # and what its rear reserves.
+    placed = np.empty((num_ranks, l), dtype=np.int64)
+    taken = np.zeros((num_ranks, l), dtype=bool)
     remaining: List[List[int]] = []
     rears: List[List[int]] = []
-    for size in sizes:
+    for r, size in enumerate(sizes):
         key = size.__getitem__
         rest = list(range(l))
         # Line 3: schedule the smallest microbatch first.
@@ -245,24 +248,28 @@ def _construct(
         rear = sorted(rest, key=key)[: min(p - 1, len(rest))]
         for j in rear:
             rest.remove(j)
-        placed.append([first])
+        placed[r, 0] = first
+        taken[r, first] = True
+        taken[r, rear] = True
         remaining.append(rest)
         rears.append(rear)
 
     # Lines 5-11: fill intervals. Every rank places the same count at
     # each step, so one sweep prices the placed prefixes of the ranks
     # whose interval is still open; the others reuse their final one.
-    intervals = [0.0] * num_ranks
+    ranks = np.arange(num_ranks)
+    size_table = np.array(sizes)
+    intervals = np.zeros(num_ranks)
     open_ranks = list(range(num_ranks))
     count = min(p - 1, len(remaining[0]))
-    while remaining[0]:
+    k = 1
+    while k < l - len(rears[0]):
         if open_ranks:
-            k = len(placed[0])
             # Stage 0's body (see the module docstring).
             body = 2 * k - p + 1 if vpp == 1 and k >= p - 1 else 0
             kernel, start, end = _sweep(
                 fwd[open_ranks], bwd[open_ranks], comm[open_ranks],
-                [placed[r] for r in open_ranks], vpp,
+                placed[open_ranks, :k], vpp,
             )
             still_open = []
             for row, r in enumerate(open_ranks):
@@ -272,33 +279,43 @@ def _construct(
                 if ends_at is None or ends_at >= body:
                     still_open.append(r)
             open_ranks = still_open
-        for r, size in enumerate(sizes):
-            chosen = _select_closest(remaining[r], count, intervals[r], size)
-            placed[r].extend(chosen)
-            for j in chosen:
-                remaining[r].remove(j)
+        if count == 1:
+            # SELECTCLOSEST for one microbatch, every rank at once: the
+            # first minimum is the lowest index, the one ``min`` takes
+            # over the ascending candidates.
+            distance = np.abs(size_table - intervals[:, None])
+            distance[taken] = np.inf
+            chosen = distance.argmin(axis=1)
+            placed[:, k] = chosen
+            taken[ranks, chosen] = True
+        else:
+            for r, size in enumerate(sizes):
+                chosen = _select_closest(
+                    remaining[r], count, float(intervals[r]), size
+                )
+                placed[r, k:k + count] = chosen
+                taken[r, chosen] = True
+        k += count
         count = 1
 
-    for order, rear in zip(placed, rears):
-        order.extend(rear)  # line 12
-    return placed
+    for r, rear in enumerate(rears):
+        placed[r, k:] = rear  # line 12
+    return placed.tolist()
 
 
 def _select_closest(
     candidates: List[int], k: int, interval: float, size: List[float]
 ) -> List[int]:
-    """``SELECTCLOSEST``: k microbatches whose aggregate size best
-    matches ``interval``.
+    """``SELECTCLOSEST`` for ``k > 1``: k microbatches whose aggregate
+    size best matches ``interval``.
 
-    For ``k == 1`` this is a nearest-value scan; for ``k > 1`` a
-    greedy descending pass that adds items while they fit, then tops
-    up with the smallest leftovers. Sizes are the total heterogeneous
-    computation times (see :func:`_microbatch_sizes`), which
-    empirically fill intervals better than first-stage-only times
+    A greedy descending pass adds items while they fit, then tops up
+    with the smallest leftovers (:func:`_construct` picks single
+    microbatches by a lockstep nearest-value scan). Sizes are the total
+    heterogeneous computation times (see :func:`_microbatch_sizes`),
+    which empirically fill intervals better than first-stage-only times
     when both encoder and generator are heterogeneous.
     """
-    if k == 1:
-        return [min(candidates, key=lambda j: abs(size[j] - interval))]
     ordered = sorted(candidates, key=size.__getitem__, reverse=True)
     chosen: List[int] = []
     total = 0.0

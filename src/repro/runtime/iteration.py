@@ -230,6 +230,8 @@ class TrainingIterationSimulator:
         dp_lm = plan.plans["llm"].dp
         M = plan.microbatch_size
         n = len(columns)
+        if n == 0:
+            raise ValueError("cannot simulate an empty global batch")
         if n % (dp_lm * M) != 0:
             raise ValueError(
                 f"global batch of {n} does not divide "
@@ -426,14 +428,21 @@ class TrainingIterationSimulator:
         schedule, vpp = self._effective_schedule(num_microbatches, num_stages)
         kernel = get_kernel(schedule, num_stages, num_microbatches, vpp)
 
-        durations = np.empty((len(rank_work), kernel.num_ops))
-        delays = np.empty(len(rank_work))
-        for i, (fwd, bwd, order, comm) in enumerate(rank_work):
-            gathered = kernel.durations_from_tables(
-                fwd, bwd, order=order, transpose=True
-            )
-            durations[i] = gathered / vpp if vpp > 1 else gathered
-            delays[i] = comm
+        # One gather over the stacked (R, l, p) tables: op i of rank r
+        # reads row order[r][op_microbatch[i]] at its stage.
+        fwd = np.stack([work[0] for work in rank_work])
+        bwd = np.stack([work[1] for work in rank_work])
+        rows = np.arange(len(rank_work))[:, None]
+        mb = np.array([work[2] for work in rank_work], dtype=np.int64)[
+            :, kernel.op_microbatch
+        ]
+        stage = kernel.op_stage
+        durations = np.where(
+            kernel.op_is_forward, fwd[rows, mb, stage], bwd[rows, mb, stage]
+        )
+        if vpp > 1:
+            durations /= vpp
+        delays = np.array([work[3] for work in rank_work], dtype=float)
         if rank_slowdowns is not None:
             factors = np.asarray(rank_slowdowns, dtype=float)
             if factors.shape != (len(rank_work),):

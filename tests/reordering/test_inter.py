@@ -10,8 +10,8 @@ from repro.reordering.baselines import random_order, sorted_order
 from repro.reordering.inter import (
     InterReorderer,
     MicrobatchCostModel,
+    _construct,
     _microbatch_sizes,
-    _select_closest,
     reorder_ranks,
 )
 
@@ -298,10 +298,32 @@ def _first_interval(costs, prefix, vpp):
     return 0.0, "nowhere"
 
 
-def _resweeping_reorder(costs, vpp, found=None):
-    """Oracle: one rank's Algorithm 2, pricing its whole placed prefix
-    at every step, then the portfolio guard. ``found`` collects where
-    each step's gap lies."""
+def _select_closest(candidates, k, interval, size):
+    """Oracle ``SELECTCLOSEST``, one rank at a time: for ``k == 1`` the
+    nearest size by a ``min`` scan over the ascending candidates (ties
+    to the first); for ``k > 1`` the greedy descending pass, topped up
+    with the smallest leftovers."""
+    if k == 1:
+        return [min(candidates, key=lambda j: abs(size[j] - interval))]
+    ordered = sorted(candidates, key=size.__getitem__, reverse=True)
+    chosen = []
+    total = 0.0
+    for j in ordered:
+        if len(chosen) == k:
+            break
+        if total + size[j] <= interval or not chosen:
+            chosen.append(j)
+            total += size[j]
+    if len(chosen) < k:
+        leftovers = [j for j in reversed(ordered) if j not in chosen]
+        chosen.extend(leftovers[: k - len(chosen)])
+    return chosen
+
+
+def _resweeping_construct(costs, vpp, found=None):
+    """Oracle: one rank's Algorithm 2 construction, pricing its whole
+    placed prefix at every step. ``found`` collects where each step's
+    gap lies."""
     l, p = costs.fwd.shape
     size = [float(costs.fwd[j].sum() + costs.bwd[j].sum()) for j in range(l)]
     key = size.__getitem__
@@ -323,6 +345,16 @@ def _resweeping_reorder(costs, vpp, found=None):
             rest = [j for j in rest if j not in chosen]
             count = 1
         order += rear
+    return order
+
+
+def _resweeping_reorder(costs, vpp, found=None):
+    """Oracle: :func:`_resweeping_construct`, then the portfolio
+    guard."""
+    l = costs.num_microbatches
+    size = [float(costs.fwd[j].sum() + costs.bwd[j].sum()) for j in range(l)]
+    key = size.__getitem__
+    order = _resweeping_construct(costs, vpp, found)
     portfolio = [
         order,
         list(range(l)),
@@ -418,3 +450,38 @@ def test_gap_location_matches_resweeping_oracle(where, style, seed, l, p,
 def test_mixed_gap_locations_in_lockstep():
     costs = [_styled_costs(*case[1:]) for case in GAP_CASES]
     assert reorder_ranks(costs) == [_resweeping_reorder(c, 1) for c in costs]
+
+
+@st.composite
+def _tied_rank_groups(draw):
+    """Same-shape ranks whose durations and delay come from a few small
+    integers, so microbatch sizes tie with each other and sit at equal
+    distances on both sides of an interval."""
+    l = draw(st.integers(min_value=3, max_value=24))
+    p = draw(st.integers(min_value=2, max_value=6))
+    vpp = draw(st.integers(min_value=1, max_value=2))
+    values = np.array(draw(st.lists(
+        st.sampled_from([0.0, 1.0, 2.0, 3.0, 4.0]),
+        min_size=1, max_size=3, unique=True,
+    )))
+    costs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        comm = draw(st.sampled_from([0.0, 1.0, 2.0]))
+        costs.append(MicrobatchCostModel(
+            rng.choice(values, (l, p)), rng.choice(values, (l, p)), comm
+        ))
+    return costs, vpp
+
+
+@settings(max_examples=80, deadline=None)
+@given(_tied_rank_groups())
+def test_lockstep_selection_matches_per_rank_scan(group):
+    """Single picks run as one masked ``argmin`` over every rank; each
+    rank's construction must equal the per-rank ``min`` scan's."""
+    costs, vpp = group
+    fwd = np.stack([c.fwd for c in costs])
+    bwd = np.stack([c.bwd for c in costs])
+    comm = np.array([c.comm for c in costs])
+    got = _construct(fwd, bwd, comm, _microbatch_sizes(fwd, bwd), vpp)
+    assert got == [_resweeping_construct(c, vpp) for c in costs]

@@ -1,5 +1,6 @@
 """Training-iteration simulator tests."""
 
+import numpy as np
 import pytest
 
 from repro.cluster.cluster import make_cluster
@@ -10,6 +11,8 @@ from repro.models.mllm import MLLM_9B
 from repro.parallelism.broker import broker_transfer_time
 from repro.parallelism.orchestration_plan import ModelOrchestrationPlan
 from repro.parallelism.plan import ParallelismPlan
+from repro.pipeline.kernel import get_kernel
+from repro.pipeline.schedules import ScheduleKind
 from repro.runtime.frozen import FROZEN_PRESETS
 from repro.runtime.iteration import (
     TrainingIterationSimulator,
@@ -53,6 +56,13 @@ class TestBasicInvariants:
     def test_batch_divisibility_checked(self, small_plan, small_batch):
         with pytest.raises(ValueError):
             simulator(small_plan).simulate(small_batch[:15])
+
+    def test_empty_batch_rejected(self, small_plan):
+        sim = simulator(small_plan)
+        with pytest.raises(ValueError, match="empty global batch"):
+            sim.prepare([])
+        with pytest.raises(ValueError, match="empty global batch"):
+            sim.simulate([])
 
     def test_invalid_preprocessing_mode(self, small_plan):
         with pytest.raises(ValueError):
@@ -319,3 +329,57 @@ def test_straggler_repricing_reuses_model_flops(
     assert prepared.model_flops == sim.accountant.batch_flops(
         BatchColumns.of(small_batch)
     )
+
+
+def per_rank_durations(sim, prepared, rank_slowdowns):
+    """Oracle: one ``durations_from_tables`` gather per simulated rank,
+    divided by the VPP degree and scaled by the rank's slowdown."""
+    num_stages = prepared.rank_work[0][0].shape[1]
+    schedule, vpp = sim._effective_schedule(
+        prepared.num_microbatches, num_stages
+    )
+    kernel = get_kernel(schedule, num_stages, prepared.num_microbatches, vpp)
+    rows = []
+    for r, (fwd, bwd, order, _) in enumerate(prepared.rank_work):
+        gathered = kernel.durations_from_tables(
+            fwd, bwd, order=order, transpose=True
+        )
+        row = gathered / vpp if vpp > 1 else gathered
+        if rank_slowdowns is not None:
+            row = row * float(rank_slowdowns[r])
+        rows.append(row)
+    return kernel, np.stack(rows)
+
+
+@pytest.mark.parametrize("vpp", [1, 2])
+@pytest.mark.parametrize("straggled", [False, True])
+def test_rank_durations_match_per_rank_gathers(vpp, straggled):
+    """``_rank_durations`` gathers every rank in one fancy index over
+    the stacked tables; every duration and delay must equal the
+    per-rank gather's, bit for bit."""
+    plan = ModelOrchestrationPlan(
+        mllm=MLLM_9B,
+        cluster=make_cluster(40),
+        encoder_plan=ParallelismPlan(tp=1, pp=1, dp=4),
+        llm_plan=ParallelismPlan(tp=4, pp=2, dp=4, vpp=vpp),
+        generator_plan=ParallelismPlan(tp=1, pp=1, dp=4),
+    )
+    sim = simulator(plan, schedule=ScheduleKind.INTERLEAVED)
+    prepared = sim.prepare(SyntheticMultimodalDataset(seed=5).take(32))
+    n_ranks = len(prepared.rank_work)
+    slowdowns = None
+    if straggled:
+        slowdowns = [1.0 + 0.37 * r for r in range(n_ranks)]
+    kernel, durations, delays = sim._rank_durations(
+        prepared.rank_work, prepared.num_microbatches, slowdowns
+    )
+    expected_kernel, expected = per_rank_durations(sim, prepared, slowdowns)
+    assert kernel is expected_kernel
+    assert kernel.vpp == vpp
+    assert durations.shape == expected.shape == (n_ranks, kernel.num_ops)
+    assert [x.hex() for x in durations.ravel().tolist()] == [
+        x.hex() for x in expected.ravel().tolist()
+    ]
+    assert [x.hex() for x in delays.tolist()] == [
+        float(work[3]).hex() for work in prepared.rank_work
+    ]
