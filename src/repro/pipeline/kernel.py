@@ -453,32 +453,33 @@ class SimulatorKernel:
         return len(self.op_stage)
 
     def durations_from_tables(
-        self,
-        fwd: ArrayLike,
-        bwd: ArrayLike,
-        order: Optional[Sequence[int]] = None,
-        transpose: bool = False,
+        self, fwd: ArrayLike, bwd: ArrayLike
     ) -> np.ndarray:
-        """Gather the per-op duration vector from stage/microbatch tables.
-
-        Args:
-            fwd / bwd: ``[stage][microbatch]`` duration tables (chunked
-                ops index their physical stage's table).
-            order: Optional microbatch permutation — op ``i`` reads row
-                ``order[op_microbatch[i]]``.
-            transpose: Tables are ``[microbatch][stage]`` instead.
-        """
+        """Gather the per-op duration vector from ``[stage][microbatch]``
+        duration tables (chunked ops index their physical stage's
+        table)."""
         fwd = np.asarray(fwd, dtype=float)
         bwd = np.asarray(bwd, dtype=float)
-        mb = self.op_microbatch
-        if order is not None:
-            mb = np.asarray(order, dtype=np.int64)[mb]
-        if transpose:
-            rows, cols = mb, self.op_stage
-        else:
-            rows, cols = self.op_stage, mb
+        rows, cols = self.op_stage, self.op_microbatch
         return np.where(
             self.op_is_forward, fwd[rows, cols], bwd[rows, cols]
+        )
+
+    def durations_from_rank_tables(
+        self, fwd: np.ndarray, bwd: np.ndarray, orders: ArrayLike
+    ) -> np.ndarray:
+        """``(R, n)`` duration rows of R DP ranks in one gather.
+
+        ``fwd``/``bwd`` stack each rank's ``[microbatch][stage]`` tables
+        as ``(R, l, p)``; op ``i`` of rank ``r`` reads row
+        ``orders[r][op_microbatch[i]]`` at its stage, so the orders may
+        be prefixes of the ranks' full orders.
+        """
+        rows = np.arange(len(fwd))[:, None]
+        mb = np.asarray(orders, dtype=np.int64)[:, self.op_microbatch]
+        stage = self.op_stage
+        return np.where(
+            self.op_is_forward, fwd[rows, mb, stage], bwd[rows, mb, stage]
         )
 
     def durations_from_stage_times(

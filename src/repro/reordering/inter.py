@@ -354,11 +354,6 @@ def _sweep(
     else:
         kernel = get_kernel(ScheduleKind.ONE_F_ONE_B, p, length, 1)
         scale = 1.0
-    rows = np.arange(len(orders))[:, None]
-    mb = np.asarray(orders, dtype=np.int64)[:, kernel.op_microbatch]
-    stage = kernel.op_stage
-    durations = np.where(
-        kernel.op_is_forward, fwd[rows, mb, stage], bwd[rows, mb, stage]
-    ) * scale
+    durations = kernel.durations_from_rank_tables(fwd, bwd, orders) * scale
     start, end = kernel.evaluate_batch(durations, comm)
     return kernel, start, end

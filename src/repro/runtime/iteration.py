@@ -428,17 +428,10 @@ class TrainingIterationSimulator:
         schedule, vpp = self._effective_schedule(num_microbatches, num_stages)
         kernel = get_kernel(schedule, num_stages, num_microbatches, vpp)
 
-        # One gather over the stacked (R, l, p) tables: op i of rank r
-        # reads row order[r][op_microbatch[i]] at its stage.
-        fwd = np.stack([work[0] for work in rank_work])
-        bwd = np.stack([work[1] for work in rank_work])
-        rows = np.arange(len(rank_work))[:, None]
-        mb = np.array([work[2] for work in rank_work], dtype=np.int64)[
-            :, kernel.op_microbatch
-        ]
-        stage = kernel.op_stage
-        durations = np.where(
-            kernel.op_is_forward, fwd[rows, mb, stage], bwd[rows, mb, stage]
+        durations = kernel.durations_from_rank_tables(
+            np.stack([work[0] for work in rank_work]),
+            np.stack([work[1] for work in rank_work]),
+            [work[2] for work in rank_work],
         )
         if vpp > 1:
             durations /= vpp

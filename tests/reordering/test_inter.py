@@ -283,8 +283,9 @@ def _first_interval(costs, prefix, vpp):
     else:
         kernel = get_kernel(ScheduleKind.ONE_F_ONE_B, p, k)
         scale = 1.0
+    # The placed microbatches' rows, as [stage][position] tables.
     durations = kernel.durations_from_tables(
-        costs.fwd, costs.bwd, order=prefix, transpose=True
+        costs.fwd[prefix].T, costs.bwd[prefix].T
     ) * scale
     start, end = kernel.evaluate(durations, costs.comm)
     records = kernel.trace(start, end).stage_records(0)

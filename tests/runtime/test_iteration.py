@@ -341,9 +341,8 @@ def per_rank_durations(sim, prepared, rank_slowdowns):
     kernel = get_kernel(schedule, num_stages, prepared.num_microbatches, vpp)
     rows = []
     for r, (fwd, bwd, order, _) in enumerate(prepared.rank_work):
-        gathered = kernel.durations_from_tables(
-            fwd, bwd, order=order, transpose=True
-        )
+        # The rank's rows in its order, as [stage][position] tables.
+        gathered = kernel.durations_from_tables(fwd[order].T, bwd[order].T)
         row = gathered / vpp if vpp > 1 else gathered
         if rank_slowdowns is not None:
             row = row * float(rank_slowdowns[r])
