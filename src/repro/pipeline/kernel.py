@@ -67,19 +67,21 @@ class _CompiledLevels:
     contiguous slice, and readiness is one ``(k, 3)`` gather plus a
     row-max. Column 0 is the data edge, 1 the forward pred, 2 the stage
     pred; missing predecessors point at the reserved always-zero slot
-    ``num_ops``. ``pred3`` holds *positions in level order*.
+    ``num_ops``. ``pred3`` holds *positions in level order*. Only the
+    data edge carries the inter-stage delay, so one mask marks the ops
+    whose column 0 is a live edge.
     """
 
     order: np.ndarray        # (n,) op ids in level-sorted order
     bounds: Tuple[int, ...]  # L+1 prefix offsets into ``order``
     pred3: np.ndarray        # (n, 3) predecessor positions, dummy = n
-    edge_mask3: np.ndarray   # (n, 3) 1.0 exactly at live data edges
+    data_edge: np.ndarray    # (n,) 1.0 exactly at live data edges
 
 
 def _level_sweep(
     durations_l: np.ndarray,
     pred3: np.ndarray,
-    edge3: np.ndarray,
+    edge: np.ndarray,
     bounds: Sequence[int],
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The level loop every evaluation runs: level-order start and end
@@ -87,11 +89,12 @@ def _level_sweep(
 
     ``durations_l`` is ``(n,)`` for one evaluation or ``(n, B)`` for a
     batch, in level order; ``pred3`` holds each op's ``(n, 3)``
-    predecessor positions and ``edge3`` its per-edge delays (a batch
-    adds a trailing axis). Level ``v`` is the contiguous slice
-    ``bounds[v]:bounds[v+1]``, so both shapes run the same operations
-    per level: gather, add the edge delays, row-max into the starts,
-    add the durations into the ends. One reserved trailing end slot
+    predecessor positions and ``edge`` its data-edge delay, the only
+    edge that carries one (a batch adds a trailing axis). Level ``v``
+    is the contiguous slice ``bounds[v]:bounds[v+1]``, so both shapes
+    run the same operations per level: gather, add the data-edge delays
+    to column 0, row-max into the starts, add the durations into the
+    ends. One reserved trailing end slot
     stays 0.0, so missing predecessors gather a zero readiness; the
     returned ``end`` keeps it as its last row.
     """
@@ -101,7 +104,7 @@ def _level_sweep(
     add = np.add
     for lo, hi in zip(bounds, bounds[1:]):
         gathered = end_l.take(pred3[lo:hi], axis=0)
-        gathered += edge3[lo:hi]
+        gathered[:, 0] += edge[lo:hi]
         ready = reduce_max(gathered, 1, out=start_l[lo:hi])
         add(ready, durations_l[lo:hi], out=end_l[lo:hi])
     return start_l, end_l
@@ -418,7 +421,7 @@ class SimulatorKernel:
                 order=np.zeros(0, dtype=np.int64),
                 bounds=(0,),
                 pred3=np.zeros((0, 3), dtype=np.int64),
-                edge_mask3=np.zeros((0, 3)),
+                data_edge=np.zeros(0),
             )
         order = np.argsort(level, kind="stable")
         lvl_sorted = level[order]
@@ -435,14 +438,12 @@ class SimulatorKernel:
         pred = np.stack(
             [data_pred[order], fwd_pred[order], stage_prev[order]], axis=1
         )
-        edge_mask = np.zeros((n, 3))
-        edge_mask[:, 0] = pred[:, 0] >= 0
         pred3 = position[np.where(pred >= 0, pred, n)]
         return _CompiledLevels(
             order=order,
             bounds=bounds,
             pred3=pred3,
-            edge_mask3=edge_mask,
+            data_edge=(pred[:, 0] >= 0).astype(float),
         )
 
     # ------------------------------------------------------------------ #
@@ -570,18 +571,18 @@ class SimulatorKernel:
     def _edges(
         self, delays: Union[float, np.ndarray], batch: bool
     ) -> np.ndarray:
-        """Per-edge delays aligned with ``levels.pred3``: the uniform
-        delay on every data edge, zero elsewhere (the reserved dummy slot
-        included). Under ``batch`` the edges gain a trailing axis and
-        ``delays`` may be one uniform delay per row (a ``(B,)`` vector).
+        """Data-edge delays in level order, ``(n,)``: the uniform delay
+        on every op with a live data edge, zero elsewhere. Under
+        ``batch`` they are ``(n, B)`` and ``delays`` may be one uniform
+        delay per row (a ``(B,)`` vector).
         """
-        edge_mask3 = self.levels.edge_mask3
+        data_edge = self.levels.data_edge
         if batch:
-            return edge_mask3[:, :, None] * np.asarray(delays, dtype=float)
-        return edge_mask3 * float(delays)
+            return data_edge[:, None] * np.asarray(delays, dtype=float)
+        return data_edge * float(delays)
 
     def _sweep(
-        self, durations: np.ndarray, edge3: np.ndarray, with_start: bool
+        self, durations: np.ndarray, edge: np.ndarray, with_start: bool
     ):
         """The level sweep (:func:`_level_sweep`) over op-major
         ``durations``, ``(n,)`` for one evaluation or ``(n, B)`` for a
@@ -593,7 +594,7 @@ class SimulatorKernel:
         start_l, end_l = _level_sweep(
             np.asarray(durations, dtype=float)[levels.order],
             levels.pred3,
-            edge3,
+            edge,
             levels.bounds,
         )
         if not with_start:
@@ -777,14 +778,14 @@ def union_makespans(
             (np.concatenate([lv.pred3 for lv in levels]) + offset[:, None])
             .take(rows, axis=0)
         ]
-        edge3 = np.concatenate([lv.edge_mask3 for lv in levels]).take(
-            rows, axis=0
+        edge = np.concatenate([lv.data_edge for lv in levels]).take(
+            rows
         ) * float(delay)
         op = np.concatenate([lv.order for lv in levels]) + np.repeat(
             part_start, sizes
         )
         durations_l = np.concatenate(durations)[op.take(rows)]
-        _, end_l = _level_sweep(durations_l, pred3, edge3, bounds.tolist())
+        _, end_l = _level_sweep(durations_l, pred3, edge, bounds.tolist())
         return np.maximum.reduceat(end_l.take(position), part_start)
 
 
