@@ -3,35 +3,37 @@
 DistTrain recovers from failures by reloading the latest asynchronous
 checkpoint (sections 3 and 6). At thousand-GPU scale failures are
 routine; the checkpoint interval trades steady-state stall (snapshots)
-against replay after failures.
+against replay after failures. Each interval runs the MLLM-72B task on
+1,296 GPUs through the scenario engine: the real plan's iteration
+times, its checkpoint stalls, and failures sampled at the per-GPU MTBF,
+each rolling the run back to its latest durable checkpoint.
 """
 
-import pytest
-
+from repro.core.config import DistTrainConfig
 from repro.core.reports import format_table
-from repro.runtime.failure import FailureModel, run_with_failures
+from repro.scenarios import ScenarioSpec, run_scenario
 
-ITERATION_SECONDS = 40.0   # MLLM-72B-scale iteration
+CONFIG = DistTrainConfig.preset("mllm-72b", 1296, 1920)
 NUM_ITERATIONS = 800
-NUM_GPUS = 1248
 INTERVALS = (10, 50, 200, 800)
 
 
 def sweep():
-    failures = FailureModel(mtbf_gpu_hours=30_000.0)
-    results = []
-    for interval in INTERVALS:
-        report = run_with_failures(
-            iteration_seconds=ITERATION_SECONDS,
-            num_iterations=NUM_ITERATIONS,
-            num_gpus=NUM_GPUS,
-            failures=failures,
-            checkpoint_interval=interval,
-            checkpoint_stall=2.0,
-            seed=11,
+    return [
+        (
+            interval,
+            run_scenario(
+                CONFIG,
+                ScenarioSpec(
+                    num_iterations=NUM_ITERATIONS,
+                    checkpoint_interval=interval,
+                    mtbf_gpu_hours=30_000.0,
+                    seed=11,
+                ),
+            ),
         )
-        results.append((interval, report))
-    return results
+        for interval in INTERVALS
+    ]
 
 
 def test_checkpoint_interval_sweep(benchmark):
@@ -44,8 +46,9 @@ def test_checkpoint_interval_sweep(benchmark):
              f"{r.goodput * 100:.1f}%"]
             for interval, r in results
         ],
-        title=f"Ablation: fault tolerance at {NUM_GPUS} GPUs, "
-              f"{NUM_ITERATIONS} x {ITERATION_SECONDS:.0f}s iterations",
+        title=f"Ablation: fault tolerance at {CONFIG.cluster.num_gpus} "
+              f"GPUs, {NUM_ITERATIONS} iterations of "
+              f"{CONFIG.mllm.name}",
     ))
     by_interval = dict(results)
     # Failures occur at this scale and horizon (~9 hours of training).

@@ -18,7 +18,6 @@ from repro.orchestration.baselines import DistMMOrchestrator, MegatronOrchestrat
 from repro.orchestration.plancache import PLAN_CACHE, planning_signature
 from repro.orchestration.problem import OrchestrationProblem, SampleProfile
 from repro.runtime.iteration import IterationResult, TrainingIterationSimulator
-from repro.runtime.trainer import TrainingRun, TrainingRunResult
 from repro.timing.costmodel import ModuleCostModel
 
 #: Samples the manager draws to profile the data distribution.
@@ -230,19 +229,21 @@ def simulate(
     return simulator.simulate(sample_batches(config)[0])
 
 
-def simulate_run(
-    config: DistTrainConfig,
-    orchestration: Optional[OrchestrationResult] = None,
-) -> TrainingRunResult:
-    """Simulate a multi-iteration training run."""
-    simulator = build_simulator(config, orchestration)
-    run = TrainingRun(
-        simulator=simulator,
-        dataset=dataset(config),
-        global_batch_size=config.global_batch_size,
-        num_iterations=config.num_iterations,
+def simulate_run(config: DistTrainConfig):
+    """Simulate ``config.num_iterations`` training iterations.
+
+    The zero-event scenario over the run's full batch stream
+    (``sample_iterations = num_iterations``): every iteration prices its
+    own fresh global batch, and asynchronous checkpoints stall the clock
+    every :attr:`~repro.scenarios.spec.ScenarioSpec.checkpoint_interval`
+    iterations. Returns a :class:`~repro.scenarios.result.ScenarioResult`.
+    """
+    from repro.scenarios import ScenarioSpec, run_scenario
+
+    n = config.num_iterations
+    return run_scenario(
+        config, ScenarioSpec(num_iterations=n, sample_iterations=n)
     )
-    return run.run()
 
 
 @dataclass

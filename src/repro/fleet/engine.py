@@ -288,9 +288,6 @@ class FleetResult:
             ),
         }
 
-    def summary(self) -> Dict[str, float]:
-        return self.metrics()
-
     def to_json(self, path: Optional[str] = None) -> str:
         """Serialize the full result (every record, trajectory, and
         event trace) losslessly; see :meth:`from_json`."""

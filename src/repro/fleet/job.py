@@ -11,10 +11,14 @@ count** rather than an assumed whole cluster.
 Two drivers consume it:
 
 * :class:`repro.scenarios.engine.ScenarioEngine` — the thin single-job
-  wrapper: ``start()`` at the config's full cluster size, ``step()``
-  to completion, ``finish()``. Bit-identical to the pre-extraction
-  engine (the golden scenario snapshots and the zero-event
-  ``TrainingRun`` hex-identity suite pin this).
+  wrapper: ``start()`` at the config's full cluster size, advance to
+  completion, ``finish()``. Every multi-iteration result goes through
+  it: scenario runs, :func:`repro.core.api.simulate_run`, the lifecycle
+  manager's ``run`` and the fault-tolerance ablation. This is the one
+  place that walks iterations, overlays checkpoint stalls and rolls
+  back failures; its zero-event run over the full batch stream equals
+  a per-iteration ``simulate`` loop hex for hex (pinned by the test
+  suite).
 * :class:`repro.fleet.engine.FleetEngine` — steps many jobs on one
   shared event clock, reshaping their allocations at scheduling
   decision points via :meth:`apply_resize` / :meth:`preempt` /
@@ -90,13 +94,12 @@ from repro.core.keyedcache import KeyedCache
 from repro.obs import instrument as obs
 from repro.orchestration.errors import InfeasibleClusterError
 from repro.orchestration.plancache import PLAN_CACHE, planning_signature
-from repro.runtime.checkpoint import CheckpointConfig
+from repro.runtime.checkpoint import CheckpointConfig, build_checkpointer
 from repro.runtime.iteration import (
     IterationResult,
     PreparedIteration,
     evaluate_prepared_many,
 )
-from repro.runtime.trainer import build_checkpointer
 from repro.scenarios.events import (
     EventTrace,
     FailureEvent,
@@ -120,11 +123,11 @@ _STRAGGLER_STREAM = 1
 
 
 #: Process-wide store of built :class:`_ClusterState` objects, keyed by
-#: ``(config hash, num_gpus, sample count)``. Every field of a state —
-#: plan, compiled simulator, prepared batches, base evaluations, and
-#: the straggler-evaluation memo it accretes — is a pure function of
-#: that key, so every job of the same task shares one build
-#: bit-identically. Sized for a few tasks' worth of cluster-size
+#: ``(config hash, num_gpus, sample count, preprocessing pool)``. Every
+#: field of a state — plan, compiled simulator, prepared batches, base
+#: evaluations, and the straggler-evaluation memo it accretes — is a
+#: pure function of that key, so every job of the same task shares one
+#: build bit-identically. Sized for a few tasks' worth of cluster-size
 #: oscillation; evicted states a job already holds stay alive through
 #: its private per-size table.
 STATE_CACHE = KeyedCache(maxsize=64, name="jobstate")
@@ -370,6 +373,9 @@ class JobSimulator:
             at the start of each run; by default the job owns a set,
             which :meth:`run` empties.
         name: Job label for fleet bookkeeping and reports.
+        cpu_nodes: The disaggregated preprocessing pool every cluster
+            size's iteration simulator prices
+            (:func:`~repro.core.api.build_simulator`'s ``cpu_nodes``).
     """
 
     def __init__(
@@ -379,12 +385,14 @@ class JobSimulator:
         checkpoint: Optional[CheckpointConfig] = None,
         solved_plans: Optional[Set[Tuple[str, int]]] = None,
         name: str = "job",
+        cpu_nodes: int = 8,
     ):
         self.config = config
         self.scenario = scenario
         self.checkpoint = checkpoint or CheckpointConfig(
             interval_iterations=scenario.checkpoint_interval
         )
+        self.cpu_nodes = cpu_nodes
         self._solved_plans = set() if solved_plans is None else solved_plans
         self.name = name
         #: Distinct global batches every cluster size re-prices (the K
@@ -410,9 +418,10 @@ class JobSimulator:
     def _sample_batches(self) -> Tuple[Tuple[Any, ...], ...]:
         """The K distinct global batches every cluster size re-prices.
 
-        Drawn from the same seeded stream :class:`TrainingRun` consumes,
-        so with ``sample_iterations >= num_iterations`` the scenario
-        replays the training run's exact batch sequence.
+        The first K global batches of the config's seeded stream, so
+        with ``sample_iterations >= num_iterations`` every iteration
+        prices its own fresh batch, as a per-iteration ``simulate`` loop
+        over :func:`~repro.core.api.dataset` would.
         """
         if self._batches is None:
             from repro.core.api import sample_batches
@@ -430,7 +439,7 @@ class JobSimulator:
                 signature, lambda: _replan_uncached(self.config, num_gpus)
             )
             state = STATE_CACHE.get_or_compute(
-                signature + (self._num_samples,),
+                signature + (self._num_samples, self.cpu_nodes),
                 lambda: self._build_state(num_gpus, signature, orchestration),
             )
             self._states[num_gpus] = state
@@ -457,7 +466,9 @@ class JobSimulator:
             sim_config = self.config.with_(
                 cluster=resized_cluster(self.config.cluster, num_gpus)
             )
-        simulator = build_simulator(sim_config, orchestration)
+        simulator = build_simulator(
+            sim_config, orchestration, cpu_nodes=self.cpu_nodes
+        )
         prepared = [
             simulator.prepare(batch) for batch in self._sample_batches()
         ]
@@ -601,7 +612,11 @@ class JobSimulator:
         self._run_ends = [run[1] for run in self._runs]
         self._resize_iters = sorted(self._resizes)
 
-        self._failure_model = None if replaying else spec.failure_model()
+        #: Failures arrive by Poisson sampling at the spec's MTBF
+        #: unless a trace replays them.
+        self._sampling_failures = (
+            not replaying and spec.mtbf_gpu_hours is not None
+        )
         self._failure_rng = np.random.default_rng(
             [spec.seed, _FAILURE_STREAM]
         )
@@ -613,7 +628,6 @@ class JobSimulator:
         self._checkpointer = build_checkpointer(
             self._cur.orchestration.plan, self.checkpoint
         )
-        assert self._checkpointer is not None
 
         # Ideal trajectory: the granted slice, no events, no stalls.
         n = spec.num_iterations
@@ -651,9 +665,9 @@ class JobSimulator:
 
         # Lazy Poisson sampling: the next failure arrival in wall-clock.
         self._next_sampled: Optional[float] = None
-        if self._failure_model is not None:
+        if self._sampling_failures:
             self._next_sampled = start_time + self._failure_rng.exponential(
-                self._failure_model.cluster_mtbf_seconds(self._cur.num_gpus)
+                spec.cluster_mtbf_seconds(self._cur.num_gpus)
             )
         self._started = True
         self._paused = False
@@ -797,11 +811,11 @@ class JobSimulator:
             self._checkpointer.resume_from(self._i)
             self._num_replans += 1
             self._min_gpus = min(self._min_gpus, num_gpus)
-            if self._failure_model is not None:
+            if self._sampling_failures:
                 # Memoryless arrivals: restart the exponential clock at
                 # the new slice's failure rate.
                 self._next_sampled = now + self._failure_rng.exponential(
-                    self._failure_model.cluster_mtbf_seconds(num_gpus)
+                    self.scenario.cluster_mtbf_seconds(num_gpus)
                 )
         self._clock += self.scenario.replan_seconds
         self._recovery_seconds += self.scenario.replan_seconds
@@ -981,9 +995,7 @@ class JobSimulator:
             self._events_log.append(failure)
             self._next_sampled = (
                 failure.time_s + self._failure_rng.exponential(
-                    self._failure_model.cluster_mtbf_seconds(
-                        self._cur.num_gpus
-                    )
+                    spec.cluster_mtbf_seconds(self._cur.num_gpus)
                 )
             )
         else:
@@ -1338,11 +1350,11 @@ class JobSimulator:
         self._allocated = num_gpus
         if self._cur.num_gpus != num_gpus:
             self._switch_cluster(num_gpus, self._clock)
-        elif self._failure_model is not None:
+        elif self._sampling_failures:
             # Same slice: re-arm the failure clock so arrivals sampled
             # before the pause cannot fire inside the paused window.
             self._next_sampled = self._clock + self._failure_rng.exponential(
-                self._failure_model.cluster_mtbf_seconds(self._cur.num_gpus)
+                self.scenario.cluster_mtbf_seconds(self._cur.num_gpus)
             )
         self._paused = False
 

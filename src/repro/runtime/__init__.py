@@ -5,8 +5,10 @@ per-stage, per-microbatch durations from the cost models and an
 orchestration plan, runs the pipeline simulator per DP rank, adds
 gradient synchronization and preprocessing overheads, and reports
 iteration time, MFU, and token throughput — the quantities in Figures
-13-19. Also models asynchronous checkpointing and failure recovery
-(section 3, "DistTrain runtime").
+13-19. Also prices asynchronous checkpoints (section 3, "DistTrain
+runtime"). Multi-iteration runs — checkpoint stalls overlaid on the
+iterations, failure recovery from the latest durable checkpoint — walk
+one timeline, the scenario engine's (:mod:`repro.scenarios`).
 """
 
 from repro.runtime.frozen import FrozenConfig, FROZEN_PRESETS
@@ -15,9 +17,7 @@ from repro.runtime.iteration import (
     IterationResult,
     TrainingIterationSimulator,
 )
-from repro.runtime.trainer import TrainingRun, TrainingRunResult
 from repro.runtime.checkpoint import AsyncCheckpointer, CheckpointConfig
-from repro.runtime.failure import FailureModel, GoodputReport
 
 __all__ = [
     "FrozenConfig",
@@ -27,10 +27,6 @@ __all__ = [
     "token_throughput",
     "IterationResult",
     "TrainingIterationSimulator",
-    "TrainingRun",
-    "TrainingRunResult",
     "AsyncCheckpointer",
     "CheckpointConfig",
-    "FailureModel",
-    "GoodputReport",
 ]

@@ -130,3 +130,27 @@ class AsyncCheckpointer:
         self._pending_resume = iteration
         self.restarts += 1
         return iteration
+
+
+def build_checkpointer(plan, config: CheckpointConfig) -> AsyncCheckpointer:
+    """Size an :class:`AsyncCheckpointer` for an orchestration plan.
+
+    The checkpoint state is the full model + optimizer (bf16 weights,
+    fp32 optimizer state); the snapshot stall is driven by the largest
+    per-GPU shard, which the LLM unit holds. The scenario engine
+    rebuilds one on every replan, so a resized slice prices its own
+    shards.
+    """
+    params = plan.mllm.param_count()
+    state_bytes = params * (2.0 + 12.0)  # bf16 weights + fp32 optim
+    llm_plan = plan.plans["llm"]
+    per_gpu = (
+        plan.mllm.llm.param_count()
+        / (llm_plan.tp * llm_plan.pp)
+        * (2.0 + 12.0 / llm_plan.dp)
+    )
+    return AsyncCheckpointer(
+        config=config,
+        state_bytes=state_bytes,
+        per_gpu_state_bytes=per_gpu,
+    )

@@ -13,10 +13,12 @@ and keeps only what is its own:
    between adjacent units, run communication warm-up trials to verify
    connectivity, and size the elastic preprocessing pool on the first
    global batch (:func:`~repro.core.api.sample_batches`);
-3. **runtime** — run the iteration simulator
-   (:func:`~repro.core.api.build_simulator` with the sized pool) over
-   the training stream (:func:`~repro.core.api.dataset`), with periodic
-   asynchronous checkpointing.
+3. **runtime** — walk the training timeline on the scenario engine
+   (:class:`~repro.scenarios.engine.ScenarioEngine`, the one
+   multi-iteration timeline), whose iteration simulators price the
+   sized pool: :meth:`DistTrainManager.run` is the zero-event run over
+   the full batch stream, with periodic asynchronous checkpoints, and
+   :meth:`DistTrainManager.run_scenario` adds cluster dynamics.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from repro.parallelism.unit import ParallelismUnit
 from repro.preprocessing.cost import PreprocessCostModel
 from repro.preprocessing.disaggregated import required_cpu_nodes
 from repro.runtime.checkpoint import CheckpointConfig
-from repro.runtime.trainer import TrainingRun, TrainingRunResult
 
 
 @dataclass
@@ -132,45 +133,44 @@ class DistTrainManager:
     # ------------------------------------------------------------------ #
     # Phase 3: runtime
     # ------------------------------------------------------------------ #
-    def run(self, num_iterations: Optional[int] = None) -> TrainingRunResult:
-        """Run the training loop."""
-        if num_iterations is not None and num_iterations < 1:
-            raise ValueError("num_iterations must be >= 1")
-        config = self.config
-        simulator = api.build_simulator(
-            config,
-            self.orchestrate(),
-            cpu_nodes=self.initialize().recommended_cpu_nodes,
+    def run(self, num_iterations: Optional[int] = None):
+        """Run the training loop: ``num_iterations`` (default: the
+        config's) fresh global batches with periodic asynchronous
+        checkpoints and no cluster events.
+
+        The zero-event :meth:`run_scenario` over the full batch stream
+        (``sample_iterations = num_iterations``); returns its
+        :class:`~repro.scenarios.result.ScenarioResult`.
+        """
+        from repro.scenarios.spec import ScenarioSpec
+
+        if num_iterations is None:
+            num_iterations = self.config.num_iterations
+        return self.run_scenario(
+            ScenarioSpec(
+                num_iterations=num_iterations,
+                sample_iterations=num_iterations,
+            )
         )
-        run = TrainingRun(
-            simulator=simulator,
-            dataset=api.dataset(config),
-            global_batch_size=config.global_batch_size,
-            num_iterations=(
-                num_iterations
-                if num_iterations is not None
-                else config.num_iterations
-            ),
-            checkpoint=self.checkpoint,
-        )
-        return run.run()
 
     def run_scenario(self, scenario):
         """Run the training loop under cluster dynamics.
 
         ``scenario`` is a :class:`~repro.scenarios.spec.ScenarioSpec`;
-        the returned :class:`~repro.scenarios.engine.ScenarioResult`
+        the returned :class:`~repro.scenarios.result.ScenarioResult`
         carries goodput, lost work, recovery time, and the MFU
         trajectory. The manager's lifecycle (data analysis,
-        orchestration, initialization) runs first, exactly as for
-        :meth:`run`; failures and elastic resizes then re-enter the
-        orchestrator through the scenario engine. A checkpoint policy
-        the manager was constructed with overrides the scenario's
-        default interval, matching :meth:`run`.
+        orchestration, initialization) runs first, and every iteration
+        simulator prices the preprocessing pool the initializer sized;
+        failures and elastic resizes then re-enter the orchestrator
+        through the scenario engine. A checkpoint policy the manager
+        was constructed with overrides the scenario's default interval.
         """
         from repro.scenarios.engine import ScenarioEngine
 
-        self.initialize()
         return ScenarioEngine(
-            self.config, scenario, checkpoint=self.checkpoint
+            self.config,
+            scenario,
+            checkpoint=self.checkpoint,
+            cpu_nodes=self.initialize().recommended_cpu_nodes,
         ).run()

@@ -12,10 +12,12 @@ re-orchestration through the process-wide plan cache — lives in
 :class:`~repro.fleet.engine.FleetEngine` drives many instances of it on
 one shared event clock.
 
-The extraction is behavior-preserving: the zero-event path stays
-hex-identical to :class:`~repro.runtime.trainer.TrainingRun` and the
-golden scenario snapshots are unchanged (both are pinned by the test
-suite).
+It is the one multi-iteration timeline: :func:`repro.core.api.simulate_run`,
+:meth:`repro.runtime.manager.DistTrainManager.run` and the
+fault-tolerance ablation are its zero-event and sampled-failure runs.
+With no events and ``sample_iterations = num_iterations`` it prices
+every iteration's own fresh batch exactly as a per-iteration
+``simulate`` loop does, hex for hex (pinned by the test suite).
 """
 
 from __future__ import annotations
@@ -40,6 +42,9 @@ class ScenarioEngine:
             built from ``scenario.checkpoint_interval`` — e.g. the
             policy a :class:`~repro.runtime.manager.DistTrainManager`
             was constructed with.
+        cpu_nodes: The disaggregated preprocessing pool every cluster
+            size's iteration simulator prices (the pool a manager's
+            initializer sized).
     """
 
     def __init__(
@@ -47,10 +52,13 @@ class ScenarioEngine:
         config: DistTrainConfig,
         scenario: ScenarioSpec,
         checkpoint: Optional[CheckpointConfig] = None,
+        cpu_nodes: int = 8,
     ):
         self.config = config
         self.scenario = scenario
-        self._job = JobSimulator(config, scenario, checkpoint=checkpoint)
+        self._job = JobSimulator(
+            config, scenario, checkpoint=checkpoint, cpu_nodes=cpu_nodes
+        )
         self.checkpoint = self._job.checkpoint
 
     def run(self) -> ScenarioResult:

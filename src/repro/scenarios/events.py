@@ -1,8 +1,9 @@
 """Declarative cluster events and event traces.
 
-A scenario is driven either by events sampled on the fly (from a
-:class:`~repro.runtime.failure.FailureModel` and a straggler rate) or by
-replaying an explicit :class:`EventTrace`. Traces serialize to a small
+A scenario is driven either by events sampled on the fly (failures at
+the :class:`~repro.scenarios.spec.ScenarioSpec`'s MTBF and stragglers
+at its rate, on the scenario engine's one timeline) or by replaying an
+explicit :class:`EventTrace`. Traces serialize to a small
 JSON schema so canonical scenarios can be checked into fixtures, diffed,
 and re-played bit-identically::
 

@@ -96,9 +96,6 @@ class ScenarioResult:
             "ideal_tokens_per_s": self.ideal_tokens_per_s,
         }
 
-    def summary(self) -> Dict[str, float]:
-        return self.metrics()
-
     # ------------------------------------------------------------------ #
     # Lossless serialization (run reports, result files)
     # ------------------------------------------------------------------ #

@@ -8,6 +8,11 @@ the training task itself (model, cluster, batch: a
 config hashes stable while letting campaigns sweep scenario knobs like
 any other axis: the experiment layer combines both into one cache key,
 so changing any scenario field re-executes exactly the affected trials.
+
+Every multi-iteration run is a scenario on the scenario engine's one
+timeline: a plain training run (:func:`~repro.core.api.simulate_run`,
+:meth:`~repro.runtime.manager.DistTrainManager.run`) is the zero-event
+spec with ``sample_iterations = num_iterations``.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional
 
-from repro.runtime.failure import FailureModel
 from repro.scenarios.events import EventTrace
 
 #: Sweep-level parameter names (used by ``repro sweep`` / SweepSpec axes)
@@ -43,7 +47,9 @@ class ScenarioSpec:
             work until this many survive).
         checkpoint_interval: Iterations between asynchronous checkpoints.
         mtbf_gpu_hours: Per-GPU mean time between failures; None disables
-            sampled failures (explicit ``events`` still apply).
+            sampled failures (explicit ``events`` still apply). A job's
+            failures arrive as a Poisson process at
+            :meth:`cluster_mtbf_seconds` of the GPUs it computes on.
         restart_seconds / checkpoint_load_seconds: Per-failure downtime.
         gpus_lost_per_failure: GPUs shed by each sampled failure.
         straggler_rate: Per-iteration probability that a new straggler
@@ -60,8 +66,10 @@ class ScenarioSpec:
             stay deterministic.
         sample_iterations: Distinct global batches prepared per cluster
             size; iteration ``i`` reuses sample ``i % sample_iterations``.
-            Raising it to ``num_iterations`` reproduces the full
-            :class:`~repro.runtime.trainer.TrainingRun` stream exactly.
+            Raising it to ``num_iterations`` prices every iteration's
+            own fresh batch: the zero-event run is then the plain
+            multi-iteration training run
+            (:func:`~repro.core.api.simulate_run`).
         seed: Seed for sampled failures and straggler episodes.
         events: Explicit event trace replayed instead of sampling.
         pack: Name of the scenario pack that generated this spec (see
@@ -125,15 +133,12 @@ class ScenarioSpec:
         """Fixed per-failure downtime (restart + checkpoint reload)."""
         return self.restart_seconds + self.checkpoint_load_seconds
 
-    def failure_model(self) -> Optional[FailureModel]:
-        """The sampled-failure statistics, or None when disabled."""
-        if self.mtbf_gpu_hours is None:
-            return None
-        return FailureModel(
-            mtbf_gpu_hours=self.mtbf_gpu_hours,
-            restart_seconds=self.restart_seconds,
-            checkpoint_load_seconds=self.checkpoint_load_seconds,
-        )
+    def cluster_mtbf_seconds(self, num_gpus: int) -> float:
+        """MTBF of a job on ``num_gpus`` GPUs (any GPU failing kills the
+        iteration). Needs ``mtbf_gpu_hours`` set."""
+        if num_gpus < 1:
+            raise ValueError("num_gpus must be positive")
+        return self.mtbf_gpu_hours * 3600.0 / num_gpus
 
     def with_(self, **kwargs: Any) -> "ScenarioSpec":
         return replace(self, **kwargs)

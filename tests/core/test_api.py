@@ -46,9 +46,15 @@ class TestSimulate:
         assert 0 < result.mfu < 0.7
 
     def test_run_aggregation(self, config, disttrain_plan):
-        result = simulate_run(config, disttrain_plan)
-        assert len(result.iterations) == 2
+        # The zero-event scenario over the config's own batch stream:
+        # its first iteration is simulate()'s, on the same plan.
+        result = simulate_run(config)
+        assert result.num_iterations == 2
+        assert len(result.iteration_times) == 2
         assert result.mean_mfu > 0
+        first = simulate(config, disttrain_plan)
+        assert result.iteration_times[0] == first.iteration_time
+        assert result.mfu_trajectory[0] == first.mfu
 
     def test_build_simulator_reflects_config(self, config, disttrain_plan):
         simulator = build_simulator(config, disttrain_plan)

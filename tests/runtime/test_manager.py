@@ -12,23 +12,19 @@ from repro.core import api
 from repro.core.config import DistTrainConfig
 from repro.runtime.checkpoint import CheckpointConfig
 from repro.runtime.manager import DistTrainManager
-from repro.runtime.trainer import TrainingRun
+from repro.scenarios import ScenarioSpec
+from tests.training_loop import hex_loop, hex_scenario, training_loop
 
 
-def _hex(value):
-    if isinstance(value, float):
-        return value.hex()
-    if isinstance(value, list):
-        return [_hex(v) for v in value]
-    return value
-
-
-def _hex_run(result):
-    """Every IterationResult field and the stall, floats by float.hex."""
-    return [
-        {k: _hex(v) for k, v in dataclasses.asdict(r).items()}
-        for r in result.iterations
-    ], result.checkpoint_stall.hex()
+def _config(cores_per_node):
+    """``mllm-9b`` on 128 GPUs at GBS 32, with ``cores_per_node`` cores
+    per preprocessing node (1 sizes a 13-node pool, 96 a 1-node one)."""
+    config = DistTrainConfig.preset("mllm-9b", 128, 32)
+    return config.with_(
+        cluster=dataclasses.replace(
+            config.cluster, cpu_cores_per_node=cores_per_node
+        )
+    )
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +81,8 @@ class TestInitializerPhase:
 class TestRuntimePhase:
     def test_run_produces_metrics(self, manager):
         result = manager.run(num_iterations=1)
-        assert len(result.iterations) == 1
+        assert result.num_iterations == 1
+        assert len(result.iteration_times) == 1
         assert result.mean_mfu > 0.1
 
     def test_run_with_checkpointing(self):
@@ -94,7 +91,7 @@ class TestRuntimePhase:
             config, checkpoint=CheckpointConfig(interval_iterations=1)
         )
         result = manager.run(num_iterations=2)
-        assert result.checkpoint_stall > 0
+        assert result.checkpoint_stall_seconds > 0
 
 
 class TestErrorPaths:
@@ -108,7 +105,7 @@ class TestErrorPaths:
         assert manager._initialization is None
         result = manager.run(num_iterations=1)
         assert manager._initialization is not None
-        assert len(result.iterations) == 1
+        assert result.num_iterations == 1
         # The self-initialized report is the cached one: a later
         # explicit initialize() returns the same object.
         assert manager.initialize() is manager._initialization
@@ -128,8 +125,6 @@ class TestErrorPaths:
             manager.run(num_iterations=0)
 
     def test_run_scenario_runs_lifecycle_first(self):
-        from repro.scenarios import ScenarioSpec
-
         config = DistTrainConfig.preset("mllm-9b", 48, 16)
         manager = DistTrainManager(config)
         result = manager.run_scenario(ScenarioSpec(num_iterations=4))
@@ -139,8 +134,6 @@ class TestErrorPaths:
     def test_run_scenario_honors_manager_checkpoint_policy(self):
         # The manager's checkpoint config overrides the scenario's
         # default interval, exactly as it does for run().
-        from repro.scenarios import ScenarioSpec
-
         config = DistTrainConfig.preset("mllm-9b", 48, 16)
         spec = ScenarioSpec(num_iterations=6, checkpoint_interval=50)
         without = DistTrainManager(config).run_scenario(spec)
@@ -163,38 +156,57 @@ class TestOnePath:
         )
 
     def test_run_is_a_training_run_on_the_api_builders(self):
+        # run() is the zero-event scenario over the full batch stream:
+        # hex for hex the per-iteration loop over build_simulator with
+        # the sized pool, whether or not a policy checkpoints. Cases:
+        # (cores per preprocessing node, iterations, checkpoint interval).
+        for cores, iterations, interval in [
+            (1, 2, 1), (1, 7, 3), (96, 5, 2), (96, 3, None),
+        ]:
+            config = _config(cores)
+            checkpoint = (
+                None
+                if interval is None
+                else CheckpointConfig(interval_iterations=interval)
+            )
+            manager = DistTrainManager(config, checkpoint=checkpoint)
+            result = manager.run(iterations)
+            reference = training_loop(
+                config,
+                api.build_simulator(
+                    config,
+                    api.plan(config),
+                    cpu_nodes=manager.initialize().recommended_cpu_nodes,
+                ),
+                iterations,
+                checkpoint,
+            )
+            case = (cores, iterations, interval)
+            assert hex_scenario(result) == hex_loop(*reference), case
+            assert (result.checkpoint_stall_seconds > 0) == (
+                interval is not None
+            ), case
+
+    def test_run_prices_the_sized_pool(self):
         # On one-core preprocessing nodes the sized pool keeps up where
-        # build_simulator's default of 8 nodes would stall, so the
-        # comparison also shows that the sized pool reaches the run.
-        config = DistTrainConfig.preset("mllm-9b", 128, 32)
-        config = config.with_(
-            cluster=dataclasses.replace(config.cluster, cpu_cores_per_node=1)
-        )
-        checkpoint = CheckpointConfig(interval_iterations=1)
-        manager = DistTrainManager(config, checkpoint=checkpoint)
+        # build_simulator's default of 8 nodes would stall, so run() and
+        # a zero-event run_scenario() both differ from simulate_run().
+        config = _config(1)
+        manager = DistTrainManager(config)
+        assert manager.initialize().recommended_cpu_nodes > 8
         result = manager.run(2)
-        cpu_nodes = manager.initialize().recommended_cpu_nodes
-        assert cpu_nodes > 8
-        expected = TrainingRun(
-            simulator=api.build_simulator(
-                config, api.plan(config), cpu_nodes=cpu_nodes
-            ),
-            dataset=api.dataset(config),
-            global_batch_size=config.global_batch_size,
-            num_iterations=2,
-            checkpoint=checkpoint,
-        ).run()
-        assert result.checkpoint_stall > 0
-        assert _hex_run(result) == _hex_run(expected)
+        scenario = manager.run_scenario(
+            ScenarioSpec(num_iterations=2, sample_iterations=2)
+        )
+        assert hex_scenario(scenario) == hex_scenario(result)
         default_pool = api.simulate_run(config.with_(num_iterations=2))
-        assert _hex_run(default_pool)[0] != _hex_run(result)[0]
+        assert hex_scenario(default_pool)[0] != hex_scenario(result)[0]
 
     def test_run_and_scenario_solve_one_plan(self):
         # The scenario engine plans the manager's task at the same
         # size, so it must hit the plan the manager put in PLAN_CACHE.
         from repro.obs import METRICS, instrument
         from repro.orchestration.plancache import PLAN_CACHE
-        from repro.scenarios import ScenarioSpec
 
         config = DistTrainConfig.preset("mllm-9b", 48, 16)
         PLAN_CACHE.clear()

@@ -1,49 +1,36 @@
-"""Multi-iteration training run tests."""
+"""A multi-iteration training run: :func:`repro.core.api.simulate_run`,
+the scenario engine's zero-event run over the config's batch stream."""
 
 import pytest
 
-from repro.data.synthetic import SyntheticMultimodalDataset
-from repro.runtime.checkpoint import CheckpointConfig
-from repro.runtime.iteration import TrainingIterationSimulator
-from repro.runtime.trainer import TrainingRun
+from repro.core.api import simulate_run
+from repro.core.config import DistTrainConfig
 
-
-def make_run(small_plan, **kwargs):
-    simulator = TrainingIterationSimulator(small_plan)
-    defaults = dict(
-        simulator=simulator,
-        dataset=SyntheticMultimodalDataset(seed=9),
-        global_batch_size=16,
-        num_iterations=3,
-    )
-    defaults.update(kwargs)
-    return TrainingRun(**defaults)
+CONFIG = DistTrainConfig.preset("mllm-9b", 48, 16).with_(data_seed=9)
 
 
 class TestTrainingRun:
-    def test_aggregates(self, small_plan):
-        result = make_run(small_plan).run()
-        assert len(result.iterations) == 3
+    def test_aggregates(self):
+        result = simulate_run(CONFIG.with_(num_iterations=3))
+        assert result.num_iterations == 3
+        assert len(result.iteration_times) == 3
         assert result.mean_mfu > 0
-        assert result.mean_iteration_time > 0
-        summary = result.summary()
-        assert summary["iterations"] == 3
+        assert result.metrics()["iteration_time"] > 0
 
-    def test_checkpointing_recorded(self, small_plan):
-        result = make_run(
-            small_plan,
-            num_iterations=5,
-            checkpoint=CheckpointConfig(interval_iterations=2),
-        ).run()
-        assert result.checkpoint_stall > 0
+    def test_checkpointing_recorded(self):
+        # Without a checkpoint policy a run snapshots every 50
+        # iterations, as every scenario does: the 51st iteration stalls.
+        short = simulate_run(CONFIG.with_(num_iterations=50))
+        long = simulate_run(CONFIG.with_(num_iterations=51))
+        assert short.checkpoint_stall_seconds == 0.0
+        assert long.checkpoint_stall_seconds > 0
 
-    def test_invalid_iterations(self, small_plan):
-        with pytest.raises(ValueError):
-            make_run(small_plan, num_iterations=0).run()
+    def test_invalid_iterations(self):
+        with pytest.raises(ValueError, match="num_iterations"):
+            simulate_run(CONFIG.with_(num_iterations=0))
 
-    def test_iteration_times_stable_across_batches(self, small_plan):
+    def test_iteration_times_stable_across_batches(self):
         """Different global batches draw from the same distribution, so
         iteration times should be within a modest band."""
-        result = make_run(small_plan, num_iterations=4).run()
-        times = [r.iteration_time for r in result.iterations]
-        assert max(times) / min(times) < 1.5
+        times = simulate_run(CONFIG.with_(num_iterations=4)).iteration_times
+        assert times.max() / times.min() < 1.5

@@ -10,14 +10,15 @@ produces, byte for byte (the CI replay-smoke step)::
 
     PYTHONPATH=src python -m tests.scenarios.golden.regen --check
 
-Three fixture families, mirroring ``tests/pipeline/golden``:
+Two fixture families, mirroring ``tests/pipeline/golden``:
 
-* ``run_with_failures_*.json`` — the legacy goodput model on fixed
-  canonical inputs;
 * ``scenario_canonical.json`` — one failure + straggler + elastic
   scenario through the full engine, and ``scenario_microbatch4.json``
   — the same scenario with four-sample microbatches (GBS 64), which
   pins iteration pricing for microbatches of more than one sample;
+  ``scenario_ablation.json`` — the fault-tolerance ablation's four
+  checkpoint intervals (MLLM-72B on 1,296 GPUs under sampled
+  failures), which pins the goodput of failure rollback;
 * ``packs/pack_*.json`` — every shipped scenario pack expanded on the
   canonical task (arrivals, class mix, SLOs, and each job's full v2
   event trace — the pack's replayable golden trace).
@@ -37,7 +38,6 @@ import sys
 from pathlib import Path
 
 from repro.core.config import DistTrainConfig
-from repro.runtime.failure import FailureModel, run_with_failures
 from repro.scenarios import PACKS, ScenarioSpec, run_scenario
 
 GOLDEN_DIR = Path(__file__).resolve().parent
@@ -59,37 +59,6 @@ def pack_case_inputs():
         repair_seconds=400.0,
     )
     return config, scenario
-
-
-def goodput_cases():
-    """(name, run_with_failures kwargs) canonical cases."""
-    return [
-        (
-            "run_with_failures_flaky",
-            dict(
-                iteration_seconds=1.5,
-                num_iterations=200,
-                num_gpus=1000,
-                failures=FailureModel(
-                    mtbf_gpu_hours=50.0, restart_seconds=60.0
-                ),
-                checkpoint_interval=50,
-                checkpoint_stall=2.0,
-                seed=3,
-            ),
-        ),
-        (
-            "run_with_failures_calm",
-            dict(
-                iteration_seconds=0.8,
-                num_iterations=120,
-                num_gpus=64,
-                failures=FailureModel(mtbf_gpu_hours=5000.0),
-                checkpoint_interval=25,
-                seed=11,
-            ),
-        ),
-    ]
 
 
 def scenario_case():
@@ -116,28 +85,22 @@ def scenario_microbatch4_case():
     return config.with_(microbatch_size=4, global_batch_size=64), spec
 
 
-def goodput_fixture(name, kwargs):
-    report = run_with_failures(**kwargs)
-    failures = kwargs["failures"]
-    return {
-        "name": name,
-        "inputs": {
-            "iteration_seconds": kwargs["iteration_seconds"],
-            "num_iterations": kwargs["num_iterations"],
-            "num_gpus": kwargs["num_gpus"],
-            "mtbf_gpu_hours": failures.mtbf_gpu_hours,
-            "restart_seconds": failures.restart_seconds,
-            "checkpoint_load_seconds": failures.checkpoint_load_seconds,
-            "checkpoint_interval": kwargs.get("checkpoint_interval", 50),
-            "checkpoint_stall": kwargs.get("checkpoint_stall", 2.0),
-            "seed": kwargs.get("seed", 0),
-        },
-        "total_seconds": report.total_seconds.hex(),
-        "useful_seconds": report.useful_seconds.hex(),
-        "goodput": report.goodput.hex(),
-        "num_failures": report.num_failures,
-        "replayed_iterations": report.replayed_iterations,
-    }
+#: The fault-tolerance ablation's checkpoint intervals
+#: (``benchmarks/test_ablation_fault_tolerance.py``).
+ABLATION_INTERVALS = (10, 50, 200, 800)
+
+
+def ablation_case(interval):
+    """The ablation's MLLM-72B run checkpointing every ``interval``
+    iterations under failures sampled at 30,000 GPU-hours MTBF."""
+    config = DistTrainConfig.preset("mllm-72b", 1296, 1920)
+    spec = ScenarioSpec(
+        num_iterations=800,
+        checkpoint_interval=interval,
+        mtbf_gpu_hours=30_000.0,
+        seed=11,
+    )
+    return config, spec
 
 
 def scenario_fixture(name="scenario_canonical", case=scenario_case):
@@ -164,6 +127,20 @@ def scenario_fixture(name="scenario_canonical", case=scenario_case):
     }
 
 
+def ablation_fixture():
+    """Every ablation interval's :func:`scenario_fixture`."""
+    return {
+        "name": "scenario_ablation",
+        "intervals": [
+            scenario_fixture(
+                f"scenario_ablation_{interval}",
+                lambda interval=interval: ablation_case(interval),
+            )
+            for interval in ABLATION_INTERVALS
+        ],
+    }
+
+
 def pack_fixture(pack):
     """One shipped pack's replayable golden workload document."""
     config, scenario = pack_case_inputs()
@@ -173,12 +150,6 @@ def pack_fixture(pack):
 def all_fixtures():
     """Every (path, serialized text) pair this script owns."""
     pairs = []
-    for name, kwargs in goodput_cases():
-        fixture = goodput_fixture(name, kwargs)
-        pairs.append(
-            (GOLDEN_DIR / f"{name}.json",
-             json.dumps(fixture, indent=1) + "\n")
-        )
     for name, case in (
         ("scenario_canonical", scenario_case),
         ("scenario_microbatch4", scenario_microbatch4_case),
@@ -188,6 +159,10 @@ def all_fixtures():
             (GOLDEN_DIR / f"{name}.json",
              json.dumps(fixture, indent=1) + "\n")
         )
+    pairs.append(
+        (GOLDEN_DIR / "scenario_ablation.json",
+         json.dumps(ablation_fixture(), indent=1) + "\n")
+    )
     for name in sorted(PACKS):
         fixture = pack_fixture(PACKS[name])
         pairs.append(
@@ -214,7 +189,12 @@ def sync_fixtures(pairs, check: bool, module: str) -> int:
     """Write every ``(path, text)`` pair, or with ``check`` compare each
     to the file on disk and print the head of a unified diff under each
     stale one; returns the process exit code. ``module`` is the regen
-    module named in the re-bless hint."""
+    module named in the re-bless hint.
+
+    A ``*.json`` in a pair's directory that no pair writes is an
+    orphan: a fixture whose case is gone, which nothing checks any
+    more. ``check`` reports it as ``ORPHAN`` and fails; writing deletes
+    it. Each fixture directory has one owning regen module."""
     stale = []
     for path, text in pairs:
         if check:
@@ -240,13 +220,30 @@ def sync_fixtures(pairs, check: bool, module: str) -> int:
         else:
             path.write_text(text, encoding="utf-8")
             print(f"wrote {path}")
+    owned = {path for path, _ in pairs}
+    orphans = sorted(
+        path
+        for directory in {path.parent for path in owned}
+        for path in directory.glob("*.json")
+        if path not in owned
+    )
+    for path in orphans:
+        if check:
+            print(f"ORPHAN {path}")
+        else:
+            path.unlink()
+            print(f"removed {path}")
     if stale:
         print(
             f"{len(stale)} fixture(s) diverge from the current code; "
             f"re-bless with: PYTHONPATH=src python -m {module}"
         )
-        return 1
-    return 0
+    if check and orphans:
+        print(
+            f"{len(orphans)} fixture(s) have no case that regenerates "
+            f"them; remove with: PYTHONPATH=src python -m {module}"
+        )
+    return 1 if stale or (check and orphans) else 0
 
 
 def main(argv=None) -> int:

@@ -1,4 +1,5 @@
-"""Golden snapshots: the failure model and one canonical scenario.
+"""Golden snapshots: the canonical scenarios and the fault-tolerance
+ablation.
 
 Fixtures live in ``tests/scenarios/golden`` with every float serialized
 as a C99 hex string — the comparison refuses a single ULP of drift. Any
@@ -9,13 +10,11 @@ intentional semantics change must re-bless them via::
 
 import json
 
-import pytest
-
 from tests.scenarios.golden.regen import (
+    ABLATION_INTERVALS,
     DIFF_LINES,
     GOLDEN_DIR,
-    goodput_cases,
-    goodput_fixture,
+    ablation_fixture,
     scenario_fixture,
     scenario_microbatch4_case,
     sync_fixtures,
@@ -31,21 +30,25 @@ def load_fixture(name: str) -> dict:
     return json.loads(path.read_text())
 
 
-@pytest.mark.parametrize(
-    "name,kwargs", goodput_cases(), ids=[c[0] for c in goodput_cases()]
-)
-def test_run_with_failures_matches_golden(name, kwargs):
-    expected = load_fixture(name)
-    actual = goodput_fixture(name, kwargs)
+def test_ablation_scenario_matches_golden():
+    expected = load_fixture("scenario_ablation")
+    actual = ablation_fixture()
+    for got, want in zip(actual["intervals"], expected["intervals"]):
+        assert got["metrics"] == want["metrics"], want["name"]
     assert actual == expected
 
 
 def test_goodput_fixtures_exercise_failures():
-    # The flaky canonical case must actually fail (otherwise the
-    # snapshot would not pin the rollback arithmetic).
-    flaky = load_fixture("run_with_failures_flaky")
-    assert flaky["num_failures"] > 0
-    assert flaky["replayed_iterations"] > 0
+    # Every ablation interval must actually fail and replay work
+    # (otherwise the snapshot would not pin the rollback arithmetic),
+    # and sparser checkpoints replay more.
+    intervals = load_fixture("scenario_ablation")["intervals"]
+    assert [case["name"] for case in intervals] == [
+        f"scenario_ablation_{interval}" for interval in ABLATION_INTERVALS
+    ]
+    assert all(case["num_failures"] > 0 for case in intervals)
+    replayed = [case["replayed_iterations"] for case in intervals]
+    assert 0 < replayed[0] <= replayed[-1]
 
 
 def test_canonical_scenario_matches_golden():
@@ -113,3 +116,32 @@ def test_check_prints_diff_head_of_stale_fixtures(tmp_path, capsys):
     assert len(missing_head) == DIFF_LINES
     assert out[-1].startswith("2 fixture(s) diverge")
 
+
+
+def test_orphaned_fixtures_fail_check_and_go_on_write(tmp_path, capsys):
+    """A ``*.json`` beside the owned fixtures that no pair regenerates
+    fails ``--check`` as ``ORPHAN``; writing deletes it. Files of other
+    types and other directories are not the regen's."""
+    owned = tmp_path / "owned.json"
+    orphan = tmp_path / "retired.json"
+    notes = tmp_path / "notes.txt"
+    elsewhere = tmp_path / "other" / "kept.json"
+    elsewhere.parent.mkdir()
+    for path in (owned, orphan, notes, elsewhere):
+        path.write_text("{}")
+    pairs = [(owned, "{}")]
+    assert sync_fixtures(pairs, True, "tests.example.regen") == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == [
+        f"ok    {owned}",
+        f"ORPHAN {orphan}",
+        "1 fixture(s) have no case that regenerates them; remove with: "
+        "PYTHONPATH=src python -m tests.example.regen",
+    ]
+    assert orphan.exists()
+    assert sync_fixtures(pairs, False, "tests.example.regen") == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == [f"wrote {owned}", f"removed {orphan}"]
+    assert not orphan.exists()
+    assert notes.exists() and elsewhere.exists()
+    assert sync_fixtures(pairs, True, "tests.example.regen") == 0

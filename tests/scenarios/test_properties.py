@@ -12,7 +12,8 @@ Four families, all required by the scenario-engine contract:
    disabled, both reproduce the metrics exactly.
 4. **Zero-event identity** — with no events and a full sample window,
    the engine's per-iteration timings, checkpoint stalls, and MFU are
-   hex-identical to :class:`~repro.runtime.trainer.TrainingRun`.
+   hex-identical to a per-iteration ``simulate`` loop
+   (:func:`tests.training_loop.training_loop`).
 """
 
 import numpy as np
@@ -21,11 +22,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.api import build_simulator
 from repro.core.config import DistTrainConfig
-from repro.data.synthetic import SyntheticMultimodalDataset
 from repro.runtime.checkpoint import CheckpointConfig
-from repro.runtime.trainer import TrainingRun
 from repro.scenarios import ScenarioSpec, run_scenario
 from tests.scenarios.conftest import FAST_RECOVERY
+from tests.training_loop import hex_loop, hex_scenario, training_loop
 
 #: Engine runs re-plan orchestration internally; keep example counts
 #: modest so the suite stays inside the tier-1 budget.
@@ -173,8 +173,9 @@ def test_replay_is_deterministic(seed, elastic):
 def test_zero_event_scenario_matches_training_run(
     num_iterations, interval, data_seed
 ):
-    """No events + full sample window == the TrainingRun path, bit for
-    bit: per-iteration times, checkpoint stalls, and mean MFU."""
+    """No events + full sample window == the per-iteration training
+    loop, bit for bit: per-iteration times, checkpoint stalls, and mean
+    MFU."""
     config = CONFIG.with_(data_seed=data_seed)
     spec = ScenarioSpec(
         num_iterations=num_iterations,
@@ -182,25 +183,10 @@ def test_zero_event_scenario_matches_training_run(
         checkpoint_interval=interval,
     )
     scenario = run_scenario(config, spec)
-
-    run = TrainingRun(
-        simulator=build_simulator(config),
-        dataset=SyntheticMultimodalDataset(
-            seq_len=config.mllm.seq_len,
-            config=config.data_config,
-            seed=config.data_seed,
-        ),
-        global_batch_size=config.global_batch_size,
-        num_iterations=num_iterations,
-        checkpoint=CheckpointConfig(interval_iterations=interval),
-    ).run()
-
-    reference_times = [r.iteration_time for r in run.iterations]
-    assert [
-        float(t).hex() for t in scenario.iteration_times
-    ] == [float(t).hex() for t in reference_times]
-    assert (
-        float(scenario.checkpoint_stall_seconds).hex()
-        == float(run.checkpoint_stall).hex()
+    reference = training_loop(
+        config,
+        build_simulator(config),
+        num_iterations,
+        CheckpointConfig(interval_iterations=interval),
     )
-    assert float(scenario.mean_mfu).hex() == float(run.mean_mfu).hex()
+    assert hex_scenario(scenario) == hex_loop(*reference)

@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from repro.runtime.failure import FailureModel
 from repro.scenarios.events import EventTrace, StragglerEvent
 from repro.scenarios.spec import PARAM_FIELDS, ScenarioSpec
 
@@ -52,7 +51,7 @@ class TestValidation:
     def test_defaults_are_valid(self):
         spec = ScenarioSpec()
         assert spec.num_iterations == 1000
-        assert spec.failure_model() is None
+        assert spec.mtbf_gpu_hours is None
 
     def test_failure_model_carries_downtime(self):
         spec = ScenarioSpec(
@@ -60,10 +59,10 @@ class TestValidation:
             restart_seconds=10.0,
             checkpoint_load_seconds=5.0,
         )
-        model = spec.failure_model()
-        assert isinstance(model, FailureModel)
-        assert model.mtbf_gpu_hours == 100.0
-        assert model.downtime_seconds == 15.0
+        assert spec.downtime_seconds == 15.0
+        # Any of the job's GPUs failing kills the iteration.
+        assert spec.cluster_mtbf_seconds(1) == 100.0 * 3600.0
+        assert spec.cluster_mtbf_seconds(8) == 100.0 * 3600.0 / 8
 
 
 class TestSweepParams:
