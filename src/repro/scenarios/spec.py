@@ -135,7 +135,9 @@ class ScenarioSpec:
 
     def cluster_mtbf_seconds(self, num_gpus: int) -> float:
         """MTBF of a job on ``num_gpus`` GPUs (any GPU failing kills the
-        iteration). Needs ``mtbf_gpu_hours`` set."""
+        iteration)."""
+        if self.mtbf_gpu_hours is None:
+            raise ValueError("sampled failures are disabled (no MTBF)")
         if num_gpus < 1:
             raise ValueError("num_gpus must be positive")
         return self.mtbf_gpu_hours * 3600.0 / num_gpus

@@ -6,11 +6,9 @@ import pytest
 
 from repro.core.config import DistTrainConfig
 from repro.scenarios import ScenarioSpec, run_scenario
+from tests.scenarios.conftest import FAST_RECOVERY
 
 CONFIG = DistTrainConfig.preset("mllm-9b", 48, 16)
-
-#: Downtime-light recovery, so low-MTBF runs converge quickly.
-FAST_RECOVERY = dict(restart_seconds=60.0, checkpoint_load_seconds=30.0)
 
 
 class TestFailureModel:
@@ -23,6 +21,8 @@ class TestFailureModel:
     def test_invalid_gpus(self):
         with pytest.raises(ValueError, match="num_gpus"):
             ScenarioSpec(mtbf_gpu_hours=30_000.0).cluster_mtbf_seconds(0)
+        with pytest.raises(ValueError, match="no MTBF"):
+            ScenarioSpec().cluster_mtbf_seconds(8)
 
     def test_failure_times_sorted_within_horizon(self):
         result = run_scenario(CONFIG, ScenarioSpec(
