@@ -94,9 +94,9 @@ def _level_sweep(
     is the contiguous slice ``bounds[v]:bounds[v+1]``, so both shapes
     run the same operations per level: gather, add the data-edge delays
     to column 0, row-max into the starts, add the durations into the
-    ends. One reserved trailing end slot
-    stays 0.0, so missing predecessors gather a zero readiness; the
-    returned ``end`` keeps it as its last row.
+    ends. One reserved trailing end slot stays 0.0, so missing
+    predecessors gather a zero readiness; the returned ``end`` keeps it
+    as its last row.
     """
     start_l = np.empty_like(durations_l)
     end_l = np.zeros((len(durations_l) + 1,) + durations_l.shape[1:])
