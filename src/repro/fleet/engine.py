@@ -361,21 +361,32 @@ class _Tenant:
         #: Cached :meth:`~repro.fleet.job.JobSimulator.peek_segment` of
         #: the current segment; None once the simulator has moved on.
         self.segment: Optional[Tuple[float, bool, list]] = None
+        self._view: Optional[JobView] = None
 
     @property
     def name(self) -> str:
         return self.spec.name
 
     def view(self, held: int) -> JobView:
-        return JobView(
-            name=self.name,
-            demand_gpus=self.spec.demand_gpus,
-            min_gpus=self.spec.floor_gpus,
-            priority=self.spec.priority,
-            arrival_order=self.order,
-            allocated_gpus=held,
-            running=self.state == _RUNNING,
-        )
+        """The policy's view of the tenant, rebuilt only when its held
+        count or running flag changed (a view is frozen)."""
+        running = self.state == _RUNNING
+        view = self._view
+        if (
+            view is None
+            or view.allocated_gpus != held
+            or view.running != running
+        ):
+            view = self._view = JobView(
+                name=self.name,
+                demand_gpus=self.spec.demand_gpus,
+                min_gpus=self.spec.floor_gpus,
+                priority=self.spec.priority,
+                arrival_order=self.order,
+                allocated_gpus=held,
+                running=running,
+            )
+        return view
 
 
 class FleetEngine:
@@ -476,7 +487,10 @@ class FleetEngine:
         (:meth:`~repro.fleet.job.JobSimulator.peek_segment`); arrivals
         sort first on ties. Popping a tenant advances its plain
         iterations in closed form and, if the segment ends in an
-        irregular step, runs that one step. Irregular steps and
+        irregular step, runs that one step. The advance applies the
+        walk the peek kept unless a decision has moved the tenant since,
+        so each segment is walked once, and a peek copies no
+        checkpointer. Irregular steps and
         decisions therefore happen in exactly the global order of the
         step-by-step walk — the order that fixes per-job plan-cache
         tallies and allocator books.
@@ -489,7 +503,8 @@ class FleetEngine:
 
         Any policy round (``_reschedule``) bumps the decision epoch and
         the heap is rebuilt once from the surviving running set; the
-        segments of tenants the round did not touch stay cached.
+        segments of tenants the round did not touch stay cached, and so
+        do their policy views (:meth:`_Tenant.view`).
         """
         heap: List[Tuple[float, int, _Tenant]] = []
         epoch = -1
@@ -721,6 +736,7 @@ class FleetEngine:
 
     def _reschedule_once(self, now: float) -> bool:
         """One policy round; True if repair capacity was released."""
+        # ``_tenants`` is in arrival order, so ``active`` is FIFO.
         active = [
             t for t in self._tenants
             if t.state in (_QUEUED, _RUNNING, _PAUSED)
@@ -728,31 +744,32 @@ class FleetEngine:
         if not active:
             return False
         self._freed_repairs = False
-        views = [t.view(self.allocator.held_by(t.name)) for t in active]
+        # Held counts are read once: pass 1 changes only the tenants it
+        # shrinks or preempts, and pass 2 grows only tenants whose
+        # target lies above their count, which pass 1 left alone.
+        held = [self.allocator.held_by(t.name) for t in active]
+        views = [t.view(h) for t, h in zip(active, held)]
         targets = self.policy.targets(now, views, self.allocator)
 
-        by_fifo = sorted(active, key=lambda t: (t.order, t.name))
         # Pass 1 — shrink running jobs and preempt: frees capacity.
-        for tenant in by_fifo:
+        for tenant, count in zip(active, held):
             if tenant.state != _RUNNING:
                 continue
-            held = self.allocator.held_by(tenant.name)
-            target = targets.get(tenant.name, held)
-            if target >= held:
+            target = targets.get(tenant.name, count)
+            if target >= count:
                 continue
             if target == 0 and self.policy.preemptive:
-                self._preempt(tenant, now)
+                self._preempt(tenant, count, now)
             elif self.policy.elastic:
-                self._resize_running(tenant, held, target, now)
+                self._resize_running(tenant, count, target, now)
         # Pass 2 — grow running jobs, then seat waiters, FIFO.
-        for tenant in by_fifo:
+        for tenant, count in zip(active, held):
             if tenant.state != _RUNNING:
                 continue
-            held = self.allocator.held_by(tenant.name)
-            target = targets.get(tenant.name, held)
-            if target > held and self.policy.elastic:
-                self._resize_running(tenant, held, target, now)
-        for tenant in by_fifo:
+            target = targets.get(tenant.name, count)
+            if target > count and self.policy.elastic:
+                self._resize_running(tenant, count, target, now)
+        for tenant in active:
             if tenant.state not in (_QUEUED, _PAUSED):
                 continue
             target = targets.get(tenant.name, 0)
@@ -818,14 +835,13 @@ class FleetEngine:
         if self.allocator.abandon_repairs(tenant.name):
             self._freed_repairs = True
 
-    def _preempt(self, tenant: _Tenant, now: float) -> None:
+    def _preempt(self, tenant: _Tenant, held: int, now: float) -> None:
         # Killed at its own boundary (see _resize_running).
         self._catch_up(tenant)
         at = tenant.sim.clock
         obs.count("fleet.preemptions")
         tenant.sim.preempt(at)
         tenant.segment = None
-        held = self.allocator.held_by(tenant.name)
         if held:
             self.allocator.release(tenant.name, held)
         if self.allocator.abandon_repairs(tenant.name):

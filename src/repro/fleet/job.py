@@ -74,18 +74,23 @@ any warm process, so a result depends on its spec alone.
 current segment ends — its next irregular step, its completion, or its
 next checkpoint boundary — without advancing it, pricing the straggler
 evaluations the segment needs in one fused kernel sweep
-(:func:`price_pending_steps`) before any clock commits. The older one-step :meth:`JobSimulator.prepare_step` /
-:meth:`JobSimulator.commit_step` split remains for callers stepping by
-hand.
+(:func:`price_pending_steps`) before any clock commits. A segment is
+computed by one pure walk (:meth:`JobSimulator._walk`) and committed by
+one apply step (:meth:`JobSimulator._apply`); the peek keeps its walk
+with the inputs it read, so advancing to the peeked end applies it
+instead of walking the segment again, and the peek prices its
+checkpoint stall with a query (``AsyncCheckpointer.stall_at``) rather
+than a checkpointer copy. The older one-step
+:meth:`JobSimulator.prepare_step` / :meth:`JobSimulator.commit_step`
+split remains for callers stepping by hand.
 """
 
 from __future__ import annotations
 
 import bisect
-import copy
 import logging
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
@@ -140,9 +145,10 @@ Profile = Tuple[Tuple[int, float], ...]
 Run = Tuple[int, int, Profile]
 
 
-@dataclass
+@dataclass(eq=False)
 class _ClusterState:
-    """Everything memoized for one cluster size."""
+    """Everything memoized for one cluster size (equal only to itself,
+    so a kept walk's inputs compare states by identity)."""
 
     num_gpus: int
     #: ``planning_signature(config, num_gpus)``, kept so a per-size
@@ -181,6 +187,30 @@ class PendingEvaluation:
     state: _ClusterState
     sample: int
     profile: Profile
+
+
+class _Walk(NamedTuple):
+    """One segment as :meth:`JobSimulator._walk` computed it, with the
+    job inputs it read (:meth:`JobSimulator._walk_inputs`)."""
+
+    inputs: Tuple[Any, ...]
+    #: Where the segment ends (after its checkpoint stall, if any), or
+    #: a lower bound when ``pending`` is not empty.
+    clock: float
+    #: Whether the step that ends the segment must go through step().
+    irregular: bool
+    #: Un-memoized evaluations a lower-bound walk left unpriced.
+    pending: List[PendingEvaluation]
+    #: Plain iterations the segment retains, and their gathered times
+    #: and MFUs.
+    take: int = 0
+    times: Optional[np.ndarray] = None
+    mfus: Optional[np.ndarray] = None
+    #: Clock after the last retained iteration's compute.
+    end_compute: float = 0.0
+    #: The checkpoint iteration the segment ends on (0: none), whose
+    #: snapshot stall follows ``end_compute``.
+    checkpoint: int = 0
 
 
 def _slowdown_factors(
@@ -411,6 +441,9 @@ class JobSimulator:
         #: Capacity-change log the fleet engine drains to keep its
         #: allocator bookkeeping in sync (unused outside a fleet).
         self._fleet_log: List[Tuple[Any, ...]] = []
+        #: The last exact :meth:`peek_segment` walk, which
+        #: :meth:`advance_until` applies while its inputs hold.
+        self._kept: Optional[_Walk] = None
 
     # ------------------------------------------------------------------ #
     # Cluster-state memoization
@@ -673,6 +706,7 @@ class JobSimulator:
         self._paused = False
         self._preemptions = 0
         self._fleet_log = []
+        self._kept = None
         obs.event(
             "job.start", job=self.name, t=start_time, gpus=allocated_gpus
         )
@@ -687,6 +721,12 @@ class JobSimulator:
     @property
     def started(self) -> bool:
         return self._started
+
+    def _require_started(self) -> None:
+        if not self._started:
+            raise RuntimeError(
+                f"job {self.name!r} has not started; call start() first"
+            )
 
     @property
     def done(self) -> bool:
@@ -874,6 +914,12 @@ class JobSimulator:
         trace-scripted resizes) are applied at the iteration boundary
         before the work.
         """
+        self._require_started()
+        if self.done:
+            raise RuntimeError(
+                f"job {self.name!r} has retained all {self._n} "
+                "iterations; there is no step left"
+            )
         if self._num_failures > MAX_FAILURES:
             raise RuntimeError(
                 f"scenario exceeded {MAX_FAILURES} failures; downtime "
@@ -1101,20 +1147,31 @@ class JobSimulator:
         """Step until the job's clock reaches ``horizon`` or it ends.
 
         Exactly ``while clock < horizon: step()``, without a Python call
-        per plain iteration: runs of plain iterations advance in closed
-        form (:meth:`_walk`), and only the irregular steps between them
-        — a timed event firing, a repair re-growth, a scripted resize —
-        go through :meth:`step`.
+        per plain iteration: each segment of plain iterations is walked
+        in closed form (:meth:`_walk`) and applied (:meth:`_apply`), and
+        only the irregular steps between them — a timed event firing, a
+        repair re-growth, a scripted resize, the final iteration — go
+        through :meth:`step`. When ``horizon`` is the end of the segment
+        the last :meth:`peek_segment` walked, and nothing that walk read
+        has changed since, its walk is applied as kept: each segment the
+        fleet engine peeks is walked once.
 
         Iterations are non-preemptible, so the clock may overshoot the
         horizon by up to one unit of work — allocation changes then
         apply at the job's next boundary at-or-after the horizon.
         """
+        self._require_started()
         while not self.done and not self._paused and self._clock < horizon:
-            self._walk(horizon, commit=True)
-            if self.done or self._clock >= horizon:
-                return
-            self.step()
+            walk = self._kept
+            if (
+                walk is None
+                or walk.clock != horizon
+                or walk.inputs != self._walk_inputs()
+            ):
+                walk = self._walk(horizon)
+            self._apply(walk)
+            if walk.irregular and not self.done and self._clock < horizon:
+                self.step()
 
     def peek_segment(
         self, lower_bound: bool = False
@@ -1140,10 +1197,16 @@ class JobSimulator:
         speeds an iteration up). Otherwise ``pending`` is empty,
         anything needed is priced in one fused kernel sweep
         (:func:`price_pending_steps`), and ``clock`` is exact.
+
+        An exact walk is kept for :meth:`advance_until`. The segment's
+        checkpoint stall is priced by a query
+        (``AsyncCheckpointer.stall_at``), so a peek copies nothing and
+        changes nothing of the job.
         """
-        return self._walk(
-            float("inf"), commit=False, lower_bound=lower_bound
-        )
+        self._require_started()
+        walk = self._walk(float("inf"), lower_bound)
+        self._kept = None if walk.pending else walk
+        return walk.clock, walk.irregular, walk.pending
 
     def _next_event_time(self) -> float:
         """Wall-clock of the earliest pending timed event (inf if none);
@@ -1154,10 +1217,26 @@ class JobSimulator:
             t = min(t, self._timed_events[self._failure_idx].time_s)
         return t
 
-    def _walk(
-        self, horizon: float, commit: bool, lower_bound: bool = False
-    ) -> Tuple[float, bool, List[PendingEvaluation]]:
-        """Advance plain iterations in closed form.
+    def _walk_inputs(self) -> Tuple[Any, ...]:
+        """Everything of the job that :meth:`_walk` reads and that can
+        change within a run: the boundary (iteration and clock), the
+        cluster state, the failure count, the repair time, the next
+        timed event, and the checkpointer with its upload clock."""
+        checkpointer = self._checkpointer
+        return (
+            self._i,
+            self._clock,
+            self._cur,
+            self._num_failures,
+            self._repair_at,
+            self._next_event_time(),
+            checkpointer,
+            checkpointer.upload_finish_time,
+        )
+
+    def _walk(self, horizon: float, lower_bound: bool = False) -> _Walk:
+        """Compute the current segment in closed form; nothing of the
+        job changes (a priced evaluation lands in the shared memo).
 
         A plain iteration retains one iteration: the clock moves by its
         time, then by its checkpoint stall. Between checkpoint
@@ -1170,116 +1249,135 @@ class JobSimulator:
         (a group), so one memo lookup and one strided write. A group
         not yet memoized is one pending evaluation, needed iff its first
         iteration is; pricing takes the keys in order of first need.
-        The walk stops before the first irregular step (``searchsorted``
-        on the end-of-compute clocks finds the iteration a timed event
-        kills and the boundary a repair lands on) or at the first
-        boundary at or after ``horizon``.
-
-        With ``commit`` the job state advances (several intervals, up
-        to the stop). Without it nothing changes and the walk ends
-        after one checkpoint interval, stopping before the final
-        iteration too: that is :meth:`peek_segment`. Returns ``(clock,
-        irregular, pending)`` as :meth:`peek_segment` documents.
+        The segment stops before the first irregular step
+        (``searchsorted`` on the end-of-compute clocks finds the
+        iteration a timed event kills and the boundary a repair lands
+        on), before the final iteration, at the end of the checkpoint
+        interval, or at the first boundary at or after ``horizon``.
+        With ``lower_bound``, a segment needing unpriced evaluations
+        ends unpriced, as :meth:`peek_segment` documents.
         """
-        if self._num_failures > MAX_FAILURES:
-            return self._clock, True, []  # step() raises
-        state = self._cur
-        i, clock, n, K = self._i, self._clock, self._n, self._K
-        interval = self._checkpointer.config.interval_iterations
-        end = n if commit else n - 1
+        inputs = self._walk_inputs()
+        i, clock, state, failures, repair_at, event_t, checkpointer, _ = (
+            inputs
+        )
+        repair = np.inf if repair_at is None else repair_at
+        n, K = self._n, self._K
+        end = n - 1
         r = bisect.bisect_left(self._resize_iters, i)
         if r < len(self._resize_iters):
             end = min(end, self._resize_iters[r])
-        repair = self._repair_at if self._repair_at is not None else np.inf
-        event_t = self._next_event_time()
-        while i < end:
-            if clock >= horizon:
-                return clock, False, []
-            if clock >= repair:
-                return clock, True, []
-            checkpoint = max(interval, -(-i // interval) * interval)
-            stop = min(end, checkpoint + 1)
-            idx = np.arange(i, stop) % K
-            times = state.times[idx]
-            mfus = state.mfus[idx]
-            # Unpriced (run, sample) groups as ``(first, end, pending)``:
-            # positions ``first, first + K, ...`` before ``end`` share
-            # one evaluation. Runs are disjoint and sorted, so the
-            # groups are in order of their first positions.
-            missing = []
-            lo = bisect.bisect_right(self._run_ends, i)
-            hi = bisect.bisect_left(self._run_starts, stop, lo)
-            for start, run_end, profile in self._runs[lo:hi]:
-                a = max(start, i) - i
-                b = min(run_end, stop) - i
-                for p in range(a, min(a + K, b)):
-                    sample = (i + p) % K
-                    # The raw-profile hit is inlined: every peek and
-                    # advance re-reads a segment's runs.
-                    result = state.evaluations.get((sample, profile))
-                    if result is None:
-                        result, key = _memo_lookup(state, sample, profile)
-                    if result is None:
-                        missing.append(
-                            (p, b, PendingEvaluation(state, sample, key))
-                        )
-                    else:
-                        times[p:b:K] = result.iteration_time
-                        mfus[p:b:K] = result.mfu
-            while True:
-                # Missing evaluations stand in at their base time (a
-                # lower bound), so the cut computed here is at or after
-                # the true one; pricing what lies before it and cutting
-                # again converges on the exact cut.
-                ends = times.copy()
-                ends[0] += clock
-                np.cumsum(ends, out=ends)
-                take, evaluated, irregular = _cut(
-                    ends, event_t, repair, horizon
-                )
-                # A group is needed iff its first position is; pricing
-                # deduplicates by key, in order of first need.
-                need = [item for p, _, item in missing if p < evaluated]
-                if not need:
-                    break
-                if lower_bound:
-                    # Everything before the first unpriced iteration (the
-                    # first group's, which is needed) is exact, and the
-                    # segment cannot end before that iteration starts.
-                    first = missing[0][0]
-                    key = clock if first == 0 else float(ends[first - 1])
-                    return key, False, need
-                price_pending_steps(need)
-                still = []
-                for p, b, item in missing:
-                    result, _ = _memo_lookup(state, item.sample, item.profile)
-                    if result is None:
-                        still.append((p, b, item))
-                    else:
-                        times[p:b:K] = result.iteration_time
-                        mfus[p:b:K] = result.mfu
-                missing = still
-            if take:
-                clock = float(ends[take - 1])
-                if commit:
-                    self._times[i:i + take] = times[:take]
-                    self._mfu_traj[i:i + take] = mfus[:take]
-                    gpu = state.num_gpus * times[:take]
-                    gpu[0] += self._gpu_seconds
-                    self._gpu_seconds = float(np.cumsum(gpu)[-1])
-                if take == len(times) and stop == checkpoint + 1:
-                    # A peek ends at its first checkpoint and stalls a
-                    # copy of the checkpointer, leaving the job's as is.
-                    ck = self._checkpointer
-                    if not commit:
-                        ck = copy.copy(ck)
-                    clock += ck.on_iteration(checkpoint, clock)
-                i += take
-                if commit:
-                    self._clock, self._i = clock, i
-            if irregular or take < len(times) or not commit:
-                return clock, irregular or i == end, []
-        return clock, i < n, []
+        if failures > MAX_FAILURES or i >= end or clock >= horizon or (
+            clock >= repair
+        ):
+            # Nothing to walk. Irregular: too many failures (step()
+            # raises), the final iteration, a scripted resize, a due
+            # repair re-growth; a horizon reached first is not.
+            irregular = failures > MAX_FAILURES or (
+                i < n if i >= end else clock < horizon
+            )
+            return _Walk(inputs, clock, irregular, [])
+        interval = checkpointer.config.interval_iterations
+        checkpoint = max(interval, -(-i // interval) * interval)
+        stop = min(end, checkpoint + 1)
+        idx = np.arange(i, stop) % K
+        times = state.times[idx]
+        mfus = state.mfus[idx]
+        # Unpriced (run, sample) groups as ``(first, end, pending)``:
+        # positions ``first, first + K, ...`` before ``end`` share one
+        # evaluation. Runs are disjoint and sorted, so the groups are in
+        # order of their first positions.
+        missing = []
+        lo = bisect.bisect_right(self._run_ends, i)
+        hi = bisect.bisect_left(self._run_starts, stop, lo)
+        for start, run_end, profile in self._runs[lo:hi]:
+            a = max(start, i) - i
+            b = min(run_end, stop) - i
+            for p in range(a, min(a + K, b)):
+                sample = (i + p) % K
+                # The raw-profile hit is inlined: every peek and advance
+                # re-reads a segment's runs.
+                result = state.evaluations.get((sample, profile))
+                if result is None:
+                    result, key = _memo_lookup(state, sample, profile)
+                if result is None:
+                    missing.append(
+                        (p, b, PendingEvaluation(state, sample, key))
+                    )
+                else:
+                    times[p:b:K] = result.iteration_time
+                    mfus[p:b:K] = result.mfu
+        while True:
+            # Missing evaluations stand in at their base time (a lower
+            # bound), so the cut computed here is at or after the true
+            # one; pricing what lies before it and cutting again
+            # converges on the exact cut.
+            ends = times.copy()
+            ends[0] += clock
+            np.cumsum(ends, out=ends)
+            take, evaluated, irregular = _cut(ends, event_t, repair, horizon)
+            # A group is needed iff its first position is; pricing
+            # deduplicates by key, in order of first need.
+            need = [item for p, _, item in missing if p < evaluated]
+            if not need:
+                break
+            if lower_bound:
+                # Everything before the first unpriced iteration (the
+                # first group's, which is needed) is exact, and the
+                # segment cannot end before that iteration starts.
+                first = missing[0][0]
+                key = clock if first == 0 else float(ends[first - 1])
+                return _Walk(inputs, key, False, need)
+            price_pending_steps(need)
+            still = []
+            for p, b, item in missing:
+                result, _ = _memo_lookup(state, item.sample, item.profile)
+                if result is None:
+                    still.append((p, b, item))
+                else:
+                    times[p:b:K] = result.iteration_time
+                    mfus[p:b:K] = result.mfu
+            missing = still
+        if not take:
+            return _Walk(inputs, clock, irregular, [])
+        end_compute = float(ends[take - 1])
+        clock = end_compute
+        if take == len(times) and stop == checkpoint + 1:
+            # The segment ends on its checkpoint iteration: the stall
+            # is priced as a query, leaving the checkpointer as is.
+            clock += checkpointer.stall_at(end_compute)
+        else:
+            checkpoint = 0
+        return _Walk(
+            inputs,
+            clock,
+            irregular or i + take == end,
+            [],
+            take,
+            times[:take],
+            mfus[:take],
+            end_compute,
+            checkpoint,
+        )
+
+    def _apply(self, walk: _Walk) -> None:
+        """Commit a walk computed from the job's current inputs: the
+        one place plain iterations retain outside :meth:`step`."""
+        self._kept = None
+        take = walk.take
+        if not take:
+            return
+        i = self._i
+        self._times[i:i + take] = walk.times
+        self._mfu_traj[i:i + take] = walk.mfus
+        gpu = self._cur.num_gpus * walk.times
+        gpu[0] += self._gpu_seconds
+        self._gpu_seconds = float(np.cumsum(gpu)[-1])
+        if walk.checkpoint:
+            # Takes the snapshot; its stall is the one the walk priced.
+            self._checkpointer.on_iteration(walk.checkpoint, walk.end_compute)
+        self._clock = walk.clock
+        self._i = i + take
 
     # ------------------------------------------------------------------ #
     # Fleet controls
@@ -1296,6 +1394,7 @@ class JobSimulator:
         cancelled (the fleet returns the under-repair capacity to the
         shared pool — see ``FleetEngine._resize_running``).
         """
+        self._require_started()
         at = max(self._clock, now)
         self._clock = at
         self._allocated = num_gpus
@@ -1320,6 +1419,7 @@ class JobSimulator:
         not model); the fleet reclaims the job's GPUs and any capacity
         it had pending repair.
         """
+        self._require_started()
         at = max(self._clock, now)
         with obs.span("job.preempt", job=self.name, t=at):
             obs.count("job.preemptions")
@@ -1363,6 +1463,12 @@ class JobSimulator:
     # ------------------------------------------------------------------ #
     def finish(self) -> ScenarioResult:
         """Build the job's :class:`ScenarioResult` after :attr:`done`."""
+        self._require_started()
+        if not self.done:
+            raise RuntimeError(
+                f"job {self.name!r} has retained {self._i} of {self._n} "
+                "iterations; finish() needs a completed run"
+            )
         spec = self.scenario
         config = self.config
         n = self._n

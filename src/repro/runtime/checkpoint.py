@@ -68,11 +68,26 @@ class AsyncCheckpointer:
     def upload_duration(self) -> float:
         return self.state_bytes / self.config.upload_bandwidth
 
+    @property
+    def upload_finish_time(self) -> float:
+        """When the latest snapshot's background upload clears (0.0
+        when none is in flight)."""
+        return self._upload_finish_time
+
+    def stall_at(self, now: float) -> float:
+        """The stall a snapshot taken at ``now`` would cost: the copy
+        plus any wait for the previous upload to clear. A pure query;
+        :meth:`on_iteration` charges exactly this."""
+        stall = self.snapshot_stall
+        if now < self._upload_finish_time:
+            stall += self._upload_finish_time - now
+        return stall
+
     def on_iteration(self, iteration: int, now: float) -> float:
         """Advance to ``iteration`` ending at time ``now``.
 
-        Returns the stall (seconds) this iteration suffers: the snapshot
-        copy plus any wait for the previous upload to clear.
+        Returns the stall (seconds) this iteration suffers:
+        :meth:`stall_at` on checkpoint iterations, 0.0 otherwise.
         """
         if iteration % self.config.interval_iterations != 0 or iteration == 0:
             return 0.0
@@ -80,9 +95,7 @@ class AsyncCheckpointer:
         # below waits for it: both ways its snapshot is durable by the
         # time this one starts.
         self._durable_resume = self._pending_resume
-        stall = self.snapshot_stall
-        if now < self._upload_finish_time:
-            stall += self._upload_finish_time - now
+        stall = self.stall_at(now)
         self._upload_finish_time = now + stall + self.upload_duration
         # This snapshot is taken after iteration ``iteration`` finished,
         # so it covers the run up to and including it.

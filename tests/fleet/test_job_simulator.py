@@ -7,7 +7,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.fleet.job import STATE_CACHE, JobSimulator, _fold
+from repro.core.config import DistTrainConfig
+from repro.fleet import FleetEngine, FleetSpec
+from repro.fleet import engine as fleet_engine
+from repro.fleet.job import MAX_FAILURES, STATE_CACHE, JobSimulator, _fold
 from repro.orchestration.errors import InfeasibleClusterError
 from repro.orchestration.plancache import PLAN_CACHE
 from repro.scenarios import ScenarioSpec
@@ -22,7 +25,11 @@ from repro.scenarios.events import (
     StragglerEvent,
 )
 
+from repro.runtime.checkpoint import AsyncCheckpointer
+
 from tests.fleet.conftest import FAST_RECOVERY
+from tests.fleet.golden.regen import cases, fleet_fixture
+from tests.fleet.test_golden_fleet import check
 
 
 class TestLifecycle:
@@ -73,8 +80,6 @@ class TestLifecycle:
         assert result.total_seconds == pytest.approx(sim.clock - 100.0)
 
     def test_infeasible_allocation_raises_clearly(self):
-        from repro.core.config import DistTrainConfig
-
         config = DistTrainConfig.preset("mllm-72b", 1296, 1920)
         sim = JobSimulator(config, ScenarioSpec(num_iterations=4))
         assert not sim.feasible(64)
@@ -152,6 +157,56 @@ class TestFleetControls:
         sim.start()
         with pytest.raises(RuntimeError, match="not preempted"):
             sim.resume(48, 0.0)
+
+
+class TestOutsideTheRun:
+    """A simulator used before :meth:`start` or past its run fails with
+    a ``RuntimeError`` naming the job, not a deep attribute or index
+    error."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda sim: sim.step(),
+            lambda sim: sim.advance_until(10.0),
+            lambda sim: sim.peek_segment(),
+            lambda sim: sim.preempt(0.0),
+            lambda sim: sim.apply_resize(40, 0.0),
+            lambda sim: sim.finish(),
+        ],
+        ids=[
+            "step", "advance_until", "peek_segment", "preempt",
+            "apply_resize", "finish",
+        ],
+    )
+    def test_before_start(self, job_config, call):
+        sim = JobSimulator(
+            job_config, ScenarioSpec(num_iterations=10), name="early"
+        )
+        with pytest.raises(RuntimeError, match="job 'early' has not started"):
+            call(sim)
+
+    def test_step_after_the_run(self, job_config):
+        sim = JobSimulator(
+            job_config, ScenarioSpec(num_iterations=10), name="over"
+        )
+        sim.start()
+        sim.advance_until(float("inf"))
+        assert sim.done
+        with pytest.raises(
+            RuntimeError, match="job 'over' has retained all 10 iterations"
+        ):
+            sim.step()
+
+    def test_finish_before_done(self, job_config):
+        sim = JobSimulator(
+            job_config, ScenarioSpec(num_iterations=10), name="unfinished"
+        )
+        sim.start()
+        with pytest.raises(
+            RuntimeError, match="job 'unfinished' has retained 0 of 10"
+        ):
+            sim.finish()
 
     def test_fleet_event_log_reports_capacity_changes(self, job_config):
         from repro.scenarios.events import EventTrace, FailureEvent
@@ -241,14 +296,20 @@ def scenarios(draw):
     return ScenarioSpec(events=EventTrace(events), **common)
 
 
+def _mark(sim):
+    return sim.clock, sim.iterations_retained, sim.drain_fleet_events()
+
+
+def _step_to(sim, horizon):
+    while not sim.done and sim.clock < horizon:
+        sim.step()
+
+
 def _step_walk(sim, horizons):
     marks = []
     for horizon in horizons:
-        while not sim.done and sim.clock < horizon:
-            sim.step()
-        marks.append(
-            (sim.clock, sim.iterations_retained, sim.drain_fleet_events())
-        )
+        _step_to(sim, horizon)
+        marks.append(_mark(sim))
     return marks
 
 
@@ -256,9 +317,7 @@ def _segment_walk(sim, horizons):
     marks = []
     for horizon in horizons:
         sim.advance_until(horizon)
-        marks.append(
-            (sim.clock, sim.iterations_retained, sim.drain_fleet_events())
-        )
+        marks.append(_mark(sim))
     return marks
 
 
@@ -470,3 +529,251 @@ class TestSegmentAdvance:
         sim.advance_until(exact)
         assert sim.clock == exact
         assert sim.iterations_retained == 11
+
+
+# --------------------------------------------------------------------- #
+# The kept walk: a peek's segment, applied without walking it again
+# --------------------------------------------------------------------- #
+GOLDEN = cases()
+
+#: One kept-walk round's disturbances between the peek and the advance.
+round_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("peek"), st.booleans()),
+        st.tuples(st.just("resize"), st.sampled_from([32, 40, 48])),
+        st.tuples(
+            st.just("preempt"),
+            st.sampled_from([32, 40, 48]),
+            st.sampled_from([0.0, 5.0]),
+        ),
+        st.tuples(st.just("mid"), st.floats(0.0, 1.0)),
+    ),
+    max_size=3,
+)
+
+
+class TestKeptWalk:
+    """``advance_until`` to a peeked end applies the peek's walk only
+    while nothing it read has changed; the result is the step walk's."""
+
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        spec=scenarios(),
+        pause=st.sampled_from([0.0, 30.0]),
+        rounds=st.lists(
+            st.tuples(st.booleans(), round_ops), min_size=1, max_size=12
+        ),
+    )
+    def test_peeks_and_controls_match_step_walk(
+        self, job_config, spec, pause, rounds
+    ):
+        """Rounds of: a peek (exact or lower-bound), then resizes,
+        preempt + resume, a mid-segment advance and second peeks, then
+        an advance to the latest peeked end and past its step. With
+        zero replan and reload pauses a control can change what the
+        walk read and leave the clock where it was."""
+        spec = spec.with_(
+            replan_seconds=pause, checkpoint_load_seconds=pause
+        )
+        STATE_CACHE.clear()
+        peeked = JobSimulator(job_config, spec)
+        stepped = JobSimulator(job_config, spec)
+        peeked.start()
+        stepped.start()
+        marks, expected = [], []
+        for lower_bound, ops in rounds:
+            if peeked.done:
+                break
+            end = peeked.peek_segment(lower_bound)[0]
+            for op in ops:
+                if op[0] == "peek":
+                    end = peeked.peek_segment(op[1])[0]
+                elif op[0] == "mid":
+                    mid = peeked.clock + op[1] * (end - peeked.clock)
+                    peeked.advance_until(mid)
+                    _step_to(stepped, mid)
+                elif peeked.done:
+                    continue
+                elif op[0] == "resize":
+                    for sim in (peeked, stepped):
+                        sim.apply_resize(op[1], sim.clock)
+                else:
+                    for sim in (peeked, stepped):
+                        sim.preempt(sim.clock)
+                        sim.resume(op[1], sim.clock + op[2])
+            for horizon in (end, np.nextafter(end, np.inf)):
+                peeked.advance_until(horizon)
+                _step_to(stepped, horizon)
+                marks.append(_mark(peeked))
+                expected.append(_mark(stepped))
+        peeked.advance_until(float("inf"))
+        _step_to(stepped, float("inf"))
+        marks.append(_mark(peeked))
+        expected.append(_mark(stepped))
+        assert marks == expected
+        assert _result_bytes(peeked) == _result_bytes(stepped)
+
+    @pytest.mark.parametrize("name,build", GOLDEN, ids=[n for n, _ in GOLDEN])
+    def test_golden_fleets_without_kept_walks(
+        self, name, build, monkeypatch
+    ):
+        """Every golden fleet, its kept walks dropped before each
+        advance so every segment is walked afresh, gives the fixture."""
+        advance = JobSimulator.advance_until
+
+        def walk_afresh(sim, horizon):
+            sim._kept = None
+            advance(sim, horizon)
+
+        monkeypatch.setattr(JobSimulator, "advance_until", walk_afresh)
+        check(name, fleet_fixture(name, FleetEngine(build()).run()))
+
+
+def _elastic_fleet() -> FleetSpec:
+    """perfbench's fleet-elastic workload at seed 0: 100 tenants x
+    1,000 iterations on 480 GPUs under fair share."""
+    return FleetSpec.homogeneous(
+        DistTrainConfig.preset("mllm-9b", 48, 16),
+        cluster_gpus=480,
+        num_jobs=100,
+        job_gpus=48,
+        arrival_spacing_s=120.0,
+        priorities=(1, 0),
+        policy="fair-share",
+        scenario=ScenarioSpec(
+            num_iterations=1000,
+            checkpoint_interval=50,
+            mtbf_gpu_hours=60.0,
+            elastic=True,
+            repair_seconds=900.0,
+            seed=0,
+        ),
+    )
+
+
+def test_one_walk_per_segment(monkeypatch):
+    """A warm fleet-elastic call advances through the walks its peeks
+    kept, rebuilds a policy view only when the tenant's held count or
+    running flag moved, and copies no checkpointer. Re-walking every
+    peeked segment, rebuilding every view each decision and peeking
+    on checkpointer copies, the same call made 4,866 walks, 5,094
+    views and 2,322 copies."""
+    spec = _elastic_fleet()
+    FleetEngine(spec).run()  # warm every process-wide cache
+    counts = {"walks": 0, "views": 0, "copies": 0}
+    walk = JobSimulator._walk
+    view = fleet_engine.JobView
+
+    def counted(key, inner):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    def copied(checkpointer, *memo):
+        counts["copies"] += 1
+        raise AssertionError("a checkpointer was copied")
+
+    monkeypatch.setattr(JobSimulator, "_walk", counted("walks", walk))
+    monkeypatch.setattr(fleet_engine, "JobView", counted("views", view))
+    monkeypatch.setattr(
+        AsyncCheckpointer, "__copy__", copied, raising=False
+    )
+    monkeypatch.setattr(
+        AsyncCheckpointer, "__deepcopy__", copied, raising=False
+    )
+    result = FleetEngine(spec).run()
+    assert result.metrics()["num_failures"] == 34.0
+    assert counts == {"walks": 2852, "views": 679, "copies": 0}
+
+
+#: A 48-GPU job shrunk to 40 by an early failure whose repair lies far
+#: ahead, taken to iteration 13: its segment runs to the checkpoint at
+#: iteration 20, with the checkpoint at 10 behind it.
+SHRUNK = ScenarioSpec(
+    num_iterations=40,
+    checkpoint_interval=10,
+    elastic=True,
+    repair_seconds=1e5,
+    events=EventTrace([FailureEvent(time_s=5.0, gpus_lost=8)]),
+    **FAST_RECOVERY,
+)
+
+
+def _set_upload(sim, at):
+    sim._checkpointer._upload_finish_time = at
+
+
+def _slower_checkpointer(sim):
+    old = sim._checkpointer
+    new = AsyncCheckpointer(
+        config=old.config,
+        state_bytes=old.state_bytes,
+        per_gpu_state_bytes=2 * old.per_gpu_state_bytes,
+    )
+    new._upload_finish_time = old.upload_finish_time
+    sim._checkpointer = new
+
+
+#: One change per input the walk reads, each alone.
+INPUT_CHANGES = {
+    "iteration": lambda sim: setattr(sim, "_i", sim._i - 1),
+    "clock": lambda sim: setattr(sim, "_clock", sim._clock + 1.0),
+    "cluster state": lambda sim: setattr(sim, "_cur", sim._state(32)),
+    "failure count": lambda sim: setattr(
+        sim, "_num_failures", MAX_FAILURES + 1
+    ),
+    "repair time": lambda sim: setattr(sim, "_repair_at", sim.clock),
+    "next timed event": lambda sim: setattr(
+        sim,
+        "_timed_events",
+        sim._timed_events + [FailureEvent(time_s=sim.clock + 1.0,
+                                          gpus_lost=8)],
+    ),
+    "checkpointer": _slower_checkpointer,
+    "upload clock": lambda sim: _set_upload(sim, sim.clock + 1e4),
+}
+
+
+def _advance_after_change(job_config, change, walk):
+    """Peek the shrunk job's segment, apply ``change``, then advance to
+    the peeked end and on: ``walk`` is "kept" (as the simulator
+    decides), "fresh" (the kept walk dropped) or "stale" (the kept walk
+    forced). Returns the marks, the result bytes or the error."""
+    sim = JobSimulator(job_config, SHRUNK)
+    sim.start()
+    while sim.iterations_retained < 13:
+        sim.step()
+    assert sim.num_gpus == 40 and sim.allocated_gpus == 48
+    end, irregular, _ = sim.peek_segment()
+    assert not irregular
+    change(sim)
+    marks = []
+    try:
+        if walk == "fresh":
+            sim._kept = None
+        elif walk == "stale":
+            sim._apply(sim._kept)
+        for horizon in (end, float("inf")):
+            sim.advance_until(horizon)
+            marks.append(_mark(sim))
+        marks.append(_result_bytes(sim))
+    except RuntimeError as error:
+        marks.append(str(error))
+    return marks
+
+
+@pytest.mark.parametrize("name", sorted(INPUT_CHANGES))
+def test_kept_walk_reads_every_input(job_config, name):
+    """Each input the walk reads, changed alone after the peek, makes
+    the advance walk afresh; applying the kept walk would have gone
+    wrong."""
+    change = INPUT_CHANGES[name]
+    fresh = _advance_after_change(job_config, change, "fresh")
+    assert _advance_after_change(job_config, change, "kept") == fresh
+    assert _advance_after_change(job_config, change, "stale") != fresh
