@@ -158,6 +158,25 @@ class TestFleetControls:
         with pytest.raises(RuntimeError, match="not preempted"):
             sim.resume(48, 0.0)
 
+    def test_fleet_event_log_reports_capacity_changes(self, job_config):
+        from repro.scenarios.events import EventTrace, FailureEvent
+
+        spec = ScenarioSpec(
+            num_iterations=40,
+            elastic=True,
+            events=EventTrace([FailureEvent(time_s=20.0, gpus_lost=8)]),
+            repair_seconds=50.0,
+            restart_seconds=10.0,
+            checkpoint_load_seconds=5.0,
+        )
+        sim = JobSimulator(job_config, spec)
+        sim.start()
+        while not sim.done:
+            sim.step()
+        kinds = [e[0] for e in sim.drain_fleet_events()]
+        assert kinds == ["failure", "grow"]
+        assert sim.drain_fleet_events() == []  # drained
+
 
 class TestOutsideTheRun:
     """A simulator used before :meth:`start` or past its run fails with
@@ -207,25 +226,6 @@ class TestOutsideTheRun:
             RuntimeError, match="job 'unfinished' has retained 0 of 10"
         ):
             sim.finish()
-
-    def test_fleet_event_log_reports_capacity_changes(self, job_config):
-        from repro.scenarios.events import EventTrace, FailureEvent
-
-        spec = ScenarioSpec(
-            num_iterations=40,
-            elastic=True,
-            events=EventTrace([FailureEvent(time_s=20.0, gpus_lost=8)]),
-            repair_seconds=50.0,
-            restart_seconds=10.0,
-            checkpoint_load_seconds=5.0,
-        )
-        sim = JobSimulator(job_config, spec)
-        sim.start()
-        while not sim.done:
-            sim.step()
-        kinds = [e[0] for e in sim.drain_fleet_events()]
-        assert kinds == ["failure", "grow"]
-        assert sim.drain_fleet_events() == []  # drained
 
 
 # --------------------------------------------------------------------- #
