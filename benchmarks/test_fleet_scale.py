@@ -14,6 +14,9 @@ The tracked thousand-tenant benchmark runs 1,000 jobs x 10,000
 iterations each, fair-share on 4,800 shared GPUs, from cold caches.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from benchmarks.conftest import check_budget
@@ -67,6 +70,34 @@ def cold_fleet():
     return cold_engine(fleet_spec()).run()
 
 
+class _Record:
+    """A fleet record that the encoder below turns into its dict only
+    when it reaches it."""
+
+    def __init__(self, record):
+        self.record = record
+
+
+class _RecordEncoder(json.JSONEncoder):
+    def default(self, o):
+        return o.record.to_dict()
+
+
+def result_sha256(result) -> str:
+    """sha256 of ``result.to_json()``, encoded one record at a time:
+    the same encoder writes the same text, but a 1,000 x 10k fleet's
+    text (~0.5 GB) and its record dicts never exist at once."""
+    digest = hashlib.sha256()
+    payload = {
+        "policy": result.policy,
+        "total_gpus": result.total_gpus,
+        "records": [_Record(r) for r in result.records],
+    }
+    for chunk in _RecordEncoder(indent=1).iterencode(payload):
+        digest.update(chunk.encode("utf-8"))
+    return digest.hexdigest()
+
+
 def test_fleet_100jobs_1000_iterations(benchmark):
     result = benchmark.pedantic(cold_fleet, rounds=1, iterations=1)
     metrics = result.metrics()
@@ -100,6 +131,10 @@ def test_fleet_100jobs_1000_iterations(benchmark):
     # ...and stay seed-deterministic across repeated runs.
     again = FleetEngine(fleet_spec()).run()
     assert again.metrics() == metrics
+    # The streamed digest the thousand-tenant test pins is the digest
+    # of the whole text.
+    text = again.to_json().encode("utf-8")
+    assert result_sha256(again) == hashlib.sha256(text).hexdigest()
 
 
 def test_fleet_1000jobs_10k_iterations(benchmark):
@@ -134,3 +169,8 @@ def test_fleet_1000jobs_10k_iterations(benchmark):
     # The sized STATE_CACHE must keep the working set resident: a
     # thousand same-task tenants build each cluster state once.
     assert cache["hits"] > 100 * cache["misses"]
+    # Every byte: segments here span hundreds of checkpoints and meet
+    # thousands of decisions.
+    assert result_sha256(result) == (
+        "8a141cfe738fefb0e10cf0424b0f2feafb9065fe66504175b41256cd5e25fdde"
+    )

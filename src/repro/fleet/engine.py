@@ -14,13 +14,14 @@ The engine does not tick iterations. Only some steps reach outside
 their own job — failures and outages, re-growths and resizes, and the
 final iteration (a completion decision) — so the event heap is keyed by
 each running tenant's *next segment end*: the ``(start clock, arrival
-order)`` of its next such step, or of its next checkpoint boundary
+order)`` of its next such step, however many checkpoints lie before it
 (:meth:`~repro.fleet.job.JobSimulator.peek_segment`). Arrivals sort
 first on ties. Popping a tenant advances its plain iterations in closed
 form (:meth:`~repro.fleet.job.JobSimulator.advance_until`) and runs the
 one irregular step, so irregular steps and decisions keep exactly the
 global order of a step-by-step walk; a tenant a decision resizes or
-preempts is first brought to its boundary at that decision. Same-task
+preempts is first brought to its boundary at that decision, by cutting
+the walk its peek kept. Same-task
 tenants share one plan/simulator/prepared-batch build through the
 process-wide :data:`~repro.fleet.job.STATE_CACHE`, and a segment's
 un-memoized straggler evaluations are priced in one fused kernel sweep
@@ -485,12 +486,16 @@ class FleetEngine:
         tenants therefore sit on a heap keyed by the ``(start clock,
         arrival order)`` of the step that ends their current segment
         (:meth:`~repro.fleet.job.JobSimulator.peek_segment`); arrivals
-        sort first on ties. Popping a tenant advances its plain
-        iterations in closed form and, if the segment ends in an
-        irregular step, runs that one step. The advance applies the
-        walk the peek kept unless a decision has moved the tenant since,
-        so each segment is walked once, and a peek copies no
-        checkpointer. Irregular steps and
+        sort first on ties. A segment runs across any number of
+        checkpoints: a checkpoint is a plain iteration unless it must
+        wait for the previous snapshot's upload. Popping a tenant
+        advances its plain iterations in closed form and, if the segment
+        ends in an irregular step, runs that one step. The advance
+        applies the walk the peek kept unless a decision has moved the
+        tenant since, so each segment is walked once, and a peek copies
+        no checkpointer; a decision that resizes or preempts a tenant
+        brings it to its boundary by cutting that walk
+        (:meth:`_catch_up`). Irregular steps and
         decisions therefore happen in exactly the global order of the
         step-by-step walk — the order that fixes per-job plan-cache
         tallies and allocator books.
@@ -568,7 +573,8 @@ class FleetEngine:
         have it at the current decision: the first boundary whose
         ``(clock, arrival order)`` lies past the decision key. Only
         plain iterations lie before it — the tenant's own segment end
-        sorts after the decision, or the decision would not be next."""
+        sorts after the decision, or the decision would not be next, so
+        the advance cuts the walk the tenant's exact peek kept."""
         clock, order = self._decision_key
         if tenant.order < order:
             # Equal clocks: the earlier arrival stepped first.

@@ -41,10 +41,11 @@ one profile (:func:`_straggler_runs`), built once at
 :meth:`~JobSimulator.start` — so iteration times are a gather
 (``base[i % K]``) with each run that meets a segment overlaid from the
 memo by at most K lookups and strided writes (every K-th iteration of a
-run repeats one sample). The clock, trajectories, and GPU-seconds
-move by one ``np.cumsum`` per checkpoint interval, bitwise the
-sequential fold :meth:`JobSimulator.step` performs. ``searchsorted`` on
-the end-of-compute clocks finds where the next event fires; only
+run repeats one sample). The clock moves by one ``np.cumsum`` over a
+segment's iteration times with one snapshot stall after each
+checkpoint iteration, bitwise the sequential fold
+:meth:`JobSimulator.step` performs, and the GPU-seconds by one more.
+``searchsorted`` on that fold finds where the next event fires; only
 checkpoint iterations call the checkpointer, and only irregular steps
 go through :meth:`~JobSimulator.step`, which stays the one-unit
 primitive. Every plan a job needs — its full size or an elastic
@@ -71,16 +72,19 @@ otherwise. A cold plan cache would report the same counts, and so does
 any warm process, so a result depends on its spec alone.
 
 :meth:`JobSimulator.peek_segment` tells the fleet engine where a job's
-current segment ends — its next irregular step, its completion, or its
-next checkpoint boundary — without advancing it, pricing the straggler
-evaluations the segment needs in one fused kernel sweep
+current segment ends — its next irregular step or its completion,
+across any number of checkpoints — without advancing it, pricing the
+straggler evaluations the segment needs in one fused kernel sweep
 (:func:`price_pending_steps`) before any clock commits. A segment is
 computed by one pure walk (:meth:`JobSimulator._walk`) and committed by
 one apply step (:meth:`JobSimulator._apply`); the peek keeps its walk
 with the inputs it read, so advancing to the peeked end applies it
-instead of walking the segment again, and the peek prices its
-checkpoint stall with a query (``AsyncCheckpointer.stall_at``) rather
-than a checkpointer copy. The older one-step
+instead of walking the segment again, and advancing to a decision
+before that end applies the walk cut there. A kept walk holds no
+per-iteration array, only its checkpoints' clocks and the straggler
+groups it laid over the base times, and the peek prices its
+checkpoint stalls from the checkpointer's costs and upload clock
+rather than a checkpointer copy. The older one-step
 :meth:`JobSimulator.prepare_step` / :meth:`JobSimulator.commit_step`
 split remains for callers stepping by hand.
 """
@@ -168,10 +172,22 @@ class _ClusterState:
     )
 
     def __post_init__(self) -> None:
-        # Base iteration times and MFUs by sample index: the gather
-        # source of closed-form segment advance.
+        # Base iteration times and MFUs by sample index.
         self.times = np.array([r.iteration_time for r in self.base])
         self.mfus = np.array([r.mfu for r in self.base])
+        self._tiled = (self.times, self.mfus)
+
+    def tiled(self, stop: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Base times and MFUs of iterations ``0, 1, ...`` up to at
+        least ``stop`` (iteration ``i`` runs sample ``i % K``): the
+        gather source of closed-form segment advance, so a segment's
+        base times are one slice. Tiled once and grown on demand."""
+        if len(self._tiled[0]) < stop:
+            reps = -(-stop // len(self.times))
+            self._tiled = (
+                np.tile(self.times, reps), np.tile(self.mfus, reps)
+            )
+        return self._tiled
 
 
 @dataclass
@@ -191,26 +207,32 @@ class PendingEvaluation:
 
 class _Walk(NamedTuple):
     """One segment as :meth:`JobSimulator._walk` computed it, with the
-    job inputs it read (:meth:`JobSimulator._walk_inputs`)."""
+    job inputs it read (:meth:`JobSimulator._walk_inputs`).
+
+    It holds no per-iteration array: the iteration times and MFUs are
+    the base ones by sample with ``groups`` laid over them, which
+    :meth:`JobSimulator._apply` gathers again."""
 
     inputs: Tuple[Any, ...]
-    #: Where the segment ends (after its checkpoint stall, if any), or
-    #: a lower bound when ``pending`` is not empty.
+    #: Where the segment ends (after its last checkpoint's stall, if
+    #: it ends on one), or a lower bound when ``pending`` is not empty.
     clock: float
     #: Whether the step that ends the segment must go through step().
     irregular: bool
     #: Un-memoized evaluations a lower-bound walk left unpriced.
     pending: List[PendingEvaluation]
-    #: Plain iterations the segment retains, and their gathered times
-    #: and MFUs.
+    #: Plain iterations the segment retains.
     take: int = 0
-    times: Optional[np.ndarray] = None
-    mfus: Optional[np.ndarray] = None
-    #: Clock after the last retained iteration's compute.
-    end_compute: float = 0.0
-    #: The checkpoint iteration the segment ends on (0: none), whose
-    #: snapshot stall follows ``end_compute``.
-    checkpoint: int = 0
+    #: Straggler groups ``(p, b, result)``: positions ``p, p + K, ...``
+    #: before ``b``, counted from the walk's first iteration, take
+    #: ``result``'s time and MFU.
+    groups: Tuple[Tuple[int, int, IterationResult], ...] = ()
+    #: The first checkpoint iteration the walk meets; the others follow
+    #: every checkpoint interval.
+    first: int = 0
+    #: One row per retained checkpoint: its end-of-compute clock and its
+    #: boundary clock (after the snapshot stall).
+    marks: Optional[np.ndarray] = None
 
 
 def _slowdown_factors(
@@ -311,10 +333,21 @@ def _fold(values: np.ndarray) -> float:
 
 
 def _cut(
-    ends: np.ndarray, event_t: float, repair: float, horizon: float
+    ends: np.ndarray,
+    head: int,
+    width: int,
+    event_t: float,
+    repair: float,
+    horizon: float,
 ) -> Tuple[int, int, bool]:
-    """Where a run of plain iterations with end-of-compute clocks
-    ``ends`` stops: ``(take, evaluated, irregular)``.
+    """Where a run of plain iterations stops: ``(take, evaluated,
+    irregular)``.
+
+    ``ends`` is the run's fold: the end-of-compute clock of each
+    iteration and, after each checkpoint iteration, its boundary clock
+    (after the snapshot stall). The first ``head`` entries are
+    iterations; then come blocks of ``width`` entries, a boundary and
+    the iterations up to the next checkpoint.
 
     ``take`` iterations retain before the stop; ``evaluated`` of them
     (plus the killed one, when a timed event fires) are priced on the
@@ -325,24 +358,31 @@ def _cut(
     otherwise price, and a horizon reached at a boundary stops the walk
     before anything at that boundary happens.
     """
+
+    def before(slot: int) -> int:
+        # Iterations among the entries before ``slot``.
+        return slot if slot <= head else slot - (slot - head - 1) // width - 1
+
     last = ends[-1]
-    take = evaluated = len(ends)
+    take = evaluated = before(len(ends))
     irregular = False
     if event_t <= last:
         # The first iteration whose compute ends at or after the event
-        # is killed mid-flight (it is priced, then the event fires).
-        take = int(np.searchsorted(ends, event_t))
+        # is killed mid-flight (it is priced, then the event fires). An
+        # event inside a snapshot stall kills the iteration after it.
+        take = before(int(np.searchsorted(ends, event_t)))
         evaluated = take + 1
         irregular = True
     if repair <= last:
-        # The boundary after the first iteration ending at or after the
-        # repair time fires the re-growth.
-        r = int(np.searchsorted(ends, repair)) + 1
+        # The first boundary at or after the repair time fires the
+        # re-growth: after the iteration ending at or after it, or
+        # after the stall it falls in.
+        r = before(int(np.searchsorted(ends, repair)) + 1)
         if r <= take:
             take = evaluated = r
             irregular = True
     if horizon <= last:
-        h = int(np.searchsorted(ends, horizon)) + 1
+        h = before(int(np.searchsorted(ends, horizon)) + 1)
         if h <= take:
             take = evaluated = h
             irregular = False
@@ -665,13 +705,12 @@ class JobSimulator:
         # Ideal trajectory: the granted slice, no events, no stalls.
         n = spec.num_iterations
         self._n = n
-        K = self._num_samples
-        self._K = K
+        self._K = self._num_samples
         # Sequential (not pairwise) accumulation, matching how the
         # timeline clock advances — a zero-event scenario's goodput is
         # exactly 1 up to its checkpoint stalls, never above.
         self._ideal_seconds = _fold(
-            self._states[allocated_gpus].times[np.arange(n) % K]
+            self._states[allocated_gpus].tiled(n)[0][:n]
         )
 
         self._times = np.zeros(n)
@@ -767,7 +806,7 @@ class JobSimulator:
         """
         state = self._state(num_gpus)
         n = self.scenario.num_iterations
-        return _fold(state.times[np.arange(n) % self._num_samples])
+        return _fold(state.tiled(n)[0][:n])
 
     def drain_fleet_events(self) -> List[Tuple[Any, ...]]:
         """Capacity changes since the last drain (fleet bookkeeping).
@@ -1151,10 +1190,13 @@ class JobSimulator:
         in closed form (:meth:`_walk`) and applied (:meth:`_apply`), and
         only the irregular steps between them — a timed event firing, a
         repair re-growth, a scripted resize, the final iteration — go
-        through :meth:`step`. When ``horizon`` is the end of the segment
-        the last :meth:`peek_segment` walked, and nothing that walk read
-        has changed since, its walk is applied as kept: each segment the
-        fleet engine peeks is walked once.
+        through :meth:`step`. While nothing the last
+        :meth:`peek_segment` walk read has changed, that walk is applied
+        instead of a fresh one: whole when ``horizon`` is at or past its
+        end, so each segment the fleet engine peeks is walked once, and
+        cut at its first boundary at or after ``horizon`` otherwise
+        (:meth:`_prefix`), so a decision brings a tenant to its boundary
+        without walking.
 
         Iterations are non-preemptible, so the clock may overshoot the
         horizon by up to one unit of work — allocation changes then
@@ -1163,12 +1205,10 @@ class JobSimulator:
         self._require_started()
         while not self.done and not self._paused and self._clock < horizon:
             walk = self._kept
-            if (
-                walk is None
-                or walk.clock != horizon
-                or walk.inputs != self._walk_inputs()
-            ):
+            if walk is None or walk.inputs != self._walk_inputs():
                 walk = self._walk(horizon)
+            elif horizon < walk.clock:
+                walk = self._prefix(walk, horizon)
             self._apply(walk)
             if walk.irregular and not self.done and self._clock < horizon:
                 self.step()
@@ -1179,10 +1219,11 @@ class JobSimulator:
         """Where the job's current segment ends, without advancing it.
 
         A segment is the run of plain iterations from the current
-        boundary up to the next irregular step (a timed event, a repair
+        boundary up to the next irregular step: a timed event, a repair
         re-growth, a scripted resize, or the final iteration, which
-        completes the job) or the end of the current checkpoint
-        interval, whichever comes first. Returns ``(clock, irregular,
+        completes the job. It runs across any number of checkpoints,
+        and ends early only on a checkpoint that must wait for the
+        previous snapshot's upload. Returns ``(clock, irregular,
         pending)``: the start clock of the step that ends the segment,
         whether that step is irregular (and so must go through
         :meth:`step`), and the straggler evaluations the segment needs
@@ -1199,9 +1240,9 @@ class JobSimulator:
         (:func:`price_pending_steps`), and ``clock`` is exact.
 
         An exact walk is kept for :meth:`advance_until`. The segment's
-        checkpoint stall is priced by a query
-        (``AsyncCheckpointer.stall_at``), so a peek copies nothing and
-        changes nothing of the job.
+        checkpoint stalls are priced from the checkpointer's costs and
+        upload clock, so a peek copies nothing and changes nothing of
+        the job.
         """
         self._require_started()
         walk = self._walk(float("inf"), lower_bound)
@@ -1239,26 +1280,33 @@ class JobSimulator:
         job changes (a priced evaluation lands in the shared memo).
 
         A plain iteration retains one iteration: the clock moves by its
-        time, then by its checkpoint stall. Between checkpoint
-        iterations the stall is an exact ``0.0``, so within one
-        checkpoint interval the boundary clocks are one ``np.cumsum``
-        over the gathered iteration times — bitwise the sequential
-        fold :meth:`step` performs. The times are the base times by
-        sample with each straggler run that meets the interval laid
-        over them: a run's iterations ``p, p + K, ...`` share a sample
-        (a group), so one memo lookup and one strided write. A group
-        not yet memoized is one pending evaluation, needed iff its first
-        iteration is; pricing takes the keys in order of first need.
-        The segment stops before the first irregular step
-        (``searchsorted`` on the end-of-compute clocks finds the
-        iteration a timed event kills and the boundary a repair lands
-        on), before the final iteration, at the end of the checkpoint
-        interval, or at the first boundary at or after ``horizon``.
-        With ``lower_bound``, a segment needing unpriced evaluations
-        ends unpriced, as :meth:`peek_segment` documents.
+        time, then by its checkpoint stall, an exact ``0.0`` except on
+        checkpoint iterations. The walk gathers the iteration times up
+        to the next scripted resize or the final iteration, puts one
+        snapshot stall after each checkpoint iteration, and takes one
+        ``np.cumsum``: bitwise the sequential fold :meth:`step`
+        performs. The times are the base times by sample with each
+        straggler run that meets the segment laid over them: a run's
+        iterations ``p, p + K, ...`` share a sample (a group), so one
+        memo lookup and one strided write. A group not yet memoized is
+        one pending evaluation, needed iff its first iteration is;
+        pricing takes the keys in order of first need.
+
+        A stall is the snapshot copy alone while the checkpoint's
+        previous upload has cleared, which two comparisons check, one
+        for the first checkpoint and one vector comparison for the
+        rest; the segment ends on the first checkpoint that must wait,
+        with its stall priced as ``AsyncCheckpointer.on_iteration``
+        charges it. Otherwise it stops
+        before the first irregular step (``searchsorted`` on the fold
+        finds the iteration a timed event kills and the boundary a
+        repair lands on), before the final iteration or a scripted
+        resize, or at the first boundary at or after ``horizon``. With
+        ``lower_bound``, a segment needing unpriced evaluations ends
+        unpriced, as :meth:`peek_segment` documents.
         """
         inputs = self._walk_inputs()
-        i, clock, state, failures, repair_at, event_t, checkpointer, _ = (
+        i, clock, state, failures, repair_at, event_t, checkpointer, upload = (
             inputs
         )
         repair = np.inf if repair_at is None else repair_at
@@ -1277,22 +1325,32 @@ class JobSimulator:
                 i < n if i >= end else clock < horizon
             )
             return _Walk(inputs, clock, irregular, [])
+        # The fold holds the ``head`` iterations up to and including the
+        # first checkpoint, then ``m`` blocks of ``width``: a
+        # checkpoint's boundary and the iterations up to the next
+        # checkpoint (the last block stops at ``end``).
         interval = checkpointer.config.interval_iterations
-        checkpoint = max(interval, -(-i // interval) * interval)
-        stop = min(end, checkpoint + 1)
-        idx = np.arange(i, stop) % K
-        times = state.times[idx]
-        mfus = state.mfus[idx]
-        # Unpriced (run, sample) groups as ``(first, end, pending)``:
-        # positions ``first, first + K, ...`` before ``end`` share one
-        # evaluation. Runs are disjoint and sorted, so the groups are in
-        # order of their first positions.
+        first = max(interval, -(-i // interval) * interval)
+        length = end - i
+        head = min(first - i + 1, length)
+        m = (length - head) // interval + 1 if first < end else 0
+        width = interval + 1
+        # The base times, past ``end`` so the blocks fill whole rows.
+        stop = i + head + m * interval
+        times = state.tiled(stop)[0][i:stop]
+        # Priced groups as ``(p, b, result)`` and unpriced ones as ``(p,
+        # b, pending)``: positions ``p, p + K, ...`` before ``b`` share
+        # one evaluation. Runs are disjoint and sorted, so the unpriced
+        # groups are in order of their first positions.
+        groups = []
         missing = []
         lo = bisect.bisect_right(self._run_ends, i)
-        hi = bisect.bisect_left(self._run_starts, stop, lo)
+        hi = bisect.bisect_left(self._run_starts, end, lo)
+        if lo < hi:
+            times = times.copy()
         for start, run_end, profile in self._runs[lo:hi]:
             a = max(start, i) - i
-            b = min(run_end, stop) - i
+            b = min(run_end, end) - i
             for p in range(a, min(a + K, b)):
                 sample = (i + p) % K
                 # The raw-profile hit is inlined: every peek and advance
@@ -1306,16 +1364,42 @@ class JobSimulator:
                     )
                 else:
                     times[p:b:K] = result.iteration_time
-                    mfus[p:b:K] = result.mfu
+                    groups.append((p, b, result))
+        stall = checkpointer.snapshot_stall
+        upload_duration = checkpointer.upload_duration
+        fold = np.empty(head + m * width)
+        rows = fold[head:].reshape(m, width)
+        # Each checkpoint's end-of-compute and boundary clocks.
+        marks = fold[head - 1:head - 1 + m * width].reshape(m, width)[:, :2]
+        wait = m
         while True:
             # Missing evaluations stand in at their base time (a lower
             # bound), so the cut computed here is at or after the true
             # one; pricing what lies before it and cutting again
             # converges on the exact cut.
-            ends = times.copy()
-            ends[0] += clock
+            fold[:head] = times[:head]
+            rows[:, 0] = stall
+            rows[:, 1:] = times[head:].reshape(m, interval)
+            fold[0] += clock
+            ends = fold[:length + m]
             np.cumsum(ends, out=ends)
-            take, evaluated, irregular = _cut(ends, event_t, repair, horizon)
+            if m:
+                # A checkpoint waits iff its compute ends before the
+                # previous upload clears: at the checkpointer's upload
+                # clock for the first, and at the previous boundary
+                # plus the upload for the others, as on_iteration sets
+                # it. Past the first that waits, the fold is wrong.
+                wait = 0 if marks[0, 0] < upload else m
+                if wait == m > 1:
+                    late = np.flatnonzero(
+                        marks[1:, 0] < marks[:-1, 1] + upload_duration
+                    )
+                    if len(late):
+                        wait = int(late[0]) + 1
+            take, evaluated, irregular = _cut(
+                ends[:head + wait * width] if wait < m else ends,
+                head, width, event_t, repair, horizon,
+            )
             # A group is needed iff its first position is; pricing
             # deduplicates by key, in order of first need.
             need = [item for p, _, item in missing if p < evaluated]
@@ -1325,8 +1409,9 @@ class JobSimulator:
                 # Everything before the first unpriced iteration (the
                 # first group's, which is needed) is exact, and the
                 # segment cannot end before that iteration starts.
-                first = missing[0][0]
-                key = clock if first == 0 else float(ends[first - 1])
+                p = missing[0][0]
+                slot = p if p < head else p + (p - head) // interval + 1
+                key = clock if p == 0 else float(ends[slot - 1])
                 return _Walk(inputs, key, False, need)
             price_pending_steps(need)
             still = []
@@ -1336,46 +1421,101 @@ class JobSimulator:
                     still.append((p, b, item))
                 else:
                     times[p:b:K] = result.iteration_time
-                    mfus[p:b:K] = result.mfu
+                    groups.append((p, b, result))
             missing = still
         if not take:
             return _Walk(inputs, clock, irregular, [])
-        end_compute = float(ends[take - 1])
-        clock = end_compute
-        if take == len(times) and stop == checkpoint + 1:
-            # The segment ends on its checkpoint iteration: the stall
-            # is priced as a query, leaving the checkpointer as is.
-            clock += checkpointer.stall_at(end_compute)
+        # The retained checkpoints; the segment's clock is the boundary
+        # after its last iteration (after the stall, on a checkpoint).
+        kept = 0 if take < head or not m else (take - head) // interval + 1
+        marks = marks[:kept].copy()
+        if kept > wait:
+            # The segment ends on the first checkpoint that waits: its
+            # stall is the copy plus the wait, as on_iteration charges.
+            now = marks[wait, 0]
+            due = marks[wait - 1, 1] + upload_duration if wait else upload
+            clock = float(now + (stall + (due - now)))
+            marks[wait, 1] = clock
         else:
-            checkpoint = 0
+            clock = float(ends[take - 1 + kept])
         return _Walk(
             inputs,
             clock,
             irregular or i + take == end,
             [],
             take,
-            times[:take],
-            mfus[:take],
-            end_compute,
-            checkpoint,
+            tuple(group for group in groups if group[0] < take),
+            first,
+            marks,
+        )
+
+    def _prefix(self, walk: _Walk, horizon: float) -> _Walk:
+        """``walk`` cut at its first boundary at or after ``horizon``,
+        which lies before its end: what :meth:`_walk` computes from the
+        same inputs up to that horizon. Only the checkpoint interval
+        holding ``horizon`` is folded again, from the boundary before
+        it."""
+        i, clock, state, *_, checkpointer, _ = walk.inputs
+        interval = checkpointer.config.interval_iterations
+        marks, K = walk.marks, self._K
+        j = int(np.searchsorted(marks[:, 1], horizon))
+        # Positions ``[a, e)``: the iterations after checkpoint j - 1 up
+        # to and including checkpoint j, or to the walk's end.
+        checkpoint = walk.first - i + j * interval
+        a = checkpoint - interval + 1 if j else 0
+        e = checkpoint + 1 if j < len(marks) else walk.take
+        if j:
+            clock = float(marks[j - 1, 1])
+        ends = state.tiled(i + e)[0][i + a:i + e].copy()
+        for p, b, result in walk.groups:
+            if p < a:
+                p = a + (p - a) % K
+            if p < b:
+                ends[p - a:b - a:K] = result.iteration_time
+        ends[0] += clock
+        np.cumsum(ends, out=ends)
+        # A horizon past every compute end lies in checkpoint j's stall.
+        s = min(int(np.searchsorted(ends, horizon)), e - a - 1)
+        take = a + s + 1
+        if take == walk.take:
+            return walk
+        if take == e:
+            clock, j = float(marks[j, 1]), j + 1
+        else:
+            clock = float(ends[s])
+        return _Walk(
+            walk.inputs, clock, False, [], take, walk.groups, walk.first,
+            marks[:j],
         )
 
     def _apply(self, walk: _Walk) -> None:
         """Commit a walk computed from the job's current inputs: the
-        one place plain iterations retain outside :meth:`step`."""
+        one place plain iterations retain outside :meth:`step`. The
+        times and MFUs are gathered again from the base ones with the
+        walk's groups laid over them, the GPU-seconds fold by one
+        ``np.cumsum``, and the checkpointer takes each retained
+        snapshot at the clock the walk priced it."""
         self._kept = None
         take = walk.take
         if not take:
             return
-        i = self._i
-        self._times[i:i + take] = walk.times
-        self._mfu_traj[i:i + take] = walk.mfus
-        gpu = self._cur.num_gpus * walk.times
+        i, K = self._i, self._K
+        state = self._cur
+        base_times, base_mfus = state.tiled(i + take)
+        times = self._times[i:i + take]
+        mfus = self._mfu_traj[i:i + take]
+        times[:] = base_times[i:i + take]
+        mfus[:] = base_mfus[i:i + take]
+        for p, b, result in walk.groups:
+            times[p:b:K] = result.iteration_time
+            mfus[p:b:K] = result.mfu
+        gpu = state.num_gpus * times
         gpu[0] += self._gpu_seconds
-        self._gpu_seconds = float(np.cumsum(gpu)[-1])
-        if walk.checkpoint:
-            # Takes the snapshot; its stall is the one the walk priced.
-            self._checkpointer.on_iteration(walk.checkpoint, walk.end_compute)
+        self._gpu_seconds = float(np.cumsum(gpu, out=gpu)[-1])
+        checkpointer = self._checkpointer
+        interval = checkpointer.config.interval_iterations
+        for j, now in enumerate(walk.marks[:, 0].tolist()):
+            checkpointer.on_iteration(walk.first + j * interval, now)
         self._clock = walk.clock
         self._i = i + take
 

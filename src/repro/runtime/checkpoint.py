@@ -29,6 +29,11 @@ class CheckpointConfig:
     def __post_init__(self) -> None:
         if self.interval_iterations < 1:
             raise ValueError("interval must be >= 1 iteration")
+        for name in ("snapshot_bandwidth", "upload_bandwidth"):
+            value = getattr(self, name)
+            # Written so that NaN fails too.
+            if not value > 0:
+                raise ValueError(f"{name} must be > 0 B/s, got {value!r}")
 
 
 @dataclass
@@ -74,20 +79,11 @@ class AsyncCheckpointer:
         when none is in flight)."""
         return self._upload_finish_time
 
-    def stall_at(self, now: float) -> float:
-        """The stall a snapshot taken at ``now`` would cost: the copy
-        plus any wait for the previous upload to clear. A pure query;
-        :meth:`on_iteration` charges exactly this."""
-        stall = self.snapshot_stall
-        if now < self._upload_finish_time:
-            stall += self._upload_finish_time - now
-        return stall
-
     def on_iteration(self, iteration: int, now: float) -> float:
         """Advance to ``iteration`` ending at time ``now``.
 
-        Returns the stall (seconds) this iteration suffers:
-        :meth:`stall_at` on checkpoint iterations, 0.0 otherwise.
+        Returns the stall (seconds) this iteration suffers: the snapshot
+        copy plus any wait for the previous upload to clear.
         """
         if iteration % self.config.interval_iterations != 0 or iteration == 0:
             return 0.0
@@ -95,7 +91,9 @@ class AsyncCheckpointer:
         # below waits for it: both ways its snapshot is durable by the
         # time this one starts.
         self._durable_resume = self._pending_resume
-        stall = self.stall_at(now)
+        stall = self.snapshot_stall
+        if now < self._upload_finish_time:
+            stall += self._upload_finish_time - now
         self._upload_finish_time = now + stall + self.upload_duration
         # This snapshot is taken after iteration ``iteration`` finished,
         # so it covers the run up to and including it.

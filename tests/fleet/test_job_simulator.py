@@ -25,7 +25,7 @@ from repro.scenarios.events import (
     StragglerEvent,
 )
 
-from repro.runtime.checkpoint import AsyncCheckpointer
+from repro.runtime.checkpoint import AsyncCheckpointer, CheckpointConfig
 
 from tests.fleet.conftest import FAST_RECOVERY
 from tests.fleet.golden.regen import cases, fleet_fixture
@@ -325,6 +325,27 @@ def _result_bytes(sim):
     return json.dumps(sim.finish().to_dict(), sort_keys=True)
 
 
+def _stall_windows(job_config, spec, checkpoint=None):
+    """``(compute end, boundary)`` of every snapshot stall on the step
+    walk of ``spec``, the compute end read back from the stall."""
+    sim = JobSimulator(job_config, spec, checkpoint=checkpoint)
+    sim.start()
+    windows = []
+    while not sim.done:
+        checkpointer = sim._checkpointer
+        stalled = checkpointer.total_stall
+        sim.step()
+        stall = checkpointer.total_stall - stalled
+        if sim._checkpointer is checkpointer and stall > 0:
+            windows.append((sim.clock - stall, sim.clock))
+    return windows
+
+
+def _inside(window, fraction):
+    start, end = window
+    return start + fraction * (end - start)
+
+
 def _assert_walks_agree(job_config, spec, picks, extra=()):
     """The segment walk equals the step walk at horizons on boundary
     clocks (``picks`` index them, modulo), at ``extra`` clocks and at
@@ -494,6 +515,54 @@ class TestSegmentAdvance:
         assert pending
         assert key == boundaries[min(e[0] for e in episodes)]
 
+    @pytest.mark.parametrize("what", ["failure", "repair", "horizon"])
+    def test_inside_a_snapshot_stall(self, job_config, what):
+        """A timed event inside a snapshot stall kills the iteration
+        after the checkpoint, so the segment ends at the boundary after
+        the stall; a repair inside one re-grows there, and a horizon
+        inside one stops there. Walked afresh, and peeked and applied as
+        kept, the job equals the step walk."""
+        base = ScenarioSpec(
+            num_iterations=40,
+            checkpoint_interval=10,
+            elastic=True,
+            repair_seconds=1e5,
+            events=EventTrace([FailureEvent(time_s=5.0, gpus_lost=8)]),
+            **FAST_RECOVERY,
+        )
+        # The snapshot stall after iteration 20, on 40 GPUs.
+        window = _stall_windows(job_config, base)[1]
+        at = _inside(window, 0.5)
+        spec, extra = base, ()
+        if what == "failure":
+            spec = base.with_(events=EventTrace(
+                list(base.events) + [FailureEvent(time_s=at, gpus_lost=8)]
+            ))
+        elif what == "repair":
+            spec = base.with_(repair_seconds=at - 5.0)
+        else:
+            extra = (at,)
+        _assert_walks_agree(job_config, spec, picks=(), extra=extra)
+        peeked = JobSimulator(job_config, spec)
+        stepped = JobSimulator(job_config, spec)
+        peeked.start()
+        stepped.start()
+        while peeked.num_gpus == 48:  # the failure at 5 s
+            peeked.step()
+            stepped.step()
+        end, irregular, _ = peeked.peek_segment()
+        if what == "horizon":
+            peeked.advance_until(at)
+            assert peeked.clock == window[1]
+        else:
+            assert (end, irregular) == (window[1], True)
+        for horizon in (at, np.inf):
+            peeked.peek_segment()
+            peeked.advance_until(horizon)
+            _step_to(stepped, horizon)
+            assert _mark(peeked) == _mark(stepped)
+        assert _result_bytes(peeked) == _result_bytes(stepped)
+
     def test_run_is_segment_advance(self, job_config):
         spec = ScenarioSpec(
             num_iterations=60,
@@ -523,12 +592,17 @@ class TestSegmentAdvance:
         sim.start()
         clock, irregular, pending = sim.peek_segment(lower_bound=True)
         assert sim.clock == 0.0 and sim.iterations_retained == 0
-        exact, _, _ = sim.peek_segment()
+        exact, irregular, _ = sim.peek_segment()
         assert clock <= exact
-        # The segment ends at the first checkpoint boundary.
+        assert sim.clock == 0.0 and sim.iterations_retained == 0
+        # The segment runs across the checkpoints at iterations 10, 20
+        # and 30 and ends before the final iteration, which is
+        # irregular.
+        assert irregular
         sim.advance_until(exact)
         assert sim.clock == exact
-        assert sim.iterations_retained == 11
+        assert sim.iterations_retained == 39
+        assert sim._checkpointer.snapshots_taken == 3
 
 
 # --------------------------------------------------------------------- #
@@ -547,6 +621,9 @@ round_ops = st.lists(
             st.sampled_from([0.0, 5.0]),
         ),
         st.tuples(st.just("mid"), st.floats(0.0, 1.0)),
+        st.tuples(
+            st.just("stall"), st.floats(0.0, 1.0), st.integers(0, 10**6)
+        ),
     ),
     max_size=3,
 )
@@ -567,18 +644,32 @@ class TestKeptWalk:
         rounds=st.lists(
             st.tuples(st.booleans(), round_ops), min_size=1, max_size=12
         ),
+        data=st.data(),
     )
     def test_peeks_and_controls_match_step_walk(
-        self, job_config, spec, pause, rounds
+        self, job_config, spec, pause, rounds, data
     ):
         """Rounds of: a peek (exact or lower-bound), then resizes,
-        preempt + resume, a mid-segment advance and second peeks, then
-        an advance to the latest peeked end and past its step. With
-        zero replan and reload pauses a control can change what the
-        walk read and leave the clock where it was."""
+        preempt + resume, mid-segment advances (some to a horizon inside
+        a snapshot stall of the peeked walk) and second peeks, then an
+        advance to the latest peeked end and past its step. With zero
+        replan and reload pauses a control can change what the walk read
+        and leave the clock where it was. A scripted trace gains a
+        failure inside a snapshot stall of its step walk, which kills
+        the iteration after the checkpoint."""
         spec = spec.with_(
             replan_seconds=pause, checkpoint_load_seconds=pause
         )
+        if spec.events is not None:
+            windows = _stall_windows(job_config, spec)
+            if windows:
+                at = _inside(
+                    data.draw(st.sampled_from(windows)),
+                    data.draw(st.floats(0.0, 1.0)),
+                )
+                spec = spec.with_(events=EventTrace(
+                    list(spec.events) + [FailureEvent(time_s=at, gpus_lost=8)]
+                ))
         STATE_CACHE.clear()
         peeked = JobSimulator(job_config, spec)
         stepped = JobSimulator(job_config, spec)
@@ -592,8 +683,12 @@ class TestKeptWalk:
             for op in ops:
                 if op[0] == "peek":
                     end = peeked.peek_segment(op[1])[0]
-                elif op[0] == "mid":
+                elif op[0] in ("mid", "stall"):
                     mid = peeked.clock + op[1] * (end - peeked.clock)
+                    walk = peeked._kept
+                    stalls = () if walk is None or not walk.take else walk.marks
+                    if op[0] == "stall" and len(stalls):
+                        mid = _inside(stalls[op[2] % len(stalls)], op[1])
                     peeked.advance_until(mid)
                     _step_to(stepped, mid)
                 elif peeked.done:
@@ -633,40 +728,137 @@ class TestKeptWalk:
         check(name, fleet_fixture(name, FleetEngine(build()).run()))
 
 
-def _elastic_fleet() -> FleetSpec:
-    """perfbench's fleet-elastic workload at seed 0: 100 tenants x
-    1,000 iterations on 480 GPUs under fair share."""
+def _upload_mark(sim):
+    """The step walk's mark plus the checkpointer's upload clock and
+    total stall, to the bit."""
+    checkpointer = sim._checkpointer
+    return _mark(sim) + (
+        float(sim.clock).hex(),
+        float(checkpointer.upload_finish_time).hex(),
+        float(checkpointer.total_stall).hex(),
+        float(sim._stall_carry).hex(),
+    )
+
+
+class TestUploadWait:
+    """Checkpoints that wait for the previous snapshot's upload: peeks,
+    their kept walks cut at horizons, and fresh walks equal the step
+    walk at every horizon, down to the upload clock and total stall."""
+
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        interval=st.integers(1, 10),
+        bandwidth=st.sampled_from([1e8, 1e9, 4e9, 4e10]),
+        stragglers=st.booleans(),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_matches_step_walk(
+        self, job_config, interval, bandwidth, stragglers, seed, data
+    ):
+        """An elastic job with sampled failures, or one with straggler
+        episodes, at upload bandwidths from 1e8 B/s (a ~1,300 s upload)
+        to 4e10 B/s (~3 s, against ~1.4 s iterations). Horizons fall on
+        boundary clocks, inside snapshot stalls and anywhere; before
+        each advance the job is peeked (exact or lower-bound) or not."""
+        common = dict(
+            num_iterations=60,
+            elastic=True,
+            repair_seconds=200.0,
+            seed=seed,
+            **FAST_RECOVERY,
+        )
+        if stragglers:
+            spec = ScenarioSpec(
+                straggler_rate=0.1, straggler_iterations=4, **common
+            )
+        else:
+            spec = ScenarioSpec(mtbf_gpu_hours=20.0, **common)
+        checkpoint = CheckpointConfig(
+            interval_iterations=interval, upload_bandwidth=bandwidth
+        )
+        probe = JobSimulator(job_config, spec, checkpoint=checkpoint)
+        probe.start()
+        boundaries = [probe.clock]
+        while not probe.done:
+            probe.step()
+            boundaries.append(probe.clock)
+        windows = _stall_windows(job_config, spec, checkpoint)
+        fractions = st.floats(0.0, 1.0)
+        horizons = data.draw(st.lists(
+            st.one_of(
+                st.sampled_from(boundaries),
+                st.builds(_inside, st.sampled_from(windows), fractions),
+                st.floats(0.0, boundaries[-1]),
+            ),
+            max_size=8,
+        ))
+        peeks = data.draw(st.lists(
+            st.sampled_from([None, False, True]),
+            min_size=len(horizons) + 1,
+            max_size=len(horizons) + 1,
+        ))
+
+        STATE_CACHE.clear()
+        walked = JobSimulator(job_config, spec, checkpoint=checkpoint)
+        stepped = JobSimulator(job_config, spec, checkpoint=checkpoint)
+        walked.start()
+        stepped.start()
+        marks, expected = [], []
+        for horizon, peek in zip(sorted(horizons) + [np.inf], peeks):
+            if peek is not None and not walked.done:
+                walked.peek_segment(lower_bound=peek)
+            walked.advance_until(horizon)
+            _step_to(stepped, horizon)
+            marks.append(_upload_mark(walked))
+            expected.append(_upload_mark(stepped))
+        assert marks == expected
+        assert _result_bytes(walked) == _result_bytes(stepped)
+        if bandwidth == 1e8:
+            # Every checkpoint after the first of a checkpointer's life
+            # waits for the previous one's upload.
+            assert stepped.finish().checkpoint_stall_seconds > 1000.0
+
+
+def _perfbench_fleet(stragglers: bool) -> FleetSpec:
+    """perfbench's fleet workloads at seed 0: 100 tenants x 1,000
+    iterations on 480 GPUs, fleet-elastic under fair share, and
+    fleet-stragglers (2% straggler episodes, three priorities) under the
+    priority policy."""
+    scenario = ScenarioSpec(
+        num_iterations=1000,
+        checkpoint_interval=50,
+        mtbf_gpu_hours=60.0,
+        elastic=True,
+        repair_seconds=900.0,
+        seed=0,
+    )
+    if stragglers:
+        scenario = scenario.with_(straggler_rate=0.02, straggler_slowdown=1.5)
     return FleetSpec.homogeneous(
         DistTrainConfig.preset("mllm-9b", 48, 16),
         cluster_gpus=480,
         num_jobs=100,
         job_gpus=48,
         arrival_spacing_s=120.0,
-        priorities=(1, 0),
-        policy="fair-share",
-        scenario=ScenarioSpec(
-            num_iterations=1000,
-            checkpoint_interval=50,
-            mtbf_gpu_hours=60.0,
-            elastic=True,
-            repair_seconds=900.0,
-            seed=0,
-        ),
+        priorities=(2, 1, 0) if stragglers else (1, 0),
+        policy="priority" if stragglers else "fair-share",
+        scenario=scenario,
     )
 
 
-def test_one_walk_per_segment(monkeypatch):
-    """A warm fleet-elastic call advances through the walks its peeks
-    kept, rebuilds a policy view only when the tenant's held count or
-    running flag moved, and copies no checkpointer. Re-walking every
-    peeked segment, rebuilding every view each decision and peeking
-    on checkpointer copies, the same call made 4,866 walks, 5,094
-    views and 2,322 copies."""
-    spec = _elastic_fleet()
+def _warm_counts(spec, monkeypatch):
+    """Walks, applies, policy views and checkpointer copies in a warm
+    run of ``spec`` after a cold one, and the run's metrics. A straggler
+    evaluation that an earlier run priced spares a re-peek, so the
+    straggler memo starts empty, as in a perfbench process."""
+    STATE_CACHE.clear()
     FleetEngine(spec).run()  # warm every process-wide cache
-    counts = {"walks": 0, "views": 0, "copies": 0}
-    walk = JobSimulator._walk
-    view = fleet_engine.JobView
+    counts = {"walks": 0, "applies": 0, "views": 0, "copies": 0}
 
     def counted(key, inner):
         def wrapper(*args, **kwargs):
@@ -679,22 +871,52 @@ def test_one_walk_per_segment(monkeypatch):
         counts["copies"] += 1
         raise AssertionError("a checkpointer was copied")
 
-    monkeypatch.setattr(JobSimulator, "_walk", counted("walks", walk))
-    monkeypatch.setattr(fleet_engine, "JobView", counted("views", view))
+    monkeypatch.setattr(
+        JobSimulator, "_walk", counted("walks", JobSimulator._walk)
+    )
+    monkeypatch.setattr(
+        JobSimulator, "_apply", counted("applies", JobSimulator._apply)
+    )
+    monkeypatch.setattr(
+        fleet_engine, "JobView", counted("views", fleet_engine.JobView)
+    )
     monkeypatch.setattr(
         AsyncCheckpointer, "__copy__", copied, raising=False
     )
     monkeypatch.setattr(
         AsyncCheckpointer, "__deepcopy__", copied, raising=False
     )
-    result = FleetEngine(spec).run()
-    assert result.metrics()["num_failures"] == 34.0
-    assert counts == {"walks": 2852, "views": 679, "copies": 0}
+    return counts, FleetEngine(spec).run().metrics()
+
+
+def test_one_walk_per_segment(monkeypatch):
+    """A warm fleet-elastic call walks each segment once, from a
+    tenant's boundary across its checkpoints to its next irregular step,
+    and brings a tenant to a decision by cutting the walk its peek kept;
+    it rebuilds a policy view only when the tenant's held count or
+    running flag moved, and copies no checkpointer. Ending every segment
+    at a checkpoint and walking afresh at each decision, the same call
+    made 2,852 walks and 2,389 applies; before that, re-walking every
+    peeked segment, rebuilding every view each decision and peeking on
+    checkpointer copies, 4,866 walks, 5,094 views and 2,322 copies."""
+    counts, metrics = _warm_counts(_perfbench_fleet(False), monkeypatch)
+    assert metrics["num_failures"] == 34.0
+    assert counts == {"walks": 595, "applies": 507, "views": 679, "copies": 0}
+
+
+def test_straggler_fleet_walks_span_checkpoints(monkeypatch):
+    """A warm fleet-stragglers call walks a segment once across its
+    checkpoints too; ending every segment at a checkpoint and walking
+    afresh at each decision, it made 2,176 walks and 2,077 applies."""
+    counts, metrics = _warm_counts(_perfbench_fleet(True), monkeypatch)
+    assert metrics["preemptions"] == 38.0
+    assert counts == {"walks": 240, "applies": 176, "views": 368, "copies": 0}
 
 
 #: A 48-GPU job shrunk to 40 by an early failure whose repair lies far
-#: ahead, taken to iteration 13: its segment runs to the checkpoint at
-#: iteration 20, with the checkpoint at 10 behind it.
+#: ahead, taken to iteration 13: its segment runs across the checkpoints
+#: at iterations 20 and 30 up to the final iteration, with the
+#: checkpoint at 10 behind it.
 SHRUNK = ScenarioSpec(
     num_iterations=40,
     checkpoint_interval=10,
@@ -740,27 +962,45 @@ INPUT_CHANGES = {
 }
 
 
-def _advance_after_change(job_config, change, walk):
+#: Where the advance after the change goes first, read off the kept
+#: walk: its end, so the whole walk applies, or a horizon inside it, so
+#: a prefix applies: in the first checkpoint's stall or in the last
+#: checkpoint interval.
+TARGETS = {
+    "end": lambda walk: walk.clock,
+    "first stall": lambda walk: (walk.marks[0, 0] + walk.marks[0, 1]) / 2,
+    "last interval": lambda walk: (walk.marks[-1, 1] + walk.clock) / 2,
+}
+
+
+def _advance_after_change(job_config, change, walk, target):
     """Peek the shrunk job's segment, apply ``change``, then advance to
-    the peeked end and on: ``walk`` is "kept" (as the simulator
+    the ``target`` horizon and on: ``walk`` is "kept" (as the simulator
     decides), "fresh" (the kept walk dropped) or "stale" (the kept walk
-    forced). Returns the marks, the result bytes or the error."""
+    forced, cut at the horizon). Returns the marks, the result bytes or
+    the error."""
     sim = JobSimulator(job_config, SHRUNK)
     sim.start()
     while sim.iterations_retained < 13:
         sim.step()
     assert sim.num_gpus == 40 and sim.allocated_gpus == 48
     end, irregular, _ = sim.peek_segment()
-    assert not irregular
+    kept = sim._kept
+    # Iterations 13 to 38 across the checkpoints at 20 and 30; the
+    # final iteration is irregular.
+    assert irregular and kept.clock == end
+    assert (kept.take, kept.first, len(kept.marks)) == (26, 20, 2)
+    horizon = TARGETS[target](kept)
+    assert sim.clock < horizon <= end
     change(sim)
     marks = []
     try:
         if walk == "fresh":
             sim._kept = None
         elif walk == "stale":
-            sim._apply(sim._kept)
-        for horizon in (end, float("inf")):
-            sim.advance_until(horizon)
+            sim._apply(kept if horizon == end else sim._prefix(kept, horizon))
+        for h in (horizon, float("inf")):
+            sim.advance_until(h)
             marks.append(_mark(sim))
         marks.append(_result_bytes(sim))
     except RuntimeError as error:
@@ -771,9 +1011,13 @@ def _advance_after_change(job_config, change, walk):
 @pytest.mark.parametrize("name", sorted(INPUT_CHANGES))
 def test_kept_walk_reads_every_input(job_config, name):
     """Each input the walk reads, changed alone after the peek, makes
-    the advance walk afresh; applying the kept walk would have gone
-    wrong."""
+    the advance walk afresh, to the walk's end or to a horizon inside
+    it; applying the kept walk, whole or cut at the horizon, would have
+    gone wrong."""
     change = INPUT_CHANGES[name]
-    fresh = _advance_after_change(job_config, change, "fresh")
-    assert _advance_after_change(job_config, change, "kept") == fresh
-    assert _advance_after_change(job_config, change, "stale") != fresh
+    for target in TARGETS:
+        fresh = _advance_after_change(job_config, change, "fresh", target)
+        kept = _advance_after_change(job_config, change, "kept", target)
+        stale = _advance_after_change(job_config, change, "stale", target)
+        assert kept == fresh, target
+        assert stale != fresh, target

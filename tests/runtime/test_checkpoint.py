@@ -45,6 +45,17 @@ class TestCheckpointer:
         with pytest.raises(ValueError):
             CheckpointConfig(interval_iterations=0)
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize(
+        "field", ["snapshot_bandwidth", "upload_bandwidth"]
+    )
+    def test_invalid_bandwidth(self, field, value):
+        """A bandwidth that is not > 0 fails where the policy is built,
+        naming the field, not as a division by zero or a negative or
+        NaN upload deep in a run."""
+        with pytest.raises(ValueError, match=f"{field} must be > 0"):
+            CheckpointConfig(**{field: value})
+
 
 class TestRestartBookkeeping:
     """Error/recovery paths: where a failed job resumes from."""
