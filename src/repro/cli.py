@@ -27,7 +27,7 @@ import argparse
 import math
 import sys
 from contextlib import contextmanager
-from typing import Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro.core.api import compare_systems, plan, simulate
 from repro.core.config import KNOWN_SYSTEMS, DistTrainConfig
@@ -370,7 +370,7 @@ def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
              "timeout, stalled heartbeat (default: %(default)s)",
     )
     parser.add_argument(
-        "--poison-after", type=int, default=2, metavar="N",
+        "--poison-after", type=_positive_int, default=2, metavar="N",
         help="quarantine a trial as poisoned once it has crashed this "
              "many workers (default: %(default)s)",
     )
@@ -490,6 +490,61 @@ def _scenario_sweep_params(args: argparse.Namespace, default_on: bool):
         for value in axis.values:
             ScenarioSpec.from_params({**base, axis.name: value})
     return base, axes
+
+
+def _add_dynamics_arguments(parser: argparse.ArgumentParser) -> None:
+    """The run dynamics ``scenario run`` and ``fleet run`` share; each
+    sets one :class:`~repro.scenarios.spec.ScenarioSpec` field
+    (:func:`_dynamics`)."""
+    parser.add_argument(
+        "--iterations", type=int, default=1000,
+        help="iterations each job retains (default: %(default)s)",
+    )
+    parser.add_argument(
+        "--mtbf", type=float, default=None,
+        help="per-GPU mean time between failures, in hours "
+             "(default: no sampled failures)",
+    )
+    parser.add_argument(
+        "--straggler-rate", type=float, default=0.0,
+        help="per-iteration probability a straggler episode starts",
+    )
+    parser.add_argument(
+        "--straggler-slowdown", type=float, default=1.5,
+        help="compute slowdown of a straggling rank",
+    )
+    parser.add_argument(
+        "--elastic", action="store_true",
+        help="re-orchestrate a job on its surviving GPUs after failures",
+    )
+    parser.add_argument(
+        "--checkpoint-interval", type=int, default=50,
+        help="iterations between asynchronous checkpoints",
+    )
+    parser.add_argument(
+        "--sample-iterations", type=int, default=4,
+        help="distinct global batches priced per cluster size",
+    )
+    parser.add_argument(
+        "--failure-seed", type=_non_negative_int, default=0,
+        help="seed for sampled failures and stragglers (fleet job i "
+             "uses seed + i)",
+    )
+
+
+def _dynamics(args: argparse.Namespace) -> Dict[str, Any]:
+    """The :class:`~repro.scenarios.spec.ScenarioSpec` keywords of the
+    flags :func:`_add_dynamics_arguments` declares."""
+    return {
+        "num_iterations": args.iterations,
+        "checkpoint_interval": args.checkpoint_interval,
+        "mtbf_gpu_hours": args.mtbf,
+        "straggler_rate": args.straggler_rate,
+        "straggler_slowdown": args.straggler_slowdown,
+        "elastic": args.elastic,
+        "sample_iterations": args.sample_iterations,
+        "seed": args.failure_seed,
+    }
 
 
 def _add_fleet_arguments(
@@ -693,15 +748,8 @@ def cmd_scenario_run(args: argparse.Namespace) -> int:
             EventTrace.from_json(args.events) if args.events else None
         )
         spec = ScenarioSpec(
-            num_iterations=args.iterations,
-            checkpoint_interval=args.checkpoint_interval,
-            mtbf_gpu_hours=args.mtbf,
-            straggler_rate=args.straggler_rate,
-            straggler_slowdown=args.straggler_slowdown,
+            **_dynamics(args),
             straggler_iterations=args.straggler_iterations,
-            elastic=args.elastic,
-            sample_iterations=args.sample_iterations,
-            seed=args.failure_seed,
             events=events,
         )
     except (OSError, ValueError) as exc:
@@ -768,16 +816,7 @@ def cmd_fleet_run(args: argparse.Namespace) -> int:
 
     config = _config(args)
     try:
-        scenario = ScenarioSpec(
-            num_iterations=args.iterations,
-            checkpoint_interval=args.checkpoint_interval,
-            mtbf_gpu_hours=args.mtbf,
-            straggler_rate=args.straggler_rate,
-            straggler_slowdown=args.straggler_slowdown,
-            elastic=args.elastic,
-            sample_iterations=args.sample_iterations,
-            seed=args.failure_seed,
-        )
+        scenario = ScenarioSpec(**_dynamics(args))
         if args.fleet_packs:
             from repro.scenarios.packs import get_pack
 
@@ -1101,42 +1140,10 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="run one dynamic-cluster scenario"
     )
     _add_task_arguments(scenario_run)
-    scenario_run.add_argument(
-        "--iterations", type=int, default=1000,
-        help="iterations to retain (default: %(default)s)",
-    )
-    scenario_run.add_argument(
-        "--mtbf", type=float, default=None,
-        help="per-GPU mean time between failures, in hours "
-             "(default: no sampled failures)",
-    )
-    scenario_run.add_argument(
-        "--straggler-rate", type=float, default=0.0,
-        help="per-iteration probability a straggler episode starts",
-    )
-    scenario_run.add_argument(
-        "--straggler-slowdown", type=float, default=1.5,
-        help="compute slowdown of a straggling rank",
-    )
+    _add_dynamics_arguments(scenario_run)
     scenario_run.add_argument(
         "--straggler-iterations", type=int, default=20,
         help="length of a straggler episode",
-    )
-    scenario_run.add_argument(
-        "--elastic", action="store_true",
-        help="re-orchestrate on the surviving cluster after failures",
-    )
-    scenario_run.add_argument(
-        "--checkpoint-interval", type=int, default=50,
-        help="iterations between asynchronous checkpoints",
-    )
-    scenario_run.add_argument(
-        "--sample-iterations", type=int, default=4,
-        help="distinct global batches priced per cluster size",
-    )
-    scenario_run.add_argument(
-        "--failure-seed", type=_non_negative_int, default=0,
-        help="seed for sampled failures and stragglers",
     )
     scenario_run.add_argument(
         "--events", default=None,
@@ -1175,39 +1182,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_task_arguments(fleet_run)
     _add_fleet_arguments(fleet_run, sweep=False)
-    fleet_run.add_argument(
-        "--iterations", type=int, default=1000,
-        help="iterations each job retains (default: %(default)s)",
-    )
-    fleet_run.add_argument(
-        "--mtbf", type=float, default=None,
-        help="per-GPU mean time between failures, in hours "
-             "(default: no sampled failures)",
-    )
-    fleet_run.add_argument(
-        "--straggler-rate", type=float, default=0.0,
-        help="per-iteration probability a straggler episode starts",
-    )
-    fleet_run.add_argument(
-        "--straggler-slowdown", type=float, default=1.5,
-        help="compute slowdown of a straggling rank",
-    )
-    fleet_run.add_argument(
-        "--elastic", action="store_true",
-        help="jobs re-orchestrate on surviving GPUs after failures",
-    )
-    fleet_run.add_argument(
-        "--checkpoint-interval", type=int, default=50,
-        help="iterations between asynchronous checkpoints",
-    )
-    fleet_run.add_argument(
-        "--sample-iterations", type=int, default=4,
-        help="distinct global batches priced per cluster size",
-    )
-    fleet_run.add_argument(
-        "--failure-seed", type=_non_negative_int, default=0,
-        help="base seed for per-job failures (job i uses seed + i)",
-    )
+    _add_dynamics_arguments(fleet_run)
     fleet_run.add_argument(
         "--json", action="store_true",
         help="print one machine-readable JSON document (fleet metrics "
@@ -1247,7 +1222,7 @@ def build_parser() -> argparse.ArgumentParser:
         "path", help="trace file written by --trace"
     )
     trace_summarize.add_argument(
-        "--timeline-limit", type=int, default=40,
+        "--timeline-limit", type=_non_negative_int, default=40,
         help="max raw timeline rows to print (default: %(default)s)",
     )
     trace_summarize.add_argument(

@@ -43,6 +43,7 @@ from typing import (
 
 from repro.core.config import DistTrainConfig
 from repro.pipeline.schedules import ScheduleKind
+from repro.scenarios.spec import PARAM_FIELDS
 
 #: Hex digits kept from the sha256 digest. 20 hex chars = 80 bits,
 #: collision-safe for any campaign size this repo will ever run.
@@ -66,21 +67,11 @@ TASK_PARAMS = (
     "preprocessing",
 )
 
-#: Dynamic-cluster scenario parameters (see
-#: :data:`repro.scenarios.spec.PARAM_FIELDS`). A trial carrying any of
+#: Dynamic-cluster scenario parameters: the keys of
+#: :data:`repro.scenarios.spec.PARAM_FIELDS`. A trial carrying any of
 #: these runs through the scenario engine instead of the single-iteration
 #: simulator, and they join the task config in the trial's cache key.
-SCENARIO_PARAMS = (
-    "scenario_iterations",
-    "mtbf",
-    "straggler_rate",
-    "straggler_slowdown",
-    "straggler_iterations",
-    "elastic",
-    "checkpoint_interval",
-    "failure_seed",
-    "events",
-)
+SCENARIO_PARAMS = tuple(PARAM_FIELDS)
 
 #: Shared-cluster fleet parameters (see :mod:`repro.fleet.spec`). A
 #: trial carrying any of these runs a multi-tenant

@@ -6,8 +6,8 @@ and elastically grow/shrink as failures, repairs, and arrivals reshape
 the fleet. This package is that layer:
 
 * :mod:`repro.fleet.job` — :class:`JobSimulator`, the per-job
-  iteration-walking state machine extracted from the single-job
-  scenario engine, stepping against an *allocated* GPU count;
+  iteration-walking state machine a single-job scenario run uses too,
+  stepping against an *allocated* GPU count;
 * :mod:`repro.fleet.policies` — pluggable scheduling policies:
   FIFO-exclusive, elastic fair-share, priority-preemptive;
 * :mod:`repro.fleet.spec` — :class:`FleetJobSpec` / :class:`FleetSpec`,

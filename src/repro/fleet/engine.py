@@ -34,7 +34,7 @@ calling process over one set of process-wide caches.
 Failure/repair capacity stays **job-local** (a repaired node returns to
 the job that lost it, as production schedulers do), so a single-job
 fleet reproduces the standalone
-:class:`~repro.scenarios.engine.ScenarioEngine` timeline byte for byte
+:func:`~repro.scenarios.engine.run_scenario` timeline byte for byte
 — the equivalence suite pins metrics, trajectories, and the realized
 event trace.
 

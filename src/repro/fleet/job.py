@@ -1,24 +1,28 @@
 """The per-job iteration-walking state machine.
 
-:class:`JobSimulator` is the engine room extracted from the original
-single-job ``ScenarioEngine``: it walks one training job's timeline —
-pipeline pricing through the vectorized kernel's batched sweep,
-prepared-batch memoization per cluster size, asynchronous-checkpoint
-stalls, durable-checkpoint rollback on failures, straggler rank
+:class:`JobSimulator` walks one training job's timeline — pipeline
+pricing through the vectorized kernel's batched sweep, prepared-batch
+memoization per cluster size, asynchronous-checkpoint stalls,
+durable-checkpoint rollback on failures and preemptions, straggler rank
 slowdowns, and elastic re-orchestration — against an **allocated GPU
-count** rather than an assumed whole cluster.
+count** rather than an assumed whole cluster. It is the one place that
+walks iterations, overlays checkpoint stalls and rolls back work; each
+irregular-step mechanism has one helper: :meth:`JobSimulator._roll_back`,
+:meth:`JobSimulator._arm_failure_clock` (the next sampled failure),
+:meth:`JobSimulator._gpus_hit` (the blast radius of any timed event)
+and :meth:`JobSimulator._logged_switch` (a logged repair re-growth or
+scripted resize).
 
 Two drivers consume it:
 
-* :class:`repro.scenarios.engine.ScenarioEngine` — the thin single-job
-  wrapper: ``start()`` at the config's full cluster size, advance to
-  completion, ``finish()``. Every multi-iteration result goes through
-  it: scenario runs, :func:`repro.core.api.simulate_run`, the lifecycle
-  manager's ``run`` and the fault-tolerance ablation. This is the one
-  place that walks iterations, overlays checkpoint stalls and rolls
-  back failures; its zero-event run over the full batch stream equals
-  a per-iteration ``simulate`` loop hex for hex (pinned by the test
-  suite).
+* :func:`repro.scenarios.engine.run_scenario` — one job:
+  :meth:`JobSimulator.run` starts it at the config's full cluster size,
+  advances it to completion and finishes it. Every multi-iteration
+  result goes through it: scenario runs,
+  :func:`repro.core.api.simulate_run`, the lifecycle manager's ``run``
+  and the fault-tolerance ablation. Its zero-event run over the full
+  batch stream equals a per-iteration ``simulate`` loop hex for hex
+  (pinned by the test suite).
 * :class:`repro.fleet.engine.FleetEngine` — steps many jobs on one
   shared event clock, reshaping their allocations at scheduling
   decision points via :meth:`apply_resize` / :meth:`preempt` /
@@ -737,10 +741,7 @@ class JobSimulator:
 
         # Lazy Poisson sampling: the next failure arrival in wall-clock.
         self._next_sampled: Optional[float] = None
-        if self._sampling_failures:
-            self._next_sampled = start_time + self._failure_rng.exponential(
-                spec.cluster_mtbf_seconds(self._cur.num_gpus)
-            )
+        self._arm_failure_clock(start_time)
         self._started = True
         self._paused = False
         self._preemptions = 0
@@ -871,6 +872,37 @@ class JobSimulator:
             self._domain_tables[num_gpus] = table
         return table.get(domain, 0)
 
+    def _gpus_hit(self, event: Any) -> int:
+        """GPUs a timed event takes from the job's current slice: a
+        failure's own count, a spot reclaim's capped at the slice, and
+        for a domain failure or maintenance window what the slice holds
+        inside the domain (0 when it lies outside)."""
+        if isinstance(event, FailureEvent):
+            return event.gpus_lost
+        if isinstance(event, SpotReclaimEvent):
+            return min(event.gpus, self._cur.num_gpus)
+        return self._domain_gpus(event.domain)
+
+    def _arm_failure_clock(self, now: float) -> None:
+        """Draw the next sampled failure arrival after ``now`` at the
+        current slice's failure rate. Arrivals are memoryless, so the
+        clock restarts whenever the rate changes or a pause ends."""
+        if self._sampling_failures:
+            self._next_sampled = now + self._failure_rng.exponential(
+                self.scenario.cluster_mtbf_seconds(self._cur.num_gpus)
+            )
+
+    def _roll_back(self, at: float) -> int:
+        """Restart from the latest checkpoint durable at ``at``: the
+        iterations since it are lost and will be replayed. Returns how
+        many."""
+        rollback_to = self._checkpointer.restart_from_latest(at)
+        replayed = self._i - rollback_to
+        self._replayed += replayed
+        self._lost_seconds += float(self._times[rollback_to:self._i].sum())
+        self._i = rollback_to
+        return replayed
+
     def _switch_cluster(self, num_gpus: int, now: float) -> None:
         """Replan on a resized slice, rebuild the checkpointer, and pay
         the modeled re-orchestration pause."""
@@ -890,14 +922,25 @@ class JobSimulator:
             self._checkpointer.resume_from(self._i)
             self._num_replans += 1
             self._min_gpus = min(self._min_gpus, num_gpus)
-            if self._sampling_failures:
-                # Memoryless arrivals: restart the exponential clock at
-                # the new slice's failure rate.
-                self._next_sampled = now + self._failure_rng.exponential(
-                    self.scenario.cluster_mtbf_seconds(num_gpus)
-                )
+            self._arm_failure_clock(now)
         self._clock += self.scenario.replan_seconds
         self._recovery_seconds += self.scenario.replan_seconds
+
+    def _logged_switch(self, kind: str, num_gpus: int) -> None:
+        """Switch to ``num_gpus`` at the current boundary for a repair
+        re-growth (``kind`` ``"grow"``) or a scripted resize
+        (``"resize"``), logging the change for the fleet and emitting
+        its ``job.<kind>`` event."""
+        from_gpus = self._cur.num_gpus
+        self._switch_cluster(num_gpus, self._clock)
+        self._fleet_log.append((kind, from_gpus, num_gpus, self._clock))
+        obs.event(
+            f"job.{kind}",
+            job=self.name,
+            t=self._clock,
+            from_gpus=from_gpus,
+            to_gpus=num_gpus,
+        )
 
     def prepare_step(self) -> Optional[PendingEvaluation]:
         """The evaluation the next :meth:`step` will need, if gatherable.
@@ -968,35 +1011,10 @@ class JobSimulator:
         if self._repair_at is not None and self._clock >= self._repair_at:
             self._repair_at = None
             if self._cur.num_gpus != self._allocated:
-                grown_from = self._cur.num_gpus
-                self._switch_cluster(self._allocated, self._clock)
-                self._fleet_log.append(
-                    ("grow", grown_from, self._cur.num_gpus, self._clock)
-                )
-                obs.event(
-                    "job.grow",
-                    job=self.name,
-                    t=self._clock,
-                    from_gpus=grown_from,
-                    to_gpus=self._cur.num_gpus,
-                )
-        if self._i in self._resizes and (
-            self._cur.num_gpus != self._resizes[self._i].num_gpus
-        ):
-            resized_from = self._cur.num_gpus
-            self._switch_cluster(
-                self._resizes[self._i].num_gpus, self._clock
-            )
-            self._fleet_log.append(
-                ("resize", resized_from, self._cur.num_gpus, self._clock)
-            )
-            obs.event(
-                "job.resize",
-                job=self.name,
-                t=self._clock,
-                from_gpus=resized_from,
-                to_gpus=self._cur.num_gpus,
-            )
+                self._logged_switch("grow", self._allocated)
+        resize = self._resizes.get(self._i)
+        if resize is not None and self._cur.num_gpus != resize.num_gpus:
+            self._logged_switch("resize", resize.num_gpus)
 
         result = self._evaluate(
             self._cur, self._i % self._K, self._profile(self._i)
@@ -1005,16 +1023,14 @@ class JobSimulator:
 
         event, sampled = self._next_timed()
         while event is not None and event.time_s <= end_compute:
+            gpus_lost = self._gpus_hit(event)
+            if not gpus_lost:
+                # A domain the slice never touches (only domain events
+                # can miss it): consume the event and keep computing.
+                self._failure_idx += 1
+                event, sampled = self._next_timed()
+                continue
             if isinstance(event, (SpotReclaimEvent, MaintenanceEvent)):
-                if (
-                    isinstance(event, MaintenanceEvent)
-                    and self._domain_gpus(event.domain) <= 0
-                ):
-                    # Maintenance over a domain the slice never
-                    # touches: consume the event and keep computing.
-                    self._failure_idx += 1
-                    event, sampled = self._next_timed()
-                    continue
                 # Graceful capacity outage: no rollback, capacity
                 # returns after the window.
                 with obs.span(
@@ -1023,18 +1039,8 @@ class JobSimulator:
                     t=event.time_s,
                     kind=event.kind,
                 ):
-                    self._handle_outage(event)
+                    self._handle_outage(event, gpus_lost)
                 return
-            if isinstance(event, FailureEvent):
-                gpus_lost = event.gpus_lost
-            else:  # DomainFailureEvent: blast radius on the live slice
-                gpus_lost = self._domain_gpus(event.domain)
-                if gpus_lost <= 0:
-                    # The domain lies entirely outside the job's slice:
-                    # consume the event and keep computing.
-                    self._failure_idx += 1
-                    event, sampled = self._next_timed()
-                    continue
             # The iteration is killed mid-flight.
             extra = (
                 {"domain": event.domain}
@@ -1060,53 +1066,38 @@ class JobSimulator:
         self._i += 1
 
     def _handle_failure(
-        self,
-        failure: Any,
-        sampled: bool,
-        gpus_lost: Optional[int] = None,
+        self, failure: Any, sampled: bool, gpus_lost: int
     ) -> None:
         """Roll back, pay downtime, and (if elastic) shrink to the
         surviving slice — the body of :meth:`step`'s failure branch.
 
         ``failure`` is a :class:`FailureEvent` or a
         :class:`~repro.scenarios.events.DomainFailureEvent`;
-        ``gpus_lost`` is the resolved blast radius (defaults to the
-        event's own count for plain failures).
+        ``gpus_lost`` is its blast radius (:meth:`_gpus_hit`).
         """
         spec = self.scenario
-        if gpus_lost is None:
-            gpus_lost = failure.gpus_lost
         if sampled:
             self._events_log.append(failure)
-            self._next_sampled = (
-                failure.time_s + self._failure_rng.exponential(
-                    spec.cluster_mtbf_seconds(self._cur.num_gpus)
-                )
-            )
+            self._arm_failure_clock(failure.time_s)
         else:
             self._failure_idx += 1
         self._num_failures += 1
         obs.count("job.failures")
         at = max(self._clock, failure.time_s)
         self._lost_seconds += at - self._clock  # the partial iteration
-        rollback_to = self._checkpointer.restart_from_latest(at)
+        replayed = self._roll_back(at)
         obs.event(
             "job.rollback",
             job=self.name,
             t=at,
-            to_iteration=rollback_to,
-            replayed=self._i - rollback_to,
+            to_iteration=self._i,
+            replayed=replayed,
         )
         obs.count("job.rollbacks")
         logger.debug(
             "%s: failure at t=%.1fs, rollback %d -> %d",
-            self.name, at, self._i, rollback_to,
+            self.name, at, self._i + replayed, self._i,
         )
-        self._replayed += self._i - rollback_to
-        self._lost_seconds += float(
-            self._times[rollback_to:self._i].sum()
-        )
-        self._i = rollback_to
         self._clock = at + spec.downtime_seconds
         self._recovery_seconds += spec.downtime_seconds
         shrunk_from = self._cur.num_gpus
@@ -1118,8 +1109,9 @@ class JobSimulator:
              self._clock)
         )
 
-    def _handle_outage(self, event: Any) -> None:
-        """Graceful capacity outage (spot reclaim / maintenance window).
+    def _handle_outage(self, event: Any, gpus_lost: int) -> None:
+        """Graceful capacity outage (spot reclaim / maintenance window)
+        taking ``gpus_lost`` GPUs (:meth:`_gpus_hit`, at least one).
 
         No checkpoint work is rolled back — the provider drains the
         capacity with notice — but the iteration in flight is abandoned
@@ -1134,15 +1126,8 @@ class JobSimulator:
         at = max(self._clock, event.time_s)
         self._lost_seconds += at - self._clock  # the partial iteration
         self._clock = at
-        if isinstance(event, SpotReclaimEvent):
-            gpus_lost = min(event.gpus, self._cur.num_gpus)
-        else:
-            gpus_lost = self._domain_gpus(event.domain)
         resume_at = event.time_s + event.duration_s
         from_gpus = self._cur.num_gpus
-        if gpus_lost <= 0:
-            # A maintenance domain outside the slice: nothing to drain.
-            return
         if not self._shrink(gpus_lost, resume_at):
             # The whole job vacates for the remainder of the window.
             pause = max(0.0, resume_at - self._clock)
@@ -1564,12 +1549,7 @@ class JobSimulator:
         with obs.span("job.preempt", job=self.name, t=at):
             obs.count("job.preemptions")
             logger.debug("%s: preempted at t=%.1fs", self.name, at)
-            rollback_to = self._checkpointer.restart_from_latest(at)
-            self._replayed += self._i - rollback_to
-            self._lost_seconds += float(
-                self._times[rollback_to:self._i].sum()
-            )
-            self._i = rollback_to
+            self._roll_back(at)
             self._clock = at
             self._repair_at = None
             self._paused = True
@@ -1590,12 +1570,10 @@ class JobSimulator:
         self._allocated = num_gpus
         if self._cur.num_gpus != num_gpus:
             self._switch_cluster(num_gpus, self._clock)
-        elif self._sampling_failures:
+        else:
             # Same slice: re-arm the failure clock so arrivals sampled
             # before the pause cannot fire inside the paused window.
-            self._next_sampled = self._clock + self._failure_rng.exponential(
-                self.scenario.cluster_mtbf_seconds(self._cur.num_gpus)
-            )
+            self._arm_failure_clock(self._clock)
         self._paused = False
 
     # ------------------------------------------------------------------ #

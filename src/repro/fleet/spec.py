@@ -170,25 +170,16 @@ class FleetSpec:
         priorities: Sequence[int] = (0,),
         policy: str = "fair-share",
         scenario: Optional[ScenarioSpec] = None,
-        arrivals: Optional[Sequence[float]] = None,
     ) -> "FleetSpec":
         """N staggered copies of one task contending for one cluster.
 
         Each job gets a distinct name, a derived failure seed
         (``scenario.seed + index`` — identical tenants must not fail in
         lockstep), an arrival of ``index * arrival_spacing_s``, and a
-        priority cycled from ``priorities``. An explicit ``arrivals``
-        sequence (e.g. sampled from a pack's
-        :class:`~repro.scenarios.packs.ArrivalProcess`) replaces the
-        fixed spacing grid.
+        priority cycled from ``priorities``.
         """
         if num_jobs < 1:
             raise ValueError("num_jobs must be >= 1")
-        if arrivals is not None and len(arrivals) != num_jobs:
-            raise ValueError(
-                f"arrivals has {len(arrivals)} entries for "
-                f"{num_jobs} jobs"
-            )
         scenario = scenario or ScenarioSpec()
         demand = config.cluster.num_gpus if job_gpus is None else job_gpus
         if demand != config.cluster.num_gpus:
@@ -210,11 +201,7 @@ class FleetSpec:
                 name=f"job{i:02d}",
                 config=config,
                 scenario=scenario.with_(seed=scenario.seed + i),
-                arrival_s=(
-                    float(arrivals[i])
-                    if arrivals is not None
-                    else i * arrival_spacing_s
-                ),
+                arrival_s=i * arrival_spacing_s,
                 priority=priorities[i % len(priorities)],
             )
             for i in range(num_jobs)

@@ -13,8 +13,8 @@ and keeps only what is its own:
    between adjacent units, run communication warm-up trials to verify
    connectivity, and size the elastic preprocessing pool on the first
    global batch (:func:`~repro.core.api.sample_batches`);
-3. **runtime** — walk the training timeline on the scenario engine
-   (:class:`~repro.scenarios.engine.ScenarioEngine`, the one
+3. **runtime** — walk the training timeline with
+   :func:`~repro.scenarios.engine.run_scenario` (the one
    multi-iteration timeline), whose iteration simulators price the
    sized pool: :meth:`DistTrainManager.run` is the zero-event run over
    the full batch stream, with periodic asynchronous checkpoints, and
@@ -166,11 +166,11 @@ class DistTrainManager:
         through the scenario engine. A checkpoint policy the manager
         was constructed with overrides the scenario's default interval.
         """
-        from repro.scenarios.engine import ScenarioEngine
+        from repro.scenarios.engine import run_scenario
 
-        return ScenarioEngine(
+        return run_scenario(
             self.config,
             scenario,
             checkpoint=self.checkpoint,
             cpu_nodes=self.initialize().recommended_cpu_nodes,
-        ).run()
+        )

@@ -15,14 +15,15 @@ Layout:
   (failures, stragglers, resizes) and the JSON trace schema;
 * :mod:`repro.scenarios.spec` — :class:`ScenarioSpec`, the sweepable
   scenario configuration with a canonical content hash;
-* :mod:`repro.scenarios.engine` — :class:`ScenarioEngine` and
-  :class:`ScenarioResult` (goodput, lost work, recovery time, MFU
-  trajectory);
+* :mod:`repro.scenarios.engine` — :func:`run_scenario`, one job's run
+  on the whole cluster;
+* :mod:`repro.scenarios.result` — :class:`ScenarioResult` (goodput,
+  lost work, recovery time, MFU trajectory);
 * :mod:`repro.scenarios.packs` — the declarative scenario-pack catalog
   (arrival processes, job-class mixes, correlated fault profiles).
 """
 
-from repro.scenarios.engine import ScenarioEngine, ScenarioResult, run_scenario
+from repro.scenarios.engine import run_scenario
 from repro.scenarios.events import (
     ClusterEvent,
     DomainFailureEvent,
@@ -41,6 +42,7 @@ from repro.scenarios.packs import (
     ScenarioPack,
     get_pack,
 )
+from repro.scenarios.result import ScenarioResult
 from repro.scenarios.spec import ScenarioSpec
 
 __all__ = [
@@ -54,7 +56,6 @@ __all__ = [
     "MaintenanceEvent",
     "PACKS",
     "ResizeEvent",
-    "ScenarioEngine",
     "ScenarioPack",
     "ScenarioResult",
     "ScenarioSpec",

@@ -1,16 +1,15 @@
 """Trace-driven simulation of one long run under cluster dynamics.
 
-:class:`ScenarioEngine` is the single-job wrapper over the reusable
-per-job state machine, :class:`repro.fleet.job.JobSimulator`: the job is
-granted the config's entire cluster, walked to completion on its own
-clock, and its :class:`~repro.scenarios.result.ScenarioResult` returned.
-The state machine itself — batched kernel pricing, prepared-batch
-memoization per cluster size, asynchronous-checkpoint stalls,
-durable-checkpoint rollback, straggler rank slowdowns, elastic
-re-orchestration through the process-wide plan cache — lives in
-:mod:`repro.fleet.job`, where the multi-tenant
-:class:`~repro.fleet.engine.FleetEngine` drives many instances of it on
-one shared event clock.
+:func:`run_scenario` runs one job on the per-job state machine,
+:class:`repro.fleet.job.JobSimulator`: the job is granted the config's
+entire cluster, walked to completion on its own clock, and its
+:class:`~repro.scenarios.result.ScenarioResult` returned. The state
+machine itself — batched kernel pricing, prepared-batch memoization per
+cluster size, asynchronous-checkpoint stalls, durable-checkpoint
+rollback, straggler rank slowdowns, elastic re-orchestration through
+the process-wide plan cache — lives in :mod:`repro.fleet.job`, where
+the multi-tenant :class:`~repro.fleet.engine.FleetEngine` drives many
+instances of it on one shared event clock.
 
 It is the one multi-iteration timeline: :func:`repro.core.api.simulate_run`,
 :meth:`repro.runtime.manager.DistTrainManager.run` and the
@@ -28,12 +27,18 @@ from repro.core.config import DistTrainConfig
 from repro.obs import instrument as obs
 from repro.fleet.job import JobSimulator
 from repro.runtime.checkpoint import CheckpointConfig
-from repro.scenarios.result import ScenarioResult  # noqa: F401
+from repro.scenarios.result import ScenarioResult
 from repro.scenarios.spec import ScenarioSpec
 
 
-class ScenarioEngine:
-    """Simulates one training task under a :class:`ScenarioSpec`.
+def run_scenario(
+    config: DistTrainConfig,
+    scenario: ScenarioSpec,
+    checkpoint: Optional[CheckpointConfig] = None,
+    cpu_nodes: int = 8,
+) -> ScenarioResult:
+    """Simulate one training task under a :class:`ScenarioSpec`, on the
+    whole configured cluster, inside one ``scenario.run`` span.
 
     Args:
         config: The training task.
@@ -46,39 +51,12 @@ class ScenarioEngine:
             size's iteration simulator prices (the pool a manager's
             initializer sized).
     """
-
-    def __init__(
-        self,
-        config: DistTrainConfig,
-        scenario: ScenarioSpec,
-        checkpoint: Optional[CheckpointConfig] = None,
-        cpu_nodes: int = 8,
+    with obs.span(
+        "scenario.run",
+        model=config.mllm.name,
+        gpus=config.cluster.num_gpus,
+        iterations=scenario.num_iterations,
     ):
-        self.config = config
-        self.scenario = scenario
-        self._job = JobSimulator(
+        return JobSimulator(
             config, scenario, checkpoint=checkpoint, cpu_nodes=cpu_nodes
-        )
-        self.checkpoint = self._job.checkpoint
-
-    def run(self) -> ScenarioResult:
-        """Walk the full timeline on the whole configured cluster.
-
-        Repeated calls reuse the per-size plan/batch memo tables, but
-        each reports the plan hit/miss counters of a run from cold
-        caches: the counters depend on the run alone.
-        """
-        with obs.span(
-            "scenario.run",
-            model=self.config.mllm.name,
-            gpus=self.config.cluster.num_gpus,
-            iterations=self.scenario.num_iterations,
-        ):
-            return self._job.run()
-
-
-def run_scenario(
-    config: DistTrainConfig, scenario: ScenarioSpec
-) -> ScenarioResult:
-    """Convenience wrapper: simulate ``config`` under ``scenario``."""
-    return ScenarioEngine(config, scenario).run()
+        ).run()

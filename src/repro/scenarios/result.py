@@ -2,7 +2,7 @@
 
 :class:`ScenarioResult` is produced by the per-job state machine
 (:class:`repro.fleet.job.JobSimulator`) whether the job ran alone
-(:class:`repro.scenarios.engine.ScenarioEngine`) or as one tenant of a
+(:func:`repro.scenarios.engine.run_scenario`) or as one tenant of a
 shared cluster (:class:`repro.fleet.engine.FleetEngine`). It lives in
 its own module so both layers can import it without cycles.
 """

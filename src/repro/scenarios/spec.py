@@ -18,7 +18,7 @@ spec with ``sample_iterations = num_iterations``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Optional
 
 from repro.scenarios.events import EventTrace
@@ -171,25 +171,10 @@ class ScenarioSpec:
         return cls(**kwargs)
 
     def canonical(self) -> Dict[str, Any]:
-        """JSON-safe canonical form (feeds the campaign cache key)."""
-        payload: Dict[str, Any] = {
-            "num_iterations": self.num_iterations,
-            "checkpoint_interval": self.checkpoint_interval,
-            "mtbf_gpu_hours": self.mtbf_gpu_hours,
-            "restart_seconds": self.restart_seconds,
-            "checkpoint_load_seconds": self.checkpoint_load_seconds,
-            "gpus_lost_per_failure": self.gpus_lost_per_failure,
-            "straggler_rate": self.straggler_rate,
-            "straggler_slowdown": self.straggler_slowdown,
-            "straggler_iterations": self.straggler_iterations,
-            "elastic": self.elastic,
-            "repair_seconds": self.repair_seconds,
-            "replan_seconds": self.replan_seconds,
-            "sample_iterations": self.sample_iterations,
-            "seed": self.seed,
-            "events": (
-                self.events.to_dicts() if self.events is not None else None
-            ),
-            "pack": self.pack,
-        }
+        """JSON-safe canonical form (feeds the campaign cache key):
+        every field in declaration order, the event trace as its JSON
+        records."""
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.events is not None:
+            payload["events"] = self.events.to_dicts()
         return payload

@@ -141,6 +141,20 @@ class TestCommands:
                       "disttrain", "--gpus", "96", "--gbs", "16",
                       "--scenario-iterations", "10", "--arrival-spacing",
                       "nan"], id="fleet-sweep-arrival-spacing"),
+        *(
+            pytest.param(["sweep", "--models", "mllm-9b", "--systems",
+                          "disttrain", "--gpus", "48", "--gbs", "16",
+                          "--poison-after", value],
+                         id=f"sweep-poison-after-{value}")
+            for value in ("0", "-1")
+        ),
+        pytest.param(["fleet", "sweep", "--models", "mllm-9b", "--systems",
+                      "disttrain", "--gpus", "96", "--gbs", "16",
+                      "--scenario-iterations", "10", "--poison-after", "0"],
+                     id="fleet-sweep-poison-after"),
+        pytest.param(["trace", "summarize", "trace.jsonl",
+                      "--timeline-limit", "-3"],
+                     id="trace-summarize-timeline-limit"),
     ])
     def test_out_of_range_flag_exits_2_before_work(
         self, capsys, tmp_path, argv
@@ -149,10 +163,14 @@ class TestCommands:
         zero sweep counts, grid values (cluster sizes, batch sizes, VPP)
         and worker counts below 1, a trial timeout that is not a positive
         finite number, a negative retry count and an arrival spacing that
-        is not a non-negative finite number fail at parse time, not in a
-        traceback, a run of failed trials or an endless fleet loop."""
-        command = " ".join(argv[:2] if argv[0] in ("scenario", "fleet")
-                           else argv[:1])
+        is not a non-negative finite number, a poison threshold below 1
+        and a negative timeline limit fail at parse time, not in a
+        traceback, a run of failed trials, an endless fleet loop, a
+        created cache directory or a timeline sliced from its end."""
+        command = " ".join(
+            argv[:2] if argv[0] in ("scenario", "fleet", "trace")
+            else argv[:1]
+        )
         flag, value = argv[-2:]
         if flag == "--trial-timeout":
             expected = f"must be a positive finite number, got {value}"
@@ -160,7 +178,7 @@ class TestCommands:
             expected = f"must be a non-negative finite number, got {value}"
         else:
             minimum = 0 if flag in ("--seed", "--failure-seed",
-                                    "--retries") else 1
+                                    "--retries", "--timeline-limit") else 1
             expected = f"must be >= {minimum}, got {value}"
         if "sweep" in argv[:2]:
             argv = argv + ["--cache-dir", str(tmp_path)]

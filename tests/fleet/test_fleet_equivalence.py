@@ -2,11 +2,11 @@
 
 The JobSimulator extraction and the FleetEngine's scheduling machinery
 must not perturb a single byte of a lone job's physics: a one-job fleet
-with no contention is the standalone ``ScenarioEngine`` timeline —
+with no contention is the standalone ``run_scenario`` timeline —
 metrics, per-iteration trajectories, realized event trace, and even the
 plan hit/miss counters. Pinned three ways:
 
-1. against the live ``ScenarioEngine`` over a hypothesis-sampled space
+1. against a live ``run_scenario`` over a hypothesis-sampled space
    of dynamics, under every scheduling policy;
 2. against the checked-in golden canonical scenario fixture (hex-exact
    floats — a single ULP of drift fails);
@@ -20,8 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.fleet import FleetEngine, FleetJobSpec, FleetSpec
-from repro.scenarios import ScenarioSpec
-from repro.scenarios.engine import ScenarioEngine
+from repro.scenarios import ScenarioSpec, run_scenario
 
 from tests.fleet.conftest import FAST_RECOVERY
 from tests.fleet.golden.regen import cold_run
@@ -77,7 +76,7 @@ def test_single_job_fleet_is_scenario_engine(
         seed=seed,
         **FAST_RECOVERY,
     )
-    reference = snapshot(ScenarioEngine(job_config, spec).run())
+    reference = snapshot(run_scenario(job_config, spec))
     fleet = FleetEngine(solo_fleet(job_config, spec, policy)).run()
     assert len(fleet.records) == 1
     record = fleet.records[0]
@@ -123,7 +122,7 @@ def test_late_arrival_replays_traces_job_relative(job_config):
         repair_seconds=40.0,
         **FAST_RECOVERY,
     )
-    standalone = ScenarioEngine(job_config, spec).run()
+    standalone = run_scenario(job_config, spec)
     fleet = FleetEngine(
         FleetSpec(
             cluster=job_config.cluster,

@@ -1,5 +1,6 @@
 """The stepping API of the extracted per-job state machine."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -11,10 +12,10 @@ from repro.core.config import DistTrainConfig
 from repro.fleet import FleetEngine, FleetSpec
 from repro.fleet import engine as fleet_engine
 from repro.fleet.job import MAX_FAILURES, STATE_CACHE, JobSimulator, _fold
+from repro.obs import instrument
 from repro.orchestration.errors import InfeasibleClusterError
 from repro.orchestration.plancache import PLAN_CACHE
-from repro.scenarios import ScenarioSpec
-from repro.scenarios.engine import ScenarioEngine
+from repro.scenarios import ScenarioSpec, run_scenario
 from repro.scenarios.events import (
     DomainFailureEvent,
     EventTrace,
@@ -33,14 +34,45 @@ from tests.fleet.test_golden_fleet import check
 
 
 class TestLifecycle:
-    def test_run_equals_scenario_engine(self, job_config):
+    def test_run_equals_run_scenario(self, job_config):
         spec = ScenarioSpec(num_iterations=30)
         direct = JobSimulator(job_config, spec).run()
-        wrapped = ScenarioEngine(job_config, spec).run()
+        wrapped = run_scenario(job_config, spec)
         assert direct.metrics() == wrapped.metrics()
         assert np.array_equal(
             direct.iteration_times, wrapped.iteration_times
         )
+
+    def test_run_scenario_is_one_traced_job_run(self, job_config):
+        # On one-core preprocessing nodes a one-node pool stalls the
+        # iterations, so the pool a caller passes shows in the result.
+        config = job_config.with_(
+            cluster=dataclasses.replace(
+                job_config.cluster, cpu_cores_per_node=1
+            )
+        )
+        spec = ScenarioSpec(
+            num_iterations=30, mtbf_gpu_hours=2.0, seed=1, **FAST_RECOVERY
+        )
+        checkpoint = CheckpointConfig(interval_iterations=4)
+        direct = JobSimulator(
+            config, spec, checkpoint=checkpoint, cpu_nodes=1
+        ).run()
+        with instrument.session(trace=True) as tracer:
+            wrapped = run_scenario(
+                config, spec, checkpoint=checkpoint, cpu_nodes=1
+            )
+        assert json.dumps(wrapped.to_dict()) == json.dumps(direct.to_dict())
+        spans = [
+            record["attrs"]
+            for record in tracer.records
+            if record["type"] == "span" and record["name"] == "scenario.run"
+        ]
+        assert spans == [{"model": "mllm-9b", "gpus": 48, "iterations": 30}]
+        # Each argument reaches the job: leaving either out changes it.
+        for kwargs in ({"checkpoint": checkpoint}, {"cpu_nodes": 1}):
+            alone = run_scenario(config, spec, **kwargs)
+            assert alone.to_dict() != direct.to_dict()
 
     def test_stepping_is_incremental(self, job_config):
         sim = JobSimulator(job_config, ScenarioSpec(num_iterations=10))

@@ -126,19 +126,6 @@ class TestFleetSpec:
                 job_config, cluster_gpus=96, num_jobs=2, job_gpus=0
             )
 
-    def test_homogeneous_accepts_explicit_arrivals(self, job_config):
-        spec = FleetSpec.homogeneous(
-            job_config,
-            cluster_gpus=96,
-            num_jobs=3,
-            arrivals=(0.0, 17.5, 503.0),
-        )
-        assert [j.arrival_s for j in spec.jobs] == [0.0, 17.5, 503.0]
-        with pytest.raises(ValueError, match="entries for"):
-            FleetSpec.homogeneous(
-                job_config, cluster_gpus=96, num_jobs=3, arrivals=(0.0,)
-            )
-
     def test_canonical_is_json_safe(self, job_config):
         import json
 

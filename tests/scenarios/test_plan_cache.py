@@ -3,7 +3,7 @@
 A failure/repair oscillation visits the same cluster sizes repeatedly;
 the process-wide plan cache must make that cheaper without perturbing a
 single byte of the result. The hit/miss counters on
-:class:`~repro.scenarios.engine.ScenarioResult` account for every
+:class:`~repro.scenarios.result.ScenarioResult` account for every
 orchestration the timeline needed, counted against the run alone, so a
 run reports the same counters whatever the process ran before it.
 """
@@ -12,11 +12,10 @@ import pytest
 
 from repro.core.api import replan
 from repro.fleet import FleetSpec, run_fleet
-from repro.fleet.job import STATE_CACHE
+from repro.fleet.job import STATE_CACHE, JobSimulator
 from repro.orchestration.errors import InfeasibleClusterError
 from repro.orchestration.plancache import PLAN_CACHE, planning_signature
-from repro.scenarios import EventTrace, ScenarioSpec
-from repro.scenarios.engine import ScenarioEngine, run_scenario
+from repro.scenarios import EventTrace, ScenarioSpec, run_scenario
 from repro.scenarios.events import FailureEvent
 
 from tests.scenarios.conftest import FAST_RECOVERY
@@ -26,7 +25,7 @@ def oscillation_spec() -> ScenarioSpec:
     """fail -> shrink -> repair -> re-grow -> fail -> shrink again.
 
     Two explicit failures with a repair window between them, elastic
-    scheduling on: the engine plans the full cluster, the shrunken
+    scheduling on: the job plans the full cluster, the shrunken
     cluster, the full cluster again (repair), and the shrunken cluster
     again — only two *distinct* sizes.
     """
@@ -61,13 +60,13 @@ class TestCacheTransparency:
         spec = oscillation_spec()
         PLAN_CACHE.clear()
         STATE_CACHE.clear()
-        cold = ScenarioEngine(small_config, spec).run()
-        warm = ScenarioEngine(small_config, spec).run()
+        cold = JobSimulator(small_config, spec).run()
+        warm = JobSimulator(small_config, spec).run()
         assert warm.to_dict() == cold.to_dict()
 
     def test_oscillation_hit_counts(self, small_config):
         spec = oscillation_spec()
-        first = ScenarioEngine(small_config, spec).run()
+        first = JobSimulator(small_config, spec).run()
         # shrink -> re-grow -> shrink again: three membership changes
         # over just two distinct cluster sizes.
         assert first.num_replans == 3
@@ -78,9 +77,9 @@ class TestCacheTransparency:
         assert first.plan_cache_misses == 2
         assert first.plan_cache_hits == 4
 
-        # A second engine in the same process finds every plan in the
+        # A second job in the same process finds every plan in the
         # process cache, but counts its own run: the same tallies.
-        second = ScenarioEngine(small_config, spec).run()
+        second = JobSimulator(small_config, spec).run()
         assert second.plan_cache_misses == 2
         assert second.plan_cache_hits == 4
         assert snapshot(first) == snapshot(second)
@@ -95,10 +94,10 @@ class TestRunScopedCounters:
     def test_scenario_engine_run_twice(self, small_config):
         # A cold first run: the second must repeat its counters.
         PLAN_CACHE.clear()
-        engine = ScenarioEngine(small_config, oscillation_spec())
-        first = engine.run()
+        job = JobSimulator(small_config, oscillation_spec())
+        first = job.run()
         assert (first.plan_cache_hits, first.plan_cache_misses) == (4, 2)
-        assert engine.run().to_dict() == first.to_dict()
+        assert job.run().to_dict() == first.to_dict()
 
     def test_scenario_after_fleet_of_same_task(self, small_config):
         PLAN_CACHE.clear()
