@@ -3,12 +3,19 @@
 Per-iteration preprocessing time visible to the GPU trainers, with and
 without disaggregation, for {8, 16} images x {512^2, 1024^2}. Paper:
 disaggregation turns seconds into milliseconds.
+
+Each configuration is one sample of square images, priced through the
+``exposed_overhead`` the iteration simulator calls. An unbounded
+iteration time gives each mode its steady state: prefetch hides its
+full overlap fraction, and the producers never fall behind.
 """
 
-import pytest
+import math
 
 from repro.cluster.node import AMPERE_NODE
 from repro.core.reports import format_table
+from repro.data.sample import BatchColumns, Subsequence, TrainingSample
+from repro.models.mllm import image_tokens_for_resolution
 from repro.preprocessing.colocated import CoLocatedPreprocessing
 from repro.preprocessing.cost import PreprocessCostModel
 from repro.preprocessing.disaggregated import DisaggregatedPreprocessing
@@ -29,11 +36,17 @@ def compute_figure17():
     )
     rows = []
     for images, resolution in CONFIGS:
+        image = Subsequence(
+            "image",
+            image_tokens_for_resolution(resolution),
+            pixels=resolution * resolution,
+        )
+        columns = BatchColumns.of([TrainingSample(0, (image,) * images)])
         rows.append(
             (
                 f"{images}, {resolution}x{resolution}",
-                colocated.exposed_overhead_for_images(images, resolution),
-                disaggregated.exposed_overhead_for_images(images, resolution),
+                colocated.exposed_overhead(columns, math.inf),
+                disaggregated.exposed_overhead(columns, math.inf),
             )
         )
     return rows

@@ -7,7 +7,7 @@ Typical use::
     config = DistTrainConfig.preset("mllm-72b", num_gpus=1176,
                                     global_batch_size=1920)
     result = simulate(config)           # DistTrain
-    baseline = simulate(config.with_baseline("megatron-lm"))
+    baseline = simulate(config.with_system("megatron-lm"))
     print(result.mfu, baseline.mfu)
 """
 

@@ -9,6 +9,7 @@ from repro.core.config import DistTrainConfig
 from repro.core.keyedcache import KeyedCache
 from repro.data.sample import SampleBatch
 from repro.data.synthetic import SyntheticMultimodalDataset
+from repro.models.mllm import MODULE_NAMES
 from repro.orchestration.adaptive import (
     AdaptiveOrchestrator,
     OrchestrationResult,
@@ -206,7 +207,7 @@ def build_simulator(
             config.cluster.node,
             tp_overlap_fraction=config.tp_overlap_fraction,
         )
-        for name in ("encoder", "llm", "generator")
+        for name in MODULE_NAMES
     }
     return TrainingIterationSimulator(
         plan=orchestration.plan,

@@ -28,8 +28,8 @@ import json
 import os
 import signal
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Any, Iterable, Mapping, Optional, Sequence, Tuple
 
 #: Environment variable carrying a JSON list of rule objects.
 ENV_VAR = "REPRO_CHAOS"
@@ -89,15 +89,6 @@ class ChaosRule:
                 return False
         return True
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "action": self.action,
-            "match": dict(self.match),
-            "times": self.times,
-            "seconds": self.seconds,
-            "code": self.code,
-        }
-
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ChaosRule":
         return cls(
@@ -129,7 +120,7 @@ def uninstall() -> None:
 
 def rules_to_json(rules: Sequence[ChaosRule]) -> str:
     """Serialize rules for the ``REPRO_CHAOS`` environment variable."""
-    return json.dumps([rule.to_dict() for rule in rules])
+    return json.dumps([asdict(rule) for rule in rules])
 
 
 def rules_from_json(text: str) -> Tuple[ChaosRule, ...]:

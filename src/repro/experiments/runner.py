@@ -32,7 +32,7 @@ import multiprocessing
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.api import plan, simulate
@@ -75,14 +75,12 @@ class TrialRecord:
         return self.status == "ok"
 
     def to_dict(self) -> Dict[str, Any]:
+        """Every field in declaration order but the runtime-only
+        ``cached`` and ``resumed``."""
         return {
-            "params": dict(self.params),
-            "config_hash": self.config_hash,
-            "status": self.status,
-            "metrics": dict(self.metrics),
-            "error": self.error,
-            "traceback": self.traceback,
-            "elapsed_seconds": self.elapsed_seconds,
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in ("cached", "resumed")
         }
 
     @classmethod
@@ -172,25 +170,18 @@ def execute_trial(payload: Tuple):
             orchestration = plan(config)
             result = simulate(config, orchestration)
             metrics = {
-                "iteration_time": result.iteration_time,
-                "pipeline_time": result.pipeline_time,
-                "dp_sync_time": result.dp_sync_time,
-                "preprocess_overhead": result.preprocess_overhead,
-                "optimizer_time": result.optimizer_time,
-                "model_flops": result.model_flops,
-                "num_gpus": result.num_gpus,
-                "mfu": result.mfu,
-                "throughput_tokens_per_s": result.throughput_tokens_per_s,
-                "bubble_fraction": result.bubble_fraction,
-                "straggler_spread": result.straggler_spread,
-                "solve_seconds": orchestration.solve_seconds,
-                # Kernel-refined uniform-workload pipeline estimate of
-                # the chosen plan; lets sweeps compare the planner's
-                # model against the heterogeneity-aware simulation.
-                "planned_pipeline_time": (
-                    orchestration.simulated_pipeline_seconds or 0.0
-                ),
+                f.name: getattr(result, f.name)
+                for f in fields(result)
+                if f.name != "per_rank_makespans"
             }
+            metrics["straggler_spread"] = result.straggler_spread
+            metrics["solve_seconds"] = orchestration.solve_seconds
+            # Kernel-refined uniform-workload pipeline estimate of the
+            # chosen plan; lets sweeps compare the planner's model
+            # against the heterogeneity-aware simulation.
+            metrics["planned_pipeline_time"] = (
+                orchestration.simulated_pipeline_seconds or 0.0
+            )
         record = TrialRecord(
             params=params,
             config_hash=key,

@@ -62,7 +62,7 @@ import heapq
 import logging
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -149,21 +149,11 @@ class FleetJobRecord:
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe dict round-tripping losslessly via
-        :meth:`from_dict` (unlike :meth:`row`, which flattens)."""
-        return {
-            "name": self.name,
-            "demand_gpus": self.demand_gpus,
-            "priority": self.priority,
-            "arrival_s": self.arrival_s,
-            "start_s": self.start_s,
-            "completion_s": self.completion_s,
-            "queue_seconds": self.queue_seconds,
-            "preemptions": self.preemptions,
-            "result": self.result.to_dict(),
-            "ideal_demand_seconds": self.ideal_demand_seconds,
-            "job_class": self.job_class,
-            "deadline_s": self.deadline_s,
-        }
+        :meth:`from_dict` (unlike :meth:`row`, which flattens): every
+        field in declaration order, the result as its own dict."""
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload["result"] = self.result.to_dict()
+        return payload
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FleetJobRecord":

@@ -119,6 +119,7 @@ from repro.scenarios.events import (
     MaintenanceEvent,
     SpotReclaimEvent,
     StragglerEvent,
+    draw_stragglers,
 )
 from repro.scenarios.result import ScenarioResult
 from repro.scenarios.spec import ScenarioSpec
@@ -606,20 +607,13 @@ class JobSimulator:
         spec = self.scenario
         if spec.straggler_rate <= 0.0:
             return []
-        rng = np.random.default_rng([spec.seed, _STRAGGLER_STREAM])
-        coins = rng.uniform(size=spec.num_iterations)
-        ranks = rng.integers(0, 2**16, size=spec.num_iterations)
-        episodes = []
-        for i in np.flatnonzero(coins < spec.straggler_rate):
-            episodes.append(
-                StragglerEvent(
-                    iteration=int(i),
-                    duration_iterations=spec.straggler_iterations,
-                    rank=int(ranks[i]),
-                    slowdown=spec.straggler_slowdown,
-                )
-            )
-        return episodes
+        return draw_stragglers(
+            np.random.default_rng([spec.seed, _STRAGGLER_STREAM]),
+            spec.num_iterations,
+            spec.straggler_rate,
+            spec.straggler_iterations,
+            spec.straggler_slowdown,
+        )
 
     def _profile(self, i: int) -> Profile:
         """The straggler profile of iteration ``i`` (``()`` if none)."""
@@ -929,8 +923,8 @@ class JobSimulator:
     def _logged_switch(self, kind: str, num_gpus: int) -> None:
         """Switch to ``num_gpus`` at the current boundary for a repair
         re-growth (``kind`` ``"grow"``) or a scripted resize
-        (``"resize"``), logging the change for the fleet and emitting
-        its ``job.<kind>`` event."""
+        (``"resize"``), logging the change for the fleet, emitting its
+        ``job.<kind>`` event and counting it in ``job.<kind>s``."""
         from_gpus = self._cur.num_gpus
         self._switch_cluster(num_gpus, self._clock)
         self._fleet_log.append((kind, from_gpus, num_gpus, self._clock))
@@ -941,6 +935,7 @@ class JobSimulator:
             from_gpus=from_gpus,
             to_gpus=num_gpus,
         )
+        obs.count(f"job.{kind}s")
 
     def prepare_step(self) -> Optional[PendingEvaluation]:
         """The evaluation the next :meth:`step` will need, if gatherable.

@@ -16,7 +16,7 @@ cluster that cannot hold them all at full demand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import ClusterSpec, make_cluster, resized_cluster
@@ -212,9 +212,18 @@ class FleetSpec:
     # Cache-key canonicalization
     # ------------------------------------------------------------------ #
     def canonical(self) -> Dict[str, Any]:
-        """JSON-safe canonical form (feeds the campaign cache key)."""
+        """JSON-safe canonical form (feeds the campaign cache key): each
+        job as every :class:`FleetJobSpec` field in declaration order,
+        its config canonicalized and its scenario as
+        :meth:`ScenarioSpec.canonical`."""
         from repro.experiments.spec import canonical_value
 
+        jobs = []
+        for job in self.jobs:
+            payload = {f.name: getattr(job, f.name) for f in fields(job)}
+            payload["config"] = canonical_value(job.config)
+            payload["scenario"] = job.scenario.canonical()
+            jobs.append(payload)
         return {
             "cluster": canonical_value(self.cluster),
             "policy": (
@@ -223,20 +232,7 @@ class FleetSpec:
                 else self.policy.name
             ),
             "pack": self.pack,
-            "jobs": [
-                {
-                    "name": job.name,
-                    "config": canonical_value(job.config),
-                    "scenario": job.scenario.canonical(),
-                    "arrival_s": job.arrival_s,
-                    "priority": job.priority,
-                    "min_gpus": job.min_gpus,
-                    "job_class": job.job_class,
-                    "deadline_s": job.deadline_s,
-                    "slo_factor": job.slo_factor,
-                }
-                for job in self.jobs
-            ],
+            "jobs": jobs,
         }
 
     def with_(self, **kwargs: Any) -> "FleetSpec":

@@ -43,6 +43,7 @@ import numpy as np
 
 from repro.cluster.cluster import resized_cluster
 from repro.models.base import ModuleWorkload
+from repro.models.mllm import MODULE_NAMES
 from repro.obs import instrument as obs
 from repro.orchestration.errors import InfeasibleClusterError
 from repro.orchestration.convex import (
@@ -134,7 +135,7 @@ def _stage_times(
     dp_lm = plans["llm"].dp
     stage_fwd: List[float] = []
     stage_bwd: List[float] = []
-    for name in ("encoder", "llm", "generator"):
+    for name in MODULE_NAMES:
         plan = plans[name]
         workload = problem.per_sample_workload(name)
         fwd = profiler.estimate(name, workload, plan.tp, "fwd")
@@ -356,8 +357,7 @@ class AdaptiveOrchestrator:
         trimmed = self._trim_small_units(candidate, plans)
         breakdown = objective(
             problem, candidate,
-            *(float(trimmed[name].num_gpus)
-              for name in ("encoder", "llm", "generator")),
+            *(float(trimmed[name].num_gpus) for name in MODULE_NAMES),
         )
         if trimmed == plans:
             # Trim was a no-op: the refinement stage already priced
@@ -668,7 +668,7 @@ class AdaptiveOrchestrator:
             "generator": (tp_mg * one, one, dp_mg),
         }
         total = np.zeros(len(pp_lm))
-        for name in ("encoder", "llm", "generator"):
+        for name in MODULE_NAMES:
             if self.problem.frozen.trains(name):
                 columns = (d.tolist() for d in degrees[name])
                 total = total + np.asarray([

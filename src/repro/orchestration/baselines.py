@@ -16,6 +16,7 @@ import time
 from typing import Dict, Optional
 
 from repro.models.base import ModuleWorkload
+from repro.models.mllm import MODULE_NAMES
 from repro.orchestration.errors import InfeasibleClusterError
 from repro.orchestration.adaptive import (
     OrchestrationResult,
@@ -188,7 +189,7 @@ class DistMMOrchestrator:
         frozen = problem.frozen
 
         flops = {}
-        for name in ("encoder", "llm", "generator"):
+        for name in MODULE_NAMES:
             workload = problem.per_sample_workload(name)
             module = problem.mllm.module(name)
             fwd = module.forward_flops(workload)

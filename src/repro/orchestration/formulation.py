@@ -21,7 +21,7 @@ size (section 4.3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -50,9 +50,9 @@ class CandidateConfig:
     ep_lm: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("tp_lm", "dp_lm", "tp_me", "tp_mg", "ep_lm"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise ValueError(f"{f.name} must be >= 1")
 
     @property
     def width_lm(self) -> int:

@@ -18,7 +18,7 @@ from repro.cluster.cluster import ClusterSpec
 from repro.core.keyedcache import KeyedCache
 from repro.data.sample import TrainingSample
 from repro.models.base import ModuleWorkload
-from repro.models.mllm import MultimodalLLMSpec
+from repro.models.mllm import MODULE_NAMES, MultimodalLLMSpec
 from repro.runtime.frozen import FrozenConfig
 from repro.timing.costmodel import ModuleCostModel
 from repro.timing.profiler import PerformanceProfiler
@@ -134,7 +134,7 @@ class OrchestrationProblem:
                 tp_overlap_fraction=self.tp_overlap_fraction,
                 ep=self.llm_ep if name == "llm" else 1,
             )
-            for name in ("encoder", "llm", "generator")
+            for name in MODULE_NAMES
         }
 
     def profiler(self) -> PerformanceProfiler:

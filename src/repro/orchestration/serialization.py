@@ -11,25 +11,24 @@ launcher.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Dict, Union
 
 from repro.cluster.cluster import make_cluster
-from repro.models.mllm import MLLM_PRESETS
+from repro.models.mllm import MLLM_PRESETS, MODULE_NAMES
 from repro.parallelism.orchestration_plan import ModelOrchestrationPlan
 from repro.parallelism.plan import ParallelismPlan
 
 FORMAT_VERSION = 1
 
-_PLAN_FIELDS = ("tp", "pp", "dp", "vpp", "sp", "ep", "microbatch_size")
-
 
 def parallelism_plan_to_dict(plan: ParallelismPlan) -> Dict[str, int]:
-    return {field: getattr(plan, field) for field in _PLAN_FIELDS}
+    return asdict(plan)
 
 
 def parallelism_plan_from_dict(data: Dict[str, int]) -> ParallelismPlan:
-    unknown = set(data) - set(_PLAN_FIELDS)
+    unknown = set(data) - {f.name for f in fields(ParallelismPlan)}
     if unknown:
         raise ValueError(f"unknown parallelism fields: {sorted(unknown)}")
     return ParallelismPlan(**data)
@@ -72,7 +71,7 @@ def plan_from_dict(data: Dict) -> ModelOrchestrationPlan:
     if model_name not in MLLM_PRESETS:
         raise KeyError(f"unknown model preset {model_name!r}")
     units = data["units"]
-    for required in ("encoder", "llm", "generator"):
+    for required in MODULE_NAMES:
         if required not in units:
             raise KeyError(f"launch config missing unit {required!r}")
     return ModelOrchestrationPlan(

@@ -12,7 +12,7 @@ expressed as ``tp=1`` with a larger ``dp``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 
 @dataclass(frozen=True)
@@ -41,10 +41,12 @@ class ParallelismPlan:
     microbatch_size: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("tp", "pp", "dp", "vpp", "sp", "ep", "microbatch_size"):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not isinstance(value, int) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+                raise ValueError(
+                    f"{f.name} must be a positive integer, got {value!r}"
+                )
         if self.sp > 1 and self.sp != self.tp:
             raise ValueError(
                 "sequence parallelism reuses the TP group; sp must equal tp"

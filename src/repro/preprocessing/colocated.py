@@ -59,13 +59,3 @@ class CoLocatedPreprocessing:
         wall = self.cpu_seconds(columns)
         hidden = self.overlap_fraction * min(wall, gpu_iteration_time)
         return max(0.0, wall - hidden)
-
-    def exposed_overhead_for_images(
-        self, num_images: int, resolution: int
-    ) -> float:
-        """Figure 17 helper: overhead for an image-only workload."""
-        wall = (
-            self.cost.images_cpu_seconds(num_images, resolution)
-            / self.dataloader_workers
-        )
-        return wall * (1.0 - self.overlap_fraction)

@@ -58,10 +58,3 @@ class PreprocessCostModel:
         """Single-core seconds for a whole batch: its samples' seconds
         summed left to right."""
         return fold_sum(self.sample_cpu_seconds(columns).tolist())
-
-    def images_cpu_seconds(self, num_images: int, resolution: int) -> float:
-        """Cost of ``num_images`` square images (Figure 17's x-axis)."""
-        if num_images < 0 or resolution <= 0:
-            raise ValueError("invalid image workload")
-        pixels = num_images * resolution * resolution
-        return pixels * self.image_ns_per_pixel * 1e-9

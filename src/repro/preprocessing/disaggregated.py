@@ -72,21 +72,6 @@ class DisaggregatedPreprocessing:
         deficit = max(0.0, self.producer_seconds(columns) - iteration_time)
         return receive + deficit
 
-    def exposed_overhead_for_images(
-        self, num_images: int, resolution: int
-    ) -> float:
-        """Figure 17 helper: receive time for an image-only workload.
-
-        Steady-state disaggregation leaves only the RDMA receive of the
-        preprocessed tensors on the critical path.
-        """
-        tokens = (resolution // 16) ** 2 * num_images
-        payload = tokens * self.transfer.bytes_per_image_token
-        overhead = self.transfer.rpc_overhead_s * (
-            0.1 if self.transfer.use_rdma else 1.0
-        )
-        return overhead + self.transfer.link.transfer_time(payload)
-
 
 def required_cpu_nodes(
     cost: PreprocessCostModel,

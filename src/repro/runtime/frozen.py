@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.models.mllm import MODULE_NAMES
+
 
 @dataclass(frozen=True)
 class FrozenConfig:
@@ -99,11 +101,7 @@ class FrozenConfig:
         return 1.0 if self.needs_backward(module_name) else 0.0
 
     def describe(self) -> str:
-        flags = [
-            name
-            for name in ("encoder", "llm", "generator")
-            if self.trains(name)
-        ]
+        flags = [name for name in MODULE_NAMES if self.trains(name)]
         if not flags:
             return "projectors-only"
         if len(flags) == 3:

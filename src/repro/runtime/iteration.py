@@ -145,7 +145,7 @@ class TrainingIterationSimulator:
         if cost_models is None:
             cost_models = {
                 name: ModuleCostModel(plan.mllm.module(name), node)
-                for name in ("encoder", "llm", "generator")
+                for name in MODULE_NAMES
             }
         self.cost_models = cost_models
         self.collectives = CollectiveModel(

@@ -51,6 +51,8 @@ from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Union
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class FailureEvent:
@@ -108,6 +110,31 @@ class StragglerEvent:
     def end_iteration(self) -> int:
         """First iteration no longer affected."""
         return self.iteration + self.duration_iterations
+
+
+def draw_stragglers(
+    rng: np.random.Generator,
+    num_iterations: int,
+    rate: float,
+    duration_iterations: int,
+    slowdown: float,
+) -> List[StragglerEvent]:
+    """Straggler episodes over ``num_iterations`` iterations, drawn from
+    ``rng``: one uniform coin per iteration, then one rank per
+    iteration, and an episode at each iteration whose coin falls below
+    ``rate``. The job simulator samples a scenario's stragglers this
+    way, and a pack's fault profile pre-draws them into its traces."""
+    coins = rng.uniform(size=num_iterations)
+    ranks = rng.integers(0, 2**16, size=num_iterations)
+    return [
+        StragglerEvent(
+            iteration=int(i),
+            duration_iterations=duration_iterations,
+            rank=int(ranks[i]),
+            slowdown=slowdown,
+        )
+        for i in np.flatnonzero(coins < rate)
+    ]
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,7 @@ from repro.scenarios.events import (
     EventTrace,
     MaintenanceEvent,
     SpotReclaimEvent,
-    StragglerEvent,
+    draw_stragglers,
 )
 from repro.scenarios.spec import ScenarioSpec
 
@@ -168,17 +168,6 @@ class ArrivalProcess:
                 hi = mid
         return 0.5 * (lo + hi)
 
-    def canonical(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "spacing_s": self.spacing_s,
-            "rate_per_hour": self.rate_per_hour,
-            "peak_to_trough": self.peak_to_trough,
-            "period_s": self.period_s,
-            "burst_size": self.burst_size,
-            "burst_spacing_s": self.burst_spacing_s,
-        }
-
 
 @dataclass(frozen=True)
 class JobClass:
@@ -220,17 +209,6 @@ class JobClass:
             raise ValueError("slo_factor must be positive")
         if self.min_nodes < 1:
             raise ValueError("min_nodes must be >= 1")
-
-    def canonical(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "weight": self.weight,
-            "gpus_factor": self.gpus_factor,
-            "iterations_factor": self.iterations_factor,
-            "priority": self.priority,
-            "slo_factor": self.slo_factor,
-            "min_nodes": self.min_nodes,
-        }
 
 
 @dataclass(frozen=True)
@@ -374,38 +352,18 @@ class FaultProfile:
 
         timed.sort(key=lambda e: e.time_s)
 
-        # Straggler episodes: same construction as the job simulator's
-        # on-the-fly sampling, but pre-drawn into the trace.
-        stragglers: List[StragglerEvent] = []
+        # Straggler episodes: drawn as the job simulator samples them,
+        # from the same generator after the timed events.
+        stragglers = []
         if self.straggler_rate > 0:
-            coins = rng.uniform(size=num_iterations)
-            ranks = rng.integers(0, 2**16, size=num_iterations)
-            for i in np.flatnonzero(coins < self.straggler_rate):
-                stragglers.append(
-                    StragglerEvent(
-                        iteration=int(i),
-                        duration_iterations=self.straggler_iterations,
-                        rank=int(ranks[i]),
-                        slowdown=self.straggler_slowdown,
-                    )
-                )
+            stragglers = draw_stragglers(
+                rng,
+                num_iterations,
+                self.straggler_rate,
+                self.straggler_iterations,
+                self.straggler_slowdown,
+            )
         return EventTrace(timed + stragglers)
-
-    def canonical(self) -> Dict[str, Any]:
-        return {
-            "domain_failure_rate_per_hour": self.domain_failure_rate_per_hour,
-            "rack_fraction": self.rack_fraction,
-            "spot_reclaim_rate_per_hour": self.spot_reclaim_rate_per_hour,
-            "spot_gpus": self.spot_gpus,
-            "spot_duration_s": self.spot_duration_s,
-            "maintenance_every_s": self.maintenance_every_s,
-            "maintenance_duration_s": self.maintenance_duration_s,
-            "nodes_per_rack": self.nodes_per_rack,
-            "horizon_s": self.horizon_s,
-            "straggler_rate": self.straggler_rate,
-            "straggler_iterations": self.straggler_iterations,
-            "straggler_slowdown": self.straggler_slowdown,
-        }
 
 
 @dataclass(frozen=True)
@@ -569,16 +527,6 @@ class ScenarioPack:
                 }
                 for job in fleet.jobs
             ],
-        }
-
-    def canonical(self) -> Dict[str, Any]:
-        """JSON-safe canonical form of the pack definition itself."""
-        return {
-            "name": self.name,
-            "arrival": self.arrival.canonical(),
-            "classes": [c.canonical() for c in self.classes],
-            "faults": self.faults.canonical(),
-            "policy": self.policy,
         }
 
 

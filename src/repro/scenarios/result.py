@@ -9,7 +9,7 @@ its own module so both layers can import it without cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Dict, Mapping
 
 import numpy as np
@@ -100,35 +100,15 @@ class ScenarioResult:
     # Lossless serialization (run reports, result files)
     # ------------------------------------------------------------------ #
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe dict that round-trips through :meth:`from_dict`
-        losslessly: float64 values survive via shortest-repr JSON
-        floats, trajectories as lists, the event trace via its own
-        schema."""
-        return {
-            "num_iterations": self.num_iterations,
-            "total_seconds": self.total_seconds,
-            "ideal_seconds": self.ideal_seconds,
-            "useful_seconds": self.useful_seconds,
-            "lost_seconds": self.lost_seconds,
-            "checkpoint_stall_seconds": self.checkpoint_stall_seconds,
-            "recovery_seconds": self.recovery_seconds,
-            "num_failures": self.num_failures,
-            "replayed_iterations": self.replayed_iterations,
-            "num_replans": self.num_replans,
-            "initial_gpus": self.initial_gpus,
-            "final_gpus": self.final_gpus,
-            "min_gpus": self.min_gpus,
-            "mean_mfu": self.mean_mfu,
-            "effective_tokens_per_s": self.effective_tokens_per_s,
-            "ideal_tokens_per_s": self.ideal_tokens_per_s,
-            "mfu_trajectory": [float(x) for x in self.mfu_trajectory],
-            "iteration_times": [float(x) for x in self.iteration_times],
-            "events": self.events.to_dicts(),
-            "plan_cache_hits": self.plan_cache_hits,
-            "plan_cache_misses": self.plan_cache_misses,
-            "gpu_seconds": self.gpu_seconds,
-            "preemptions": self.preemptions,
-        }
+        """JSON-safe dict of every field in declaration order, which
+        round-trips through :meth:`from_dict` losslessly: float64 values
+        survive via shortest-repr JSON floats, trajectories as lists,
+        the event trace via its own schema."""
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload["mfu_trajectory"] = [float(x) for x in self.mfu_trajectory]
+        payload["iteration_times"] = [float(x) for x in self.iteration_times]
+        payload["events"] = self.events.to_dicts()
+        return payload
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioResult":

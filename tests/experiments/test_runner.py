@@ -6,6 +6,7 @@ by the CLI smoke test, the figure benchmarks, and the supervisor suite.
 """
 
 import functools
+from dataclasses import dataclass
 
 import pytest
 
@@ -15,7 +16,11 @@ from repro.experiments import (
     ResultCache,
     SweepSpec,
 )
-from repro.experiments.runner import derive_trial_seed, execute_trial
+from repro.experiments.runner import (
+    TrialRecord,
+    derive_trial_seed,
+    execute_trial,
+)
 from repro.experiments.supervisor import SupervisorError
 
 #: A tiny grid every system can run: 2 trials, well under a second each.
@@ -247,6 +252,42 @@ class TestSupervisorFallback:
         assert campaign.failed == 0
         hashes = [r.config_hash for r in campaign.records]
         assert len(set(hashes)) == 4
+
+
+class TestTrialRecordDict:
+    def test_every_field_but_the_runtime_flags_in_order(self):
+        """A field a subclass adds is serialized, last, with no more
+        code; the runtime-only ``cached`` and ``resumed`` never are."""
+
+        @dataclass
+        class TaggedRecord(TrialRecord):
+            tag: str = ""
+
+        record = TaggedRecord(
+            params={"model": "mllm-9b"}, config_hash="k", status="ok",
+            metrics={"mfu": 0.5}, cached=True, resumed=True, tag="added",
+        )
+        assert list(record.to_dict().items()) == [
+            ("params", {"model": "mllm-9b"}),
+            ("config_hash", "k"),
+            ("status", "ok"),
+            ("metrics", {"mfu": 0.5}),
+            ("error", ""),
+            ("traceback", ""),
+            ("elapsed_seconds", 0.0),
+            ("tag", "added"),
+        ]
+
+    def test_plain_trial_metrics_keep_their_keys_and_order(self):
+        _, record = execute_trial(
+            (0, {"model": "mllm-9b", "gpus": 32, "gbs": 8}, "key")
+        )
+        assert list(record["metrics"]) == [
+            "iteration_time", "pipeline_time", "dp_sync_time",
+            "preprocess_overhead", "optimizer_time", "model_flops",
+            "num_gpus", "mfu", "throughput_tokens_per_s", "bubble_fraction",
+            "straggler_spread", "solve_seconds", "planned_pipeline_time",
+        ]
 
 
 class TestTrialRecordTraceback:

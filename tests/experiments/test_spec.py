@@ -220,3 +220,41 @@ class TestConfigHash:
     def test_trial_spec_hash_matches_config_hash(self):
         trial = TrialSpec({"model": "mllm-9b", "gpus": 16, "gbs": 8})
         assert trial.config_hash == config_hash(self._config())
+
+
+class TestCacheKeyValues:
+    """Cache keys are content hashes that must not move unless a trial's
+    resolved config, scenario or fleet does: a moved key re-executes
+    every cached trial of its kind, so a change to how a record
+    canonicalizes must leave these values as they are."""
+
+    @pytest.mark.parametrize(
+        "params, key",
+        [
+            (
+                {"model": "mllm-9b", "gpus": 48, "gbs": 16},
+                "af627cca90079e25727f",
+            ),
+            (
+                {
+                    "model": "mllm-9b", "gpus": 48, "gbs": 16,
+                    "scenario_iterations": 40, "mtbf": 5.0,
+                    "events": [
+                        {"kind": "failure", "time_s": 20.0, "gpus_lost": 8}
+                    ],
+                },
+                "c98c2f16d09137436d1f",
+            ),
+            (
+                {
+                    "model": "mllm-9b", "gpus": 96, "gbs": 16,
+                    "fleet_jobs": 3, "fleet_pack": "blast-radius",
+                    "scenario_iterations": 30,
+                },
+                "5bfb13b36b7ba9b97bfb",
+            ),
+        ],
+        ids=["plain", "scenario-with-trace", "fleet-with-pack"],
+    )
+    def test_cache_key_is_pinned(self, params, key):
+        assert TrialSpec(params).cache_key == key

@@ -9,7 +9,9 @@ scenario results and capacity events, and
 record types.
 """
 
+import json
 import pickle
+from dataclasses import dataclass
 
 import pytest
 
@@ -60,8 +62,6 @@ class TestScenarioResult:
         assert snapshot(clone) == snapshot(result)
 
     def test_dict_is_json_safe(self, fleet_result):
-        import json
-
         result = fleet_result.records[0].result
         text = json.dumps(result.to_dict())
         assert snapshot(
@@ -102,6 +102,35 @@ class TestFleetRecords:
     def test_json_is_stable(self, fleet_result):
         text = fleet_result.to_json()
         assert FleetResult.from_json(text).to_json() == text
+
+
+@dataclass
+class TaggedResult(ScenarioResult):
+    tag: str = ""
+
+
+@dataclass
+class TaggedRecord(FleetJobRecord):
+    tag: str = ""
+
+
+class TestFieldsAreTheSchema:
+    """``to_dict`` writes every dataclass field in declaration order, so
+    a field a subclass adds is serialized, last, with no more code."""
+
+    def test_scenario_result_writes_an_added_field(self, fleet_result):
+        result = fleet_result.records[0].result
+        payload = TaggedResult(**vars(result), tag="added").to_dict()
+        assert list(payload)[-1] == "tag"
+        assert payload.pop("tag") == "added"
+        assert json.dumps(payload) == json.dumps(result.to_dict())
+
+    def test_fleet_job_record_writes_an_added_field(self, fleet_result):
+        record = fleet_result.records[0]
+        payload = TaggedRecord(**vars(record), tag="added").to_dict()
+        assert list(payload)[-1] == "tag"
+        assert payload.pop("tag") == "added"
+        assert json.dumps(payload) == json.dumps(record.to_dict())
 
 
 class TestPicklePayloads:

@@ -1,6 +1,8 @@
 """FleetSpec validation, the homogeneous builder, and the campaign
 integration (fleet trials, cache keys, worker execution)."""
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.cluster.cluster import make_cluster
@@ -155,6 +157,28 @@ class TestFleetSpec:
             )
         )
         assert sloed.canonical() != base.canonical()
+
+    def test_canonical_covers_a_field_a_job_subclass_adds(self, job_config):
+        """Each job's canonical form is every ``FleetJobSpec`` field in
+        declaration order, so a field a subclass adds reaches the cache
+        key with no more code."""
+
+        @dataclass(frozen=True)
+        class TaggedJob(FleetJobSpec):
+            tag: str = ""
+
+        base = FleetSpec.homogeneous(job_config, cluster_gpus=96, num_jobs=2)
+        tagged = base.with_(
+            jobs=tuple(
+                TaggedJob(**vars(job), tag="added") for job in base.jobs
+            )
+        )
+        for job, base_job in zip(
+            tagged.canonical()["jobs"], base.canonical()["jobs"]
+        ):
+            assert list(job)[-1] == "tag"
+            assert job.pop("tag") == "added"
+            assert list(job.items()) == list(base_job.items())
 
 
 class TestCampaignIntegration:

@@ -44,16 +44,3 @@ class TestCostModel:
         assert self.cost.batch_cpu_seconds(columns) == pytest.approx(
             2 * self.cost.sample_cpu_seconds(samples[0])
         )
-
-    def test_images_helper_matches_sample_cost(self):
-        direct = self.cost.images_cpu_seconds(10, 1024)
-        pixels = 10 * 1024**2
-        assert direct == pytest.approx(
-            pixels * self.cost.image_ns_per_pixel * 1e-9
-        )
-
-    def test_images_helper_validation(self):
-        with pytest.raises(ValueError):
-            self.cost.images_cpu_seconds(-1, 512)
-        with pytest.raises(ValueError):
-            self.cost.images_cpu_seconds(1, 0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.obs import METRICS, instrument
 from repro.runtime.manager import DistTrainManager
 from repro.scenarios import (
     EventTrace,
@@ -180,6 +181,38 @@ class TestElastic:
         assert result.recovery_seconds == pytest.approx(
             ScenarioSpec().replan_seconds
         )
+
+    @pytest.mark.parametrize(
+        "event, kind",
+        [
+            (ResizeEvent(iteration=10, num_gpus=40), "resize"),
+            (FailureEvent(time_s=20.0, gpus_lost=8), "grow"),
+        ],
+        ids=["scripted-resize", "repair-regrowth"],
+    )
+    def test_capacity_changes_are_counted(self, small_config, event, kind):
+        """A scripted resize and a repair re-growth each emit a
+        ``job.<kind>`` event and count it in ``job.<kind>s``."""
+        spec = ScenarioSpec(
+            num_iterations=60,
+            elastic=True,
+            events=EventTrace([event]),
+            repair_seconds=10.0,
+            **FAST_RECOVERY,
+        )
+        with instrument.session(trace=True) as tracer:
+            run_scenario(small_config, spec)
+            counters = METRICS.snapshot()["counters"]
+        emitted = [
+            record["name"]
+            for record in tracer.records
+            if record["type"] == "event"
+        ]
+        assert emitted.count(f"job.{kind}") == 1
+        for name in ("resize", "grow"):
+            assert counters.get(f"job.{name}s", 0) == emitted.count(
+                f"job.{name}"
+            )
 
 
 class TestMetricsSurface:

@@ -197,6 +197,45 @@ class TestBlastRadius:
         assert result.min_gpus == 48
 
 
+class TestFaultProfileTrace:
+    def test_trace_with_failures_and_stragglers_is_pinned(self):
+        """One generator draws the timed events, then the straggler
+        episodes the way the job simulator draws its own; no shipped
+        pack sets a straggler rate, so this pins that draw."""
+        profile = FaultProfile(
+            domain_failure_rate_per_hour=1.5,
+            straggler_rate=0.05,
+            straggler_iterations=7,
+            straggler_slowdown=1.8,
+            horizon_s=3 * 3600.0,
+        )
+        trace = profile.events_for(make_cluster(96), 80, seed=4, index=2)
+
+        def straggler(iteration, rank):
+            return {
+                "kind": "straggler", "iteration": iteration,
+                "duration_iterations": 7, "rank": rank, "slowdown": 1.8,
+            }
+
+        assert trace.to_dicts() == [
+            {
+                "kind": "domain-failure",
+                "time_s": 8409.670565264614,
+                "domain": "node0",
+            },
+            {
+                "kind": "domain-failure",
+                "time_s": 10736.907069429668,
+                "domain": "node3",
+            },
+            straggler(0, 36531),
+            straggler(19, 63499),
+            straggler(31, 3404),
+            straggler(50, 32030),
+            straggler(55, 35885),
+        ]
+
+
 class TestPackExpansion:
     def test_materialize_is_deterministic(self):
         config, scenario = pack_case_inputs()

@@ -12,6 +12,13 @@ not callers. The library contract counts as referenced: every name in
 ``repro.__all__``, ``repro.core.__all__`` or ``repro.obs.__all__`` and
 every method of a class they export. Any other definition without a
 caller is in ``ALLOWED`` with the reason it stays.
+
+The scan matches names, not bindings, so it has a blind spot: a method
+counts as referenced when any program code uses its name, whichever
+object that code calls it on. An uncalled method therefore hides behind
+any same-named definition or attribute with a caller; four pack
+``canonical()`` methods that nothing called stayed unflagged because
+``FleetSpec.canonical`` and ``ScenarioSpec.canonical`` have callers.
 """
 
 import ast
