@@ -21,11 +21,11 @@ form (:meth:`~repro.fleet.job.JobSimulator.advance_until`) and runs the
 one irregular step, so irregular steps and decisions keep exactly the
 global order of a step-by-step walk; a tenant a decision resizes or
 preempts is first brought to its boundary at that decision, by cutting
-the walk its peek kept. Same-task
-tenants share one plan/simulator/prepared-batch build through the
-process-wide :data:`~repro.fleet.job.STATE_CACHE`, and a segment's
-un-memoized straggler evaluations are priced in one fused kernel sweep
-before its clock commits. Every shared or fused value is bit-identical
+the walk its peek kept. Same-task tenants share one
+plan/simulator/prepared-batch build through the process-wide
+:data:`~repro.fleet.job.STATE_CACHE`, and a peek prices the straggler
+evaluations its whole segment lacks in one fused kernel sweep, so every
+heap key is exact. Every shared or fused value is bit-identical
 to what each tenant's own step would compute; the golden fleet fixtures
 (``tests/fleet/golden``) pin whole :class:`FleetResult`\\ s across every
 policy and scenario pack. The whole fleet is one event loop in the
@@ -351,7 +351,7 @@ class _Tenant:
         self.queue_seconds = 0.0
         #: Cached :meth:`~repro.fleet.job.JobSimulator.peek_segment` of
         #: the current segment; None once the simulator has moved on.
-        self.segment: Optional[Tuple[float, bool, list]] = None
+        self.segment: Optional[Tuple[float, bool]] = None
         self._view: Optional[JobView] = None
 
     @property
@@ -488,13 +488,8 @@ class FleetEngine:
         (:meth:`_catch_up`). Irregular steps and
         decisions therefore happen in exactly the global order of the
         step-by-step walk — the order that fixes per-job plan-cache
-        tallies and allocator books.
-
-        A segment needing un-memoized straggler evaluations enters the
-        heap under a lower-bound key: the start of its first iteration
-        needing one. When it reaches the top, the segment's evaluations
-        are priced in one fused kernel sweep and it re-enters under its
-        exact key.
+        tallies and allocator books. Every key is exact: a peek prices
+        the straggler evaluations its segment lacks before it returns.
 
         Any policy round (``_reschedule``) bumps the decision epoch and
         the heap is rebuilt once from the surviving running set; the
@@ -519,15 +514,7 @@ class FleetEngine:
                 if next_arrival is not None and next_arrival <= clock:
                     self._arrive(pending, next_arrival)
                     continue
-                _, irregular, unpriced = tenant.segment
-                if unpriced:
-                    # Prices the segment in one fused sweep, then keys
-                    # it exactly.
-                    tenant.segment = tenant.sim.peek_segment()
-                    heapq.heapreplace(
-                        heap, (tenant.segment[0], order, tenant)
-                    )
-                    continue
+                _, irregular = tenant.segment
                 heapq.heappop(heap)
                 tenant.sim.advance_until(clock)
                 tenant.segment = None
@@ -547,10 +534,10 @@ class FleetEngine:
                 break
 
     @staticmethod
-    def _segment(tenant: _Tenant) -> Tuple[float, bool, list]:
-        """The tenant's cached current segment (lower-bound keyed)."""
+    def _segment(tenant: _Tenant) -> Tuple[float, bool]:
+        """The tenant's cached current segment."""
         if tenant.segment is None:
-            tenant.segment = tenant.sim.peek_segment(lower_bound=True)
+            tenant.segment = tenant.sim.peek_segment()
         return tenant.segment
 
     def _arrive(self, pending: Deque[_Tenant], now: float) -> None:
@@ -564,7 +551,7 @@ class FleetEngine:
         ``(clock, arrival order)`` lies past the decision key. Only
         plain iterations lie before it — the tenant's own segment end
         sorts after the decision, or the decision would not be next, so
-        the advance cuts the walk the tenant's exact peek kept."""
+        the advance cuts the walk the tenant's peek kept."""
         clock, order = self._decision_key
         if tenant.order < order:
             # Equal clocks: the earlier arrival stepped first.

@@ -77,14 +77,16 @@ any warm process, so a result depends on its spec alone.
 
 :meth:`JobSimulator.peek_segment` tells the fleet engine where a job's
 current segment ends — its next irregular step or its completion,
-across any number of checkpoints — without advancing it, pricing the
-straggler evaluations the segment needs in one fused kernel sweep
-(:func:`price_pending_steps`) before any clock commits. A segment is
-computed by one pure walk (:meth:`JobSimulator._walk`) and committed by
-one apply step (:meth:`JobSimulator._apply`); the peek keeps its walk
-with the inputs it read, so advancing to the peeked end applies it
-instead of walking the segment again, and advancing to a decision
-before that end applies the walk cut there. A kept walk holds no
+across any number of checkpoints — without advancing it. A segment is
+computed one way, by one pure walk (:meth:`JobSimulator._walk`) to its
+natural end: the walk prices every straggler group it meets that the
+memo lacks in one fused kernel sweep (:func:`price_pending_steps`),
+then folds the clock once. It is committed by one apply step
+(:meth:`JobSimulator._apply`), and a horizon before its end cuts it in
+one place (:meth:`JobSimulator._prefix`). The peek keeps its walk with
+the inputs it read, so advancing to the peeked end applies it instead
+of walking the segment again, and advancing to a decision before that
+end applies the walk cut there. A kept walk holds no
 per-iteration array, only its checkpoints' clocks and the straggler
 groups it laid over the base times, and the peek prices its
 checkpoint stalls from the checkpointer's costs and upload clock
@@ -198,8 +200,8 @@ class _ClusterState:
 @dataclass
 class PendingEvaluation:
     """One un-memoized iteration evaluation a job needs ahead — listed
-    by :meth:`JobSimulator.peek_segment` for a whole segment, or by
-    :meth:`JobSimulator.prepare_step` for the next step.
+    by :meth:`JobSimulator._walk` for every straggler group of a
+    segment, or by :meth:`JobSimulator.prepare_step` for the next step.
     ``profile`` is the canonical key (:func:`_canonical_profile`), so
     co-tenants needing the same slowdown factors list equal items.
     :func:`price_pending_steps` fills the owning state's memo under it
@@ -220,12 +222,10 @@ class _Walk(NamedTuple):
 
     inputs: Tuple[Any, ...]
     #: Where the segment ends (after its last checkpoint's stall, if
-    #: it ends on one), or a lower bound when ``pending`` is not empty.
+    #: it ends on one).
     clock: float
     #: Whether the step that ends the segment must go through step().
     irregular: bool
-    #: Un-memoized evaluations a lower-bound walk left unpriced.
-    pending: List[PendingEvaluation]
     #: Plain iterations the segment retains.
     take: int = 0
     #: Straggler groups ``(p, b, result)``: positions ``p, p + K, ...``
@@ -338,15 +338,9 @@ def _fold(values: np.ndarray) -> float:
 
 
 def _cut(
-    ends: np.ndarray,
-    head: int,
-    width: int,
-    event_t: float,
-    repair: float,
-    horizon: float,
-) -> Tuple[int, int, bool]:
-    """Where a run of plain iterations stops: ``(take, evaluated,
-    irregular)``.
+    ends: np.ndarray, head: int, width: int, event_t: float, repair: float
+) -> Tuple[int, bool]:
+    """Where a run of plain iterations stops: ``(take, irregular)``.
 
     ``ends`` is the run's fold: the end-of-compute clock of each
     iteration and, after each checkpoint iteration, its boundary clock
@@ -354,14 +348,13 @@ def _cut(
     iterations; then come blocks of ``width`` entries, a boundary and
     the iterations up to the next checkpoint.
 
-    ``take`` iterations retain before the stop; ``evaluated`` of them
-    (plus the killed one, when a timed event fires) are priced on the
-    current cluster state, exactly as the step-by-step walk would;
-    ``irregular`` tells whether the next step must go through
-    :meth:`JobSimulator.step`. Precedence follows :meth:`step`: a
-    repair lands at the boundary before the iteration it would
-    otherwise price, and a horizon reached at a boundary stops the walk
-    before anything at that boundary happens.
+    ``take`` iterations retain before the stop; ``irregular`` tells
+    whether the next step must go through :meth:`JobSimulator.step`: a
+    timed event kills the iteration after them, or a repair lands at
+    their boundary. Precedence follows :meth:`step`: a repair lands at
+    the boundary before the iteration it would otherwise price. A
+    horizon never stops a run here; it cuts a walk only in
+    :meth:`JobSimulator._prefix`.
     """
 
     def before(slot: int) -> int:
@@ -369,40 +362,35 @@ def _cut(
         return slot if slot <= head else slot - (slot - head - 1) // width - 1
 
     last = ends[-1]
-    take = evaluated = before(len(ends))
+    take = before(len(ends))
     irregular = False
     if event_t <= last:
         # The first iteration whose compute ends at or after the event
         # is killed mid-flight (it is priced, then the event fires). An
         # event inside a snapshot stall kills the iteration after it.
         take = before(int(np.searchsorted(ends, event_t)))
-        evaluated = take + 1
         irregular = True
     if repair <= last:
         # The first boundary at or after the repair time fires the
         # re-growth: after the iteration ending at or after it, or
-        # after the stall it falls in.
-        r = before(int(np.searchsorted(ends, repair)) + 1)
-        if r <= take:
-            take = evaluated = r
-            irregular = True
-    if horizon <= last:
-        h = before(int(np.searchsorted(ends, horizon)) + 1)
-        if h <= take:
-            take = evaluated = h
-            irregular = False
-    return take, evaluated, irregular
+        # after the stall it falls in. One past an iteration a timed
+        # event kills leaves the event's stop.
+        take = min(take, before(int(np.searchsorted(ends, repair)) + 1))
+        irregular = True
+    return take, irregular
 
 
 def price_pending_steps(pending: List[PendingEvaluation]) -> None:
-    """Fill the memo behind many tenants' pending evaluations at once.
+    """Fill the memo behind many pending evaluations at once.
 
     Deduplicates by ``(state, sample, profile)`` (co-tenants sharing a
     state may need the same evaluation) and prices the un-memoized
     remainder through one fused
     :func:`~repro.runtime.iteration.evaluate_prepared_many` call — each
     result lands in its state's ``evaluations`` memo under its canonical
-    key. This is the only straggler pricing path: a memo miss in
+    key. This is the only straggler pricing path: a walk prices every
+    group its segment lacks through one call
+    (:meth:`JobSimulator._walk`), and a memo miss in
     :meth:`JobSimulator._evaluate` prices through it too.
     """
     unique: Dict[Tuple[int, int, Profile], PendingEvaluation] = {}
@@ -943,13 +931,13 @@ class JobSimulator:
         Returns a :class:`PendingEvaluation` when the next step's
         iteration pricing is a straggler evaluation not yet in the
         current state's memo, for a caller stepping by hand to batch
-        through :func:`price_pending_steps` (the fleet engine gathers
-        whole segments via :meth:`peek_segment` instead). Returns
-        ``None`` when nothing
-        needs pre-pricing: the job is not running, a capacity change
-        (repair re-growth, scripted resize) lands at this boundary and
-        may move the job to a different cluster state, or the needed
-        evaluation is already memoized (the base-batch common case).
+        through :func:`price_pending_steps` (a peek or an advance prices
+        a whole segment in its walk instead). Returns ``None`` when
+        nothing needs pre-pricing: the job is not running, a capacity
+        change (repair re-growth, scripted resize) lands at this
+        boundary and may move the job to a different cluster state, or
+        the needed evaluation is already memoized (the base-batch common
+        case).
 
         ``step()`` evaluates the iteration *before* its failure check,
         so pre-filling the memo is safe even when the step turns out to
@@ -1167,15 +1155,15 @@ class JobSimulator:
 
         Exactly ``while clock < horizon: step()``, without a Python call
         per plain iteration: each segment of plain iterations is walked
-        in closed form (:meth:`_walk`) and applied (:meth:`_apply`), and
-        only the irregular steps between them — a timed event firing, a
+        in closed form to its natural end (:meth:`_walk`), cut at its
+        first boundary at or after ``horizon`` when that lies before the
+        end (:meth:`_prefix`), and applied (:meth:`_apply`); only the
+        irregular steps between segments — a timed event firing, a
         repair re-growth, a scripted resize, the final iteration — go
         through :meth:`step`. While nothing the last
-        :meth:`peek_segment` walk read has changed, that walk is applied
-        instead of a fresh one: whole when ``horizon`` is at or past its
-        end, so each segment the fleet engine peeks is walked once, and
-        cut at its first boundary at or after ``horizon`` otherwise
-        (:meth:`_prefix`), so a decision brings a tenant to its boundary
+        :meth:`peek_segment` walk read has changed, that walk stands in
+        for a fresh one, so each segment the fleet engine peeks is
+        walked once and a decision brings a tenant to its boundary
         without walking.
 
         Iterations are non-preemptible, so the clock may overshoot the
@@ -1186,16 +1174,14 @@ class JobSimulator:
         while not self.done and not self._paused and self._clock < horizon:
             walk = self._kept
             if walk is None or walk.inputs != self._walk_inputs():
-                walk = self._walk(horizon)
-            elif horizon < walk.clock:
+                walk = self._walk()
+            if horizon < walk.clock:
                 walk = self._prefix(walk, horizon)
             self._apply(walk)
             if walk.irregular and not self.done and self._clock < horizon:
                 self.step()
 
-    def peek_segment(
-        self, lower_bound: bool = False
-    ) -> Tuple[float, bool, List[PendingEvaluation]]:
+    def peek_segment(self) -> Tuple[float, bool]:
         """Where the job's current segment ends, without advancing it.
 
         A segment is the run of plain iterations from the current
@@ -1203,31 +1189,21 @@ class JobSimulator:
         re-growth, a scripted resize, or the final iteration, which
         completes the job. It runs across any number of checkpoints,
         and ends early only on a checkpoint that must wait for the
-        previous snapshot's upload. Returns ``(clock, irregular,
-        pending)``: the start clock of the step that ends the segment,
-        whether that step is irregular (and so must go through
-        :meth:`step`), and the straggler evaluations the segment needs
-        that are not memoized yet.
+        previous snapshot's upload. Returns ``(clock, irregular)``: the
+        start clock of the step that ends the segment, and whether that
+        step is irregular (and so must go through :meth:`step`). The
+        clock is exact: the walk first prices, in one fused kernel sweep
+        (:func:`price_pending_steps`), every straggler evaluation up to
+        the segment's natural end that is not memoized yet.
 
-        With ``lower_bound`` nothing is priced: if the segment needs
-        un-memoized evaluations, ``clock`` is the start of the first
-        iteration needing one — a lower bound on the segment's end —
-        and ``pending`` lists every evaluation the segment would price
-        if those iterations took their base-batch time (a superset of
-        what it needs up to its exact end, as a straggling rank never
-        speeds an iteration up). Otherwise ``pending`` is empty,
-        anything needed is priced in one fused kernel sweep
-        (:func:`price_pending_steps`), and ``clock`` is exact.
-
-        An exact walk is kept for :meth:`advance_until`. The segment's
+        The walk is kept for :meth:`advance_until`. The segment's
         checkpoint stalls are priced from the checkpointer's costs and
         upload clock, so a peek copies nothing and changes nothing of
         the job.
         """
         self._require_started()
-        walk = self._walk(float("inf"), lower_bound)
-        self._kept = None if walk.pending else walk
-        return walk.clock, walk.irregular, walk.pending
+        walk = self._kept = self._walk()
+        return walk.clock, walk.irregular
 
     def _next_event_time(self) -> float:
         """Wall-clock of the earliest pending timed event (inf if none);
@@ -1255,35 +1231,35 @@ class JobSimulator:
             checkpointer.upload_finish_time,
         )
 
-    def _walk(self, horizon: float, lower_bound: bool = False) -> _Walk:
+    def _walk(self) -> _Walk:
         """Compute the current segment in closed form; nothing of the
         job changes (a priced evaluation lands in the shared memo).
 
         A plain iteration retains one iteration: the clock moves by its
         time, then by its checkpoint stall, an exact ``0.0`` except on
         checkpoint iterations. The walk gathers the iteration times up
-        to the next scripted resize or the final iteration, puts one
-        snapshot stall after each checkpoint iteration, and takes one
-        ``np.cumsum``: bitwise the sequential fold :meth:`step`
-        performs. The times are the base times by sample with each
-        straggler run that meets the segment laid over them: a run's
-        iterations ``p, p + K, ...`` share a sample (a group), so one
-        memo lookup and one strided write. A group not yet memoized is
-        one pending evaluation, needed iff its first iteration is;
-        pricing takes the keys in order of first need.
+        to the segment's natural end — the next scripted resize or the
+        final iteration — puts one snapshot stall after each checkpoint
+        iteration, and takes one ``np.cumsum``: bitwise the sequential
+        fold :meth:`step` performs. The times are the base times by
+        sample with each straggler run that meets the segment laid over
+        them: a run's iterations ``p, p + K, ...`` share a sample (a
+        group), so one memo lookup and one strided write. The groups
+        the memo lacks are priced before the fold, all in one
+        :func:`price_pending_steps` call in order of first position, so
+        the walk folds once.
 
         A stall is the snapshot copy alone while the checkpoint's
         previous upload has cleared, which two comparisons check, one
         for the first checkpoint and one vector comparison for the
         rest; the segment ends on the first checkpoint that must wait,
         with its stall priced as ``AsyncCheckpointer.on_iteration``
-        charges it. Otherwise it stops
-        before the first irregular step (``searchsorted`` on the fold
-        finds the iteration a timed event kills and the boundary a
-        repair lands on), before the final iteration or a scripted
-        resize, or at the first boundary at or after ``horizon``. With
-        ``lower_bound``, a segment needing unpriced evaluations ends
-        unpriced, as :meth:`peek_segment` documents.
+        charges it. Otherwise it stops before the first irregular step
+        (:func:`_cut`: ``searchsorted`` on the fold finds the iteration
+        a timed event kills and the boundary a repair lands on), or
+        before the final iteration or a scripted resize. No horizon
+        stops a walk: :meth:`advance_until` cuts one with
+        :meth:`_prefix`.
         """
         inputs = self._walk_inputs()
         i, clock, state, failures, repair_at, event_t, checkpointer, upload = (
@@ -1295,16 +1271,11 @@ class JobSimulator:
         r = bisect.bisect_left(self._resize_iters, i)
         if r < len(self._resize_iters):
             end = min(end, self._resize_iters[r])
-        if failures > MAX_FAILURES or i >= end or clock >= horizon or (
-            clock >= repair
-        ):
-            # Nothing to walk. Irregular: too many failures (step()
-            # raises), the final iteration, a scripted resize, a due
-            # repair re-growth; a horizon reached first is not.
-            irregular = failures > MAX_FAILURES or (
-                i < n if i >= end else clock < horizon
-            )
-            return _Walk(inputs, clock, irregular, [])
+        if failures > MAX_FAILURES or i >= end or clock >= repair:
+            # Nothing to walk: the next step is irregular (step() raises
+            # on too many failures; the final iteration, a scripted
+            # resize, a due repair re-growth) unless the job is done.
+            return _Walk(inputs, clock, failures > MAX_FAILURES or i < n)
         # The fold holds the ``head`` iterations up to and including the
         # first checkpoint, then ``m`` blocks of ``width``: a
         # checkpoint's boundary and the iterations up to the next
@@ -1318,16 +1289,14 @@ class JobSimulator:
         # The base times, past ``end`` so the blocks fill whole rows.
         stop = i + head + m * interval
         times = state.tiled(stop)[0][i:stop]
-        # Priced groups as ``(p, b, result)`` and unpriced ones as ``(p,
-        # b, pending)``: positions ``p, p + K, ...`` before ``b`` share
-        # one evaluation. Runs are disjoint and sorted, so the unpriced
-        # groups are in order of their first positions.
+        # Straggler groups ``(p, b, result)``: positions ``p, p + K,
+        # ...`` before ``b`` share one evaluation. Runs are disjoint and
+        # sorted, so the groups the memo lacks are listed in order of
+        # their first positions, as ``(group index, pending)``.
         groups = []
         missing = []
         lo = bisect.bisect_right(self._run_ends, i)
         hi = bisect.bisect_left(self._run_starts, end, lo)
-        if lo < hi:
-            times = times.copy()
         for start, run_end, profile in self._runs[lo:hi]:
             a = max(start, i) - i
             b = min(run_end, end) - i
@@ -1338,73 +1307,52 @@ class JobSimulator:
                 result = state.evaluations.get((sample, profile))
                 if result is None:
                     result, key = _memo_lookup(state, sample, profile)
-                if result is None:
-                    missing.append(
-                        (p, b, PendingEvaluation(state, sample, key))
-                    )
-                else:
-                    times[p:b:K] = result.iteration_time
-                    groups.append((p, b, result))
+                    if result is None:
+                        item = PendingEvaluation(state, sample, key)
+                        missing.append((len(groups), item))
+                groups.append((p, b, result))
+        if missing:
+            price_pending_steps([item for _, item in missing])
+            for g, item in missing:
+                p, b, _ = groups[g]
+                result = state.evaluations[(item.sample, item.profile)]
+                groups[g] = (p, b, result)
+        if groups:
+            times = times.copy()
+            for p, b, result in groups:
+                times[p:b:K] = result.iteration_time
         stall = checkpointer.snapshot_stall
         upload_duration = checkpointer.upload_duration
         fold = np.empty(head + m * width)
+        fold[:head] = times[:head]
         rows = fold[head:].reshape(m, width)
+        rows[:, 0] = stall
+        rows[:, 1:] = times[head:].reshape(m, interval)
+        fold[0] += clock
+        ends = fold[:length + m]
+        np.cumsum(ends, out=ends)
         # Each checkpoint's end-of-compute and boundary clocks.
         marks = fold[head - 1:head - 1 + m * width].reshape(m, width)[:, :2]
         wait = m
-        while True:
-            # Missing evaluations stand in at their base time (a lower
-            # bound), so the cut computed here is at or after the true
-            # one; pricing what lies before it and cutting again
-            # converges on the exact cut.
-            fold[:head] = times[:head]
-            rows[:, 0] = stall
-            rows[:, 1:] = times[head:].reshape(m, interval)
-            fold[0] += clock
-            ends = fold[:length + m]
-            np.cumsum(ends, out=ends)
-            if m:
-                # A checkpoint waits iff its compute ends before the
-                # previous upload clears: at the checkpointer's upload
-                # clock for the first, and at the previous boundary
-                # plus the upload for the others, as on_iteration sets
-                # it. Past the first that waits, the fold is wrong.
-                wait = 0 if marks[0, 0] < upload else m
-                if wait == m > 1:
-                    late = np.flatnonzero(
-                        marks[1:, 0] < marks[:-1, 1] + upload_duration
-                    )
-                    if len(late):
-                        wait = int(late[0]) + 1
-            take, evaluated, irregular = _cut(
-                ends[:head + wait * width] if wait < m else ends,
-                head, width, event_t, repair, horizon,
-            )
-            # A group is needed iff its first position is; pricing
-            # deduplicates by key, in order of first need.
-            need = [item for p, _, item in missing if p < evaluated]
-            if not need:
-                break
-            if lower_bound:
-                # Everything before the first unpriced iteration (the
-                # first group's, which is needed) is exact, and the
-                # segment cannot end before that iteration starts.
-                p = missing[0][0]
-                slot = p if p < head else p + (p - head) // interval + 1
-                key = clock if p == 0 else float(ends[slot - 1])
-                return _Walk(inputs, key, False, need)
-            price_pending_steps(need)
-            still = []
-            for p, b, item in missing:
-                result, _ = _memo_lookup(state, item.sample, item.profile)
-                if result is None:
-                    still.append((p, b, item))
-                else:
-                    times[p:b:K] = result.iteration_time
-                    groups.append((p, b, result))
-            missing = still
+        if m:
+            # A checkpoint waits iff its compute ends before the previous
+            # upload clears: at the checkpointer's upload clock for the
+            # first, and at the previous boundary plus the upload for
+            # the others, as on_iteration sets it. Past the first that
+            # waits, the fold is wrong.
+            wait = 0 if marks[0, 0] < upload else m
+            if wait == m > 1:
+                late = np.flatnonzero(
+                    marks[1:, 0] < marks[:-1, 1] + upload_duration
+                )
+                if len(late):
+                    wait = int(late[0]) + 1
+        take, irregular = _cut(
+            ends[:head + wait * width] if wait < m else ends,
+            head, width, event_t, repair,
+        )
         if not take:
-            return _Walk(inputs, clock, irregular, [])
+            return _Walk(inputs, clock, irregular)
         # The retained checkpoints; the segment's clock is the boundary
         # after its last iteration (after the stall, on a checkpoint).
         kept = 0 if take < head or not m else (take - head) // interval + 1
@@ -1422,7 +1370,6 @@ class JobSimulator:
             inputs,
             clock,
             irregular or i + take == end,
-            [],
             take,
             tuple(group for group in groups if group[0] < take),
             first,
@@ -1431,10 +1378,10 @@ class JobSimulator:
 
     def _prefix(self, walk: _Walk, horizon: float) -> _Walk:
         """``walk`` cut at its first boundary at or after ``horizon``,
-        which lies before its end: what :meth:`_walk` computes from the
-        same inputs up to that horizon. Only the checkpoint interval
-        holding ``horizon`` is folded again, from the boundary before
-        it."""
+        which lies before its end: where ``while clock < horizon:
+        step()`` stops. This is the one place a horizon cuts a walk,
+        kept or fresh. Only the checkpoint interval holding ``horizon``
+        is folded again, from the boundary before it."""
         i, clock, state, *_, checkpointer, _ = walk.inputs
         interval = checkpointer.config.interval_iterations
         marks, K = walk.marks, self._K
@@ -1464,7 +1411,7 @@ class JobSimulator:
         else:
             clock = float(ends[s])
         return _Walk(
-            walk.inputs, clock, False, [], take, walk.groups, walk.first,
+            walk.inputs, clock, False, take, walk.groups, walk.first,
             marks[:j],
         )
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Dict, Union
+from typing import Any, Dict, Union
 
 from repro.cluster.cluster import make_cluster
 from repro.models.mllm import MLLM_PRESETS, MODULE_NAMES
@@ -59,8 +59,23 @@ def plan_to_dict(plan: ModelOrchestrationPlan) -> Dict:
     }
 
 
+def _typed(name: str, value: Any, kind: type, expected: str) -> Any:
+    """``value`` when it is a ``kind`` (a bool is no ``int``), else a
+    ``ValueError`` naming the field."""
+    if not isinstance(value, kind) or (
+        kind is int and isinstance(value, bool)
+    ):
+        raise ValueError(f"{name} must be {expected}, got {value!r}")
+    return value
+
+
 def plan_from_dict(data: Dict) -> ModelOrchestrationPlan:
-    """Reconstruct a plan from its launch configuration."""
+    """Reconstruct a plan from its launch configuration.
+
+    A mistyped field raises a ``ValueError`` naming it: a degree or
+    ``cluster_gpus`` that is a bool or not an ``int``, a ``monolithic``
+    that is not a bool, a ``label`` that is not a string.
+    """
     version = data.get("version")
     if version != FORMAT_VERSION:
         raise ValueError(
@@ -76,12 +91,16 @@ def plan_from_dict(data: Dict) -> ModelOrchestrationPlan:
             raise KeyError(f"launch config missing unit {required!r}")
     return ModelOrchestrationPlan(
         mllm=MLLM_PRESETS[model_name],
-        cluster=make_cluster(int(data["cluster_gpus"])),
+        cluster=make_cluster(
+            _typed("cluster_gpus", data["cluster_gpus"], int, "an integer")
+        ),
         encoder_plan=parallelism_plan_from_dict(units["encoder"]),
         llm_plan=parallelism_plan_from_dict(units["llm"]),
         generator_plan=parallelism_plan_from_dict(units["generator"]),
-        monolithic=bool(data.get("monolithic", False)),
-        label=str(data.get("label", "disttrain")),
+        monolithic=_typed(
+            "monolithic", data.get("monolithic", False), bool, "a boolean"
+        ),
+        label=_typed("label", data.get("label", "disttrain"), str, "a string"),
     )
 
 

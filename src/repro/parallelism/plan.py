@@ -43,7 +43,9 @@ class ParallelismPlan:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if not isinstance(value, int) or value < 1:
+            # A bool is an int to isinstance, but no degree.
+            integer = isinstance(value, int) and not isinstance(value, bool)
+            if not integer or value < 1:
                 raise ValueError(
                     f"{f.name} must be a positive integer, got {value!r}"
                 )

@@ -96,6 +96,19 @@ class ScenarioSpec:
     pack: Optional[str] = None
 
     def __post_init__(self) -> None:
+        # Every count (an ``int`` field) is an int and ``elastic`` a
+        # bool: a float count fails deep inside a run, and a bool is an
+        # int to isinstance but no count.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and (
+                isinstance(value, bool) or not isinstance(value, int)
+            ):
+                raise ValueError(
+                    f"{f.name} must be an integer, got {value!r}"
+                )
+            if f.type == "bool" and not isinstance(value, bool):
+                raise ValueError(f"{f.name} must be a boolean, got {value!r}")
         # Float guards are written so NaN fails them: every comparison
         # with NaN is False.
         if self.num_iterations < 1:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.core.config import DistTrainConfig
 from repro.fleet import FleetEngine, FleetSpec
 from repro.fleet import engine as fleet_engine
+from repro.fleet import job as fleet_job
 from repro.fleet.job import MAX_FAILURES, STATE_CACHE, JobSimulator, _fold
 from repro.obs import instrument
 from repro.orchestration.errors import InfeasibleClusterError
@@ -357,6 +358,20 @@ def _result_bytes(sim):
     return json.dumps(sim.finish().to_dict(), sort_keys=True)
 
 
+def _count_pricing(monkeypatch):
+    """The size of every fused pricing call from here on (straggler
+    evaluations, and base batches of a cluster state built later)."""
+    calls = []
+    price = fleet_job.evaluate_prepared_many
+
+    def counted(requests):
+        calls.append(len(requests))
+        return price(requests)
+
+    monkeypatch.setattr(fleet_job, "evaluate_prepared_many", counted)
+    return calls
+
+
 def _stall_windows(job_config, spec, checkpoint=None):
     """``(compute end, boundary)`` of every snapshot stall on the step
     walk of ``spec``, the compute end read back from the stall."""
@@ -525,7 +540,7 @@ class TestSegmentAdvance:
         ],
     )
     def test_explicit_stragglers_match_step_walk(
-        self, job_config, n, interval, samples, episodes
+        self, job_config, monkeypatch, n, interval, samples, episodes
     ):
         """Scripted straggler runs: overlaps, duplicate pairs, runs
         crossing checkpoints or clipped at the end, K = 1."""
@@ -539,13 +554,24 @@ class TestSegmentAdvance:
             job_config, spec, picks=range(0, n, 3)
         )
         # The first straggler iteration lies in the first segment, so a
-        # lower-bound peek keys the segment at that iteration's start.
+        # peek on an empty memo prices its groups, all in one fused
+        # sweep, and lays them over exactly the straggler iterations
+        # the segment retains.
         STATE_CACHE.clear()
         sim = JobSimulator(job_config, spec)
         sim.start()
-        key, _, pending = sim.peek_segment(lower_bound=True)
-        assert pending
-        assert key == boundaries[min(e[0] for e in episodes)]
+        calls = _count_pricing(monkeypatch)
+        end, _ = sim.peek_segment()
+        walk = sim._kept
+        assert len(calls) == 1
+        assert end == boundaries[walk.take]
+        laid = sorted(
+            q
+            for p, b, _ in walk.groups
+            for q in range(p, min(b, walk.take), samples)
+        )
+        assert laid and laid[0] == min(e[0] for e in episodes)
+        assert laid == [i for i in range(walk.take) if sim._profile(i)]
 
     @pytest.mark.parametrize("what", ["failure", "repair", "horizon"])
     def test_inside_a_snapshot_stall(self, job_config, what):
@@ -582,7 +608,7 @@ class TestSegmentAdvance:
         while peeked.num_gpus == 48:  # the failure at 5 s
             peeked.step()
             stepped.step()
-        end, irregular, _ = peeked.peek_segment()
+        end, irregular = peeked.peek_segment()
         if what == "horizon":
             peeked.advance_until(at)
             assert peeked.clock == window[1]
@@ -622,10 +648,10 @@ class TestSegmentAdvance:
         )
         sim = JobSimulator(job_config, spec)
         sim.start()
-        clock, irregular, pending = sim.peek_segment(lower_bound=True)
+        first = sim.peek_segment()
         assert sim.clock == 0.0 and sim.iterations_retained == 0
-        exact, irregular, _ = sim.peek_segment()
-        assert clock <= exact
+        exact, irregular = sim.peek_segment()
+        assert (exact, irregular) == first
         assert sim.clock == 0.0 and sim.iterations_retained == 0
         # The segment runs across the checkpoints at iterations 10, 20
         # and 30 and ends before the final iteration, which is
@@ -636,6 +662,39 @@ class TestSegmentAdvance:
         assert sim.iterations_retained == 39
         assert sim._checkpointer.snapshots_taken == 3
 
+    def test_first_peek_prices_past_a_failure(self, job_config, monkeypatch):
+        """A peek prices every straggler group up to the segment's
+        natural end, past the timed failure that cuts it: after its
+        first peek, an inelastic job with episodes of different
+        slowdowns on both sides of a failure prices nothing more on its
+        way to completion, the iterations it replays included."""
+        spec = ScenarioSpec(
+            num_iterations=40,
+            checkpoint_interval=10,
+            events=EventTrace([
+                StragglerEvent(4, 5, rank=1, slowdown=1.5),
+                # During iteration 16 (~1.4 s iterations).
+                FailureEvent(time_s=23.0, gpus_lost=8),
+                StragglerEvent(24, 6, rank=2, slowdown=2.0),
+            ]),
+            **FAST_RECOVERY,
+        )
+        STATE_CACHE.clear()
+        sim = JobSimulator(job_config, spec)
+        sim.start()
+        calls = _count_pricing(monkeypatch)
+        end, irregular = sim.peek_segment()
+        assert irregular and end < 23.0
+        priced = list(calls)
+        sim.advance_until(float("inf"))
+        result = sim.finish()
+        assert (result.num_failures, result.num_replans) == (1, 0)
+        assert result.replayed_iterations > 0
+        assert calls == priced
+        # One fused call; each episode's iterations span the K = 4
+        # samples.
+        assert priced == [8]
+
 
 # --------------------------------------------------------------------- #
 # The kept walk: a peek's segment, applied without walking it again
@@ -645,7 +704,7 @@ GOLDEN = cases()
 #: One kept-walk round's disturbances between the peek and the advance.
 round_ops = st.lists(
     st.one_of(
-        st.tuples(st.just("peek"), st.booleans()),
+        st.just(("peek",)),
         st.tuples(st.just("resize"), st.sampled_from([32, 40, 48])),
         st.tuples(
             st.just("preempt"),
@@ -673,18 +732,16 @@ class TestKeptWalk:
     @given(
         spec=scenarios(),
         pause=st.sampled_from([0.0, 30.0]),
-        rounds=st.lists(
-            st.tuples(st.booleans(), round_ops), min_size=1, max_size=12
-        ),
+        rounds=st.lists(round_ops, min_size=1, max_size=12),
         data=st.data(),
     )
     def test_peeks_and_controls_match_step_walk(
         self, job_config, spec, pause, rounds, data
     ):
-        """Rounds of: a peek (exact or lower-bound), then resizes,
-        preempt + resume, mid-segment advances (some to a horizon inside
-        a snapshot stall of the peeked walk) and second peeks, then an
-        advance to the latest peeked end and past its step. With zero
+        """Rounds of: a peek, then resizes, preempt + resume,
+        mid-segment advances (some to a horizon inside a snapshot stall
+        of the peeked walk) and second peeks, then an advance to the
+        latest peeked end and past its step. With zero
         replan and reload pauses a control can change what the walk read
         and leave the clock where it was. A scripted trace gains a
         failure inside a snapshot stall of its step walk, which kills
@@ -708,13 +765,13 @@ class TestKeptWalk:
         peeked.start()
         stepped.start()
         marks, expected = [], []
-        for lower_bound, ops in rounds:
+        for ops in rounds:
             if peeked.done:
                 break
-            end = peeked.peek_segment(lower_bound)[0]
+            end = peeked.peek_segment()[0]
             for op in ops:
                 if op[0] == "peek":
-                    end = peeked.peek_segment(op[1])[0]
+                    end = peeked.peek_segment()[0]
                 elif op[0] in ("mid", "stall"):
                     mid = peeked.clock + op[1] * (end - peeked.clock)
                     walk = peeked._kept
@@ -796,7 +853,7 @@ class TestUploadWait:
         episodes, at upload bandwidths from 1e8 B/s (a ~1,300 s upload)
         to 4e10 B/s (~3 s, against ~1.4 s iterations). Horizons fall on
         boundary clocks, inside snapshot stalls and anywhere; before
-        each advance the job is peeked (exact or lower-bound) or not."""
+        each advance the job is peeked or not."""
         common = dict(
             num_iterations=60,
             elastic=True,
@@ -830,7 +887,7 @@ class TestUploadWait:
             max_size=8,
         ))
         peeks = data.draw(st.lists(
-            st.sampled_from([None, False, True]),
+            st.booleans(),
             min_size=len(horizons) + 1,
             max_size=len(horizons) + 1,
         ))
@@ -842,8 +899,8 @@ class TestUploadWait:
         stepped.start()
         marks, expected = [], []
         for horizon, peek in zip(sorted(horizons) + [np.inf], peeks):
-            if peek is not None and not walked.done:
-                walked.peek_segment(lower_bound=peek)
+            if peek and not walked.done:
+                walked.peek_segment()
             walked.advance_until(horizon)
             _step_to(stepped, horizon)
             marks.append(_upload_mark(walked))
@@ -885,9 +942,9 @@ def _perfbench_fleet(stragglers: bool) -> FleetSpec:
 
 def _warm_counts(spec, monkeypatch):
     """Walks, applies, policy views and checkpointer copies in a warm
-    run of ``spec`` after a cold one, and the run's metrics. A straggler
-    evaluation that an earlier run priced spares a re-peek, so the
-    straggler memo starts empty, as in a perfbench process."""
+    run of ``spec`` after a cold one, and the run's metrics. The cold
+    run starts from an empty straggler memo, as a perfbench process
+    does."""
     STATE_CACHE.clear()
     FleetEngine(spec).run()  # warm every process-wide cache
     counts = {"walks": 0, "applies": 0, "views": 0, "copies": 0}
@@ -938,11 +995,15 @@ def test_one_walk_per_segment(monkeypatch):
 
 def test_straggler_fleet_walks_span_checkpoints(monkeypatch):
     """A warm fleet-stragglers call walks a segment once across its
-    checkpoints too; ending every segment at a checkpoint and walking
-    afresh at each decision, it made 2,176 walks and 2,077 applies."""
+    checkpoints too, one walk per peek. While a peek of a segment whose
+    straggler evaluations were not all memoized only bounded its end
+    and kept no walk, the same call made 240 walks: the 8 decisions
+    that cut such a segment walked it afresh. Ending every segment at a
+    checkpoint and walking afresh at each decision, it made 2,176 walks
+    and 2,077 applies."""
     counts, metrics = _warm_counts(_perfbench_fleet(True), monkeypatch)
     assert metrics["preemptions"] == 38.0
-    assert counts == {"walks": 240, "applies": 176, "views": 368, "copies": 0}
+    assert counts == {"walks": 232, "applies": 176, "views": 368, "copies": 0}
 
 
 #: A 48-GPU job shrunk to 40 by an early failure whose repair lies far
@@ -1016,7 +1077,7 @@ def _advance_after_change(job_config, change, walk, target):
     while sim.iterations_retained < 13:
         sim.step()
     assert sim.num_gpus == 40 and sim.allocated_gpus == 48
-    end, irregular, _ = sim.peek_segment()
+    end, irregular = sim.peek_segment()
     kept = sim._kept
     # Iterations 13 to 38 across the checkpoints at 20 and 30; the
     # final iteration is irregular.

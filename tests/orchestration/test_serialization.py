@@ -78,6 +78,30 @@ class TestPlanRoundTrip:
         with pytest.raises(KeyError):
             plan_from_dict(data)
 
+    @pytest.mark.parametrize("path, value", [
+        pytest.param(("units", "llm", "tp"), True, id="tp-bool"),
+        pytest.param(("units", "encoder", "dp"), True, id="dp-bool"),
+        pytest.param(("cluster_gpus",), 48.9, id="cluster-gpus-float"),
+        pytest.param(("cluster_gpus",), True, id="cluster-gpus-bool"),
+        pytest.param(("cluster_gpus",), "48", id="cluster-gpus-str"),
+        pytest.param(("monolithic",), "false", id="monolithic-str"),
+        pytest.param(("monolithic",), 0, id="monolithic-int"),
+        pytest.param(("label",), 7, id="label-int"),
+        pytest.param(("label",), None, id="label-null"),
+    ])
+    def test_mistyped_field_rejected(self, path, value):
+        # Coerced, each would load as something else: a one-GPU
+        # degree, 48 GPUs, a truthy string as monolithic, "7" or "None"
+        # as the label.
+        data = plan_to_dict(sample_plan())
+        *parents, name = path
+        record = data
+        for key in parents:
+            record = record[key]
+        record[name] = value
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            plan_from_dict(data)
+
     def test_custom_model_rejected(self):
         import dataclasses
 

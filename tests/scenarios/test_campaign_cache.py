@@ -109,8 +109,16 @@ class TestCrossProcessCache:
         assert first.executed == 2 and first.cached == 0
 
         src = Path(__file__).resolve().parents[2] / "src"
+        # -B: the minimal environment drops any PYTHONDONTWRITEBYTECODE,
+        # and .pyc files written into src/ would speed up every later
+        # import there (perfbench's setup_s among them).
         proc = subprocess.run(
-            [sys.executable, "-c", _RERUN_SNIPPET.format(cache_dir=cache_dir)],
+            [
+                sys.executable,
+                "-B",
+                "-c",
+                _RERUN_SNIPPET.format(cache_dir=cache_dir),
+            ],
             capture_output=True,
             text=True,
             env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},

@@ -28,6 +28,24 @@ class TestValidation:
         with pytest.raises(ValueError):
             ScenarioSpec(**kwargs)
 
+    @pytest.mark.parametrize("field, value", [
+        ("num_iterations", 20.5),
+        ("num_iterations", True),
+        ("checkpoint_interval", 2.5),
+        ("gpus_lost_per_failure", 8.0),
+        ("straggler_iterations", True),
+        ("sample_iterations", 1.5),
+        ("seed", 1.0),
+        ("seed", False),
+        ("elastic", 1),
+        ("elastic", "false"),
+    ])
+    def test_rejects_mistyped_count_or_flag(self, field, value):
+        # Unchecked, each fails deep inside the run (in np.tile,
+        # np.zeros or range), or not at all.
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            ScenarioSpec(**{field: value})
+
     def test_rejects_negative_seed(self):
         # numpy's generators take no negative seed: fail at the spec.
         with pytest.raises(ValueError, match="seed must be >= 0"):
