@@ -108,16 +108,18 @@ def _problem(config: DistTrainConfig) -> OrchestrationProblem:
     )
 
 
+#: Each system's orchestrator, by its
+#: :data:`~repro.core.config.KNOWN_SYSTEMS` name.
+ORCHESTRATORS = {
+    "disttrain": AdaptiveOrchestrator,
+    "megatron-lm": MegatronOrchestrator,
+    "distmm*": DistMMOrchestrator,
+}
+
+
 def plan(config: DistTrainConfig) -> OrchestrationResult:
     """Run the configured system's orchestrator for this task."""
-    problem = _problem(config)
-    if config.system == "disttrain":
-        return AdaptiveOrchestrator(problem).plan()
-    if config.system == "megatron-lm":
-        return MegatronOrchestrator(problem).plan()
-    if config.system == "distmm*":
-        return DistMMOrchestrator(problem).plan()
-    raise ValueError(f"unknown system {config.system!r}")
+    return ORCHESTRATORS[config.system](_problem(config)).plan()
 
 
 def replan(config: DistTrainConfig, num_gpus: int) -> OrchestrationResult:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 from repro.cluster.cluster import ClusterSpec, make_cluster
@@ -13,6 +13,14 @@ from repro.runtime.frozen import FROZEN_PRESETS, FrozenConfig
 
 #: Systems the comparison helpers understand.
 KNOWN_SYSTEMS = ("disttrain", "megatron-lm", "distmm*")
+
+#: What each checked field annotation accepts, and how an error names
+#: it. A bool is an int to isinstance, but passes only where ``bool`` is
+#: named: no count is a bool.
+_FIELD_TYPES = {
+    "int": ((int,), "an integer"),
+    "Optional[bool]": ((bool, type(None)), "a boolean or None"),
+}
 
 
 @dataclass(frozen=True)
@@ -62,6 +70,18 @@ class DistTrainConfig:
             raise ValueError(
                 f"unknown system {self.system!r}; expected {KNOWN_SYSTEMS}"
             )
+        # A float batch size fails deep in numpy, and a string
+        # reordering override is truthy: check the types first.
+        for f in fields(self):
+            if f.type in _FIELD_TYPES:
+                kinds, expected = _FIELD_TYPES[f.type]
+                value = getattr(self, f.name)
+                if not isinstance(value, kinds) or (
+                    isinstance(value, bool) and bool not in kinds
+                ):
+                    raise ValueError(
+                        f"{f.name} must be {expected}, got {value!r}"
+                    )
         for name in ("global_batch_size", "microbatch_size", "vpp",
                      "num_iterations"):
             if getattr(self, name) < 1:

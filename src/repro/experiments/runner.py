@@ -180,7 +180,7 @@ def execute_trial(payload: Tuple):
             # chosen plan; lets sweeps compare the planner's model
             # against the heterogeneity-aware simulation.
             metrics["planned_pipeline_time"] = (
-                orchestration.simulated_pipeline_seconds or 0.0
+                orchestration.simulated_pipeline_seconds
             )
         record = TrialRecord(
             params=params,

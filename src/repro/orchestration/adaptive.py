@@ -91,45 +91,33 @@ def divisors(n: int) -> List[int]:
 
 @dataclass
 class OrchestrationResult:
-    """Outcome of an orchestration run."""
+    """Outcome of an orchestration run (built by
+    :func:`orchestration_result`)."""
 
     plan: ModelOrchestrationPlan
-    candidate: CandidateConfig
     breakdown: ObjectiveBreakdown
     solve_seconds: float
     candidates_evaluated: int
     convex_solutions: int
     #: Kernel-refined uniform-workload pipeline makespan of the chosen
     #: plan (captures warm-up/cool-down/schedule effects Eqs. 1-2 omit).
-    simulated_pipeline_seconds: Optional[float] = None
+    simulated_pipeline_seconds: float
+
+    @property
+    def candidate(self) -> CandidateConfig:
+        """The chosen plans' point of the TP/DP enumeration."""
+        return CandidateConfig.of(self.plan.plans)
 
     @property
     def predicted_iteration_time(self) -> float:
         return self.breakdown.total
 
 
-def simulated_pipeline_seconds(
-    problem: OrchestrationProblem,
-    collectives: CollectiveModel,
-    plans: Dict[str, ParallelismPlan],
-) -> float:
-    """Uniform-workload pipeline makespan of one iteration.
-
-    Runs the cycle-accurate 1F1B simulator kernel on the candidate's
-    stage structure with average per-microbatch durations, capturing
-    warm-up, cool-down, inter-stage communication, and schedule effects
-    that Eqs. 1-2 abstract away. Large microbatch counts are
-    extrapolated linearly from two smaller simulations (the steady phase
-    is exactly linear once ``n > p``).
-    """
-    return simulated_pipeline_seconds_batch(problem, collectives, [plans])[0]
-
-
 def _stage_times(
     problem: OrchestrationProblem, plans: Dict[str, ParallelismPlan]
 ) -> Tuple[List[float], List[float]]:
     """Per-stage fwd/bwd durations for one plan (see
-    :func:`simulated_pipeline_seconds`)."""
+    :func:`simulated_pipeline_seconds_batch`)."""
     profiler = problem.profiler()
     M = problem.microbatch_size
     dp_lm = plans["llm"].dp
@@ -159,13 +147,18 @@ def simulated_pipeline_seconds_batch(
     collectives: CollectiveModel,
     plans_list: Sequence[Dict[str, ParallelismPlan]],
 ) -> List[float]:
-    """Uniform-workload pipeline makespans for a plan portfolio.
+    """Uniform-workload pipeline makespan of one iteration of each plan.
 
-    Semantically identical to calling :func:`simulated_pipeline_seconds`
-    per plan, but every kernel evaluation of the portfolio — one or two
-    ``(stages, microbatches)`` shapes per plan — runs in one
+    Runs the cycle-accurate 1F1B simulator kernel on each plan's stage
+    structure with average per-microbatch durations, capturing warm-up,
+    cool-down, inter-stage communication, and schedule effects that
+    Eqs. 1-2 abstract away. Large microbatch counts are extrapolated
+    linearly from two smaller simulations (the steady phase is exactly
+    linear once ``n > p``). Every kernel evaluation of the portfolio —
+    one or two ``(stages, microbatches)`` shapes per plan — runs in one
     :func:`~repro.pipeline.kernel.union_makespans` level sweep, which
-    prices each evaluation bit-identically to sweeping its shape alone.
+    prices each evaluation bit-identically to sweeping its shape alone,
+    so a plan's makespan does not depend on the portfolio around it.
     """
     M = problem.microbatch_size
     llm = problem.mllm.llm
@@ -200,6 +193,59 @@ def simulated_pipeline_seconds_batch(
         slope = (m_small - m_smaller) / max(1, n_small - n_smaller)
         results.append(m_small + slope * (num_microbatches - n_small))
     return results
+
+
+def orchestration_result(
+    problem: OrchestrationProblem,
+    label: str,
+    plans: Dict[str, ParallelismPlan],
+    started: float,
+    monolithic: bool = False,
+    candidates_evaluated: int = 1,
+    convex_solutions: int = 0,
+    simulated: Optional[float] = None,
+) -> OrchestrationResult:
+    """The result of an orchestrator that chose the module ``plans``.
+
+    Every orchestrator ends here, so results differ only in the plans
+    they choose: the Eqs. 1-2 breakdown is priced at the plans'
+    candidate (:meth:`CandidateConfig.of`) and GPU counts, and the
+    refined makespan is the plans' kernel sweep
+    (:func:`simulated_pipeline_seconds_batch`) unless the caller already
+    priced it as ``simulated``. ``solve_seconds`` runs from ``started``
+    (a :func:`time.perf_counter` reading) to the built plan, so it
+    excludes a sweep priced here.
+    """
+    breakdown = objective(
+        problem, CandidateConfig.of(plans),
+        *(float(plans[name].num_gpus) for name in MODULE_NAMES),
+    )
+    plan = ModelOrchestrationPlan(
+        mllm=problem.mllm,
+        cluster=problem.cluster,
+        encoder_plan=plans["encoder"],
+        llm_plan=plans["llm"],
+        generator_plan=plans["generator"],
+        monolithic=monolithic,
+        label=label,
+    )
+    solve_seconds = time.perf_counter() - started
+    if simulated is None:
+        node = problem.cluster.node
+        collectives = CollectiveModel(
+            intra_link=node.intra_link, inter_link=node.inter_link
+        )
+        simulated = simulated_pipeline_seconds_batch(
+            problem, collectives, [plans]
+        )[0]
+    return OrchestrationResult(
+        plan=plan,
+        breakdown=breakdown,
+        solve_seconds=solve_seconds,
+        candidates_evaluated=candidates_evaluated,
+        convex_solutions=convex_solutions,
+        simulated_pipeline_seconds=simulated,
+    )
 
 
 def replan_for_cluster(
@@ -329,72 +375,37 @@ class AdaptiveOrchestrator:
                 break
 
         finalists = [
-            (
-                self._candidate(int(tp_lm[row]), int(dp_lm[row]),
-                                tp_me, tp_mg),
-                self._plans(int(tp_lm[row]), int(dp_lm[row]),
-                            int(pp_lm[row]), int(dp_me[row]),
-                            int(dp_mg[row]), tp_me, tp_mg),
-            )
+            self._plans(int(tp_lm[row]), int(dp_lm[row]), int(pp_lm[row]),
+                        int(dp_me[row]), int(dp_mg[row]), tp_me, tp_mg)
             for row in diverse
         ]
-        simulated = self._refined_batch(
-            [plans for _, plans in finalists]
-        )
+        simulated = self._refined_batch(finalists)
         rows = np.asarray(diverse)
         dp_sync = self._dp_sync_cost(
             tp_lm[rows], dp_lm[rows], pp_lm[rows], dp_me[rows], dp_mg[rows],
             tp_me, tp_mg,
         )
-        best: Optional[Tuple[float, CandidateConfig,
-                             Dict[str, ParallelismPlan], float]] = None
-        for (cand, plans), sim, sync in zip(finalists, simulated, dp_sync):
+        best: Optional[Tuple[float, Dict[str, ParallelismPlan], float]] = None
+        for plans, sim, sync in zip(finalists, simulated, dp_sync):
             refined = sim + float(sync)
             if best is None or refined < best[0]:
-                best = (refined, cand, plans, sim)
+                best = (refined, plans, sim)
         assert best is not None
-        _, candidate, plans, winner_sim = best
-        trimmed = self._trim_small_units(candidate, plans)
-        breakdown = objective(
-            problem, candidate,
-            *(float(trimmed[name].num_gpus) for name in MODULE_NAMES),
-        )
-        if trimmed == plans:
-            # Trim was a no-op: the refinement stage already priced
-            # exactly this plan dictionary.
-            simulated_seconds = winner_sim
-        else:
-            simulated_seconds = self._refined_batch([trimmed])[0]
-        plans = trimmed
-        plan = ModelOrchestrationPlan(
-            mllm=problem.mllm,
-            cluster=problem.cluster,
-            encoder_plan=plans["encoder"],
-            llm_plan=plans["llm"],
-            generator_plan=plans["generator"],
-            monolithic=False,
-            label=self.label,
-        )
-        return OrchestrationResult(
-            plan=plan,
-            candidate=candidate,
-            breakdown=breakdown,
-            solve_seconds=time.perf_counter() - started,
+        _, winner, simulated_seconds = best
+        plans = self._trim_small_units(winner)
+        if plans != winner:
+            # The refinement stage priced the untrimmed plans only.
+            simulated_seconds = self._refined_batch([plans])[0]
+        return orchestration_result(
+            problem, self.label, plans, started,
             candidates_evaluated=candidates_evaluated,
             convex_solutions=convex_solutions,
-            simulated_pipeline_seconds=simulated_seconds,
+            simulated=simulated_seconds,
         )
 
     # ------------------------------------------------------------------ #
     # Batched search
     # ------------------------------------------------------------------ #
-    def _candidate(self, tp_lm: int, dp_lm: int, tp_me: int,
-                   tp_mg: int) -> CandidateConfig:
-        return CandidateConfig(
-            tp_lm=tp_lm, dp_lm=dp_lm, tp_me=tp_me, tp_mg=tp_mg,
-            ep_lm=self.problem.llm_ep,
-        )
-
     def _plans(
         self, tp_lm: int, dp_lm: int, pp_lm: int, dp_me: int, dp_mg: int,
         tp_me: int, tp_mg: int,
@@ -741,7 +752,7 @@ class AdaptiveOrchestrator:
     # Winner post-processing
     # ------------------------------------------------------------------ #
     def _trim_small_units(
-        self, candidate: CandidateConfig, plans: Dict[str, ParallelismPlan]
+        self, plans: Dict[str, ParallelismPlan]
     ) -> Dict[str, ParallelismPlan]:
         """Shrink encoder/generator allocations to the minimum that keeps
         them off the critical path.
@@ -757,14 +768,13 @@ class AdaptiveOrchestrator:
         llm = plans["llm"]
         dp_lm = llm.dp
 
-        c_lm = module_sample_time(problem, "llm", candidate.tp_lm)
+        c_lm = module_sample_time(problem, "llm", llm.tp)
         t_lm = c_lm * M / llm.pp  # bottleneck stage time
 
         trimmed = dict(plans)
-        for name, tp in (("encoder", candidate.tp_me),
-                         ("generator", candidate.tp_mg)):
+        for name in ("encoder", "generator"):
             plan = plans[name]
-            c = module_sample_time(problem, name, tp)
+            c = module_sample_time(problem, name, plan.tp)
             # Smallest dp whose *average* stage time stays well below the
             # LLM's (the skewed image distribution makes individual
             # microbatches ~1.5-2x the mean, so leave generous headroom)
@@ -779,10 +789,10 @@ class AdaptiveOrchestrator:
             if dp < plan.dp:
                 steps = np.arange(plan.dp - 1, dp - 1, -1)
                 fits = self._memory_ok(
-                    candidate.width_lm, dp_lm, llm.pp,
+                    llm.tp * llm.ep, dp_lm, llm.pp,
                     steps if name == "encoder" else plans["encoder"].dp,
                     steps if name == "generator" else plans["generator"].dp,
-                    candidate.tp_me, candidate.tp_mg,
+                    plans["encoder"].tp, plans["generator"].tp,
                 )
                 kept = len(fits) if fits.all() else int(fits.argmin())
                 dp = plan.dp - kept

@@ -21,16 +21,10 @@ from repro.orchestration.errors import InfeasibleClusterError
 from repro.orchestration.adaptive import (
     OrchestrationResult,
     divisors,
-    simulated_pipeline_seconds,
-)
-from repro.timing.collectives import CollectiveModel
-from repro.orchestration.formulation import (
-    CandidateConfig,
-    objective,
+    orchestration_result,
 )
 from repro.orchestration.memory import MemoryModel
 from repro.orchestration.problem import OrchestrationProblem
-from repro.parallelism.orchestration_plan import ModelOrchestrationPlan
 from repro.parallelism.plan import ParallelismPlan
 
 
@@ -49,10 +43,6 @@ class MegatronOrchestrator:
         self.tp = min(tp, problem.cluster.gpus_per_node)
         gpu = problem.cluster.gpu
         self.memory = MemoryModel(gpu_memory_bytes=gpu.memory_bytes)
-        node = problem.cluster.node
-        self.collectives = CollectiveModel(
-            intra_link=node.intra_link, inter_link=node.inter_link
-        )
 
     def plan(self) -> OrchestrationResult:
         problem = self.problem
@@ -60,7 +50,6 @@ class MegatronOrchestrator:
         tp = self.tp
         budget = problem.num_gpus
         M = problem.microbatch_size
-        llm = problem.mllm.llm
 
         pp_lm = self._llm_pp()
         # One extra TP-group-wide stage each for encoder and generator.
@@ -97,35 +86,8 @@ class MegatronOrchestrator:
                 tp=1, pp=1, dp=tp * dp_lm, microbatch_size=M
             ),
         }
-        candidate = CandidateConfig(
-            tp_lm=tp, dp_lm=dp_lm, tp_me=1, tp_mg=1
-        )
-        breakdown = objective(
-            self.problem,
-            candidate,
-            float(plans["encoder"].num_gpus),
-            float(plans["llm"].num_gpus),
-            float(plans["generator"].num_gpus),
-        )
-        plan = ModelOrchestrationPlan(
-            mllm=problem.mllm,
-            cluster=problem.cluster,
-            encoder_plan=plans["encoder"],
-            llm_plan=plans["llm"],
-            generator_plan=plans["generator"],
-            monolithic=True,
-            label=self.label,
-        )
-        return OrchestrationResult(
-            plan=plan,
-            candidate=candidate,
-            breakdown=breakdown,
-            solve_seconds=time.perf_counter() - started,
-            candidates_evaluated=1,
-            convex_solutions=0,
-            simulated_pipeline_seconds=simulated_pipeline_seconds(
-                problem, self.collectives, plans
-            ),
+        return orchestration_result(
+            problem, self.label, plans, started, monolithic=True
         )
 
     def _llm_pp(self) -> int:
@@ -176,10 +138,6 @@ class DistMMOrchestrator:
         self.tp_lm = min(tp_lm, problem.cluster.gpus_per_node)
         gpu = problem.cluster.gpu
         self.memory = MemoryModel(gpu_memory_bytes=gpu.memory_bytes)
-        node = problem.cluster.node
-        self.collectives = CollectiveModel(
-            intra_link=node.intra_link, inter_link=node.inter_link
-        )
 
     def plan(self) -> OrchestrationResult:
         problem = self.problem
@@ -240,44 +198,13 @@ class DistMMOrchestrator:
                 f"({problem.num_gpus} GPUs)",
                 num_gpus=problem.num_gpus,
             )
-        llm_plan = best
-
         plans = {
             "encoder": ParallelismPlan(
                 tp=1, pp=1, dp=max(1, shares["encoder"]), microbatch_size=M
             ),
-            "llm": llm_plan,
+            "llm": best,
             "generator": ParallelismPlan(
                 tp=1, pp=1, dp=max(1, shares["generator"]), microbatch_size=M
             ),
         }
-        candidate = CandidateConfig(
-            tp_lm=self.tp_lm, dp_lm=llm_plan.dp, tp_me=1, tp_mg=1
-        )
-        breakdown = objective(
-            problem,
-            candidate,
-            float(plans["encoder"].num_gpus),
-            float(plans["llm"].num_gpus),
-            float(plans["generator"].num_gpus),
-        )
-        plan = ModelOrchestrationPlan(
-            mllm=problem.mllm,
-            cluster=problem.cluster,
-            encoder_plan=plans["encoder"],
-            llm_plan=plans["llm"],
-            generator_plan=plans["generator"],
-            monolithic=False,
-            label=self.label,
-        )
-        return OrchestrationResult(
-            plan=plan,
-            candidate=candidate,
-            breakdown=breakdown,
-            solve_seconds=time.perf_counter() - started,
-            candidates_evaluated=1,
-            convex_solutions=0,
-            simulated_pipeline_seconds=simulated_pipeline_seconds(
-                problem, self.collectives, plans
-            ),
-        )
+        return orchestration_result(problem, self.label, plans, started)

@@ -22,10 +22,12 @@ size (section 4.3).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from typing import Dict
 
 import numpy as np
 
 from repro.orchestration.problem import OrchestrationProblem
+from repro.parallelism.plan import ParallelismPlan
 
 
 @dataclass(frozen=True)
@@ -53,6 +55,16 @@ class CandidateConfig:
         for f in fields(self):
             if getattr(self, f.name) < 1:
                 raise ValueError(f"{f.name} must be >= 1")
+
+    @classmethod
+    def of(cls, plans: Dict[str, ParallelismPlan]) -> "CandidateConfig":
+        """The point that module ``plans`` realize: the LLM's TP, DP and
+        EP degrees and the encoder's and generator's TP degrees."""
+        llm = plans["llm"]
+        return cls(
+            tp_lm=llm.tp, dp_lm=llm.dp, tp_me=plans["encoder"].tp,
+            tp_mg=plans["generator"].tp, ep_lm=llm.ep,
+        )
 
     @property
     def width_lm(self) -> int:

@@ -74,7 +74,9 @@ def plan_from_dict(data: Dict) -> ModelOrchestrationPlan:
 
     A mistyped field raises a ``ValueError`` naming it: a degree or
     ``cluster_gpus`` that is a bool or not an ``int``, a ``monolithic``
-    that is not a bool, a ``label`` that is not a string.
+    that is not a bool, a ``model`` or ``label`` that is not a string,
+    ``units`` or one unit that is not an object. An unknown model or a
+    missing unit raises a ``KeyError``.
     """
     version = data.get("version")
     if version != FORMAT_VERSION:
@@ -82,13 +84,14 @@ def plan_from_dict(data: Dict) -> ModelOrchestrationPlan:
             f"unsupported plan format version {version!r} "
             f"(expected {FORMAT_VERSION})"
         )
-    model_name = data["model"]
+    model_name = _typed("model", data["model"], str, "a string")
     if model_name not in MLLM_PRESETS:
         raise KeyError(f"unknown model preset {model_name!r}")
-    units = data["units"]
+    units = _typed("units", data["units"], dict, "an object")
     for required in MODULE_NAMES:
         if required not in units:
             raise KeyError(f"launch config missing unit {required!r}")
+        _typed(required, units[required], dict, "an object")
     return ModelOrchestrationPlan(
         mllm=MLLM_PRESETS[model_name],
         cluster=make_cluster(

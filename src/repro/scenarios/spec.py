@@ -37,6 +37,20 @@ PARAM_FIELDS = {
     "events": "events",
 }
 
+#: What each field annotation accepts, and how an error names it. A bool
+#: is an int to isinstance, but passes only where ``bool`` is named: no
+#: count, time or rate is a bool.
+_FIELD_TYPES = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "bool": ((bool,), "a boolean"),
+    "Optional[float]": ((int, float, type(None)), "a number or None"),
+    "Optional[EventTrace]": (
+        (EventTrace, type(None)), "an EventTrace or None"
+    ),
+    "Optional[str]": ((str, type(None)), "a string or None"),
+}
+
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -96,19 +110,15 @@ class ScenarioSpec:
     pack: Optional[str] = None
 
     def __post_init__(self) -> None:
-        # Every count (an ``int`` field) is an int and ``elastic`` a
-        # bool: a float count fails deep inside a run, and a bool is an
-        # int to isinstance but no count.
+        # Every field has its annotated type: a float count fails deep
+        # inside a run, and a string rate fails a bare comparison.
         for f in fields(self):
+            kinds, expected = _FIELD_TYPES[f.type]
             value = getattr(self, f.name)
-            if f.type == "int" and (
-                isinstance(value, bool) or not isinstance(value, int)
+            if not isinstance(value, kinds) or (
+                isinstance(value, bool) and bool not in kinds
             ):
-                raise ValueError(
-                    f"{f.name} must be an integer, got {value!r}"
-                )
-            if f.type == "bool" and not isinstance(value, bool):
-                raise ValueError(f"{f.name} must be a boolean, got {value!r}")
+                raise ValueError(f"{f.name} must be {expected}, got {value!r}")
         # Float guards are written so NaN fails them: every comparison
         # with NaN is False.
         if self.num_iterations < 1:

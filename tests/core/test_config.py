@@ -53,6 +53,24 @@ class TestPreset:
         with pytest.raises(ValueError, match="data_seed must be >= 0"):
             config.with_(data_seed=-1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("global_batch_size", 16.0),
+        ("global_batch_size", True),
+        ("microbatch_size", 1.0),
+        ("vpp", True),
+        ("data_seed", 1.5),
+        ("data_seed", True),
+        ("num_iterations", 2.5),
+        ("intra_reordering", "no"),
+        ("inter_reordering", 1),
+    ])
+    def test_mistyped_field_rejected(self, field, value):
+        # Unchecked, each fails deep in numpy or a plan, or runs as
+        # something else: a one-sample batch, seed 1, a truthy "no".
+        config = DistTrainConfig.preset("mllm-9b", 48, 32)
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            config.with_(**{field: value})
+
 
 class TestDerivedSettings:
     def test_disttrain_defaults(self):

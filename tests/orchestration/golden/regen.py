@@ -31,16 +31,9 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Any, Dict, List, Tuple
 
-from repro.core.api import _problem
+from repro.core.api import ORCHESTRATORS, _problem
 from repro.core.config import DistTrainConfig
-from repro.orchestration.adaptive import (
-    AdaptiveOrchestrator,
-    OrchestrationResult,
-)
-from repro.orchestration.baselines import (
-    DistMMOrchestrator,
-    MegatronOrchestrator,
-)
+from repro.orchestration.adaptive import OrchestrationResult
 from repro.orchestration.problem import OrchestrationProblem
 from repro.runtime.frozen import FROZEN_PRESETS
 
@@ -60,11 +53,6 @@ MODELS = (
 CLUSTERS = ((16, 128), (48, 128), (256, 128), (1296, 1920))
 VPPS = (1, 2)
 MICROBATCH_SIZES = (1, 2)
-ORCHESTRATORS = {
-    "disttrain": AdaptiveOrchestrator,
-    "megatron-lm": MegatronOrchestrator,
-    "distmm*": DistMMOrchestrator,
-}
 
 
 def cases() -> List[Tuple[str, DistTrainConfig, int]]:

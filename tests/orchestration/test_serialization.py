@@ -88,11 +88,18 @@ class TestPlanRoundTrip:
         pytest.param(("monolithic",), 0, id="monolithic-int"),
         pytest.param(("label",), 7, id="label-int"),
         pytest.param(("label",), None, id="label-null"),
+        pytest.param(("model",), ["mllm-9b"], id="model-list"),
+        pytest.param(("model",), {"name": "mllm-9b"}, id="model-dict"),
+        pytest.param(("units",), [], id="units-list"),
+        pytest.param(("units",), None, id="units-null"),
+        pytest.param(("units", "encoder"), None, id="unit-null"),
+        pytest.param(("units", "llm"), [1], id="unit-list"),
     ])
     def test_mistyped_field_rejected(self, path, value):
         # Coerced, each would load as something else: a one-GPU
         # degree, 48 GPUs, a truthy string as monolithic, "7" or "None"
-        # as the label.
+        # as the label. Unchecked, a model, units or unit of the wrong
+        # shape fails with a bare TypeError or a misleading message.
         data = plan_to_dict(sample_plan())
         *parents, name = path
         record = data

@@ -39,10 +39,21 @@ class TestValidation:
         ("seed", False),
         ("elastic", 1),
         ("elastic", "false"),
+        ("mtbf_gpu_hours", True),
+        ("restart_seconds", True),
+        ("checkpoint_load_seconds", False),
+        ("straggler_slowdown", True),
+        ("straggler_rate", "0.1"),
+        ("replan_seconds", None),
+        ("events", [1]),
+        ("pack", 3),
     ])
     def test_rejects_mistyped_count_or_flag(self, field, value):
         # Unchecked, each fails deep inside the run (in np.tile,
-        # np.zeros or range), or not at all.
+        # np.zeros or range), or not at all: a bool time or rate builds
+        # as 1 (or 0), a string or None fails a bare comparison with a
+        # TypeError, and a list or an int stands where an EventTrace or
+        # a pack name belongs.
         with pytest.raises(ValueError, match=f"^{field} must be"):
             ScenarioSpec(**{field: value})
 
