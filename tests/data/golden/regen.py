@@ -13,11 +13,13 @@ produces, byte for byte (the CI replay-smoke step)::
 call, over:
 
 * seeds 0-2, ``seq_len`` 1, 64, 4,096 and 8,192 (1 and 64 force
-  truncated subsequences and exactly-full sequences), the default
-  LAION-400M-like config and one with half the documents carrying audio,
-  and the call sizes (1), (5, 3, 17) and (100, 100) on one dataset;
-* one ``take(1920)`` and one ``take(256)`` on fresh default datasets at
-  seeds 0 and 1 (paper-sweep's global batch and profile draw).
+  truncated subsequences and exactly-full sequences), and the call
+  sizes (1), (5, 3, 17) and (100, 100) on one dataset;
+* one ``take(1920)`` and one ``take(256)`` on fresh datasets at seeds 0
+  and 1 (paper-sweep's global batch and profile draw).
+
+Every call draws from the default LAION-400M-like config, which the
+``laion/`` prefix of each case id names.
 
 Each row pins the sample count, the first and last sample id, the
 dataset's next sample id after the call, a sha256 over every sample's
@@ -34,7 +36,6 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, List, Sequence, Tuple
 
-from repro.data.distributions import LAION_400M_LIKE, DataDistributionConfig
 from repro.data.sample import TrainingSample
 from repro.data.synthetic import SyntheticMultimodalDataset
 
@@ -43,14 +44,10 @@ from tests.scenarios.golden.regen import fixture_text, sync_fixtures
 GOLDEN_DIR = Path(__file__).resolve().parent
 FIXTURE = GOLDEN_DIR / "stream.json"
 
-CONFIGS = {
-    "laion": LAION_400M_LIKE,
-    "audio0.5": DataDistributionConfig(audio_fraction=0.5),
-}
 SEEDS = (0, 1, 2)
 SEQ_LENS = (1, 64, 4096, 8192)
 CALL_SIZES = ((1,), (5, 3, 17), (100, 100))
-#: (seed, call sizes) on the default config at ``seq_len`` 8,192.
+#: (seed, call sizes) at ``seq_len`` 8,192.
 LARGE_CALLS = (
     (0, (1920,)),
     (0, (256,)),
@@ -59,24 +56,20 @@ LARGE_CALLS = (
 )
 
 
-def cases() -> List[Tuple[str, int, int, str, Sequence[int]]]:
-    """(case id, seed, seq_len, config name, call sizes)."""
-    out = []
-    for name in CONFIGS:
-        for seed in SEEDS:
-            for seq_len in SEQ_LENS:
-                for sizes in CALL_SIZES:
-                    sizes_id = "+".join(map(str, sizes))
-                    out.append((
-                        f"{name}/seed{seed}/seq{seq_len}/take{sizes_id}",
-                        seed, seq_len, name, sizes,
-                    ))
-    for seed, sizes in LARGE_CALLS:
-        out.append((
-            f"laion/seed{seed}/seq8192/take{sizes[0]}",
-            seed, 8192, "laion", sizes,
-        ))
-    return out
+def cases() -> List[Tuple[str, int, int, Sequence[int]]]:
+    """(case id, seed, seq_len, call sizes)."""
+    grid = [
+        (seed, seq_len, sizes)
+        for seed in SEEDS
+        for seq_len in SEQ_LENS
+        for sizes in CALL_SIZES
+    ]
+    grid += [(seed, 8192, sizes) for seed, sizes in LARGE_CALLS]
+    return [
+        (f"laion/seed{seed}/seq{seq_len}/take{'+'.join(map(str, sizes))}",
+         seed, seq_len, sizes)
+        for seed, seq_len, sizes in grid
+    ]
 
 
 def samples_digest(samples: Sequence[TrainingSample]) -> str:
@@ -97,11 +90,9 @@ def rng_digest(dataset: SyntheticMultimodalDataset) -> str:
 
 
 def case_rows(
-    case_id: str, seed: int, seq_len: int, config: str, sizes: Sequence[int]
+    case_id: str, seed: int, seq_len: int, sizes: Sequence[int]
 ) -> List[Dict[str, Any]]:
-    dataset = SyntheticMultimodalDataset(
-        seq_len=seq_len, config=CONFIGS[config], seed=seed
-    )
+    dataset = SyntheticMultimodalDataset(seq_len=seq_len, seed=seed)
     out = []
     for call, size in enumerate(sizes):
         samples = dataset.take(size)

@@ -1,5 +1,5 @@
 """Golden data stream: every ``take`` call of a seed x ``seq_len`` x
-config x call-size grid, pinned bit for bit.
+call-size grid, pinned bit for bit.
 
 The fixture lives in ``tests/data/golden/stream.json`` (one row per
 call: sample count, first/last id, next id, a sha256 of the samples and
@@ -34,7 +34,7 @@ def test_golden_grid_covers_truncation_and_large_draws():
     expected = {r["case"]: r for r in json.loads(
         FIXTURE.read_text(encoding="utf-8")
     )}
-    assert len(expected) == 148
+    assert len(expected) == 76
     assert "laion/seed0/seq1/take5+3+17/call2" in expected
     big = expected["laion/seed0/seq8192/take1920/call0"]
     assert big["samples"] == 1920
