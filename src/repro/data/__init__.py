@@ -14,7 +14,6 @@ from repro.data.distributions import (
     LAION_400M_LIKE,
     sample_text_subsequence_tokens,
     sample_image_subsequence_tokens,
-    sample_audio_subsequence_tokens,
     sample_image_count,
 )
 from repro.data.synthetic import SyntheticMultimodalDataset
@@ -28,7 +27,6 @@ __all__ = [
     "LAION_400M_LIKE",
     "sample_text_subsequence_tokens",
     "sample_image_subsequence_tokens",
-    "sample_audio_subsequence_tokens",
     "sample_image_count",
     "SyntheticMultimodalDataset",
     "pack_subsequences",

@@ -25,19 +25,17 @@ import numpy.random  # noqa: F401
 
 
 #: Lower bounds of the fields that have one (every field must also be
-#: finite, and the two fractions lie in [0, 1]).
+#: finite, and ``text_heavy_fraction`` lies in [0, 1]).
 _MINIMUM = {
     "text_sigma": 0,
     "image_side_sigma": 0,
     "images_sigma": 0,
     "text_heavy_spans_sigma": 0,
-    "audio_seconds_sigma": 0,
     "jpeg_bytes_per_pixel": 0,
     "decoded_bytes_per_pixel": 0,
     "max_images": 0,
     "text_max_tokens": 1,
     "patch_size": 1,
-    "audio_tokens_per_second": 1,
 }
 
 
@@ -85,11 +83,6 @@ class DataDistributionConfig:
     text_heavy_fraction: float = 0.4
     text_heavy_spans_mu: float = 4.5
     text_heavy_spans_sigma: float = 1.0
-    audio_fraction: float = 0.0
-    audio_seconds_mu: float = 2.0
-    audio_seconds_sigma: float = 0.7
-    audio_max_seconds: float = 30.0
-    audio_tokens_per_second: int = 50
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -99,10 +92,11 @@ class DataDistributionConfig:
             low = _MINIMUM.get(f.name)
             if low is not None and value < low:
                 raise ValueError(f"{f.name} must be >= {low}, got {value!r}")
-        for name in ("text_heavy_fraction", "audio_fraction"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+        if not 0.0 <= self.text_heavy_fraction <= 1.0:
+            raise ValueError(
+                "text_heavy_fraction must lie in [0, 1], got "
+                f"{self.text_heavy_fraction!r}"
+            )
         if self.image_min_side > self.image_max_side:
             raise ValueError(
                 f"image_min_side={self.image_min_side} exceeds "
@@ -203,15 +197,6 @@ def sample_image_subsequence_tokens(
 ) -> int:
     """Draw one image subsequence length in tokens (side/patch squared)."""
     return image_tokens(sample_image_side_pixels(rng, config), config)
-
-
-def sample_audio_subsequence_tokens(
-    rng: np.random.Generator, config: DataDistributionConfig = LAION_400M_LIKE
-) -> int:
-    """Draw one audio subsequence length in tokens (BEATs-style rate)."""
-    seconds = rng.lognormal(config.audio_seconds_mu, config.audio_seconds_sigma)
-    seconds = min(max(float(seconds), 1.0), float(config.audio_max_seconds))
-    return max(1, round(seconds * config.audio_tokens_per_second))
 
 
 def sample_image_count(

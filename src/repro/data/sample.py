@@ -26,10 +26,10 @@ class Subsequence:
     """One modality span inside a training sequence.
 
     Attributes:
-        modality: ``"text"``, ``"image"``, or ``"audio"``.
+        modality: ``"text"`` or ``"image"``.
         tokens: Subsequence length in tokens.
         raw_bytes: On-disk size (images are large: JPEG bytes; text tiny).
-        pixels: Image pixels (0 for text/audio), for preprocessing cost.
+        pixels: Image pixels (0 for text), for preprocessing cost.
     """
 
     modality: str
@@ -38,7 +38,7 @@ class Subsequence:
     pixels: int = 0
 
     def __post_init__(self) -> None:
-        if self.modality not in ("text", "image", "audio"):
+        if self.modality not in ("text", "image"):
             raise ValueError(f"unknown modality {self.modality!r}")
         if self.tokens < 0 or self.raw_bytes < 0 or self.pixels < 0:
             raise ValueError("subsequence fields must be non-negative")
@@ -102,24 +102,19 @@ class TrainingSample:
     # workload is built on first use and kept: batches are priced on
     # arrays of the aggregates, so most samples never need one.
     def __post_init__(self) -> None:
-        text = image = audio = images = clips = raw = pixels = 0
+        text = image = images = raw = pixels = 0
         for s in self.subsequences:
             if s.modality == "text":
                 text += s.tokens
-            elif s.modality == "image":
+            else:
                 image += s.tokens
                 images += 1
-            else:
-                audio += s.tokens
-                clips += 1
             raw += s.raw_bytes
             pixels += s.pixels
         set_ = object.__setattr__
         set_(self, "_text_tokens", text)
         set_(self, "_image_tokens", image)
         set_(self, "_num_images", images)
-        set_(self, "_audio_tokens", audio)
-        set_(self, "_num_audio_clips", clips)
         set_(self, "_raw_bytes", raw)
         set_(self, "_pixels", pixels)
 
@@ -136,16 +131,8 @@ class TrainingSample:
         return self._num_images
 
     @property
-    def audio_tokens(self) -> int:
-        return self._audio_tokens
-
-    @property
-    def num_audio_clips(self) -> int:
-        return self._num_audio_clips
-
-    @property
     def total_tokens(self) -> int:
-        return self.text_tokens + self.image_tokens + self.audio_tokens
+        return self.text_tokens + self.image_tokens
 
     @property
     def raw_bytes(self) -> int:
@@ -157,9 +144,9 @@ class TrainingSample:
 
     @property
     def size(self) -> int:
-        """The paper's sample *size*: modality tokens driving encoder /
+        """The paper's sample *size*: the image tokens driving encoder /
         generator compute (Algorithm 1 sorts on this)."""
-        return self.image_tokens + self.audio_tokens
+        return self.image_tokens
 
     def workload(self) -> ModuleWorkload:
         """Per-module workload induced by this sample."""
@@ -170,8 +157,6 @@ class TrainingSample:
                 text_tokens=self._text_tokens,
                 image_tokens=self._image_tokens,
                 images=self._num_images,
-                audio_tokens=self._audio_tokens,
-                audio_clips=self._num_audio_clips,
             )
             object.__setattr__(self, "_workload", workload)
         return workload
@@ -181,19 +166,17 @@ class TrainingSample:
 class BatchColumns:
     """A batch's per-sample totals as read-only int64 columns, row ``i``
     for sample ``i``: what the pricing passes read instead of sample
-    attributes. ``size`` is :attr:`TrainingSample.size` (image plus
-    audio tokens), which Algorithm 1 and the rank pick read; the
-    encoder, generator and FLOPs pricing read ``image_tokens`` and
-    ``num_images``; the preprocessing costs read ``pixels`` and
-    ``text_tokens``. Indexing with a slice or an index array gives the
-    columns of those rows.
+    attributes. ``image_tokens`` is also :attr:`TrainingSample.size`,
+    which Algorithm 1 and the rank pick read; the encoder, generator and
+    FLOPs pricing read ``image_tokens`` and ``num_images``; the
+    preprocessing costs read ``pixels`` and ``text_tokens``. Indexing
+    with a slice or an index array gives the columns of those rows.
     """
 
     text_tokens: np.ndarray
     image_tokens: np.ndarray
     num_images: np.ndarray
     pixels: np.ndarray
-    size: np.ndarray
 
     def __post_init__(self) -> None:
         for column in self._columns():
@@ -204,27 +187,23 @@ class BatchColumns:
         """The columns of ``samples``, in order."""
         totals = np.array(
             list(map(_TOTALS, samples)), dtype=np.int64
-        ).reshape(len(samples), 5).T.copy()
-        text, image, images, pixels, audio = totals
-        return cls(text, image, images, pixels, image + audio)
+        ).reshape(len(samples), 4).T.copy()
+        return cls(*totals)
 
     def _columns(self) -> Tuple[np.ndarray, ...]:
         return (
-            self.text_tokens, self.image_tokens, self.num_images,
-            self.pixels, self.size,
+            self.text_tokens, self.image_tokens, self.num_images, self.pixels
         )
 
     def __len__(self) -> int:
-        return len(self.size)
+        return len(self.image_tokens)
 
     def __getitem__(self, rows) -> "BatchColumns":
         return BatchColumns(*(column[rows] for column in self._columns()))
 
 
 #: What :meth:`BatchColumns.of` reads from each sample.
-_TOTALS = attrgetter(
-    "_text_tokens", "_image_tokens", "_num_images", "_pixels", "_audio_tokens"
-)
+_TOTALS = attrgetter("_text_tokens", "_image_tokens", "_num_images", "_pixels")
 
 
 class SampleBatch(tuple):

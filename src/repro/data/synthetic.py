@@ -20,7 +20,6 @@ from repro.data.distributions import (
     image_side_pixels,
     image_steps_from_draws,
     image_tokens,
-    sample_audio_subsequence_tokens,
     sample_image_count,
     sample_text_subsequence_tokens_batch,
     text_tokens_from_draws,
@@ -128,16 +127,7 @@ class SyntheticMultimodalDataset:
         spans[1::2] = map(
             self._image_span, image_steps_from_draws(draws[1::2], cfg).tolist()
         )
-        tokens = list(map(_TOKENS, spans))
-        if cfg.audio_fraction > 0 and rng.random() < cfg.audio_fraction:
-            audio = sample_audio_subsequence_tokens(rng, cfg)
-            # Raw audio bytes: 16 kHz mono 16-bit per clip second.
-            seconds = audio / cfg.audio_tokens_per_second
-            spans.append(
-                Subsequence("audio", audio, raw_bytes=round(seconds * 32_000))
-            )
-            tokens.append(audio)
-        return spans, tokens
+        return spans, list(map(_TOKENS, spans))
 
     # ------------------------------------------------------------------ #
     # Public stream

@@ -4,8 +4,7 @@ Every MLLM module (encoder, LLM backbone, generator) implements
 :class:`ModuleSpec`: it can report its parameter count, the FLOPs of a
 forward pass over a :class:`ModuleWorkload`, and the activation memory a
 microbatch pins. The cost models in :mod:`repro.timing` and the
-orchestration optimizer consume only this interface, so new modalities
-(audio encoders, video tokenizers, ...) plug in by implementing it.
+orchestration optimizer consume only this interface.
 """
 
 from __future__ import annotations
@@ -41,20 +40,16 @@ class ModuleWorkload:
         text_tokens: Total text tokens across the microbatch.
         image_tokens: Total image tokens across the microbatch.
         images: Number of distinct images in the microbatch.
-        audio_tokens: Total audio tokens (e.g. BEATs patch tokens).
-        audio_clips: Number of distinct audio clips.
     """
 
     samples: int = 1
     text_tokens: int = 0
     image_tokens: int = 0
     images: int = 0
-    audio_tokens: int = 0
-    audio_clips: int = 0
 
     def __post_init__(self) -> None:
         if min(self.samples, self.text_tokens, self.image_tokens,
-               self.images, self.audio_tokens, self.audio_clips) < 0:
+               self.images) < 0:
             raise ValueError("workload fields must be non-negative")
 
     def scaled(self, factor: float) -> "ModuleWorkload":
@@ -64,18 +59,6 @@ class ModuleWorkload:
             text_tokens=round(self.text_tokens * factor),
             image_tokens=round(self.image_tokens * factor),
             images=round(self.images * factor),
-            audio_tokens=round(self.audio_tokens * factor),
-            audio_clips=round(self.audio_clips * factor),
-        )
-
-    def __add__(self, other: "ModuleWorkload") -> "ModuleWorkload":
-        return ModuleWorkload(
-            samples=self.samples + other.samples,
-            text_tokens=self.text_tokens + other.text_tokens,
-            image_tokens=self.image_tokens + other.image_tokens,
-            images=self.images + other.images,
-            audio_tokens=self.audio_tokens + other.audio_tokens,
-            audio_clips=self.audio_clips + other.audio_clips,
         )
 
 

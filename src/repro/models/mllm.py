@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from repro.models.audio import AudioLDMSpec
 from repro.models.base import ModuleSpec, ModuleWorkload
 from repro.models.diffusion import DiffusionSpec, STABLE_DIFFUSION_2_1
 from repro.models.llm import LLMSpec, LLAMA3_7B, LLAMA3_13B, LLAMA3_70B
@@ -59,19 +58,12 @@ class MultimodalLLMSpec:
     def __post_init__(self) -> None:
         # The profiler, the orchestration and the iteration simulator
         # build image workloads only: a non-ViT encoder has no patch
-        # size for generation_image_tokens, and AudioLDM reads audio
-        # tokens, so it would price no generator work.
+        # size for generation_image_tokens.
         if not isinstance(self.encoder, ViTSpec):
             raise ValueError(
                 f"{self.name}: encoder {self.encoder.name!r} is a "
                 f"{type(self.encoder).__name__}; an MLLM prices image "
                 "workloads only and needs a ViTSpec encoder"
-            )
-        if isinstance(self.generator, AudioLDMSpec):
-            raise ValueError(
-                f"{self.name}: generator {self.generator.name!r} is an "
-                "AudioLDMSpec; an MLLM prices image workloads only and "
-                "needs an image generator"
             )
         if self.input_projector is None:
             object.__setattr__(

@@ -21,7 +21,7 @@ returns. Each load is still a running ``+=`` from 0.0 in append order,
 so the groups and loads are identical.
 
 The iteration simulator reorders sample indices, reading each size from
-its batch's int64 ``size`` column:
+its batch's int64 ``image_tokens`` column:
 ``intra_reorder(range(n), dp, size=sizes.__getitem__)``.
 """
 

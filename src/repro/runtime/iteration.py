@@ -239,7 +239,7 @@ class TrainingIterationSimulator:
             )
 
         if self.intra_reordering:
-            sizes = columns.size.tolist()
+            sizes = columns.image_tokens.tolist()
             ordered = np.array(
                 intra_reorder(range(n), dp_lm, size=sizes.__getitem__),
                 dtype=np.int64,
@@ -251,7 +251,9 @@ class TrainingIterationSimulator:
         num_microbatches = per_rank // M
         rank_rows = ordered.reshape(dp_lm, per_rank)
 
-        ranks_to_simulate = self._select_ranks(columns.size[rank_rows])
+        ranks_to_simulate = self._select_ranks(
+            columns.image_tokens[rank_rows]
+        )
         tables = self._rank_tables(
             columns[rank_rows[ranks_to_simulate].ravel()], num_microbatches
         )

@@ -20,7 +20,6 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from repro.models.audio import AudioLDMSpec, BeatsSpec
 from repro.models.base import ModuleKind, ModuleSpec, ModuleWorkload
 from repro.timing.costmodel import ModuleCostModel
 
@@ -99,16 +98,6 @@ class PerformanceProfiler:
     )
 
     def __post_init__(self) -> None:
-        # Trials build image workloads (:func:`_workload_for_units`),
-        # which an audio module prices at zero.
-        for name, cost_model in self.cost_models.items():
-            module = cost_model.module
-            if isinstance(module, (BeatsSpec, AudioLDMSpec)):
-                raise ValueError(
-                    f"module {name!r} ({module.name!r}) is a "
-                    f"{type(module).__name__}; the profiler builds image "
-                    "workloads only"
-                )
         self._rng = np.random.default_rng(self.seed)
 
     # ------------------------------------------------------------------ #

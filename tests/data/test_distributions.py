@@ -112,17 +112,13 @@ class TestConfigValidation:
     @pytest.mark.parametrize("field, value", [
         ("text_mu", float("nan")),
         ("image_side_sigma", float("inf")),
-        ("audio_max_seconds", float("-inf")),
         ("text_sigma", -0.1),
         ("images_sigma", -1.0),
         ("text_heavy_spans_sigma", -2.0),
-        ("audio_seconds_sigma", -0.5),
         ("text_heavy_fraction", 2.0),
         ("text_heavy_fraction", -0.1),
-        ("audio_fraction", 1.5),
         ("text_max_tokens", 0),
         ("patch_size", 0),
-        ("audio_tokens_per_second", 0),
         ("max_images", -3),
         ("jpeg_bytes_per_pixel", -0.5),
         ("decoded_bytes_per_pixel", -3.0),
@@ -145,8 +141,8 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("kwargs", [
         {},
-        {"audio_fraction": 0.5},
-        {"audio_fraction": 1.0, "text_heavy_fraction": 0.0},
+        {"text_heavy_fraction": 0.0},
+        {"text_heavy_fraction": 1.0},
         {"image_min_side": 256, "image_max_side": 256},
         {"text_sigma": 0.0, "max_images": 0, "jpeg_bytes_per_pixel": 0.0},
         {"patch_size": 1024},

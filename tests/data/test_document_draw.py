@@ -107,16 +107,6 @@ class SpanBySpanDataset:
                 pixels=pixels,
             ))
             subsequences.append(Subsequence("text", self._text_tokens()))
-        if cfg.audio_fraction > 0 and rng.random() < cfg.audio_fraction:
-            seconds = rng.lognormal(cfg.audio_seconds_mu,
-                                    cfg.audio_seconds_sigma)
-            seconds = min(max(float(seconds), 1.0),
-                          float(cfg.audio_max_seconds))
-            tokens = max(1, round(seconds * cfg.audio_tokens_per_second))
-            seconds = tokens / cfg.audio_tokens_per_second
-            subsequences.append(
-                Subsequence("audio", tokens, raw_bytes=round(seconds * 32_000))
-            )
         return subsequences
 
     def take(self, num_samples: int) -> List[TrainingSample]:
@@ -137,8 +127,6 @@ def sample_view(sample: TrainingSample):
         sample.text_tokens,
         sample.image_tokens,
         sample.num_images,
-        sample.audio_tokens,
-        sample.num_audio_clips,
         sample.raw_bytes,
         sample.pixels,
         sample.workload(),
@@ -172,7 +160,6 @@ def configs(draw) -> DataDistributionConfig:
         jpeg_bytes_per_pixel=draw(st.sampled_from([0.5, 0.37])),
         text_heavy_fraction=draw(st.sampled_from([0.0, 0.4, 1.0])),
         text_heavy_spans_mu=draw(st.sampled_from([1.0, 4.5])),
-        audio_fraction=draw(st.sampled_from([0.0, 0.5, 1.0])),
     )
 
 
@@ -217,7 +204,7 @@ def test_take_matches_span_by_span_draw(config, seq_len, seed, calls):
 
 subsequences = st.builds(
     Subsequence,
-    st.sampled_from(["text", "image", "audio"]),
+    st.sampled_from(["text", "image"]),
     # Zero-token spans, and spans longer than most seq_lens drawn below.
     st.one_of(st.just(0), st.integers(min_value=0, max_value=200)),
     raw_bytes=st.integers(min_value=0, max_value=10_000),

@@ -97,7 +97,7 @@ class TestSequencePacker:
 
 subsequences = st.builds(
     Subsequence,
-    st.sampled_from(["text", "image", "audio"]),
+    st.sampled_from(["text", "image"]),
     # Zero-token spans, and spans longer than any seq_len drawn below.
     st.one_of(st.just(0), st.integers(min_value=0, max_value=200)),
     raw_bytes=st.integers(min_value=0, max_value=10_000),

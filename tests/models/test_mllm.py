@@ -3,11 +3,14 @@
 import pytest
 
 from repro.models.base import ModuleWorkload
+from repro.models.diffusion import STABLE_DIFFUSION_2_1
+from repro.models.llm import LLAMA3_7B
 from repro.models.mllm import (
     MLLM_9B,
     MLLM_15B,
     MLLM_72B,
     MLLM_PRESETS,
+    MultimodalLLMSpec,
     image_tokens_for_resolution,
 )
 
@@ -76,6 +79,23 @@ class TestComposition:
         text = MLLM_72B.describe()
         for needle in ("vit", "llama3-70b", "stable-diffusion", "1024"):
             assert needle in text
+
+    def test_non_vit_encoder_rejected(self):
+        """The MLLM prices image workloads only, so an encoder without a
+        patch size fails at construction, not deep in the accountant."""
+        with pytest.raises(ValueError, match="encoder 'llama3-7b'"):
+            MultimodalLLMSpec(
+                name="mllm-text-encoder",
+                encoder=LLAMA3_7B,
+                llm=LLAMA3_7B,
+                generator=STABLE_DIFFUSION_2_1,
+            )
+
+
+class TestWorkload:
+    def test_negative_images_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            ModuleWorkload(images=-1)
 
 
 class TestImageTokens:

@@ -18,7 +18,6 @@ from repro.cluster.cluster import make_cluster
 from repro.cluster.node import AMPERE_NODE
 from repro.core.api import sample_batches
 from repro.core.config import DistTrainConfig
-from repro.data.distributions import DataDistributionConfig
 from repro.data.sample import (
     BatchColumns,
     SampleBatch,
@@ -172,26 +171,24 @@ def test_rank_tables_fold_per_sample_times(
         ]
 
 
-COLUMNS = ("text_tokens", "image_tokens", "num_images", "pixels", "size")
+COLUMNS = ("text_tokens", "image_tokens", "num_images", "pixels")
 
 
-def drawn(seed, num_samples, audio_fraction=0.0):
-    """A drawn batch, with audio spans when ``audio_fraction`` > 0."""
-    config = DataDistributionConfig(audio_fraction=audio_fraction)
-    return SyntheticMultimodalDataset(config=config, seed=seed).take(
-        num_samples
-    )
+def drawn(seed, num_samples):
+    """The first ``num_samples`` samples of the default stream."""
+    return SyntheticMultimodalDataset(seed=seed).take(num_samples)
 
 
 @settings(max_examples=20, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
     num_samples=st.integers(min_value=1, max_value=48),
-    audio_fraction=st.sampled_from([0.0, 0.5]),
 )
-def test_columns_equal_sample_attributes(seed, num_samples, audio_fraction):
-    batch = drawn(seed, num_samples, audio_fraction)
+def test_columns_equal_sample_attributes(seed, num_samples):
+    batch = drawn(seed, num_samples)
     columns = BatchColumns.of(batch)
+    # Algorithm 1 and the rank pick read the image tokens as sizes.
+    assert columns.image_tokens.tolist() == [s.size for s in batch]
     assert len(columns) == len(batch)
     for name in COLUMNS:
         column = getattr(columns, name)
@@ -234,12 +231,9 @@ def per_sample_cpu_seconds(cost, sample):
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
     num_samples=st.integers(min_value=1, max_value=64),
-    audio_fraction=st.sampled_from([0.0, 0.5]),
 )
-def test_preprocessing_seconds_match_per_sample(
-    seed, num_samples, audio_fraction
-):
-    batch = drawn(seed, num_samples, audio_fraction)
+def test_preprocessing_seconds_match_per_sample(seed, num_samples):
+    batch = drawn(seed, num_samples)
     columns = BatchColumns.of(batch)
     cost = PreprocessCostModel()
     expected = [per_sample_cpu_seconds(cost, s) for s in batch]
@@ -350,7 +344,7 @@ def test_select_ranks_matches_object_pick(
         batch[r * per_rank:(r + 1) * per_rank] for r in range(dp)
     ]
     sim = TrainingIterationSimulator(small_plan, max_simulated_ranks=cap)
-    rank_sizes = BatchColumns.of(batch).size.reshape(dp, per_rank)
+    rank_sizes = BatchColumns.of(batch).image_tokens.reshape(dp, per_rank)
     assert sim._select_ranks(rank_sizes) == object_select_ranks(
         rank_batches, cap
     )

@@ -196,8 +196,6 @@ def reference_tables(sim, rank_batch):
                 text_tokens=sample.text_tokens,
                 image_tokens=sample.image_tokens,
                 images=sample.num_images,
-                audio_tokens=sample.audio_tokens,
-                audio_clips=sample.num_audio_clips,
             )
         return ModuleWorkload(
             samples=1,

@@ -44,8 +44,6 @@ def reference_sample_flops(mllm, frozen, sample):
         text_tokens=sample.text_tokens,
         image_tokens=sample.image_tokens,
         images=sample.num_images,
-        audio_tokens=sample.audio_tokens,
-        audio_clips=sample.num_audio_clips,
     )
     generated = ModuleWorkload(
         samples=1,

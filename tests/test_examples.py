@@ -18,7 +18,6 @@ EXAMPLES = [
     "data_reordering_demo",
     "heterogeneous_hardware",
     "moe_expert_parallelism",
-    "audio_modality",
     "campaign_sweep",
     "scenario_dynamics",
     "fleet_contention",

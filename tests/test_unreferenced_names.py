@@ -59,7 +59,6 @@ ALLOWED = {
     "MetricsRegistry.counter_value": "obs tests read the live registry",
     "MetricsRegistry.gauge_value": "obs tests read the live registry",
     "JobSimulator.iterations_retained": "memory-bound tests read live jobs",
-    "TrainingSample.num_audio_clips": "audio tests read drawn samples",
     "PipelineSimulator.run_reference": "oracle of the pipeline kernel",
     "PipelineTrace.stage_records": "pipeline tests read live traces",
     "PipelineTrace.stage_idle_gaps": "oracle of the kernel's first_stage_gap",

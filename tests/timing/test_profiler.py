@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cluster.node import AMPERE_NODE
-from repro.models.audio import AUDIO_LDM, BEATS_BASE
 from repro.models.base import ModuleWorkload
 from repro.models.llm import LLAMA3_7B
 from repro.models.vit import VIT_HUGE
@@ -87,18 +86,3 @@ class TestProfiler:
         profiler = PerformanceProfiler(cost_models=cost_models)
         with pytest.raises(KeyError):
             profiler.profile(max_units={})
-
-    @pytest.mark.parametrize("name, module", [
-        pytest.param("encoder", BEATS_BASE, id="beats"),
-        pytest.param("generator", AUDIO_LDM, id="audioldm"),
-    ])
-    def test_rejects_audio_modules(self, name, module):
-        """Trials build image workloads, which audio modules price at
-        zero: the profiler refuses them instead of recording zero
-        tables."""
-        cost_models = {
-            "llm": ModuleCostModel(LLAMA3_7B, AMPERE_NODE),
-            name: ModuleCostModel(module, AMPERE_NODE),
-        }
-        with pytest.raises(ValueError, match=module.name):
-            PerformanceProfiler(cost_models=cost_models)
