@@ -233,7 +233,7 @@ class TestCacheKeyValues:
         [
             (
                 {"model": "mllm-9b", "gpus": 48, "gbs": 16},
-                "af627cca90079e25727f",
+                "7282bc25f1bdc63b187c",
             ),
             (
                 {
@@ -243,7 +243,7 @@ class TestCacheKeyValues:
                         {"kind": "failure", "time_s": 20.0, "gpus_lost": 8}
                     ],
                 },
-                "c98c2f16d09137436d1f",
+                "aa54fc07d0a28e4beafe",
             ),
             (
                 {
@@ -251,7 +251,7 @@ class TestCacheKeyValues:
                     "fleet_jobs": 3, "fleet_pack": "blast-radius",
                     "scenario_iterations": 30,
                 },
-                "5bfb13b36b7ba9b97bfb",
+                "72e946ad37e66b9ac9c0",
             ),
         ],
         ids=["plain", "scenario-with-trace", "fleet-with-pack"],
