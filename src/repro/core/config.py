@@ -16,10 +16,16 @@ KNOWN_SYSTEMS = ("disttrain", "megatron-lm", "distmm*")
 
 #: What each checked field annotation accepts, and how an error names
 #: it. A bool is an int to isinstance, but passes only where ``bool`` is
-#: named: no count is a bool.
+#: named: no count is a bool. A class-typed field takes an instance of
+#: its class: a schedule name or a preset name is not one.
 _FIELD_TYPES = {
     "int": ((int,), "an integer"),
     "Optional[bool]": ((bool, type(None)), "a boolean or None"),
+    **{
+        cls.__name__: ((cls,), f"a {cls.__name__}")
+        for cls in (MultimodalLLMSpec, ClusterSpec, FrozenConfig,
+                    ScheduleKind, DataDistributionConfig)
+    },
 }
 
 
@@ -70,8 +76,9 @@ class DistTrainConfig:
             raise ValueError(
                 f"unknown system {self.system!r}; expected {KNOWN_SYSTEMS}"
             )
-        # A float batch size fails deep in numpy, and a string
-        # reordering override is truthy: check the types first.
+        # A float batch size fails deep in numpy, a string reordering
+        # override is truthy, and a schedule name simulates as 1F1B:
+        # check the types first.
         for f in fields(self):
             if f.type in _FIELD_TYPES:
                 kinds, expected = _FIELD_TYPES[f.type]
@@ -86,6 +93,14 @@ class DistTrainConfig:
                      "num_iterations"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        # Virtual stages split the LLM's layers evenly, so no pipeline
+        # depth fits a vpp that does not divide them.
+        layers = self.mllm.llm.num_layers
+        if layers % self.vpp != 0:
+            raise ValueError(
+                f"vpp={self.vpp} does not divide the {layers} LLM layers "
+                f"of {self.mllm.name}"
+            )
         if self.global_batch_size % self.microbatch_size != 0:
             raise ValueError("global batch must divide by microbatch size")
         if self.data_seed < 0:

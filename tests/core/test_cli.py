@@ -244,6 +244,8 @@ class TestCommands:
         (["--model", "mllm-9b", "--gpus", "16", "--gbs", "32",
           "--system", "megatron-lm"],
          "cluster too small"),
+        (["--model", "mllm-9b", "--gpus", "48", "--gbs", "16", "--vpp", "3"],
+         "vpp=3 does not divide the 32 LLM layers"),
     ])
     def test_invalid_task_exits_2(self, capsys, command, flags, message):
         code = main([command] + flags)

@@ -71,6 +71,47 @@ class TestPreset:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             config.with_(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("mllm", "mllm-9b"),
+        ("cluster", 48),
+        ("frozen", None),
+        ("frozen", "full"),
+        ("schedule", "gpipe"),
+        ("schedule", None),
+        ("data_config", None),
+        pytest.param("data_config", {}, id="data_config-dict"),
+    ])
+    def test_field_of_another_class_rejected(self, field, value):
+        # Unchecked, a schedule name or None simulates as 1F1B, and the
+        # others build, then fail in plan or simulate with an
+        # AttributeError or an unhashable-type TypeError.
+        config = DistTrainConfig.preset("mllm-9b", 48, 32)
+        with pytest.raises(ValueError, match=f"^{field} must be a "):
+            config.with_(**{field: value})
+
+    @pytest.mark.parametrize("model, vpp, layers", [
+        ("mllm-9b", 3, 32),
+        ("mllm-9b", 5, 32),
+        ("mllm-9b", 6, 32),
+        ("mllm-9b", 7, 32),
+        ("mllm-9b", 33, 32),
+        ("mllm-72b", 3, 80),
+    ])
+    def test_vpp_not_dividing_llm_layers_rejected(self, model, vpp, layers):
+        # Unchecked, no pipeline depth fits and the search raises an
+        # IndexError.
+        config = DistTrainConfig.preset(model, 48, 32)
+        with pytest.raises(
+            ValueError,
+            match=f"^vpp={vpp} does not divide the {layers} LLM layers",
+        ):
+            config.with_(vpp=vpp)
+
+    @pytest.mark.parametrize("vpp", [1, 2, 4, 8, 16, 32])
+    def test_vpp_dividing_llm_layers_accepted(self, vpp):
+        config = DistTrainConfig.preset("mllm-9b", 48, 32, vpp=vpp)
+        assert config.vpp == vpp
+
 
 class TestDerivedSettings:
     def test_disttrain_defaults(self):
