@@ -24,6 +24,13 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 
+#: What each field annotation accepts, and how an error names it. A
+#: bool is an int to isinstance, but no field takes one.
+_FIELD_TYPES = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+}
+
 #: Lower bounds of the fields that have one (every field must also be
 #: finite, and ``text_heavy_fraction`` lies in [0, 1]).
 _MINIMUM = {
@@ -87,6 +94,11 @@ class DataDistributionConfig:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
+            kinds, expected = _FIELD_TYPES[f.type]
+            if not isinstance(value, kinds) or isinstance(value, bool):
+                raise ValueError(
+                    f"{f.name} must be {expected}, got {value!r}"
+                )
             if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
             low = _MINIMUM.get(f.name)

@@ -122,6 +122,16 @@ class TestConfigValidation:
         ("max_images", -3),
         ("jpeg_bytes_per_pixel", -0.5),
         ("decoded_bytes_per_pixel", -3.0),
+        # Mistyped: each built and then drew as something else or
+        # raised a TypeError without the field's name.
+        ("max_images", 2.5),
+        ("max_images", True),
+        ("text_heavy_fraction", True),
+        ("text_mu", "3"),
+        ("text_mu", None),
+        ("text_max_tokens", 64.5),
+        ("image_max_side", 512.0),
+        ("patch_size", True),
     ])
     def test_rejects_bad_field(self, field, value):
         with pytest.raises(ValueError, match=field):
