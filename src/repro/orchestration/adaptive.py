@@ -355,8 +355,7 @@ class AdaptiveOrchestrator:
                 f"{problem.mllm.name} ({problem.num_gpus} GPUs)",
                 num_gpus=problem.num_gpus,
             )
-        (cost, cand_idx, tp_lm, dp_lm, pp_lm, dp_me, dp_mg,
-         convex_solutions) = search
+        cost, tp_lm, dp_lm, pp_lm, dp_me, dp_mg, convex_solutions = search
         candidates_evaluated = len(cost)
 
         # Shortlist, deduplicated by LLM pipeline structure so the
@@ -590,8 +589,8 @@ class AdaptiveOrchestrator:
             tp_me, tp_mg,
         )
         return (
-            cost, cand_idx, tp_lm[cand_idx], dp_lm[cand_idx], pp_c,
-            dp_me_c, dp_mg_c, convex_solutions,
+            cost, tp_lm[cand_idx], dp_lm[cand_idx], pp_c, dp_me_c, dp_mg_c,
+            convex_solutions,
         )
 
     def _memory_ok(
