@@ -96,9 +96,7 @@ class DataDistributionConfig:
             value = getattr(self, f.name)
             kinds, expected = _FIELD_TYPES[f.type]
             if not isinstance(value, kinds) or isinstance(value, bool):
-                raise ValueError(
-                    f"{f.name} must be {expected}, got {value!r}"
-                )
+                raise ValueError(f"{f.name} must be {expected}, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
             low = _MINIMUM.get(f.name)
