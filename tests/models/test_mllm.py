@@ -1,5 +1,7 @@
 """Multimodal LLM composition tests."""
 
+import re
+
 import pytest
 
 from repro.models.base import ModuleWorkload
@@ -80,13 +82,20 @@ class TestComposition:
         for needle in ("vit", "llama3-70b", "stable-diffusion", "1024"):
             assert needle in text
 
-    def test_non_vit_encoder_rejected(self):
+    @pytest.mark.parametrize(
+        "encoder",
+        [LLAMA3_7B, STABLE_DIFFUSION_2_1],
+        ids=["llm", "diffusion"],
+    )
+    def test_non_vit_encoder_rejected(self, encoder):
         """The MLLM prices image workloads only, so an encoder without a
         patch size fails at construction, not deep in the accountant."""
-        with pytest.raises(ValueError, match="encoder 'llama3-7b'"):
+        with pytest.raises(
+            ValueError, match=re.escape(f"encoder {encoder.name!r}")
+        ):
             MultimodalLLMSpec(
-                name="mllm-text-encoder",
-                encoder=LLAMA3_7B,
+                name="mllm-non-vit-encoder",
+                encoder=encoder,
                 llm=LLAMA3_7B,
                 generator=STABLE_DIFFUSION_2_1,
             )
