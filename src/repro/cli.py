@@ -11,9 +11,9 @@ Usage::
                    --systems disttrain megatron-lm \
                    --gpus 48 96 192 --gbs 128
     repro sweep    --models mllm-9b --gpus 48 --gbs 16 \
-                   --scenario-iterations 1000 --mtbf 100 300 --elastic
+                   --scenario-iterations 500 --mtbf 100 300 --elastic
     repro scenario run   --model mllm-9b --gpus 48 --gbs 16 \
-                         --iterations 1000 --mtbf 200 --elastic
+                         --iterations 500 --mtbf 200 --elastic
     repro scenario sweep --models mllm-9b --gpus 48 96 --gbs 16 \
                          --mtbf 50 200 800
     repro report   --baseline-system megatron-lm --csv results.csv
@@ -25,17 +25,22 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional
+from dataclasses import fields
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional
 
 from repro.core.api import compare_systems, plan, simulate
 from repro.core.config import KNOWN_SYSTEMS, DistTrainConfig
 from repro.core.reports import format_comparison, format_table
+from repro.fleet.engine import FleetSchedulingError
+from repro.fleet.job import TooManyFailuresError
 from repro.obs.report import format_hit_miss
 from repro.models.mllm import MLLM_PRESETS
 from repro.orchestration.errors import InfeasibleClusterError
 from repro.runtime.frozen import FROZEN_PRESETS
+from repro.scenarios.spec import PARAM_FIELDS, ScenarioSpec
 
 #: Default on-disk location of the campaign result cache.
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -115,7 +120,7 @@ def _config(args: argparse.Namespace, system: Optional[str] = None) -> DistTrain
 def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
     """Flight-recorder flags shared by the simulation entry points."""
     parser.add_argument(
-        "--trace", default=None, metavar="PATH",
+        "--trace", type=_output_path, default=None, metavar="PATH",
         help="record a flight-recorder trace (JSONL) to PATH; the "
              "trace embeds the run's metrics snapshot and is "
              "summarized by `repro trace summarize`",
@@ -279,6 +284,15 @@ def _non_negative_seconds(text: str) -> float:
     return value
 
 
+def _output_path(text: str) -> str:
+    """Parse a path a command writes: its directory must exist, so that
+    a mistyped path fails before the work and not after it."""
+    directory = os.path.dirname(text) or "."
+    if not os.path.isdir(directory):
+        raise argparse.ArgumentTypeError(f"no such directory: {directory!r}")
+    return text
+
+
 def _int_at_least(text: str, minimum: int) -> int:
     """Parse an integer flag value of at least ``minimum``."""
     try:
@@ -314,8 +328,8 @@ def _parse_filter(text: str):
 
 
 def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
-    """Grid + execution options shared by ``sweep`` and
-    ``scenario sweep``."""
+    """Grid, execution and scenario options shared by ``sweep``,
+    ``scenario sweep`` and ``fleet sweep``."""
     parser.add_argument(
         "--models", nargs="+", required=True, choices=sorted(MLLM_PRESETS)
     )
@@ -397,45 +411,126 @@ def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--quiet", action="store_true", help="no per-trial progress lines"
     )
+    _add_scenario_arguments(parser, sweep=True)
+    parser.set_defaults(prog=parser.prog)
 
 
-def _add_scenario_sweep_arguments(parser: argparse.ArgumentParser) -> None:
-    """Scenario knobs accepted by ``repro sweep``/``repro scenario sweep``.
+class _ScenarioFlag(NamedTuple):
+    """One flag that sets a :class:`ScenarioSpec` field."""
 
-    Multi-valued options become sweep axes; single values apply to every
-    trial. Any scenario option switches the sweep into scenario mode.
+    field: str
+    #: Its name on ``scenario run`` and ``fleet run``.
+    run_flag: str
+    help: str
+    #: In the sweeps it takes several values, which add a sweep axis.
+    axis: bool = False
+    #: The sweeps declare it.
+    sweep: bool = True
+    #: ``fleet run`` declares it.
+    fleet: bool = True
+
+    @property
+    def sweep_flag(self) -> str:
+        """Its name on the sweeps: its sweep parameter name (see
+        :data:`~repro.scenarios.spec.PARAM_FIELDS`) as a flag."""
+        name = {f: p for p, f in PARAM_FIELDS.items()}[self.field]
+        return "--" + name.replace("_", "-")
+
+
+#: The scenario flags, in usage order. Each takes its parse type and its
+#: default from its :class:`ScenarioSpec` field, whose ``__post_init__``
+#: checks every value.
+_SCENARIO_FLAGS = (
+    _ScenarioFlag("num_iterations", "--iterations",
+                  "iterations each job retains"),
+    _ScenarioFlag("mtbf_gpu_hours", "--mtbf",
+                  "per-GPU mean time between failures, in hours; without "
+                  "it, no failures are sampled", axis=True),
+    _ScenarioFlag("straggler_rate", "--straggler-rate",
+                  "per-iteration probability a straggler episode starts",
+                  axis=True),
+    _ScenarioFlag("straggler_slowdown", "--straggler-slowdown",
+                  "compute slowdown of a straggling rank"),
+    _ScenarioFlag("elastic", "--elastic",
+                  "re-orchestrate a job on its surviving GPUs after "
+                  "failures"),
+    _ScenarioFlag("checkpoint_interval", "--checkpoint-interval",
+                  "iterations between asynchronous checkpoints"),
+    _ScenarioFlag("sample_iterations", "--sample-iterations",
+                  "distinct global batches priced per cluster size",
+                  sweep=False),
+    _ScenarioFlag("seed", "--failure-seed",
+                  "seed for sampled failures and stragglers; fleet job i "
+                  "uses seed + i"),
+    _ScenarioFlag("straggler_iterations", "--straggler-iterations",
+                  "length of a straggler episode", sweep=False, fleet=False),
+)
+
+#: How a flag parses each :class:`ScenarioSpec` annotation (a ``bool``
+#: field is a switch).
+_FLAG_TYPES = {"int": int, "float": float, "Optional[float]": float}
+
+
+def _add_scenario_arguments(
+    parser: argparse.ArgumentParser, sweep: bool, fleet: bool = False
+) -> None:
+    """Declare the :data:`_SCENARIO_FLAGS` rows ``parser`` takes
+    (``fleet``: the rows ``fleet run`` takes).
+
+    The run flavor parses one value per flag and defaults to the field's
+    default. The sweep flavor leaves each flag unset, so that any flag
+    given turns the sweep into a scenario sweep; its ``dest`` is the
+    sweep parameter name. ``args.scenario_flags`` lists each declared
+    field with its ``dest``.
     """
-    parser.add_argument(
-        "--scenario-iterations", type=_positive_int, default=None,
-        help="simulate this many iterations under cluster dynamics "
-             "(enables the scenario engine; default 1000)",
+    spec_fields = {f.name: f for f in fields(ScenarioSpec)}
+    declared = []
+    for row in _SCENARIO_FLAGS:
+        if (sweep and not row.sweep) or (fleet and not row.fleet):
+            continue
+        spec_field = spec_fields[row.field]
+        default, annotation = spec_field.default, spec_field.type
+        notes = []
+        if default is not None and annotation != "bool":
+            notes.append(f"default: {default}")
+        kwargs: Dict[str, Any] = (
+            {"action": "store_true"} if annotation == "bool"
+            else {"type": _FLAG_TYPES[annotation]}
+        )
+        if sweep and row.axis:
+            notes.append("several values add a sweep axis")
+            kwargs["nargs"] = "+"
+        action = parser.add_argument(
+            row.sweep_flag if sweep else row.run_flag,
+            default=None if sweep else default,
+            help=row.help + (f" ({'; '.join(notes)})" if notes else ""),
+            **kwargs,
+        )
+        declared.append((row.field, action.dest))
+    parser.set_defaults(scenario_flags=tuple(declared))
+
+
+def _scenario(args: argparse.Namespace, **extra: Any) -> ScenarioSpec:
+    """The :class:`ScenarioSpec` the run flavor's flags describe."""
+    return ScenarioSpec(
+        **{field: getattr(args, dest) for field, dest in args.scenario_flags},
+        **extra,
     )
-    parser.add_argument(
-        "--mtbf", nargs="+", type=float, default=None,
-        help="per-GPU mean time between failures in hours "
-             "(several values add a sweep axis)",
-    )
-    parser.add_argument(
-        "--straggler-rate", nargs="+", type=float, default=None,
-        help="per-iteration probability a straggler episode starts "
-             "(several values add a sweep axis)",
-    )
-    parser.add_argument(
-        "--straggler-slowdown", type=float, default=None,
-        help="compute slowdown of a straggling rank (default 1.5)",
-    )
-    parser.add_argument(
-        "--elastic", action="store_true",
-        help="re-orchestrate on the surviving cluster after failures",
-    )
-    parser.add_argument(
-        "--checkpoint-interval", type=_positive_int, default=None,
-        help="iterations between asynchronous checkpoints (default 50)",
-    )
-    parser.add_argument(
-        "--failure-seed", type=_non_negative_int, default=None,
-        help="seed for sampled failures and stragglers (default 0)",
-    )
+
+
+def _split_axes(values: Dict[str, Any]):
+    """(base params, axes): a list of several values adds a sweep axis,
+    and a single value, listed or not, goes in the base."""
+    from repro.experiments import Axis
+
+    base: Dict[str, Any] = {}
+    axes = []
+    for name, value in values.items():
+        if isinstance(value, list) and len(value) > 1:
+            axes.append(Axis(name, value))
+        else:
+            base[name] = value[0] if isinstance(value, list) else value
+    return base, axes
 
 
 def _scenario_sweep_params(args: argparse.Namespace, default_on: bool):
@@ -446,105 +541,21 @@ def _scenario_sweep_params(args: argparse.Namespace, default_on: bool):
         ValueError: if the base values, or any axis value over them,
             make an invalid :class:`~repro.scenarios.spec.ScenarioSpec`.
     """
-    from repro.experiments import Axis
-    from repro.scenarios.spec import ScenarioSpec
-
-    scenario_on = default_on or args.elastic or any(
-        value is not None
-        for value in (
-            args.scenario_iterations, args.mtbf, args.straggler_rate,
-            args.straggler_slowdown, args.checkpoint_interval,
-            args.failure_seed,
-        )
-    )
-    if not scenario_on:
-        return None, []
-    base = {
-        "scenario_iterations": (
-            args.scenario_iterations
-            if args.scenario_iterations is not None
-            else 1000
-        )
+    given = {
+        dest: getattr(args, dest)
+        for _, dest in args.scenario_flags
+        if getattr(args, dest) is not None
     }
-    axes = []
-    for flag, values in (
-        ("mtbf", args.mtbf),
-        ("straggler_rate", args.straggler_rate),
-    ):
-        if values is None:
-            continue
-        if len(values) == 1:
-            base[flag] = values[0]
-        else:
-            axes.append(Axis(flag, values))
-    if args.straggler_slowdown is not None:
-        base["straggler_slowdown"] = args.straggler_slowdown
-    if args.elastic:
-        base["elastic"] = True
-    if args.checkpoint_interval is not None:
-        base["checkpoint_interval"] = args.checkpoint_interval
-    if args.failure_seed is not None:
-        base["failure_seed"] = args.failure_seed
+    if not (default_on or given):
+        return None, []
+    base, axes = _split_axes(
+        {"scenario_iterations": ScenarioSpec.num_iterations, **given}
+    )
     ScenarioSpec.from_params(base)
     for axis in axes:
         for value in axis.values:
             ScenarioSpec.from_params({**base, axis.name: value})
     return base, axes
-
-
-def _add_dynamics_arguments(parser: argparse.ArgumentParser) -> None:
-    """The run dynamics ``scenario run`` and ``fleet run`` share; each
-    sets one :class:`~repro.scenarios.spec.ScenarioSpec` field
-    (:func:`_dynamics`)."""
-    parser.add_argument(
-        "--iterations", type=int, default=1000,
-        help="iterations each job retains (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--mtbf", type=float, default=None,
-        help="per-GPU mean time between failures, in hours "
-             "(default: no sampled failures)",
-    )
-    parser.add_argument(
-        "--straggler-rate", type=float, default=0.0,
-        help="per-iteration probability a straggler episode starts",
-    )
-    parser.add_argument(
-        "--straggler-slowdown", type=float, default=1.5,
-        help="compute slowdown of a straggling rank",
-    )
-    parser.add_argument(
-        "--elastic", action="store_true",
-        help="re-orchestrate a job on its surviving GPUs after failures",
-    )
-    parser.add_argument(
-        "--checkpoint-interval", type=int, default=50,
-        help="iterations between asynchronous checkpoints",
-    )
-    parser.add_argument(
-        "--sample-iterations", type=int, default=4,
-        help="distinct global batches priced per cluster size",
-    )
-    parser.add_argument(
-        "--failure-seed", type=_non_negative_int, default=0,
-        help="seed for sampled failures and stragglers (fleet job i "
-             "uses seed + i)",
-    )
-
-
-def _dynamics(args: argparse.Namespace) -> Dict[str, Any]:
-    """The :class:`~repro.scenarios.spec.ScenarioSpec` keywords of the
-    flags :func:`_add_dynamics_arguments` declares."""
-    return {
-        "num_iterations": args.iterations,
-        "checkpoint_interval": args.checkpoint_interval,
-        "mtbf_gpu_hours": args.mtbf,
-        "straggler_rate": args.straggler_rate,
-        "straggler_slowdown": args.straggler_slowdown,
-        "elastic": args.elastic,
-        "sample_iterations": args.sample_iterations,
-        "seed": args.failure_seed,
-    }
 
 
 def _add_fleet_arguments(
@@ -598,14 +609,11 @@ def _add_fleet_arguments(
     )
 
 
-def _fleet_sweep_params(args: argparse.Namespace, fleet_on: bool):
-    """(base params, axes) for the fleet options, or (None, []) when the
-    sweep is not a fleet sweep."""
-    from repro.experiments import Axis
-
-    if not fleet_on:
-        return None, []
-    packs = list(args.fleet_packs or [])
+def _fleet_sweep_params(args: argparse.Namespace):
+    """(base params, axes) for the fleet options, under the ``fleet_*``
+    names :meth:`~repro.fleet.spec.FleetSpec.from_params` reads.
+    ``fleet run``'s single values all land in the base."""
+    packs = args.fleet_packs
     if packs:
         # A pack owns arrivals, demands, and priorities; only the job
         # count (and an explicit policy override) ride along.
@@ -614,30 +622,20 @@ def _fleet_sweep_params(args: argparse.Namespace, fleet_on: bool):
         base = {
             "fleet_arrival_spacing": args.arrival_spacing,
             "fleet_priorities": tuple(args.priorities),
+            "fleet_job_gpus": args.job_gpus,
         }
-        if args.job_gpus is not None:
-            base["fleet_job_gpus"] = args.job_gpus
-    policies = list(args.fleet_policies or [])
-    if not policies and not packs:
-        policies = ["fair-share"]
-    axes = []
-    for name, values in (
-        ("fleet_policy", policies),
-        ("fleet_jobs", list(args.fleet_jobs)),
-        ("fleet_pack", packs),
-    ):
-        if not values:
-            continue
-        if len(values) == 1:
-            base[name] = values[0]
-        else:
-            axes.append(Axis(name, values))
-    return base, axes
+    base.update(
+        fleet_policy=args.fleet_policies or (None if packs else "fair-share"),
+        fleet_jobs=args.fleet_jobs,
+        fleet_pack=packs,
+    )
+    return _split_axes(
+        {name: value for name, value in base.items() if value is not None}
+    )
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.experiments import (
-        Axis,
         CampaignRunner,
         ResultCache,
         RetryPolicy,
@@ -649,6 +647,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.seed is not None:
         base["seed"] = args.seed
     try:
+        # --output may go in the cache directory, which the campaign
+        # creates before it writes there unless it keeps neither a
+        # cache nor a journal.
+        if args.output and (
+            args.no_cache and args.no_journal
+            or os.path.dirname(os.path.abspath(args.output))
+            != os.path.abspath(args.cache_dir)
+        ):
+            _output_path(args.output)
         spec = SweepSpec.grid(
             models=args.models,
             systems=args.systems,
@@ -657,38 +664,27 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             name=args.name,
             **base,
         )
-    except ValueError as exc:
-        print(f"repro sweep: error: {exc}", file=sys.stderr)
-        return 2
-    if len(args.frozen) == 1:
-        spec.base = {**spec.base, "frozen": args.frozen[0]}
-    else:
-        spec.axes = list(spec.axes) + [Axis("frozen", args.frozen)]
-    try:
         scenario_base, scenario_axes = _scenario_sweep_params(
             args, default_on=getattr(args, "scenario_mode", False)
         )
-    except ValueError as exc:
-        print(f"repro sweep: error: {exc}", file=sys.stderr)
-        return 2
-    if scenario_base is not None:
-        spec.base = {**spec.base, **scenario_base}
-        spec.axes = list(spec.axes) + scenario_axes
-    fleet_base, fleet_axes = _fleet_sweep_params(
-        args, fleet_on=getattr(args, "fleet_mode", False)
-    )
-    if fleet_base is not None:
-        spec.base = {**spec.base, **fleet_base}
-        spec.axes = list(spec.axes) + fleet_axes
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    try:
         retry = RetryPolicy(
             max_attempts=args.retries + 1,
             poison_after=args.poison_after,
         )
-    except ValueError as exc:
-        print(f"repro sweep: error: {exc}", file=sys.stderr)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        print(f"{args.prog}: error: {exc}", file=sys.stderr)
         return 2
+    fleet_base, fleet_axes = (
+        _fleet_sweep_params(args) if getattr(args, "fleet_mode", False)
+        else (None, [])
+    )
+    frozen_base, frozen_axes = _split_axes({"frozen": args.frozen})
+    spec.base = {
+        **spec.base, **frozen_base, **(scenario_base or {}),
+        **(fleet_base or {}),
+    }
+    spec.axes = [*spec.axes, *frozen_axes, *scenario_axes, *fleet_axes]
+    cache = None if args.no_cache else ResultCache(args.cache_dir)
     runner = CampaignRunner(
         spec,
         cache=cache,
@@ -740,18 +736,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_scenario_run(args: argparse.Namespace) -> int:
-    from repro.scenarios import EventTrace, ScenarioSpec, run_scenario
+    from repro.scenarios import EventTrace, run_scenario
 
     config = _config(args)
     try:
         events = (
             EventTrace.from_json(args.events) if args.events else None
         )
-        spec = ScenarioSpec(
-            **_dynamics(args),
-            straggler_iterations=args.straggler_iterations,
-            events=events,
-        )
+        spec = _scenario(args, events=events)
     except (OSError, ValueError) as exc:
         # OSError: unreadable --events file; ValueError: malformed
         # trace JSON or invalid scenario parameters.
@@ -787,7 +779,7 @@ def cmd_scenario_run(args: argparse.Namespace) -> int:
              f"{result.effective_tokens_per_s / 1e3:.0f} K tokens/s"],
         ],
         title=f"scenario: {args.model} @ {args.gpus} GPUs, "
-              f"{args.iterations} iterations:",
+              f"{spec.num_iterations} iterations:",
     ))
     if args.save_events:
         result.events.to_json(args.save_events)
@@ -811,44 +803,17 @@ def cmd_fleet_run(args: argparse.Namespace) -> int:
     import json
 
     from repro.fleet import FleetEngine, FleetSpec
-    from repro.fleet.engine import FleetSchedulingError
-    from repro.scenarios import ScenarioSpec
 
     config = _config(args)
     try:
-        scenario = ScenarioSpec(**_dynamics(args))
-        if args.fleet_packs:
-            from repro.scenarios.packs import get_pack
-
-            spec = get_pack(args.fleet_packs).build_fleet(
-                config,
-                cluster_gpus=args.gpus,
-                num_jobs=args.fleet_jobs,
-                seed=args.failure_seed,
-                scenario=scenario,
-                policy=args.fleet_policies,
-            )
-        else:
-            spec = FleetSpec.homogeneous(
-                config,
-                cluster_gpus=args.gpus,
-                num_jobs=args.fleet_jobs,
-                job_gpus=args.job_gpus,
-                arrival_spacing_s=args.arrival_spacing,
-                priorities=tuple(args.priorities),
-                policy=args.fleet_policies or "fair-share",
-                scenario=scenario,
-            )
+        params, _ = _fleet_sweep_params(args)
+        spec = FleetSpec.from_params(config, _scenario(args), params)
     except ValueError as exc:
         print(f"repro fleet run: error: {exc}", file=sys.stderr)
         return 2
-    try:
-        with _obs_session(args):
-            engine = FleetEngine(spec)
-            result = engine.run()
-    except FleetSchedulingError as exc:
-        print(f"repro fleet run: error: {exc}", file=sys.stderr)
-        return 1
+    with _obs_session(args):
+        engine = FleetEngine(spec)
+        result = engine.run()
 
     metrics = result.metrics()
     payload = {
@@ -1087,8 +1052,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_task_arguments(plan_parser)
     plan_parser.add_argument(
-        "--output",
-        default=None,
+        "--output", type=_output_path, default=None,
         help="write the launch configuration (JSON) to this path",
     )
     plan_parser.set_defaults(fn=cmd_plan)
@@ -1123,7 +1087,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a campaign: a grid of tasks in parallel, with caching",
     )
     _add_sweep_arguments(sweep_parser)
-    _add_scenario_sweep_arguments(sweep_parser)
     _add_obs_arguments(sweep_parser)
     sweep_parser.set_defaults(fn=cmd_sweep, scenario_mode=False)
 
@@ -1140,21 +1103,18 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="run one dynamic-cluster scenario"
     )
     _add_task_arguments(scenario_run)
-    _add_dynamics_arguments(scenario_run)
-    scenario_run.add_argument(
-        "--straggler-iterations", type=int, default=20,
-        help="length of a straggler episode",
-    )
+    _add_scenario_arguments(scenario_run, sweep=False)
     scenario_run.add_argument(
         "--events", default=None,
         help="replay a JSON event trace instead of sampling",
     )
     scenario_run.add_argument(
-        "--save-events", default=None,
+        "--save-events", type=_output_path, default=None,
         help="write the realized event trace (JSON) here for replay",
     )
     scenario_run.add_argument(
-        "--output", default=None, help="write metrics (JSON) to this path"
+        "--output", type=_output_path, default=None,
+        help="write metrics (JSON) to this path",
     )
     _add_obs_arguments(scenario_run)
     scenario_run.set_defaults(fn=cmd_scenario_run)
@@ -1164,7 +1124,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep scenarios like any other campaign (cached, parallel)",
     )
     _add_sweep_arguments(scenario_sweep)
-    _add_scenario_sweep_arguments(scenario_sweep)
     _add_obs_arguments(scenario_sweep)
     scenario_sweep.set_defaults(fn=cmd_sweep, scenario_mode=True)
 
@@ -1182,14 +1141,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_task_arguments(fleet_run)
     _add_fleet_arguments(fleet_run, sweep=False)
-    _add_dynamics_arguments(fleet_run)
+    _add_scenario_arguments(fleet_run, sweep=False, fleet=True)
     fleet_run.add_argument(
         "--json", action="store_true",
         help="print one machine-readable JSON document (fleet metrics "
              "plus per-job rows with plan-cache hit/miss counts)",
     )
     fleet_run.add_argument(
-        "--output", default=None,
+        "--output", type=_output_path, default=None,
         help="also write the JSON report to this path",
     )
     _add_obs_arguments(fleet_run)
@@ -1201,7 +1160,6 @@ def build_parser() -> argparse.ArgumentParser:
              "campaign (cached, parallel)",
     )
     _add_sweep_arguments(fleet_sweep)
-    _add_scenario_sweep_arguments(fleet_sweep)
     _add_fleet_arguments(fleet_sweep, sweep=True)
     _add_obs_arguments(fleet_sweep)
     fleet_sweep.set_defaults(fn=cmd_sweep, scenario_mode=False,
@@ -1226,7 +1184,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="max raw timeline rows to print (default: %(default)s)",
     )
     trace_summarize.add_argument(
-        "--plot", default=None, metavar="OUT.png",
+        "--plot", type=_output_path, default=None, metavar="OUT.png",
         help="also render a graphical timeline (requires matplotlib)",
     )
     trace_summarize.set_defaults(fn=cmd_trace_summarize)
@@ -1263,9 +1221,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--baseline-system", default=None, choices=KNOWN_SYSTEMS,
         help="add MFU/throughput ratio columns vs this system",
     )
-    report_parser.add_argument("--csv", default=None, help="export CSV here")
     report_parser.add_argument(
-        "--json", default=None, help="export JSON here"
+        "--csv", type=_output_path, default=None, help="export CSV here"
+    )
+    report_parser.add_argument(
+        "--json", type=_output_path, default=None, help="export JSON here"
     )
     report_parser.set_defaults(fn=cmd_report)
 
@@ -1286,6 +1246,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         # the requested (or a scripted) cluster size.
         print(f"{args.prog}: error: {exc}", file=sys.stderr)
         return 2
+    except (FleetSchedulingError, TooManyFailuresError) as exc:
+        # A run that cannot finish: a queued job no slice fits, or
+        # failures that outpace the work.
+        print(f"{args.prog}: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ from repro.cluster.cluster import ClusterSpec, make_cluster
 from repro.data.distributions import DataDistributionConfig, LAION_400M_LIKE
 from repro.models.mllm import MLLM_PRESETS, MultimodalLLMSpec
 from repro.pipeline.schedules import ScheduleKind
+from repro.preprocessing import PREPROCESSING_MODES
 from repro.runtime.frozen import FROZEN_PRESETS, FrozenConfig
 
 #: Systems the comparison helpers understand.
@@ -49,8 +50,9 @@ class DistTrainConfig:
         data_seed: Dataset seed.
         intra_reordering / inter_reordering: Override DistTrain's
             reordering (both forced off for Megatron-LM).
-        preprocessing: Override the preprocessing mode; default follows
-            the system.
+        preprocessing: Override the preprocessing mode (one of
+            :data:`~repro.preprocessing.PREPROCESSING_MODES`); default
+            follows the system.
         num_iterations: Iterations for multi-iteration runs.
     """
 
@@ -75,6 +77,12 @@ class DistTrainConfig:
         if self.system not in KNOWN_SYSTEMS:
             raise ValueError(
                 f"unknown system {self.system!r}; expected {KNOWN_SYSTEMS}"
+            )
+        if self.preprocessing not in (*PREPROCESSING_MODES, None):
+            # Unchecked, a typo plans and fails only in simulate.
+            raise ValueError(
+                f"preprocessing must be one of {PREPROCESSING_MODES} or "
+                f"None, got {self.preprocessing!r}"
             )
         # A float batch size fails deep in numpy, a string reordering
         # override is truthy, and a schedule name simulates as 1F1B:

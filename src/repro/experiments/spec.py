@@ -281,21 +281,10 @@ class TrialSpec:
 
     def to_fleet(self):
         """The trial's :class:`~repro.fleet.spec.FleetSpec`, or None
-        when no fleet parameter is set.
-
-        A fleet trial is the canonical homogeneous-contention workload:
-        ``fleet_jobs`` staggered copies of the task (each demanding
-        ``fleet_job_gpus``, defaulting to the whole cluster) sharing the
-        ``gpus``-sized cluster under ``fleet_policy``, with the trial's
-        scenario parameters as every job's dynamics.
-
-        With ``fleet_pack`` set, the named
-        :class:`~repro.scenarios.packs.ScenarioPack` expands the
-        workload instead: arrivals, job classes/SLOs, and per-job fault
-        traces all come from the pack (seeded by ``failure_seed``),
-        and ``fleet_policy`` — when given — overrides the pack's
-        default policy.
-        """
+        when no fleet parameter is set: the ``gpus``-sized shared
+        cluster that :meth:`~repro.fleet.spec.FleetSpec.from_params`
+        builds from the fleet parameters, with the trial's scenario
+        parameters as every job's dynamics."""
         fleet = self.fleet_params()
         if not fleet:
             return None
@@ -303,32 +292,7 @@ class TrialSpec:
         from repro.scenarios.spec import ScenarioSpec
 
         scenario = self.to_scenario() or ScenarioSpec()
-        config = self.to_config()
-        pack_name = fleet.get("fleet_pack")
-        if pack_name:
-            from repro.scenarios.packs import get_pack
-
-            return get_pack(pack_name).build_fleet(
-                config,
-                cluster_gpus=config.cluster.num_gpus,
-                num_jobs=int(fleet.get("fleet_jobs", 2)),
-                seed=scenario.seed,
-                scenario=scenario,
-                policy=fleet.get("fleet_policy"),
-            )
-        priorities = fleet.get("fleet_priorities", (0,))
-        if isinstance(priorities, int):
-            priorities = (priorities,)
-        return FleetSpec.homogeneous(
-            config,
-            cluster_gpus=config.cluster.num_gpus,
-            num_jobs=int(fleet.get("fleet_jobs", 2)),
-            job_gpus=fleet.get("fleet_job_gpus"),
-            arrival_spacing_s=float(fleet.get("fleet_arrival_spacing", 0.0)),
-            priorities=tuple(priorities),
-            policy=fleet.get("fleet_policy", "fair-share"),
-            scenario=scenario,
-        )
+        return FleetSpec.from_params(self.to_config(), scenario, fleet)
 
     def to_config(self) -> DistTrainConfig:
         """Build the concrete training-task config for this trial."""

@@ -132,6 +132,12 @@ logger = logging.getLogger(__name__)
 #: MTBF never finishes; fail loudly instead of spinning.
 MAX_FAILURES = 10_000
 
+
+class TooManyFailuresError(RuntimeError):
+    """A job handled more than :data:`MAX_FAILURES` failures: its
+    downtime outpaces its MTBF, so the run can never finish."""
+
+
 #: Seed-stream tags (numpy seed sequences) keeping failure and straggler
 #: sampling independent of each other.
 _FAILURE_STREAM = 0
@@ -986,7 +992,7 @@ class JobSimulator:
                 "iterations; there is no step left"
             )
         if self._num_failures > MAX_FAILURES:
-            raise RuntimeError(
+            raise TooManyFailuresError(
                 f"scenario exceeded {MAX_FAILURES} failures; downtime "
                 "dominates MTBF and the run cannot finish"
             )

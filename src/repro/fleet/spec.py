@@ -11,13 +11,15 @@ priority, or dynamics re-executes exactly the affected trials.
 :meth:`FleetSpec.homogeneous` builds the canonical contention workload
 the sweeps and benchmarks use: N staggered copies of one task sharing a
 cluster that cannot hold them all at full demand.
+Campaign trials and ``repro fleet run`` build it, or a scenario pack's
+workload, through :meth:`FleetSpec.from_params`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import ClusterSpec, make_cluster, resized_cluster
 from repro.core.config import DistTrainConfig
@@ -207,6 +209,51 @@ class FleetSpec:
             for i in range(num_jobs)
         )
         return cls(cluster=cluster, jobs=jobs, policy=policy)
+
+    @classmethod
+    def from_params(
+        cls,
+        config: DistTrainConfig,
+        scenario: ScenarioSpec,
+        params: Mapping[str, Any],
+    ) -> "FleetSpec":
+        """The fleet that sweep-level ``fleet_*`` parameters describe
+        on ``config``'s cluster, with ``scenario`` as every job's
+        dynamics.
+
+        Without ``fleet_pack`` it is :meth:`homogeneous` (``fleet_jobs``
+        defaults to 2). With it, the named
+        :class:`~repro.scenarios.packs.ScenarioPack` builds the workload,
+        seeded by ``scenario.seed``, and an explicit ``fleet_policy``
+        overrides the pack's policy.
+        """
+        cluster_gpus = config.cluster.num_gpus
+        num_jobs = int(params.get("fleet_jobs", 2))
+        if params.get("fleet_pack"):
+            from repro.scenarios.packs import get_pack
+
+            return get_pack(params["fleet_pack"]).build_fleet(
+                config,
+                cluster_gpus=cluster_gpus,
+                num_jobs=num_jobs,
+                seed=scenario.seed,
+                scenario=scenario,
+                policy=params.get("fleet_policy"),
+            )
+        priorities = params.get("fleet_priorities", (0,))
+        return cls.homogeneous(
+            config,
+            cluster_gpus=cluster_gpus,
+            num_jobs=num_jobs,
+            job_gpus=params.get("fleet_job_gpus"),
+            arrival_spacing_s=float(params.get("fleet_arrival_spacing", 0.0)),
+            priorities=(
+                (priorities,) if isinstance(priorities, int)
+                else tuple(priorities)
+            ),
+            policy=params.get("fleet_policy", "fair-share"),
+            scenario=scenario,
+        )
 
     # ------------------------------------------------------------------ #
     # Cache-key canonicalization

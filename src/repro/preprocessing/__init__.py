@@ -9,6 +9,8 @@ Models both deployment modes the paper compares in Figure 17:
   consumer pipeline over RPC/RDMA; steady-state overhead collapses to the
   tensor-transfer milliseconds, and reordering runs off the critical path
   for free.
+
+``"none"`` prices no preprocessing at all.
 """
 
 from repro.preprocessing.cost import PreprocessCostModel
@@ -19,7 +21,11 @@ from repro.preprocessing.disaggregated import (
     required_cpu_nodes,
 )
 
+#: The preprocessing modes a task can run (``DistTrainConfig.preprocessing``).
+PREPROCESSING_MODES = ("disaggregated", "colocated", "none")
+
 __all__ = [
+    "PREPROCESSING_MODES",
     "PreprocessCostModel",
     "TransferModel",
     "CoLocatedPreprocessing",

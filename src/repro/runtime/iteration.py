@@ -32,6 +32,7 @@ from repro.parallelism.broker import broker_count, broker_transfer_time
 from repro.parallelism.orchestration_plan import ModelOrchestrationPlan
 from repro.pipeline.kernel import get_kernel
 from repro.pipeline.schedules import ScheduleKind
+from repro.preprocessing import PREPROCESSING_MODES
 from repro.preprocessing.colocated import CoLocatedPreprocessing
 from repro.preprocessing.cost import PreprocessCostModel
 from repro.preprocessing.disaggregated import DisaggregatedPreprocessing
@@ -126,7 +127,7 @@ class TrainingIterationSimulator:
         cpu_nodes: int = 8,
         max_simulated_ranks: int = 16,
     ):
-        if preprocessing not in ("disaggregated", "colocated", "none"):
+        if preprocessing not in PREPROCESSING_MODES:
             raise ValueError(f"unknown preprocessing mode {preprocessing!r}")
         if max_simulated_ranks != 0 and max_simulated_ranks < 2:
             raise ValueError(

@@ -1,10 +1,13 @@
 """CLI tests."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _FLAG_TYPES, _SCENARIO_FLAGS, build_parser, main
+from repro.fleet import FleetSpec
+from repro.scenarios.spec import ScenarioSpec
 
 
 class TestParser:
@@ -164,31 +167,39 @@ class TestCommands:
         and worker counts below 1, a trial timeout that is not a positive
         finite number, a negative retry count and an arrival spacing that
         is not a non-negative finite number, a poison threshold below 1
-        and a negative timeline limit fail at parse time, not in a
+        and a negative timeline limit fail before any work, not in a
         traceback, a run of failed trials, an endless fleet loop, a
-        created cache directory or a timeline sliced from its end."""
+        created cache directory or a timeline sliced from its end. The
+        scenario flags fail with the ScenarioSpec check that bounds
+        them; every other flag fails at parse time."""
         command = " ".join(
             argv[:2] if argv[0] in ("scenario", "fleet", "trace")
             else argv[:1]
         )
         flag, value = argv[-2:]
+        spec_messages = {
+            "--failure-seed": f"seed must be >= 0, got {value}",
+            "--checkpoint-interval": "checkpoint_interval must be >= 1",
+            "--scenario-iterations": "num_iterations must be >= 1",
+        }
         if flag == "--trial-timeout":
-            expected = f"must be a positive finite number, got {value}"
+            bound = f"must be a positive finite number, got {value}"
         elif flag == "--arrival-spacing":
-            expected = f"must be a non-negative finite number, got {value}"
+            bound = f"must be a non-negative finite number, got {value}"
         else:
-            minimum = 0 if flag in ("--seed", "--failure-seed",
-                                    "--retries", "--timeline-limit") else 1
-            expected = f"must be >= {minimum}, got {value}"
+            minimum = 0 if flag in ("--seed", "--retries",
+                                    "--timeline-limit") else 1
+            bound = f"must be >= {minimum}, got {value}"
+        expected = spec_messages.get(flag, f"argument {flag}: {bound}")
         if "sweep" in argv[:2]:
             argv = argv + ["--cache-dir", str(tmp_path)]
-        with pytest.raises(SystemExit) as exit_info:
-            main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
         captured = capsys.readouterr()
-        assert exit_info.value.code == 2
-        assert (
-            f"repro {command}: error: argument {flag}: {expected}"
-        ) in captured.err
+        assert code == 2
+        assert f"repro {command}: error: {expected}" in captured.err
         assert not any(tmp_path.iterdir())
         assert "Traceback" not in captured.err
         assert captured.out == ""
@@ -322,3 +333,180 @@ class TestCommands:
              "--frozen", "llm-only"]
         )
         assert code == 0
+
+
+#: Each ScenarioSpec field's annotation.
+_ANNOTATIONS = {f.name: f.type for f in fields(ScenarioSpec)}
+
+
+class _Accepted(Exception):
+    """Raised in place of a run or a campaign: the command accepted its
+    flags and built what it would run."""
+
+
+def _accept(*args, **kwargs):
+    raise _Accepted(args[-1])
+
+
+def _built_scenario(built):
+    """The ScenarioSpec a command built: a scenario run's own, a fleet's
+    first job's or a sweep's first trial's."""
+    if isinstance(built, ScenarioSpec):
+        return built
+    if isinstance(built, FleetSpec):
+        return built.jobs[0].scenario
+    return built.expand()[0].to_scenario()
+
+
+class TestScenarioFlags:
+    """Each scenario flag sets one ScenarioSpec field, whose checks are
+    the only ones: every command that takes the flag rejects a bad value
+    with the spec's message, or accepts it."""
+
+    COMMANDS = {
+        "scenario run": ["scenario", "run", "--model", "mllm-9b", "--gpus",
+                         "48", "--gbs", "16"],
+        "fleet run": ["fleet", "run", "--model", "mllm-9b", "--gpus", "96",
+                      "--gbs", "16", "--jobs", "2", "--job-gpus", "48"],
+        "sweep": ["sweep", "--models", "mllm-9b", "--systems", "disttrain",
+                  "--gpus", "48", "--gbs", "16"],
+    }
+    #: The only (flag, value) pairs below that make a valid spec.
+    VALID = {("--mtbf", "inf"), ("--straggler-rate", "0"),
+             ("--failure-seed", "0")}
+
+    @pytest.mark.parametrize("row, value", [
+        pytest.param(row, value, id=f"{row.run_flag}={value}")
+        for row in _SCENARIO_FLAGS
+        if _ANNOTATIONS[row.field] != "bool"
+        for value in ("0", "-1", "nan", "inf")
+    ])
+    def test_one_bad_value_one_message(
+        self, monkeypatch, capsys, tmp_path, row, value
+    ):
+        monkeypatch.setattr("repro.scenarios.run_scenario", _accept)
+        monkeypatch.setattr("repro.fleet.FleetEngine", _accept)
+        monkeypatch.setattr("repro.experiments.CampaignRunner", _accept)
+        parse = _FLAG_TYPES[_ANNOTATIONS[row.field]]
+        try:
+            parsed = parse(value)
+        except ValueError:
+            parsed = message = None
+        else:
+            try:
+                ScenarioSpec(**{row.field: parsed})
+                message = None
+            except ValueError as exc:
+                message = str(exc)
+        valid = parsed is not None and message is None
+        assert valid == ((row.run_flag, value) in self.VALID)
+        commands = {"scenario run": row.run_flag}
+        if row.fleet:
+            commands["fleet run"] = row.run_flag
+        if row.sweep:
+            commands["sweep"] = row.sweep_flag
+        for command, flag in commands.items():
+            written = tmp_path / command.replace(" ", "-")
+            written.mkdir()
+            argv = self.COMMANDS[command] + [flag, value] + (
+                ["--cache-dir", str(written)] if command == "sweep"
+                else ["--output", str(written / "out.json")]
+            )
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except _Accepted as accepted:
+                assert valid, command
+                scenario = _built_scenario(accepted.args[0])
+                assert getattr(scenario, row.field) == parsed, command
+                continue
+            captured = capsys.readouterr()
+            assert not valid, command
+            assert code == 2, command
+            assert not any(written.iterdir()), command
+            assert captured.out == "", command
+            assert "Traceback" not in captured.err, command
+            if parsed is None:
+                assert (
+                    f"repro {command}: error: argument {flag}: invalid "
+                    f"{parse.__name__} value: {value!r}"
+                ) in captured.err
+            else:
+                assert captured.err == (
+                    f"repro {command}: error: {message}\n"
+                ), command
+
+
+class TestOutputPaths:
+    TASK = ["--model", "mllm-9b", "--gpus", "48", "--gbs", "16"]
+    FLEET = ["--model", "mllm-9b", "--gpus", "96", "--gbs", "16",
+             "--jobs", "2", "--job-gpus", "48"]
+    GRID = ["--models", "mllm-9b", "--systems", "disttrain", "--gpus",
+            "48", "--gbs", "16"]
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["plan", *TASK, "--output"], id="plan-output"),
+        pytest.param(["scenario", "run", *TASK, "--output"],
+                     id="scenario-run-output"),
+        pytest.param(["scenario", "run", *TASK, "--save-events"],
+                     id="scenario-run-save-events"),
+        pytest.param(["scenario", "run", *TASK, "--trace"],
+                     id="scenario-run-trace"),
+        pytest.param(["fleet", "run", *FLEET, "--output"],
+                     id="fleet-run-output"),
+        pytest.param(["fleet", "run", *FLEET, "--trace"],
+                     id="fleet-run-trace"),
+        pytest.param(["sweep", *GRID, "--output"], id="sweep-output"),
+        pytest.param(["sweep", *GRID, "--trace"], id="sweep-trace"),
+        pytest.param(["scenario", "sweep", *GRID, "--output"],
+                     id="scenario-sweep-output"),
+        pytest.param(["fleet", "sweep", *GRID, "--output"],
+                     id="fleet-sweep-output"),
+        pytest.param(["report", "--csv"], id="report-csv"),
+        pytest.param(["report", "--json"], id="report-json"),
+        pytest.param(["trace", "summarize", "trace.jsonl", "--plot"],
+                     id="trace-summarize-plot"),
+    ])
+    def test_path_in_missing_directory_exits_2_before_work(
+        self, capsys, tmp_path, argv
+    ):
+        """A file a command would write in a directory that does not
+        exist fails before the work, not in a traceback after it."""
+        argv = argv + [str(tmp_path / "missing" / "out")]
+        if "sweep" in argv[:2]:
+            argv += ["--cache-dir", str(tmp_path)]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "no such directory: " in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not any(tmp_path.iterdir())
+
+
+class TestRunawayFailures:
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["scenario", "run", "--model", "mllm-9b", "--gpus",
+                      "48", "--gbs", "16", "--iterations", "50", "--mtbf",
+                      "1"], id="scenario-run"),
+        pytest.param(["fleet", "run", "--model", "mllm-9b", "--gpus", "96",
+                      "--gbs", "16", "--jobs", "3", "--job-gpus", "48",
+                      "--arrival-spacing", "40", "--iterations", "50",
+                      "--priorities", "0", "1", "--policy", "priority",
+                      "--mtbf", "5"], id="fleet-run"),
+    ])
+    def test_failures_outpacing_the_run_exit_1(self, capsys, argv):
+        """Downtime that outpaces the MTBF ends the run with the
+        simulator's message, not a traceback."""
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (
+            f"repro {' '.join(argv[:2])}: error: scenario exceeded 10000 "
+            "failures; downtime dominates MTBF and the run cannot finish\n"
+        )
+        assert captured.out == ""

@@ -71,13 +71,16 @@ class TestPreset:
         ("schedule", None),
         ("data_config", None),
         pytest.param("data_config", {}, id="data_config-dict"),
+        ("preprocessing", "bogus"),
+        ("preprocessing", 1),
     ])
     def test_mistyped_field_rejected(self, field, value):
         # Unchecked, each fails deep in numpy or a plan, or runs as
         # something else: a one-sample batch, seed 1, a truthy "no", a
         # schedule name or None as 1F1B. A preset name, a GPU count,
         # None or a dict in a class-typed field fails in plan or
-        # simulate with an AttributeError or a TypeError.
+        # simulate with an AttributeError or a TypeError, and an unknown
+        # preprocessing mode plans and fails only in simulate.
         config = DistTrainConfig.preset("mllm-9b", 48, 32)
         with pytest.raises(ValueError, match=f"^{field} must be"):
             config.with_(**{field: value})

@@ -1,5 +1,6 @@
 """CLI smoke tests for ``repro sweep`` and ``repro report``."""
 
+import itertools
 import json
 
 import pytest
@@ -292,3 +293,103 @@ class TestReport:
         assert code == 0
         assert "mfu_gain" in out
         assert "8 results" in out
+
+
+def _trials(base, axes, keys):
+    """Expected trials: the ``base`` items, then one item per axis in
+    grid order, each trial with its cache key."""
+    combos = itertools.product(
+        *([(name, value) for value in values] for name, values in axes)
+    )
+    return [
+        (base + list(combo), key)
+        for combo, key in zip(combos, keys, strict=True)
+    ]
+
+
+_GRID = [("vpp", 1), ("gbs", 16), ("frozen", "full")]
+_FLEET = ["--models", "mllm-9b", "--systems", "disttrain", "--gpus", "96",
+          "--gbs", "16", "--job-gpus", "48", "--arrival-spacing", "40",
+          "--priorities", "0", "1"]
+
+
+class TestSweepFlagPins:
+    """What the sweep flags hand the campaign runner: every trial's
+    params, in key order (``repro sweep --output`` writes them
+    unsorted), and its cache key. A pack ignores the arrival flags."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        pytest.param(
+            ["scenario", "sweep", "--models", "mllm-9b", "--gpus", "48",
+             "--gbs", "16"],
+            _trials(
+                _GRID + [("scenario_iterations", 1000)],
+                [("model", ["mllm-9b"]),
+                 ("system", ["disttrain", "megatron-lm"]), ("gpus", [48])],
+                ["fa30a580401a95fa6ee7", "b43464d5fc265a5a01de"],
+            ),
+            id="scenario-sweep-defaults",
+        ),
+        pytest.param(
+            ["sweep", "--models", "mllm-9b", "--gpus", "48", "96", "--gbs",
+             "16", "--scenario-iterations", "500", "--mtbf", "100", "300",
+             "--elastic", "--checkpoint-interval", "25", "--failure-seed",
+             "3", "--straggler-rate", "0.02", "--straggler-slowdown", "2.0"],
+            _trials(
+                _GRID + [("scenario_iterations", 500),
+                         ("straggler_rate", 0.02), ("straggler_slowdown", 2.0),
+                         ("elastic", True), ("checkpoint_interval", 25),
+                         ("failure_seed", 3)],
+                [("model", ["mllm-9b"]),
+                 ("system", ["disttrain", "megatron-lm"]),
+                 ("gpus", [48, 96]), ("mtbf", [100.0, 300.0])],
+                ["de0da4eb89af92a8947e", "ce366de10633f1a45b08",
+                 "18de2b98d340d25f2e1f", "ca53a33cdc7e9ad7df65",
+                 "50ab4cd13b72ad8d0a0c", "e9becfdb23bf3eb248b6",
+                 "2ff01984402f5575599d", "fe55002864a0e1e419c2"],
+            ),
+            id="sweep-every-scenario-flag",
+        ),
+        pytest.param(
+            ["fleet", "sweep", *_FLEET, "--policies", "fifo", "priority",
+             "--fleet-jobs", "2"],
+            _trials(
+                _GRID + [("fleet_arrival_spacing", 40.0),
+                         ("fleet_priorities", (0, 1)),
+                         ("fleet_job_gpus", 48), ("fleet_jobs", 2)],
+                [("model", ["mllm-9b"]), ("system", ["disttrain"]),
+                 ("gpus", [96]), ("fleet_policy", ["fifo", "priority"])],
+                ["f9d13b449c10ea9ca09b", "7a12e6278463aa484a7c"],
+            ),
+            id="fleet-sweep-policies",
+        ),
+        pytest.param(
+            ["fleet", "sweep", *_FLEET, "--packs", "steady", "blast-radius",
+             "--scenario-iterations", "30"],
+            _trials(
+                _GRID + [("scenario_iterations", 30), ("fleet_jobs", 4)],
+                [("model", ["mllm-9b"]), ("system", ["disttrain"]),
+                 ("gpus", [96]), ("fleet_pack", ["steady", "blast-radius"])],
+                ["f2583d85bc3563809bb9", "ae24a26fb493c7b8321f"],
+            ),
+            id="fleet-sweep-packs",
+        ),
+    ])
+    def test_trials_are_pinned(self, monkeypatch, tmp_path, argv, expected):
+        built = []
+
+        class Captured(Exception):
+            pass
+
+        def capture(spec, **kwargs):
+            built.append(spec)
+            raise Captured
+
+        monkeypatch.setattr("repro.experiments.CampaignRunner", capture)
+        with pytest.raises(Captured):
+            main(argv + ["--cache-dir", str(tmp_path)])
+        (spec,) = built
+        assert [
+            (list(trial.params.items()), trial.cache_key)
+            for trial in spec.expand()
+        ] == expected

@@ -253,8 +253,19 @@ class TestCacheKeyValues:
                 },
                 "72e946ad37e66b9ac9c0",
             ),
+            (
+                {
+                    "model": "mllm-9b", "system": "disttrain", "gpus": 96,
+                    "gbs": 16, "vpp": 1, "frozen": "full",
+                    "fleet_arrival_spacing": 40.0,
+                    "fleet_priorities": (0, 1), "fleet_job_gpus": 48,
+                    "fleet_jobs": 2, "fleet_policy": "fifo",
+                },
+                "f9d13b449c10ea9ca09b",
+            ),
         ],
-        ids=["plain", "scenario-with-trace", "fleet-with-pack"],
+        ids=["plain", "scenario-with-trace", "fleet-with-pack",
+             "fleet-homogeneous"],
     )
     def test_cache_key_is_pinned(self, params, key):
         assert TrialSpec(params).cache_key == key
