@@ -8,6 +8,7 @@ the experiment campaign engine; the figure/table record lives in the
 ``benchmarks/`` reproduction suite.
 """
 
+import importlib as _importlib
 import logging as _logging
 
 __version__ = "1.3.0"
@@ -25,16 +26,32 @@ from repro.core import (
     simulate_run,
     compare_systems,
 )
-from repro.experiments import (
-    Axis,
-    CampaignRunner,
-    ResultCache,
-    ResultFrame,
-    SweepSpec,
-    ZippedAxes,
-)
-from repro.scenarios import EventTrace, ScenarioSpec, run_scenario
-from repro.fleet import FleetJobSpec, FleetSpec, run_fleet
+
+# The campaign, scenario and fleet layers build on repro.core, and a
+# command loads only the layers it runs, so their names resolve on
+# first use (PEP 562): name -> defining package.
+_LAZY_EXPORTS = {
+    "Axis": "repro.experiments",
+    "ZippedAxes": "repro.experiments",
+    "SweepSpec": "repro.experiments",
+    "CampaignRunner": "repro.experiments",
+    "ResultCache": "repro.experiments",
+    "ResultFrame": "repro.experiments",
+    "EventTrace": "repro.scenarios",
+    "ScenarioSpec": "repro.scenarios",
+    "run_scenario": "repro.scenarios",
+    "FleetJobSpec": "repro.fleet",
+    "FleetSpec": "repro.fleet",
+    "run_fleet": "repro.fleet",
+}
+
+
+def __getattr__(name):
+    package = _LAZY_EXPORTS.get(name)
+    if package is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(_importlib.import_module(package), name)
+
 
 __all__ = [
     "DistTrainConfig",

@@ -34,8 +34,6 @@ from typing import Any, Dict, Iterator, List, NamedTuple, Optional
 from repro.core.api import compare_systems, plan, simulate
 from repro.core.config import KNOWN_SYSTEMS, DistTrainConfig
 from repro.core.reports import format_comparison, format_table
-from repro.fleet.engine import FleetSchedulingError
-from repro.fleet.job import TooManyFailuresError
 from repro.obs.report import format_hit_miss
 from repro.models.mllm import MLLM_PRESETS
 from repro.orchestration.errors import InfeasibleClusterError
@@ -736,6 +734,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_scenario_run(args: argparse.Namespace) -> int:
+    from repro.fleet.job import TooManyFailuresError
     from repro.scenarios import EventTrace, run_scenario
 
     config = _config(args)
@@ -749,8 +748,17 @@ def cmd_scenario_run(args: argparse.Namespace) -> int:
         # trace JSON or invalid scenario parameters.
         print(f"repro scenario run: error: {exc}", file=sys.stderr)
         return 2
+    unfinished = None
     with _obs_session(args):
-        result = run_scenario(config, spec)
+        try:
+            result = run_scenario(config, spec)
+        except TooManyFailuresError as exc:
+            # Failures outpace the work; reported after the trace and
+            # metrics of the run so far are written.
+            unfinished = exc
+    if unfinished is not None:
+        print(f"{args.prog}: error: {unfinished}", file=sys.stderr)
+        return 1
 
     gpus = f"{result.initial_gpus}"
     if result.min_gpus != result.initial_gpus:
@@ -803,6 +811,8 @@ def cmd_fleet_run(args: argparse.Namespace) -> int:
     import json
 
     from repro.fleet import FleetEngine, FleetSpec
+    from repro.fleet.engine import FleetSchedulingError
+    from repro.fleet.job import TooManyFailuresError
 
     config = _config(args)
     try:
@@ -811,9 +821,18 @@ def cmd_fleet_run(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"repro fleet run: error: {exc}", file=sys.stderr)
         return 2
+    unfinished = None
     with _obs_session(args):
         engine = FleetEngine(spec)
-        result = engine.run()
+        try:
+            result = engine.run()
+        except (FleetSchedulingError, TooManyFailuresError) as exc:
+            # A queued job no slice fits, or failures that outpace the
+            # work; reported after the trace and metrics are written.
+            unfinished = exc
+    if unfinished is not None:
+        print(f"{args.prog}: error: {unfinished}", file=sys.stderr)
+        return 1
 
     metrics = result.metrics()
     payload = {
@@ -1246,11 +1265,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # the requested (or a scripted) cluster size.
         print(f"{args.prog}: error: {exc}", file=sys.stderr)
         return 2
-    except (FleetSchedulingError, TooManyFailuresError) as exc:
-        # A run that cannot finish: a queued job no slice fits, or
-        # failures that outpace the work.
-        print(f"{args.prog}: error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

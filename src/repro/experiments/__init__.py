@@ -22,6 +22,7 @@ Typical use::
     )
 """
 
+from repro.core.canonical import canonical_json, config_hash
 from repro.experiments.spec import (
     SCENARIO_PARAMS,
     TASK_PARAMS,
@@ -29,8 +30,6 @@ from repro.experiments.spec import (
     SweepSpec,
     TrialSpec,
     ZippedAxes,
-    canonical_json,
-    config_hash,
 )
 from repro.experiments.cache import ResultCache
 from repro.experiments.chaos import ChaosRule

@@ -1,7 +1,7 @@
 """Content-addressed on-disk result store.
 
 Each completed trial is stored as one JSON file named by its config hash
-(see :func:`repro.experiments.spec.config_hash`), so a campaign re-run
+(see :func:`repro.core.canonical.config_hash`), so a campaign re-run
 only executes trials whose configuration actually changed. One file per
 trial keeps concurrent writers (parallel campaigns sharing a cache
 directory) from contending on a single index file, and writes are

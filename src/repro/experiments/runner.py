@@ -36,10 +36,11 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.api import plan, simulate
+from repro.core.canonical import canonical_json
 from repro.experiments import chaos
 from repro.experiments.cache import ResultCache
 from repro.experiments.journal import CampaignJournal, campaign_key
-from repro.experiments.spec import SweepSpec, TrialSpec, canonical_json
+from repro.experiments.spec import SweepSpec, TrialSpec
 from repro.experiments.supervisor import (
     RetryPolicy,
     SupervisedExecutor,

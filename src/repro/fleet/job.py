@@ -993,8 +993,8 @@ class JobSimulator:
             )
         if self._num_failures > MAX_FAILURES:
             raise TooManyFailuresError(
-                f"scenario exceeded {MAX_FAILURES} failures; downtime "
-                "dominates MTBF and the run cannot finish"
+                f"job {self.name!r} exceeded {MAX_FAILURES} failures; "
+                "downtime dominates MTBF and the run cannot finish"
             )
         # Scheduled capacity changes at the iteration boundary.
         if self._repair_at is not None and self._clock >= self._repair_at:

@@ -22,6 +22,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import ClusterSpec, make_cluster, resized_cluster
+from repro.core.canonical import canonical_value
 from repro.core.config import DistTrainConfig
 from repro.scenarios.spec import ScenarioSpec
 
@@ -263,8 +264,6 @@ class FleetSpec:
         job as every :class:`FleetJobSpec` field in declaration order,
         its config canonicalized and its scenario as
         :meth:`ScenarioSpec.canonical`."""
-        from repro.experiments.spec import canonical_value
-
         jobs = []
         for job in self.jobs:
             payload = {f.name: getattr(job, f.name) for f in fields(job)}

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
+from repro.core.canonical import config_hash
 from repro.core.keyedcache import KeyedCache
 
 #: Default capacity — far above the handful of cluster sizes a failure
@@ -46,11 +47,9 @@ PLAN_CACHE = KeyedCache(maxsize=PLAN_CACHE_SIZE, name="plan")
 def planning_signature(config, num_gpus: int) -> Tuple[str, int]:
     """Canonical cache key for one (task, cluster size) planning call.
 
-    The task component is the campaign engine's content hash of the
-    fully materialized config — invalidated exactly when any field of
-    the task changes — and the cluster size rides alongside so elastic
-    re-plans of the same task land on distinct entries.
+    The task component is the content hash of the fully materialized
+    config — invalidated exactly when any field of the task changes —
+    and the cluster size rides alongside so elastic re-plans of the
+    same task land on distinct entries.
     """
-    from repro.experiments.spec import config_hash
-
     return (config_hash(config), int(num_gpus))

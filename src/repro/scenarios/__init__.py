@@ -23,7 +23,8 @@ Layout:
   (arrival processes, job-class mixes, correlated fault profiles).
 """
 
-from repro.scenarios.engine import run_scenario
+import importlib as _importlib
+
 from repro.scenarios.events import (
     ClusterEvent,
     DomainFailureEvent,
@@ -34,16 +35,29 @@ from repro.scenarios.events import (
     SpotReclaimEvent,
     StragglerEvent,
 )
-from repro.scenarios.packs import (
-    PACKS,
-    ArrivalProcess,
-    FaultProfile,
-    JobClass,
-    ScenarioPack,
-    get_pack,
-)
 from repro.scenarios.result import ScenarioResult
 from repro.scenarios.spec import ScenarioSpec
+
+# The engine runs on the fleet layer's job simulator, and the pack
+# catalog builds fleets, so their names resolve on first use (PEP 562):
+# name -> defining module.
+_LAZY_EXPORTS = {
+    "run_scenario": "repro.scenarios.engine",
+    "PACKS": "repro.scenarios.packs",
+    "ArrivalProcess": "repro.scenarios.packs",
+    "FaultProfile": "repro.scenarios.packs",
+    "JobClass": "repro.scenarios.packs",
+    "ScenarioPack": "repro.scenarios.packs",
+    "get_pack": "repro.scenarios.packs",
+}
+
+
+def __getattr__(name):
+    module = _LAZY_EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(_importlib.import_module(module), name)
+
 
 __all__ = [
     "ArrivalProcess",

@@ -41,7 +41,6 @@ import numpy as np
 from repro.cluster.cluster import make_cluster, resized_cluster
 from repro.cluster.topology import DEFAULT_NODES_PER_RACK, failure_domains
 from repro.core.config import DistTrainConfig
-from repro.fleet.spec import FleetJobSpec, FleetSpec
 from repro.scenarios.events import (
     DomainFailureEvent,
     EventTrace,
@@ -407,8 +406,9 @@ class ScenarioPack:
         seed: int = 0,
         scenario: Optional[ScenarioSpec] = None,
         policy: Optional[str] = None,
-    ) -> FleetSpec:
-        """Expand the pack into a concrete :class:`FleetSpec`.
+    ):
+        """Expand the pack into a concrete
+        :class:`~repro.fleet.spec.FleetSpec`.
 
         Args:
             config: Base training task; each class scales its cluster
@@ -423,6 +423,10 @@ class ScenarioPack:
                 pack traces replace sampling entirely.
             policy: Override of the pack's scheduling policy.
         """
+        # The catalog loads with every command's parser (``--pack``'s
+        # choices); the fleet layer loads only when a pack is built.
+        from repro.fleet.spec import FleetJobSpec, FleetSpec
+
         if num_jobs < 1:
             raise ValueError("num_jobs must be >= 1")
         scenario = scenario or ScenarioSpec()

@@ -488,25 +488,44 @@ class TestOutputPaths:
         assert not any(tmp_path.iterdir())
 
 
+RUNAWAY_FLEET = ["fleet", "run", "--model", "mllm-9b", "--gpus", "96",
+                 "--gbs", "16", "--jobs", "3", "--job-gpus", "48",
+                 "--arrival-spacing", "40", "--iterations", "50",
+                 "--priorities", "0", "1", "--policy", "priority",
+                 "--mtbf", "5"]
+
+
 class TestRunawayFailures:
-    @pytest.mark.parametrize("argv", [
+    @pytest.mark.parametrize("argv,job", [
         pytest.param(["scenario", "run", "--model", "mllm-9b", "--gpus",
                       "48", "--gbs", "16", "--iterations", "50", "--mtbf",
-                      "1"], id="scenario-run"),
-        pytest.param(["fleet", "run", "--model", "mllm-9b", "--gpus", "96",
-                      "--gbs", "16", "--jobs", "3", "--job-gpus", "48",
-                      "--arrival-spacing", "40", "--iterations", "50",
-                      "--priorities", "0", "1", "--policy", "priority",
-                      "--mtbf", "5"], id="fleet-run"),
+                      "1"], "job", id="scenario-run"),
+        pytest.param(RUNAWAY_FLEET, "job02", id="fleet-run"),
     ])
-    def test_failures_outpacing_the_run_exit_1(self, capsys, argv):
+    def test_failures_outpacing_the_run_exit_1(self, capsys, argv, job):
         """Downtime that outpaces the MTBF ends the run with the
-        simulator's message, not a traceback."""
+        simulator's message, naming the job, not a traceback."""
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err == (
-            f"repro {' '.join(argv[:2])}: error: scenario exceeded 10000 "
+            f"repro {' '.join(argv[:2])}: error: job {job!r} exceeded 10000 "
             "failures; downtime dominates MTBF and the run cannot finish\n"
         )
         assert captured.out == ""
+
+    def test_trace_is_written_before_the_error(self, capsys, tmp_path):
+        """The run's trace and metrics digest are exported before the
+        error line, and the trace reads back."""
+        trace = tmp_path / "t.jsonl"
+        code = main(RUNAWAY_FLEET + ["--trace", str(trace), "--metrics"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"trace written to {trace}\n")
+        assert "job.failures" in err
+        assert err.endswith(
+            "repro fleet run: error: job 'job02' exceeded 10000 failures; "
+            "downtime dominates MTBF and the run cannot finish\n"
+        )
+        assert main(["trace", "summarize", str(trace)]) == 0
+        assert "job.rollback" in capsys.readouterr().out

@@ -7,13 +7,14 @@ from pathlib import Path
 
 import pytest
 
+from repro.core import canonical
+from repro.core.canonical import canonical_json
 from repro.core.config import DistTrainConfig
 from repro.experiments.spec import (
     Axis,
     SweepSpec,
     TrialSpec,
     ZippedAxes,
-    canonical_json,
     config_hash,
 )
 from repro.pipeline.schedules import ScheduleKind
@@ -175,22 +176,18 @@ class TestConfigHash:
         assert config_hash(config) == base
 
     def test_memo_ignores_an_entry_under_a_reused_id(self, monkeypatch):
-        from repro.experiments import spec as spec_module
-
         config = self._config(data_seed=7)
         stranger = self._config()
         monkeypatch.setitem(
-            spec_module._HASH_MEMO, id(config), (stranger, "stale")
+            canonical._HASH_MEMO, id(config), (stranger, "stale")
         )
         assert config_hash(config) != "stale"
 
     def test_memo_is_bounded(self):
-        from repro.experiments import spec as spec_module
-
         base = self._config()
-        for seed in range(spec_module._HASH_MEMO_SIZE + 10):
+        for seed in range(canonical._HASH_MEMO_SIZE + 10):
             config_hash(base.with_(data_seed=seed))
-        assert len(spec_module._HASH_MEMO) <= spec_module._HASH_MEMO_SIZE
+        assert len(canonical._HASH_MEMO) <= canonical._HASH_MEMO_SIZE
 
     def test_canonical_json_is_sorted_and_compact(self):
         text = canonical_json(self._config())
