@@ -16,7 +16,12 @@ call, over:
   truncated subsequences and exactly-full sequences), and the call
   sizes (1), (5, 3, 17) and (100, 100) on one dataset;
 * one ``take(1920)`` and one ``take(256)`` on fresh datasets at seeds 0
-  and 1 (paper-sweep's global batch and profile draw).
+  and 1 (paper-sweep's global batch and profile draw);
+* at seeds 0 and 1, ``take(40000)`` then ``take(300)`` at ``seq_len``
+  64, and ``take(2500)`` then ``take(700)`` at ``seq_len`` 4,096: each
+  first call packs over 512 documents (800-870 and 1,030-1,050), more
+  than one chunk of a draw that works 512 documents at a time at most,
+  and the second call starts from where the first left the generator.
 
 Every call draws from the default LAION-400M-like config, which the
 ``laion/`` prefix of each case id names.
@@ -54,6 +59,14 @@ LARGE_CALLS = (
     (1, (1920,)),
     (1, (256,)),
 )
+#: (seed, seq_len, call sizes) whose first call draws several chunks of
+#: documents.
+CHUNKED_CALLS = (
+    (0, 64, (40000, 300)),
+    (1, 64, (40000, 300)),
+    (0, 4096, (2500, 700)),
+    (1, 4096, (2500, 700)),
+)
 
 
 def cases() -> List[Tuple[str, int, int, Sequence[int]]]:
@@ -65,6 +78,7 @@ def cases() -> List[Tuple[str, int, int, Sequence[int]]]:
         for sizes in CALL_SIZES
     ]
     grid += [(seed, 8192, sizes) for seed, sizes in LARGE_CALLS]
+    grid += list(CHUNKED_CALLS)
     return [
         (f"laion/seed{seed}/seq{seq_len}/take{'+'.join(map(str, sizes))}",
          seed, seq_len, sizes)

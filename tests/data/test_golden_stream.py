@@ -30,12 +30,15 @@ def test_stream_matches_golden():
 
 def test_golden_grid_covers_truncation_and_large_draws():
     """The grid must keep probing a one-token sequence (every span
-    truncated, every sequence exactly full) and paper-sweep's draws."""
+    truncated, every sequence exactly full), paper-sweep's draws, and
+    calls that draw several chunks of documents and stop inside one."""
     expected = {r["case"]: r for r in json.loads(
         FIXTURE.read_text(encoding="utf-8")
     )}
-    assert len(expected) == 76
+    assert len(expected) == 84
     assert "laion/seed0/seq1/take5+3+17/call2" in expected
+    assert "laion/seed1/seq64/take40000+300/call1" in expected
+    assert "laion/seed0/seq4096/take2500+700/call1" in expected
     big = expected["laion/seed0/seq8192/take1920/call0"]
     assert big["samples"] == 1920
     assert big["first_id"] == 0
