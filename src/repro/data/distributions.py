@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import List
 
 import numpy as np
 
@@ -125,8 +124,8 @@ LAION_400M_LIKE = DataDistributionConfig()
 
 
 # Each clamp/snap formula is written once and serves both the public
-# scalar samplers (on one draw) and the synthetic dataset's document draw
-# (on all of a document's draws at once, with numpy ufuncs).
+# scalar samplers (on one draw) and the synthetic dataset's chunked draw
+# (on all of a chunk's draws at once, with numpy ufuncs).
 
 
 def text_tokens_from_draws(
@@ -177,21 +176,6 @@ def sample_text_subsequence_tokens(
     """Draw one text subsequence length in tokens."""
     draw = rng.lognormal(config.text_mu, config.text_sigma)
     return int(text_tokens_from_draws(draw, config))
-
-
-def sample_text_subsequence_tokens_batch(
-    rng: np.random.Generator,
-    count: int,
-    config: DataDistributionConfig = LAION_400M_LIKE,
-) -> List[int]:
-    """Draw ``count`` text subsequence lengths in one vectorized call.
-
-    Consumes the RNG stream identically to ``count`` scalar draws
-    (numpy generators fill vectorized requests sequentially), so batched
-    and per-call sampling produce the same dataset.
-    """
-    draws = rng.lognormal(config.text_mu, config.text_sigma, size=count)
-    return text_tokens_from_draws(draws, config).tolist()
 
 
 def sample_image_side_pixels(

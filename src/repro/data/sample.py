@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -67,14 +67,6 @@ def text_subsequence(tokens: int) -> Subsequence:
     if 0 <= tokens < _TEXT_INTERN_MAX:
         return _text_interned(tokens + 1)[tokens]
     return Subsequence("text", tokens)
-
-
-def text_subsequence_lookup(max_tokens: int) -> Callable[[int], Subsequence]:
-    """:func:`text_subsequence` for token counts in ``[0, max_tokens]``:
-    the intern table's own ``__getitem__`` when they all fit in it."""
-    if max_tokens < _TEXT_INTERN_MAX:
-        return _text_interned(max_tokens + 1).__getitem__
-    return text_subsequence
 
 
 @dataclass(frozen=True)
@@ -160,6 +152,40 @@ class TrainingSample:
             )
             object.__setattr__(self, "_workload", workload)
         return workload
+
+
+def packed_samples(
+    first_id: int,
+    sequences: Sequence[Tuple[Subsequence, ...]],
+    seq_len: int,
+    totals: Sequence[Sequence[int]],
+) -> List[TrainingSample]:
+    """Samples ``first_id``, ``first_id + 1``, ... holding ``sequences``,
+    whose totals the caller already has: ``totals[i]`` is sequence
+    ``i``'s (text tokens, image tokens, images, raw bytes, pixels).
+
+    A packer that sums its span columns on arrays builds its samples
+    here instead of through the constructor, whose span walk would sum
+    them again. The attributes are set in the constructor's order, so
+    each sample's instance dict shares its keys with the class as a
+    constructed one does.
+    """
+    new, set_ = object.__new__, object.__setattr__
+    samples = []
+    for sample_id, spans, (text, image, images, raw, pixels) in zip(
+        range(first_id, first_id + len(sequences)), sequences, totals
+    ):
+        sample = new(TrainingSample)
+        set_(sample, "sample_id", sample_id)
+        set_(sample, "subsequences", spans)
+        set_(sample, "seq_len", seq_len)
+        set_(sample, "_text_tokens", text)
+        set_(sample, "_image_tokens", image)
+        set_(sample, "_num_images", images)
+        set_(sample, "_raw_bytes", raw)
+        set_(sample, "_pixels", pixels)
+        samples.append(sample)
+    return samples
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,12 +4,21 @@ Generates training samples whose text/image subsequence sizes and image
 counts follow the skewed distributions of Figure 5, packed into
 fixed-length sequences. The dataset is an infinite deterministic stream
 (seeded), from which global batches are drawn for training simulation.
+
+``take`` draws the stream a chunk of documents at a time. Each document
+makes its own RNG calls, in stream order; everything after the draws
+works on the whole chunk's arrays: one clamp of every span as text and
+one snap as an image, one lookup of the interned spans, and one feed of
+the packer, which closes sequences and totals each sample on prefix
+sums. The chunk that closes a call's last sample is drawn again from
+its saved generator state, up to the document that closed it, so every
+call leaves the stream where drawing and packing one document at a
+time would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import List, Tuple
 
 import numpy as np
@@ -21,41 +30,77 @@ from repro.data.distributions import (
     image_steps_from_draws,
     image_tokens,
     sample_image_count,
-    sample_text_subsequence_tokens_batch,
     text_tokens_from_draws,
 )
-from repro.data.packing import SequencePacker
-from repro.data.sample import (
-    Subsequence,
-    TrainingSample,
-    text_subsequence_lookup,
+from repro.data.packing import (
+    COLUMNS,
+    SequencePacker,
+    span_columns,
+    truncate_subsequence,
 )
+from repro.data.sample import Subsequence, TrainingSample, text_subsequence
 
-_TOKENS = attrgetter("tokens")
+#: Most documents one chunk draws: bounds the chunk's span arrays.
+_CHUNK_DOCUMENTS = 512
+#: A chunk saves the generator's state before every this many documents,
+#: so a stop inside it draws at most this many documents again.
+_STATE_EVERY = 32
 
 
-class _ImageSpans(dict):
-    """Interned image spans of one config, keyed by their edge in patches
-    (see :func:`~repro.data.distributions.image_steps_from_draws`): a
-    lookup builds a missing span once, so a config's few dozen distinct
-    edges (61 at the default) cost a few dozen spans, not one per draw.
-    Safe because Subsequence is frozen."""
+class _SpanTable:
+    """Interned spans of one dataset, by code, with their columns.
 
-    def __init__(self, config: DataDistributionConfig) -> None:
-        super().__init__()
+    A text span's code is twice its tokens; an image span's is twice
+    its edge in patches (see
+    :func:`~repro.data.distributions.image_steps_from_draws`) plus one.
+    Each code's span is built once, truncated to ``seq_len``, the first
+    time it is drawn, so a config's few hundred distinct spans cost a
+    few hundred objects, not one per draw, and the table grows only
+    with the codes drawn. Safe because Subsequence is frozen.
+    """
+
+    def __init__(self, config: DataDistributionConfig, seq_len: int) -> None:
         self.config = config
+        self.seq_len = seq_len
+        # spans[code] is None until the code is first drawn.
+        self.spans = np.empty(0, dtype=object)
+        self.columns = np.empty((COLUMNS, 0), dtype=np.int64)
 
-    def __missing__(self, steps: int) -> Subsequence:
-        cfg = self.config
-        tokens = image_tokens(image_side_pixels(steps, cfg), cfg)
-        pixels = tokens * cfg.patch_size**2
-        span = self[steps] = Subsequence(
-            "image",
-            tokens,
-            raw_bytes=round(pixels * cfg.jpeg_bytes_per_pixel),
-            pixels=pixels,
-        )
-        return span
+    def _span(self, code: int) -> Subsequence:
+        value, image = divmod(code, 2)
+        if not image:
+            span = text_subsequence(value)
+        else:
+            cfg = self.config
+            tokens = image_tokens(image_side_pixels(value, cfg), cfg)
+            pixels = tokens * cfg.patch_size**2
+            span = Subsequence(
+                "image",
+                tokens,
+                raw_bytes=round(pixels * cfg.jpeg_bytes_per_pixel),
+                pixels=pixels,
+            )
+        return truncate_subsequence(span, self.seq_len)
+
+    def lookup(self, codes: np.ndarray) -> Tuple[List[Subsequence], np.ndarray]:
+        """The spans of ``codes``, as a list, and their columns."""
+        grow = int(codes.max()) + 1 - self.spans.size
+        if grow > 0:
+            self.spans = np.concatenate((self.spans, np.empty(grow, object)))
+            self.columns = np.concatenate(
+                (self.columns, np.zeros((COLUMNS, grow), np.int64)), axis=1
+            )
+        drawn = np.zeros(self.spans.size, dtype=bool)
+        drawn[codes] = True
+        fresh = [
+            code for code in np.flatnonzero(drawn).tolist()
+            if self.spans[code] is None
+        ]
+        if fresh:
+            spans = [self._span(code) for code in fresh]
+            self.spans[fresh] = spans
+            self.columns[:, fresh] = span_columns(spans)
+        return self.spans.take(codes).tolist(), self.columns.take(codes, axis=1)
 
 
 @dataclass
@@ -79,55 +124,74 @@ class SyntheticMultimodalDataset:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         self._rng = np.random.default_rng(self.seed)
         self._next_sample_id = 0
-        cfg = self.config
         # Log-normal parameters of the spans (text, image, text, ...,
         # text) of the longest image-rich document drawn so far.
         self._mus = self._sigmas = np.empty(0)
-        self._text_span = text_subsequence_lookup(cfg.text_max_tokens)
-        self._image_span = _ImageSpans(cfg).__getitem__
+        self._table = _SpanTable(self.config, self.seq_len)
 
     # ------------------------------------------------------------------ #
-    # Raw (pre-packing) sample construction
+    # Raw (pre-packing) document draws
     # ------------------------------------------------------------------ #
-    def _document(self) -> Tuple[List[Subsequence], List[int]]:
-        """One logical document: interleaved text spans and images, and
-        their token counts.
+    def _draw(
+        self, documents: int
+    ) -> Tuple[List[np.ndarray], List[bool], List[dict]]:
+        """The span draws of the next ``documents`` documents, whether
+        each is image-rich, and the generator's state before documents
+        0, ``_STATE_EVERY``, ``2 * _STATE_EVERY``, ...
 
         Documents are a mixture of long-form text (few or no images) and
         image-rich web pages; the mixture is what keeps per-sample image
         density heterogeneous after packing (see
-        ``DataDistributionConfig.text_heavy_fraction``).
-
-        The Python work is per document, not per span: the span sizes
-        come from one log-normal call (after the mixture and count
-        draws) and become tokens on arrays, and the spans are interned.
-        The draws are those of one scalar call per span, in span order.
+        ``DataDistributionConfig.text_heavy_fraction``). A document's
+        RNG calls are its mixture draw, its span count and one
+        log-normal call over its spans: all text, or text, image, text,
+        ..., text. Array parameters draw element by element, in order,
+        so this is the stream of one scalar draw per span.
         """
         rng, cfg = self._rng, self.config
-        if rng.random() < cfg.text_heavy_fraction:
-            count = max(
-                1,
-                int(rng.lognormal(cfg.text_heavy_spans_mu,
-                                  cfg.text_heavy_spans_sigma)),
-            )
-            tokens = sample_text_subsequence_tokens_batch(rng, count, cfg)
-            return list(map(self._text_span, tokens)), tokens
-        count = 2 * sample_image_count(rng, cfg) + 1
-        if count > self._mus.size:
-            self._mus = np.resize([cfg.text_mu, cfg.image_side_mu], count)
-            self._sigmas = np.resize(
-                [cfg.text_sigma, cfg.image_side_sigma], count
-            )
-        # Array parameters draw element by element, in order, so this
-        # is the stream of one scalar draw per span.
-        draws = rng.lognormal(self._mus[:count], self._sigmas[:count])
-        text = text_tokens_from_draws(draws[0::2], cfg).tolist()
-        spans = [None] * count
-        spans[0::2] = map(self._text_span, text)
-        spans[1::2] = map(
-            self._image_span, image_steps_from_draws(draws[1::2], cfg).tolist()
+        random, lognormal = rng.random, rng.lognormal
+        draws: List[np.ndarray] = []
+        rich: List[bool] = []
+        states: List[dict] = []
+        for document in range(documents):
+            if not document % _STATE_EVERY:
+                states.append(rng.bit_generator.state)
+            if random() < cfg.text_heavy_fraction:
+                count = max(1, int(lognormal(cfg.text_heavy_spans_mu,
+                                             cfg.text_heavy_spans_sigma)))
+                draws.append(lognormal(cfg.text_mu, cfg.text_sigma,
+                                       size=count))
+                rich.append(False)
+                continue
+            count = 2 * sample_image_count(rng, cfg) + 1
+            if count > self._mus.size:
+                self._mus = np.resize([cfg.text_mu, cfg.image_side_mu], count)
+                self._sigmas = np.resize(
+                    [cfg.text_sigma, cfg.image_side_sigma], count
+                )
+            draws.append(lognormal(self._mus[:count], self._sigmas[:count]))
+            rich.append(True)
+        return draws, rich, states
+
+    def _spans(
+        self, draws: List[np.ndarray], rich: List[bool]
+    ) -> Tuple[List[Subsequence], np.ndarray, List[int]]:
+        """A chunk's spans, their columns, and where each document's
+        spans end (see :meth:`SequencePacker.feed_columns`)."""
+        cfg = self.config
+        counts = np.fromiter(map(len, draws), np.int64, len(draws))
+        ends = np.cumsum(counts)
+        flat = np.concatenate(draws)
+        # The odd spans of an image-rich document are its images.
+        offsets = np.arange(flat.size) - np.repeat(ends - counts, counts)
+        image = np.repeat(rich, counts) & (offsets & 1 == 1)
+        values = np.where(
+            image,
+            image_steps_from_draws(flat, cfg),
+            text_tokens_from_draws(flat, cfg),
         )
-        return spans, list(map(_TOKENS, spans))
+        spans, columns = self._table.lookup(2 * values + image)
+        return spans, columns, ends.tolist()
 
     # ------------------------------------------------------------------ #
     # Public stream
@@ -136,22 +200,39 @@ class SyntheticMultimodalDataset:
         """Generate the next ``num_samples`` packed training samples.
 
         One :class:`~repro.data.packing.SequencePacker` packs documents
-        in a single pass until ``num_samples`` sequences have closed.
-        The dataset's next sample id advances past every closed
-        sequence, those beyond ``num_samples`` included, so ids stay
-        unique. Packing starts afresh on every call, and the call drops
-        what is still open when it returns (its last sequence, partially
-        or exactly full) along with any complete sequences past
-        ``num_samples``. The stream is therefore a function of the call
-        sizes as well as the seed: ``take(100)`` followed by
-        ``take(100)`` differs from ``take(200)`` after its first 100
-        samples.
+        in a single pass, a chunk at a time, up to the document holding
+        the span that closes sample ``num_samples``; that document is
+        the last one drawn. The dataset's next sample id advances past
+        every sequence closed by then, those beyond ``num_samples``
+        included, so ids stay unique. Packing starts afresh on every
+        call, and the call drops what is still open when it returns (its
+        last sequence, partially or exactly full) along with any
+        complete sequences past ``num_samples``. The stream is therefore
+        a function of the call sizes as well as the seed: ``take(100)``
+        followed by ``take(100)`` differs from ``take(200)`` after its
+        first 100 samples.
         """
         if num_samples < 1:
             raise ValueError("num_samples must be positive")
         packer = SequencePacker(self.seq_len, self._next_sample_id)
         samples: List[TrainingSample] = []
+        documents = 0
         while len(samples) < num_samples:
-            packer.feed_counted(*self._document(), samples)
+            need = num_samples - len(samples)
+            # As many documents as the missing samples took so far, per
+            # closed sequence (one before any has closed), rounded up.
+            chunk = min(
+                _CHUNK_DOCUMENTS,
+                need * max(documents, 1) // max(len(samples), 1) + 1,
+            )
+            draws, rich, states = self._draw(chunk)
+            spans, columns, ends = self._spans(draws, rich)
+            packed = packer.feed_columns(spans, columns, samples, ends, need)
+            documents += packed
+            if packed < chunk:
+                # Leave the generator after the last document packed.
+                block, rest = divmod(packed, _STATE_EVERY)
+                self._rng.bit_generator.state = states[block]
+                self._draw(rest)
         self._next_sample_id = packer.next_id
         return samples[:num_samples]

@@ -10,7 +10,7 @@ from repro.data.distributions import (
     sample_image_side_pixels,
     sample_image_subsequence_tokens,
     sample_text_subsequence_tokens,
-    sample_text_subsequence_tokens_batch,
+    text_tokens_from_draws,
 )
 
 
@@ -38,15 +38,19 @@ class TestTextBatch:
         (3.4, 30),   # most draws above the clip
     ])
     def test_batch_equals_scalar_loop(self, text_mu, text_max_tokens):
-        """The one-clip batch draw equals per-span scalar draws (the
-        ``min(max(int(v), 1), max)`` reference) and leaves the RNG in
-        the same state."""
+        """One clip of a vectorized draw (as the synthetic dataset clamps
+        a chunk's text spans) equals per-span scalar draws (the
+        ``min(max(int(v), 1), max)`` reference), and the draw leaves the
+        RNG in the same state."""
         config = DataDistributionConfig(
             text_mu=text_mu, text_max_tokens=text_max_tokens
         )
         batch_rng = np.random.default_rng(3)
         loop_rng = np.random.default_rng(3)
-        batch = sample_text_subsequence_tokens_batch(batch_rng, 5000, config)
+        batch = text_tokens_from_draws(
+            batch_rng.lognormal(config.text_mu, config.text_sigma, size=5000),
+            config,
+        ).tolist()
         loop = [
             sample_text_subsequence_tokens(loop_rng, config)
             for _ in range(5000)

@@ -1,22 +1,31 @@
-"""The document draw against a span-by-span oracle.
+"""The chunked document draw against a span-by-span oracle.
 
-``SyntheticMultimodalDataset.take`` draws each document with one
-log-normal call over its spans, interns image spans and packs on prefix
-sums of token counts. The oracle below is the draw it replaced: one
-scalar RNG call and one clamp per span, a fresh ``Subsequence`` per
-image, and a packer that steps span by span, with every sample built by
-``TrainingSample``'s public constructor (whose span walk is the
-reference for the sample totals). Both must make the same RNG calls in
-the same order and return the same samples, ids and RNG state.
+``SyntheticMultimodalDataset.take`` draws a chunk of documents at a
+time, each with one log-normal call over its spans; it clamps, interns
+and packs the whole chunk on arrays, totals each sample from its span
+columns, and draws the chunk that holds its stop again from a saved
+generator state, up to the stop. The oracle below is the draw all of
+that replaced: one scalar RNG call and one clamp per span, a fresh
+``Subsequence`` per span, and a packer that steps span by span, with
+every sample built by ``TrainingSample``'s public constructor (whose
+span walk is the reference for the sample totals). Both must make the
+same RNG calls in the same order and return the same samples, ids and
+RNG state, whatever the chunk size.
 """
 
 from typing import List
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
+from repro.data import synthetic
 from repro.data.distributions import DataDistributionConfig
-from repro.data.packing import SequencePacker
+from repro.data.packing import (
+    SequencePacker,
+    span_columns,
+    truncate_subsequence,
+)
 from repro.data.sample import Subsequence, TrainingSample
 from repro.data.synthetic import SyntheticMultimodalDataset
 
@@ -163,29 +172,17 @@ def configs(draw) -> DataDistributionConfig:
     )
 
 
-@settings(max_examples=120, deadline=None)
-@given(
-    config=configs(),
-    seq_len=st.one_of(
-        st.integers(min_value=1, max_value=64),
-        st.integers(min_value=1, max_value=8192),
-    ),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-    calls=st.lists(st.integers(min_value=1, max_value=25), min_size=1,
-                   max_size=3),
-)
-# Every image clamps to a 40-pixel edge, 2.5 patches: a tie that rounds
-# half to even, down to 2 patches.
-@example(
-    config=DataDistributionConfig(
-        image_side_mu=2.0, image_min_side=40, text_heavy_fraction=0.0
-    ),
-    seq_len=8192,
-    seed=1,
-    calls=[3],
-)
-@example(config=DataDistributionConfig(), seq_len=8192, seed=0, calls=[40])
-def test_take_matches_span_by_span_draw(config, seq_len, seed, calls):
+def chunking(documents: int, state_every: int):
+    """Draw at most ``documents`` documents per chunk, saving the
+    generator's state before every ``state_every``-th of them."""
+    return mock.patch.multiple(
+        synthetic,
+        _CHUNK_DOCUMENTS=documents,
+        _STATE_EVERY=state_every,
+    )
+
+
+def assert_takes_match(config, seq_len, seed, calls):
     dataset = SyntheticMultimodalDataset(seq_len=seq_len, config=config,
                                          seed=seed)
     oracle = SpanBySpanDataset(seq_len, config, seed)
@@ -200,6 +197,95 @@ def test_take_matches_span_by_span_draw(config, seq_len, seed, calls):
         assert all(
             sub.tokens >= 1 for s in samples for sub in s.subsequences
         )
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    config=configs(),
+    seq_len=st.one_of(
+        st.integers(min_value=1, max_value=64),
+        st.integers(min_value=1, max_value=8192),
+    ),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    calls=st.lists(st.integers(min_value=1, max_value=25), min_size=1,
+                   max_size=3),
+    # The shipped chunking, and chunks of a few documents, which put
+    # chunk boundaries and saved states inside every call.
+    chunk=st.sampled_from([(512, 32), (1, 1), (2, 1), (3, 2), (7, 3)]),
+)
+# Every image clamps to a 40-pixel edge, 2.5 patches: a tie that rounds
+# half to even, down to 2 patches.
+@example(
+    config=DataDistributionConfig(
+        image_side_mu=2.0, image_min_side=40, text_heavy_fraction=0.0
+    ),
+    seq_len=8192,
+    seed=1,
+    calls=[3],
+    chunk=(512, 32),
+)
+@example(config=DataDistributionConfig(), seq_len=8192, seed=0, calls=[40],
+         chunk=(512, 32))
+# Calls that span several chunks and stop inside one (see
+# test_examples_span_chunks): paper-sweep's batch, short sequences
+# through small chunks, and a follow-up call on the same dataset.
+@example(config=DataDistributionConfig(), seq_len=8192, seed=0,
+         calls=[1920], chunk=(512, 32))
+@example(config=DataDistributionConfig(), seq_len=64, seed=0, calls=[300],
+         chunk=(5, 3))
+@example(config=DataDistributionConfig(), seq_len=8192, seed=1,
+         calls=[700, 5], chunk=(512, 32))
+def test_take_matches_span_by_span_draw(config, seq_len, seed, calls, chunk):
+    with chunking(*chunk):
+        assert_takes_match(config, seq_len, seed, calls)
+
+
+def chunk_log(seq_len, seed, calls, chunk):
+    """(documents drawn, documents packed) of every chunk of each call."""
+    log: List[List[tuple]] = []
+    feed = SequencePacker.feed_columns
+
+    def logging(packer, spans, columns, out, ends=None, need=None):
+        packed = feed(packer, spans, columns, out, ends, need)
+        log[-1].append((len(ends), packed))
+        return packed
+
+    dataset = SyntheticMultimodalDataset(seq_len=seq_len, seed=seed)
+    with chunking(*chunk), mock.patch.object(
+        SequencePacker, "feed_columns", logging
+    ):
+        for size in calls:
+            log.append([])
+            dataset.take(size)
+    return log
+
+
+def test_examples_span_chunks():
+    """The explicit examples above cross chunk boundaries and stop
+    inside a chunk, so they exercise the carried open sequence, the
+    chunk sizing and the redraw from a saved state (for the short
+    sequences, one saved after the chunk's first document)."""
+    (paper,) = chunk_log(8192, 0, [1920], (512, 32))
+    assert paper == [(512, 512)] * 3 + [(155, 135)]
+    (short,) = chunk_log(64, 0, [300], (5, 3))
+    assert len(short) > 1 and 3 <= short[-1][1] < short[-1][0]
+    first, second = chunk_log(8192, 1, [700, 5], (512, 32))
+    assert len(first) > 1 and first[-1][1] < first[-1][0]
+    assert second[-1][1] < second[-1][0]
+
+
+def test_draw_saves_states_and_redraws_identically():
+    """A chunk's saved states are where a fresh draw of its documents
+    stands, and drawing from one again repeats those documents."""
+    dataset = SyntheticMultimodalDataset(seed=3)
+    with chunking(512, 4):
+        draws, rich, states = dataset._draw(10)
+        assert len(states) == 3
+        dataset._rng.bit_generator.state = states[1]
+        again, again_rich, _ = dataset._draw(6)
+    assert rich[4:] == again_rich
+    for first, second in zip(draws[4:], again):
+        np.testing.assert_array_equal(first, second)
 
 
 subsequences = st.builds(
@@ -240,3 +326,43 @@ def test_packer_matches_span_by_span_packer(stream, cuts, seq_len, start):
     oracle.close(expected)
     assert [sample_view(s) for s in out] == [sample_view(s) for s in expected]
     assert packer.next_id == oracle.next_id
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    first=st.lists(subsequences, max_size=20),
+    stream=st.lists(subsequences, min_size=1, max_size=60),
+    cuts=st.lists(st.integers(min_value=1, max_value=59), max_size=12),
+    seq_len=st.integers(min_value=1, max_value=64),
+    need=st.integers(min_value=1, max_value=20),
+)
+def test_packer_stops_after_the_closing_document(
+    first, stream, cuts, seq_len, need
+):
+    """Fed documents with ``need``, the packer packs exactly the
+    documents that the span-by-span packer, fed one document at a time,
+    consumes until ``need`` more sequences have closed: the same
+    samples, the same next id and the same open sequence, which an
+    earlier feed may have left exactly full."""
+    spans = [truncate_subsequence(s, seq_len) for s in stream]
+    ends = sorted({min(cut, len(spans)) for cut in cuts} | {len(spans)})
+    packer = SequencePacker(seq_len, 7)
+    oracle = SpanBySpanPacker(seq_len, 7)
+    out: List[TrainingSample] = []
+    expected: List[TrainingSample] = []
+    packer.feed(first, out)
+    oracle.feed(first, expected)
+    closed = len(expected)
+    packed = packer.feed_columns(spans, span_columns(spans), out, ends, need)
+    documents, lo = 0, 0
+    for hi in ends:
+        if len(expected) - closed >= need:
+            break
+        oracle.feed(spans[lo:hi], expected)
+        documents, lo = documents + 1, hi
+    assert packed == documents
+    assert [sample_view(s) for s in out] == [sample_view(s) for s in expected]
+    assert packer.next_id == oracle.next_id
+    packer.close(out)
+    oracle.close(expected)
+    assert [sample_view(s) for s in out] == [sample_view(s) for s in expected]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.data import packing
 from repro.data.sample import TrainingSample
 from repro.data.stats import DatasetStatistics
 from repro.data.synthetic import SyntheticMultimodalDataset
@@ -61,18 +62,27 @@ class TestDeterminism:
 
     def test_one_packing_pass(self, monkeypatch):
         """``take`` builds each sequence it closes once, under the id it
-        keeps: no tail is re-packed into a fresh sample."""
+        keeps: no tail is re-packed into a fresh sample, and no sample
+        re-sums its spans through the constructor's walk."""
         built = []
-        post_init = TrainingSample.__post_init__
+        build = packing.packed_samples
 
-        def counting(sample):
-            built.append(sample.sample_id)
-            post_init(sample)
+        def counting(first_id, sequences, seq_len, totals):
+            samples = build(first_id, sequences, seq_len, totals)
+            built.extend(sample.sample_id for sample in samples)
+            return samples
 
-        monkeypatch.setattr(TrainingSample, "__post_init__", counting)
+        def walk(sample):
+            raise AssertionError("take built a sample through its walk")
+
+        monkeypatch.setattr(packing, "packed_samples", counting)
+        monkeypatch.setattr(TrainingSample, "__post_init__", walk)
         ds = SyntheticMultimodalDataset(seed=0)
         ds.take(64)
         ds.take(64)
+        # 600 samples draw two chunks; the stop inside the second one
+        # redraws part of it, and nothing it drew past the stop is built.
+        ds.take(600)
         assert built == list(range(ds._next_sample_id))
 
 

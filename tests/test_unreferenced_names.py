@@ -46,7 +46,7 @@ _PATH = re.compile(r"[A-Za-z_]\w*(?:[.:][A-Za-z_]\w*)*")
 ALLOWED = {
     "load_plan": "serialization tests round-trip plans (save_plan's inverse)",
     "rules_to_json": "chaos tests write rule sets (rules_from_json's inverse)",
-    "sample_text_subsequence_tokens": "oracle of the batch text draw",
+    "sample_text_subsequence_tokens": "oracle of the vectorized text clamp",
     "sample_image_subsequence_tokens": "distribution tests draw image sizes",
     "brute_force_optimal_makespan": "exhaustive oracle for Algorithm 1",
     "partition_makespan": "reordering tests score partitions",
