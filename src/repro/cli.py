@@ -583,11 +583,14 @@ def _add_fleet_arguments(
              + (" (several values add a sweep axis)" if sweep else ""),
         **many,
     )
+    # The flags a user leaves unset stay None here and take their
+    # defaults from FLEET_PARAM_DEFAULTS when the command runs (see
+    # _fleet_sweep_params), so the parser does not load the fleet.
     parser.add_argument(
         "--jobs" if not sweep else "--fleet-jobs",
         dest="fleet_jobs",
         type=_positive_int,
-        default=[4] if sweep else 4,
+        default=None,
         help="tenant jobs sharing the cluster"
              + (" (several values add a sweep axis)" if sweep else ""),
         **many,
@@ -597,11 +600,11 @@ def _add_fleet_arguments(
         help="per-job GPU demand (default: the whole cluster)",
     )
     parser.add_argument(
-        "--arrival-spacing", type=_non_negative_seconds, default=0.0,
+        "--arrival-spacing", type=_non_negative_seconds, default=None,
         help="seconds between consecutive job arrivals",
     )
     parser.add_argument(
-        "--priorities", nargs="+", type=int, default=[0],
+        "--priorities", nargs="+", type=int, default=None,
         help="priority cycle assigned to jobs in arrival order "
              "(matters under the priority policy)",
     )
@@ -609,26 +612,34 @@ def _add_fleet_arguments(
 
 def _fleet_sweep_params(args: argparse.Namespace):
     """(base params, axes) for the fleet options, under the ``fleet_*``
-    names :meth:`~repro.fleet.spec.FleetSpec.from_params` reads.
-    ``fleet run``'s single values all land in the base."""
+    names :meth:`~repro.fleet.spec.FleetSpec.from_params` reads, each
+    unset one at its :data:`~repro.fleet.spec.FLEET_PARAM_DEFAULTS`
+    value. ``fleet run``'s single values all land in the base."""
+    from repro.fleet.spec import FLEET_PARAM_DEFAULTS
+
     packs = args.fleet_packs
     if packs:
-        # A pack owns arrivals, demands, and priorities; only the job
-        # count (and an explicit policy override) ride along.
-        base = {}
+        # A pack owns arrivals, demands, priorities and, unless one is
+        # given, the policy; only the job count rides along.
+        given = {}
+        defaults = {"fleet_jobs": FLEET_PARAM_DEFAULTS["fleet_jobs"]}
     else:
-        base = {
+        given = {
             "fleet_arrival_spacing": args.arrival_spacing,
-            "fleet_priorities": tuple(args.priorities),
+            "fleet_priorities": args.priorities and tuple(args.priorities),
             "fleet_job_gpus": args.job_gpus,
         }
-    base.update(
-        fleet_policy=args.fleet_policies or (None if packs else "fair-share"),
+        defaults = FLEET_PARAM_DEFAULTS
+    given.update(
+        fleet_policy=args.fleet_policies,
         fleet_jobs=args.fleet_jobs,
         fleet_pack=packs,
     )
+    for name, value in defaults.items():
+        if given[name] is None:
+            given[name] = value
     return _split_axes(
-        {name: value for name, value in base.items() if value is not None}
+        {name: value for name, value in given.items() if value is not None}
     )
 
 

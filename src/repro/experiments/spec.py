@@ -303,13 +303,14 @@ class TrialSpec:
         if frozen and frozen != "full":
             parts.append(str(frozen))
         if self.fleet_params():
-            jobs = self.params.get("fleet_jobs", 2)
-            pack = self.params.get("fleet_pack")
+            from repro.fleet.spec import FLEET_PARAM_DEFAULTS
+
+            fleet = {**FLEET_PARAM_DEFAULTS, **self.params}
+            jobs, pack = fleet["fleet_jobs"], fleet.get("fleet_pack")
             if pack:
                 parts.append(f"fleet({jobs}x,pack={pack})")
             else:
-                policy = self.params.get("fleet_policy", "fair-share")
-                parts.append(f"fleet({jobs}x,{policy})")
+                parts.append(f"fleet({jobs}x,{fleet['fleet_policy']})")
         elif self.scenario_params():
             mtbf = self.params.get("mtbf")
             parts.append(f"dyn(mtbf={mtbf})" if mtbf else "dyn")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from types import MappingProxyType
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import ClusterSpec, make_cluster, resized_cluster
@@ -115,6 +116,22 @@ class FleetJobSpec:
         )
 
 
+#: The value of each ``fleet_*`` parameter that
+#: :meth:`FleetSpec.from_params` reads when it is not given, and the
+#: matching defaults of :meth:`FleetSpec.homogeneous`. ``repro fleet
+#: run|sweep`` fill their unset flags from here and
+#: :meth:`~repro.experiments.spec.TrialSpec.label` reads it, so a trial
+#: and a command given the same parameters build the same fleet. A pack
+#: brings its own arrivals, priorities and policy and reads only
+#: ``fleet_jobs``.
+FLEET_PARAM_DEFAULTS: Mapping[str, Any] = MappingProxyType({
+    "fleet_jobs": 4,
+    "fleet_arrival_spacing": 0.0,
+    "fleet_priorities": (0,),
+    "fleet_policy": "fair-share",
+})
+
+
 @dataclass
 class FleetSpec:
     """A shared cluster, a policy, and the tenant jobs.
@@ -169,9 +186,9 @@ class FleetSpec:
         cluster_gpus: int,
         num_jobs: int,
         job_gpus: Optional[int] = None,
-        arrival_spacing_s: float = 0.0,
-        priorities: Sequence[int] = (0,),
-        policy: str = "fair-share",
+        arrival_spacing_s: float = FLEET_PARAM_DEFAULTS["fleet_arrival_spacing"],
+        priorities: Sequence[int] = FLEET_PARAM_DEFAULTS["fleet_priorities"],
+        policy: str = FLEET_PARAM_DEFAULTS["fleet_policy"],
         scenario: Optional[ScenarioSpec] = None,
     ) -> "FleetSpec":
         """N staggered copies of one task contending for one cluster.
@@ -222,14 +239,16 @@ class FleetSpec:
         on ``config``'s cluster, with ``scenario`` as every job's
         dynamics.
 
-        Without ``fleet_pack`` it is :meth:`homogeneous` (``fleet_jobs``
-        defaults to 2). With it, the named
-        :class:`~repro.scenarios.packs.ScenarioPack` builds the workload,
-        seeded by ``scenario.seed``, and an explicit ``fleet_policy``
-        overrides the pack's policy.
+        Without ``fleet_pack`` it is :meth:`homogeneous`. With it, the
+        named :class:`~repro.scenarios.packs.ScenarioPack` builds the
+        workload, seeded by ``scenario.seed``, and an explicit
+        ``fleet_policy`` overrides the pack's policy. A parameter not
+        given takes its :data:`FLEET_PARAM_DEFAULTS` value.
         """
         cluster_gpus = config.cluster.num_gpus
-        num_jobs = int(params.get("fleet_jobs", 2))
+        num_jobs = int(
+            params.get("fleet_jobs", FLEET_PARAM_DEFAULTS["fleet_jobs"])
+        )
         if params.get("fleet_pack"):
             from repro.scenarios.packs import get_pack
 
@@ -241,18 +260,19 @@ class FleetSpec:
                 scenario=scenario,
                 policy=params.get("fleet_policy"),
             )
-        priorities = params.get("fleet_priorities", (0,))
+        params = {**FLEET_PARAM_DEFAULTS, **params}
+        priorities = params["fleet_priorities"]
         return cls.homogeneous(
             config,
             cluster_gpus=cluster_gpus,
             num_jobs=num_jobs,
             job_gpus=params.get("fleet_job_gpus"),
-            arrival_spacing_s=float(params.get("fleet_arrival_spacing", 0.0)),
+            arrival_spacing_s=float(params["fleet_arrival_spacing"]),
             priorities=(
                 (priorities,) if isinstance(priorities, int)
                 else tuple(priorities)
             ),
-            policy=params.get("fleet_policy", "fair-share"),
+            policy=params["fleet_policy"],
             scenario=scenario,
         )
 

@@ -1,12 +1,21 @@
 """CLI tests."""
 
+import argparse
 import json
 from dataclasses import fields
 
 import pytest
 
-from repro.cli import _FLAG_TYPES, _SCENARIO_FLAGS, build_parser, main
+from repro.cli import (
+    _FLAG_TYPES,
+    _SCENARIO_FLAGS,
+    _add_fleet_arguments,
+    build_parser,
+    main,
+)
+from repro.experiments.spec import TrialSpec
 from repro.fleet import FleetSpec
+from repro.fleet.spec import FLEET_PARAM_DEFAULTS
 from repro.scenarios.spec import ScenarioSpec
 
 
@@ -436,6 +445,124 @@ class TestScenarioFlags:
                 assert captured.err == (
                     f"repro {command}: error: {message}\n"
                 ), command
+
+
+def _fleet_number_flags(sweep):
+    """(flag, dest, parse) of every numeric fleet flag, read off the
+    declaration ``repro fleet run`` (or ``sweep``) uses."""
+    parser = argparse.ArgumentParser()
+    _add_fleet_arguments(parser, sweep=sweep)
+    return [
+        (action.option_strings[0], action.dest, action.type)
+        for action in parser._actions
+        if action.type is not None
+    ]
+
+
+#: What a built fleet reads back for each numeric fleet flag.
+_FLEET_VALUES = {
+    "fleet_jobs": lambda fleet: len(fleet.jobs),
+    "job_gpus": lambda fleet: fleet.jobs[0].config.cluster.num_gpus,
+    "arrival_spacing": lambda fleet: fleet.jobs[1].arrival_s,
+    "priorities": lambda fleet: fleet.jobs[0].priority,
+}
+
+
+def _built_fleet(built):
+    """The FleetSpec a command built: a fleet run's own or a fleet
+    sweep's first trial's."""
+    if isinstance(built, FleetSpec):
+        return built
+    return built.expand()[0].to_fleet()
+
+
+class TestFleetFlags:
+    """The numeric fleet flags: their parse-time checks and the fleet
+    that their defaults build."""
+
+    #: Each leaves the job count unset.
+    COMMANDS = {
+        "fleet run": ["fleet", "run", "--model", "mllm-9b", "--gpus", "96",
+                      "--gbs", "16", "--job-gpus", "48"],
+        "fleet sweep": ["fleet", "sweep", "--models", "mllm-9b",
+                        "--systems", "disttrain", "--gpus", "96", "--gbs",
+                        "16", "--job-gpus", "48"],
+    }
+    #: The only (flag, value) pairs below that a command accepts.
+    VALID = {("--arrival-spacing", "0"), ("--priorities", "0"),
+             ("--priorities", "-1")}
+
+    @pytest.mark.parametrize("command, flag, dest, parse, value", [
+        pytest.param(command, flag, dest, parse, value,
+                     id=f"{command.split()[1]}:{flag}={value}")
+        for command in ("fleet run", "fleet sweep")
+        for flag, dest, parse in _fleet_number_flags(command == "fleet sweep")
+        for value in ("0", "-1", "nan", "inf")
+    ])
+    def test_one_bad_value_one_message(
+        self, monkeypatch, capsys, tmp_path, command, flag, dest, parse, value
+    ):
+        monkeypatch.setattr("repro.fleet.FleetEngine", _accept)
+        monkeypatch.setattr("repro.experiments.CampaignRunner", _accept)
+        try:
+            parsed = parse(value)
+        except argparse.ArgumentTypeError as exc:
+            parsed, message = None, str(exc)
+        except ValueError:
+            # argparse's own message for a plain type's ValueError.
+            parsed = None
+            message = f"invalid {parse.__name__} value: {value!r}"
+        assert (parsed is not None) == ((flag, value) in self.VALID)
+        argv = self.COMMANDS[command] + [flag, value] + (
+            ["--cache-dir", str(tmp_path)] if command == "fleet sweep"
+            else ["--output", str(tmp_path / "out.json")]
+        )
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except _Accepted as accepted:
+            assert parsed is not None, command
+            fleet = _built_fleet(accepted.args[0])
+            assert _FLEET_VALUES[dest](fleet) == parsed, command
+            return
+        captured = capsys.readouterr()
+        assert parsed is None, command
+        assert code == 2, command
+        assert not any(tmp_path.iterdir()), command
+        assert captured.out == "", command
+        assert (
+            f"repro {command}: error: argument {flag}: {message}"
+        ) in captured.err, command
+
+    def test_every_numeric_flag_is_checked(self):
+        """A new numeric fleet flag needs a row in _FLEET_VALUES."""
+        for sweep in (False, True):
+            assert {dest for _, dest, _ in _fleet_number_flags(sweep)} == set(
+                _FLEET_VALUES
+            )
+
+    @pytest.mark.parametrize("command", ["fleet run", "fleet sweep"])
+    def test_unset_flags_build_a_library_trials_fleet(
+        self, monkeypatch, command
+    ):
+        """A command and a library trial that leave the fleet flags
+        unset build the same fleet, of FLEET_PARAM_DEFAULTS' job
+        count."""
+        monkeypatch.setattr("repro.fleet.FleetEngine", _accept)
+        monkeypatch.setattr("repro.experiments.CampaignRunner", _accept)
+        with pytest.raises(_Accepted) as accepted:
+            main(self.COMMANDS[command])
+        fleet = _built_fleet(accepted.value.args[0])
+        trial = TrialSpec({
+            "model": "mllm-9b", "gpus": 96, "gbs": 16, "fleet_job_gpus": 48,
+        })
+        assert len(fleet.jobs) == FLEET_PARAM_DEFAULTS["fleet_jobs"]
+        assert fleet.canonical() == trial.to_fleet().canonical()
+        assert trial.label() == (
+            f"mllm-9b/disttrain/96g/gbs16/fleet("
+            f"{FLEET_PARAM_DEFAULTS['fleet_jobs']}x,fair-share)"
+        )
 
 
 class TestOutputPaths:
