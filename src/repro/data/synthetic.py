@@ -185,10 +185,13 @@ class SyntheticMultimodalDataset:
         # The odd spans of an image-rich document are its images.
         offsets = np.arange(flat.size) - np.repeat(ends - counts, counts)
         image = np.repeat(rich, counts) & (offsets & 1 == 1)
+        # A text span longer than seq_len is truncated to the seq_len-
+        # token span, so it shares that span's code: the table grows
+        # with seq_len at most, not with the longest text drawn.
         values = np.where(
             image,
             image_steps_from_draws(flat, cfg),
-            text_tokens_from_draws(flat, cfg),
+            np.minimum(text_tokens_from_draws(flat, cfg), self.seq_len),
         )
         spans, columns = self._table.lookup(2 * values + image)
         return spans, columns, ends.tolist()
