@@ -131,6 +131,11 @@ class SequencePacker:
                 cut -= 1
             if cut == end:
                 break
+            if cut == start and room == seq_len:
+                # Span ``cut`` alone overflows an empty sequence.
+                raise ValueError(
+                    f"span {cut} is longer than seq_len={seq_len}"
+                )
             cuts.append(cut)
             if len(cuts) == need:
                 end = ends[bisect_right(ends, cut)]

@@ -9,11 +9,12 @@ fixed-length sequences. The dataset is an infinite deterministic stream
 makes its own RNG calls, in stream order; everything after the draws
 works on the whole chunk's arrays: one clamp of every span as text and
 one snap as an image, one lookup of the interned spans, and one feed of
-the packer, which closes sequences and totals each sample on prefix
-sums. The chunk that closes a call's last sample is drawn again from
-its saved generator state, up to the document that closed it, so every
-call leaves the stream where drawing and packing one document at a
-time would.
+the packer, which closes sequences on prefix sums of the token counts
+and totals each sample over its segment of the span columns. A call
+that stops inside a chunk restores the generator state the chunk saved
+last before the stop and draws again up to the document that holds the
+stop, so every call leaves the stream where drawing and packing one
+document at a time would.
 """
 
 from __future__ import annotations
@@ -124,8 +125,13 @@ class SyntheticMultimodalDataset:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         self._rng = np.random.default_rng(self.seed)
         self._next_sample_id = 0
-        # Log-normal parameters of the spans (text, image, text, ...,
-        # text) of the longest image-rich document drawn so far.
+        self._fit()
+
+    def _fit(self) -> None:
+        """Start afresh what ``seq_len`` and ``config`` shape: the
+        log-normal parameters of the spans (text, image, text, ...,
+        text) of the longest image-rich document drawn so far, and the
+        span table."""
         self._mus = self._sigmas = np.empty(0)
         self._table = _SpanTable(self.config, self.seq_len)
 
@@ -218,6 +224,10 @@ class SyntheticMultimodalDataset:
         if num_samples < 1:
             raise ValueError("num_samples must be positive")
         packer = SequencePacker(self.seq_len, self._next_sample_id)
+        table = self._table
+        if (table.seq_len, table.config) != (self.seq_len, self.config):
+            # A field was reassigned since the last call.
+            self._fit()
         samples: List[TrainingSample] = []
         documents = 0
         while len(samples) < num_samples:

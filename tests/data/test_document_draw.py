@@ -17,6 +17,7 @@ from typing import List
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.data import synthetic
@@ -240,6 +241,28 @@ def test_take_matches_span_by_span_draw(config, seq_len, seed, calls, chunk):
         assert_takes_match(config, seq_len, seed, calls)
 
 
+def test_reassigned_fields_shape_the_next_call():
+    """``seq_len`` and ``config`` reassigned between calls shape the
+    next call as they do the span-by-span draw's: its spans come from
+    the new config and are truncated to the new length."""
+    dataset = SyntheticMultimodalDataset(seed=3)
+    oracle = SpanBySpanDataset(8192, dataset.config, 3)
+    coarse = DataDistributionConfig(
+        image_side_mu=7.5, patch_size=32, jpeg_bytes_per_pixel=0.5
+    )
+    for seq_len, config in [
+        (8192, dataset.config), (64, dataset.config), (64, coarse),
+        (8192, coarse),
+    ]:
+        dataset.seq_len = oracle.seq_len = seq_len
+        dataset.config = oracle.config = config
+        assert [sample_view(s) for s in dataset.take(30)] == [
+            sample_view(s) for s in oracle.take(30)
+        ]
+        assert dataset._next_sample_id == oracle.next_sample_id
+        assert dataset._rng.bit_generator.state == oracle.rng.bit_generator.state
+
+
 def chunk_log(seq_len, seed, calls, chunk):
     """(documents drawn, documents packed) of every chunk of each call."""
     log: List[List[tuple]] = []
@@ -352,3 +375,12 @@ def test_packer_stops_after_the_closing_document(
     packer.close(out)
     oracle.close(expected)
     assert [sample_view(s) for s in out] == [sample_view(s) for s in expected]
+
+
+def test_packer_rejects_a_span_longer_than_seq_len():
+    """``feed_columns`` takes spans already truncated to ``seq_len``; a
+    longer one raises instead of closing empty sequences without end."""
+    spans = [Subsequence("text", 3), Subsequence("image", 9)]
+    packer = SequencePacker(8)
+    with pytest.raises(ValueError, match="span 1 is longer than seq_len=8"):
+        packer.feed_columns(spans, span_columns(spans), [])
