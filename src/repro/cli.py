@@ -29,10 +29,15 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import fields
-from typing import Any, Dict, Iterator, List, NamedTuple, Optional
+from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional
 
 from repro.core.api import compare_systems, plan, simulate
-from repro.core.config import KNOWN_SYSTEMS, DistTrainConfig
+from repro.core.config import (
+    KNOWN_SYSTEMS,
+    REQUIRED_PARAMS,
+    TASK_PARAMS,
+    DistTrainConfig,
+)
 from repro.core.reports import format_comparison, format_table
 from repro.obs.report import format_hit_miss
 from repro.models.mllm import MLLM_PRESETS
@@ -62,183 +67,6 @@ FLEET_REPORT_COLUMNS = (
     "mean_jct_seconds", "mean_queue_seconds", "slo_attainment",
     "preemptions", "status",
 )
-
-
-def _add_task_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--model",
-        required=True,
-        choices=sorted(MLLM_PRESETS),
-        help="multimodal LLM preset",
-    )
-    parser.add_argument(
-        "--gpus", type=int, required=True, help="cluster size (multiple of 8)"
-    )
-    parser.add_argument(
-        "--gbs", type=int, required=True, help="global batch size"
-    )
-    parser.add_argument(
-        "--system",
-        default="disttrain",
-        choices=KNOWN_SYSTEMS,
-        help="training system",
-    )
-    parser.add_argument(
-        "--frozen",
-        default="full",
-        choices=sorted(FROZEN_PRESETS),
-        help="frozen-training phase",
-    )
-    parser.add_argument("--vpp", type=int, default=1, help="virtual PP size")
-    parser.add_argument(
-        "--seed", type=_non_negative_int, default=0, help="synthetic data seed"
-    )
-    parser.set_defaults(prog=parser.prog)
-
-
-class _TaskError(ValueError):
-    """Task flags that describe no valid :class:`DistTrainConfig`."""
-
-
-def _config(args: argparse.Namespace, system: Optional[str] = None) -> DistTrainConfig:
-    try:
-        return DistTrainConfig.preset(
-            args.model,
-            num_gpus=args.gpus,
-            global_batch_size=args.gbs,
-            frozen=args.frozen,
-            system=system or args.system,
-            vpp=args.vpp,
-            data_seed=args.seed,
-        )
-    except ValueError as exc:
-        raise _TaskError(exc) from exc
-
-
-def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
-    """Flight-recorder flags shared by the simulation entry points."""
-    parser.add_argument(
-        "--trace", type=_output_path, default=None, metavar="PATH",
-        help="record a flight-recorder trace (JSONL) to PATH; the "
-             "trace embeds the run's metrics snapshot and is "
-             "summarized by `repro trace summarize`",
-    )
-    parser.add_argument(
-        "--metrics", action="store_true",
-        help="collect runtime metrics and print a digest to stderr "
-             "after the run",
-    )
-
-
-@contextmanager
-def _obs_session(args: argparse.Namespace) -> Iterator[None]:
-    """Enable tracing/metrics around one simulation, then export.
-
-    Observation never touches stdout: the trace goes to ``--trace``'s
-    path and the digest to stderr, preserving the ``--json`` contract
-    (one JSON document on stdout, nothing else).
-    """
-    trace_path = getattr(args, "trace", None)
-    want_metrics = getattr(args, "metrics", False)
-    if trace_path is None and not want_metrics:
-        yield
-        return
-    from repro.obs import METRICS, instrument
-    from repro.obs.report import render_metrics
-
-    with instrument.session(
-        trace=trace_path is not None, metrics=want_metrics
-    ) as tracer:
-        yield
-        snapshot = METRICS.snapshot()
-    if trace_path is not None:
-        tracer.export_jsonl(trace_path, metrics=snapshot)
-        print(f"trace written to {trace_path}", file=sys.stderr)
-    if want_metrics:
-        print(render_metrics(snapshot), file=sys.stderr)
-
-
-def cmd_plan(args: argparse.Namespace) -> int:
-    result = plan(_config(args))
-    print(result.plan.describe())
-    if args.output:
-        from repro.orchestration.serialization import save_plan
-
-        save_plan(result.plan, args.output)
-        print(f"launch configuration written to {args.output}")
-    rate = (
-        result.candidates_evaluated / result.solve_seconds
-        if result.solve_seconds > 0
-        else float("inf")
-    )
-    print(
-        f"solve: {result.solve_seconds * 1e3:.0f} ms, "
-        f"{result.candidates_evaluated} candidates "
-        f"({rate:,.0f}/s), "
-        f"{result.convex_solutions} convex subproblems"
-    )
-    breakdown = result.breakdown
-    print(
-        f"predicted iteration: {breakdown.total:.2f} s "
-        f"(warmup {breakdown.warmup:.2f}, steady {breakdown.steady:.2f}, "
-        f"bottleneck {breakdown.bottleneck})"
-    )
-    return 0
-
-
-def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _config(args)
-    orchestration = plan(config)
-    result = simulate(config, orchestration)
-    print(orchestration.plan.describe())
-    print(format_table(
-        ["metric", "value"],
-        [
-            ["iteration time", f"{result.iteration_time:.2f} s"],
-            ["pipeline phase", f"{result.pipeline_time:.2f} s"],
-            ["DP gradient sync", f"{result.dp_sync_time * 1e3:.0f} ms"],
-            ["preprocessing overhead",
-             f"{result.preprocess_overhead * 1e3:.1f} ms"],
-            ["MFU", f"{result.mfu * 100:.1f} %"],
-            ["throughput",
-             f"{result.throughput_tokens_per_s / 1e3:.0f} K tokens/s"],
-            ["pipeline bubble", f"{result.bubble_fraction * 100:.0f} %"],
-            ["GPUs used", result.num_gpus],
-        ],
-        title="simulated training iteration:",
-    ))
-    return 0
-
-
-def cmd_compare(args: argparse.Namespace) -> int:
-    config = _config(args)
-    comparison = compare_systems(config, systems=tuple(args.systems))
-    print(format_comparison(
-        comparison, title=f"{args.model} @ {args.gpus} GPUs, GBS {args.gbs}:"
-    ))
-    if "megatron-lm" in args.systems and "disttrain" in args.systems:
-        print(
-            f"\nDistTrain vs Megatron-LM: "
-            f"{comparison.mfu_ratio('megatron-lm'):.2f}x MFU, "
-            f"{comparison.throughput_ratio('megatron-lm'):.2f}x throughput"
-        )
-    return 0
-
-
-def cmd_data_stats(args: argparse.Namespace) -> int:
-    from repro.data.stats import DatasetStatistics
-    from repro.data.synthetic import SyntheticMultimodalDataset
-
-    dataset = SyntheticMultimodalDataset(seed=args.seed)
-    stats = DatasetStatistics(dataset.take(args.samples))
-    rows = [[key, f"{value:.3f}" if isinstance(value, float) else value]
-            for key, value in stats.summary().items()]
-    print(format_table(
-        ["statistic", "value"],
-        rows,
-        title=f"synthetic LAION-400M-like stream, {args.samples} samples:",
-    ))
-    return 0
 
 
 def _positive_int(text: str) -> int:
@@ -325,35 +153,243 @@ def _parse_filter(text: str):
     return key, value
 
 
+class _TaskFlag(NamedTuple):
+    """One flag that sets a task parameter (see
+    :data:`~repro.core.config.TASK_PARAMS`), its ``dest``, under its
+    name with ``--`` in front. ``sweep_flag``, if set, is its name on
+    the sweeps, where it takes several values."""
+
+    param: str
+    #: Its one parse rule: a ``type`` or ``choices``.
+    parse: Dict[str, Any]
+    help: str
+    sweep_flag: Optional[str] = None
+    #: Its help on the sweeps (None: no help line).
+    sweep_help: Optional[str] = None
+    #: Its value in a sweep that does not give it (a run that does not
+    #: give it leaves its parameter to ``DistTrainConfig.from_params``).
+    sweep_default: Any = None
+
+
+#: The task flags, in the sweeps' usage order.
+_TASK_FLAGS = (
+    _TaskFlag("model", {"choices": sorted(MLLM_PRESETS)},
+              "multimodal LLM preset", sweep_flag="--models"),
+    _TaskFlag("system", {"choices": KNOWN_SYSTEMS}, "training system",
+              sweep_flag="--systems",
+              sweep_default=["disttrain", "megatron-lm"]),
+    _TaskFlag("gpus", {"type": _positive_int}, "cluster size (multiple of 8)",
+              sweep_flag="--gpus", sweep_help="cluster sizes to sweep"),
+    _TaskFlag("gbs", {"type": _positive_int}, "global batch size",
+              sweep_flag="--gbs",
+              sweep_help="one global batch size for all cluster sizes, or "
+                         "one per --gpus value (zipped: batch scales with "
+                         "the cluster)"),
+    _TaskFlag("frozen", {"choices": sorted(FROZEN_PRESETS)},
+              "frozen-training phase", sweep_flag="--frozen",
+              sweep_help="frozen-training phases (several values add a "
+                         "sweep axis)",
+              sweep_default=["full"]),
+    _TaskFlag("vpp", {"type": _positive_int}, "virtual PP size",
+              sweep_default=1),
+    _TaskFlag("seed", {"type": _non_negative_int}, "synthetic data seed",
+              sweep_help="data seed shared by every trial (default 0)"),
+)
+
+
+def _add_flag(
+    parser: argparse.ArgumentParser, flag: str, param: str, **kwargs: Any
+) -> None:
+    """Declare ``flag``, which sets the trial parameter ``param``: its
+    ``dest``. Its metavar is the one argparse derives from the flag's
+    own name."""
+    if "choices" not in kwargs and kwargs.get("action") != "store_true":
+        kwargs.setdefault("metavar", flag[2:].replace("-", "_").upper())
+    parser.add_argument(flag, dest=param, **kwargs)
+
+
+def _add_task_arguments(
+    parser: argparse.ArgumentParser, sweep: bool, systems: bool = False
+) -> None:
+    """Declare the :data:`_TASK_FLAGS` in their run or sweep flavor. The
+    run flavor lists the required flags first; ``systems`` gives it the
+    sweeps' ``--systems``, last (``compare``)."""
+    for row in sorted(_TASK_FLAGS, key=lambda row: (
+        not sweep and row.param not in REQUIRED_PARAMS,
+        systems and row.param == "system",
+    )):
+        as_sweep = sweep or (systems and row.param == "system")
+        several = as_sweep and row.sweep_flag is not None
+        _add_flag(
+            parser,
+            row.sweep_flag if several else "--" + row.param,
+            row.param,
+            required=row.param in REQUIRED_PARAMS,
+            help=row.sweep_help if as_sweep else row.help,
+            default=row.sweep_default if as_sweep else None,
+            **({"nargs": "+"} if several else {}),
+            **row.parse,
+        )
+    parser.set_defaults(prog=parser.prog)
+
+
+def _params(args: argparse.Namespace, names: Iterable[str]) -> Dict[str, Any]:
+    """The parameters among ``names`` that the flags set: each flag's
+    ``dest`` is the parameter it sets, and a flag not given is None."""
+    return {
+        name: getattr(args, name)
+        for name in names
+        if getattr(args, name, None) is not None
+    }
+
+
+class _TaskError(ValueError):
+    """Task flags that describe no valid :class:`DistTrainConfig`."""
+
+
+def _task_config(
+    args: argparse.Namespace, names: Iterable[str] = TASK_PARAMS
+) -> DistTrainConfig:
+    """The config the task flags among ``names`` describe; :func:`main`
+    reports an invalid one."""
+    try:
+        return DistTrainConfig.from_params(_params(args, names))
+    except ValueError as exc:
+        raise _TaskError(exc) from exc
+
+
+def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
+    """Flight-recorder flags shared by the simulation entry points."""
+    parser.add_argument(
+        "--trace", type=_output_path, default=None, metavar="PATH",
+        help="record a flight-recorder trace (JSONL) to PATH; the "
+             "trace embeds the run's metrics snapshot and is "
+             "summarized by `repro trace summarize`",
+    )
+    parser.add_argument(
+        "--metrics", action="store_true",
+        help="collect runtime metrics and print a digest to stderr "
+             "after the run",
+    )
+
+
+@contextmanager
+def _obs_session(args: argparse.Namespace) -> Iterator[None]:
+    """Enable tracing/metrics around one simulation, then export.
+
+    Observation never touches stdout: the trace goes to ``--trace``'s
+    path and the digest to stderr, preserving the ``--json`` contract
+    (one JSON document on stdout, nothing else).
+    """
+    trace_path = getattr(args, "trace", None)
+    want_metrics = getattr(args, "metrics", False)
+    if trace_path is None and not want_metrics:
+        yield
+        return
+    from repro.obs import METRICS, instrument
+    from repro.obs.report import render_metrics
+
+    with instrument.session(
+        trace=trace_path is not None, metrics=want_metrics
+    ) as tracer:
+        yield
+        snapshot = METRICS.snapshot()
+    if trace_path is not None:
+        tracer.export_jsonl(trace_path, metrics=snapshot)
+        print(f"trace written to {trace_path}", file=sys.stderr)
+    if want_metrics:
+        print(render_metrics(snapshot), file=sys.stderr)
+
+
+def cmd_plan(args: argparse.Namespace) -> int:
+    result = plan(_task_config(args))
+    print(result.plan.describe())
+    if args.output:
+        from repro.orchestration.serialization import save_plan
+
+        save_plan(result.plan, args.output)
+        print(f"launch configuration written to {args.output}")
+    rate = (
+        result.candidates_evaluated / result.solve_seconds
+        if result.solve_seconds > 0
+        else float("inf")
+    )
+    print(
+        f"solve: {result.solve_seconds * 1e3:.0f} ms, "
+        f"{result.candidates_evaluated} candidates "
+        f"({rate:,.0f}/s), "
+        f"{result.convex_solutions} convex subproblems"
+    )
+    breakdown = result.breakdown
+    print(
+        f"predicted iteration: {breakdown.total:.2f} s "
+        f"(warmup {breakdown.warmup:.2f}, steady {breakdown.steady:.2f}, "
+        f"bottleneck {breakdown.bottleneck})"
+    )
+    return 0
+
+
+def cmd_simulate(args: argparse.Namespace) -> int:
+    config = _task_config(args)
+    orchestration = plan(config)
+    result = simulate(config, orchestration)
+    print(orchestration.plan.describe())
+    print(format_table(
+        ["metric", "value"],
+        [
+            ["iteration time", f"{result.iteration_time:.2f} s"],
+            ["pipeline phase", f"{result.pipeline_time:.2f} s"],
+            ["DP gradient sync", f"{result.dp_sync_time * 1e3:.0f} ms"],
+            ["preprocessing overhead",
+             f"{result.preprocess_overhead * 1e3:.1f} ms"],
+            ["MFU", f"{result.mfu * 100:.1f} %"],
+            ["throughput",
+             f"{result.throughput_tokens_per_s / 1e3:.0f} K tokens/s"],
+            ["pipeline bubble", f"{result.bubble_fraction * 100:.0f} %"],
+            ["GPUs used", result.num_gpus],
+        ],
+        title="simulated training iteration:",
+    ))
+    return 0
+
+
+def cmd_compare(args: argparse.Namespace) -> int:
+    config = _task_config(
+        args, [name for name in TASK_PARAMS if name != "system"]
+    )
+    comparison = compare_systems(config, systems=tuple(args.system))
+    print(format_comparison(
+        comparison, title=f"{args.model} @ {args.gpus} GPUs, GBS {args.gbs}:"
+    ))
+    if "megatron-lm" in args.system and "disttrain" in args.system:
+        print(
+            f"\nDistTrain vs Megatron-LM: "
+            f"{comparison.mfu_ratio('megatron-lm'):.2f}x MFU, "
+            f"{comparison.throughput_ratio('megatron-lm'):.2f}x throughput"
+        )
+    return 0
+
+
+def cmd_data_stats(args: argparse.Namespace) -> int:
+    from repro.data.stats import DatasetStatistics
+    from repro.data.synthetic import SyntheticMultimodalDataset
+
+    dataset = SyntheticMultimodalDataset(seed=args.seed)
+    stats = DatasetStatistics(dataset.take(args.samples))
+    rows = [[key, f"{value:.3f}" if isinstance(value, float) else value]
+            for key, value in stats.summary().items()]
+    print(format_table(
+        ["statistic", "value"],
+        rows,
+        title=f"synthetic LAION-400M-like stream, {args.samples} samples:",
+    ))
+    return 0
+
+
 def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
     """Grid, execution and scenario options shared by ``sweep``,
     ``scenario sweep`` and ``fleet sweep``."""
-    parser.add_argument(
-        "--models", nargs="+", required=True, choices=sorted(MLLM_PRESETS)
-    )
-    parser.add_argument(
-        "--systems", nargs="+", default=["disttrain", "megatron-lm"],
-        choices=KNOWN_SYSTEMS,
-    )
-    parser.add_argument(
-        "--gpus", nargs="+", type=_positive_int, required=True,
-        help="cluster sizes to sweep",
-    )
-    parser.add_argument(
-        "--gbs", nargs="+", type=_positive_int, required=True,
-        help="one global batch size for all cluster sizes, or one per "
-             "--gpus value (zipped: batch scales with the cluster)",
-    )
-    parser.add_argument(
-        "--frozen", nargs="+", default=["full"],
-        choices=sorted(FROZEN_PRESETS),
-        help="frozen-training phases (several values add a sweep axis)",
-    )
-    parser.add_argument("--vpp", type=_positive_int, default=1)
-    parser.add_argument(
-        "--seed", type=_non_negative_int, default=None,
-        help="data seed shared by every trial (default 0)",
-    )
+    _add_task_arguments(parser, sweep=True)
     parser.add_argument(
         "--derive-seeds", action="store_true",
         help="give each trial a distinct deterministic data seed "
@@ -368,7 +404,8 @@ def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--jobs", type=_positive_int, default=None,
-        help="worker processes (default: one per core; 1 = serial)",
+        help="worker processes (default: one per core); with 1 and no "
+             "--trial-timeout, trials run in this process",
     )
     parser.add_argument(
         "--trial-timeout", type=_positive_seconds, default=None,
@@ -410,13 +447,14 @@ def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
         "--quiet", action="store_true", help="no per-trial progress lines"
     )
     _add_scenario_arguments(parser, sweep=True)
-    parser.set_defaults(prog=parser.prog)
 
 
 class _ScenarioFlag(NamedTuple):
-    """One flag that sets a :class:`ScenarioSpec` field."""
+    """One flag that sets a scenario parameter (see
+    :data:`~repro.scenarios.spec.PARAM_FIELDS`): its ``dest``, and its
+    name on the sweeps with ``--`` in front."""
 
-    field: str
+    param: str
     #: Its name on ``scenario run`` and ``fleet run``.
     run_flag: str
     help: str
@@ -429,19 +467,16 @@ class _ScenarioFlag(NamedTuple):
 
     @property
     def sweep_flag(self) -> str:
-        """Its name on the sweeps: its sweep parameter name (see
-        :data:`~repro.scenarios.spec.PARAM_FIELDS`) as a flag."""
-        name = {f: p for p, f in PARAM_FIELDS.items()}[self.field]
-        return "--" + name.replace("_", "-")
+        return "--" + self.param.replace("_", "-")
 
 
 #: The scenario flags, in usage order. Each takes its parse type and its
-#: default from its :class:`ScenarioSpec` field, whose ``__post_init__``
-#: checks every value.
+#: default from the :class:`ScenarioSpec` field it sets, whose
+#: ``__post_init__`` checks every value.
 _SCENARIO_FLAGS = (
-    _ScenarioFlag("num_iterations", "--iterations",
+    _ScenarioFlag("scenario_iterations", "--iterations",
                   "iterations each job retains"),
-    _ScenarioFlag("mtbf_gpu_hours", "--mtbf",
+    _ScenarioFlag("mtbf", "--mtbf",
                   "per-GPU mean time between failures, in hours; without "
                   "it, no failures are sampled", axis=True),
     _ScenarioFlag("straggler_rate", "--straggler-rate",
@@ -457,7 +492,7 @@ _SCENARIO_FLAGS = (
     _ScenarioFlag("sample_iterations", "--sample-iterations",
                   "distinct global batches priced per cluster size",
                   sweep=False),
-    _ScenarioFlag("seed", "--failure-seed",
+    _ScenarioFlag("failure_seed", "--failure-seed",
                   "seed for sampled failures and stragglers; fleet job i "
                   "uses seed + i"),
     _ScenarioFlag("straggler_iterations", "--straggler-iterations",
@@ -473,20 +508,18 @@ def _add_scenario_arguments(
     parser: argparse.ArgumentParser, sweep: bool, fleet: bool = False
 ) -> None:
     """Declare the :data:`_SCENARIO_FLAGS` rows ``parser`` takes
-    (``fleet``: the rows ``fleet run`` takes).
+    (``fleet``: the rows ``fleet run`` takes), in their run or sweep
+    flavor.
 
-    The run flavor parses one value per flag and defaults to the field's
-    default. The sweep flavor leaves each flag unset, so that any flag
-    given turns the sweep into a scenario sweep; its ``dest`` is the
-    sweep parameter name. ``args.scenario_flags`` lists each declared
-    field with its ``dest``.
+    Each flag stays None unless given: a run leaves its field at the
+    :class:`ScenarioSpec` default, and any flag given to a sweep turns
+    it into a scenario sweep.
     """
     spec_fields = {f.name: f for f in fields(ScenarioSpec)}
-    declared = []
     for row in _SCENARIO_FLAGS:
         if (sweep and not row.sweep) or (fleet and not row.fleet):
             continue
-        spec_field = spec_fields[row.field]
+        spec_field = spec_fields[PARAM_FIELDS[row.param]]
         default, annotation = spec_field.default, spec_field.type
         notes = []
         if default is not None and annotation != "bool":
@@ -498,22 +531,14 @@ def _add_scenario_arguments(
         if sweep and row.axis:
             notes.append("several values add a sweep axis")
             kwargs["nargs"] = "+"
-        action = parser.add_argument(
+        _add_flag(
+            parser,
             row.sweep_flag if sweep else row.run_flag,
-            default=None if sweep else default,
+            row.param,
+            default=None,
             help=row.help + (f" ({'; '.join(notes)})" if notes else ""),
             **kwargs,
         )
-        declared.append((row.field, action.dest))
-    parser.set_defaults(scenario_flags=tuple(declared))
-
-
-def _scenario(args: argparse.Namespace, **extra: Any) -> ScenarioSpec:
-    """The :class:`ScenarioSpec` the run flavor's flags describe."""
-    return ScenarioSpec(
-        **{field: getattr(args, dest) for field, dest in args.scenario_flags},
-        **extra,
-    )
 
 
 def _split_axes(values: Dict[str, Any]):
@@ -539,11 +564,7 @@ def _scenario_sweep_params(args: argparse.Namespace, default_on: bool):
         ValueError: if the base values, or any axis value over them,
             make an invalid :class:`~repro.scenarios.spec.ScenarioSpec`.
     """
-    given = {
-        dest: getattr(args, dest)
-        for _, dest in args.scenario_flags
-        if getattr(args, dest) is not None
-    }
+    given = _params(args, PARAM_FIELDS)
     if not (default_on or given):
         return None, []
     base, axes = _split_axes(
@@ -556,90 +577,77 @@ def _scenario_sweep_params(args: argparse.Namespace, default_on: bool):
     return base, axes
 
 
+#: The fleet parameters the fleet flags set, in the order a fleet
+#: sweep's trials list them.
+_FLEET_PARAMS = ("fleet_arrival_spacing", "fleet_priorities",
+                 "fleet_job_gpus", "fleet_policy", "fleet_jobs", "fleet_pack")
+
+
 def _add_fleet_arguments(
     parser: argparse.ArgumentParser, sweep: bool
 ) -> None:
-    """Shared-cluster workload knobs for ``repro fleet run|sweep``."""
+    """Shared-cluster workload knobs for ``repro fleet run|sweep``. Each
+    stays None unless given and takes its default from
+    :data:`~repro.fleet.spec.FLEET_PARAM_DEFAULTS` when the command
+    runs, so the parser does not load the fleet."""
     from repro.scenarios.packs import PACKS
 
-    many = dict(nargs="+") if sweep else {}
-    parser.add_argument(
-        "--policy" if not sweep else "--policies",
-        dest="fleet_policies",
-        default=None,
+    axis = " (several values add a sweep axis)" if sweep else ""
+    many: Dict[str, Any] = {"nargs": "+"} if sweep else {}
+    _add_flag(
+        parser, "--policies" if sweep else "--policy", "fleet_policy",
         choices=["fifo", "fair-share", "priority"],
         help="scheduling policy (default: fair-share, or the pack's "
-             "own policy when --pack is set)"
-             + (" (several values add a sweep axis)" if sweep else ""),
+             "own policy when --pack is set)" + axis,
         **many,
     )
-    parser.add_argument(
-        "--pack" if not sweep else "--packs",
-        dest="fleet_packs",
-        default=None,
+    _add_flag(
+        parser, "--packs" if sweep else "--pack", "fleet_pack",
         choices=sorted(PACKS),
         help="scenario pack shaping arrivals, job classes/SLOs, and "
-             "correlated faults (replaces the fixed arrival grid)"
-             + (" (several values add a sweep axis)" if sweep else ""),
+             "correlated faults (replaces the fixed arrival grid)" + axis,
         **many,
     )
-    # The flags a user leaves unset stay None here and take their
-    # defaults from FLEET_PARAM_DEFAULTS when the command runs (see
-    # _fleet_sweep_params), so the parser does not load the fleet.
-    parser.add_argument(
-        "--jobs" if not sweep else "--fleet-jobs",
-        dest="fleet_jobs",
-        type=_positive_int,
-        default=None,
-        help="tenant jobs sharing the cluster"
-             + (" (several values add a sweep axis)" if sweep else ""),
+    _add_flag(
+        parser, "--fleet-jobs" if sweep else "--jobs", "fleet_jobs",
+        type=_positive_int, metavar="FLEET_JOBS",
+        help="tenant jobs sharing the cluster" + axis,
         **many,
     )
-    parser.add_argument(
-        "--job-gpus", type=_positive_int, default=None,
+    _add_flag(
+        parser, "--job-gpus", "fleet_job_gpus", type=_positive_int,
         help="per-job GPU demand (default: the whole cluster)",
     )
-    parser.add_argument(
-        "--arrival-spacing", type=_non_negative_seconds, default=None,
+    _add_flag(
+        parser, "--arrival-spacing", "fleet_arrival_spacing",
+        type=_non_negative_seconds,
         help="seconds between consecutive job arrivals",
     )
-    parser.add_argument(
-        "--priorities", nargs="+", type=int, default=None,
+    _add_flag(
+        parser, "--priorities", "fleet_priorities", nargs="+", type=int,
         help="priority cycle assigned to jobs in arrival order "
              "(matters under the priority policy)",
     )
 
 
 def _fleet_sweep_params(args: argparse.Namespace):
-    """(base params, axes) for the fleet options, under the ``fleet_*``
-    names :meth:`~repro.fleet.spec.FleetSpec.from_params` reads, each
-    unset one at its :data:`~repro.fleet.spec.FLEET_PARAM_DEFAULTS`
-    value. ``fleet run``'s single values all land in the base."""
+    """(base params, axes) for the fleet flags, each unset one at its
+    :data:`~repro.fleet.spec.FLEET_PARAM_DEFAULTS` value."""
     from repro.fleet.spec import FLEET_PARAM_DEFAULTS
 
-    packs = args.fleet_packs
-    if packs:
+    if args.fleet_pack:
         # A pack owns arrivals, demands, priorities and, unless one is
         # given, the policy; only the job count rides along.
-        given = {}
+        names: Iterable[str] = ("fleet_policy", "fleet_jobs", "fleet_pack")
         defaults = {"fleet_jobs": FLEET_PARAM_DEFAULTS["fleet_jobs"]}
     else:
-        given = {
-            "fleet_arrival_spacing": args.arrival_spacing,
-            "fleet_priorities": args.priorities and tuple(args.priorities),
-            "fleet_job_gpus": args.job_gpus,
-        }
-        defaults = FLEET_PARAM_DEFAULTS
-    given.update(
-        fleet_policy=args.fleet_policies,
-        fleet_jobs=args.fleet_jobs,
-        fleet_pack=packs,
-    )
-    for name, value in defaults.items():
-        if given[name] is None:
-            given[name] = value
+        names, defaults = _FLEET_PARAMS, FLEET_PARAM_DEFAULTS
+    values = {**dict.fromkeys(names), **defaults, **_params(args, names)}
+    if "fleet_priorities" in values:
+        # One priority cycle, not a sweep axis.
+        values["fleet_priorities"] = tuple(values["fleet_priorities"])
     return _split_axes(
-        {name: value for name, value in given.items() if value is not None}
+        {name: value for name, value in values.items() if value is not None}
     )
 
 
@@ -652,9 +660,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print_progress,
     )
 
-    base = {"vpp": args.vpp}
-    if args.seed is not None:
-        base["seed"] = args.seed
     try:
         # --output may go in the cache directory, which the campaign
         # creates before it writes there unless it keeps neither a
@@ -666,12 +671,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         ):
             _output_path(args.output)
         spec = SweepSpec.grid(
-            models=args.models,
-            systems=args.systems,
+            models=args.model,
+            systems=args.system,
             gpus=args.gpus,
             gbs=args.gbs,
             name=args.name,
-            **base,
+            **_params(args, ("vpp", "seed")),
         )
         scenario_base, scenario_axes = _scenario_sweep_params(
             args, default_on=getattr(args, "scenario_mode", False)
@@ -748,12 +753,13 @@ def cmd_scenario_run(args: argparse.Namespace) -> int:
     from repro.fleet.job import TooManyFailuresError
     from repro.scenarios import EventTrace, run_scenario
 
-    config = _config(args)
+    config = _task_config(args)
     try:
-        events = (
-            EventTrace.from_json(args.events) if args.events else None
-        )
-        spec = _scenario(args, events=events)
+        params = _params(args, PARAM_FIELDS)
+        if args.events:
+            # --events names the trace file.
+            params["events"] = EventTrace.from_json(args.events)
+        spec = ScenarioSpec.from_params(params)
     except (OSError, ValueError) as exc:
         # OSError: unreadable --events file; ValueError: malformed
         # trace JSON or invalid scenario parameters.
@@ -825,10 +831,13 @@ def cmd_fleet_run(args: argparse.Namespace) -> int:
     from repro.fleet.engine import FleetSchedulingError
     from repro.fleet.job import TooManyFailuresError
 
-    config = _config(args)
+    config = _task_config(args)
     try:
-        params, _ = _fleet_sweep_params(args)
-        spec = FleetSpec.from_params(config, _scenario(args), params)
+        spec = FleetSpec.from_params(
+            config,
+            ScenarioSpec.from_params(_params(args, PARAM_FIELDS)),
+            _params(args, _FLEET_PARAMS),
+        )
     except ValueError as exc:
         print(f"repro fleet run: error: {exc}", file=sys.stderr)
         return 2
@@ -949,6 +958,10 @@ def cmd_fleet_run(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     from repro.experiments import ResultCache, ResultFrame
 
+    if args.failures and not args.input:
+        print("repro report: error: --failures needs --input: the result "
+              "cache keeps ok trials only", file=sys.stderr)
+        return 2
     if args.input:
         try:
             frame = ResultFrame.from_json(args.input)
@@ -1080,7 +1093,7 @@ def build_parser() -> argparse.ArgumentParser:
     plan_parser = subparsers.add_parser(
         "plan", help="run model orchestration for a task"
     )
-    _add_task_arguments(plan_parser)
+    _add_task_arguments(plan_parser, sweep=False)
     plan_parser.add_argument(
         "--output", type=_output_path, default=None,
         help="write the launch configuration (JSON) to this path",
@@ -1090,19 +1103,13 @@ def build_parser() -> argparse.ArgumentParser:
     sim_parser = subparsers.add_parser(
         "simulate", help="plan and simulate one training iteration"
     )
-    _add_task_arguments(sim_parser)
+    _add_task_arguments(sim_parser, sweep=False)
     sim_parser.set_defaults(fn=cmd_simulate)
 
     cmp_parser = subparsers.add_parser(
         "compare", help="run the same task under multiple systems"
     )
-    _add_task_arguments(cmp_parser)
-    cmp_parser.add_argument(
-        "--systems",
-        nargs="+",
-        default=["disttrain", "megatron-lm"],
-        choices=KNOWN_SYSTEMS,
-    )
+    _add_task_arguments(cmp_parser, sweep=False, systems=True)
     cmp_parser.set_defaults(fn=cmd_compare)
 
     data_parser = subparsers.add_parser(
@@ -1132,7 +1139,7 @@ def build_parser() -> argparse.ArgumentParser:
     scenario_run = scenario_sub.add_parser(
         "run", help="run one dynamic-cluster scenario"
     )
-    _add_task_arguments(scenario_run)
+    _add_task_arguments(scenario_run, sweep=False)
     _add_scenario_arguments(scenario_run, sweep=False)
     scenario_run.add_argument(
         "--events", default=None,
@@ -1169,7 +1176,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_run = fleet_sub.add_parser(
         "run", help="run one shared-cluster fleet workload"
     )
-    _add_task_arguments(fleet_run)
+    _add_task_arguments(fleet_run, sweep=False)
     _add_fleet_arguments(fleet_run, sweep=False)
     _add_scenario_arguments(fleet_run, sweep=False, fleet=True)
     fleet_run.add_argument(

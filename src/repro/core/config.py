@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Optional
+from typing import Any, Dict, Mapping, Optional
 
 from repro.cluster.cluster import ClusterSpec, make_cluster
 from repro.data.distributions import DataDistributionConfig, LAION_400M_LIKE
@@ -14,6 +14,23 @@ from repro.runtime.frozen import FROZEN_PRESETS, FrozenConfig
 
 #: Systems the comparison helpers understand.
 KNOWN_SYSTEMS = ("disttrain", "megatron-lm", "distmm*")
+
+#: Each task parameter (a name campaigns sweep and CLI flags set) mapped
+#: to the :meth:`DistTrainConfig.preset` argument it sets.
+_PRESET_ARGUMENTS = {
+    "model": "mllm_name", "gpus": "num_gpus", "gbs": "global_batch_size",
+    "system": "system", "frozen": "frozen", "vpp": "vpp",
+    "schedule": "schedule", "seed": "data_seed",
+    "microbatch": "microbatch_size", "iterations": "num_iterations",
+    "intra_reordering": "intra_reordering",
+    "inter_reordering": "inter_reordering", "preprocessing": "preprocessing",
+}
+#: The task parameters :meth:`DistTrainConfig.from_params` reads.
+TASK_PARAMS = tuple(_PRESET_ARGUMENTS)
+#: The task parameters every task sets.
+REQUIRED_PARAMS = ("model", "gpus", "gbs")
+#: The task parameters read as integers.
+_INT_PARAMS = ("gpus", "gbs", "seed", "microbatch", "iterations")
 
 #: What each checked field annotation accepts, and how an error names
 #: it. A bool is an int to isinstance, but passes only where ``bool`` is
@@ -151,6 +168,30 @@ class DistTrainConfig:
             frozen=FROZEN_PRESETS[frozen],
             **kwargs,
         )
+
+    @classmethod
+    def from_params(cls, params: Mapping[str, Any]) -> "DistTrainConfig":
+        """The config that task parameters (see :data:`TASK_PARAMS`)
+        describe, each one not given at its :meth:`preset` default."""
+        kwargs: Dict[str, Any] = {}
+        for name, value in params.items():
+            if name not in _PRESET_ARGUMENTS:
+                raise ValueError(
+                    f"unknown task parameter {name!r}; "
+                    f"known: {sorted(_PRESET_ARGUMENTS)}"
+                )
+            if name in _INT_PARAMS:
+                value = int(value)
+            elif name == "schedule" and not isinstance(value, ScheduleKind):
+                try:
+                    value = ScheduleKind(value)
+                except ValueError:
+                    options = sorted(kind.value for kind in ScheduleKind)
+                    raise ValueError(
+                        f"unknown schedule {value!r}; options: {options}"
+                    ) from None
+            kwargs[_PRESET_ARGUMENTS[name]] = value
+        return cls.preset(**kwargs)
 
     # ------------------------------------------------------------------ #
     # Derived settings

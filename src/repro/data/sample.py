@@ -44,31 +44,6 @@ class Subsequence:
             raise ValueError("subsequence fields must be non-negative")
 
 
-#: Text spans carry no bytes/pixels, so there is one distinct value per
-#: token count; interning them makes the dominant allocation of dataset
-#: generation a list lookup. Safe because Subsequence is frozen. The
-#: table grows to the largest count asked for, up to _TEXT_INTERN_MAX.
-_TEXT_INTERN_MAX = 4096
-_TEXT_INTERNED: List[Subsequence] = []
-
-
-def _text_interned(count: int) -> List[Subsequence]:
-    """The intern table, holding at least token counts ``[0, count)``."""
-    have = len(_TEXT_INTERNED)
-    if have < count:
-        _TEXT_INTERNED.extend(
-            Subsequence("text", t) for t in range(have, count)
-        )
-    return _TEXT_INTERNED
-
-
-def text_subsequence(tokens: int) -> Subsequence:
-    """A (shared, immutable) text subsequence of ``tokens`` length."""
-    if 0 <= tokens < _TEXT_INTERN_MAX:
-        return _text_interned(tokens + 1)[tokens]
-    return Subsequence("text", tokens)
-
-
 @dataclass(frozen=True)
 class TrainingSample:
     """One packed training sequence.

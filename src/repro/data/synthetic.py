@@ -39,7 +39,7 @@ from repro.data.packing import (
     span_columns,
     truncate_subsequence,
 )
-from repro.data.sample import Subsequence, TrainingSample, text_subsequence
+from repro.data.sample import Subsequence, TrainingSample
 
 #: Most documents one chunk draws: bounds the chunk's span arrays.
 _CHUNK_DOCUMENTS = 512
@@ -70,7 +70,7 @@ class _SpanTable:
     def _span(self, code: int) -> Subsequence:
         value, image = divmod(code, 2)
         if not image:
-            span = text_subsequence(value)
+            span = Subsequence("text", value)
         else:
             cfg = self.config
             tokens = image_tokens(image_side_pixels(value, cfg), cfg)

@@ -273,9 +273,10 @@ class CampaignRunner:
     Args:
         spec: The sweep to run.
         cache: Result store; None disables caching (every trial runs).
-        processes: Worker processes; None picks ``min(cpu, trials)``,
-            1 (or 0) forces in-process serial execution (no supervision:
-            timeouts and hung detection need a worker boundary).
+        processes: Worker processes; None picks ``min(cpu, trials)``.
+            Trials run in this process, serially and unsupervised, only
+            when one worker suffices and no ``timeout`` is set: a
+            timeout and hung detection need a worker boundary.
         progress: Per-trial completion callback ``(done, total, record)``;
             e.g. :func:`print_progress`. None is silent.
         derive_seeds: Give each trial a distinct deterministic data seed
@@ -480,10 +481,6 @@ class CampaignRunner:
             return
         timeout = self.timeout
         workers = self._worker_count(len(pending))
-        if self.processes is not None and self.processes <= 1:
-            # Explicitly serial: no worker boundary, so no supervision.
-            yield from self._execute_serial(pending)
-            return
         if workers == 1 and timeout is None:
             yield from self._execute_serial(pending)
             return

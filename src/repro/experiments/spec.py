@@ -41,27 +41,8 @@ from typing import (
 )
 
 from repro.core.canonical import HASH_LENGTH, canonical_value, config_hash
-from repro.core.config import DistTrainConfig
-from repro.pipeline.schedules import ScheduleKind
+from repro.core.config import REQUIRED_PARAMS, TASK_PARAMS, DistTrainConfig
 from repro.scenarios.spec import PARAM_FIELDS
-
-#: Task parameter names :meth:`TrialSpec.to_config` understands.
-#: Everything maps onto :meth:`DistTrainConfig.preset` arguments.
-TASK_PARAMS = (
-    "model",
-    "gpus",
-    "gbs",
-    "system",
-    "frozen",
-    "vpp",
-    "schedule",
-    "seed",
-    "microbatch",
-    "iterations",
-    "intra_reordering",
-    "inter_reordering",
-    "preprocessing",
-)
 
 #: Dynamic-cluster scenario parameters: the keys of
 #: :data:`repro.scenarios.spec.PARAM_FIELDS`. A trial carrying any of
@@ -83,9 +64,11 @@ FLEET_PARAMS = (
     "fleet_pack",
 )
 
+#: Every trial parameter: the task parameters
+#: (:data:`~repro.core.config.TASK_PARAMS`, which
+#: :meth:`~repro.core.config.DistTrainConfig.from_params` reads), then
+#: the scenario and fleet ones.
 KNOWN_PARAMS = TASK_PARAMS + SCENARIO_PARAMS + FLEET_PARAMS
-
-REQUIRED_PARAMS = ("model", "gpus", "gbs")
 
 
 # --------------------------------------------------------------------- #
@@ -221,33 +204,11 @@ class TrialSpec:
 
     def to_config(self) -> DistTrainConfig:
         """Build the concrete training-task config for this trial."""
-        params = {
+        return DistTrainConfig.from_params({
             key: value
             for key, value in self.params.items()
-            if key not in SCENARIO_PARAMS and key not in FLEET_PARAMS
-        }
-        kwargs: Dict[str, Any] = {}
-        if "schedule" in params:
-            kwargs["schedule"] = _schedule_kind(params.pop("schedule"))
-        if "seed" in params:
-            kwargs["data_seed"] = int(params.pop("seed"))
-        if "microbatch" in params:
-            kwargs["microbatch_size"] = int(params.pop("microbatch"))
-        if "iterations" in params:
-            kwargs["num_iterations"] = int(params.pop("iterations"))
-        for passthrough in (
-            "system", "vpp", "intra_reordering", "inter_reordering",
-            "preprocessing",
-        ):
-            if passthrough in params:
-                kwargs[passthrough] = params.pop(passthrough)
-        return DistTrainConfig.preset(
-            params.pop("model"),
-            num_gpus=int(params.pop("gpus")),
-            global_batch_size=int(params.pop("gbs")),
-            frozen=params.pop("frozen", "full"),
-            **kwargs,
-        )
+            if key in TASK_PARAMS
+        })
 
     @property
     def config_hash(self) -> str:
@@ -315,18 +276,6 @@ class TrialSpec:
             mtbf = self.params.get("mtbf")
             parts.append(f"dyn(mtbf={mtbf})" if mtbf else "dyn")
         return "/".join(parts)
-
-
-def _schedule_kind(value: Union[str, ScheduleKind]) -> ScheduleKind:
-    if isinstance(value, ScheduleKind):
-        return value
-    try:
-        return ScheduleKind(value)
-    except ValueError:
-        options = sorted(kind.value for kind in ScheduleKind)
-        raise ValueError(
-            f"unknown schedule {value!r}; options: {options}"
-        ) from None
 
 
 # --------------------------------------------------------------------- #

@@ -33,6 +33,7 @@ PARAM_FIELDS = {
     "straggler_iterations": "straggler_iterations",
     "elastic": "elastic",
     "checkpoint_interval": "checkpoint_interval",
+    "sample_iterations": "sample_iterations",
     "failure_seed": "seed",
     "events": "events",
 }

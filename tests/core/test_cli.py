@@ -8,15 +8,20 @@ import pytest
 
 from repro.cli import (
     _FLAG_TYPES,
+    _FLEET_PARAMS,
     _SCENARIO_FLAGS,
     _add_fleet_arguments,
+    _non_negative_int,
+    _non_negative_seconds,
+    _positive_int,
+    _positive_seconds,
     build_parser,
     main,
 )
-from repro.experiments.spec import TrialSpec
+from repro.experiments.spec import FLEET_PARAMS, KNOWN_PARAMS, TrialSpec
 from repro.fleet import FleetSpec
 from repro.fleet.spec import FLEET_PARAM_DEFAULTS
-from repro.scenarios.spec import ScenarioSpec
+from repro.scenarios.spec import PARAM_FIELDS, ScenarioSpec
 
 
 class TestParser:
@@ -248,24 +253,26 @@ class TestCommands:
         assert main(["data-stats", "--samples", "5"]) == 0
         assert "5 samples" in capsys.readouterr().out
 
+    # The ids keep the numbers the rows had while two rows for --gbs 0
+    # and --vpp 0 came first; those values now fail at parse time
+    # (TestNumberFlags).
     @pytest.mark.parametrize("command", ["plan", "simulate", "compare"])
     @pytest.mark.parametrize("flags, message", [
-        (["--model", "mllm-9b", "--gpus", "48", "--gbs", "0"],
-         "global_batch_size must be >= 1"),
-        (["--model", "mllm-9b", "--gpus", "48", "--gbs", "32", "--vpp", "0"],
-         "vpp must be >= 1"),
-        (["--model", "mllm-9b", "--gpus", "12", "--gbs", "32"],
-         "not a multiple"),
+        pytest.param(["--model", "mllm-9b", "--gpus", "12", "--gbs", "32"],
+                     "not a multiple", id="flags2-not a multiple"),
         # Valid tasks no plan fits on: DistTrain's search and a baseline
         # orchestrator (compare plans megatron-lm by default) both
         # report InfeasibleClusterError the same way.
-        (["--model", "mllm-72b", "--gpus", "8", "--gbs", "16"],
-         "no feasible orchestration"),
-        (["--model", "mllm-9b", "--gpus", "16", "--gbs", "32",
-          "--system", "megatron-lm"],
-         "cluster too small"),
-        (["--model", "mllm-9b", "--gpus", "48", "--gbs", "16", "--vpp", "3"],
-         "vpp=3 does not divide the 32 LLM layers"),
+        pytest.param(["--model", "mllm-72b", "--gpus", "8", "--gbs", "16"],
+                     "no feasible orchestration",
+                     id="flags3-no feasible orchestration"),
+        pytest.param(["--model", "mllm-9b", "--gpus", "16", "--gbs", "32",
+                      "--system", "megatron-lm"],
+                     "cluster too small", id="flags4-cluster too small"),
+        pytest.param(["--model", "mllm-9b", "--gpus", "48", "--gbs", "16",
+                      "--vpp", "3"],
+                     "vpp=3 does not divide the 32 LLM layers",
+                     id="flags5-vpp=3 does not divide the 32 LLM layers"),
     ])
     def test_invalid_task_exits_2(self, capsys, command, flags, message):
         code = main([command] + flags)
@@ -354,7 +361,7 @@ class _Accepted(Exception):
 
 
 def _accept(*args, **kwargs):
-    raise _Accepted(args[-1])
+    raise _Accepted(args[-1] if args else kwargs)
 
 
 def _built_scenario(built):
@@ -387,7 +394,7 @@ class TestScenarioFlags:
     @pytest.mark.parametrize("row, value", [
         pytest.param(row, value, id=f"{row.run_flag}={value}")
         for row in _SCENARIO_FLAGS
-        if _ANNOTATIONS[row.field] != "bool"
+        if _ANNOTATIONS[PARAM_FIELDS[row.param]] != "bool"
         for value in ("0", "-1", "nan", "inf")
     ])
     def test_one_bad_value_one_message(
@@ -396,14 +403,15 @@ class TestScenarioFlags:
         monkeypatch.setattr("repro.scenarios.run_scenario", _accept)
         monkeypatch.setattr("repro.fleet.FleetEngine", _accept)
         monkeypatch.setattr("repro.experiments.CampaignRunner", _accept)
-        parse = _FLAG_TYPES[_ANNOTATIONS[row.field]]
+        field = PARAM_FIELDS[row.param]
+        parse = _FLAG_TYPES[_ANNOTATIONS[field]]
         try:
             parsed = parse(value)
         except ValueError:
             parsed = message = None
         else:
             try:
-                ScenarioSpec(**{row.field: parsed})
+                ScenarioSpec(**{field: parsed})
                 message = None
             except ValueError as exc:
                 message = str(exc)
@@ -428,7 +436,7 @@ class TestScenarioFlags:
             except _Accepted as accepted:
                 assert valid, command
                 scenario = _built_scenario(accepted.args[0])
-                assert getattr(scenario, row.field) == parsed, command
+                assert getattr(scenario, field) == parsed, command
                 continue
             captured = capsys.readouterr()
             assert not valid, command
@@ -462,9 +470,9 @@ def _fleet_number_flags(sweep):
 #: What a built fleet reads back for each numeric fleet flag.
 _FLEET_VALUES = {
     "fleet_jobs": lambda fleet: len(fleet.jobs),
-    "job_gpus": lambda fleet: fleet.jobs[0].config.cluster.num_gpus,
-    "arrival_spacing": lambda fleet: fleet.jobs[1].arrival_s,
-    "priorities": lambda fleet: fleet.jobs[0].priority,
+    "fleet_job_gpus": lambda fleet: fleet.jobs[0].config.cluster.num_gpus,
+    "fleet_arrival_spacing": lambda fleet: fleet.jobs[1].arrival_s,
+    "fleet_priorities": lambda fleet: fleet.jobs[0].priority,
 }
 
 
@@ -563,6 +571,154 @@ class TestFleetFlags:
             f"mllm-9b/disttrain/96g/gbs16/fleet("
             f"{FLEET_PARAM_DEFAULTS['fleet_jobs']}x,fair-share)"
         )
+
+
+def _subcommands(parser, words=()):
+    """(command, parser) of every subcommand under ``parser``, its
+    command the words that name it."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _subcommands(sub, words + (name,))
+            return
+    yield " ".join(words), parser
+
+
+#: The parse helpers that bound a number.
+_NUMBER_PARSERS = (_positive_int, _non_negative_int, _positive_seconds,
+                   _non_negative_seconds)
+
+_TASK = ["--model", "mllm-9b", "--gpus", "48", "--gbs", "16"]
+_GRID = ["--models", "mllm-9b", "--systems", "disttrain", "--gpus", "48",
+         "--gbs", "16"]
+_FLEET_TASK = ["--model", "mllm-9b", "--gpus", "96", "--gbs", "16",
+               "--job-gpus", "48"]
+_FLEET_GRID = ["--models", "mllm-9b", "--systems", "disttrain", "--gpus",
+               "96", "--gbs", "16", "--job-gpus", "48"]
+
+#: What each subcommand needs besides the flag under test.
+_ARGV = {
+    "plan": _TASK,
+    "simulate": _TASK,
+    "compare": _TASK,
+    "data-stats": [],
+    "sweep": _GRID,
+    "scenario run": _TASK,
+    "scenario sweep": _GRID,
+    "fleet run": _FLEET_TASK,
+    "fleet sweep": _FLEET_GRID,
+    "trace summarize": ["trace.jsonl"],
+    "report": [],
+}
+
+#: The work each command starts once it accepts its flags.
+_WORK = (
+    "repro.cli.plan",
+    "repro.cli.simulate",
+    "repro.cli.compare_systems",
+    "repro.data.synthetic.SyntheticMultimodalDataset",
+    "repro.scenarios.run_scenario",
+    "repro.fleet.FleetEngine",
+    "repro.experiments.CampaignRunner",
+    "repro.obs.report.load_trace",
+)
+
+
+def _number_flags():
+    """(command, flag, parse) of every flag whose type is a number
+    parse helper, on every subcommand."""
+    return [
+        (command, action.option_strings[0], action.type)
+        for command, parser in _subcommands(build_parser())
+        for action in parser._actions
+        if action.type in _NUMBER_PARSERS
+    ]
+
+
+class TestNumberFlags:
+    """Every numeric option of every subcommand, read off
+    ``build_parser()``: a value its parse helper rejects exits 2 with the
+    helper's message before any work, and any other value reaches the
+    work."""
+
+    def test_every_subcommand_has_an_argv(self):
+        assert {command for command, _ in _subcommands(build_parser())} == (
+            set(_ARGV)
+        )
+
+    @pytest.mark.parametrize("command, flag, parse, value", [
+        pytest.param(command, flag, parse, value,
+                     id=f"{command}:{flag}={value}")
+        for command, flag, parse in _number_flags()
+        for value in ("0", "-1", "nan", "inf")
+    ])
+    def test_one_value_one_outcome(
+        self, monkeypatch, capsys, tmp_path, command, flag, parse, value
+    ):
+        for work in _WORK:
+            monkeypatch.setattr(work, _accept)
+        try:
+            parse(value)
+            message = None
+        except argparse.ArgumentTypeError as exc:
+            message = str(exc)
+        argv = command.split() + _ARGV[command] + [flag, value]
+        if "sweep" in command:
+            argv += ["--cache-dir", str(tmp_path)]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except _Accepted:
+            assert message is None, command
+            return
+        captured = capsys.readouterr()
+        assert message is not None, command
+        assert code == 2
+        assert (
+            f"repro {command}: error: argument {flag}: {message}"
+        ) in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not any(tmp_path.iterdir())
+
+
+#: The options that set no trial parameter.
+_NOT_PARAMS = {
+    "help", "log_level", "command", "scenario_command", "fleet_command",
+    "trace_command", "output", "trace", "metrics", "samples",
+    "derive_seeds", "cache_dir", "no_cache", "jobs", "trial_timeout",
+    "retries", "poison_after", "resume", "no_journal", "fail_on_error",
+    "name", "quiet", "save_events", "json", "path", "timeline_limit",
+    "plot", "input", "filter", "ok_only", "failures", "baseline_system",
+    "csv",
+}
+
+
+class TestFlagDests:
+    def test_every_flag_sets_its_parameter(self):
+        """A flag that is not an execution, output or report option has
+        the trial parameter it sets as its dest."""
+        for command, parser in _subcommands(build_parser()):
+            for action in parser._actions:
+                if action.dest not in _NOT_PARAMS:
+                    assert action.dest in KNOWN_PARAMS, (command, action.dest)
+
+    def test_fleet_flags_set_every_fleet_parameter(self):
+        assert sorted(_FLEET_PARAMS) == sorted(FLEET_PARAMS)
+
+    def test_compare_takes_systems_only(self):
+        """``compare`` runs one task under several systems: the system
+        parameter has one flag there, the sweeps' ``--systems``."""
+        (parser,) = [
+            parser for command, parser in _subcommands(build_parser())
+            if command == "compare"
+        ]
+        flags = [
+            action.option_strings for action in parser._actions
+            if action.dest == "system"
+        ]
+        assert flags == [["--systems"]]
 
 
 class TestOutputPaths:

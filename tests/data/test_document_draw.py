@@ -154,8 +154,8 @@ def configs(draw) -> DataDistributionConfig:
         st.sampled_from(range(patch // 2, max_side + 1, patch))
         if patch % 2 == 0 else st.integers(min_value=0, max_value=max_side),
     ))
-    # text_max_tokens above the 4,096-entry text intern table needs a
-    # large text_mu to draw such spans.
+    # Text spans of thousands of tokens, longer than many of the drawn
+    # seq_lens and so truncated, need a large text_mu to draw them.
     text_mu, text_max = draw(st.sampled_from([
         (3.4, 128), (0.0, 128), (3.4, 30), (8.5, 6000),
     ]))

@@ -271,12 +271,31 @@ class TestReport:
     def test_report_failures_empty_when_all_ok(
         self, cache_dir, tmp_path, capsys
     ):
-        run_sweep(cache_dir, tmp_path)
+        results = tmp_path / "ok.json"
+        run_sweep(cache_dir, tmp_path, ["--output", str(results)])
         capsys.readouterr()
-        code = main(["report", "--cache-dir", cache_dir, "--failures"])
+        code = main(["report", "--input", str(results), "--failures"])
         out = capsys.readouterr().out
         assert code == 0
         assert "no failed trials" in out
+
+    def test_report_failures_needs_input(self, cache_dir, tmp_path, capsys):
+        """The cache holds ok trials only, so ``--failures`` without
+        ``--input`` is an error, not an empty list, even right after a
+        sweep that recorded a failure."""
+        main([
+            "sweep", "--models", "mllm-9b",
+            "--systems", "disttrain", "megatron-lm",
+            "--gpus", "16", "--gbs", "8",
+            "--cache-dir", cache_dir, "--jobs", "1", "--quiet",
+        ])
+        capsys.readouterr()
+        code = main(["report", "--cache-dir", cache_dir, "--failures"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("repro report: error: ")
+        assert "--input" in captured.err
 
     def test_report_baseline_with_mixed_seeds(
         self, cache_dir, tmp_path, capsys

@@ -10,6 +10,7 @@ drained, and interrupted campaigns resumed to the same record set.
 
 import os
 import signal
+import time
 
 import pytest
 
@@ -172,6 +173,23 @@ class TestTimeouts:
         ])
         _, results = run_supervised(TINY, timeout=0.75)
         assert all(r["status"] == "ok" for r in results.values())
+
+
+    def test_one_worker_with_a_timeout_is_supervised(self):
+        """One worker and a timeout still run under supervision: the
+        hung first attempt is killed at the timeout and retried, not
+        waited out in this process and recorded as failed."""
+        chaos.install([
+            chaos.ChaosRule(
+                "hang", match={"index": 0}, times=1, seconds=8.0
+            )
+        ])
+        start = time.monotonic()
+        campaign = CampaignRunner(
+            TINY, cache=None, processes=1, timeout=0.75, retry=FAST_RETRY,
+        ).run()
+        assert [r.status for r in campaign.records] == ["ok", "ok"]
+        assert time.monotonic() - start < 8.0
 
 
 class TestHeartbeat:

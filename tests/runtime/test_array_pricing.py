@@ -23,7 +23,6 @@ from repro.data.sample import (
     SampleBatch,
     Subsequence,
     TrainingSample,
-    text_subsequence,
 )
 from repro.data.synthetic import SyntheticMultimodalDataset
 from repro.models.base import ModuleWorkload
@@ -60,7 +59,7 @@ def sample(sample_id, image_tokens, images):
         sizes = [image_tokens // images] * (images - 1)
         sizes.append(image_tokens - sum(sizes))
     spans = tuple(Subsequence("image", t) for t in sizes)
-    return TrainingSample(sample_id, spans + (text_subsequence(100),))
+    return TrainingSample(sample_id, spans + (Subsequence("text", 100),))
 
 
 samples = st.lists(workload, min_size=0, max_size=24).map(
@@ -281,7 +280,7 @@ def pixel_tied(seed):
     return [
         TrainingSample(i, (
             Subsequence("image", 64, pixels=int(rng.choice([4096, 65536]))),
-            text_subsequence(int(rng.integers(0, 8000))),
+            Subsequence("text", int(rng.integers(0, 8000))),
         ))
         for i in range(16)
     ]

@@ -6,7 +6,6 @@ from repro.data.sample import (
     BatchColumns,
     Subsequence,
     TrainingSample,
-    text_subsequence,
 )
 from repro.data.synthetic import SyntheticMultimodalDataset
 from repro.models.base import ModuleWorkload
@@ -27,12 +26,12 @@ def image(tokens):
 #: Samples with no, one and several images (and repeated image counts,
 #: so the accountant's per-image-count terms are reused).
 MIXED = [
-    TrainingSample(0, (text_subsequence(8192),)),
-    TrainingSample(1, (text_subsequence(7000), image(1024))),
-    TrainingSample(2, (image(256), text_subsequence(3000), image(4096))),
+    TrainingSample(0, (Subsequence("text", 8192),)),
+    TrainingSample(1, (Subsequence("text", 7000), image(1024))),
+    TrainingSample(2, (image(256), Subsequence("text", 3000), image(4096))),
     TrainingSample(3, tuple(image(576) for _ in range(6))),
-    TrainingSample(4, (text_subsequence(100), image(64))),
-    TrainingSample(5, (image(2048), image(16), text_subsequence(5))),
+    TrainingSample(4, (Subsequence("text", 100), image(64))),
+    TrainingSample(5, (image(2048), image(16), Subsequence("text", 5))),
 ] + list(SAMPLES)
 
 
